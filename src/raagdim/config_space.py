@@ -11,12 +11,23 @@ of the quotient are unordered pairs; the stored representative puts the
 simplex with the lower-ranked minimal vertex first, and every sign in the
 quotient boundary is derived from that single convention.
 
+ConfigurationSpace works on an index of K.  Every face gets an id (by
+dimension, then rank tuple) and an int vertex bitmask, so disjointness is
+`mask_a & mask_b == 0`.  Each degree is enumerated once, already in cell
+order (the order of `cell_key`), with no sort; a cell's id is its position
+in `cells_of_degree(d)`.  `boundary_rows(d)` holds the signed boundary of
+every d-cell as sorted (lower id, sign) pairs, built once per degree for
+the coboundary solve and its re-check.  `count_cells(d)` counts a degree
+without building it, and `boundary(cell)` computes one cell's boundary
+without enumerating anything.
+
 Chains are plain dicts {cell: int}; GF(2) chains are frozensets of cells.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from bisect import bisect_right
+from functools import cached_property
 
 from .complexes import SimplicialComplex
 from .homology import simplex_boundary
@@ -77,7 +88,8 @@ class ConfigurationSpace:
 
     def __init__(self, K: SimplicialComplex):
         self.K = K
-        self._cells: dict = {}
+        self._degrees: dict = {}
+        self._rows: dict = {}
 
     def canonical(self, a: tuple, b: tuple):
         """Canonical representative and the sign relating (a, b) to it."""
@@ -87,57 +99,109 @@ class ConfigurationSpace:
         return (b, a), (-1) ** ((len(a) - 1) * (len(b) - 1))
 
     def cell_key(self, cell):
+        """Sort key of the cell order; defined on any pair of vertex tuples."""
         rk = self.K.rank
         a, b = cell
         return (len(a), len(b), tuple(rk[v] for v in a), tuple(rk[v] for v in b))
 
+    @cached_property
+    def _faces(self):
+        """Faces by id (dimension, then rank tuple) with their vertex bitmasks
+        and first-vertex ranks, plus each dimension's id range and first
+        ranks."""
+        rk = self.K.rank
+        faces = [f for k in range(self.K.dim + 1) for f in self.K.faces_of_dim(k)]
+        masks = [sum(1 << rk[v] for v in f) for f in faces]
+        first = [rk[f[0]] for f in faces]
+        spans, start = [], 0
+        for k in range(self.K.dim + 1):
+            stop = start + len(self.K.faces_of_dim(k))
+            spans.append((start, stop, first[start:stop]))
+            start = stop
+        return faces, masks, first, spans
+
+    @cached_property
+    def _face_ids(self) -> dict:
+        return {f: g for g, f in enumerate(self._faces[0])}
+
+    def _pairs(self, d: int):
+        """Face-id pairs (a, b) of the d-cells, in cell order.
+
+        Ids follow dimension, then rank tuple, so ordering by the id of a,
+        then of b, is the order of cell_key.  Every b lies in the suffix of
+        its dimension whose first vertex ranks above the first vertex of a.
+        """
+        _faces, masks, first, spans = self._faces
+        top = len(spans) - 1
+        for i in range(max(0, d - top), min(d, top) + 1):
+            a_start, a_stop, _ = spans[i]
+            b_start, b_stop, b_first = spans[d - i]
+            for ga in range(a_start, a_stop):
+                ma = masks[ga]
+                for gb in range(b_start + bisect_right(b_first, first[ga]), b_stop):
+                    if not ma & masks[gb]:
+                        yield ga, gb
+
+    def _degree(self, d: int):
+        """The d-cells in cell order and the map from face-id pair to cell id."""
+        if d not in self._degrees:
+            faces = self._faces[0]
+            ids = {pair: i for i, pair in enumerate(self._pairs(d))}
+            self._degrees[d] = tuple((faces[ga], faces[gb]) for ga, gb in ids), ids
+        return self._degrees[d]
+
     def cells_of_degree(self, d: int) -> tuple:
-        if d in self._cells:
-            return self._cells[d]
-        found = []
-        for i in range(d + 1):
-            j = d - i
-            if i < j:
-                continue
-            fi = self.K.faces_of_dim(i)
-            fj = self.K.faces_of_dim(j)
-            if i > j:
-                for a in fi:
-                    sa = set(a)
-                    for b in fj:
-                        if not (sa & set(b)):
-                            found.append(self.canonical(a, b)[0])
-            else:
-                for a, b in combinations(fi, 2):
-                    if not (set(a) & set(b)):
-                        found.append(self.canonical(a, b)[0])
-        cells = tuple(sorted(found, key=self.cell_key))
-        self._cells[d] = cells
-        return cells
+        return self._degree(d)[0]
 
-    @property
-    def top_degree(self) -> int:
-        return max((d for d in range(2 * self.K.dim + 1) if self.cells_of_degree(d)), default=-1)
+    def count_cells(self, d: int) -> int:
+        """Exact number of d-cells, without building them."""
+        return sum(1 for _ in self._pairs(d))
 
-    def contains(self, cell) -> bool:
+    def cell_id(self, cell) -> int:
+        """Position of a canonical cell in cells_of_degree."""
         a, b = cell
-        return a in self.K.faces and b in self.K.faces and not (set(a) & set(b))
+        fid = self._face_ids
+        return self._degree(len(a) + len(b) - 2)[1][fid[a], fid[b]]
+
+    def boundary_rows(self, d: int) -> tuple:
+        """Signed boundary of every d-cell as (lower id, sign) pairs sorted by
+        id, one row per cell in cell order; computed once per degree."""
+        if d in self._rows:
+            return self._rows[d]
+        faces, _masks, first, _spans = self._faces
+        fid = self._face_ids
+        facets = [[(fid[sub], sign) for sub, sign in simplex_boundary(f)] for f in faces]
+        lower = self._degree(d - 1)[1]
+        rows = []
+        for ga, gb in self._degree(d)[1]:
+            row = []
+            # Dropping the first vertex of a can put b first.
+            for sa, sign in facets[ga]:
+                if first[sa] < first[gb]:
+                    row.append((lower[sa, gb], sign))
+                else:
+                    swap = (-1) ** ((len(faces[sa]) - 1) * (len(faces[gb]) - 1))
+                    row.append((lower[gb, sa], swap * sign))
+            # Every facet of b starts at or after b's first vertex.
+            flip = (-1) ** (len(faces[ga]) - 1)
+            for sb, sign in facets[gb]:
+                row.append((lower[ga, sb], flip * sign))
+            row.sort()
+            rows.append(tuple(row))
+        self._rows[d] = rows = tuple(rows)
+        return rows
 
     def boundary(self, cell):
-        acc: dict = {}
+        """Signed boundary of one cell, sorted by cell_key; enumerates nothing.
+
+        The terms never merge: {a', b} = {a, b'} would need a = b.
+        """
+        out = []
         for (a, b), sign in pair_cell_boundary(cell):
             rep, flip = self.canonical(a, b)
-            acc[rep] = acc.get(rep, 0) + sign * flip
-        return tuple((c, v) for c, v in sorted(acc.items(), key=lambda cv: self.cell_key(cv[0])) if v)
-
-    def count_cells_up_to(self, limit: int):
-        """Total cell count across degrees, or None once `limit` is passed."""
-        total = 0
-        for d in range(2 * self.K.dim + 1):
-            total += len(self.cells_of_degree(d))
-            if total > limit:
-                return None
-        return total
+            out.append((rep, sign * flip))
+        out.sort(key=lambda term: self.cell_key(term[0]))
+        return tuple(out)
 
 
 def transfer(chain, space: ConfigurationSpace) -> dict:

@@ -51,30 +51,26 @@ def kernel_basis(rows, ncols) -> list:
 def solve(equations, ncols, want_witness=False):
     """Solve A x = b over GF(2).
 
-    equations: iterable of (mask, rhs_bit) pairs, one per equation.
+    equations: iterable of (mask, rhs_bit) pairs, one per equation, each
+    eliminated as it arrives, so only the pivot rows are ever held.
     Returns (x_mask, None) on success with free variables set to 0, or
     (None, witness) when inconsistent; the witness (only computed when
     requested) is the list of equation indices whose sum reads 0 = 1.
+    Witness tracking widens row i by i + 1 bits, so solve without it first.
     """
     var_mask = (1 << ncols) - 1
     aug = 1 << ncols
-    rows = []
-    for i, (mask, rhs) in enumerate(equations):
-        row = (mask & var_mask) | (aug if rhs & 1 else 0)
-        if want_witness:
-            row |= 1 << (ncols + 1 + i)
-        rows.append(row)
-
     piv: dict = {}
-    for row in rows:
-        r = row
+    for i, (mask, rhs) in enumerate(equations):
+        r = (mask & var_mask) | (aug if rhs & 1 else 0)
+        if want_witness:
+            r |= 1 << (ncols + 1 + i)
         while True:
             rv = r & var_mask
             if not rv:
                 if r & aug:
                     if want_witness:
-                        w = r >> (ncols + 1)
-                        return None, [i for i in range(w.bit_length()) if (w >> i) & 1]
+                        return None, indices_from_mask(r >> (ncols + 1))
                     return None, None
                 break
             c = rv.bit_length() - 1

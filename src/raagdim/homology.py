@@ -5,9 +5,11 @@ reduced Betti numbers of a point are all zero and b0 counts components
 minus one.  Rational ranks come from fraction-free integer elimination.
 
 The coboundary solver works on any finite cell complex presented through
-the `cells + signed boundary incidence` interface (an object with
-``cells_of_degree(d)`` and ``boundary(cell) -> [(cell, coeff), ...]``),
-which is how the quotient pair complexes plug in.
+the `cells + signed boundary rows` interface (an object with
+``cells_of_degree(d)`` and ``boundary_rows(d)``, one row of sorted
+``(lower cell id, coeff)`` pairs per d-cell, ids indexing
+``cells_of_degree(d - 1)``), which is how the quotient pair complexes plug
+in.
 """
 
 from __future__ import annotations
@@ -157,11 +159,31 @@ def homology_profile(K: SimplicialComplex) -> HomologyProfile:
     )
 
 
+class _ParityEquations:
+    """The GF(2) rows of delta x = phi, rebuilt on each pass over them, so
+    no list of row masks is ever held."""
+
+    def __init__(self, rows, rhs):
+        self.rows = rows
+        self.rhs = rhs
+
+    def __len__(self):
+        return len(self.rhs)
+
+    def __iter__(self):
+        for row, bit in zip(self.rows, self.rhs):
+            mask = 0
+            for i, coeff in row:
+                if coeff % 2:
+                    mask ^= 1 << i
+            yield mask, bit
+
+
 def solve_coboundary(phi, degree: int, space, coefficients: str = "gf2"):
     """Find x with (delta x) = phi on the m-cells of a cell complex.
 
     phi: mapping from m-cells to coefficients (missing cells read as 0).
-    space: cell complex exposing cells_of_degree(d) and boundary(cell).
+    space: cell complex exposing cells_of_degree(d) and boundary_rows(d).
 
     Returns (primitive, witness): `primitive` is a dict on (m-1)-cells when
     solvable, otherwise None and `witness` is a list of m-cells forming a
@@ -169,29 +191,23 @@ def solve_coboundary(phi, degree: int, space, coefficients: str = "gf2"):
     """
     m_cells = space.cells_of_degree(degree)
     lower = space.cells_of_degree(degree - 1) if degree > 0 else ()
-    idx = {c: i for i, c in enumerate(lower)}
+    rows = space.boundary_rows(degree)
     if coefficients == "gf2":
-        eqs = []
-        for cell in m_cells:
-            mask = 0
-            for sub, coeff in space.boundary(cell):
-                if coeff % 2:
-                    mask ^= 1 << idx[sub]
-            eqs.append((mask, phi.get(cell, 0) % 2))
-        x, witness = gf2.solve(eqs, len(lower), want_witness=True)
+        eqs = _ParityEquations(rows, [phi.get(cell, 0) % 2 for cell in m_cells])
+        x, _ = gf2.solve(eqs, len(lower))
         if x is None:
+            _, witness = gf2.solve(eqs, len(lower), want_witness=True)
             return None, [m_cells[i] for i in witness]
         prim = {lower[i]: 1 for i in gf2.indices_from_mask(x)}
         return prim, None
     if coefficients == "int":
         mat = []
-        rhs = []
-        for cell in m_cells:
-            row = [0] * len(lower)
-            for sub, coeff in space.boundary(cell):
-                row[idx[sub]] += coeff
-            mat.append(row)
-            rhs.append(phi.get(cell, 0))
+        for row in rows:
+            dense = [0] * len(lower)
+            for i, coeff in row:
+                dense[i] += coeff
+            mat.append(dense)
+        rhs = [phi.get(cell, 0) for cell in m_cells]
         if not mat:
             return ({}, None) if not any(rhs) else (None, [])
         sol = intlinalg.solve_integer(mat, rhs)

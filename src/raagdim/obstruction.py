@@ -296,11 +296,10 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
                                reason="degree 0 is handled by the sphere rules")
     octa = octahedralize(L)
     space = ConfigurationSpace(octa.complex)
-    n_top = len(space.cells_of_degree(2 * k))
-    n_lower = len(space.cells_of_degree(2 * k - 1))
-    if n_top + n_lower > max_cells:
+    n_cells = space.count_cells(2 * k) + space.count_cells(2 * k - 1)
+    if n_cells > max_cells:
         return VanishingResult(status="skipped", primitive=None, witness_cycle=None,
-                               reason=f"cell budget exceeded ({n_top + n_lower} > {max_cells})")
+                               reason=f"cell budget exceeded ({n_cells} > {max_cells})")
     phi = top_mesh_cocycle(octa, space, k)
     primitive, witness = solve_coboundary(phi, 2 * k, space, coefficients="gf2")
     if primitive is None:
@@ -312,9 +311,9 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
             raise RuntimeError("inconsistency witness does not pair to 1")
         return VanishingResult(status="obstructed", primitive=None, witness_cycle=witness)
     # Re-check the primitive cell by cell.
-    idx = set(primitive)
-    for cell in space.cells_of_degree(2 * k):
-        val = sum(coeff for sub, coeff in space.boundary(cell) if sub in idx) % 2
+    idx = {space.cell_id(cell) for cell in primitive}
+    for cell, row in zip(space.cells_of_degree(2 * k), space.boundary_rows(2 * k)):
+        val = sum(coeff for sub, coeff in row if sub in idx) % 2
         if val != phi.get(cell, 0) % 2:
             raise RuntimeError("primitive fails verification")
     integral_prim = None

@@ -2,14 +2,20 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import raagdim
 from raagdim import io_json
 from raagdim.cli import main
 from raagdim.obstruction import certify_nonvanishing
 from raagdim.verify import verify_certificate
 from raagdim.zoo import ZOO, cycle, octahedron_boundary
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(raagdim.__file__)))
 
 
 def write_json(tmp_path, name, payload):
@@ -206,3 +212,18 @@ def test_cli_batch_mode(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("actdim(A_L)") == 2
     assert main(["analyze", c4, str(tmp_path / "nope.json")]) == 1
+
+
+def test_cli_analyze_output_is_independent_of_hash_seed(tmp_path):
+    complex_path = str(tmp_path / "csc5.json")
+    assert main(["generate", "cone(suspension(cycle(5)))", "--out", complex_path]) == 0
+    outputs = []
+    for hash_seed in ("1", "2"):
+        report = tmp_path / f"report-{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC_DIR)
+        run = subprocess.run(
+            [sys.executable, "-m", "raagdim", "analyze", complex_path, "--out", str(report)],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append((run.stdout, report.read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -1,6 +1,7 @@
 """Deleted products, the unordered quotient, and the transfer map."""
 
 import random
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
@@ -136,9 +137,51 @@ def test_transfer_formula_and_zero():
 def test_every_cell_is_disjoint_and_within_budget_counting(seed):
     K = random_flag(6, 0.5, seed)
     cs = ConfigurationSpace(K)
-    for d in range(2 * K.dim + 1):
-        for a, b in cs.cells_of_degree(d):
+    for d in range(-1, 2 * K.dim + 2):
+        counted = ConfigurationSpace(K).count_cells(d)
+        cells = cs.cells_of_degree(d)
+        for a, b in cells:
             assert not set(a) & set(b)
-    n = cs.count_cells_up_to(10**6)
-    assert n == sum(len(cs.cells_of_degree(d)) for d in range(2 * K.dim + 1))
-    assert ConfigurationSpace(K).count_cells_up_to(0) is None or n == 0
+        assert counted == len(cells) == cs.count_cells(d)
+
+
+def rank_sorted_cells(K, d):
+    """Oracle: every disjoint pair of degree d in canonical form, sorted by
+    the rank-tuple cell key -- the enumeration the index replaces."""
+    cs = ConfigurationSpace(K)
+    found = []
+    for i in range(d + 1):
+        j = d - i
+        if i < j:
+            continue
+        fi, fj = K.faces_of_dim(i), K.faces_of_dim(j)
+        pairs = combinations(fi, 2) if i == j else ((a, b) for a in fi for b in fj)
+        for a, b in pairs:
+            if not set(a) & set(b):
+                found.append(cs.canonical(a, b)[0])
+    return sorted(found, key=cs.cell_key)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=15, deadline=None)
+def test_indexed_enumeration_matches_rank_sorted_oracle(seed):
+    K = octahedralize(random_flag(5, 0.5, seed)).complex
+    cs = ConfigurationSpace(K)
+    for d in range(2 * K.dim + 1):
+        cells = cs.cells_of_degree(d)
+        assert list(cells) == rank_sorted_cells(K, d)
+        assert [cs.cell_id(c) for c in cells] == list(range(len(cells)))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=15, deadline=None)
+def test_boundary_rows_match_per_cell_boundary(seed):
+    K = octahedralize(random_flag(5, 0.5, seed)).complex
+    cs = ConfigurationSpace(K)
+    for d in range(2 * K.dim + 1):
+        lower = cs.cells_of_degree(d - 1)
+        rows = cs.boundary_rows(d)
+        assert len(rows) == len(cs.cells_of_degree(d))
+        for cell, row in zip(cs.cells_of_degree(d), rows):
+            assert [i for i, _ in row] == sorted({i for i, _ in row})
+            assert tuple((lower[i], sign) for i, sign in row) == cs.boundary(cell)

@@ -22,7 +22,7 @@ from raagdim.obstruction import (
     push_to_product,
 )
 from raagdim.octa import MINUS, PLUS, double_over, minus_lift, octahedralize
-from raagdim.zoo import cycle, octahedron_boundary, path, points, random_flag, simplex, tree
+from raagdim.zoo import cone, cycle, octahedron_boundary, path, points, random_flag, simplex, tree
 
 RANK4 = {"v0": 0, "v1": 1, "v2": 2, "v3": 3}
 
@@ -263,6 +263,17 @@ def test_certify_vanishing_c4_obstructed_with_witness():
     witness = frozenset(result.witness_cycle)
     assert not chain_boundary(witness, space.boundary, mod=2)
     assert sum(mesh_indicator(c, o.rank) for c in witness) % 2 == 1
+
+
+def test_certify_vanishing_refuses_by_count_without_building_cells(monkeypatch):
+    def refuse_to_build(self, d):
+        raise AssertionError(f"degree {d} was built")
+
+    monkeypatch.setattr(ConfigurationSpace, "cells_of_degree", refuse_to_build)
+    monkeypatch.setattr(ConfigurationSpace, "boundary_rows", refuse_to_build)
+    result = certify_vanishing(cone(octahedron_boundary(3)), max_cells=1000)
+    assert result.status == "skipped"
+    assert result.reason == "cell budget exceeded (117504 > 1000)"
 
 
 def test_mutual_exclusion_never_both():
