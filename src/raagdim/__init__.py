@@ -10,7 +10,6 @@ from .bounds import DimensionReport, analyze, geometric_dimension, join_lemma_bo
 from .complexes import (
     SimplicialComplex,
     flag_completion,
-    from_maximal_simplices,
     full_subcomplex,
     is_flag,
     join,
@@ -29,9 +28,8 @@ from .obstruction import (
     covering_pair_chain,
     mesh_indicator,
     mesh_number,
-    moment_curve_oracle,
 )
-from .octa import double_over, minus_copy, octahedralize
+from .octa import double_over, octahedralize
 
 __all__ = [
     "DimensionReport",
@@ -45,7 +43,6 @@ __all__ = [
     "cycle_space",
     "double_over",
     "flag_completion",
-    "from_maximal_simplices",
     "full_subcomplex",
     "geometric_dimension",
     "is_flag",
@@ -56,9 +53,7 @@ __all__ = [
     "make_complex",
     "mesh_indicator",
     "mesh_number",
-    "minus_copy",
     "mod2_betti",
-    "moment_curve_oracle",
     "octahedralize",
     "partial_barycentric_subdivision",
     "rational_betti",

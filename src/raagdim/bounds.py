@@ -1,9 +1,13 @@
 """Dimension bound engine for right-angled Artin groups.
 
 Given a flag complex L, combines exact homology, nonvanishing certificates,
-coboundary solves, the join formula and the star/link recursion into
-certified intervals for the van Kampen dimension of the octahedralization,
-the embedding dimension, and the action dimension of the associated group.
+the top coboundary solve and the star/link recursion into certified
+intervals for the van Kampen dimension of the octahedralization, the
+embedding dimension, and the action dimension of the associated group.
+`analyze` and `vkdim_lower` share one lower-bound search: the highest
+certified degree above the sphere floor, then the bound of every vertex
+link plus one.  `join_lemma_bound` is the interval arithmetic of the join
+formula; `analyze` does not apply it.
 Every emitted bound re-checks its hypothesis and carries a named rule;
 bounds resting on an unprovable step carry caveats and, when the step is
 genuinely open (the dimension-2 completeness gap), stay out of the
@@ -21,6 +25,9 @@ from .obstruction import CycleCertificate, VanishingResult, certify_nonvanishing
 CAVEAT_DIM2_INCOMPLETE = "top-obstruction-incomplete-in-dim-2"
 CAVEAT_CODIMENSION = "codimension-hypothesis-unverified"
 CAVEAT_MOD2_ONLY = "mod-2-vanishing-only"
+
+# Depth of the star/link recursion below the analyzed complex.
+STAR_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,28 @@ def is_full_simplex(L: SimplicialComplex) -> bool:
     return L.dim >= 0 and len(L.vertices) == L.dim + 1
 
 
+def _top_certificate(L: SimplicialComplex, floor: int, search_budget: int):
+    """(d, certificate) for the highest degree d <= dim L with 2d above
+    `floor` that has a nonvanishing certificate, or None."""
+    for degree in range(L.dim, -1, -1):
+        if 2 * degree <= floor:
+            return None
+        cert = certify_nonvanishing(L, degree, search_budget=search_budget)
+        if cert is not None:
+            return degree, cert
+    return None
+
+
+def _link_bounds(L: SimplicialComplex, depth: int, search_budget: int, cache: dict):
+    """(v, bound, why) from vkdim_lower on the link of each vertex v whose
+    link is nonempty."""
+    for v in L.vertices:
+        lk = link(L, (v,))
+        if lk.dim >= 0:
+            sub, why = vkdim_lower(lk, depth, search_budget, cache)
+            yield v, sub, why
+
+
 def vkdim_lower(L: SimplicialComplex, depth: int = 3, search_budget: int = 2, _cache=None):
     """Certified lower bound for the van Kampen dimension of the
     octahedralization, from certificates in all degrees and the star/link
@@ -115,42 +144,21 @@ def vkdim_lower(L: SimplicialComplex, depth: int = 3, search_budget: int = 2, _c
     best = (-1, "sphere floor: the doubled vertex pair")
     if is_full_simplex(L):
         best = (L.dim - 1, f"octahedral sphere of dimension {L.dim}")
-    for degree in range(L.dim, -1, -1):
-        if 2 * degree <= best[0]:
-            break
-        cert = certify_nonvanishing(L, degree, search_budget=search_budget)
-        if cert is not None:
-            if 2 * degree > best[0]:
-                best = (2 * degree, f"covering-chain certificate in degree {degree}")
-            break
+    found = _top_certificate(L, best[0], search_budget)
+    if found is not None:
+        best = (2 * found[0], f"covering-chain certificate in degree {found[0]}")
     if depth > 0:
-        for v in L.vertices:
-            lk = link(L, (v,))
-            if lk.dim < 0:
-                continue
-            sub, why = vkdim_lower(lk, depth - 1, search_budget, _cache)
-            cand = sub + 1
-            if cand > best[0]:
-                best = (cand, f"star/link at vertex {v!r}: link gives {sub} ({why})")
+        for v, sub, why in _link_bounds(L, depth - 1, search_budget, _cache):
+            if sub + 1 > best[0]:
+                best = (sub + 1, f"star/link at vertex {v!r}: link gives {sub} ({why})")
     _cache[L] = best
     return best
-
-
-def star_link_bound(L: SimplicialComplex, vertex, depth: int = 3, search_budget: int = 2):
-    """Lower bound on the octahedralization's van Kampen dimension through
-    one vertex star: the link bound plus one."""
-    lk = link(L, (vertex,))
-    if lk.dim < 0:
-        return -1, "isolated vertex: bare 0-sphere"
-    sub, why = vkdim_lower(lk, depth - 1, search_budget)
-    return sub + 1, why
 
 
 def analyze(
     L: SimplicialComplex,
     allow_non_flag: bool = False,
     search_budget: int = 2,
-    star_depth: int = 3,
     integral: bool = False,
     max_cells: int = 10**6,
 ) -> DimensionReport:
@@ -183,45 +191,31 @@ def analyze(
                                "top-degree", "pair cells stop at twice the complex dimension"))
     sphere = is_full_simplex(L)
     if sphere:
-        vk_lo = max(vk_lo, k - 1)
-        vk_hi = min(vk_hi, k - 1)
+        vk_lo = vk_hi = k - 1
         records.append(BoundRecord("vkdim", "lower", k - 1, "octahedral-sphere",
                                    f"the octahedralization is the {k}-sphere"))
         records.append(BoundRecord("vkdim", "upper", k - 1, "octahedral-sphere",
                                    f"the octahedralization is the {k}-sphere"))
 
-    certificate = certify_nonvanishing(L, k, search_budget=search_budget)
-    if certificate is not None:
-        vk_lo = max(vk_lo, 2 * k)
-        records.append(BoundRecord("vkdim", "lower", 2 * k, "covering-chain-certificate",
-                                   "top cocycle pairs to 1 with the certificate cycle"))
+    certificate = None
+    sub_certs: tuple = ()
+    found = _top_certificate(L, vk_lo, search_budget)
+    if found is not None:
+        degree, cert = found
+        vk_lo = 2 * degree
+        if degree == k:
+            certificate = cert
+            detail = "top cocycle pairs to 1 with the certificate cycle"
+        else:
+            sub_certs = (cert,)
+            detail = f"certificate on the {degree}-skeleton"
+        records.append(BoundRecord("vkdim", "lower", vk_lo, "covering-chain-certificate", detail))
 
-    sub_certs: list = []
-    if certificate is None:
-        for degree in range(k - 1, -1, -1):
-            if 2 * degree <= vk_lo:
-                break
-            c = certify_nonvanishing(L, degree, search_budget=search_budget)
-            if c is not None:
-                sub_certs.append(c)
-                vk_lo = max(vk_lo, 2 * degree)
-                records.append(BoundRecord("vkdim", "lower", 2 * degree,
-                                           "covering-chain-certificate",
-                                           f"certificate on the {degree}-skeleton"))
-                break
-
-    if star_depth > 0:
-        cache: dict = {}
-        for v in L.vertices:
-            lk = link(L, (v,))
-            if lk.dim < 0:
-                continue
-            sub, why = vkdim_lower(lk, star_depth - 1, search_budget, cache)
-            cand = sub + 1
-            if cand > vk_lo:
-                vk_lo = cand
-                records.append(BoundRecord("vkdim", "lower", cand, "star-link",
-                                           f"link of {v!r} gives {sub}: {why}"))
+    for v, sub, why in _link_bounds(L, STAR_DEPTH - 1, search_budget, {}):
+        if sub + 1 > vk_lo:
+            vk_lo = sub + 1
+            records.append(BoundRecord("vkdim", "lower", vk_lo, "star-link",
+                                       f"link of {v!r} gives {sub}: {why}"))
 
     vanishing = None
     if certificate is None and k >= 1:
@@ -238,7 +232,9 @@ def analyze(
             warnings.append(f"coboundary solve skipped: {vanishing.reason}")
 
     vanished = vanishing is not None and vanishing.status == "primitive"
-    top_h_zero = k < 0 or (betti2[k] == 0 if k < len(betti2) else True)
+    # Without an integer primitive, nonzero top homology leaves the
+    # vanishing route resting on the mod-2 solve alone.
+    mod2_only = vanished and betti2[k] != 0 and vanishing.integral_primitive is None
 
     # --- embedding dimension of the octahedralization ------------------
     emb_lo = vk_lo + 1
@@ -255,15 +251,14 @@ def analyze(
                                    "any k-complex embeds in dimension 2k+1"))
     if vanished:
         caveats = []
-        in_interval = k != 2
         if k == 2:
             caveats.append(CAVEAT_DIM2_INCOMPLETE)
-        if not top_h_zero and not (vanishing.integral_checked and vanishing.integral_primitive is not None):
+        if mod2_only:
             caveats.append(CAVEAT_MOD2_ONLY)
         records.append(BoundRecord("embdim", "upper", 2 * k, "vanishing-route",
                                    "vanishing top obstruction is complete away from dimension 2",
-                                   caveats=tuple(caveats), in_interval=in_interval and not caveats))
-        if in_interval and not caveats:
+                                   caveats=tuple(caveats), in_interval=not caveats))
+        if not caveats:
             emb_hi = min(emb_hi, 2 * k)
 
     # --- action dimension of the group ----------------------------------
@@ -285,13 +280,12 @@ def analyze(
                                        "a full simplex gives a free abelian group acting on euclidean space"))
         if vanished and k != 2:
             caveats = [CAVEAT_CODIMENSION] if 2 * k <= k + 2 else []
-            if not top_h_zero and not (vanishing.integral_checked and vanishing.integral_primitive is not None):
+            if mod2_only:
                 caveats.append(CAVEAT_MOD2_ONLY)
-            usable = CAVEAT_MOD2_ONLY not in caveats
             records.append(BoundRecord("actdim", "upper", 2 * k + 1, "vanishing-route",
                                        "vanishing top obstruction caps the action dimension at 2k+1",
-                                       caveats=tuple(caveats), in_interval=usable))
-            if usable:
+                                       caveats=tuple(caveats), in_interval=not mod2_only))
+            if not mod2_only:
                 act_hi = min(act_hi, 2 * k + 1)
         elif vanished and k == 2:
             records.append(BoundRecord("actdim", "upper", 2 * k + 1, "vanishing-route",
@@ -326,7 +320,7 @@ def analyze(
         conjecture_status=conjecture,
         records=tuple(records),
         certificate=certificate,
-        sub_certificates=tuple(sub_certs),
+        sub_certificates=sub_certs,
         vanishing=vanishing,
         warnings=tuple(warnings),
     )

@@ -91,6 +91,11 @@ def _analyze_one(path: str, args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # Checked here, not by argparse, whose exit code 2 means --strict.
+    for flag, value in (("--max-cells", args.max_cells), ("--search-budget", args.search_budget)):
+        if value < 0:
+            print(f"error: {flag} must be nonnegative, got {value}", file=sys.stderr)
+            return 1
     # Batch mode: inputs are independent; the exit code is the worst one.
     if len(args.inputs) > 1 and (args.out or args.certificate):
         print("error: --out and --certificate need a single input", file=sys.stderr)

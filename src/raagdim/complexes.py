@@ -66,12 +66,6 @@ class SimplicialComplex:
     def __contains__(self, face) -> bool:
         return tuple(face) in self.faces
 
-    def has_face(self, vertices) -> bool:
-        try:
-            return self.sort_face(vertices) in self.faces
-        except ValueError:
-            return False
-
     def maximal_faces(self) -> tuple:
         out = []
         for f in self.faces:
@@ -83,32 +77,6 @@ class SimplicialComplex:
 
     def face_counts(self) -> tuple:
         return tuple(len(self.faces_of_dim(k)) for k in range(self.dim + 1))
-
-    def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return self.faces <= other.faces
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(f) - 1) for f in self.faces)
-
-    def validate(self) -> None:
-        """Check the structural invariants; raises on violation."""
-        rk = self.rank
-        if len(rk) != len(self.vertices):
-            raise ValueError("repeated vertex label")
-        for f in self.faces:
-            if not f:
-                raise ValueError("empty simplex stored")
-            if list(f) != sorted(f, key=rk.__getitem__):
-                raise ValueError(f"face {f!r} not sorted by rank")
-            if len(set(f)) != len(f):
-                raise ValueError(f"face {f!r} has a repeated vertex")
-            for i in range(len(f)):
-                sub = f[:i] + f[i + 1 :]
-                if sub and sub not in self.faces:
-                    raise ValueError(f"face closure fails at {f!r} / {sub!r}")
-        for v in self.vertices:
-            if (v,) not in self.faces:
-                raise ValueError(f"vertex {v!r} is not a stored 0-face")
 
 
 def _closure(simplices) -> set:
@@ -146,10 +114,6 @@ def make_complex(faces, vertex_order=None) -> SimplicialComplex:
     closed = {tuple(sorted(f, key=rk.__getitem__)) for f in _closure(faces)}
     used = sorted({v for f in closed for v in f}, key=rk.__getitem__)
     return SimplicialComplex(vertices=tuple(used), faces=frozenset(closed))
-
-
-def from_maximal_simplices(simplices, vertex_order=None) -> SimplicialComplex:
-    return make_complex(simplices, vertex_order)
 
 
 def from_graph(vertices, edges) -> SimplicialComplex:

@@ -1,15 +1,16 @@
-"""Deleted products and configuration spaces of a simplicial complex.
+"""The configuration space of unordered disjoint simplex pairs.
 
-The simplicial deleted product is the regular cell complex of ordered
-pairs (sigma, tau) of disjoint closed simplices, with the product boundary
+An ordered pair (sigma, tau) of disjoint closed simplices is a product
+cell with the boundary
 
-    d(sigma x tau) = d(sigma) x tau + (-1)^dim(sigma) sigma x d(tau).
+    d(sigma x tau) = d(sigma) x tau + (-1)^dim(sigma) sigma x d(tau)
 
-The configuration space is its quotient by the factor swap, which acts on
-an oriented product cell with the sign (-1)^(dim sigma * dim tau).  Cells
-of the quotient are unordered pairs; the stored representative puts the
-simplex with the lower-ranked minimal vertex first, and every sign in the
-quotient boundary is derived from that single convention.
+(`pair_cell_boundary`).  The configuration space is the quotient of these
+ordered pairs by the factor swap, which acts on an oriented product cell
+with the sign (-1)^(dim sigma * dim tau).  Cells of the quotient are
+unordered pairs; the stored representative puts the simplex with the
+lower-ranked minimal vertex first, and every sign in the quotient boundary
+is derived from that single convention.
 
 ConfigurationSpace works on an index of K.  Every face gets an id (by
 dimension, then rank tuple) and an int vertex bitmask, so disjointness is
@@ -55,32 +56,6 @@ def chain_boundary(chain, boundary_fn, mod: int | None = None) -> dict:
     if mod:
         return {c: v % mod for c, v in acc.items() if v % mod}
     return {c: v for c, v in acc.items() if v}
-
-
-class DeletedProduct:
-    """Ordered disjoint pairs of simplices of K, as a cell complex."""
-
-    def __init__(self, K: SimplicialComplex):
-        self.K = K
-
-    @property
-    def dim(self) -> int:
-        return max((d for d in range(2 * self.K.dim + 1) if self.cells_of_degree(d)), default=-1)
-
-    def cells_of_degree(self, d: int):
-        cells = []
-        for i in range(d + 1):
-            j = d - i
-            for a in self.K.faces_of_dim(i):
-                sa = set(a)
-                for b in self.K.faces_of_dim(j):
-                    if not (sa & set(b)):
-                        cells.append((a, b))
-        return tuple(cells)
-
-    @staticmethod
-    def boundary(cell):
-        return pair_cell_boundary(cell)
 
 
 class ConfigurationSpace:
@@ -202,18 +177,3 @@ class ConfigurationSpace:
             out.append((rep, sign * flip))
         out.sort(key=lambda term: self.cell_key(term[0]))
         return tuple(out)
-
-
-def transfer(chain, space: ConfigurationSpace) -> dict:
-    """Lift a quotient chain back to the ordered deleted product.
-
-    Each unordered cell maps to the sum of its two ordered representatives,
-    the swapped one carrying the orientation sign of the swap.
-    """
-    items = chain.items() if isinstance(chain, dict) else ((c, 1) for c in chain)
-    out: dict = {}
-    for (a, b), coeff in items:
-        sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
-        out[(a, b)] = out.get((a, b), 0) + coeff
-        out[(b, a)] = out.get((b, a), 0) + sign * coeff
-    return {c: v for c, v in out.items() if v}

@@ -98,4 +98,6 @@ def mask_from_indices(indices) -> int:
 
 
 def indices_from_mask(mask) -> list:
-    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+    """Set bit positions in ascending order, in one pass over the binary
+    digits (shifting the mask once per bit would be quadratic)."""
+    return [i for i, b in enumerate(reversed(bin(mask))) if b == "1"]

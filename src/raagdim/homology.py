@@ -1,8 +1,8 @@
 """Exact simplicial homology over GF(2) and over the rationals.
 
-Reduced homology is the default (the augmentation lives in degree -1), so
-reduced Betti numbers of a point are all zero and b0 counts components
-minus one.  Rational ranks come from fraction-free integer elimination.
+Homology is reduced throughout (the augmentation lives in degree -1), so
+the Betti numbers of a point are all zero and b0 counts components minus
+one.  Rational ranks come from fraction-free integer elimination.
 
 The coboundary solver works on any finite cell complex presented through
 the `cells + signed boundary rows` interface (an object with
@@ -13,8 +13,6 @@ in.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import gf2, intlinalg
 from .complexes import SimplicialComplex
@@ -27,17 +25,15 @@ def simplex_boundary(face: tuple):
     return [(face[:i] + face[i + 1 :], (-1) ** i) for i in range(len(face))]
 
 
-def boundary_gf2_rows(K: SimplicialComplex, k: int, reduced: bool = False):
-    """Rows of the degree-k boundary matrix over GF(2).
+def boundary_gf2_rows(K: SimplicialComplex, k: int):
+    """Rows of the reduced degree-k boundary matrix over GF(2).
 
-    Rows are indexed by (k-1)-faces (plus one augmentation row when
-    `reduced` and k == 0), columns by k-faces; returned as int bitmasks.
+    Rows are indexed by (k-1)-faces (the one augmentation row when k == 0),
+    columns by k-faces; returned as int bitmasks.
     """
     cols = K.faces_of_dim(k)
     if k == 0:
-        if reduced:
-            return [gf2.mask_from_indices(range(len(cols)))], cols
-        return [], cols
+        return [gf2.mask_from_indices(range(len(cols)))], cols
     rows_idx = {f: i for i, f in enumerate(K.faces_of_dim(k - 1))}
     rows = [0] * len(rows_idx)
     for j, f in enumerate(cols):
@@ -46,13 +42,12 @@ def boundary_gf2_rows(K: SimplicialComplex, k: int, reduced: bool = False):
     return rows, cols
 
 
-def boundary_int_matrix(K: SimplicialComplex, k: int, reduced: bool = False):
-    """Integer boundary matrix in degree k (rows: (k-1)-faces, cols: k-faces)."""
+def boundary_int_matrix(K: SimplicialComplex, k: int):
+    """Reduced integer boundary matrix in degree k (rows: (k-1)-faces, or
+    the augmentation row when k == 0; cols: k-faces)."""
     cols = K.faces_of_dim(k)
     if k == 0:
-        if reduced:
-            return [[1] * len(cols)], cols
-        return [], cols
+        return [[1] * len(cols)], cols
     rows_f = K.faces_of_dim(k - 1)
     rows_idx = {f: i for i, f in enumerate(rows_f)}
     mat = [[0] * len(cols) for _ in rows_f]
@@ -62,13 +57,13 @@ def boundary_int_matrix(K: SimplicialComplex, k: int, reduced: bool = False):
     return mat, cols
 
 
-def mod2_betti(K: SimplicialComplex, reduced: bool = True) -> tuple:
+def mod2_betti(K: SimplicialComplex) -> tuple:
     """dim H_k(K; Z/2) for k = 0..dim K."""
     if K.dim < 0:
         return ()
     ranks = []
     for k in range(K.dim + 2):
-        rows, cols = boundary_gf2_rows(K, k, reduced=reduced)
+        rows, cols = boundary_gf2_rows(K, k)
         ranks.append(gf2.rank(rows) if cols else 0)
     out = []
     for k in range(K.dim + 1):
@@ -77,13 +72,13 @@ def mod2_betti(K: SimplicialComplex, reduced: bool = True) -> tuple:
     return tuple(out)
 
 
-def rational_betti(K: SimplicialComplex, reduced: bool = True) -> tuple:
+def rational_betti(K: SimplicialComplex) -> tuple:
     """dim_Q H_k(K; Q) for k = 0..dim K, by fraction-free elimination."""
     if K.dim < 0:
         return ()
     ranks = []
     for k in range(K.dim + 2):
-        mat, cols = boundary_int_matrix(K, k, reduced=reduced)
+        mat, cols = boundary_int_matrix(K, k)
         ranks.append(intlinalg.integer_rank(mat) if (mat and cols) else 0)
     out = []
     for k in range(K.dim + 1):
@@ -92,41 +87,20 @@ def rational_betti(K: SimplicialComplex, reduced: bool = True) -> tuple:
     return tuple(out)
 
 
-def boundary_matrix_json(K: SimplicialComplex, k: int) -> dict:
-    """Debug export of the degree-k integer boundary matrix."""
-    mat, cols = boundary_int_matrix(K, k)
-    return {
-        "degree": k,
-        "rows": [list(f) for f in K.faces_of_dim(k - 1)] if k > 0 else [],
-        "cols": [list(f) for f in cols],
-        "entries": mat,
-    }
-
-
-def cycle_space(K: SimplicialComplex, k: int, coefficients: str = "gf2") -> tuple:
+def cycle_space(K: SimplicialComplex, k: int) -> tuple:
     """Basis of the GF(2) cycle space Z_k, each cycle a frozenset of k-faces.
 
     Degree 0 uses the reduced convention (a 0-cycle has evenly many
-    vertices), matching the reduced homology used everywhere else.  The
-    support subcomplex of any basis cycle comes from support_complex.
+    vertices), matching the reduced homology used everywhere else.
     """
-    if coefficients != "gf2":
-        raise ValueError("only GF(2) cycle bases are provided")
     if k < 0 or k > K.dim:
         return ()
-    rows, cols = boundary_gf2_rows(K, k, reduced=(k == 0))
+    rows, cols = boundary_gf2_rows(K, k)
     basis = gf2.kernel_basis(rows, len(cols))
     out = []
     for mask in basis:
         out.append(frozenset(cols[i] for i in gf2.indices_from_mask(mask)))
     return tuple(sorted(out, key=lambda c: (len(c), sorted(c))))
-
-
-def support_complex(K: SimplicialComplex, cycle) -> SimplicialComplex:
-    """Face closure of a chain's support inside K, keeping K's vertex order."""
-    from .complexes import make_complex
-
-    return make_complex(sorted(cycle), vertex_order=K.vertices)
 
 
 def is_cycle(K: SimplicialComplex, chain, degree: int) -> bool:
@@ -138,25 +112,6 @@ def is_cycle(K: SimplicialComplex, chain, degree: int) -> bool:
         for sub, _sign in simplex_boundary(f):
             acc.symmetric_difference_update({sub})
     return not acc
-
-
-@dataclass(frozen=True)
-class HomologyProfile:
-    """Reduced Betti numbers over GF(2) and Q, plus a top cycle basis."""
-
-    mod2_betti: tuple
-    rational_betti: tuple
-    top_cycle_basis: tuple
-    top_degree: int
-
-
-def homology_profile(K: SimplicialComplex) -> HomologyProfile:
-    return HomologyProfile(
-        mod2_betti=mod2_betti(K),
-        rational_betti=rational_betti(K),
-        top_cycle_basis=cycle_space(K, K.dim) if K.dim >= 0 else (),
-        top_degree=K.dim,
-    )
 
 
 class _ParityEquations:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .bounds import DimensionReport
-from .complexes import SimplicialComplex, flag_completion, from_graph, from_maximal_simplices
+from .complexes import SimplicialComplex, flag_completion, from_graph, make_complex
 from .obstruction import CycleCertificate
 from .octa import MINUS, PLUS
 
@@ -28,11 +28,24 @@ class MalformedInput(ValueError):
 
 
 def _decode_label(x, location: str):
-    if isinstance(x, (str, int)):
+    if isinstance(x, (str, int)) and not isinstance(x, bool):
         return x
     if isinstance(x, list) and len(x) == 2 and x[1] in ("+", "-"):
         return (_decode_label(x[0], location), PLUS if x[1] == "+" else MINUS)
     raise MalformedInput(f"label must be a string, an integer, or [label, '+'|'-'], got {x!r}", location)
+
+
+def _label_kind(v):
+    """'str', 'int', or ('signed', the kind of the base label)."""
+    if isinstance(v, tuple):
+        return ("signed", _label_kind(v[0]))
+    return type(v).__name__
+
+
+def _list(x, location: str) -> list:
+    if not isinstance(x, list):
+        raise MalformedInput("must be a list", location)
+    return x
 
 
 def _encode_label(v):
@@ -46,42 +59,56 @@ def _encode_label(v):
 def complex_from_json(data) -> SimplicialComplex:
     if not isinstance(data, dict):
         raise MalformedInput("top level must be an object")
+    first: list = []
+
+    def label(x, location):
+        # Labels of different kinds do not sort against each other.
+        v = _decode_label(x, location)
+        if not first:
+            first.append(v)
+        elif _label_kind(v) != _label_kind(first[0]):
+            raise MalformedInput(
+                f"label {x!r} is not of the kind of {_encode_label(first[0])!r}; labels must be "
+                "all strings, all integers, or all signed pairs of one kind", location)
+        return v
+
     order = None
     if "vertex_order" in data:
-        raw = data["vertex_order"]
-        if not isinstance(raw, list):
-            raise MalformedInput("must be a list", "$.vertex_order")
-        order = [_decode_label(v, f"$.vertex_order[{i}]") for i, v in enumerate(raw)]
+        raw = _list(data["vertex_order"], "$.vertex_order")
+        order = [label(v, f"$.vertex_order[{i}]") for i, v in enumerate(raw)]
     if "graph" in data:
         g = data["graph"]
         if not isinstance(g, dict) or "vertices" not in g or "edges" not in g:
             raise MalformedInput("graph needs 'vertices' and 'edges'", "$.graph")
-        verts = [_decode_label(v, f"$.graph.vertices[{i}]") for i, v in enumerate(g["vertices"])]
+        raw = _list(g["vertices"], "$.graph.vertices")
+        verts = [label(v, f"$.graph.vertices[{i}]") for i, v in enumerate(raw)]
         edges = []
-        for i, e in enumerate(g["edges"]):
+        for i, e in enumerate(_list(g["edges"], "$.graph.edges")):
             if not isinstance(e, list) or len(e) != 2:
                 raise MalformedInput("edge must be a pair", f"$.graph.edges[{i}]")
-            edges.append(tuple(_decode_label(v, f"$.graph.edges[{i}]") for v in e))
+            edges.append(tuple(label(v, f"$.graph.edges[{i}]") for v in e))
         if order is not None:
             perm = {v: i for i, v in enumerate(order)}
             verts = sorted(verts, key=lambda v: perm.get(v, len(perm)))
-        if data.get("flag"):
-            return flag_completion(verts, edges)
-        return from_graph(verts, edges)
+        try:
+            if data.get("flag"):
+                return flag_completion(verts, edges)
+            return from_graph(verts, edges)
+        except ValueError as exc:
+            raise MalformedInput(str(exc), "$.graph") from exc
     if "maximal_simplices" in data:
-        raw = data["maximal_simplices"]
-        if not isinstance(raw, list):
-            raise MalformedInput("must be a list of simplices", "$.maximal_simplices")
+        raw = _list(data["maximal_simplices"], "$.maximal_simplices")
         simplices = []
         for i, s in enumerate(raw):
             if not isinstance(s, list) or not s:
                 raise MalformedInput("simplex must be a nonempty list", f"$.maximal_simplices[{i}]")
-            simplices.append(tuple(_decode_label(v, f"$.maximal_simplices[{i}]") for v in s))
+            simplices.append(tuple(label(v, f"$.maximal_simplices[{i}]") for v in s))
         if "vertices" in data:
-            listed = {_decode_label(v, "$.vertices") for v in data["vertices"]}
+            raw = _list(data["vertices"], "$.vertices")
+            listed = {label(v, f"$.vertices[{i}]") for i, v in enumerate(raw)}
             simplices.extend((v,) for v in sorted(listed, key=repr))
         try:
-            return from_maximal_simplices(simplices, vertex_order=order)
+            return make_complex(simplices, vertex_order=order)
         except ValueError as exc:
             raise MalformedInput(str(exc), "$.maximal_simplices") from exc
     raise MalformedInput("expected 'maximal_simplices' or 'graph'")
@@ -105,8 +132,9 @@ def certificate_to_json(cert: CycleCertificate) -> dict:
         "omega_support": [
             [[_encode_label(v) for v in half] for half in cell] for cell in sorted(cert.omega)
         ],
-        "star_condition": cert.star_condition,
-        "evaluation": cert.evaluation,
+        # A certificate is only built once both checks hold.
+        "star_condition": True,
+        "evaluation": 1,
     }
 
 
@@ -116,18 +144,34 @@ def certificate_from_json(data) -> dict:
     for key in ("degree", "M", "Delta", "omega_support", "star_condition", "evaluation"):
         if key not in data:
             raise MalformedInput(f"missing key {key!r}", "$")
-    out = {
-        "degree": data["degree"],
-        "M": [tuple(_decode_label(v, f"$.M[{i}]") for v in f) for i, f in enumerate(data["M"])],
-        "Delta": tuple(_decode_label(v, "$.Delta") for v in data["Delta"]),
+    degree, evaluation = data["degree"], data["evaluation"]
+    # type(...) is int also turns away bools.
+    if type(degree) is not int or degree < 0:
+        raise MalformedInput(f"must be a nonnegative integer, got {degree!r}", "$.degree")
+    if type(evaluation) is not int:
+        raise MalformedInput(f"must be an integer, got {evaluation!r}", "$.evaluation")
+
+    def simplex(x, location):
+        if not isinstance(x, list) or not x:
+            raise MalformedInput("simplex must be a nonempty list of labels", location)
+        return tuple(_decode_label(v, location) for v in x)
+
+    def cell(x, location):
+        if not isinstance(x, list) or len(x) != 2:
+            raise MalformedInput("cell must be a pair of simplices", location)
+        return tuple(simplex(half, f"{location}[{j}]") for j, half in enumerate(x))
+
+    return {
+        "degree": degree,
+        "M": [simplex(f, f"$.M[{i}]") for i, f in enumerate(_list(data["M"], "$.M"))],
+        "Delta": simplex(data["Delta"], "$.Delta"),
         "omega_support": [
-            tuple(tuple(_decode_label(v, f"$.omega_support[{i}]") for v in half) for half in cell)
-            for i, cell in enumerate(data["omega_support"])
+            cell(c, f"$.omega_support[{i}]")
+            for i, c in enumerate(_list(data["omega_support"], "$.omega_support"))
         ],
         "star_condition": bool(data["star_condition"]),
-        "evaluation": int(data["evaluation"]),
+        "evaluation": evaluation,
     }
-    return out
 
 
 def interval_json(span) -> dict:

@@ -23,7 +23,7 @@ from itertools import combinations, combinations_with_replacement
 from .complexes import SimplicialComplex, skeleton
 from .config_space import ConfigurationSpace, chain_boundary
 from .homology import cycle_space, solve_coboundary
-from .intlinalg import integer_det
+from .intlinalg import integer_det, integer_rank
 from .octa import MINUS, Octahedralization, DoubledComplex, double_over, minus_lift, octahedralize, project
 
 
@@ -60,24 +60,6 @@ def mesh_indicator(cell, rank: dict) -> int:
     """Mod-2 meshing indicator on an unordered pair cell."""
     sigma, tau = cell
     return 1 if (_interleaves(sigma, tau, rank) or _interleaves(tau, sigma, rank)) else 0
-
-
-@dataclass(frozen=True)
-class MeshVerdict:
-    """Classified cocycle value on an ordered pair: value is nonzero exactly
-    when the vertices interleave one way or the other."""
-
-    value: int
-    kind: str  # 'strict-mesh' | 'swapped-mesh' | 'non-mesh'
-
-
-def mesh_verdict(sigma: tuple, tau: tuple, rank: dict) -> MeshVerdict:
-    k = len(sigma) - 1
-    if _interleaves(sigma, tau, rank):
-        return MeshVerdict(value=1, kind="strict-mesh")
-    if _interleaves(tau, sigma, rank):
-        return MeshVerdict(value=(-1) ** k, kind="swapped-mesh")
-    return MeshVerdict(value=0, kind="non-mesh")
 
 
 def nonstrict_mesh_indicator(sigma: tuple, b: tuple, rank: dict) -> int:
@@ -193,8 +175,6 @@ class CycleCertificate:
     delta: tuple
     doubled: DoubledComplex
     omega: frozenset
-    star_condition: bool
-    evaluation: int
 
 
 def _cycle_candidates(basis, budget: int):
@@ -238,8 +218,7 @@ def certify_nonvanishing(L: SimplicialComplex, degree: int | None = None, search
                     "covering chain failed to be a cycle under the pair-intersection "
                     f"condition (cycle {sorted(cycle)}, delta {delta})"
                 )
-            evaluation = sum(mesh_indicator(c, octa.rank) for c in omega) % 2
-            if evaluation != 1:
+            if sum(mesh_indicator(c, octa.rank) for c in omega) % 2 != 1:
                 raise RuntimeError(
                     f"covering chain evaluated to 0 (cycle {sorted(cycle)}, delta {delta})"
                 )
@@ -249,8 +228,6 @@ def certify_nonvanishing(L: SimplicialComplex, degree: int | None = None, search
                 delta=delta,
                 doubled=doubled,
                 omega=omega,
-                star_condition=True,
-                evaluation=evaluation,
             )
     return None
 
@@ -317,7 +294,6 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
         if val != phi.get(cell, 0) % 2:
             raise RuntimeError("primitive fails verification")
     integral_prim = None
-    checked = False
     if integral:
         nu = {
             cell: mesh_number(cell[0], cell[1], octa.rank)
@@ -325,9 +301,8 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
             if len(cell[0]) == k + 1
         }
         integral_prim, _ = solve_coboundary(nu, 2 * k, space, coefficients="int")
-        checked = True
     return VanishingResult(status="primitive", primitive=primitive, witness_cycle=None,
-                           integral_primitive=integral_prim, integral_checked=checked)
+                           integral_primitive=integral_prim, integral_checked=integral)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +361,6 @@ def _raw_moment_pairing(pa: tuple, pb: tuple) -> int:
 
 def solve_rational_consistent(mat, rhs) -> bool:
     """Whether mat x = rhs has any rational solution (rank test)."""
-    from .intlinalg import integer_rank
-
     aug = [row + [r] for row, r in zip(mat, rhs)]
     return integer_rank(mat) == integer_rank(aug)
 
@@ -409,15 +382,3 @@ def moment_intersection(sigma: tuple, tau: tuple, rank: dict) -> int:
     pb = tuple(rank[v] for v in tau)
     k = len(pa) - 1
     return _reference_sign(k) * _raw_moment_pairing(pa, pb)
-
-
-def moment_curve_oracle(K: SimplicialComplex, degree: int | None = None) -> dict:
-    """Geometric values for every top configuration cell of K."""
-    k = K.dim if degree is None else degree
-    space = ConfigurationSpace(K)
-    out = {}
-    for cell in space.cells_of_degree(2 * k):
-        if len(cell[0]) != k + 1:
-            continue
-        out[cell] = moment_intersection(cell[0], cell[1], K.rank)
-    return out

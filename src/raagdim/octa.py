@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .complexes import SimplicialComplex, full_subcomplex, make_complex
+from .complexes import SimplicialComplex, make_complex
 
 MINUS = -1
 PLUS = +1
@@ -62,11 +62,6 @@ def octahedralize(L: SimplicialComplex) -> Octahedralization:
             faces.add(signed_lift(f, signs))
     doubled = SimplicialComplex(vertices=tuple(verts), faces=frozenset(faces))
     return Octahedralization(base=L, complex=doubled)
-
-
-def minus_copy(octa: Octahedralization) -> SimplicialComplex:
-    """The full subcomplex on the minus vertices; isomorphic to the base."""
-    return full_subcomplex(octa.complex, {(v, MINUS) for v in octa.base.vertices})
 
 
 @dataclass(frozen=True)

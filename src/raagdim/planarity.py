@@ -48,11 +48,11 @@ def _reduce(adj: dict) -> dict:
     return adj
 
 
-def _paths_between(adj, start, goal, banned, limit=20000):
+def _paths_between(adj, start, goal, banned):
     """All simple paths start..goal with internal vertices outside `banned`."""
     out = []
     stack = [(start, (start,))]
-    while stack and len(out) < limit:
+    while stack:
         v, path = stack.pop()
         for u in sorted(adj[v], key=repr):
             if u == goal:

@@ -42,6 +42,11 @@ from .octa import double_over, minus_lift, octahedralize, project
 from .zoo import cycle as cycle_complex
 from .zoo import random_flag, suspension
 
+# Per complex: (cycle, delta) pairs run through the chain identities, and
+# top cells cross-checked against the moment-curve oracle.
+PAIR_CAP = 6
+ORACLE_CELL_CAP = 400
+
 
 @dataclass
 class SuiteFailure:
@@ -55,10 +60,6 @@ class SuiteResult:
     complexes: int = 0
     checks: int = 0
     failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
 
 
 def _sample_complex(rng: random.Random) -> SimplicialComplex | None:
@@ -115,8 +116,7 @@ def _mesh_value(cell, rank, inject):
     return mesh_number(cell[0], cell[1], rank)
 
 
-def check_complex(K: SimplicialComplex, result: SuiteResult, inject: str | None = None,
-                  oracle_cell_cap: int = 400, pair_cap: int = 6) -> None:
+def check_complex(K: SimplicialComplex, result: SuiteResult, inject: str | None = None) -> None:
     """Run the four identities plus the oracle agreement on one complex."""
     k = K.dim
     octa = octahedralize(K)
@@ -140,7 +140,7 @@ def check_complex(K: SimplicialComplex, result: SuiteResult, inject: str | None 
     for cyc in basis:
         for delta in sorted(cyc):
             pairs.append((cyc, delta))
-    pairs = pairs[:pair_cap]
+    pairs = pairs[:PAIR_CAP]
     for cyc, delta in pairs:
         doubled = double_over(octa, cyc, delta)
         dspace, omega = covering_pair_chain(doubled)
@@ -170,7 +170,7 @@ def check_complex(K: SimplicialComplex, result: SuiteResult, inject: str | None 
                 f"cycle {sorted(cyc)}, delta {delta}: product chain evaluates to 0"))
             return
 
-    for cell in top_cells[:oracle_cell_cap]:
+    for cell in top_cells[:ORACLE_CELL_CAP]:
         result.checks += 1
         if moment_intersection(cell[0], cell[1], rank) != mesh_number(cell[0], cell[1], rank):
             result.failures.append(SuiteFailure(
@@ -179,8 +179,7 @@ def check_complex(K: SimplicialComplex, result: SuiteResult, inject: str | None 
             return
 
 
-def run_suite(seed: int, count: int, inject: str | None = None,
-              oracle_cell_cap: int = 400) -> SuiteResult:
+def run_suite(seed: int, count: int, inject: str | None = None) -> SuiteResult:
     rng = random.Random(seed)
     result = SuiteResult()
     attempts = 0
@@ -190,14 +189,14 @@ def run_suite(seed: int, count: int, inject: str | None = None,
         if K is None:
             continue
         result.complexes += 1
-        check_complex(K, result, inject=inject, oracle_cell_cap=oracle_cell_cap)
+        check_complex(K, result, inject=inject)
         if result.failures:
             fail = result.failures[-1]
             check_name = fail.check
 
             def still_fails(cand: SimplicialComplex) -> bool:
                 probe = SuiteResult()
-                check_complex(cand, probe, inject=inject, oracle_cell_cap=oracle_cell_cap)
+                check_complex(cand, probe, inject=inject)
                 return any(f.check == check_name for f in probe.failures)
 
             shrunk = _shrink(K, still_fails)

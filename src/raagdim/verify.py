@@ -78,9 +78,15 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
     octa = octahedralize(K)
     doubled = double_over(octa, m_faces, delta)
     space, rebuilt = covering_pair_chain(doubled)
-    stored = frozenset(space.canonical(a, b)[0] for a, b in cert["omega_support"])
 
     run.append("omega-cycle")
+    rank = doubled.complex.rank
+    outside = [v for cell in cert["omega_support"] for half in cell for v in half if v not in rank]
+    if outside:
+        return VerificationOutcome(False, "omega-cycle",
+                                   f"stored chain uses {outside[0]!r}, not a vertex of the doubled complex",
+                                   tuple(run))
+    stored = frozenset(space.canonical(a, b)[0] for a, b in cert["omega_support"])
     boundary = chain_boundary(stored, space.boundary, mod=2)
     if boundary:
         cell = next(iter(sorted(boundary, key=space.cell_key)))

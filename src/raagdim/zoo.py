@@ -10,29 +10,29 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .complexes import SimplicialComplex, flag_completion, from_maximal_simplices, join, relabeled
+from .complexes import SimplicialComplex, flag_completion, join, make_complex, relabeled
 
 
 def simplex(k: int) -> SimplicialComplex:
-    return from_maximal_simplices([tuple(f"v{i}" for i in range(k + 1))])
+    return make_complex([tuple(f"v{i}" for i in range(k + 1))])
 
 
 def points(n: int) -> SimplicialComplex:
-    return from_maximal_simplices([(f"p{i}",) for i in range(n)])
+    return make_complex([(f"p{i}",) for i in range(n)])
 
 
 def cycle(n: int) -> SimplicialComplex:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     vs = [f"c{i}" for i in range(n)]
-    return from_maximal_simplices([(vs[i], vs[(i + 1) % n]) for i in range(n)])
+    return make_complex([(vs[i], vs[(i + 1) % n]) for i in range(n)])
 
 
 def path(n: int) -> SimplicialComplex:
     vs = [f"p{i}" for i in range(n)]
     if n == 1:
-        return from_maximal_simplices([(vs[0],)])
-    return from_maximal_simplices([(vs[i], vs[i + 1]) for i in range(n - 1)])
+        return make_complex([(vs[0],)])
+    return make_complex([(vs[i], vs[i + 1]) for i in range(n - 1)])
 
 
 def tree(n: int, seed: int = 0) -> SimplicialComplex:
@@ -59,24 +59,24 @@ def tree(n: int, seed: int = 0) -> SimplicialComplex:
             heapq.heappush(leaves, x)
     u, v = sorted(leaves)
     edges.append((f"t{u}", f"t{v}"))
-    return from_maximal_simplices([(f"t{i}",) for i in range(n)] + edges)
+    return make_complex([(f"t{i}",) for i in range(n)] + edges)
 
 
 def octahedron_boundary(k: int) -> SimplicialComplex:
     """Join of k+1 two-point sets: the k-dimensional cross-polytope boundary."""
     out = None
     for i in range(k + 1):
-        part = from_maximal_simplices([(f"o{i}a",), (f"o{i}b",)])
+        part = make_complex([(f"o{i}a",), (f"o{i}b",)])
         out = part if out is None else join(out, part)
     return out
 
 
 def cone(K: SimplicialComplex, apex: str = "apex") -> SimplicialComplex:
-    return join(from_maximal_simplices([(apex,)]), _prefixed(K, "c."))
+    return join(make_complex([(apex,)]), _prefixed(K, "c."))
 
 
 def suspension(K: SimplicialComplex) -> SimplicialComplex:
-    poles = from_maximal_simplices([("north",), ("south",)])
+    poles = make_complex([("north",), ("south",)])
     return join(poles, _prefixed(K, "s."))
 
 

@@ -77,7 +77,7 @@ def test_criterion_4_lemma_suite_50_complexes():
     t0 = time.perf_counter()
     result = run_suite(seed=20260810, count=50)
     assert result.complexes >= 50
-    assert result.passed, result.failures
+    assert not result.failures, result.failures
     print(f"\nCRITERION 4 PASS: {result.complexes} seeded complexes, "
           f"{result.checks} identity checks, zero failures "
           f"({time.perf_counter() - t0:.1f}s)")

@@ -2,8 +2,8 @@
 
 import pytest
 
-from raagdim.bounds import analyze, geometric_dimension, join_lemma_bound, l2_dimension, star_link_bound, vkdim_lower
-from raagdim.complexes import make_complex
+from raagdim.bounds import analyze, geometric_dimension, join_lemma_bound, l2_dimension, vkdim_lower
+from raagdim.complexes import link, make_complex
 from raagdim.zoo import ZOO, cone, cycle, octahedron_boundary, path, points, simplex, suspension, tree
 
 
@@ -27,6 +27,12 @@ def test_join_lemma_interval_arithmetic():
     # Sphere dimensions: joining an m-sphere and an n-sphere lands at m+n.
     for m, n in ((1, 1), (1, 2), (2, 3)):
         assert join_lemma_bound((m - 1, m - 1), (n - 1, n - 1)) == (m + n, m + n)
+
+
+def star_link_bound(L, vertex):
+    """The bound through one vertex star: the link's bound plus one."""
+    sub, why = vkdim_lower(link(L, (vertex,)), 2)
+    return sub + 1, why
 
 
 def test_star_link_bound_on_cone():

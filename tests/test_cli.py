@@ -56,6 +56,93 @@ def test_malformed_inputs_carry_locations():
         io_json.complex_from_json({"maximal_simplices": [[{"x": 1}]]})
 
 
+@pytest.mark.parametrize("data, location, reason", [
+    # A bool is an int in Python: true would silently become vertex 1.
+    ({"maximal_simplices": [[True, 2], [1, 3]]}, "$.maximal_simplices[0]", "got True"),
+    ({"graph": {"vertices": [1, False], "edges": []}}, "$.graph.vertices[1]", "got False"),
+    # Labels of different kinds do not sort against each other.
+    ({"maximal_simplices": [[1, "a"], ["a", "b"], ["b", "c"], ["c", 1]]}, "$.maximal_simplices[0]", "kind"),
+    ({"maximal_simplices": [["a", "b"]], "vertices": [["a", "+"]]}, "$.vertices[0]", "kind"),
+    ({"maximal_simplices": [[["a", "+"], [1, "-"]]]}, "$.maximal_simplices[0]", "kind"),
+    ({"vertex_order": ["a", 2], "maximal_simplices": [["a"]]}, "$.vertex_order[1]", "kind"),
+    ({"graph": {"vertices": ["a", "b"], "edges": [["a", 0]]}}, "$.graph.edges[0]", "kind"),
+    ({"maximal_simplices": [["a"]], "vertices": 5}, "$.vertices", "must be a list"),
+    ({"maximal_simplices": 5}, "$.maximal_simplices", "must be a list"),
+    ({"vertex_order": "ab", "maximal_simplices": [["a"]]}, "$.vertex_order", "must be a list"),
+    ({"graph": {"vertices": 3, "edges": []}}, "$.graph.vertices", "must be a list"),
+    ({"graph": {"vertices": [1], "edges": {}}}, "$.graph.edges", "must be a list"),
+    ({"graph": {"vertices": [1, 2], "edges": [[1, 1]]}}, "$.graph", "repeated vertex"),
+])
+def test_complex_json_rejects_bad_labels_and_containers(data, location, reason):
+    with pytest.raises(io_json.MalformedInput) as err:
+        io_json.complex_from_json(data)
+    assert err.value.location == location
+    assert reason in str(err.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("degree", "1"),
+    ("degree", True),
+    ("degree", -1),
+    ("degree", 1.0),
+    ("evaluation", [1]),
+    ("M", 5),
+    ("M", [["c0", "c1"], "c2"]),
+    ("M", [[]]),
+    ("Delta", "c0"),
+    ("Delta", [True]),
+    ("omega_support", {}),
+    ("omega_support", [[["c0"]]]),
+    ("omega_support", [[["c0"], 5]]),
+])
+def test_certificate_json_type_checks(key, value):
+    data = io_json.certificate_to_json(certify_nonvanishing(cycle(4), 1))
+    io_json.certificate_from_json(data)
+    data[key] = value
+    with pytest.raises(io_json.MalformedInput) as err:
+        io_json.certificate_from_json(data)
+    assert err.value.location.startswith(f"$.{key}")
+
+
+def test_verify_certificate_with_unknown_omega_vertex_fails_a_check():
+    L = cycle(4)
+    data = io_json.certificate_from_json(io_json.certificate_to_json(certify_nonvanishing(L, 1)))
+    (a, b), *rest = data["omega_support"]
+    data["omega_support"] = [((("zz", 1),) + a[1:], b)] + rest
+    out = verify_certificate(L, data)
+    assert not out.ok and out.failed_check == "omega-cycle"
+    assert "('zz', 1)" in out.detail
+
+
+def run_cli(args, env=None):
+    return subprocess.run([sys.executable, "-m", "raagdim", *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC_DIR, **(env or {})))
+
+
+def test_cli_bad_input_exits_1_with_a_located_message(tmp_path):
+    c4 = write_json(tmp_path, "c4.json", c4_json())
+    cert = io_json.certificate_to_json(certify_nonvanishing(cycle(4), 1))
+    cases = [
+        (["analyze", write_json(tmp_path, "bool.json", {"maximal_simplices": [[True, 2], [1, 3]]})],
+         "$.maximal_simplices[0]"),
+        (["analyze", write_json(tmp_path, "mixed.json",
+                                {"maximal_simplices": [[1, "a"], ["a", "b"], ["b", "c"], ["c", 1]]})],
+         "$.maximal_simplices[0]"),
+        (["analyze", write_json(tmp_path, "signed.json",
+                                {"maximal_simplices": [["a", "b"]], "vertices": [["a", "+"]]})],
+         "$.vertices[0]"),
+        (["verify", write_json(tmp_path, "degree.json", dict(cert, degree="1")), c4], "$.degree"),
+        (["verify", write_json(tmp_path, "m.json", dict(cert, M=5)), c4], "$.M"),
+        (["analyze", c4, "--max-cells", "-1"], "--max-cells"),
+        (["analyze", c4, "--search-budget", "-3"], "--search-budget"),
+    ]
+    for args, where in cases:
+        run = run_cli(args)
+        assert run.returncode == 1, (args, run.stderr)
+        assert "Traceback" not in run.stderr
+        assert where in run.stderr, (args, run.stderr)
+
+
 def test_cli_generate_analyze_verify_roundtrip(tmp_path, capsys):
     c4 = str(tmp_path / "c4.json")
     report = str(tmp_path / "report.json")
@@ -215,15 +302,30 @@ def test_cli_batch_mode(tmp_path, capsys):
 
 
 def test_cli_analyze_output_is_independent_of_hash_seed(tmp_path):
-    complex_path = str(tmp_path / "csc5.json")
-    assert main(["generate", "cone(suspension(cycle(5)))", "--out", complex_path]) == 0
+    # Every command, run under two hash seeds: stdout and written files agree.
+    csc5 = str(tmp_path / "csc5.json")
+    oct3 = str(tmp_path / "oct3.json")
+    assert main(["generate", "cone(suspension(cycle(5)))", "--out", csc5]) == 0
+    assert main(["generate", "octahedron_boundary(3)", "--out", oct3]) == 0
     outputs = []
     for hash_seed in ("1", "2"):
-        report = tmp_path / f"report-{hash_seed}.json"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC_DIR)
-        run = subprocess.run(
-            [sys.executable, "-m", "raagdim", "analyze", complex_path, "--out", str(report)],
-            env=env, capture_output=True, check=True,
-        )
-        outputs.append((run.stdout, report.read_bytes()))
+        out = tmp_path / f"seed-{hash_seed}"
+        out.mkdir()
+        commands = [
+            ["generate", "cone(suspension(cycle(5)))", "--out", str(out / "generated.json")],
+            ["analyze", csc5, "--out", str(out / "report.json")],
+            ["analyze", oct3, "--out", str(out / "oct3-report.json"), "--certificate", str(out / "cert.json")],
+            ["verify", str(out / "cert.json"), oct3],
+            ["octahedralize", csc5, "--out", str(out / "octa.json")],
+            ["homology", csc5, "--out", str(out / "homology.json")],
+            ["lemma-suite", "--count", "3"],
+        ]
+        stdouts = []
+        for args in commands:
+            run = run_cli(args, env={"PYTHONHASHSEED": hash_seed})
+            assert run.returncode == 0, (args, run.stderr)
+            stdouts.append(run.stdout)
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(files) == 6
+        outputs.append((stdouts, files))
     assert outputs[0] == outputs[1]

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raagdim.complexes import (
-    from_maximal_simplices,
     flag_completion,
     full_subcomplex,
     is_flag,
@@ -33,28 +32,28 @@ def brute_cliques(vertices, edges):
 
 
 def test_from_maximal_c4():
-    K = from_maximal_simplices([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    K = make_complex([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
     assert len(K.vertices) == 4
     assert K.face_counts() == (4, 4)
     assert K.dim == 1
 
 
 def test_from_maximal_full_triangle():
-    K = from_maximal_simplices([("a", "b", "c")])
+    K = make_complex([("a", "b", "c")])
     assert K.face_counts() == (3, 3, 1)
     assert ("a", "c") in K
 
 
 def test_from_maximal_point_and_duplicate_error():
-    assert from_maximal_simplices([("a",)]).face_counts() == (1,)
+    assert make_complex([("a",)]).face_counts() == (1,)
     with pytest.raises(ValueError):
-        from_maximal_simplices([("a", "a")])
+        make_complex([("a", "a")])
 
 
 def test_vertex_order_first_appearance_and_override():
-    K = from_maximal_simplices([("b", "a"), ("c", "a")])
+    K = make_complex([("b", "a"), ("c", "a")])
     assert K.vertices == ("b", "a", "c")
-    K2 = from_maximal_simplices([("b", "a"), ("c", "a")], vertex_order=("a", "b", "c"))
+    K2 = make_complex([("b", "a"), ("c", "a")], vertex_order=("a", "b", "c"))
     assert K2.vertices == ("a", "b", "c")
     assert ("a", "b") in K2.faces
 
@@ -94,7 +93,7 @@ def test_flag_completion_is_flag(seed):
 
 
 def test_is_flag_witness_empty_triangle():
-    K = from_maximal_simplices([("a", "b"), ("b", "c"), ("a", "c")])
+    K = make_complex([("a", "b"), ("b", "c"), ("a", "c")])
     w = is_flag(K)
     assert not w.flag
     assert set(w.missing_clique) == {"a", "b", "c"}
@@ -111,8 +110,8 @@ def test_link_star_join_basics():
     assert lk.face_counts() == (2,)
     stv = star(c4, ("c0",))
     assert stv.face_counts() == (3, 2)  # path of length 2
-    two = from_maximal_simplices([("x",), ("y",)])
-    two2 = from_maximal_simplices([("u",), ("v",)])
+    two = make_complex([("x",), ("y",)])
+    two2 = make_complex([("u",), ("v",)])
     j = join(two, two2)
     assert j.face_counts() == (4, 4)
     assert is_flag(j).flag
@@ -121,11 +120,11 @@ def test_link_star_join_basics():
 
 
 def test_join_vertex_order_and_disjointness():
-    a = from_maximal_simplices([("x", "y")])
-    b = from_maximal_simplices([("z",)])
+    a = make_complex([("x", "y")])
+    b = make_complex([("z",)])
     assert join(a, b).vertices == ("x", "y", "z")
     with pytest.raises(ValueError):
-        join(a, from_maximal_simplices([("x",)]))
+        join(a, make_complex([("x",)]))
 
 
 def test_skeleton_and_full_subcomplex():
@@ -170,7 +169,7 @@ def clique_scan_is_flag(K):
     for r in range(3, len(verts) + 1):
         for sub in combinations(verts, r):
             if all(frozenset(p) in edges for p in combinations(sub, 2)):
-                if not K.has_face(sub):
+                if sub not in K.faces:
                     return False
     return True
 
@@ -184,7 +183,7 @@ def test_subdivision_identity_when_k_equals_l():
 
 def test_subdivision_triangle_rel_edge():
     K = simplex(2)  # full triangle v0 v1 v2
-    L = from_maximal_simplices([("v0", "v1")], vertex_order=K.vertices)
+    L = make_complex([("v0", "v1")], vertex_order=K.vertices)
     K2 = partial_barycentric_subdivision(K, L)
     new = [v for v in K2.vertices if isinstance(v, tuple) and v[0] == "subdiv"]
     # New vertices on the two other edges and the triangle interior.
@@ -196,8 +195,8 @@ def test_subdivision_triangle_rel_edge():
 
 
 def test_subdivision_triangle_boundary_rel_vertex_is_hexagon():
-    K = from_maximal_simplices([("a", "b"), ("b", "c"), ("a", "c")])
-    L = from_maximal_simplices([("a",)], vertex_order=K.vertices)
+    K = make_complex([("a", "b"), ("b", "c"), ("a", "c")])
+    L = make_complex([("a",)], vertex_order=K.vertices)
     K2 = partial_barycentric_subdivision(K, L)
     assert K2.face_counts() == (6, 6)
     assert is_flag(K2).flag
@@ -206,10 +205,10 @@ def test_subdivision_triangle_boundary_rel_vertex_is_hexagon():
 
 def test_subdivision_errors():
     K = simplex(2)
-    other = from_maximal_simplices([("x", "y")])
+    other = make_complex([("x", "y")])
     with pytest.raises(ValueError):
         partial_barycentric_subdivision(K, other)
-    hollow = from_maximal_simplices([("a", "b"), ("b", "c"), ("a", "c")])
+    hollow = make_complex([("a", "b"), ("b", "c"), ("a", "c")])
     big = make_complex(list(hollow.faces) + [("a", "b", "c")], vertex_order=hollow.vertices)
     with pytest.raises(ValueError):
         partial_barycentric_subdivision(big, hollow)

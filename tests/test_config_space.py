@@ -5,9 +5,47 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from raagdim.config_space import ConfigurationSpace, DeletedProduct, chain_boundary, pair_cell_boundary, transfer
+from raagdim.config_space import ConfigurationSpace, chain_boundary, pair_cell_boundary
 from raagdim.octa import octahedralize
 from raagdim.zoo import cycle, points, random_flag
+
+
+class DeletedProduct:
+    """Oracle: ordered disjoint pairs of simplices of K, as a cell complex
+    with the product boundary; the configuration space is its quotient."""
+
+    def __init__(self, K):
+        self.K = K
+
+    def cells_of_degree(self, d: int):
+        cells = []
+        for i in range(d + 1):
+            j = d - i
+            for a in self.K.faces_of_dim(i):
+                sa = set(a)
+                for b in self.K.faces_of_dim(j):
+                    if not (sa & set(b)):
+                        cells.append((a, b))
+        return tuple(cells)
+
+    @staticmethod
+    def boundary(cell):
+        return pair_cell_boundary(cell)
+
+
+def transfer(chain, space) -> dict:
+    """Oracle: lift a quotient chain back to the ordered deleted product.
+
+    Each unordered cell maps to the sum of its two ordered representatives,
+    the swapped one carrying the orientation sign of the swap.
+    """
+    items = chain.items() if isinstance(chain, dict) else ((c, 1) for c in chain)
+    out: dict = {}
+    for (a, b), coeff in items:
+        sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
+        out[(a, b)] = out.get((a, b), 0) + coeff
+        out[(b, a)] = out.get((b, a), 0) + sign * coeff
+    return {c: v for c, v in out.items() if v}
 
 
 def brute_ordered_disjoint_pairs(K, d):

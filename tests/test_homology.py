@@ -208,35 +208,3 @@ def test_solve_coboundary_integer_route():
     for cell in cells:
         v = sum(coeff * prim.get(sub, 0) for sub, coeff in space.boundary(cell))
         assert v == phi.get(cell, 0)
-
-
-def test_homology_profile_bundles_everything():
-    from raagdim.homology import homology_profile
-
-    prof = homology_profile(octahedron_boundary(2))
-    assert prof.mod2_betti == (0, 0, 1)
-    assert prof.rational_betti == (0, 0, 1)
-    assert prof.top_degree == 2
-    assert len(prof.top_cycle_basis) == 1
-
-
-def test_unreduced_betti_flag():
-    assert mod2_betti(cycle(4), reduced=False) == (1, 1)
-    assert rational_betti(points(3), reduced=False)[0] == 3
-
-
-def test_boundary_matrix_json_export():
-    from raagdim.homology import boundary_matrix_json
-
-    data = boundary_matrix_json(cycle(4), 1)
-    assert len(data["cols"]) == 4 and len(data["rows"]) == 4
-    for col in range(4):
-        assert sum(abs(data["entries"][r][col]) for r in range(4)) == 2
-
-
-def test_support_complex_of_cycle():
-    from raagdim.homology import support_complex
-
-    (gen,) = cycle_space(cycle(4), 1)
-    sup = support_complex(cycle(4), gen)
-    assert sup.faces == cycle(4).faces

@@ -166,3 +166,11 @@ def test_gf2_solve_inconsistent_with_witness():
     x, witness = gf2.solve(eqs, 1, want_witness=True)
     assert x is None
     assert sorted(witness) == [0, 1]
+
+
+@given(st.sets(st.integers(0, 5000), max_size=60))
+@settings(max_examples=50, deadline=None)
+def test_gf2_mask_indices_roundtrip(indices):
+    mask = gf2.mask_from_indices(indices)
+    assert gf2.indices_from_mask(mask) == sorted(indices)
+    assert gf2.mask_from_indices(gf2.indices_from_mask(mask)) == mask

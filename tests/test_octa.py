@@ -5,8 +5,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raagdim.complexes import is_flag, join, relabeled
-from raagdim.octa import MINUS, PLUS, double_over, minus_copy, octahedralize, project
+from raagdim.complexes import full_subcomplex, is_flag, join, make_complex, relabeled
+from raagdim.octa import MINUS, PLUS, double_over, octahedralize, project
 from raagdim.zoo import cycle, points, random_flag, simplex
 
 
@@ -98,6 +98,11 @@ def test_doubling_commutes_with_join_random(seed):
     assert both.vertices == factorwise.vertices and both.faces == factorwise.faces
 
 
+def minus_copy(octa):
+    """The full subcomplex on the minus vertices."""
+    return full_subcomplex(octa.complex, {(v, MINUS) for v in octa.base.vertices})
+
+
 def test_minus_copy_isomorphic_to_base():
     L = cycle(4)
     mc = minus_copy(octahedralize(L))
@@ -152,9 +157,7 @@ def test_double_over_rejects_bad_input():
 def test_double_over_excludes_faces_outside_the_support():
     # Ambient square with one chord: the chord must not leak into the
     # doubled complex when the cycle is just the square.
-    from raagdim.complexes import from_maximal_simplices
-
-    L = from_maximal_simplices(
+    L = make_complex(
         [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")]
     )
     o = octahedralize(L)

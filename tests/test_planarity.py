@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raagdim.octa import octahedralize
-from raagdim.planarity import is_planar, one_skeleton
+from raagdim.planarity import _paths_between, is_planar, one_skeleton
 from raagdim.zoo import cycle, path, tree
 
 networkx = pytest.importorskip("networkx")
@@ -57,3 +57,12 @@ def test_matches_library_on_random_graphs(seed):
     g.add_edges_from(edges)
     expected, _ = networkx.check_planarity(g)
     assert is_planar(range(n), edges).planar == expected
+
+
+def test_path_search_is_exhaustive():
+    # K10 has sum_{j<=8} 8!/(8-j)! = 109,601 simple paths between two
+    # vertices, more than any fixed cap small enough to be a shortcut.
+    adj = {v: set(range(10)) - {v} for v in range(10)}
+    paths = _paths_between(adj, 0, 1, banned=set())
+    assert len(paths) == 109601
+    assert len(set(paths)) == len(paths)

@@ -7,7 +7,7 @@ def test_suite_deterministic_for_fixed_seed():
     a = run_suite(seed=7, count=5)
     b = run_suite(seed=7, count=5)
     assert (a.complexes, a.checks, len(a.failures)) == (b.complexes, b.checks, len(b.failures))
-    assert a.passed
+    assert not a.failures
 
 
 def test_suite_counts_grow_with_count():
@@ -18,11 +18,11 @@ def test_suite_counts_grow_with_count():
 
 def test_injected_faults_are_caught_and_shrunk():
     res = run_suite(seed=3, count=5, inject="mesh-flip")
-    assert not res.passed
+    assert res.failures
     assert res.failures[0].check == "pullback"
     # The shrunk counterexample is still a genuine complex.
     assert res.failures[0].complex_maximal
 
     res = run_suite(seed=3, count=5, inject="transfer-drop")
-    assert not res.passed
+    assert res.failures
     assert res.failures[0].check == "pushforward"
