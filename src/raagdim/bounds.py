@@ -85,10 +85,9 @@ def geometric_dimension(L: SimplicialComplex) -> int:
     return L.dim + 1
 
 
-def l2_dimension(L: SimplicialComplex) -> int | None:
+def l2_dimension(betti: tuple) -> int | None:
     """1 + the top degree with nonzero reduced rational homology, or None
-    when every reduced Betti number vanishes."""
-    betti = rational_betti(L)
+    when every reduced Betti number vanishes; `betti` is rational_betti(L)."""
     nonzero = [i for i, b in enumerate(betti) if b]
     if not nonzero:
         return None
@@ -180,9 +179,9 @@ def analyze(
     records: list = []
     k = L.dim
     gd = geometric_dimension(L)
-    l2 = l2_dimension(L)
     betti2 = mod2_betti(L)
     bettiq = rational_betti(L)
+    l2 = l2_dimension(bettiq)
 
     # --- van Kampen dimension of the octahedralization -----------------
     vk_lo = -1

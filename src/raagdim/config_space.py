@@ -31,7 +31,7 @@ from bisect import bisect_right
 from functools import cached_property
 
 from .complexes import SimplicialComplex
-from .homology import simplex_boundary
+from .homology import boundary_rows, simplex_boundary
 
 
 def pair_cell_boundary(cell):
@@ -143,9 +143,13 @@ class ConfigurationSpace:
         id, one row per cell in cell order; computed once per degree."""
         if d in self._rows:
             return self._rows[d]
-        faces, _masks, first, _spans = self._faces
-        fid = self._face_ids
-        facets = [[(fid[sub], sign) for sub, sign in simplex_boundary(f)] for f in faces]
+        faces, _masks, first, spans = self._faces
+        # Face ids run by dimension, so a facet's id is where its dimension
+        # starts plus its index there.  Unaugmented: a vertex has no facets.
+        facets = [()] * len(self.K.faces_of_dim(0))
+        for k in range(1, len(spans)):
+            start = spans[k - 1][0]
+            facets += [[(start + i, sign) for i, sign in row] for row in boundary_rows(self.K, k)]
         lower = self._degree(d - 1)[1]
         rows = []
         for ga, gb in self._degree(d)[1]:

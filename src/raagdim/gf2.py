@@ -90,13 +90,6 @@ def solve(equations, ncols, want_witness=False):
     return x, None
 
 
-def mask_from_indices(indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
 def indices_from_mask(mask) -> list:
     """Set bit positions in ascending order, in one pass over the binary
     digits (shifting the mask once per bit would be quadratic)."""

@@ -4,12 +4,12 @@ Homology is reduced throughout (the augmentation lives in degree -1), so
 the Betti numbers of a point are all zero and b0 counts components minus
 one.  Rational ranks come from fraction-free integer elimination.
 
-The coboundary solver works on any finite cell complex presented through
-the `cells + signed boundary rows` interface (an object with
-``cells_of_degree(d)`` and ``boundary_rows(d)``, one row of sorted
-``(lower cell id, coeff)`` pairs per d-cell, ids indexing
-``cells_of_degree(d - 1)``), which is how the quotient pair complexes plug
-in.
+Every boundary is read in one format, the `cells + signed boundary rows`
+interface: one row of sorted ``(lower cell id, coeff)`` pairs per d-cell,
+ids indexing the (d-1)-cells.  `boundary_rows(K, d)` serves simplicial
+complexes; the quotient pair complexes plug into `solve_coboundary` through
+``cells_of_degree(d)`` and ``boundary_rows(d)``.  One converter per ring
+(`_gf2_masks`, `_int_matrix`) turns rows into the matrices eliminated.
 """
 
 from __future__ import annotations
@@ -25,66 +25,61 @@ def simplex_boundary(face: tuple):
     return [(face[:i] + face[i + 1 :], (-1) ** i) for i in range(len(face))]
 
 
-def boundary_gf2_rows(K: SimplicialComplex, k: int):
-    """Rows of the reduced degree-k boundary matrix over GF(2).
+def boundary_rows(K: SimplicialComplex, d: int) -> tuple:
+    """Signed boundary of every d-face as (facet id, sign) pairs sorted by id,
+    one row per face of K.faces_of_dim(d), ids indexing K.faces_of_dim(d - 1).
 
-    Rows are indexed by (k-1)-faces (the one augmentation row when k == 0),
-    columns by k-faces; returned as int bitmasks.
+    In degree 0 every vertex's row is the single augmentation cell (id 0),
+    so homology read from these rows is reduced.
     """
-    cols = K.faces_of_dim(k)
-    if k == 0:
-        return [gf2.mask_from_indices(range(len(cols)))], cols
-    rows_idx = {f: i for i, f in enumerate(K.faces_of_dim(k - 1))}
-    rows = [0] * len(rows_idx)
-    for j, f in enumerate(cols):
-        for sub, _sign in simplex_boundary(f):
-            rows[rows_idx[sub]] ^= 1 << j
-    return rows, cols
+    faces = K.faces_of_dim(d)
+    if d == 0:
+        return tuple(((0, 1),) for _ in faces)
+    ids = {f: i for i, f in enumerate(K.faces_of_dim(d - 1))}
+    return tuple(tuple(sorted((ids[sub], sign) for sub, sign in simplex_boundary(f))) for f in faces)
 
 
-def boundary_int_matrix(K: SimplicialComplex, k: int):
-    """Reduced integer boundary matrix in degree k (rows: (k-1)-faces, or
-    the augmentation row when k == 0; cols: k-faces)."""
-    cols = K.faces_of_dim(k)
-    if k == 0:
-        return [[1] * len(cols)], cols
-    rows_f = K.faces_of_dim(k - 1)
-    rows_idx = {f: i for i, f in enumerate(rows_f)}
-    mat = [[0] * len(cols) for _ in rows_f]
-    for j, f in enumerate(cols):
-        for sub, sign in simplex_boundary(f):
-            mat[rows_idx[sub]][j] = sign
-    return mat, cols
+def _gf2_masks(rows):
+    """Each row as a GF(2) bitmask: bit i is set when lower cell i has an odd
+    coefficient.  Yields the masks one at a time, so no list is held."""
+    for row in rows:
+        mask = 0
+        for i, coeff in row:
+            if coeff % 2:
+                mask ^= 1 << i
+        yield mask
+
+
+def _int_matrix(rows, n: int) -> list:
+    """The rows as a dense integer matrix over n lower cells."""
+    mat = []
+    for row in rows:
+        dense = [0] * n
+        for i, coeff in row:
+            dense[i] += coeff
+        mat.append(dense)
+    return mat
+
+
+def _betti(K: SimplicialComplex, rank) -> tuple:
+    """Reduced Betti numbers for k = 0..dim K, given rank(rows, n) of the
+    degree-d boundary rows over their n lower cells."""
+    if K.dim < 0:
+        return ()
+    # Degree 0 rows index the one augmentation cell; no face has degree dim + 1.
+    ranks = [rank(boundary_rows(K, d), len(K.faces_of_dim(d - 1)) if d else 1)
+             for d in range(K.dim + 1)] + [0]
+    return tuple(len(K.faces_of_dim(k)) - ranks[k] - ranks[k + 1] for k in range(K.dim + 1))
 
 
 def mod2_betti(K: SimplicialComplex) -> tuple:
     """dim H_k(K; Z/2) for k = 0..dim K."""
-    if K.dim < 0:
-        return ()
-    ranks = []
-    for k in range(K.dim + 2):
-        rows, cols = boundary_gf2_rows(K, k)
-        ranks.append(gf2.rank(rows) if cols else 0)
-    out = []
-    for k in range(K.dim + 1):
-        n_k = len(K.faces_of_dim(k))
-        out.append(n_k - ranks[k] - ranks[k + 1])
-    return tuple(out)
+    return _betti(K, lambda rows, n: gf2.rank(_gf2_masks(rows)))
 
 
 def rational_betti(K: SimplicialComplex) -> tuple:
     """dim_Q H_k(K; Q) for k = 0..dim K, by fraction-free elimination."""
-    if K.dim < 0:
-        return ()
-    ranks = []
-    for k in range(K.dim + 2):
-        mat, cols = boundary_int_matrix(K, k)
-        ranks.append(intlinalg.integer_rank(mat) if (mat and cols) else 0)
-    out = []
-    for k in range(K.dim + 1):
-        n_k = len(K.faces_of_dim(k))
-        out.append(n_k - ranks[k] - ranks[k + 1])
-    return tuple(out)
+    return _betti(K, lambda rows, n: intlinalg.integer_rank(_int_matrix(rows, n)))
 
 
 def cycle_space(K: SimplicialComplex, k: int) -> tuple:
@@ -95,23 +90,16 @@ def cycle_space(K: SimplicialComplex, k: int) -> tuple:
     """
     if k < 0 or k > K.dim:
         return ()
-    rows, cols = boundary_gf2_rows(K, k)
-    basis = gf2.kernel_basis(rows, len(cols))
-    out = []
-    for mask in basis:
-        out.append(frozenset(cols[i] for i in gf2.indices_from_mask(mask)))
-    return tuple(sorted(out, key=lambda c: (len(c), sorted(c))))
-
-
-def is_cycle(K: SimplicialComplex, chain, degree: int) -> bool:
-    """GF(2) cycle test, reduced in degree 0."""
-    if degree == 0:
-        return len(chain) % 2 == 0
-    acc: set = set()
-    for f in chain:
-        for sub, _sign in simplex_boundary(f):
-            acc.symmetric_difference_update({sub})
-    return not acc
+    cols = K.faces_of_dim(k)
+    # The kernel wants the boundary matrix by lower cell: row i lists the
+    # k-faces whose boundary meets cell i (row order does not change it).
+    by_lower: dict = {}
+    for j, row in enumerate(boundary_rows(K, k)):
+        for i, coeff in row:
+            by_lower.setdefault(i, []).append((j, coeff))
+    basis = gf2.kernel_basis(_gf2_masks(by_lower.values()), len(cols))
+    cycles = [frozenset(cols[i] for i in gf2.indices_from_mask(mask)) for mask in basis]
+    return tuple(sorted(cycles, key=lambda c: (len(c), sorted(c))))
 
 
 class _ParityEquations:
@@ -126,12 +114,7 @@ class _ParityEquations:
         return len(self.rhs)
 
     def __iter__(self):
-        for row, bit in zip(self.rows, self.rhs):
-            mask = 0
-            for i, coeff in row:
-                if coeff % 2:
-                    mask ^= 1 << i
-            yield mask, bit
+        return zip(_gf2_masks(self.rows), self.rhs)
 
 
 def solve_coboundary(phi, degree: int, space, coefficients: str = "gf2"):
@@ -156,15 +139,8 @@ def solve_coboundary(phi, degree: int, space, coefficients: str = "gf2"):
         prim = {lower[i]: 1 for i in gf2.indices_from_mask(x)}
         return prim, None
     if coefficients == "int":
-        mat = []
-        for row in rows:
-            dense = [0] * len(lower)
-            for i, coeff in row:
-                dense[i] += coeff
-            mat.append(dense)
+        mat = _int_matrix(rows, len(lower))
         rhs = [phi.get(cell, 0) for cell in m_cells]
-        if not mat:
-            return ({}, None) if not any(rhs) else (None, [])
         sol = intlinalg.solve_integer(mat, rhs)
         if sol is None:
             return None, []

@@ -1,29 +1,35 @@
 """Exact integer linear algebra: fraction-free rank, determinants, Smith
 normal form, and integer linear solves.
 
-Matrices are lists of lists of Python ints.  Bareiss elimination keeps all
-intermediate values integral; obstruction certificates must never touch a
-float.
+Matrices are lists of lists of Python ints.  Rank and determinant both
+read one Bareiss elimination (`_bareiss`), which keeps all intermediate
+values integral; obstruction certificates must never touch a float.
 """
 
 from __future__ import annotations
 
 
-def integer_rank(mat) -> int:
-    """Rank over Q of an integer matrix, by fraction-free elimination."""
+def _bareiss(mat):
+    """Fraction-free elimination of an integer matrix.
+
+    Returns (rank over Q, last pivot signed by the row swaps); for a
+    nonsingular square matrix the signed last pivot is the determinant.
+    """
     m = [list(r) for r in mat]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    rank = 0
-    prev = 1
+    rank, sign, prev = 0, 1, 1
     for col in range(nc):
         p = next((i for i in range(rank, nr) if m[i][col]), None)
         if p is None:
             continue
-        m[rank], m[p] = m[p], m[rank]
-        pivot = m[rank][col]
+        if p != rank:
+            m[rank], m[p] = m[p], m[rank]
+            sign = -sign
+        row_r = m[rank]
+        pivot = row_r[col]
         for i in range(rank + 1, nr):
-            row_i, row_r = m[i], m[rank]
+            row_i = m[i]
             head = row_i[col]
             for j in range(col + 1, nc):
                 row_i[j] = (pivot * row_i[j] - head * row_r[j]) // prev
@@ -32,32 +38,18 @@ def integer_rank(mat) -> int:
         rank += 1
         if rank == nr:
             break
-    return rank
+    return rank, sign * prev
+
+
+def integer_rank(mat) -> int:
+    """Rank over Q of an integer matrix."""
+    return _bareiss(mat)[0]
 
 
 def integer_det(mat) -> int:
-    """Determinant of a square integer matrix (Bareiss)."""
-    m = [list(r) for r in mat]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for col in range(n):
-        p = next((i for i in range(col, n) if m[i][col]), None)
-        if p is None:
-            return 0
-        if p != col:
-            m[col], m[p] = m[p], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        for i in range(col + 1, n):
-            head = m[i][col]
-            for j in range(col + 1, n):
-                m[i][j] = (pivot * m[i][j] - head * m[col][j]) // prev
-            m[i][col] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    """Determinant of a square integer matrix."""
+    rank, last = _bareiss(mat)
+    return last if rank == len(mat) else 0
 
 
 def _identity(n):
@@ -158,8 +150,6 @@ def solve_integer(mat, rhs):
     """Integer solution x of mat @ x = rhs, or None when unsolvable over Z."""
     nr = len(mat)
     nc = len(mat[0]) if nr else 0
-    if nr == 0:
-        return [0] * nc
     D, U, V = smith_normal_form(mat)
     c = [sum(U[i][j] * rhs[j] for j in range(nr)) for i in range(nr)]
     z = [0] * nc

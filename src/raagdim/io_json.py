@@ -144,12 +144,14 @@ def certificate_from_json(data) -> dict:
     for key in ("degree", "M", "Delta", "omega_support", "star_condition", "evaluation"):
         if key not in data:
             raise MalformedInput(f"missing key {key!r}", "$")
-    degree, evaluation = data["degree"], data["evaluation"]
+    degree, evaluation, star = data["degree"], data["evaluation"], data["star_condition"]
     # type(...) is int also turns away bools.
     if type(degree) is not int or degree < 0:
         raise MalformedInput(f"must be a nonnegative integer, got {degree!r}", "$.degree")
     if type(evaluation) is not int:
         raise MalformedInput(f"must be an integer, got {evaluation!r}", "$.evaluation")
+    if type(star) is not bool:
+        raise MalformedInput(f"must be a boolean, got {star!r}", "$.star_condition")
 
     def simplex(x, location):
         if not isinstance(x, list) or not x:
@@ -169,7 +171,7 @@ def certificate_from_json(data) -> dict:
             cell(c, f"$.omega_support[{i}]")
             for i, c in enumerate(_list(data["omega_support"], "$.omega_support"))
         ],
-        "star_condition": bool(data["star_condition"]),
+        "star_condition": star,
         "evaluation": evaluation,
     }
 

@@ -121,17 +121,16 @@ def covering_pair_chain(doubled: DoubledComplex):
     """The top GF(2) chain of the doubled complex's configuration space
     supported on disjoint pairs whose projections jointly cover the chosen
     simplex.  Returns (space, chain) with the chain as a frozenset."""
-    D = doubled.complex
-    k = doubled.degree
-    space = ConfigurationSpace(D)
+    space = ConfigurationSpace(doubled.complex)
     delta_set = set(doubled.delta)
-    cells = []
-    for a, b in combinations(D.faces_of_dim(k), 2):
-        if set(a) & set(b):
-            continue
-        if delta_set <= set(project(a)) | set(project(b)):
-            cells.append(space.canonical(a, b)[0])
-    return space, frozenset(cells)
+    # The doubled complex has dimension k, so its 2k-cells are exactly the
+    # disjoint pairs of k-faces.
+    cells = frozenset(
+        (a, b)
+        for a, b in space.cells_of_degree(2 * doubled.degree)
+        if delta_set <= set(project(a)) | set(project(b))
+    )
+    return space, cells
 
 
 @dataclass(frozen=True)

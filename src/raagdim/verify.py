@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, skeleton
 from .config_space import chain_boundary
-from .homology import is_cycle
+from .homology import simplex_boundary
 from .obstruction import (
     check_star_condition,
     covering_pair_chain,
@@ -66,10 +66,14 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
                                    "M is not pure of the stated degree", tuple(run))
 
     run.append("cycle-condition")
-    if not is_cycle(K, m_faces, degree):
+    # Reduced in degree 0: a 0-cycle has evenly many vertices.
+    if len(m_faces) % 2 if degree == 0 else chain_boundary(m_faces, simplex_boundary, mod=2):
         return VerificationOutcome(False, "cycle-condition", "M is not a GF(2) cycle", tuple(run))
 
     run.append("star-condition")
+    if cert["star_condition"] is not True:
+        return VerificationOutcome(False, "star-condition",
+                                   "certificate does not state the star condition", tuple(run))
     star = check_star_condition(m_faces, delta)
     if not star.holds:
         return VerificationOutcome(False, "star-condition",

@@ -4,6 +4,7 @@ import pytest
 
 from raagdim.bounds import analyze, geometric_dimension, join_lemma_bound, l2_dimension, vkdim_lower
 from raagdim.complexes import link, make_complex
+from raagdim.homology import rational_betti
 from raagdim.zoo import ZOO, cone, cycle, octahedron_boundary, path, points, simplex, suspension, tree
 
 
@@ -15,10 +16,10 @@ def test_geometric_dimension():
 
 
 def test_l2_dimension():
-    assert l2_dimension(cycle(4)) == 2
-    assert l2_dimension(simplex(2)) is None
-    assert l2_dimension(octahedron_boundary(2)) == 3
-    assert l2_dimension(points(2)) == 1
+    assert l2_dimension(rational_betti(cycle(4))) == 2
+    assert l2_dimension(rational_betti(simplex(2))) is None
+    assert l2_dimension(rational_betti(octahedron_boundary(2))) == 3
+    assert l2_dimension(rational_betti(points(2))) == 1
 
 
 def test_join_lemma_interval_arithmetic():

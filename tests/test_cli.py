@@ -94,6 +94,7 @@ def test_complex_json_rejects_bad_labels_and_containers(data, location, reason):
     ("omega_support", {}),
     ("omega_support", [[["c0"]]]),
     ("omega_support", [[["c0"], 5]]),
+    ("star_condition", "no"),
 ])
 def test_certificate_json_type_checks(key, value):
     data = io_json.certificate_to_json(certify_nonvanishing(cycle(4), 1))
@@ -257,6 +258,11 @@ def test_verify_certificate_mutations(tmp_path):
     bad["omega_support"] = bad["omega_support"][:-1]  # delete one cell
     out = verify_certificate(L, bad)
     assert not out.ok and out.failed_check in ("omega-cycle", "omega-evaluation")
+
+    bad = copy.deepcopy(data)
+    bad["star_condition"] = False
+    out = verify_certificate(L, bad)
+    assert not out.ok and out.failed_check == "star-condition"
 
 
 def test_verify_certificate_octahedron_roundtrip():

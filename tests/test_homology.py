@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from raagdim.config_space import ConfigurationSpace, chain_boundary
 from raagdim.homology import (
-    boundary_int_matrix,
+    boundary_rows,
     cycle_space,
     mod2_betti,
     rational_betti,
@@ -88,18 +88,35 @@ def test_cycle_space_degree0_reduced():
 @settings(max_examples=25, deadline=None)
 def test_boundary_squared_zero_int_and_mod2(seed):
     K = random_flag(6, 0.55, seed)
-    for k in range(1, K.dim + 1):
-        mat, cols = boundary_int_matrix(K, k)
-        if not cols or k + 1 > K.dim:
-            continue
-        mat2, cols2 = boundary_int_matrix(K, k + 1)
-        if not cols2:
-            continue
-        # Rows of mat2 are (k)-faces; compose: d_k . d_{k+1} = 0.
-        for j in range(len(cols2)):
-            col = [mat2[i][j] for i in range(len(cols))]
-            for r in range(len(mat)):
-                assert sum(mat[r][i] * col[i] for i in range(len(col))) == 0
+    for k in range(K.dim):
+        # Compose d_k . d_{k+1} = 0, the augmentation included at k = 0;
+        # integer zeros are zero mod 2 as well.
+        lower, upper = boundary_rows(K, k), boundary_rows(K, k + 1)
+        assert len(lower) == len(K.faces_of_dim(k)) and len(upper) == len(K.faces_of_dim(k + 1))
+        for row in upper:
+            acc = {}
+            for j, sign in row:
+                for i, coeff in lower[j]:
+                    acc[i] = acc.get(i, 0) + sign * coeff
+            assert not any(acc.values())
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_betti_numbers_satisfy_reduced_euler_poincare(seed):
+    K = random_flag(7, 0.5, seed)
+    euler = sum((-1) ** k * len(K.faces_of_dim(k)) for k in range(K.dim + 1)) - 1
+    for betti in (mod2_betti(K), rational_betti(K)):
+        assert sum((-1) ** k * b for k, b in enumerate(betti)) == euler
+
+
+def test_boundary_rows_index_the_facets():
+    K = cycle(4)
+    assert boundary_rows(K, 0) == (((0, 1),),) * 4
+    edges, vertices = K.faces_of_dim(1), K.faces_of_dim(0)
+    for edge, row in zip(edges, boundary_rows(K, 1)):
+        assert [i for i, _ in row] == sorted(i for i, _ in row)
+        assert {(vertices[i], sign) for i, sign in row} == set(simplex_boundary(edge))
 
 
 @given(st.integers(0, 10**6))
