@@ -15,7 +15,6 @@ from .complexes import (
     join,
     link,
     make_complex,
-    partial_barycentric_subdivision,
     skeleton,
     star,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "mesh_number",
     "mod2_betti",
     "octahedralize",
-    "partial_barycentric_subdivision",
     "rational_betti",
     "skeleton",
     "solve_coboundary",

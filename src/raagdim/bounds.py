@@ -223,6 +223,8 @@ def analyze(
             vk_hi = min(vk_hi, 2 * k - 1)
             records.append(BoundRecord("vkdim", "upper", 2 * k - 1, "top-cocycle-coboundary",
                                        "the top cocycle is a coboundary mod 2"))
+            if vanishing.reason:
+                warnings.append(f"integer coboundary solve skipped: {vanishing.reason}")
         elif vanishing.status == "obstructed":
             vk_lo = max(vk_lo, 2 * k)
             records.append(BoundRecord("vkdim", "lower", 2 * k, "cocycle-pairing-witness",

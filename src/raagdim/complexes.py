@@ -248,51 +248,3 @@ def relabeled(K: SimplicialComplex, mapping) -> SimplicialComplex:
         raise ValueError("relabeling is not injective")
     faces = frozenset(tuple(mapping[v] for v in f) for f in K.faces)
     return SimplicialComplex(vertices=verts, faces=faces)
-
-
-def subdivision_vertex(sigma: tuple) -> tuple:
-    """Label of the new vertex introduced inside `sigma`."""
-    return ("subdiv", sigma)
-
-
-def partial_barycentric_subdivision(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
-    """Subdivide K away from a flag subcomplex L.
-
-    Every simplex of K outside L (of positive dimension) is coned from a
-    new interior vertex, by induction on skeleta.  The result is flag and
-    contains L as a full subcomplex; L itself is left untouched.
-
-    New vertices rank after all original ones, ordered by (dimension,
-    rank tuple) of the simplex they subdivide, so the output is
-    deterministic.
-    """
-    if not L.faces <= K.faces:
-        raise ValueError("L is not a subcomplex of K")
-    w = is_flag(L)
-    if not w.flag:
-        raise ValueError(f"L is not flag (missing clique {w.missing_clique!r})")
-
-    memo: dict = {}
-
-    def tops(sigma: tuple) -> tuple:
-        """Maximal simplices of the subdivision of `sigma`."""
-        if sigma in L.faces or len(sigma) == 1:
-            return (sigma,)
-        if sigma in memo:
-            return memo[sigma]
-        apex = subdivision_vertex(sigma)
-        boundary = []
-        for i in range(len(sigma)):
-            boundary.extend(tops(sigma[:i] + sigma[i + 1 :]))
-        out = tuple(t + (apex,) for t in boundary)
-        memo[sigma] = out
-        return out
-
-    top_cells = [t for m in K.maximal_faces() for t in tops(m)]
-    rk = K.rank
-    new_vertices = sorted(
-        {subdivision_vertex(s) for s in memo},
-        key=lambda lbl: (len(lbl[1]), tuple(rk[v] for v in lbl[1])),
-    )
-    order = K.vertices + tuple(new_vertices)
-    return make_complex(top_cells, vertex_order=order)

@@ -1,28 +1,24 @@
 """The configuration space of unordered disjoint simplex pairs.
 
-An ordered pair (sigma, tau) of disjoint closed simplices is a product
-cell with the boundary
-
-    d(sigma x tau) = d(sigma) x tau + (-1)^dim(sigma) sigma x d(tau)
-
-(`pair_cell_boundary`).  The configuration space is the quotient of these
-ordered pairs by the factor swap, which acts on an oriented product cell
-with the sign (-1)^(dim sigma * dim tau).  Cells of the quotient are
-unordered pairs; the stored representative puts the simplex with the
-lower-ranked minimal vertex first, and every sign in the quotient boundary
-is derived from that single convention.
+Its cells are unordered pairs {a, b} of disjoint closed simplices of K; the
+stored representative puts the simplex with the lower-ranked minimal vertex
+first.  It is the quotient of the deleted product, whose ordered cells have
+the boundary d(a x b) = da x b + (-1)^dim(a) a x db, by the factor swap,
+which acts with the sign (-1)^(dim a * dim b).
 
 ConfigurationSpace works on an index of K.  Every face gets an id (by
-dimension, then rank tuple) and an int vertex bitmask, so disjointness is
-`mask_a & mask_b == 0`.  Each degree is enumerated once, already in cell
-order (the order of `cell_key`), with no sort; a cell's id is its position
-in `cells_of_degree(d)`.  `boundary_rows(d)` holds the signed boundary of
-every d-cell as sorted (lower id, sign) pairs, built once per degree for
-the coboundary solve and its re-check.  `count_cells(d)` counts a degree
-without building it, and `boundary(cell)` computes one cell's boundary
-without enumerating anything.
+dimension, then rank tuple), an int vertex bitmask, so disjointness is
+`mask_a & mask_b == 0`, and a row of (facet id, sign) pairs taken from
+`homology.boundary_rows`; this facet table is built once.  Each degree is
+enumerated once, already in cell order (by the id of a, then of b), with
+no sort; a cell's id is its position in `cells_of_degree(d)`.
 
-Chains are plain dicts {cell: int}; GF(2) chains are frozensets of cells.
+`boundary_rows(d)` holds the signed boundary of every d-cell as sorted
+(lower id, sign) pairs, built once per degree for the coboundary solve and
+its re-check.  `boundary(chain)` is the GF(2) boundary of a chain: the
+facets {a', b} and {a, b'} of its cells, as face-id pairs, counted mod 2 by
+`chain_boundary`, with no enumeration, no signs and no sort of the cells.
+`count_cells(d)` counts a degree without building it.
 """
 
 from __future__ import annotations
@@ -31,31 +27,18 @@ from bisect import bisect_right
 from functools import cached_property
 
 from .complexes import SimplicialComplex
-from .homology import boundary_rows, simplex_boundary
+from .homology import boundary_rows
 
 
-def pair_cell_boundary(cell):
-    """Signed boundary of an ordered product cell (a, b)."""
-    a, b = cell
-    out = []
-    for sub, sign in simplex_boundary(a):
-        out.append(((sub, b), sign))
-    flip = (-1) ** (len(a) - 1)
-    for sub, sign in simplex_boundary(b):
-        out.append(((a, sub), flip * sign))
-    return out
+def chain_boundary(chain, facets) -> set:
+    """GF(2) boundary of a chain: the facets of an odd number of its cells.
 
-
-def chain_boundary(chain, boundary_fn, mod: int | None = None) -> dict:
-    """Boundary of a chain given a per-cell boundary function."""
-    items = chain.items() if isinstance(chain, dict) else ((c, 1) for c in chain)
-    acc: dict = {}
-    for cell, coeff in items:
-        for sub, sign in boundary_fn(cell):
-            acc[sub] = acc.get(sub, 0) + coeff * sign
-    if mod:
-        return {c: v % mod for c, v in acc.items() if v % mod}
-    return {c: v for c, v in acc.items() if v}
+    `facets(cell)` lists the facets of one cell, none of them twice.
+    """
+    odd: set = set()
+    for cell in chain:
+        odd.symmetric_difference_update(facets(cell))
+    return odd
 
 
 class ConfigurationSpace:
@@ -65,19 +48,6 @@ class ConfigurationSpace:
         self.K = K
         self._degrees: dict = {}
         self._rows: dict = {}
-
-    def canonical(self, a: tuple, b: tuple):
-        """Canonical representative and the sign relating (a, b) to it."""
-        rk = self.K.rank
-        if rk[a[0]] < rk[b[0]]:
-            return (a, b), 1
-        return (b, a), (-1) ** ((len(a) - 1) * (len(b) - 1))
-
-    def cell_key(self, cell):
-        """Sort key of the cell order; defined on any pair of vertex tuples."""
-        rk = self.K.rank
-        a, b = cell
-        return (len(a), len(b), tuple(rk[v] for v in a), tuple(rk[v] for v in b))
 
     @cached_property
     def _faces(self):
@@ -99,12 +69,24 @@ class ConfigurationSpace:
     def _face_ids(self) -> dict:
         return {f: g for g, f in enumerate(self._faces[0])}
 
+    @cached_property
+    def _facets(self) -> list:
+        """Each face's facets as (facet id, sign) pairs sorted by id, by face
+        id.  Ids run by dimension, so a facet's id is where its dimension
+        starts plus its index there.  Unaugmented: a vertex has no facets."""
+        spans = self._faces[3]
+        facets = [()] * len(self.K.faces_of_dim(0))
+        for k in range(1, len(spans)):
+            start = spans[k - 1][0]
+            facets += [tuple((start + i, sign) for i, sign in row) for row in boundary_rows(self.K, k)]
+        return facets
+
     def _pairs(self, d: int):
         """Face-id pairs (a, b) of the d-cells, in cell order.
 
-        Ids follow dimension, then rank tuple, so ordering by the id of a,
-        then of b, is the order of cell_key.  Every b lies in the suffix of
-        its dimension whose first vertex ranks above the first vertex of a.
+        Ids follow dimension, then rank tuple, so cell order is the order of
+        the id of a, then of b.  Every b lies in the suffix of its dimension
+        whose first vertex ranks above the first vertex of a.
         """
         _faces, masks, first, spans = self._faces
         top = len(spans) - 1
@@ -132,24 +114,25 @@ class ConfigurationSpace:
         """Exact number of d-cells, without building them."""
         return sum(1 for _ in self._pairs(d))
 
-    def cell_id(self, cell) -> int:
-        """Position of a canonical cell in cells_of_degree."""
+    def cell_id(self, cell) -> int | None:
+        """Position of the cell {a, b} in cells_of_degree, either half first;
+        None when the halves are not disjoint faces of K."""
         a, b = cell
-        fid = self._face_ids
-        return self._degree(len(a) + len(b) - 2)[1][fid[a], fid[b]]
+        fid, first = self._face_ids, self._faces[2]
+        ga, gb = fid.get(a), fid.get(b)
+        if ga is None or gb is None:
+            return None
+        if first[gb] < first[ga]:
+            ga, gb = gb, ga
+        return self._degree(len(a) + len(b) - 2)[1].get((ga, gb))
 
     def boundary_rows(self, d: int) -> tuple:
         """Signed boundary of every d-cell as (lower id, sign) pairs sorted by
         id, one row per cell in cell order; computed once per degree."""
         if d in self._rows:
             return self._rows[d]
-        faces, _masks, first, spans = self._faces
-        # Face ids run by dimension, so a facet's id is where its dimension
-        # starts plus its index there.  Unaugmented: a vertex has no facets.
-        facets = [()] * len(self.K.faces_of_dim(0))
-        for k in range(1, len(spans)):
-            start = spans[k - 1][0]
-            facets += [[(start + i, sign) for i, sign in row] for row in boundary_rows(self.K, k)]
+        faces, _masks, first, _spans = self._faces
+        facets = self._facets
         lower = self._degree(d - 1)[1]
         rows = []
         for ga, gb in self._degree(d)[1]:
@@ -170,14 +153,23 @@ class ConfigurationSpace:
         self._rows[d] = rows = tuple(rows)
         return rows
 
-    def boundary(self, cell):
-        """Signed boundary of one cell, sorted by cell_key; enumerates nothing.
+    def boundary(self, chain) -> tuple:
+        """GF(2) boundary of a chain of cells as stored (lower-ranked first
+        vertex first): the cells in the boundary of an odd number of them,
+        in cell order.  Enumerates nothing.
 
-        The terms never merge: {a', b} = {a, b'} would need a = b.
+        The facets {a', b} and {a, b'} of one cell never coincide, as that
+        would need a = b.
         """
-        out = []
-        for (a, b), sign in pair_cell_boundary(cell):
-            rep, flip = self.canonical(a, b)
-            out.append((rep, sign * flip))
-        out.sort(key=lambda term: self.cell_key(term[0]))
-        return tuple(out)
+        faces, _masks, first, _spans = self._faces
+        fid, facets = self._face_ids, self._facets
+
+        def pair_facets(pair):
+            ga, gb = pair
+            # As in boundary_rows: only a facet of a can put b first.
+            return [(sa, gb) if first[sa] < first[gb] else (gb, sa) for sa, _ in facets[ga]] + [
+                (ga, sb) for sb, _ in facets[gb]
+            ]
+
+        odd = chain_boundary([(fid[a], fid[b]) for a, b in chain], pair_facets)
+        return tuple((faces[ga], faces[gb]) for ga, gb in sorted(odd))

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 
 from .complexes import SimplicialComplex, make_complex
-from .config_space import ConfigurationSpace, chain_boundary
+from .config_space import ConfigurationSpace
 from .homology import cycle_space
 from .obstruction import (
     check_star_condition,
@@ -122,7 +122,7 @@ def check_complex(K: SimplicialComplex, result: SuiteResult, inject: str | None 
     octa = octahedralize(K)
     rank = octa.rank
     space = ConfigurationSpace(octa.complex)
-    top_cells = [c for c in space.cells_of_degree(2 * k) if len(c[0]) == k + 1]
+    top_cells = space.cells_of_degree(2 * k)
 
     for cell in top_cells:
         result.checks += 1
@@ -157,7 +157,7 @@ def check_complex(K: SimplicialComplex, result: SuiteResult, inject: str | None 
         star = check_star_condition(cyc, delta)
         if star.holds:
             result.checks += 1
-            if chain_boundary(omega, dspace.boundary, mod=2):
+            if dspace.boundary(omega):
                 result.failures.append(SuiteFailure(
                     "cycle", K.maximal_faces(),
                     f"cycle {sorted(cyc)}, delta {delta}: covering chain has boundary"))

@@ -2,8 +2,13 @@
 
 Rebuilds the doubled complex and the covering chain from the certificate's
 (M, Delta) against the provided complex and re-runs every identity, naming
-the first failing check.  The stored support must match the rebuilt chain
-exactly; a certificate is a proof object, not a hint.
+the first failing check.  Both cycle checks are GF(2) boundaries counted by
+`chain_boundary`: M's over the facets of its simplices (a vertex's facet is
+the empty face, so in degree 0 the rule is an even vertex count), the
+stored chain's on the face index of the doubled complex's configuration
+space, onto which every stored pair is first mapped (either half first).
+The stored support must match the rebuilt chain exactly; a certificate is
+a proof object, not a hint.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, skeleton
 from .config_space import chain_boundary
-from .homology import simplex_boundary
 from .obstruction import (
     check_star_condition,
     covering_pair_chain,
@@ -66,8 +70,8 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
                                    "M is not pure of the stated degree", tuple(run))
 
     run.append("cycle-condition")
-    # Reduced in degree 0: a 0-cycle has evenly many vertices.
-    if len(m_faces) % 2 if degree == 0 else chain_boundary(m_faces, simplex_boundary, mod=2):
+    # A vertex's facet is the empty face, so a 0-cycle has evenly many vertices.
+    if chain_boundary(m_faces, lambda f: [f[:i] + f[i + 1 :] for i in range(len(f))]):
         return VerificationOutcome(False, "cycle-condition", "M is not a GF(2) cycle", tuple(run))
 
     run.append("star-condition")
@@ -84,18 +88,19 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
     space, rebuilt = covering_pair_chain(doubled)
 
     run.append("omega-cycle")
-    rank = doubled.complex.rank
-    outside = [v for cell in cert["omega_support"] for half in cell for v in half if v not in rank]
-    if outside:
-        return VerificationOutcome(False, "omega-cycle",
-                                   f"stored chain uses {outside[0]!r}, not a vertex of the doubled complex",
-                                   tuple(run))
-    stored = frozenset(space.canonical(a, b)[0] for a, b in cert["omega_support"])
-    boundary = chain_boundary(stored, space.boundary, mod=2)
+    cells = space.cells_of_degree(2 * degree)
+    stored = set()
+    for a, b in cert["omega_support"]:
+        i = space.cell_id((a, b)) if len(a) + len(b) == 2 * degree + 2 else None
+        if i is None:
+            return VerificationOutcome(False, "omega-cycle",
+                                       f"stored pair {(a, b)} is not a disjoint pair of faces "
+                                       f"of degree {2 * degree}", tuple(run))
+        stored.add(cells[i])
+    boundary = space.boundary(stored)
     if boundary:
-        cell = next(iter(sorted(boundary, key=space.cell_key)))
         return VerificationOutcome(False, "omega-cycle",
-                                   f"stored chain has boundary, e.g. at {cell}", tuple(run))
+                                   f"stored chain has boundary, e.g. at {boundary[0]}", tuple(run))
 
     run.append("omega-evaluation")
     evaluation = sum(mesh_indicator(c, octa.rank) for c in stored) % 2

@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, skeleton
-from .config_space import chain_boundary
 from .homology import cycle_space
 from .obstruction import check_star_condition, covering_pair_chain
 from .octa import double_over, octahedralize
@@ -69,15 +68,14 @@ def find_star_violation(seed: int = 0, budget: int = 40) -> ViolationExhibit | N
                     continue
                 doubled = double_over(octa, cyc, delta)
                 space, omega = covering_pair_chain(doubled)
-                boundary = chain_boundary(omega, space.boundary, mod=2)
+                boundary = space.boundary(omega)
                 if boundary:
-                    cell = sorted(boundary, key=space.cell_key)[0]
                     return ViolationExhibit(
                         complex=K,
                         cycle=cyc,
                         delta=delta,
                         violating_pair=report.violation,
-                        boundary_cell=cell,
+                        boundary_cell=boundary[0],
                         boundary_size=len(boundary),
                     )
     return None

@@ -5,10 +5,11 @@ lines alongside the pytest verdicts.
 """
 
 import time
+from functools import partial
 
 from raagdim.bounds import analyze, join_lemma_bound
 from raagdim.complexes import join, relabeled, skeleton
-from raagdim.config_space import ConfigurationSpace, chain_boundary
+from raagdim.config_space import ConfigurationSpace
 from raagdim.homology import mod2_betti
 from raagdim.obstruction import (
     certify_nonvanishing,
@@ -22,6 +23,7 @@ from raagdim.planarity import is_planar, one_skeleton
 from raagdim.suite import run_suite
 from raagdim.violations import find_star_violation
 from raagdim.zoo import ZOO, cycle, octahedron_boundary, path, points, random_flag, simplex, tree
+from test_config_space import signed_boundary, signed_chain_boundary
 
 
 def test_criterion_1_c4_end_to_end():
@@ -150,8 +152,9 @@ def test_criterion_7_star_condition_failure_exhibit():
     octa = octahedralize(exhibit.complex)
     doubled = double_over(octa, exhibit.cycle, exhibit.delta)
     space, omega = covering_pair_chain(doubled)
-    boundary = chain_boundary(omega, space.boundary, mod=2)
-    assert boundary
+    signed = signed_chain_boundary(omega, partial(signed_boundary, doubled.complex))
+    boundary = {c for c, v in signed.items() if v % 2}
+    assert len(boundary) == exhibit.boundary_size
     assert exhibit.boundary_cell in boundary
     print(f"\nCRITERION 7 PASS: condition violation with nonzero boundary found; "
           f"violating pair {exhibit.violating_pair}, boundary hits "

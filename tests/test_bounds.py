@@ -2,10 +2,12 @@
 
 import pytest
 
+from raagdim import intlinalg
 from raagdim.bounds import analyze, geometric_dimension, join_lemma_bound, l2_dimension, vkdim_lower
 from raagdim.complexes import link, make_complex
 from raagdim.homology import rational_betti
-from raagdim.zoo import ZOO, cone, cycle, octahedron_boundary, path, points, simplex, suspension, tree
+from raagdim.obstruction import INTEGRAL_ENTRY_CAP, certify_vanishing
+from raagdim.zoo import ZOO, cone, cycle, octahedron_boundary, path, points, random_flag, simplex, suspension, tree
 
 
 def test_geometric_dimension():
@@ -197,3 +199,20 @@ def test_integral_solve_tightens_mod2_only_bounds():
     tight = analyze(cycle(3), allow_non_flag=True, integral=True)
     assert tight.embdim == (2, 2)
     assert tight.vanishing.integral_primitive is not None
+    assert tight.vanishing.integral_checked and not tight.vanishing.reason
+
+
+def test_integral_solve_is_refused_before_the_dense_matrix(monkeypatch):
+    def refuse(mat):
+        raise AssertionError("the Smith normal form ran")
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
+    L = random_flag(8, 0.5, 16)
+    result = certify_vanishing(L, integral=True)
+    assert result.status == "primitive"
+    assert not result.integral_checked and result.integral_primitive is None
+    assert result.reason == f"integer matrix too large (1884 x 4056 entries > {INTEGRAL_ENTRY_CAP})"
+    report = analyze(L, integral=True)
+    assert f"integer coboundary solve skipped: {result.reason}" in report.warnings
+    assert not analyze(L).warnings
+

@@ -12,7 +12,8 @@ import raagdim
 from raagdim import io_json
 from raagdim.cli import main
 from raagdim.obstruction import certify_nonvanishing
-from raagdim.verify import verify_certificate
+from raagdim.octa import octahedralize
+from raagdim.verify import CHECKS, verify_certificate
 from raagdim.zoo import ZOO, cycle, octahedron_boundary
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(raagdim.__file__)))
@@ -263,6 +264,31 @@ def test_verify_certificate_mutations(tmp_path):
     bad["star_condition"] = False
     out = verify_certificate(L, bad)
     assert not out.ok and out.failed_check == "star-condition"
+
+
+@pytest.mark.parametrize("L", [cycle(4), octahedron_boundary(2)], ids=["cycle4", "octahedron2"])
+def test_verify_certificate_one_cell_mutation_sweep(L):
+    data = io_json.certificate_from_json(io_json.certificate_to_json(certify_nonvanishing(L, L.dim)))
+    rank = octahedralize(L).rank
+    support = data["omega_support"]
+
+    def verify_with(i, cells):
+        return verify_certificate(L, dict(data, omega_support=support[:i] + cells + support[i + 1 :]))
+
+    for i, (a, b) in enumerate(support):
+        assert verify_with(i, [(b, a)]).ok  # either half may come first
+        j = i % len(a)
+        (v, sign), rest = a[j], a[:j] + a[j + 1 :]
+        into_b = tuple(sorted(b + (a[j],), key=rank.__getitem__))
+        mutations = {
+            "drop": [],
+            "flip-sign": [(a[:j] + ((v, -sign),) + a[j + 1 :], b)],
+            "overlap": [(a, into_b)],
+            "move": [(rest, into_b)],
+        }
+        for name, cells in mutations.items():
+            out = verify_with(i, cells)
+            assert not out.ok and out.failed_check in CHECKS, (name, i, out)
 
 
 def test_verify_certificate_octahedron_roundtrip():

@@ -1,4 +1,4 @@
-"""Complex construction, flag operations, and subdivision."""
+"""Complex construction and flag operations."""
 
 from itertools import combinations
 
@@ -12,7 +12,6 @@ from raagdim.complexes import (
     join,
     link,
     make_complex,
-    partial_barycentric_subdivision,
     relabeled,
     skeleton,
     star,
@@ -157,71 +156,3 @@ def test_operations_commute_with_order_preserving_relabel(seed):
     for v in K.vertices:
         assert link(R, (mapping[v],)).faces == relabeled(link(K, (v,)), mapping).faces
         assert star(R, (mapping[v],)).faces == relabeled(star(K, (v,)), mapping).faces
-
-
-# --- partial subdivision -------------------------------------------------
-
-
-def clique_scan_is_flag(K):
-    """Exhaustive independent flag check: every clique spans a face."""
-    edges = {frozenset(e) for e in K.faces_of_dim(1)}
-    verts = K.vertices
-    for r in range(3, len(verts) + 1):
-        for sub in combinations(verts, r):
-            if all(frozenset(p) in edges for p in combinations(sub, 2)):
-                if sub not in K.faces:
-                    return False
-    return True
-
-
-def test_subdivision_identity_when_k_equals_l():
-    K = cycle(4)
-    K2 = partial_barycentric_subdivision(K, K)
-    assert K2.faces == K.faces
-    assert K2.vertices == K.vertices
-
-
-def test_subdivision_triangle_rel_edge():
-    K = simplex(2)  # full triangle v0 v1 v2
-    L = make_complex([("v0", "v1")], vertex_order=K.vertices)
-    K2 = partial_barycentric_subdivision(K, L)
-    new = [v for v in K2.vertices if isinstance(v, tuple) and v[0] == "subdiv"]
-    # New vertices on the two other edges and the triangle interior.
-    assert {v[1] for v in new} == {("v0", "v2"), ("v1", "v2"), ("v0", "v1", "v2")}
-    assert clique_scan_is_flag(K2)
-    assert is_flag(K2).flag
-    # L full: the induced subcomplex on L's vertices is L itself.
-    assert full_subcomplex(K2, set(L.vertices)).faces == L.faces
-
-
-def test_subdivision_triangle_boundary_rel_vertex_is_hexagon():
-    K = make_complex([("a", "b"), ("b", "c"), ("a", "c")])
-    L = make_complex([("a",)], vertex_order=K.vertices)
-    K2 = partial_barycentric_subdivision(K, L)
-    assert K2.face_counts() == (6, 6)
-    assert is_flag(K2).flag
-    assert clique_scan_is_flag(K2)
-
-
-def test_subdivision_errors():
-    K = simplex(2)
-    other = make_complex([("x", "y")])
-    with pytest.raises(ValueError):
-        partial_barycentric_subdivision(K, other)
-    hollow = make_complex([("a", "b"), ("b", "c"), ("a", "c")])
-    big = make_complex(list(hollow.faces) + [("a", "b", "c")], vertex_order=hollow.vertices)
-    with pytest.raises(ValueError):
-        partial_barycentric_subdivision(big, hollow)
-
-
-@given(st.integers(0, 10**6))
-@settings(max_examples=15, deadline=None)
-def test_subdivision_always_flag_with_full_relative_part(seed):
-    K = random_flag(6, 0.5, seed)
-    if K.dim < 1:
-        return
-    # Relative part: the star of the first vertex (always flag in a flag complex).
-    L = star(K, (K.vertices[0],))
-    K2 = partial_barycentric_subdivision(K, L)
-    assert is_flag(K2).flag
-    assert full_subcomplex(K2, set(L.vertices)).faces == L.faces

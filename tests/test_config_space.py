@@ -1,13 +1,65 @@
-"""Deleted products, the unordered quotient, and the transfer map."""
+"""Deleted products, the unordered quotient, and the transfer map.
+
+The signed per-cell boundary of the quotient lives here as the oracle for
+the configuration space's GF(2) boundary and signed boundary rows; other
+test modules import it from here.
+"""
 
 import random
+from functools import partial
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from raagdim.config_space import ConfigurationSpace, chain_boundary, pair_cell_boundary
-from raagdim.octa import octahedralize
+from raagdim.complexes import skeleton
+from raagdim.config_space import ConfigurationSpace, chain_boundary
+from raagdim.homology import cycle_space, simplex_boundary
+from raagdim.octa import double_over, octahedralize
 from raagdim.zoo import cycle, points, random_flag
+
+
+def pair_cell_boundary(cell):
+    """Oracle: signed boundary of an ordered product cell (a, b),
+    d(a x b) = da x b + (-1)^dim(a) a x db."""
+    a, b = cell
+    flip = (-1) ** (len(a) - 1)
+    return [((sub, b), sign) for sub, sign in simplex_boundary(a)] + [
+        ((a, sub), flip * sign) for sub, sign in simplex_boundary(b)
+    ]
+
+
+def canonical(K, a, b):
+    """Oracle: the stored representative of {a, b} (lower-ranked first
+    vertex first) and the swap sign relating (a, b) to it."""
+    if K.rank[a[0]] < K.rank[b[0]]:
+        return (a, b), 1
+    return (b, a), (-1) ** ((len(a) - 1) * (len(b) - 1))
+
+
+def cell_key(K, cell):
+    """Oracle: sort key of the cell order, from rank tuples."""
+    a, b = cell
+    return (len(a), len(b), tuple(K.rank[v] for v in a), tuple(K.rank[v] for v in b))
+
+
+def signed_boundary(K, cell):
+    """Oracle: signed boundary of one quotient cell, sorted by cell_key."""
+    out = []
+    for (a, b), sign in pair_cell_boundary(cell):
+        rep, flip = canonical(K, a, b)
+        out.append((rep, sign * flip))
+    return tuple(sorted(out, key=lambda term: cell_key(K, term[0])))
+
+
+def signed_chain_boundary(chain, boundary_fn) -> dict:
+    """Oracle: integer boundary of a chain {cell: coeff} (or a collection of
+    cells, each with coefficient 1) given a signed per-cell boundary."""
+    items = chain.items() if isinstance(chain, dict) else ((c, 1) for c in chain)
+    acc: dict = {}
+    for cell, coeff in items:
+        for sub, sign in boundary_fn(cell):
+            acc[sub] = acc.get(sub, 0) + coeff * sign
+    return {c: v for c, v in acc.items() if v}
 
 
 class DeletedProduct:
@@ -107,25 +159,26 @@ def test_unordered_count_is_half_the_ordered_count(seed):
 def test_boundary_of_c4_square_cell():
     K = cycle(4)
     cs = ConfigurationSpace(K)
-    cell = cs.canonical(("c0", "c1"), ("c2", "c3"))[0]
-    bd = {c for c, v in cs.boundary(cell) if v % 2}
-    expect = set()
-    for vtx in ("c0", "c1"):
-        expect.add(cs.canonical((vtx,), ("c2", "c3"))[0])
-    for vtx in ("c2", "c3"):
-        expect.add(cs.canonical(("c0", "c1"), (vtx,))[0])
-    assert bd == expect
+    cell = (("c0", "c1"), ("c2", "c3"))
+    expect = [((vtx,), ("c2", "c3")) for vtx in ("c0", "c1")]
+    expect += [(("c0", "c1"), (vtx,)) for vtx in ("c2", "c3")]
+    assert set(cs.boundary([cell])) == {canonical(K, a, b)[0] for a, b in expect}
+    assert not cs.boundary([cell, cell])
 
 
 def test_swap_sign_convention():
     K = cycle(4)
     cs = ConfigurationSpace(K)
     a, b = ("c0", "c1"), ("c2", "c3")
-    rep1, s1 = cs.canonical(a, b)
-    rep2, s2 = cs.canonical(b, a)
+    rep1, s1 = canonical(K, a, b)
+    rep2, s2 = canonical(K, b, a)
     assert rep1 == rep2
     assert s1 == 1
     assert s2 == (-1) ** ((len(a) - 1) * (len(b) - 1))
+    # The index accepts either half first and refuses what is not a cell.
+    assert cs.cell_id((a, b)) == cs.cell_id((b, a)) == cs.cells_of_degree(2).index(rep1)
+    assert cs.cell_id((a, ("c1", "c2"))) is None
+    assert cs.cell_id((a, ("c2", "zz"))) is None
 
 
 @given(st.integers(0, 10**6))
@@ -133,14 +186,45 @@ def test_swap_sign_convention():
 def test_boundary_squared_zero_on_quotient_and_product(seed):
     K = octahedralize(random_flag(5, 0.5, seed)).complex
     cs = ConfigurationSpace(K)
+    signed = partial(signed_boundary, K)
     for d in range(2 * K.dim + 1):
         for cell in cs.cells_of_degree(d)[:40]:
-            once = chain_boundary({cell: 1}, cs.boundary)
-            twice = chain_boundary(once, cs.boundary)
-            assert not twice
-            p_once = chain_boundary({cell: 1}, pair_cell_boundary)
-            p_twice = chain_boundary(p_once, pair_cell_boundary)
-            assert not p_twice
+            assert not cs.boundary(cs.boundary([cell]))
+            once = signed_chain_boundary({cell: 1}, signed)
+            assert not signed_chain_boundary(once, signed)
+            p_once = signed_chain_boundary({cell: 1}, pair_cell_boundary)
+            assert not signed_chain_boundary(p_once, pair_cell_boundary)
+
+
+def test_chain_boundary_counts_facets_mod_2():
+    def facets(f):
+        return [f[:i] + f[i + 1 :] for i in range(len(f))]
+
+    assert chain_boundary([("a", "b"), ("b", "c")], facets) == {("a",), ("c",)}
+    assert chain_boundary([("a", "b"), ("b", "c"), ("a", "c")], facets) == set()
+    # A vertex's facet is the empty face: an even vertex count is a cycle.
+    assert chain_boundary([("a",), ("b",)], facets) == set()
+    assert chain_boundary([("a",)], facets) == {()}
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=20, deadline=None)
+def test_boundary_is_odd_support_of_signed_oracle(seed):
+    rng = random.Random(seed)
+    L = random_flag(6, 0.5, seed)
+    cycles = [(k, c) for k in range(1, L.dim + 1) for c in cycle_space(skeleton(L, k), k)]
+    if not cycles:
+        return
+    k, cyc = cycles[rng.randrange(len(cycles))]
+    K = double_over(octahedralize(skeleton(L, k)), cyc, sorted(cyc)[rng.randrange(len(cyc))]).complex
+    cs = ConfigurationSpace(K)
+    signed = partial(signed_boundary, K)
+    for d in range(2 * K.dim + 1):
+        cells = cs.cells_of_degree(d)
+        for _ in range(3):
+            chain = rng.sample(cells, rng.randint(0, min(12, len(cells))))
+            odd = [c for c, v in signed_chain_boundary(chain, signed).items() if v % 2]
+            assert cs.boundary(chain) == tuple(sorted(odd, key=lambda c: cell_key(K, c)))
 
 
 @given(st.integers(0, 10**6))
@@ -155,8 +239,8 @@ def test_transfer_is_a_chain_map(seed):
             continue
         chain = {c: rng.randint(-2, 2) for c in rng.sample(list(cells), min(5, len(cells)))}
         chain = {c: v for c, v in chain.items() if v}
-        lhs = chain_boundary(transfer(chain, cs), pair_cell_boundary)
-        rhs = transfer(chain_boundary(chain, cs.boundary), cs)
+        lhs = signed_chain_boundary(transfer(chain, cs), pair_cell_boundary)
+        rhs = transfer(signed_chain_boundary(chain, partial(signed_boundary, K)), cs)
         assert lhs == rhs
 
 
@@ -186,7 +270,6 @@ def test_every_cell_is_disjoint_and_within_budget_counting(seed):
 def rank_sorted_cells(K, d):
     """Oracle: every disjoint pair of degree d in canonical form, sorted by
     the rank-tuple cell key -- the enumeration the index replaces."""
-    cs = ConfigurationSpace(K)
     found = []
     for i in range(d + 1):
         j = d - i
@@ -196,8 +279,8 @@ def rank_sorted_cells(K, d):
         pairs = combinations(fi, 2) if i == j else ((a, b) for a in fi for b in fj)
         for a, b in pairs:
             if not set(a) & set(b):
-                found.append(cs.canonical(a, b)[0])
-    return sorted(found, key=cs.cell_key)
+                found.append(canonical(K, a, b)[0])
+    return sorted(found, key=lambda cell: cell_key(K, cell))
 
 
 @given(st.integers(0, 10**6))
@@ -222,4 +305,4 @@ def test_boundary_rows_match_per_cell_boundary(seed):
         assert len(rows) == len(cs.cells_of_degree(d))
         for cell, row in zip(cs.cells_of_degree(d), rows):
             assert [i for i, _ in row] == sorted({i for i, _ in row})
-            assert tuple((lower[i], sign) for i, sign in row) == cs.boundary(cell)
+            assert tuple((lower[i], sign) for i, sign in row) == signed_boundary(K, cell)

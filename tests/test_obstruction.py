@@ -1,12 +1,13 @@
 """Meshing cocycles, covering chains, certificates, and their identities."""
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from raagdim.complexes import skeleton
-from raagdim.config_space import ConfigurationSpace, chain_boundary, pair_cell_boundary
+from raagdim.config_space import ConfigurationSpace
 from raagdim.homology import cycle_space
 from raagdim.obstruction import (
     certify_nonvanishing,
@@ -23,6 +24,7 @@ from raagdim.obstruction import (
 )
 from raagdim.octa import MINUS, PLUS, double_over, minus_lift, octahedralize
 from raagdim.zoo import cone, cycle, octahedron_boundary, path, points, random_flag, simplex, tree
+from test_config_space import pair_cell_boundary, signed_boundary, signed_chain_boundary
 
 RANK4 = {"v0": 0, "v1": 1, "v2": 2, "v3": 3}
 
@@ -90,8 +92,8 @@ def test_push_is_a_chain_map(seed):
             continue
         chain = {c: rng.randint(-2, 2) for c in rng.sample(list(cells), min(4, len(cells)))}
         chain = {c: v for c, v in chain.items() if v}
-        lhs = chain_boundary(push_to_product(chain, o), pair_cell_boundary)
-        rhs = push_to_product(chain_boundary(chain, cs.boundary), o)
+        lhs = signed_chain_boundary(push_to_product(chain, o), pair_cell_boundary)
+        rhs = push_to_product(signed_chain_boundary(chain, partial(signed_boundary, o.complex)), o)
         assert lhs == rhs
 
 
@@ -138,7 +140,7 @@ def test_pushforward_cycle_and_evaluation_identities(seed):
         pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(omega, 1), o).items() if v % 2}
         assert pushed == product  # holds with or without the star condition
         if check_star_condition(cyc, delta).holds:
-            assert not chain_boundary(omega, space.boundary, mod=2)
+            assert not space.boundary(omega)
         assert evaluate_nonstrict_on_product(product, o.rank) % 2 == 1
 
 
@@ -165,7 +167,7 @@ def test_covering_chain_c4_frozen_values():
     assert len(omega) == 18
     assert sum(mesh_indicator(c, o.rank) for c in omega) % 2 == 1
     assert sum(mesh_indicator(c, o.rank) for c in omega) == 5
-    assert not chain_boundary(omega, space.boundary, mod=2)
+    assert not space.boundary(omega)
 
 
 def test_covering_chain_empty_cycle():
@@ -259,7 +261,7 @@ def test_certify_vanishing_c4_obstructed_with_witness():
     o = octahedralize(cycle(4))
     space = ConfigurationSpace(o.complex)
     witness = frozenset(result.witness_cycle)
-    assert not chain_boundary(witness, space.boundary, mod=2)
+    assert not space.boundary(witness)
     assert sum(mesh_indicator(c, o.rank) for c in witness) % 2 == 1
 
 
