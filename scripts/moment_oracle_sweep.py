@@ -40,10 +40,7 @@ def main() -> int:
             K = octahedralize(K).complex
         space = ConfigurationSpace(K)
         k = K.dim
-        for cell in space.cells_of_degree(2 * k):
-            if len(cell[0]) != k + 1:
-                continue
-            a, b = cell
+        for a, b in space.cells_of_degree(2 * k):
             geo = moment_intersection(a, b, K.rank)
             comb = mesh_number(a, b, K.rank)
             total += 1

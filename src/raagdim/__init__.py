@@ -25,7 +25,6 @@ from .obstruction import (
     certify_vanishing,
     check_star_condition,
     covering_pair_chain,
-    mesh_indicator,
     mesh_number,
 )
 from .octa import double_over, octahedralize
@@ -50,7 +49,6 @@ __all__ = [
     "l2_dimension",
     "link",
     "make_complex",
-    "mesh_indicator",
     "mesh_number",
     "mod2_betti",
     "octahedralize",

@@ -150,7 +150,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lemma_suite(args) -> int:
-    result = run_suite(args.seed, args.count, inject=args.inject)
+    result = run_suite(args.seed, args.count)
     print(f"complexes: {result.complexes}  checks: {result.checks}  "
           f"failures: {len(result.failures)}")
     if result.failures:
@@ -220,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemma-suite", help="randomized identity checks")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=50)
-    p.add_argument("--inject", choices=["transfer-drop", "mesh-flip"],
-                   help="deliberately break one ingredient (self-test)")
     p.set_defaults(fn=cmd_lemma_suite)
 
     p = sub.add_parser("homology", help="reduced Betti numbers")

@@ -155,6 +155,8 @@ def _adjacency(vertices, edges) -> dict:
 def flag_completion(vertices, edges) -> SimplicialComplex:
     """The flag complex on a simple graph: faces are the cliques."""
     vertices = tuple(vertices)
+    if len(set(vertices)) != len(vertices):
+        raise ValueError(f"repeated vertex in {vertices!r}")
     adj = _adjacency(vertices, edges)
     faces = list(_all_cliques(vertices, adj))
     return SimplicialComplex(vertices=vertices, faces=frozenset(faces))

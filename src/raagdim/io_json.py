@@ -76,6 +76,9 @@ def complex_from_json(data) -> SimplicialComplex:
     if "vertex_order" in data:
         raw = _list(data["vertex_order"], "$.vertex_order")
         order = [label(v, f"$.vertex_order[{i}]") for i, v in enumerate(raw)]
+        if len(set(order)) != len(order):
+            repeated = next(v for i, v in enumerate(order) if v in order[:i])
+            raise MalformedInput(f"repeated vertex {_encode_label(repeated)!r}", "$.vertex_order")
     if "graph" in data:
         g = data["graph"]
         if not isinstance(g, dict) or "vertices" not in g or "edges" not in g:
@@ -90,8 +93,11 @@ def complex_from_json(data) -> SimplicialComplex:
         if order is not None:
             perm = {v: i for i, v in enumerate(order)}
             verts = sorted(verts, key=lambda v: perm.get(v, len(perm)))
+        flag = data.get("flag", False)
+        if type(flag) is not bool:
+            raise MalformedInput(f"must be a boolean, got {flag!r}", "$.flag")
         try:
-            if data.get("flag"):
+            if flag:
                 return flag_completion(verts, edges)
             return from_graph(verts, edges)
         except ValueError as exc:

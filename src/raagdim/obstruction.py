@@ -56,12 +56,6 @@ def mesh_number(sigma: tuple, tau: tuple, rank: dict) -> int:
     return 0
 
 
-def mesh_indicator(cell, rank: dict) -> int:
-    """Mod-2 meshing indicator on an unordered pair cell."""
-    sigma, tau = cell
-    return 1 if (_interleaves(sigma, tau, rank) or _interleaves(tau, sigma, rank)) else 0
-
-
 def nonstrict_mesh_indicator(sigma: tuple, b: tuple, rank: dict) -> int:
     """Nonstrict meshing of a doubled simplex against a minus-copy simplex.
 
@@ -89,26 +83,24 @@ def push_to_product(chain, octa: Octahedralization) -> dict:
 
     An unordered pair [sigma, tau] goes to (sigma, p(tau)) plus the swapped
     term with the factor-switch sign, where p relabels onto the minus copy.
-    Integer coefficients; reduce mod 2 when needed.
+    `chain` maps cells to integer coefficients; reduce mod 2 when needed.
     """
-    items = chain.items() if isinstance(chain, dict) else ((c, 1) for c in chain)
     out: dict = {}
 
     def add(cell, v):
         out[cell] = out.get(cell, 0) + v
 
-    for (sigma, tau), coeff in items:
+    for (sigma, tau), coeff in chain.items():
         sign = (-1) ** ((len(sigma) - 1) * (len(tau) - 1))
         add((sigma, minus_lift(project(tau))), coeff)
         add((tau, minus_lift(project(sigma))), sign * coeff)
     return {c: v for c, v in out.items() if v}
 
 
-def evaluate_nonstrict_on_product(chain, rank: dict) -> int:
+def evaluate_nonstrict_on_product(chain: dict, rank: dict) -> int:
     """Integer pairing of the nonstrict meshing cocycle with a product chain."""
     total = 0
-    items = chain.items() if isinstance(chain, dict) else ((c, 1) for c in chain)
-    for (sigma, b), coeff in items:
+    for (sigma, b), coeff in chain.items():
         total += coeff * nonstrict_mesh_indicator(sigma, b, rank)
     return total
 
@@ -172,7 +164,6 @@ class CycleCertificate:
     degree: int
     cycle: frozenset
     delta: tuple
-    doubled: DoubledComplex
     omega: frozenset
 
 
@@ -216,7 +207,7 @@ def certify_nonvanishing(L: SimplicialComplex, degree: int | None = None, search
                     "covering chain failed to be a cycle under the pair-intersection "
                     f"condition (cycle {sorted(cycle)}, delta {delta})"
                 )
-            if sum(mesh_indicator(c, octa.rank) for c in omega) % 2 != 1:
+            if sum(mesh_number(a, b, octa.rank) for a, b in omega) % 2 != 1:
                 raise RuntimeError(
                     f"covering chain evaluated to 0 (cycle {sorted(cycle)}, delta {delta})"
                 )
@@ -224,7 +215,6 @@ def certify_nonvanishing(L: SimplicialComplex, degree: int | None = None, search
                 degree=k,
                 cycle=cycle,
                 delta=delta,
-                doubled=doubled,
                 omega=omega,
             )
     return None
@@ -256,22 +246,28 @@ INTEGRAL_ENTRY_CAP = 600_000
 
 
 def top_mesh_cocycle(octa: Octahedralization, space: ConfigurationSpace, degree: int) -> dict:
+    """The meshing cocycle on the top cells, as its support with value 1.
+
+    A stored cell puts the simplex with the lower-ranked first vertex
+    first, so only its own order can interleave and `mesh_number` is 0 or
+    1 there: this is the integer cocycle as well as its mod-2 reduction.
+    """
     return {
         cell: 1
         for cell in space.cells_of_degree(2 * degree)
-        if mesh_indicator(cell, octa.rank)
+        if mesh_number(cell[0], cell[1], octa.rank)
     }
 
 
 def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: int = 10**6) -> VanishingResult:
     """Decide whether the top mod-2 obstruction cocycle is a coboundary.
 
-    Solves delta(x) = nu on the configuration space of the octahedralized
+    Solves delta(x) = phi on the configuration space of the octahedralized
     complex over GF(2).  On failure returns a witness cycle pairing to 1,
-    which simultaneously certifies nonvanishing.  With `integral` set, the
-    integer cocycle is additionally tested via a Smith normal form solve,
-    refused (with a reason) when its matrix has more than
-    INTEGRAL_ENTRY_CAP entries.
+    which simultaneously certifies nonvanishing.  With `integral` set, phi,
+    which is also the integer cocycle (see `top_mesh_cocycle`), is
+    additionally tested via a Smith normal form solve, refused (with a
+    reason) when its matrix has more than INTEGRAL_ENTRY_CAP entries.
     """
     k = L.dim
     if k < 0:
@@ -307,8 +303,7 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
         if n_eq * n_unknown > INTEGRAL_ENTRY_CAP:
             reason = f"integer matrix too large ({n_eq} x {n_unknown} entries > {INTEGRAL_ENTRY_CAP})"
         else:
-            nu = {cell: mesh_number(cell[0], cell[1], octa.rank) for cell in top}
-            integral_prim, _ = solve_coboundary(nu, 2 * k, space, coefficients="int")
+            integral_prim, _ = solve_coboundary(phi, 2 * k, space, coefficients="int")
     return VanishingResult(status="primitive", primitive=primitive, witness_cycle=None, reason=reason,
                            integral_primitive=integral_prim, integral_checked=integral and not reason)
 

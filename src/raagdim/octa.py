@@ -69,14 +69,13 @@ class DoubledComplex:
     """A cycle support doubled over one of its simplices.
 
     complex: full subcomplex of the octahedralized support on the minus
-    copy of the cycle plus both lifts of the chosen simplex.  Keeps back
-    references so certificates are self-describing.
+    copy of the cycle plus both lifts of the chosen simplex, kept with the
+    cycle, the simplex and the octahedralization it was built from.
     """
 
     complex: SimplicialComplex
     cycle: frozenset
     delta: tuple
-    support: SimplicialComplex
     octa: Octahedralization
 
     @property
@@ -115,4 +114,4 @@ def double_over(octa: Octahedralization, cycle, delta) -> DoubledComplex:
         vertices=tuple(sv for sv in octa.complex.vertices if (sv,) in faces),
         faces=frozenset(faces),
     )
-    return DoubledComplex(complex=doubled, cycle=cycle, delta=delta, support=support, octa=octa)
+    return DoubledComplex(complex=doubled, cycle=cycle, delta=delta, octa=octa)

@@ -15,10 +15,10 @@ On seeded random flag complexes (small, with a top cycle) this checks:
 plus agreement of the moment-curve intersection oracle with the cocycle on
 (a sample of) top cells.  Failures are reported with a shrunk complex.
 
-Fault injection (for testing the driver itself) deliberately breaks one
-ingredient: 'transfer-drop' pushes only the first product term, which the
-pushforward identity catches; 'mesh-flip' inverts the meshing test, which
-the pullback identity catches on the first cell.
+The driver's own faults live in tests/test_suite.py, which swaps this
+module's `push_to_product` for one that keeps only the first product term
+(the pushforward identity catches it) and its `mesh_number` for an
+inverted meshing test (the pullback identity catches it on the first cell).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .obstruction import (
     moment_intersection,
     push_to_product,
 )
-from .octa import double_over, minus_lift, octahedralize, project
+from .octa import double_over, octahedralize
 from .zoo import cycle as cycle_complex
 from .zoo import random_flag, suspension
 
@@ -99,24 +99,7 @@ def _shrink(K: SimplicialComplex, still_fails) -> SimplicialComplex:
     return current
 
 
-def _push(chain, octa, inject):
-    if inject == "transfer-drop":
-        out: dict = {}
-        items = chain.items() if isinstance(chain, dict) else ((c, 1) for c in chain)
-        for (sigma, tau), coeff in items:
-            cell = (sigma, minus_lift(project(tau)))
-            out[cell] = out.get(cell, 0) + coeff
-        return {c: v for c, v in out.items() if v}
-    return push_to_product(chain, octa)
-
-
-def _mesh_value(cell, rank, inject):
-    if inject == "mesh-flip":
-        return 1 - abs(mesh_number(cell[0], cell[1], rank))
-    return mesh_number(cell[0], cell[1], rank)
-
-
-def check_complex(K: SimplicialComplex, result: SuiteResult, inject: str | None = None) -> None:
+def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
     """Run the four identities plus the oracle agreement on one complex."""
     k = K.dim
     octa = octahedralize(K)
@@ -126,8 +109,8 @@ def check_complex(K: SimplicialComplex, result: SuiteResult, inject: str | None 
 
     for cell in top_cells:
         result.checks += 1
-        lhs = _mesh_value(cell, rank, inject)
-        pushed = _push({cell: 1}, octa, inject)
+        lhs = mesh_number(cell[0], cell[1], rank)
+        pushed = push_to_product({cell: 1}, octa)
         rhs = evaluate_nonstrict_on_product(pushed, rank)
         if lhs != rhs:
             result.failures.append(SuiteFailure(
@@ -147,7 +130,7 @@ def check_complex(K: SimplicialComplex, result: SuiteResult, inject: str | None 
         product = delta_product_chain(doubled)
 
         result.checks += 1
-        pushed = {c: v % 2 for c, v in _push(dict.fromkeys(omega, 1), octa, inject).items() if v % 2}
+        pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(omega, 1), octa).items() if v % 2}
         if pushed != product:
             result.failures.append(SuiteFailure(
                 "pushforward", K.maximal_faces(),
@@ -179,7 +162,7 @@ def check_complex(K: SimplicialComplex, result: SuiteResult, inject: str | None 
             return
 
 
-def run_suite(seed: int, count: int, inject: str | None = None) -> SuiteResult:
+def run_suite(seed: int, count: int) -> SuiteResult:
     rng = random.Random(seed)
     result = SuiteResult()
     attempts = 0
@@ -189,14 +172,14 @@ def run_suite(seed: int, count: int, inject: str | None = None) -> SuiteResult:
         if K is None:
             continue
         result.complexes += 1
-        check_complex(K, result, inject=inject)
+        check_complex(K, result)
         if result.failures:
             fail = result.failures[-1]
             check_name = fail.check
 
             def still_fails(cand: SimplicialComplex) -> bool:
                 probe = SuiteResult()
-                check_complex(cand, probe, inject=inject)
+                check_complex(cand, probe)
                 return any(f.check == check_name for f in probe.failures)
 
             shrunk = _shrink(K, still_fails)

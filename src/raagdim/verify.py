@@ -22,7 +22,7 @@ from .obstruction import (
     covering_pair_chain,
     delta_product_chain,
     evaluate_nonstrict_on_product,
-    mesh_indicator,
+    mesh_number,
     push_to_product,
 )
 from .octa import double_over, octahedralize
@@ -103,7 +103,7 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
                                    f"stored chain has boundary, e.g. at {boundary[0]}", tuple(run))
 
     run.append("omega-evaluation")
-    evaluation = sum(mesh_indicator(c, octa.rank) for c in stored) % 2
+    evaluation = sum(mesh_number(a, b, octa.rank) for a, b in stored) % 2
     if evaluation != 1 or evaluation != cert["evaluation"]:
         return VerificationOutcome(False, "omega-evaluation",
                                    f"stored chain evaluates to {evaluation}", tuple(run))

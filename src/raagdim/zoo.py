@@ -37,6 +37,8 @@ def path(n: int) -> SimplicialComplex:
 
 def tree(n: int, seed: int = 0) -> SimplicialComplex:
     """Random labelled tree from a seeded Pruefer sequence."""
+    if n < 1:
+        raise ValueError(f"tree needs n >= 1, got {n}")
     if n == 1:
         return points(1)
     if n == 2:
@@ -64,6 +66,8 @@ def tree(n: int, seed: int = 0) -> SimplicialComplex:
 
 def octahedron_boundary(k: int) -> SimplicialComplex:
     """Join of k+1 two-point sets: the k-dimensional cross-polytope boundary."""
+    if k < 0:
+        raise ValueError(f"octahedron_boundary needs k >= 0, got {k}")
     out = None
     for i in range(k + 1):
         part = make_complex([(f"o{i}a",), (f"o{i}b",)])

@@ -7,14 +7,16 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import raagdim
-from raagdim import io_json
+from raagdim import io_json, suite
 from raagdim.cli import main
 from raagdim.obstruction import certify_nonvanishing
 from raagdim.octa import octahedralize
 from raagdim.verify import CHECKS, verify_certificate
 from raagdim.zoo import ZOO, cycle, octahedron_boundary
+from test_suite import dropped_push_to_product, flipped_mesh_number
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(raagdim.__file__)))
 
@@ -73,6 +75,14 @@ def test_malformed_inputs_carry_locations():
     ({"graph": {"vertices": 3, "edges": []}}, "$.graph.vertices", "must be a list"),
     ({"graph": {"vertices": [1], "edges": {}}}, "$.graph.edges", "must be a list"),
     ({"graph": {"vertices": [1, 2], "edges": [[1, 1]]}}, "$.graph", "repeated vertex"),
+    # Repeated vertices, with or without the flag completion.
+    ({"graph": {"vertices": [1, 1, 2], "edges": [[1, 2]]}, "flag": True}, "$.graph", "repeated vertex"),
+    ({"graph": {"vertices": [1, 1, 2], "edges": [[1, 2]]}}, "$.graph", "repeated vertex"),
+    ({"graph": {"vertices": [1, 2], "edges": []}, "vertex_order": [2, 1, 2]}, "$.vertex_order", "repeated vertex 2"),
+    ({"maximal_simplices": [["a", "b"]], "vertex_order": ["a", "b", "a"]}, "$.vertex_order", "repeated vertex 'a'"),
+    # Only a JSON boolean asks for the flag completion.
+    ({"graph": {"vertices": [1, 2], "edges": []}, "flag": "yes"}, "$.flag", "must be a boolean"),
+    ({"graph": {"vertices": [1, 2], "edges": []}, "flag": [-1, True]}, "$.flag", "must be a boolean"),
 ])
 def test_complex_json_rejects_bad_labels_and_containers(data, location, reason):
     with pytest.raises(io_json.MalformedInput) as err:
@@ -106,6 +116,71 @@ def test_certificate_json_type_checks(key, value):
     assert err.value.location.startswith(f"$.{key}")
 
 
+# Well-typed fields over labels that collide often, and loosely typed JSON.
+fuzz_labels = st.integers(0, 3)
+fuzz_values = st.recursive(
+    st.one_of(fuzz_labels, st.sampled_from(["a", "+", "-"]), st.booleans(), st.none(), st.just(0.5)),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
+fuzz_label_lists = st.lists(fuzz_labels, max_size=5)
+fuzz_simplex_lists = st.lists(st.lists(fuzz_labels, min_size=1, max_size=3), max_size=4)
+
+
+def fuzz_complex_forms(field):
+    """Both complex forms; `field` turns each well-typed strategy into the
+    one a field draws from."""
+    return st.one_of(
+        st.fixed_dictionaries(
+            {"graph": st.fixed_dictionaries({"vertices": field(fuzz_label_lists),
+                                             "edges": field(fuzz_simplex_lists)}),
+             "flag": field(st.booleans())},
+            optional={"vertex_order": field(fuzz_label_lists)}),
+        st.fixed_dictionaries(
+            {"maximal_simplices": field(fuzz_simplex_lists)},
+            optional={"vertices": field(fuzz_label_lists), "vertex_order": field(fuzz_label_lists)}),
+    )
+
+
+fuzz_complexes = st.one_of(
+    fuzz_complex_forms(lambda s: s),
+    fuzz_complex_forms(lambda s: st.one_of(s, fuzz_values)),
+    fuzz_values,
+)
+fuzz_certificates = st.one_of(
+    fuzz_values,
+    st.fixed_dictionaries({
+        "degree": st.one_of(st.integers(-1, 2), fuzz_values),
+        "M": st.one_of(fuzz_simplex_lists, fuzz_values),
+        "Delta": st.one_of(fuzz_label_lists, fuzz_values),
+        "omega_support": st.one_of(
+            st.lists(st.lists(st.one_of(fuzz_label_lists, fuzz_values), max_size=3), max_size=3), fuzz_values),
+        "star_condition": st.one_of(st.booleans(), fuzz_values),
+        "evaluation": st.one_of(st.integers(0, 1), fuzz_values),
+    }),
+)
+
+
+@given(fuzz_complexes)
+@settings(max_examples=400, deadline=None)
+def test_complex_loader_parses_or_raises_malformed_input(data):
+    try:
+        K = io_json.complex_from_json(data)
+    except io_json.MalformedInput:
+        return
+    assert len(set(K.vertices)) == len(K.vertices)
+    assert all(len(set(f)) == len(f) and set(f) <= set(K.vertices) for f in K.faces)
+
+
+@given(fuzz_certificates)
+@settings(max_examples=200, deadline=None)
+def test_certificate_loader_parses_or_raises_malformed_input(data):
+    try:
+        io_json.certificate_from_json(data)
+    except io_json.MalformedInput:
+        pass
+
+
 def test_verify_certificate_with_unknown_omega_vertex_fails_a_check():
     L = cycle(4)
     data = io_json.certificate_from_json(io_json.certificate_to_json(certify_nonvanishing(L, 1)))
@@ -137,6 +212,12 @@ def test_cli_bad_input_exits_1_with_a_located_message(tmp_path):
         (["verify", write_json(tmp_path, "m.json", dict(cert, M=5)), c4], "$.M"),
         (["analyze", c4, "--max-cells", "-1"], "--max-cells"),
         (["analyze", c4, "--search-budget", "-3"], "--search-budget"),
+        (["analyze", write_json(tmp_path, "repeated.json",
+                                {"graph": {"vertices": [1, 1, 2], "edges": [[1, 2]]}, "flag": True})],
+         "$.graph"),
+        (["generate", "octahedron_boundary", "-1"], "octahedron_boundary needs k >= 0, got -1"),
+        (["generate", "join(octahedron_boundary(-1),points(2))"], "octahedron_boundary needs k >= 0"),
+        (["generate", "tree", "0"], "tree needs n >= 1, got 0"),
     ]
     for args, where in cases:
         run = run_cli(args)
@@ -218,12 +299,16 @@ def test_cli_homology_and_octahedralize(tmp_path, capsys):
     assert K.face_counts() == (8, 16)
 
 
-def test_cli_lemma_suite_passes_and_catches_faults(capsys):
+def test_cli_lemma_suite_passes_and_catches_faults(capsys, monkeypatch):
     assert main(["lemma-suite", "--seed", "0", "--count", "3"]) == 0
-    assert main(["lemma-suite", "--seed", "0", "--count", "3", "--inject", "mesh-flip"]) == 1
+    with monkeypatch.context() as m:
+        m.setattr(suite, "mesh_number", flipped_mesh_number)
+        assert main(["lemma-suite", "--seed", "0", "--count", "3"]) == 1
     out = capsys.readouterr().out
     assert "FAIL pullback" in out
-    assert main(["lemma-suite", "--seed", "0", "--count", "3", "--inject", "transfer-drop"]) == 1
+    assert "minimized complex (maximal faces): [(" in out
+    monkeypatch.setattr(suite, "push_to_product", dropped_push_to_product)
+    assert main(["lemma-suite", "--seed", "0", "--count", "3"]) == 1
     assert "FAIL pushforward" in capsys.readouterr().out
 
 

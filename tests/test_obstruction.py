@@ -16,11 +16,11 @@ from raagdim.obstruction import (
     covering_pair_chain,
     delta_product_chain,
     evaluate_nonstrict_on_product,
-    mesh_indicator,
     mesh_number,
     moment_intersection,
     nonstrict_mesh_indicator,
     push_to_product,
+    top_mesh_cocycle,
 )
 from raagdim.octa import MINUS, PLUS, double_over, minus_lift, octahedralize
 from raagdim.zoo import cone, cycle, octahedron_boundary, path, points, random_flag, simplex, tree
@@ -36,12 +36,6 @@ def test_mesh_number_formula_cases():
     assert mesh_number(("v1", "v3"), ("v0", "v2"), RANK4) == -1
     # Separated pairs do not mesh.
     assert mesh_number(("v0", "v1"), ("v2", "v3"), RANK4) == 0
-
-
-def test_mesh_indicator_is_mod2_reduction():
-    assert mesh_indicator((("v0", "v2"), ("v1", "v3")), RANK4) == 1
-    assert mesh_indicator((("v1", "v3"), ("v0", "v2")), RANK4) == 1
-    assert mesh_indicator((("v0", "v1"), ("v2", "v3")), RANK4) == 0
 
 
 def test_mesh_degree_zero_all_pairs_mesh():
@@ -118,6 +112,21 @@ def test_pullback_identity_every_cell(seed):
         assert mesh_number(cell[0], cell[1], o.rank) == evaluate_nonstrict_on_product(pushed, o.rank)
 
 
+@given(st.integers(0, 10**6))
+@settings(max_examples=20, deadline=None)
+def test_stored_top_cells_mesh_0_or_1_so_the_top_cocycle_is_integral(seed):
+    # A stored cell leads with the lower-ranked first vertex, so only its own
+    # order can interleave: the integer cocycle is top_mesh_cocycle itself.
+    L = random_flag(6, 0.5, seed)
+    if L.dim < 1:
+        return
+    o = octahedralize(L)
+    space = ConfigurationSpace(o.complex)
+    values = {cell: mesh_number(cell[0], cell[1], o.rank) for cell in space.cells_of_degree(2 * L.dim)}
+    assert set(values.values()) <= {0, 1}
+    assert top_mesh_cocycle(o, space, L.dim) == {cell: v for cell, v in values.items() if v}
+
+
 def lemma_pairs(L, cap=4):
     out = []
     for cyc in cycle_space(L, L.dim):
@@ -165,8 +174,7 @@ def test_covering_chain_c4_frozen_values():
     space, omega = covering_pair_chain(doubled)
     # Hand-derived: 4+2+4+4+4 qualifying pairs, 5 of them meshed.
     assert len(omega) == 18
-    assert sum(mesh_indicator(c, o.rank) for c in omega) % 2 == 1
-    assert sum(mesh_indicator(c, o.rank) for c in omega) == 5
+    assert sum(mesh_number(a, b, o.rank) for a, b in omega) == 5
     assert not space.boundary(omega)
 
 
@@ -176,7 +184,7 @@ def test_covering_chain_empty_cycle():
     space, omega = covering_pair_chain(doubled)
     # Degree 0: pairs of distinct vertices covering the doubled point.
     assert len(omega) == 2 * 2 - 1
-    assert sum(mesh_indicator(c, o.rank) for c in omega) % 2 == 1
+    assert sum(mesh_number(a, b, o.rank) for a, b in omega) % 2 == 1
 
 
 # --- the pair-intersection condition -----------------------------------------
@@ -262,7 +270,7 @@ def test_certify_vanishing_c4_obstructed_with_witness():
     space = ConfigurationSpace(o.complex)
     witness = frozenset(result.witness_cycle)
     assert not space.boundary(witness)
-    assert sum(mesh_indicator(c, o.rank) for c in witness) % 2 == 1
+    assert sum(mesh_number(a, b, o.rank) for a, b in witness) % 2 == 1
 
 
 def test_certify_vanishing_refuses_by_count_without_building_cells(monkeypatch):
