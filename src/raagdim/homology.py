@@ -9,7 +9,9 @@ interface: one row of sorted ``(lower cell id, coeff)`` pairs per d-cell,
 ids indexing the (d-1)-cells.  `boundary_rows(K, d)` serves simplicial
 complexes; the quotient pair complexes plug into `solve_coboundary` through
 ``cells_of_degree(d)`` and ``boundary_rows(d)``.  One converter per ring
-(`_gf2_masks`, `_int_matrix`) turns rows into the matrices eliminated.
+(`_gf2_masks`, `_int_matrix`) turns rows into the matrices eliminated;
+the integer coboundary solve (`intlinalg.solve_integer`) reads the rows
+themselves.
 """
 
 from __future__ import annotations
@@ -139,9 +141,8 @@ def solve_coboundary(phi, degree: int, space, coefficients: str = "gf2"):
         prim = {lower[i]: 1 for i in gf2.indices_from_mask(x)}
         return prim, None
     if coefficients == "int":
-        mat = _int_matrix(rows, len(lower))
         rhs = [phi.get(cell, 0) for cell in m_cells]
-        sol = intlinalg.solve_integer(mat, rhs)
+        sol = intlinalg.solve_integer(rows, rhs, len(lower))
         if sol is None:
             return None, []
         return {lower[i]: v for i, v in enumerate(sol) if v}, None

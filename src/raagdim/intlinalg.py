@@ -1,9 +1,11 @@
 """Exact integer linear algebra: fraction-free rank, determinants, Smith
-normal form, and integer linear solves.
+normal form, and sparse integer linear solves.
 
 Matrices are lists of lists of Python ints.  Rank and determinant both
 read one Bareiss elimination (`_bareiss`), which keeps all intermediate
 values integral; obstruction certificates must never touch a float.
+`solve_integer` reads sparse rows, the boundary-row format of `homology`,
+and builds a dense matrix only for what its unit pivots leave.
 """
 
 from __future__ import annotations
@@ -146,23 +148,112 @@ def smith_normal_form(mat):
     return D, U, V
 
 
-def solve_integer(mat, rhs):
-    """Integer solution x of mat @ x = rhs, or None when unsolvable over Z."""
-    nr = len(mat)
-    nc = len(mat[0]) if nr else 0
-    D, U, V = smith_normal_form(mat)
-    c = [sum(U[i][j] * rhs[j] for j in range(nr)) for i in range(nr)]
-    z = [0] * nc
-    for i in range(min(nr, nc)):
-        d = D[i][i]
-        if d == 0:
-            if c[i] != 0:
+class CoreTooLarge(ValueError):
+    """The dense core of an integer solve has more than INTEGRAL_ENTRY_CAP
+    entries; the message names its shape."""
+
+
+# `solve_integer` refuses a dense core above this many entries (rows x
+# columns) before building it.  The Smith normal form and its transforms
+# are dense: on a 2-core host it takes 5.4 s on a 260 x 840 matrix and
+# 22 s on 408 x 1296, growing about as entries^1.6.
+INTEGRAL_ENTRY_CAP = 600_000
+
+
+def solve_integer(rows, rhs, ncols):
+    """Integer solution x of A x = rhs, or None when unsolvable over Z.
+
+    rows: one row of (column, coeff) pairs per equation, columns in
+    range(ncols); a column listed twice in a row adds up.
+
+    Eliminates on +-1 pivots first: every row operation adds an integer
+    multiple of a unit pivot row, so it is unimodular.  The pivot is the
+    unit entry of least Markowitz cost (row entries - 1) x (column entries
+    - 1), ties broken by row and then column id, so no hash order enters.
+    A cost is recomputed when its row changes and when it is popped, so a
+    column that lost rows may keep an older, higher cost for a while.
+    Only the rows with no unit entry left, the core, go through a dense
+    Smith normal form (raising CoreTooLarge above INTEGRAL_ENTRY_CAP
+    entries); the pivot columns are then back-substituted and every other
+    column is 0.
+    """
+    import heapq
+
+    active = []
+    for row in rows:
+        summed: dict = {}
+        for j, a in row:
+            summed[j] = summed.get(j, 0) + a
+        active.append({j: a for j, a in summed.items() if a})
+    b = list(rhs)
+    where = [set() for _ in range(ncols)]  # column -> active rows holding it
+    for i, row in enumerate(active):
+        for j in row:
+            where[j].add(i)
+    heap: list = []
+
+    def push(i, cols):
+        row = active[i]
+        for j in cols:
+            if row.get(j) in (1, -1):
+                heapq.heappush(heap, ((len(row) - 1) * (len(where[j]) - 1), i, j))
+
+    for i, row in enumerate(active):
+        push(i, row)
+    done = [False] * len(active)
+    pivots = []
+    while heap:
+        cost, i, j = heapq.heappop(heap)
+        row = active[i]
+        if done[i] or row.get(j) not in (1, -1):
+            continue
+        now = (len(row) - 1) * (len(where[j]) - 1)
+        if now > cost:  # the row or column has grown since the push
+            heapq.heappush(heap, (now, i, j))
+            continue
+        done[i] = True
+        pivots.append((i, j))
+        for t in row:
+            where[t].discard(i)
+        a = row[j]
+        for h in list(where[j]):
+            other = active[h]
+            q = other[j] * a  # other[j] / a, as a = +-1
+            for t, v in row.items():
+                w = other.get(t, 0) - q * v
+                if w:
+                    other[t] = w
+                    where[t].add(h)
+                else:
+                    del other[t]
+                    where[t].discard(h)
+            b[h] -= q * b[i]
+            push(h, other)
+
+    x = [0] * ncols
+    core = [i for i, row in enumerate(active) if not done[i] and row]
+    if any(b[i] for i, row in enumerate(active) if not done[i] and not row):
+        return None
+    if core:
+        cols = sorted({j for i in core for j in active[i]})
+        if len(core) * len(cols) > INTEGRAL_ENTRY_CAP:
+            raise CoreTooLarge(f"integer core too large ({len(core)} x {len(cols)} entries > "
+                               f"{INTEGRAL_ENTRY_CAP})")
+        D, U, V = smith_normal_form([[active[i].get(j, 0) for j in cols] for i in core])
+        c = [sum(u * b[i] for u, i in zip(U_row, core)) for U_row in U]
+        z = [0] * len(cols)
+        for t, ct in enumerate(c):
+            d = D[t][t] if t < len(cols) else 0
+            if d == 0:
+                if ct:
+                    return None
+            elif ct % d:
                 return None
-        else:
-            if c[i] % d:
-                return None
-            z[i] = c[i] // d
-    for i in range(min(nr, nc), nr):
-        if c[i] != 0:
-            return None
-    return [sum(V[i][j] * z[j] for j in range(nc)) for i in range(nc)]
+            else:
+                z[t] = ct // d
+        for j, V_row in zip(cols, V):
+            x[j] = sum(v * zt for v, zt in zip(V_row, z))
+    for i, j in reversed(pivots):
+        row = active[i]
+        x[j] = row[j] * (b[i] - sum(v * x[t] for t, v in row.items() if t != j))
+    return x

@@ -56,6 +56,12 @@ def _encode_label(v):
     return repr(v)
 
 
+def _refuse_repeated(labels: list, location: str) -> None:
+    if len(set(labels)) != len(labels):
+        repeated = next(v for i, v in enumerate(labels) if v in labels[:i])
+        raise MalformedInput(f"repeated vertex {_encode_label(repeated)!r}", location)
+
+
 def complex_from_json(data) -> SimplicialComplex:
     if not isinstance(data, dict):
         raise MalformedInput("top level must be an object")
@@ -76,15 +82,14 @@ def complex_from_json(data) -> SimplicialComplex:
     if "vertex_order" in data:
         raw = _list(data["vertex_order"], "$.vertex_order")
         order = [label(v, f"$.vertex_order[{i}]") for i, v in enumerate(raw)]
-        if len(set(order)) != len(order):
-            repeated = next(v for i, v in enumerate(order) if v in order[:i])
-            raise MalformedInput(f"repeated vertex {_encode_label(repeated)!r}", "$.vertex_order")
+        _refuse_repeated(order, "$.vertex_order")
     if "graph" in data:
         g = data["graph"]
         if not isinstance(g, dict) or "vertices" not in g or "edges" not in g:
             raise MalformedInput("graph needs 'vertices' and 'edges'", "$.graph")
         raw = _list(g["vertices"], "$.graph.vertices")
         verts = [label(v, f"$.graph.vertices[{i}]") for i, v in enumerate(raw)]
+        _refuse_repeated(verts, "$.graph.vertices")
         edges = []
         for i, e in enumerate(_list(g["edges"], "$.graph.edges")):
             if not isinstance(e, list) or len(e) != 2:

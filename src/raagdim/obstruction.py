@@ -23,7 +23,7 @@ from itertools import combinations, combinations_with_replacement
 from .complexes import SimplicialComplex, skeleton
 from .config_space import ConfigurationSpace
 from .homology import cycle_space, solve_coboundary
-from .intlinalg import integer_det, integer_rank
+from .intlinalg import CoreTooLarge, integer_det, integer_rank
 from .octa import MINUS, Octahedralization, DoubledComplex, double_over, minus_lift, octahedralize, project
 
 
@@ -238,13 +238,6 @@ class VanishingResult:
     integral_checked: bool = False
 
 
-# The integer solve's dense Smith normal form is refused above this many
-# matrix entries (equations x unknowns).  On a 2-core host it takes 5.4 s
-# at 260 x 840 (cone(cycle(5))) and 22 s at 408 x 1296 (cone(cycle(6))),
-# growing about as entries^1.6, and its transforms are dense too.
-INTEGRAL_ENTRY_CAP = 600_000
-
-
 def top_mesh_cocycle(octa: Octahedralization, space: ConfigurationSpace, degree: int) -> dict:
     """The meshing cocycle on the top cells, as its support with value 1.
 
@@ -259,6 +252,16 @@ def top_mesh_cocycle(octa: Octahedralization, space: ConfigurationSpace, degree:
     }
 
 
+def _recheck(space: ConfigurationSpace, degree: int, phi: dict, primitive: dict, modulus: int, what: str):
+    """Check delta(primitive) = phi on every degree-cell, mod `modulus`
+    (0 for exactly over Z), from the rows the solve read."""
+    value = {space.cell_id(cell): v for cell, v in primitive.items()}
+    for cell, row in zip(space.cells_of_degree(degree), space.boundary_rows(degree)):
+        diff = sum(coeff * value[sub] for sub, coeff in row if sub in value) - phi.get(cell, 0)
+        if (diff % modulus if modulus else diff) != 0:
+            raise RuntimeError(f"{what} fails verification")
+
+
 def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: int = 10**6) -> VanishingResult:
     """Decide whether the top mod-2 obstruction cocycle is a coboundary.
 
@@ -266,8 +269,10 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
     complex over GF(2).  On failure returns a witness cycle pairing to 1,
     which simultaneously certifies nonvanishing.  With `integral` set, phi,
     which is also the integer cocycle (see `top_mesh_cocycle`), is
-    additionally tested via a Smith normal form solve, refused (with a
-    reason) when its matrix has more than INTEGRAL_ENTRY_CAP entries.
+    additionally solved over Z by `intlinalg.solve_integer`, refused (with
+    a reason) when the dense core left after its unit pivots has more than
+    `intlinalg.INTEGRAL_ENTRY_CAP` entries.  Each primitive found is
+    re-checked exactly, mod 2 resp. over Z, on every top cell.
     """
     k = L.dim
     if k < 0:
@@ -290,20 +295,15 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
         if sum(phi.get(c, 0) for c in witness) % 2 != 1:
             raise RuntimeError("inconsistency witness does not pair to 1")
         return VanishingResult(status="obstructed", primitive=None, witness_cycle=witness)
-    # Re-check the primitive cell by cell.
-    idx = {space.cell_id(cell) for cell in primitive}
-    for cell, row in zip(space.cells_of_degree(2 * k), space.boundary_rows(2 * k)):
-        val = sum(coeff for sub, coeff in row if sub in idx) % 2
-        if val != phi.get(cell, 0) % 2:
-            raise RuntimeError("primitive fails verification")
+    _recheck(space, 2 * k, phi, primitive, 2, "primitive")
     integral_prim, reason = None, ""
     if integral:
-        top = space.cells_of_degree(2 * k)
-        n_eq, n_unknown = len(top), len(space.cells_of_degree(2 * k - 1))
-        if n_eq * n_unknown > INTEGRAL_ENTRY_CAP:
-            reason = f"integer matrix too large ({n_eq} x {n_unknown} entries > {INTEGRAL_ENTRY_CAP})"
-        else:
+        try:
             integral_prim, _ = solve_coboundary(phi, 2 * k, space, coefficients="int")
+        except CoreTooLarge as exc:
+            reason = str(exc)
+        if integral_prim is not None:
+            _recheck(space, 2 * k, phi, integral_prim, 0, "integer primitive")
     return VanishingResult(status="primitive", primitive=primitive, witness_cycle=None, reason=reason,
                            integral_primitive=integral_prim, integral_checked=integral and not reason)
 

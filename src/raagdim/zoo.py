@@ -13,22 +13,32 @@ from dataclasses import dataclass, field
 from .complexes import SimplicialComplex, flag_completion, join, make_complex, relabeled
 
 
+def _size(name: str, param: str, value, least: int) -> None:
+    """Refuse a size a generator cannot build, naming the parameter."""
+    if type(value) is not int:
+        raise ValueError(f"{name} needs an integer {param}, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} needs {param} >= {least}, got {value}")
+
+
 def simplex(k: int) -> SimplicialComplex:
+    _size("simplex", "k", k, 0)
     return make_complex([tuple(f"v{i}" for i in range(k + 1))])
 
 
 def points(n: int) -> SimplicialComplex:
+    _size("points", "n", n, 1)
     return make_complex([(f"p{i}",) for i in range(n)])
 
 
 def cycle(n: int) -> SimplicialComplex:
-    if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
+    _size("cycle", "n", n, 3)
     vs = [f"c{i}" for i in range(n)]
     return make_complex([(vs[i], vs[(i + 1) % n]) for i in range(n)])
 
 
 def path(n: int) -> SimplicialComplex:
+    _size("path", "n", n, 1)
     vs = [f"p{i}" for i in range(n)]
     if n == 1:
         return make_complex([(vs[0],)])
@@ -37,8 +47,7 @@ def path(n: int) -> SimplicialComplex:
 
 def tree(n: int, seed: int = 0) -> SimplicialComplex:
     """Random labelled tree from a seeded Pruefer sequence."""
-    if n < 1:
-        raise ValueError(f"tree needs n >= 1, got {n}")
+    _size("tree", "n", n, 1)
     if n == 1:
         return points(1)
     if n == 2:
@@ -66,8 +75,7 @@ def tree(n: int, seed: int = 0) -> SimplicialComplex:
 
 def octahedron_boundary(k: int) -> SimplicialComplex:
     """Join of k+1 two-point sets: the k-dimensional cross-polytope boundary."""
-    if k < 0:
-        raise ValueError(f"octahedron_boundary needs k >= 0, got {k}")
+    _size("octahedron_boundary", "k", k, 0)
     out = None
     for i in range(k + 1):
         part = make_complex([(f"o{i}a",), (f"o{i}b",)])
@@ -85,6 +93,7 @@ def suspension(K: SimplicialComplex) -> SimplicialComplex:
 
 
 def random_flag(n: int, p: float, seed: int) -> SimplicialComplex:
+    _size("random_flag", "n", n, 1)
     rng = random.Random(seed)
     vs = [f"r{i}" for i in range(n)]
     edges = [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]

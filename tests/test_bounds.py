@@ -1,12 +1,14 @@
 """The dimension bound engine."""
 
+import re
+
 import pytest
 
-from raagdim import intlinalg
+from raagdim import intlinalg, obstruction
 from raagdim.bounds import analyze, geometric_dimension, join_lemma_bound, l2_dimension, vkdim_lower
 from raagdim.complexes import link, make_complex
 from raagdim.homology import rational_betti
-from raagdim.obstruction import INTEGRAL_ENTRY_CAP, certify_vanishing
+from raagdim.obstruction import certify_vanishing
 from raagdim.zoo import ZOO, cone, cycle, octahedron_boundary, path, points, random_flag, simplex, suspension, tree
 
 
@@ -202,17 +204,48 @@ def test_integral_solve_tightens_mod2_only_bounds():
     assert tight.vanishing.integral_checked and not tight.vanishing.reason
 
 
+# The 6-vertex real projective plane (not flag).  Its integer solve keeps a
+# core with no unit entry after the unit pivots, so it reaches the Smith
+# normal form.
+RP2 = make_complex([(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+                    (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4)])
+
+
 def test_integral_solve_is_refused_before_the_dense_matrix(monkeypatch):
     def refuse(mat):
         raise AssertionError("the Smith normal form ran")
 
+    monkeypatch.setattr(intlinalg, "INTEGRAL_ENTRY_CAP", 100)
     monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
-    L = random_flag(8, 0.5, 16)
-    result = certify_vanishing(L, integral=True)
+    result = certify_vanishing(RP2, integral=True)
     assert result.status == "primitive"
     assert not result.integral_checked and result.integral_primitive is None
-    assert result.reason == f"integer matrix too large (1884 x 4056 entries > {INTEGRAL_ENTRY_CAP})"
-    report = analyze(L, integral=True)
+    shape = re.fullmatch(r"integer core too large \((\d+) x (\d+) entries > 100\)", result.reason)
+    assert shape and int(shape[1]) * int(shape[2]) > 100
+    report = analyze(RP2, integral=True, allow_non_flag=True)
     assert f"integer coboundary solve skipped: {result.reason}" in report.warnings
-    assert not analyze(L).warnings
+
+
+def test_integer_primitive_is_rechecked_over_z(monkeypatch):
+    solve = obstruction.solve_coboundary
+
+    def tripled(phi, degree, space, coefficients="gf2"):
+        prim, witness = solve(phi, degree, space, coefficients)
+        if coefficients == "int":
+            prim = {cell: 3 * v for cell, v in prim.items()}  # still right mod 2
+        return prim, witness
+
+    monkeypatch.setattr(obstruction, "solve_coboundary", tripled)
+    with pytest.raises(RuntimeError, match="integer primitive fails verification"):
+        certify_vanishing(cycle(3), integral=True)
+
+
+def test_integral_solve_checks_systems_the_whole_matrix_cap_refused():
+    # 1884 x 4056 equations x unknowns: refused when the cap counted the
+    # whole dense system; the unit pivots leave no core.
+    report = analyze(random_flag(8, 0.5, 16), integral=True)
+    assert report.vanishing.integral_checked and report.vanishing.integral_primitive is not None
+    assert not report.warnings
+    rp2 = certify_vanishing(RP2, integral=True)
+    assert rp2.integral_checked and rp2.integral_primitive is not None and not rp2.reason
 

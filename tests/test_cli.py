@@ -76,8 +76,8 @@ def test_malformed_inputs_carry_locations():
     ({"graph": {"vertices": [1], "edges": {}}}, "$.graph.edges", "must be a list"),
     ({"graph": {"vertices": [1, 2], "edges": [[1, 1]]}}, "$.graph", "repeated vertex"),
     # Repeated vertices, with or without the flag completion.
-    ({"graph": {"vertices": [1, 1, 2], "edges": [[1, 2]]}, "flag": True}, "$.graph", "repeated vertex"),
-    ({"graph": {"vertices": [1, 1, 2], "edges": [[1, 2]]}}, "$.graph", "repeated vertex"),
+    ({"graph": {"vertices": [1, 1, 2], "edges": [[1, 2]]}, "flag": True}, "$.graph.vertices", "repeated vertex 1"),
+    ({"graph": {"vertices": [1, 1, 2], "edges": [[1, 2]]}}, "$.graph.vertices", "repeated vertex 1"),
     ({"graph": {"vertices": [1, 2], "edges": []}, "vertex_order": [2, 1, 2]}, "$.vertex_order", "repeated vertex 2"),
     ({"maximal_simplices": [["a", "b"]], "vertex_order": ["a", "b", "a"]}, "$.vertex_order", "repeated vertex 'a'"),
     # Only a JSON boolean asks for the flag completion.
@@ -218,6 +218,15 @@ def test_cli_bad_input_exits_1_with_a_located_message(tmp_path):
         (["generate", "octahedron_boundary", "-1"], "octahedron_boundary needs k >= 0, got -1"),
         (["generate", "join(octahedron_boundary(-1),points(2))"], "octahedron_boundary needs k >= 0"),
         (["generate", "tree", "0"], "tree needs n >= 1, got 0"),
+        (["generate", "simplex", "-1"], "simplex needs k >= 0, got -1"),
+        (["generate", "points", "-2"], "points needs n >= 1, got -2"),
+        (["generate", "path", "0"], "path needs n >= 1, got 0"),
+        (["generate", "random_flag", "-2", "0.5"], "random_flag needs n >= 1, got -2"),
+        (["generate", "simplex", "1.5"], "simplex needs an integer k, got 1.5"),
+        (["generate", "cycle(2)"], "cycle needs n >= 3, got 2"),
+        (["analyze", write_json(tmp_path, "repeated-graph.json",
+                                {"graph": {"vertices": [1, 1, 2], "edges": [[1, 2]]}})],
+         "$.graph.vertices"),
     ]
     for args, where in cases:
         run = run_cli(args)

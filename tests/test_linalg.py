@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from raagdim import gf2
+from raagdim import gf2, intlinalg
 from raagdim.intlinalg import integer_det, integer_rank, smith_normal_form, solve_integer
 
 
@@ -114,6 +114,27 @@ def test_smith_diagonal_matches_determinantal_divisors(mat):
         prev = dk
 
 
+def sparse_rows(mat):
+    """A dense matrix as rows of (column, coeff) pairs, zeros dropped."""
+    return [[(j, a) for j, a in enumerate(row) if a] for row in mat]
+
+
+def dense_snf_solvable(mat, rhs):
+    """Oracle: whether mat @ x = rhs has an integer solution, read off the
+    whole dense Smith normal form D = U @ mat @ V as D z = U rhs."""
+    D, U, _V = smith_normal_form(mat)
+    c = [sum(u * b for u, b in zip(row, rhs)) for row in U]
+    for i, ci in enumerate(c):
+        d = D[i][i] if i < len(mat[0]) else 0
+        if (ci % d if d else ci) != 0:
+            return False
+    return True
+
+
+def residual(mat, x, rhs):
+    return [sum(a * xj for a, xj in zip(row, x)) - b for row, b in zip(mat, rhs)]
+
+
 @given(small_matrix, st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_solve_integer_roundtrip(mat, seed):
@@ -123,16 +144,62 @@ def test_solve_integer_roundtrip(mat, seed):
     nc = len(mat[0])
     x0 = [rng.randint(-3, 3) for _ in range(nc)]
     b = [sum(row[j] * x0[j] for j in range(nc)) for row in mat]
-    x = solve_integer(mat, b)
+    x = solve_integer(sparse_rows(mat), b, nc)
     assert x is not None
     assert [sum(row[j] * x[j] for j in range(nc)) for row in mat] == b
 
 
 def test_solve_integer_unsolvable():
-    assert solve_integer([[2]], [1]) is None
-    assert solve_integer([[1, 1], [1, 1]], [0, 1]) is None
+    assert solve_integer([[(0, 2)]], [1], 1) is None
+    assert solve_integer([[(0, 1), (1, 1)], [(0, 1), (1, 1)]], [0, 1], 2) is None
+    assert solve_integer([[(0, 1)], []], [0, 1], 1) is None  # a zero row, rhs 1
+    assert solve_integer([[(0, 1), (0, -1)]], [1], 1) is None  # entries that cancel
+    assert solve_integer([[(0, 2)]], [4], 1) == [2]
 
 
+@st.composite
+def sparse_systems(draw):
+    """Random sparse integer systems with entries in -3..3 (so fill-in can
+    leave a core with no unit entry) and a right-hand side that is either
+    constructed from an integer x0 or drawn freely."""
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    mat = [[draw(st.sampled_from((0, 0, 0, -3, -2, -1, 1, 2, 3))) for _ in range(nc)] for _ in range(nr)]
+    if draw(st.booleans()):
+        x0 = [draw(st.integers(-3, 3)) for _ in range(nc)]
+        rhs = [sum(a * x for a, x in zip(row, x0)) for row in mat]
+    else:
+        rhs = [draw(st.integers(-4, 4)) for _ in range(nr)]
+    return mat, rhs
+
+
+@given(sparse_systems())
+@settings(max_examples=300, deadline=None)
+def test_solve_integer_agrees_with_dense_snf_oracle(system):
+    mat, rhs = system
+    x = solve_integer(sparse_rows(mat), rhs, len(mat[0]))
+    assert (x is not None) == dense_snf_solvable(mat, rhs)
+    if x is not None:
+        assert residual(mat, x, rhs) == [0] * len(mat)
+
+
+def test_only_a_non_unit_core_reaches_the_smith_normal_form(monkeypatch):
+    shapes = []
+
+    def spy(mat):
+        shapes.append((len(mat), len(mat[0])))
+        return smith_normal_form(mat)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", spy)
+    # x0 - x1 = 1, x1 + x2 = 0: unit pivots clear everything.
+    mat = [[1, -1, 0], [0, 1, 1]]
+    x = solve_integer(sparse_rows(mat), [1, 0], 3)
+    assert residual(mat, x, [1, 0]) == [0, 0]
+    assert shapes == []
+    # x0 + x1 = 3 leaves the core 2 x2 + 4 x3 = 2 - 2 (x0 + x1) = -4.
+    mat = [[1, 1, 0, 0], [2, 2, 2, 4]]
+    x = solve_integer(sparse_rows(mat), [3, 2], 4)
+    assert residual(mat, x, [3, 2]) == [0, 0]
+    assert shapes == [(1, 2)]
 # --- GF(2) ----------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import os
 
 from raagdim import bounds, config_space, io_json, suite, verify
 from raagdim.zoo import cycle, path
+from test_bounds import RP2
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracer.py")
 
@@ -30,6 +31,9 @@ def test_tracer_wraps_and_reads_every_hooked_layer():
         assert verify.verify_certificate(L, cert).ok
         suite.check_complex(L, suite.SuiteResult())
         bounds.analyze(path(3), integral=True)  # both coboundary solves
+        # The unit pivots of the integer solve clear path(3); the real
+        # projective plane leaves a core for the Smith normal form.
+        bounds.analyze(RP2, integral=True, allow_non_flag=True)
     finally:
         tracer.uninstall()
     assert config_space.chain_boundary is original
@@ -38,3 +42,4 @@ def test_tracer_wraps_and_reads_every_hooked_layer():
     assert hooked <= called, sorted(hooked - called)
     assert tracer.counts["config_space.chain_boundary.in_cells"] > 0
     assert tracer.counts["homology.solve_coboundary.equations"] > 0
+    assert tracer.counts["intlinalg.smith_normal_form.entries"] > 0
