@@ -13,7 +13,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from raagdim.config_space import ConfigurationSpace  # noqa: E402
-from raagdim.obstruction import mesh_number, moment_intersection  # noqa: E402
+from raagdim.obstruction import _raw_moment_pairing, mesh_number, moment_intersection  # noqa: E402
 from raagdim.octa import octahedralize  # noqa: E402
 from raagdim.zoo import random_flag  # noqa: E402
 
@@ -47,8 +47,11 @@ def main() -> int:
             nonzero += bool(comb)
             mismatches += geo != comb
     dt = time.perf_counter() - t0
+    # A miss is one exact solve of a distinct parameter pair; a hit reuses it.
+    memo = _raw_moment_pairing.cache_info()
     print(f"complexes: {produced}  cells: {total}  meshed: {nonzero}  "
-          f"mismatches: {mismatches}  ({dt:.1f}s)")
+          f"mismatches: {mismatches}  oracle cache: {memo.misses} misses, "
+          f"{memo.hits} hits  ({dt:.1f}s)")
     return 0 if mismatches == 0 else 1
 
 

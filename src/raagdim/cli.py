@@ -150,6 +150,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lemma_suite(args) -> int:
+    if args.count < 0:
+        print(f"error: --count must be nonnegative, got {args.count}", file=sys.stderr)
+        return 1
     result = run_suite(args.seed, args.count)
     print(f"complexes: {result.complexes}  checks: {result.checks}  "
           f"failures: {len(result.failures)}")

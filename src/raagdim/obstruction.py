@@ -316,6 +316,7 @@ def _moment_point(t: int, dim: int) -> list:
     return [t**d for d in range(1, dim + 1)]
 
 
+@lru_cache(maxsize=None)
 def _raw_moment_pairing(pa: tuple, pb: tuple) -> int:
     """Signed intersection of two simplices mapped to the moment curve.
 
@@ -324,7 +325,9 @@ def _raw_moment_pairing(pa: tuple, pb: tuple) -> int:
     R^(2k) solve a square integer system; Cramer determinant signs decide
     interior incidence without ever leaving integers.  Distinct parameters
     keep the map in general position, so a singular system means parallel
-    disjoint hulls and contributes 0.
+    disjoint hulls and contributes 0.  Memoized on the exact parameter
+    tuples: each pair is solved once per process, and a raised
+    ArithmeticError is not cached.
     """
     k = len(pa) - 1
     if k == 0:
@@ -381,7 +384,11 @@ def _reference_sign(k: int) -> int:
 def moment_intersection(sigma: tuple, tau: tuple, rank: dict) -> int:
     """Exact signed moment-curve intersection number of an ordered pair,
     normalized to the cocycle's orientation convention."""
+    if len(sigma) != len(tau):
+        raise ValueError("the moment oracle pairs equal-dimensional simplices")
     pa = tuple(rank[v] for v in sigma)
     pb = tuple(rank[v] for v in tau)
+    if not set(pa).isdisjoint(pb):
+        raise ValueError("the moment oracle pairs disjoint simplices")
     k = len(pa) - 1
     return _reference_sign(k) * _raw_moment_pairing(pa, pb)

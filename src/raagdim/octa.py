@@ -22,7 +22,7 @@ PLUS = +1
 
 def project(face: tuple) -> tuple:
     """Base simplex under the sign-forgetting projection."""
-    return tuple(v for v, _s in face)
+    return tuple([v for v, _s in face])
 
 
 def signed_lift(face: tuple, signs) -> tuple:
@@ -30,7 +30,7 @@ def signed_lift(face: tuple, signs) -> tuple:
 
 
 def minus_lift(face: tuple) -> tuple:
-    return signed_lift(face, (MINUS,) * len(face))
+    return tuple([(v, MINUS) for v in face])
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ plus agreement of the moment-curve intersection oracle with the cocycle on
 
 The driver's own faults live in tests/test_suite.py, which swaps this
 module's `push_to_product` for one that keeps only the first product term
-(the pushforward identity catches it) and its `mesh_number` for an
-inverted meshing test (the pullback identity catches it on the first cell).
+(the pushforward identity catches it), its `mesh_number` for an inverted
+meshing test (the pullback identity catches it on the first cell), and its
+`moment_intersection` for a negated oracle (the oracle agreement catches it).
 """
 
 from __future__ import annotations

@@ -212,6 +212,7 @@ def test_cli_bad_input_exits_1_with_a_located_message(tmp_path):
         (["verify", write_json(tmp_path, "m.json", dict(cert, M=5)), c4], "$.M"),
         (["analyze", c4, "--max-cells", "-1"], "--max-cells"),
         (["analyze", c4, "--search-budget", "-3"], "--search-budget"),
+        (["lemma-suite", "--count", "-3"], "error: --count must be nonnegative, got -3"),
         (["analyze", write_json(tmp_path, "repeated.json",
                                 {"graph": {"vertices": [1, 1, 2], "edges": [[1, 2]]}, "flag": True})],
          "$.graph"),

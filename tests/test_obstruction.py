@@ -6,6 +6,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from raagdim import obstruction
 from raagdim.complexes import skeleton
 from raagdim.config_space import ConfigurationSpace
 from raagdim.homology import cycle_space
@@ -23,6 +24,7 @@ from raagdim.obstruction import (
     top_mesh_cocycle,
 )
 from raagdim.octa import MINUS, PLUS, double_over, minus_lift, octahedralize
+from raagdim.suite import run_suite
 from raagdim.zoo import cone, cycle, octahedron_boundary, path, points, random_flag, simplex, tree
 from test_config_space import pair_cell_boundary, signed_boundary, signed_chain_boundary
 
@@ -326,3 +328,41 @@ def test_moment_oracle_parallel_chords_give_zero():
     rank = {i: i for i in range(4)}
     assert moment_intersection((0, 3), (1, 2), rank) == 0
     assert mesh_number((0, 3), (1, 2), rank) == 0
+
+
+@pytest.mark.parametrize("sigma, tau", [
+    ((0, 2), (1, 3, 5)),  # unequal sizes
+    ((0,), (1, 2)),       # unequal sizes
+    ((0, 2, 4), (1, 3)),  # unequal sizes
+    ((0, 2), (2, 3)),     # a shared vertex
+])
+def test_moment_oracle_refuses_pairs_outside_its_domain(sigma, tau):
+    rank = {i: i for i in range(6)}
+    before = obstruction._raw_moment_pairing.cache_info().currsize
+    with pytest.raises(ValueError):
+        moment_intersection(sigma, tau, rank)
+    # Refused before the memoized solve, so no bad key is stored.
+    assert obstruction._raw_moment_pairing.cache_info().currsize == before
+
+
+def test_moment_oracle_memo_is_exact(monkeypatch):
+    cached = obstruction._raw_moment_pairing
+    asked = set()
+
+    def recording(pa, pb):
+        asked.add((pa, pb))
+        return cached(pa, pb)
+
+    monkeypatch.setattr(obstruction, "_raw_moment_pairing", recording)
+    cached.cache_clear()
+    run_suite(0, 5)
+    info = cached.cache_info()
+    assert info.misses == len(asked) == info.currsize
+    assert info.hits > 0
+    for pa, pb in asked:
+        assert cached.__wrapped__(pa, pb) == cached(pa, pb)
+
+    cached.cache_clear()
+    cold = run_suite(7, 5)
+    warm = run_suite(7, 5)
+    assert (cold.complexes, cold.checks, cold.failures) == (warm.complexes, warm.checks, warm.failures)

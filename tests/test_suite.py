@@ -1,9 +1,12 @@
 """The randomized identity driver itself."""
 
+import random
+
 from raagdim import suite
-from raagdim.obstruction import mesh_number
+from raagdim.complexes import make_complex
+from raagdim.obstruction import mesh_number, moment_intersection
 from raagdim.octa import minus_lift, project
-from raagdim.suite import run_suite
+from raagdim.suite import SuiteResult, check_complex, run_suite
 
 
 def flipped_mesh_number(sigma, tau, rank):
@@ -18,6 +21,15 @@ def dropped_push_to_product(chain, octa):
         cell = (sigma, minus_lift(project(tau)))
         out[cell] = out.get(cell, 0) + coeff
     return {c: v for c, v in out.items() if v}
+
+
+def negated_moment_intersection(sigma, tau, rank):
+    """Fault: the moment oracle's sign flipped.
+
+    Swapped in at the suite's binding: the oracle memoizes its exact solve,
+    so a fault at `intlinalg.integer_det` would be masked on a warm cache.
+    """
+    return -moment_intersection(sigma, tau, rank)
 
 
 def test_suite_deterministic_for_fixed_seed():
@@ -46,3 +58,21 @@ def test_injected_faults_are_caught_and_shrunk(monkeypatch):
     res = run_suite(seed=3, count=5)
     assert res.failures
     assert res.failures[0].check == "pushforward"
+
+
+def test_injected_oracle_fault_is_caught_and_shrunk(monkeypatch):
+    monkeypatch.setattr(suite, "moment_intersection", negated_moment_intersection)
+    res = run_suite(seed=3, count=5)
+    assert res.failures
+    fail = res.failures[0]
+    assert fail.check == "moment-oracle"
+    # The reported complex is shrunk from the first sample, and still fails.
+    rng = random.Random(3)
+    sampled = None
+    while sampled is None:
+        sampled = suite._sample_complex(rng)
+    assert len(fail.complex_maximal) < len(sampled.maximal_faces())
+    shrunk = make_complex(fail.complex_maximal)
+    probe = SuiteResult()
+    check_complex(shrunk, probe)
+    assert [f.check for f in probe.failures] == ["moment-oracle"]
