@@ -26,19 +26,24 @@ def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise io_json.MalformedInput(f"no such file: {path}")
+    except OSError as exc:
+        raise io_json.MalformedInput(f"cannot read: {exc.strerror or exc}", path)
+    except UnicodeDecodeError as exc:
+        raise io_json.MalformedInput(f"not UTF-8 text ({exc.reason})", path)
     except json.JSONDecodeError as exc:
         raise io_json.MalformedInput(f"invalid JSON at line {exc.lineno}, column {exc.colno}", path)
 
 
 def _write(path: str | None, payload: dict) -> None:
     text = io_json.dumps(payload)
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _span(label: str, span) -> str:

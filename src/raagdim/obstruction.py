@@ -341,7 +341,7 @@ def _raw_moment_pairing(pa: tuple, pb: tuple) -> int:
     det = integer_det(mat)
     if det == 0:
         # Parallel affine hulls; confirm there is no common point.
-        if solve_rational_consistent(mat, rhs):
+        if integer_rank(mat) == integer_rank([row + [r] for row, r in zip(mat, rhs)]):
             raise ArithmeticError("unexpected degenerate intersection on the moment curve")
         return 0
     for i in range(n + 2):
@@ -351,24 +351,11 @@ def _raw_moment_pairing(pa: tuple, pb: tuple) -> int:
             raise ArithmeticError("barycentric coordinate vanished on the moment curve")
         if (di > 0) != (det > 0):
             return 0  # intersection point outside one of the simplices
-    orient = [
-        [p[r] - base[r] for r in range(n)]
-        for base, pts in (
-            ( _moment_point(pa[0], n), [_moment_point(t, n) for t in pa[1:]] ),
-            ( _moment_point(pb[0], n), [_moment_point(t, n) for t in pb[1:]] ),
-        )
-        for p in pts
-    ]
-    o = integer_det([[orient[c][r] for c in range(n)] for r in range(n)])
-    if o == 0:
-        raise ArithmeticError("degenerate tangent frame on the moment curve")
-    return 1 if o > 0 else -1
-
-
-def solve_rational_consistent(mat, rhs) -> bool:
-    """Whether mat x = rhs has any rational solution (rank test)."""
-    aug = [row + [r] for row, r in zip(mat, rhs)]
-    return integer_rank(mat) == integer_rank(aug)
+    # det is the orientation of the tangent frame (a_i - a_0, b_j - b_0):
+    # subtract each simplex's first column from its others and expand along
+    # the two affine rows, now unit rows; the expansion's sign cancels that
+    # of the k negated columns.
+    return 1 if det > 0 else -1
 
 
 @lru_cache(maxsize=None)

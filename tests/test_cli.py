@@ -456,3 +456,36 @@ def test_cli_analyze_output_is_independent_of_hash_seed(tmp_path):
         assert len(files) == 6
         outputs.append((stdouts, files))
     assert outputs[0] == outputs[1]
+
+
+def test_cli_file_errors_exit_1_and_name_the_path(tmp_path):
+    c4 = write_json(tmp_path, "c4.json", c4_json())
+    missing_dir = tmp_path / "missing"
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"maximal_simplices": [["\xff", "b"]]}')
+    cases = [
+        (["generate", "cycle", "4", "--out", str(missing_dir / "x.json")], str(missing_dir / "x.json")),
+        (["analyze", c4, "--out", str(missing_dir / "r.json")], str(missing_dir / "r.json")),
+        (["homology", c4, "--out", str(missing_dir / "h.json")], str(missing_dir / "h.json")),
+        (["analyze", str(tmp_path)], str(tmp_path)),
+        (["analyze", str(missing_dir / "c4.json")], str(missing_dir / "c4.json")),
+        (["analyze", str(not_utf8)], str(not_utf8)),
+        (["verify", str(tmp_path), c4], str(tmp_path)),
+    ]
+    for args, where in cases:
+        run = run_cli(args)
+        assert run.returncode == 1, (args, run.stderr)
+        assert "Traceback" not in run.stderr
+        assert f"error: {where}" in run.stderr or f"error: cannot write {where}" in run.stderr, (args, run.stderr)
+
+
+def test_cli_batch_goes_on_after_an_unreadable_input(tmp_path):
+    c4 = write_json(tmp_path, "c4.json", c4_json())
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b"\xff\xfe{")
+    run = run_cli(["analyze", str(not_utf8), str(tmp_path), c4])
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert f"error: {not_utf8}: not UTF-8 text" in run.stderr
+    assert f"error: {tmp_path}: cannot read" in run.stderr
+    assert f"== {c4}" in run.stdout and "actdim(A_L) = 4" in run.stdout

@@ -227,6 +227,48 @@ def test_gf2_solve_constructed_system(rows, x0):
         assert (row & x).bit_count() & 1 == rhs
 
 
+def brute_solutions(eqs, ncols):
+    """Oracle: every x in GF(2)^ncols that satisfies all equations."""
+    return [x for x in range(1 << ncols) if all((m & x).bit_count() % 2 == r for m, r in eqs)]
+
+
+def leading_bits(masks):
+    """Oracle: the leading bits of the nonzero vectors of the row space."""
+    span = {0}
+    for m in masks:
+        span |= {s ^ m for s in span}
+    return {s.bit_length() - 1 for s in span if s}
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, 2**n - 1), st.integers(0, 1)), max_size=8))))
+@settings(max_examples=300, deadline=None)
+def test_gf2_solve_matches_brute_force(system):
+    ncols, eqs = system
+    solutions = brute_solutions(eqs, ncols)
+    x, witness = gf2.solve(eqs, ncols)
+    assert (x is not None) == bool(solutions)
+    assert witness is None
+    if x is not None:
+        # The solution with free variables 0 is the only one supported on
+        # the pivot columns.
+        support = sum(1 << c for c in leading_bits(m for m, _ in eqs))
+        assert [s for s in solutions if s & ~support == 0] == [x]
+        assert gf2.solve(eqs, ncols, want_witness=True) == (x, None)
+        return
+    x, witness = gf2.solve(eqs, ncols, want_witness=True)
+    assert x is None
+    mask = rhs = 0
+    for i in witness:
+        mask ^= eqs[i][0]
+        rhs ^= eqs[i][1]
+    assert (mask, rhs) == (0, 1)
+    # Elimination stops at the first equation that makes the system
+    # inconsistent, and the witness uses it.
+    first = next(p for p in range(1, len(eqs) + 1) if not brute_solutions(eqs[:p], ncols))
+    assert max(witness) == first - 1
+
+
 def test_gf2_solve_inconsistent_with_witness():
     # x0 = 1 and x0 = 0: the sum of both equations reads 0 = 1.
     eqs = [(0b1, 1), (0b1, 0)]

@@ -4,12 +4,13 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from raagdim import obstruction
 from raagdim.complexes import skeleton
 from raagdim.config_space import ConfigurationSpace
 from raagdim.homology import cycle_space
+from raagdim.intlinalg import integer_det
 from raagdim.obstruction import (
     certify_nonvanishing,
     certify_vanishing,
@@ -366,3 +367,50 @@ def test_moment_oracle_memo_is_exact(monkeypatch):
     cold = run_suite(7, 5)
     warm = run_suite(7, 5)
     assert (cold.complexes, cold.checks, cold.failures) == (warm.complexes, warm.checks, warm.failures)
+
+
+def moment_system(pa, pb):
+    """The oracle's square system: columns a_i and -b_j on the moment curve
+    in R^(2k), then one affine row per simplex."""
+    k = len(pa) - 1
+    n = 2 * k
+    cols = [obstruction._moment_point(t, n) for t in pa] + [[-x for x in obstruction._moment_point(t, n)] for t in pb]
+    mat = [[col[r] for col in cols] for r in range(n)]
+    return mat + [[1] * (k + 1) + [0] * (k + 1), [0] * (k + 1) + [1] * (k + 1)]
+
+
+def tangent_frame_det(pa, pb):
+    """Reference: the determinant of the frame (a_i - a_0, b_j - b_0)."""
+    n = 2 * (len(pa) - 1)
+    frame = [
+        [x - y for x, y in zip(obstruction._moment_point(t, n), obstruction._moment_point(pts[0], n))]
+        for pts in (pa, pb)
+        for t in pts[1:]
+    ]
+    return integer_det([[col[r] for col in frame] for r in range(n)])
+
+
+def frame_sign_rule(pa, pb):
+    """Reference sign rule: 0 on parallel hulls or when the Cramer signs put
+    the common point outside a simplex, else the tangent frame's sign."""
+    mat = moment_system(pa, pb)
+    rhs = [0] * (len(mat) - 2) + [1, 1]
+    det = integer_det(mat)
+    if det == 0:
+        return 0
+    for i in range(len(mat)):
+        sub = [row[:i] + [rhs[r]] + row[i + 1 :] for r, row in enumerate(mat)]
+        if (integer_det(sub) > 0) != (det > 0):
+            return 0
+    return 1 if tangent_frame_det(pa, pb) > 0 else -1
+
+
+@given(st.integers(1, 3).flatmap(lambda k: st.permutations(range(12)).map(
+    lambda ts: (tuple(sorted(ts[: k + 1])), tuple(sorted(ts[k + 1 : 2 * k + 2]))))))
+@example(((0, 3), (1, 2)))  # parallel chords in the plane
+@example(((2, 3, 7), (1, 5, 6)))  # parallel hulls in R^4
+@settings(max_examples=150, deadline=None)
+def test_moment_system_det_is_the_tangent_frame_det(pair):
+    pa, pb = pair
+    assert integer_det(moment_system(pa, pb)) == tangent_frame_det(pa, pb)
+    assert obstruction._raw_moment_pairing.__wrapped__(pa, pb) == frame_sign_rule(pa, pb)
