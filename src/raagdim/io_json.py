@@ -3,11 +3,16 @@
 All files carry a versioned "schema" field.  Certificates are proof
 objects meant to outlive the binary, so their encoding is fully explicit:
 signed vertices serialize as [label, "+"] or [label, "-"].
+
+`dumps` writes exactly the bytes of `json.dumps(data, sort_keys=True,
+indent=2) + "\n"`.  `certificate_to_json` encodes each distinct label and
+each distinct half once and shares that list wherever it occurs, and
+`dumps` writes the text of each shared small list once per indentation.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 
 from .bounds import DimensionReport
 from .complexes import SimplicialComplex, flag_completion, from_graph, make_complex
@@ -33,6 +38,21 @@ def _decode_label(x, location: str):
     if isinstance(x, list) and len(x) == 2 and x[1] in ("+", "-"):
         return (_decode_label(x[0], location), PLUS if x[1] == "+" else MINUS)
     raise MalformedInput(f"label must be a string, an integer, or [label, '+'|'-'], got {x!r}", location)
+
+
+def _fast_simplex(x):
+    """`x` as a tuple of str, int or [str|int, "+"|"-"] labels, or None."""
+    if type(x) is not list or not x:
+        return None
+    out = []
+    for v in x:
+        if type(v) is str or type(v) is int:
+            out.append(v)
+        elif type(v) is list and len(v) == 2 and type(v[0]) in (str, int) and v[1] in ("+", "-"):
+            out.append((v[0], PLUS if v[1] == "+" else MINUS))
+        else:
+            return None
+    return tuple(out)
 
 
 def _label_kind(v):
@@ -135,14 +155,22 @@ def complex_to_json(K: SimplicialComplex) -> dict:
 
 
 def certificate_to_json(cert: CycleCertificate) -> dict:
+    """The certificate as a JSON dict.
+
+    Each distinct label and each distinct half is encoded once, and every
+    occurrence is the same list object: do not mutate the sub-lists in
+    place (`copy.deepcopy` first)."""
+    cycle, cells = sorted(cert.cycle), sorted(cert.omega)
+    halves = {half: None for cell in cells for half in cell}
+    labels = {v: _encode_label(v) for s in (*cycle, cert.delta, *halves) for v in s}
+    for half in halves:
+        halves[half] = [labels[v] for v in half]
     return {
         "schema": CERTIFICATE_SCHEMA,
         "degree": cert.degree,
-        "M": [[_encode_label(v) for v in f] for f in sorted(cert.cycle)],
-        "Delta": [_encode_label(v) for v in cert.delta],
-        "omega_support": [
-            [[_encode_label(v) for v in half] for half in cell] for cell in sorted(cert.omega)
-        ],
+        "M": [[labels[v] for v in f] for f in cycle],
+        "Delta": [labels[v] for v in cert.delta],
+        "omega_support": [[halves[a], halves[b]] for a, b in cells],
         # A certificate is only built once both checks hold.
         "star_condition": True,
         "evaluation": 1,
@@ -164,6 +192,8 @@ def certificate_from_json(data) -> dict:
     if type(star) is not bool:
         raise MalformedInput(f"must be a boolean, got {star!r}", "$.star_condition")
 
+    # `_fast_simplex` returns None on anything unusual; `simplex` and `cell`
+    # then decode it or raise at its location, which is only built then.
     def simplex(x, location):
         if not isinstance(x, list) or not x:
             raise MalformedInput("simplex must be a nonempty list of labels", location)
@@ -176,10 +206,12 @@ def certificate_from_json(data) -> dict:
 
     return {
         "degree": degree,
-        "M": [simplex(f, f"$.M[{i}]") for i, f in enumerate(_list(data["M"], "$.M"))],
-        "Delta": simplex(data["Delta"], "$.Delta"),
+        "M": [_fast_simplex(f) or simplex(f, f"$.M[{i}]") for i, f in enumerate(_list(data["M"], "$.M"))],
+        "Delta": _fast_simplex(data["Delta"]) or simplex(data["Delta"], "$.Delta"),
         "omega_support": [
-            cell(c, f"$.omega_support[{i}]")
+            (a, b) if type(c) is list and len(c) == 2
+            and (a := _fast_simplex(c[0])) and (b := _fast_simplex(c[1]))
+            else cell(c, f"$.omega_support[{i}]")
             for i, c in enumerate(_list(data["omega_support"], "$.omega_support"))
         ],
         "star_condition": star,
@@ -223,5 +255,85 @@ def report_to_json(report: DimensionReport) -> dict:
     return data
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_ARRAYS = (list, tuple)
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda x: _NONFINITE.get(repr(x)) or repr(x),
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _flat_text(o, nl: str, depth: int):
+    """The text of list `o` at line prefix `nl` if its items are scalars or
+    (for depth 1) lists of scalars; None otherwise."""
+    inner = nl + "  "
+    items = []
+    for x in o:
+        scalar = _SCALAR_TEXT.get(type(x))
+        if scalar is not None:
+            items.append(scalar(x))
+        elif depth and type(x) in _ARRAYS and (text := _flat_text(x, inner, 0)) is not None:
+            items.append(text)
+        else:
+            return None
+    return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
+
+
+def _encode(o, nl: str, memo: dict, out: list, path: set) -> None:
+    """Append the text of `o` at line prefix `nl` to `out`."""
+    scalar = _SCALAR_TEXT.get(type(o))
+    if scalar is not None:
+        out.append(scalar(o))
+        return
+    if type(o) in _ARRAYS:
+        text = _flat_text(o, nl, 1)
+        if text is not None:
+            memo[id(o), nl] = text
+            out.append(text)
+            return
+        heads, values, opener, closer = [""] * len(o), o, "[", "]"
+    elif type(o) is dict and o:
+        keys = sorted(o)
+        if any(type(k) is not str for k in keys):
+            raise TypeError("keys must be str")
+        heads = [encode_basestring_ascii(k) + ": " for k in keys]
+        values, opener, closer = [o[k] for k in keys], "{", "}"
+    elif type(o) is dict:
+        out.append("{}")
+        return
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if id(o) in path:
+        raise TypeError("circular reference")
+    path.add(id(o))
+    inner = nl + "  "
+    sep, comma = opener + inner, "," + inner
+    for head, x in zip(heads, values):
+        out.append(sep + head)
+        sep = comma
+        scalar = _SCALAR_TEXT.get(type(x))
+        text = scalar(x) if scalar is not None else memo.get((id(x), inner))
+        if text is None:
+            _encode(x, inner, memo, out, path)
+        else:
+            out.append(text)
+    out.append(nl + closer)
+    path.discard(id(o))
+
+
 def dumps(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """Exactly `json.dumps(data, sort_keys=True, indent=2) + "\\n"`.
+
+    `data` is built from dicts with str keys, lists, tuples, str, int,
+    float, bool and None; anything else (a non-str key, a subclass of int
+    or str, a set, a cycle) raises TypeError.  raagdim writes none of these.
+    The text of a list of scalars, or of a list of such lists, is kept per
+    call under its id and indentation: `data` is not mutated during the
+    call and keeps every keyed list alive, so an id names one list."""
+    out: list = []
+    _encode(data, "\n", {}, out, set())
+    out.append("\n")
+    return "".join(out)

@@ -91,29 +91,47 @@ def test_complex_json_rejects_bad_labels_and_containers(data, location, reason):
     assert reason in str(err.value)
 
 
-@pytest.mark.parametrize("key, value", [
-    ("degree", "1"),
-    ("degree", True),
-    ("degree", -1),
-    ("degree", 1.0),
-    ("evaluation", [1]),
-    ("M", 5),
-    ("M", [["c0", "c1"], "c2"]),
-    ("M", [[]]),
-    ("Delta", "c0"),
-    ("Delta", [True]),
-    ("omega_support", {}),
-    ("omega_support", [[["c0"]]]),
-    ("omega_support", [[["c0"], 5]]),
-    ("star_condition", "no"),
-])
-def test_certificate_json_type_checks(key, value):
+LABEL_ERROR = "label must be a string, an integer, or [label, '+'|'-'], got "
+SIMPLEX_ERROR = "simplex must be a nonempty list of labels"
+CERTIFICATE_TYPE_CASES = [
+    ("degree", "1", "$.degree", "must be a nonnegative integer, got '1'"),
+    ("degree", True, "$.degree", "must be a nonnegative integer, got True"),
+    ("degree", -1, "$.degree", "must be a nonnegative integer, got -1"),
+    ("degree", 1.0, "$.degree", "must be a nonnegative integer, got 1.0"),
+    ("evaluation", [1], "$.evaluation", "must be an integer, got [1]"),
+    ("M", 5, "$.M", "must be a list"),
+    ("M", [["c0", "c1"], "c2"], "$.M[1]", SIMPLEX_ERROR),
+    ("M", [[]], "$.M[0]", SIMPLEX_ERROR),
+    ("Delta", "c0", "$.Delta", SIMPLEX_ERROR),
+    ("Delta", [True], "$.Delta", LABEL_ERROR + "True"),
+    ("omega_support", {}, "$.omega_support", "must be a list"),
+    ("omega_support", [[["c0"]]], "$.omega_support[0]", "cell must be a pair of simplices"),
+    ("omega_support", [[["c0"], 5]], "$.omega_support[0][1]", SIMPLEX_ERROR),
+    ("star_condition", "no", "$.star_condition", "must be a boolean, got 'no'"),
+    # A bad label inside a signed pair is named by itself, at its simplex.
+    ("omega_support", [[["c0"], [["c1", "+"], [True, "-"]]]], "$.omega_support[0][1]", LABEL_ERROR + "True"),
+    ("omega_support", [[["c0"], [["c1", "+"], [["c2", "x"], "-"]]]], "$.omega_support[0][1]",
+     LABEL_ERROR + "['c2', 'x']"),
+    ("omega_support", [[["c0"], ["c1"]], [["c0"], [True]]], "$.omega_support[1][1]", LABEL_ERROR + "True"),
+    ("omega_support", [[["c0"], ["c1"], ["c2"]]], "$.omega_support[0]", "cell must be a pair of simplices"),
+    ("omega_support", [[["c0"], ["c1"]], [[["c0", "+"]], []]], "$.omega_support[1][1]", SIMPLEX_ERROR),
+    ("M", [["c0", ["c1", "*"]]], "$.M[0]", LABEL_ERROR + "['c1', '*']"),
+    ("M", [["c0"], [[[1, "+"], "-"], 2.5]], "$.M[1]", LABEL_ERROR + "2.5"),
+]
+
+
+# The ids pytest gives the (key, value) pairs on their own.
+@pytest.mark.parametrize("key, value, location, message", CERTIFICATE_TYPE_CASES, ids=[
+    f"{key}-{value}" if isinstance(value, (str, int, float)) else f"{key}-value{i}"
+    for i, (key, value, _, _) in enumerate(CERTIFICATE_TYPE_CASES)])
+def test_certificate_json_type_checks(key, value, location, message):
     data = io_json.certificate_to_json(certify_nonvanishing(cycle(4), 1))
     io_json.certificate_from_json(data)
     data[key] = value
     with pytest.raises(io_json.MalformedInput) as err:
         io_json.certificate_from_json(data)
-    assert err.value.location.startswith(f"$.{key}")
+    assert err.value.location == location
+    assert str(err.value) == f"{location}: {message}"
 
 
 # Well-typed fields over labels that collide often, and loosely typed JSON.

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts under scripts/, as subprocesses."""
 
+import json
 import os
 import subprocess
 import sys
@@ -15,10 +16,25 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     (["moment_oracle_sweep.py", "--samples", "2", "--doubled"], "mismatches: 0"),
 ])
 def test_script_runs(args, expected):
-    run = subprocess.run(
+    run = run_script(args)
+    assert run.returncode == 0, run.stderr
+    assert expected in run.stdout
+
+
+def run_script(args):
+    return subprocess.run(
         [sys.executable, os.path.join(REPO, "scripts", args[0]), *args[1:]],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=os.path.join(REPO, "src")),
     )
+
+
+def test_run_zoo_json_files_are_json_dumps_bytes(tmp_path):
+    run = run_script(["run_zoo.py", "--json", str(tmp_path)])
     assert run.returncode == 0, run.stderr
-    assert expected in run.stdout
+    names = sorted(os.listdir(tmp_path))
+    assert len(names) == len(run.stdout.splitlines()) - 2  # less the header and its rule
+    for name in names:
+        with open(tmp_path / name, encoding="utf-8") as fh:
+            text = fh.read()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", name
