@@ -4,10 +4,8 @@ All files carry a versioned "schema" field.  Certificates are proof
 objects meant to outlive the binary, so their encoding is fully explicit:
 signed vertices serialize as [label, "+"] or [label, "-"].
 
-`dumps` writes exactly the bytes of `json.dumps(data, sort_keys=True,
-indent=2) + "\n"`.  `certificate_to_json` encodes each distinct label and
-each distinct half once and shares that list wherever it occurs, and
-`dumps` writes the text of each shared small list once per indentation.
+`dumps` writes exactly `json.dumps(data, sort_keys=True, indent=2) + "\n"`;
+`certificate_to_json` shares one list per distinct label and per distinct half.
 """
 
 from __future__ import annotations
@@ -32,26 +30,19 @@ class MalformedInput(ValueError):
         self.location = location
 
 
-def _decode_label(x, location: str):
-    if isinstance(x, (str, int)) and not isinstance(x, bool):
-        return x
-    if isinstance(x, list) and len(x) == 2 and x[1] in ("+", "-"):
-        return (_decode_label(x[0], location), PLUS if x[1] == "+" else MINUS)
-    raise MalformedInput(f"label must be a string, an integer, or [label, '+'|'-'], got {x!r}", location)
-
-
-def _fast_simplex(x):
-    """`x` as a tuple of str, int or [str|int, "+"|"-"] labels, or None."""
-    if type(x) is not list or not x:
-        return None
+def _decode_labels(xs: list, location: str, index=None) -> tuple:
+    """The labels the JSON values in `xs` stand for (a bool is not one).  The
+    location of a refusal, `location.format(index)`, is built only then."""
     out = []
-    for v in x:
-        if type(v) is str or type(v) is int:
-            out.append(v)
-        elif type(v) is list and len(v) == 2 and type(v[0]) in (str, int) and v[1] in ("+", "-"):
-            out.append((v[0], PLUS if v[1] == "+" else MINUS))
+    for x in xs:
+        if type(x) is str or type(x) is int:
+            out.append(x)
+        elif type(x) is list and len(x) == 2 and x[1] in ("+", "-"):
+            base = x[0] if type(x[0]) is str or type(x[0]) is int else _decode_labels(x[:1], location, index)[0]
+            out.append((base, PLUS if x[1] == "+" else MINUS))
         else:
-            return None
+            raise MalformedInput(f"label must be a string, an integer, or [label, '+'|'-'], got {x!r}",
+                                 location.format(index))
     return tuple(out)
 
 
@@ -87,34 +78,34 @@ def complex_from_json(data) -> SimplicialComplex:
         raise MalformedInput("top level must be an object")
     first: list = []
 
-    def label(x, location):
+    def label(x, location, index):
         # Labels of different kinds do not sort against each other.
-        v = _decode_label(x, location)
+        v, = _decode_labels([x], location, index)
         if not first:
             first.append(v)
         elif _label_kind(v) != _label_kind(first[0]):
             raise MalformedInput(
                 f"label {x!r} is not of the kind of {_encode_label(first[0])!r}; labels must be "
-                "all strings, all integers, or all signed pairs of one kind", location)
+                "all strings, all integers, or all signed pairs of one kind", location.format(index))
         return v
 
     order = None
     if "vertex_order" in data:
         raw = _list(data["vertex_order"], "$.vertex_order")
-        order = [label(v, f"$.vertex_order[{i}]") for i, v in enumerate(raw)]
+        order = [label(v, "$.vertex_order[{}]", i) for i, v in enumerate(raw)]
         _refuse_repeated(order, "$.vertex_order")
     if "graph" in data:
         g = data["graph"]
         if not isinstance(g, dict) or "vertices" not in g or "edges" not in g:
             raise MalformedInput("graph needs 'vertices' and 'edges'", "$.graph")
         raw = _list(g["vertices"], "$.graph.vertices")
-        verts = [label(v, f"$.graph.vertices[{i}]") for i, v in enumerate(raw)]
+        verts = [label(v, "$.graph.vertices[{}]", i) for i, v in enumerate(raw)]
         _refuse_repeated(verts, "$.graph.vertices")
         edges = []
         for i, e in enumerate(_list(g["edges"], "$.graph.edges")):
             if not isinstance(e, list) or len(e) != 2:
                 raise MalformedInput("edge must be a pair", f"$.graph.edges[{i}]")
-            edges.append(tuple(label(v, f"$.graph.edges[{i}]") for v in e))
+            edges.append(tuple(label(v, "$.graph.edges[{}]", i) for v in e))
         if order is not None:
             perm = {v: i for i, v in enumerate(order)}
             verts = sorted(verts, key=lambda v: perm.get(v, len(perm)))
@@ -133,10 +124,10 @@ def complex_from_json(data) -> SimplicialComplex:
         for i, s in enumerate(raw):
             if not isinstance(s, list) or not s:
                 raise MalformedInput("simplex must be a nonempty list", f"$.maximal_simplices[{i}]")
-            simplices.append(tuple(label(v, f"$.maximal_simplices[{i}]") for v in s))
+            simplices.append(tuple(label(v, "$.maximal_simplices[{}]", i) for v in s))
         if "vertices" in data:
             raw = _list(data["vertices"], "$.vertices")
-            listed = {label(v, f"$.vertices[{i}]") for i, v in enumerate(raw)}
+            listed = {label(v, "$.vertices[{}]", i) for i, v in enumerate(raw)}
             simplices.extend((v,) for v in sorted(listed, key=repr))
         try:
             return make_complex(simplices, vertex_order=order)
@@ -155,16 +146,12 @@ def complex_to_json(K: SimplicialComplex) -> dict:
 
 
 def certificate_to_json(cert: CycleCertificate) -> dict:
-    """The certificate as a JSON dict.
-
-    Each distinct label and each distinct half is encoded once, and every
-    occurrence is the same list object: do not mutate the sub-lists in
-    place (`copy.deepcopy` first)."""
+    """The certificate as a JSON dict whose label and half lists are shared
+    between occurrences: do not mutate them in place (`copy.deepcopy` first)."""
     cycle, cells = sorted(cert.cycle), sorted(cert.omega)
-    halves = {half: None for cell in cells for half in cell}
+    halves = dict.fromkeys(half for cell in cells for half in cell)
     labels = {v: _encode_label(v) for s in (*cycle, cert.delta, *halves) for v in s}
-    for half in halves:
-        halves[half] = [labels[v] for v in half]
+    halves = {half: [labels[v] for v in half] for half in halves}
     return {
         "schema": CERTIFICATE_SCHEMA,
         "degree": cert.degree,
@@ -192,28 +179,21 @@ def certificate_from_json(data) -> dict:
     if type(star) is not bool:
         raise MalformedInput(f"must be a boolean, got {star!r}", "$.star_condition")
 
-    # `_fast_simplex` returns None on anything unusual; `simplex` and `cell`
-    # then decode it or raise at its location, which is only built then.
-    def simplex(x, location):
-        if not isinstance(x, list) or not x:
-            raise MalformedInput("simplex must be a nonempty list of labels", location)
-        return tuple(_decode_label(v, location) for v in x)
+    def simplex(x, location, index=None):
+        if type(x) is not list or not x:
+            raise MalformedInput("simplex must be a nonempty list of labels", location.format(index))
+        return _decode_labels(x, location, index)
 
-    def cell(x, location):
-        if not isinstance(x, list) or len(x) != 2:
-            raise MalformedInput("cell must be a pair of simplices", location)
-        return tuple(simplex(half, f"{location}[{j}]") for j, half in enumerate(x))
+    def cell(x, i):
+        if type(x) is not list or len(x) != 2:
+            raise MalformedInput("cell must be a pair of simplices", f"$.omega_support[{i}]")
+        return simplex(x[0], "$.omega_support[{}][0]", i), simplex(x[1], "$.omega_support[{}][1]", i)
 
     return {
         "degree": degree,
-        "M": [_fast_simplex(f) or simplex(f, f"$.M[{i}]") for i, f in enumerate(_list(data["M"], "$.M"))],
-        "Delta": _fast_simplex(data["Delta"]) or simplex(data["Delta"], "$.Delta"),
-        "omega_support": [
-            (a, b) if type(c) is list and len(c) == 2
-            and (a := _fast_simplex(c[0])) and (b := _fast_simplex(c[1]))
-            else cell(c, f"$.omega_support[{i}]")
-            for i, c in enumerate(_list(data["omega_support"], "$.omega_support"))
-        ],
+        "M": [simplex(f, "$.M[{}]", i) for i, f in enumerate(_list(data["M"], "$.M"))],
+        "Delta": simplex(data["Delta"], "$.Delta"),
+        "omega_support": [cell(c, i) for i, c in enumerate(_list(data["omega_support"], "$.omega_support"))],
         "star_condition": star,
         "evaluation": evaluation,
     }
@@ -255,27 +235,24 @@ def report_to_json(report: DimensionReport) -> dict:
     return data
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_ARRAYS = (list, tuple)
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: lambda x: _NONFINITE.get(repr(x)) or repr(x),
+    float: lambda x: {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(repr(x), repr(x)),
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
 
 
 def _flat_text(o, nl: str, depth: int):
-    """The text of list `o` at line prefix `nl` if its items are scalars or
-    (for depth 1) lists of scalars; None otherwise."""
+    """The text of list `o` at line prefix `nl` if it holds scalars (at depth 1, or lists of them), else None."""
     inner = nl + "  "
     items = []
     for x in o:
         scalar = _SCALAR_TEXT.get(type(x))
         if scalar is not None:
             items.append(scalar(x))
-        elif depth and type(x) in _ARRAYS and (text := _flat_text(x, inner, 0)) is not None:
+        elif depth and type(x) in (list, tuple) and (text := _flat_text(x, inner, 0)) is not None:
             items.append(text)
         else:
             return None
@@ -285,32 +262,25 @@ def _flat_text(o, nl: str, depth: int):
 def _encode(o, nl: str, memo: dict, out: list, path: set) -> None:
     """Append the text of `o` at line prefix `nl` to `out`."""
     scalar = _SCALAR_TEXT.get(type(o))
-    if scalar is not None:
-        out.append(scalar(o))
+    text = scalar(o) if scalar is not None else type(o) in (list, tuple) and _flat_text(o, nl, 1)
+    if text:
+        memo[id(o), nl] = text
+        out.append(text)
         return
-    if type(o) in _ARRAYS:
-        text = _flat_text(o, nl, 1)
-        if text is not None:
-            memo[id(o), nl] = text
-            out.append(text)
-            return
-        heads, values, opener, closer = [""] * len(o), o, "[", "]"
-    elif type(o) is dict and o:
+    if type(o) is dict:
         keys = sorted(o)
         if any(type(k) is not str for k in keys):
             raise TypeError("keys must be str")
-        heads = [encode_basestring_ascii(k) + ": " for k in keys]
-        values, opener, closer = [o[k] for k in keys], "{", "}"
-    elif type(o) is dict:
-        out.append("{}")
-        return
+        heads, values, brackets = [encode_basestring_ascii(k) + ": " for k in keys], [o[k] for k in keys], "{}"
+    elif type(o) in (list, tuple):
+        heads, values, brackets = [""] * len(o), o, "[]"
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
     if id(o) in path:
         raise TypeError("circular reference")
     path.add(id(o))
     inner = nl + "  "
-    sep, comma = opener + inner, "," + inner
+    sep, comma = brackets[0] + inner, "," + inner
     for head, x in zip(heads, values):
         out.append(sep + head)
         sep = comma
@@ -320,19 +290,16 @@ def _encode(o, nl: str, memo: dict, out: list, path: set) -> None:
             _encode(x, inner, memo, out, path)
         else:
             out.append(text)
-    out.append(nl + closer)
+    out.append(nl + brackets[1] if values else brackets)
     path.discard(id(o))
 
 
 def dumps(data) -> str:
-    """Exactly `json.dumps(data, sort_keys=True, indent=2) + "\\n"`.
-
-    `data` is built from dicts with str keys, lists, tuples, str, int,
-    float, bool and None; anything else (a non-str key, a subclass of int
-    or str, a set, a cycle) raises TypeError.  raagdim writes none of these.
-    The text of a list of scalars, or of a list of such lists, is kept per
-    call under its id and indentation: `data` is not mutated during the
-    call and keeps every keyed list alive, so an id names one list."""
+    """Exactly `json.dumps(data, sort_keys=True, indent=2) + "\\n"` for `data`
+    built from str-keyed dicts, lists, tuples, str, int, float, bool and None;
+    anything else (a non-str key, an int or str subclass, a set, a cycle)
+    raises TypeError, and raagdim writes none of these.  Flat lists' text is
+    kept by id and line prefix: `data` is unchanged and alive, so an id names one list."""
     out: list = []
     _encode(data, "\n", {}, out, set())
     out.append("\n")
