@@ -84,10 +84,12 @@ def _analyze_one(path: str, args) -> int:
         print(f"dimension conjecture: {report.conjecture_status}")
     for warning in report.warnings:
         print(f"warning: {warning}")
+    data = io_json.report_to_json(report) if args.out else {}
     if args.out:
-        _write(args.out, io_json.report_to_json(report))
+        _write(args.out, data)
     if args.certificate and report.certificate is not None:
-        _write(args.certificate, io_json.certificate_to_json(report.certificate))
+        # The report already holds the certificate's encoding; reuse it.
+        _write(args.certificate, data.get("certificate") or io_json.certificate_to_json(report.certificate))
     elif args.certificate:
         print("note: no nonvanishing certificate to write", file=sys.stderr)
     if args.strict and not report.determined:

@@ -13,12 +13,16 @@ dimension, then rank tuple), an int vertex bitmask, so disjointness is
 enumerated once, already in cell order (by the id of a, then of b), with
 no sort; a cell's id is its position in `cells_of_degree(d)`.
 
-`boundary_rows(d)` holds the signed boundary of every d-cell as sorted
-(lower id, sign) pairs, built once per degree for the coboundary solve and
-its re-check.  `boundary(chain)` is the GF(2) boundary of a chain: the
-facets {a', b} and {a, b'} of its cells, as face-id pairs, counted mod 2 by
-`chain_boundary`, with no enumeration, no signs and no sort of the cells.
-`count_cells(d)` counts a degree without building it.
+The facets {a', b} and {a, b'} of a cell are read off the facet table as
+face-id pairs.  `boundary(chain)` counts them mod 2 by `chain_boundary`,
+with no enumeration, no signs and no sort of the cells.  `facet_keys(d)`
+keys each facet (a, b) of every d-cell as a * F + b, F the number of
+faces; the key increases strictly in cell order, so the GF(2) coboundary
+solve and its re-check eliminate on keys as on cell ids and never build
+degree d - 1.  `boundary_rows(d)` holds the signed boundary of every d-cell
+as sorted (lower id, sign) pairs, built once per degree for the integer
+solve and its re-check.  `count_cells(d)` counts a degree without building
+it.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ class ConfigurationSpace:
     def __init__(self, K: SimplicialComplex):
         self.K = K
         self._degrees: dict = {}
+        self._counts: dict = {}
+        self._keys: dict = {}
         self._rows: dict = {}
 
     @cached_property
@@ -64,6 +70,11 @@ class ConfigurationSpace:
             spans.append((start, stop, first[start:stop]))
             start = stop
         return faces, masks, first, spans
+
+    @cached_property
+    def _facet_ids(self) -> list:
+        """Each face's facet ids, without their signs, by face id."""
+        return [tuple(sa for sa, _ in row) for row in self._facets]
 
     @cached_property
     def _face_ids(self) -> dict:
@@ -111,20 +122,58 @@ class ConfigurationSpace:
         return self._degree(d)[0]
 
     def count_cells(self, d: int) -> int:
-        """Exact number of d-cells, without building them."""
-        return sum(1 for _ in self._pairs(d))
+        """Exact number of d-cells, without building them; counted once."""
+        if d not in self._counts:
+            self._counts[d] = sum(1 for _ in self._pairs(d))
+        return self._counts[d]
 
-    def cell_id(self, cell) -> int | None:
-        """Position of the cell {a, b} in cells_of_degree, either half first;
-        None when the halves are not disjoint faces of K."""
+    def _stored_pair(self, cell):
+        """Face ids (a, b) of the cell {a, b} in stored order, either half
+        first; None when a half is not a face of K."""
         a, b = cell
         fid, first = self._face_ids, self._faces[2]
         ga, gb = fid.get(a), fid.get(b)
         if ga is None or gb is None:
             return None
-        if first[gb] < first[ga]:
-            ga, gb = gb, ga
-        return self._degree(len(a) + len(b) - 2)[1].get((ga, gb))
+        return (gb, ga) if first[gb] < first[ga] else (ga, gb)
+
+    def cell_id(self, cell) -> int | None:
+        """Position of the cell {a, b} in cells_of_degree, either half first;
+        None when the halves are not disjoint faces of K."""
+        pair = self._stored_pair(cell)
+        return None if pair is None else self._degree(len(cell[0]) + len(cell[1]) - 2)[1].get(pair)
+
+    def cell_key(self, cell) -> int | None:
+        """Key a * F + b of the cell {a, b}, as in facet_keys; None when a
+        half is not a face of K."""
+        pair = self._stored_pair(cell)
+        return None if pair is None else pair[0] * len(self._faces[0]) + pair[1]
+
+    def key_cell(self, key: int) -> tuple:
+        """The cell with the given key, as stored."""
+        faces = self._faces[0]
+        ga, gb = divmod(key, len(faces))
+        return faces[ga], faces[gb]
+
+    def _cell_facet_keys(self, ga: int, gb: int) -> list:
+        """Keys of the facets {a', b} and {a, b'} of the cell (a, b), each
+        facet in stored order.  Only a facet of a can put b first: every
+        facet of b starts at or after b's first vertex.  The two kinds never
+        coincide, as that would need a = b."""
+        faces, _masks, first, _spans = self._faces
+        facet_ids, F = self._facet_ids, len(faces)
+        fb, aF = first[gb], ga * F
+        return [sa * F + gb if first[sa] < fb else gb * F + sa for sa in facet_ids[ga]] + [
+            aF + sb for sb in facet_ids[gb]
+        ]
+
+    def facet_keys(self, d: int) -> tuple:
+        """Unsigned boundary of every d-cell as a list of facet keys, one list
+        per cell in cell order; computed once per degree."""
+        if d not in self._keys:
+            keys_of = self._cell_facet_keys
+            self._keys[d] = tuple(keys_of(ga, gb) for ga, gb in self._degree(d)[1])
+        return self._keys[d]
 
     def boundary_rows(self, d: int) -> tuple:
         """Signed boundary of every d-cell as (lower id, sign) pairs sorted by
@@ -156,20 +205,7 @@ class ConfigurationSpace:
     def boundary(self, chain) -> tuple:
         """GF(2) boundary of a chain of cells as stored (lower-ranked first
         vertex first): the cells in the boundary of an odd number of them,
-        in cell order.  Enumerates nothing.
-
-        The facets {a', b} and {a, b'} of one cell never coincide, as that
-        would need a = b.
-        """
-        faces, _masks, first, _spans = self._faces
-        fid, facets = self._face_ids, self._facets
-
-        def pair_facets(pair):
-            ga, gb = pair
-            # As in boundary_rows: only a facet of a can put b first.
-            return [(sa, gb) if first[sa] < first[gb] else (gb, sa) for sa, _ in facets[ga]] + [
-                (ga, sb) for sb, _ in facets[gb]
-            ]
-
-        odd = chain_boundary([(fid[a], fid[b]) for a, b in chain], pair_facets)
-        return tuple((faces[ga], faces[gb]) for ga, gb in sorted(odd))
+        in cell order.  Enumerates nothing."""
+        fid, F, keys_of = self._face_ids, len(self._faces[0]), self._cell_facet_keys
+        odd = chain_boundary([fid[a] * F + fid[b] for a, b in chain], lambda key: keys_of(*divmod(key, F)))
+        return tuple(map(self.key_cell, sorted(odd)))

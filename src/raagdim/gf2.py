@@ -1,41 +1,47 @@
-"""Dense GF(2) linear algebra on Python int bitsets.
+"""Sparse GF(2) linear algebra on sets of int column keys.
 
-Rows are ints; bit j is column j.  Elimination pivots on the highest set
-bit of each row, which keeps the inner loop at one xor per reduction and
-needs no column scans.  Exactness is the point: no floats anywhere.
+A row is the set of its columns, each an int key; only the order of the
+keys matters, so any order-preserving labels of the columns serve.
+Elimination pivots on the largest key of each row (the dense highest-bit
+rule), which keeps the inner loop at one symmetric difference per
+reduction.  A row holds only its own entries, so elimination without fill
+costs what the rows hold, not their width.  Exactness is the point: no
+floats anywhere.
 """
 
 from __future__ import annotations
 
 
 def _reduce(piv, r):
-    """r with leading bits cleared by the pivot rows until one is new."""
+    """Clear the largest key of the set r, in place, by the pivot rows until
+    one is new, and return that key; None once r is empty."""
     while r:
-        c = r.bit_length() - 1
+        c = max(r)
         if c not in piv:
-            break
+            return c
         r ^= piv[c]
-    return r
+    return None
 
 
 def _echelon(rows):
-    """Pivot dict {leading_bit: row} from incremental elimination."""
+    """Pivot dict {largest key: row} from incremental elimination."""
     piv: dict = {}
     for row in rows:
-        r = _reduce(piv, row)
-        if r:
-            piv[r.bit_length() - 1] = r
+        r = set(row)
+        c = _reduce(piv, r)
+        if c is not None:
+            piv[c] = r
     return piv
 
 
 def _back_substitute(piv, x):
-    """Set each pivot column of x, in ascending order, so that its row has
-    even parity on x.  A row has no bit above its own leading bit, and x
-    never holds that bit when the row is visited, so the row's parity on x
-    is the sum of its lower columns."""
+    """Add each pivot column to the set x, in ascending order, when its row
+    has odd parity on x.  A row has no key above its own pivot, and x never
+    holds that key when the row is visited, so the row's parity on x is the
+    sum of its lower columns."""
     for c in sorted(piv):
-        if (piv[c] & x).bit_count() & 1:
-            x |= 1 << c
+        if len(x.intersection(piv[c])) & 1:
+            x.add(c)
     return x
 
 
@@ -44,46 +50,44 @@ def rank(rows) -> int:
 
 
 def kernel_basis(rows, ncols) -> list:
-    """Basis of {x : A x = 0}, one bitmask per basis vector: each free
-    column set alone, with the pivot columns back-substituted."""
+    """Basis of {x : A x = 0} over the columns 0..ncols-1, one key set per
+    basis vector: each free column set alone, with the pivot columns
+    back-substituted."""
     piv = _echelon(rows)
-    return [_back_substitute(piv, 1 << f) for f in range(ncols) if f not in piv]
+    return [_back_substitute(piv, {f}) for f in range(ncols) if f not in piv]
 
 
 def solve(equations, ncols, want_witness=False):
     """Solve A x = b over GF(2).
 
-    equations: iterable of (mask, rhs_bit) pairs, one per equation, each
-    eliminated as it arrives, so only the pivot rows are ever held.
-    Returns (x_mask, None) on success with free variables set to 0, or
-    (None, witness) when inconsistent; the witness (only computed when
-    requested, which needs len(equations)) is the list of equation indices
-    whose sum reads 0 = 1.  Witness tracking widens every row by one bit
-    per equation, so solve without it first.
+    equations: iterable of (keys, rhs_bit) pairs, one per equation, its
+    variables given by nonnegative column keys; each is eliminated as it
+    arrives, so only the pivot rows are ever held.  ncols is the number of
+    unknowns; elimination does not read it, as the keys only order the
+    unknowns and need not lie below it.
+    Returns (x, None) on success, x the set of keys set to 1 with free
+    variables 0, or (None, witness) when inconsistent; the witness (only
+    computed when requested) is the ascending list of equation indices
+    whose sum reads 0 = 1.  Witness tracking lengthens every row it
+    touches, so solve without it first.
 
-    Row i is laid out as  variables | rhs | witness:  the variables above
-    bit n, the rhs at bit n, and bit i of the low n bits marking the
-    equation, where n is the number of equations with a witness and 0
-    without one.
+    Row i is laid out by key as  variables | rhs | witness:  the variables
+    at their own keys, the rhs at -1, and the key -2 - i marking the
+    equation, so the pivot on a variable always comes first.
     """
-    n = len(equations) if want_witness else 0
-    var_mask = (1 << ncols) - 1
     piv: dict = {}
-    for i, (mask, rhs) in enumerate(equations):
-        r = (mask & var_mask) << (n + 1) | (rhs & 1) << n
+    for i, (keys, rhs) in enumerate(equations):
+        r = set(keys)
+        if rhs & 1:
+            r.add(-1)
         if want_witness:
-            r |= 1 << i
-        r = _reduce(piv, r)
-        c = r.bit_length() - 1
-        if c > n:
+            r.add(-2 - i)
+        c = _reduce(piv, r)
+        if c is not None and c >= 0:
             piv[c] = r
-        elif c == n:
-            return None, indices_from_mask(r ^ (1 << n)) if want_witness else None
-    # Bit n of x is the rhs column, read as the constant 1.
-    return _back_substitute(piv, 1 << n) >> (n + 1), None
-
-
-def indices_from_mask(mask) -> list:
-    """Set bit positions in ascending order, in one pass over the binary
-    digits (shifting the mask once per bit would be quadratic)."""
-    return [i for i, b in enumerate(reversed(bin(mask))) if b == "1"]
+        elif c == -1:
+            return None, sorted(-2 - key for key in r if key < -1) if want_witness else None
+    # The key -1 in x is the rhs column, read as the constant 1.
+    x = _back_substitute(piv, {-1})
+    x.discard(-1)
+    return x, None

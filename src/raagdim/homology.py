@@ -4,14 +4,16 @@ Homology is reduced throughout (the augmentation lives in degree -1), so
 the Betti numbers of a point are all zero and b0 counts components minus
 one.  Rational ranks come from fraction-free integer elimination.
 
-Every boundary is read in one format, the `cells + signed boundary rows`
-interface: one row of sorted ``(lower cell id, coeff)`` pairs per d-cell,
-ids indexing the (d-1)-cells.  `boundary_rows(K, d)` serves simplicial
-complexes; the quotient pair complexes plug into `solve_coboundary` through
-``cells_of_degree(d)`` and ``boundary_rows(d)``.  One converter per ring
-(`_gf2_masks`, `_int_matrix`) turns rows into the matrices eliminated;
-the integer coboundary solve (`intlinalg.solve_integer`) reads the rows
-themselves.
+Simplicial boundaries are read in one format, the `cells + signed boundary
+rows` interface: one row of sorted ``(lower cell id, coeff)`` pairs per
+d-cell, ids indexing the (d-1)-cells, from `boundary_rows(K, d)`.  Over
+GF(2) a row is the set of its ids with an odd coefficient (`_parity_rows`),
+eliminated sparsely by `gf2`; over Q, `_int_matrix` lays the rows out
+densely.  The configuration space plugs into `solve_coboundary` through
+``cells_of_degree(d)`` and, per ring, its unsigned facet keys
+(``facet_keys(d)``, read back by ``key_cell``) or its signed
+``boundary_rows(d)``, which the integer coboundary solve
+(`intlinalg.solve_integer`) reads themselves.
 """
 
 from __future__ import annotations
@@ -41,15 +43,11 @@ def boundary_rows(K: SimplicialComplex, d: int) -> tuple:
     return tuple(tuple(sorted((ids[sub], sign) for sub, sign in simplex_boundary(f))) for f in faces)
 
 
-def _gf2_masks(rows):
-    """Each row as a GF(2) bitmask: bit i is set when lower cell i has an odd
-    coefficient.  Yields the masks one at a time, so no list is held."""
+def _parity_rows(rows):
+    """Each row over GF(2): the lower cell ids with an odd coefficient.
+    Yields the rows one at a time, so no list is held."""
     for row in rows:
-        mask = 0
-        for i, coeff in row:
-            if coeff % 2:
-                mask ^= 1 << i
-        yield mask
+        yield [i for i, coeff in row if coeff % 2]
 
 
 def _int_matrix(rows, n: int) -> list:
@@ -76,7 +74,7 @@ def _betti(K: SimplicialComplex, rank) -> tuple:
 
 def mod2_betti(K: SimplicialComplex) -> tuple:
     """dim H_k(K; Z/2) for k = 0..dim K."""
-    return _betti(K, lambda rows, n: gf2.rank(_gf2_masks(rows)))
+    return _betti(K, lambda rows, n: gf2.rank(_parity_rows(rows)))
 
 
 def rational_betti(K: SimplicialComplex) -> tuple:
@@ -99,50 +97,37 @@ def cycle_space(K: SimplicialComplex, k: int) -> tuple:
     for j, row in enumerate(boundary_rows(K, k)):
         for i, coeff in row:
             by_lower.setdefault(i, []).append((j, coeff))
-    basis = gf2.kernel_basis(_gf2_masks(by_lower.values()), len(cols))
-    cycles = [frozenset(cols[i] for i in gf2.indices_from_mask(mask)) for mask in basis]
+    basis = gf2.kernel_basis(_parity_rows(by_lower.values()), len(cols))
+    cycles = [frozenset(cols[i] for i in x) for x in basis]
     return tuple(sorted(cycles, key=lambda c: (len(c), sorted(c))))
-
-
-class _ParityEquations:
-    """The GF(2) rows of delta x = phi, rebuilt on each pass over them, so
-    no list of row masks is ever held."""
-
-    def __init__(self, rows, rhs):
-        self.rows = rows
-        self.rhs = rhs
-
-    def __len__(self):
-        return len(self.rhs)
-
-    def __iter__(self):
-        return zip(_gf2_masks(self.rows), self.rhs)
 
 
 def solve_coboundary(phi, degree: int, space, coefficients: str = "gf2"):
     """Find x with (delta x) = phi on the m-cells of a cell complex.
 
     phi: mapping from m-cells to coefficients (missing cells read as 0).
-    space: cell complex exposing cells_of_degree(d) and boundary_rows(d).
+    space: cell complex exposing cells_of_degree(d); over GF(2) also
+    count_cells(d), facet_keys(d), whose keys increase strictly in the
+    order of the (m-1)-cells, and key_cell(key); over Z, boundary_rows(d).
 
-    Returns (primitive, witness): `primitive` is a dict on (m-1)-cells when
-    solvable, otherwise None and `witness` is a list of m-cells forming a
-    cycle on which phi evaluates to 1 (GF(2)) resp. nontrivially.
+    Returns (primitive, witness): `primitive` is a dict on (m-1)-cells, in
+    cell order, when solvable, otherwise None and `witness` is a list of
+    m-cells forming a cycle on which phi evaluates to 1 (GF(2)) resp.
+    nontrivially.
     """
     m_cells = space.cells_of_degree(degree)
-    lower = space.cells_of_degree(degree - 1) if degree > 0 else ()
-    rows = space.boundary_rows(degree)
     if coefficients == "gf2":
-        eqs = _ParityEquations(rows, [phi.get(cell, 0) % 2 for cell in m_cells])
-        x, _ = gf2.solve(eqs, len(lower))
+        n_lower = space.count_cells(degree - 1) if degree > 0 else 0
+        eqs = list(zip(space.facet_keys(degree), [phi.get(cell, 0) % 2 for cell in m_cells]))
+        x, _ = gf2.solve(eqs, n_lower)
         if x is None:
-            _, witness = gf2.solve(eqs, len(lower), want_witness=True)
+            _, witness = gf2.solve(eqs, n_lower, want_witness=True)
             return None, [m_cells[i] for i in witness]
-        prim = {lower[i]: 1 for i in gf2.indices_from_mask(x)}
-        return prim, None
+        return {space.key_cell(key): 1 for key in sorted(x)}, None
     if coefficients == "int":
+        lower = space.cells_of_degree(degree - 1) if degree > 0 else ()
         rhs = [phi.get(cell, 0) for cell in m_cells]
-        sol = intlinalg.solve_integer(rows, rhs, len(lower))
+        sol = intlinalg.solve_integer(space.boundary_rows(degree), rhs, len(lower))
         if sol is None:
             return None, []
         return {lower[i]: v for i, v in enumerate(sol) if v}, None

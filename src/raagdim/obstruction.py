@@ -254,10 +254,16 @@ def top_mesh_cocycle(octa: Octahedralization, space: ConfigurationSpace, degree:
 
 def _recheck(space: ConfigurationSpace, degree: int, phi: dict, primitive: dict, modulus: int, what: str):
     """Check delta(primitive) = phi on every degree-cell, mod `modulus`
-    (0 for exactly over Z), from the rows the solve read."""
-    value = {space.cell_id(cell): v for cell, v in primitive.items()}
-    for cell, row in zip(space.cells_of_degree(degree), space.boundary_rows(degree)):
-        diff = sum(coeff * value[sub] for sub, coeff in row if sub in value) - phi.get(cell, 0)
+    (0 for exactly over Z), from the rows the solve read: the facet keys
+    mod 2, the signed boundary rows over Z."""
+    if modulus == 2:
+        support = {space.cell_key(cell) for cell, v in primitive.items() if v % 2}
+        diffs = (len(support.intersection(keys)) for keys in space.facet_keys(degree))
+    else:
+        value = {space.cell_id(cell): v for cell, v in primitive.items()}
+        diffs = (sum(coeff * value[sub] for sub, coeff in row if sub in value) for row in space.boundary_rows(degree))
+    for cell, diff in zip(space.cells_of_degree(degree), diffs):
+        diff -= phi.get(cell, 0)
         if (diff % modulus if modulus else diff) != 0:
             raise RuntimeError(f"{what} fails verification")
 

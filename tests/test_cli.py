@@ -269,6 +269,28 @@ def test_cli_generate_analyze_verify_roundtrip(tmp_path, capsys):
     assert data["conjecture"] == "verified"
 
 
+def test_cli_analyze_encodes_the_certificate_once(tmp_path, monkeypatch):
+    c4 = str(tmp_path / "c4.json")
+    report, cert, alone = (str(tmp_path / name) for name in ("report.json", "cert.json", "alone.json"))
+    assert main(["generate", "cycle", "4", "--out", c4]) == 0
+    calls = []
+    encode = io_json.certificate_to_json
+
+    def counted(certificate):
+        calls.append(certificate)
+        return encode(certificate)
+
+    monkeypatch.setattr(io_json, "certificate_to_json", counted)
+    assert main(["analyze", c4, "--out", report, "--certificate", cert]) == 0
+    assert len(calls) == 1
+    nested = json.loads(open(report, encoding="utf-8").read())["certificate"]
+    assert open(cert, "rb").read() == io_json.dumps(nested).encode("utf-8")
+    # Without --out the certificate is encoded for its own file alone.
+    assert main(["analyze", c4, "--certificate", alone]) == 0
+    assert len(calls) == 2
+    assert open(alone, "rb").read() == open(cert, "rb").read()
+
+
 def test_cli_analyze_is_deterministic(tmp_path):
     c4 = str(tmp_path / "c4.json")
     main(["generate", "cycle", "4", "--out", c4])

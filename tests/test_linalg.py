@@ -1,9 +1,10 @@
-"""GF(2) bitset algebra and exact integer elimination."""
+"""Sparse GF(2) algebra and exact integer elimination."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import gf2_dense
 from raagdim import gf2, intlinalg
 from raagdim.intlinalg import integer_det, integer_rank, smith_normal_form, solve_integer
 
@@ -203,15 +204,22 @@ def test_only_a_non_unit_core_reaches_the_smith_normal_form(monkeypatch):
 # --- GF(2) ----------------------------------------------------------------
 
 
+def keys(mask) -> set:
+    """The set bits of a mask, as a sparse row's column keys."""
+    return set(gf2_dense.indices_from_mask(mask))
+
+
 @given(st.lists(st.integers(0, 2**10 - 1), min_size=1, max_size=12), st.integers(0, 10**6))
 @settings(max_examples=80, deadline=None)
 def test_gf2_kernel_annihilates_and_has_right_dimension(rows, seed):
     ncols = 10
+    rows = [keys(row) for row in rows]
     basis = gf2.kernel_basis(rows, ncols)
     assert len(basis) == ncols - gf2.rank(rows)
     for x in basis:
+        assert x <= set(range(ncols))
         for row in rows:
-            assert (row & x).bit_count() % 2 == 0
+            assert len(row & x) % 2 == 0
     # Basis vectors are independent: their echelon has full size.
     assert gf2.rank(basis) == len(basis)
 
@@ -220,11 +228,11 @@ def test_gf2_kernel_annihilates_and_has_right_dimension(rows, seed):
 @settings(max_examples=80, deadline=None)
 def test_gf2_solve_constructed_system(rows, x0):
     ncols = 8
-    eqs = [(row, (row & x0).bit_count() & 1) for row in rows]
+    eqs = [(keys(row), (row & x0).bit_count() & 1) for row in rows]
     x, _ = gf2.solve(eqs, ncols)
     assert x is not None
     for row, rhs in eqs:
-        assert (row & x).bit_count() & 1 == rhs
+        assert len(row & x) & 1 == rhs
 
 
 def brute_solutions(eqs, ncols):
@@ -245,18 +253,19 @@ def leading_bits(masks):
 @settings(max_examples=300, deadline=None)
 def test_gf2_solve_matches_brute_force(system):
     ncols, eqs = system
+    sparse = [(keys(m), r) for m, r in eqs]
     solutions = brute_solutions(eqs, ncols)
-    x, witness = gf2.solve(eqs, ncols)
+    x, witness = gf2.solve(sparse, ncols)
     assert (x is not None) == bool(solutions)
     assert witness is None
     if x is not None:
         # The solution with free variables 0 is the only one supported on
         # the pivot columns.
         support = sum(1 << c for c in leading_bits(m for m, _ in eqs))
-        assert [s for s in solutions if s & ~support == 0] == [x]
-        assert gf2.solve(eqs, ncols, want_witness=True) == (x, None)
+        assert [s for s in solutions if s & ~support == 0] == [sum(1 << c for c in x)]
+        assert gf2.solve(sparse, ncols, want_witness=True) == (x, None)
         return
-    x, witness = gf2.solve(eqs, ncols, want_witness=True)
+    x, witness = gf2.solve(sparse, ncols, want_witness=True)
     assert x is None
     mask = rhs = 0
     for i in witness:
@@ -271,10 +280,28 @@ def test_gf2_solve_matches_brute_force(system):
 
 def test_gf2_solve_inconsistent_with_witness():
     # x0 = 1 and x0 = 0: the sum of both equations reads 0 = 1.
-    eqs = [(0b1, 1), (0b1, 0)]
+    eqs = [({0}, 1), ({0}, 0)]
     x, witness = gf2.solve(eqs, 1, want_witness=True)
     assert x is None
     assert sorted(witness) == [0, 1]
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True),
+    st.lists(st.tuples(st.integers(0, 2**n - 1), st.integers(0, 1)), max_size=12))))
+@settings(max_examples=300, deadline=None)
+def test_gf2_solve_on_increasing_keys_matches_the_dense_oracle(system):
+    # Column j carries the j-th smallest key: any strictly increasing
+    # labels give the dense solve's x and witness.
+    labels, eqs = system
+    labels = sorted(labels)
+    sparse = [({labels[j] for j in gf2_dense.indices_from_mask(m)}, r) for m, r in eqs]
+    for want_witness in (False, True):
+        x, witness = gf2.solve(sparse, len(labels), want_witness)
+        x_dense, witness_dense = gf2_dense.solve(eqs, len(labels), want_witness)
+        assert witness == witness_dense
+        expect = None if x_dense is None else {labels[j] for j in gf2_dense.indices_from_mask(x_dense)}
+        assert x == expect
 
 
 def mask_from_indices(indices) -> int:
@@ -288,6 +315,7 @@ def mask_from_indices(indices) -> int:
 @given(st.sets(st.integers(0, 5000), max_size=60))
 @settings(max_examples=50, deadline=None)
 def test_gf2_mask_indices_roundtrip(indices):
+    # The dense oracle reads its solutions and witnesses off bitmasks.
     mask = mask_from_indices(indices)
-    assert gf2.indices_from_mask(mask) == sorted(indices)
-    assert mask_from_indices(gf2.indices_from_mask(mask)) == mask
+    assert gf2_dense.indices_from_mask(mask) == sorted(indices)
+    assert mask_from_indices(gf2_dense.indices_from_mask(mask)) == mask

@@ -6,7 +6,9 @@ from functools import partial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from raagdim import obstruction
+import gf2_dense
+import raagdim
+from raagdim import io_json, obstruction
 from raagdim.complexes import skeleton
 from raagdim.config_space import ConfigurationSpace
 from raagdim.homology import cycle_space
@@ -26,8 +28,9 @@ from raagdim.obstruction import (
 )
 from raagdim.octa import MINUS, PLUS, double_over, minus_lift, octahedralize
 from raagdim.suite import run_suite
-from raagdim.zoo import cone, cycle, octahedron_boundary, path, points, random_flag, simplex, tree
+from raagdim.zoo import cone, cycle, octahedron_boundary, path, points, random_flag, simplex, suspension, tree
 from test_config_space import pair_cell_boundary, signed_boundary, signed_chain_boundary
+from test_pins import load_workloads
 
 RANK4 = {"v0": 0, "v1": 1, "v2": 2, "v3": 3}
 
@@ -281,10 +284,57 @@ def test_certify_vanishing_refuses_by_count_without_building_cells(monkeypatch):
         raise AssertionError(f"degree {d} was built")
 
     monkeypatch.setattr(ConfigurationSpace, "cells_of_degree", refuse_to_build)
+    monkeypatch.setattr(ConfigurationSpace, "facet_keys", refuse_to_build)
     monkeypatch.setattr(ConfigurationSpace, "boundary_rows", refuse_to_build)
     result = certify_vanishing(cone(octahedron_boundary(3)), max_cells=1000)
     assert result.status == "skipped"
     assert result.reason == "cell budget exceeded (117504 > 1000)"
+
+
+def dense_top_solve(L):
+    """Oracle: the top GF(2) solve as dense bitmasks over the signed boundary
+    rows and the cell ids, as (primitive, witness)."""
+    octa = octahedralize(L)
+    space = ConfigurationSpace(octa.complex)
+    phi = top_mesh_cocycle(octa, space, L.dim)
+    cells, lower = space.cells_of_degree(2 * L.dim), space.cells_of_degree(2 * L.dim - 1)
+    eqs = [(sum(1 << i for i, coeff in row if coeff % 2), phi.get(cell, 0))
+           for cell, row in zip(cells, space.boundary_rows(2 * L.dim))]
+    x, _ = gf2_dense.solve(eqs, len(lower))
+    if x is None:
+        _, witness = gf2_dense.solve(eqs, len(lower), want_witness=True)
+        return None, tuple(cells[i] for i in witness)
+    return {lower[i]: 1 for i in gf2_dense.indices_from_mask(x)}, None
+
+
+def bench_vanishing_complexes():
+    """The benchmark's analyze cases that reach the top solve within the
+    default cell budget, decoded as the benchmark decodes them."""
+    wl = load_workloads()
+    for name in ("vanishing", "integral"):
+        workload = wl.WORKLOADS[name]
+        for case, data in zip(workload.cases, wl.build_inputs(raagdim, workload)):
+            if "max_cells" not in case.options:
+                yield case.name, io_json.complex_from_json(data)
+
+
+def test_top_solve_matches_the_dense_signed_row_solve():
+    # The sparse solve on facet keys eliminates as the dense one on cell ids,
+    # so the primitive (cells and their order) and the witness are the same.
+    cases = [(f"random_flag({9 + i % 4},{(0.4, 0.55, 0.7)[i % 3]},{i})",
+              random_flag(9 + i % 4, (0.4, 0.55, 0.7)[i % 3], i)) for i in range(20)]
+    # Obstructed cases, so that the witnesses are compared too.
+    cases += [("cycle(5)", cycle(5)), ("suspension(cycle(4))", suspension(cycle(4)))]
+    statuses = set()
+    for name, L in cases + list(bench_vanishing_complexes()):
+        if L.dim < 1:
+            continue
+        result = certify_vanishing(L)
+        primitive, witness = dense_top_solve(L)
+        assert result.witness_cycle == witness, name
+        assert list((result.primitive or {}).items()) == list((primitive or {}).items()), name
+        statuses.add(result.status)
+    assert statuses == {"primitive", "obstructed"}
 
 
 def test_mutual_exclusion_never_both():

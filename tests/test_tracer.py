@@ -4,8 +4,9 @@ raagdim callable by name and its hooks can read their arguments."""
 import importlib.util
 import os
 
-from raagdim import bounds, config_space, io_json, suite, verify
-from raagdim.zoo import cycle, path
+from raagdim import bounds, config_space, io_json, obstruction, suite, verify
+from raagdim.octa import octahedralize
+from raagdim.zoo import cone, cycle, path
 from test_bounds import RP2
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracer.py")
@@ -43,3 +44,20 @@ def test_tracer_wraps_and_reads_every_hooked_layer():
     assert tracer.counts["config_space.chain_boundary.in_cells"] > 0
     assert tracer.counts["homology.solve_coboundary.equations"] > 0
     assert tracer.counts["intlinalg.smith_normal_form.entries"] > 0
+
+
+def test_tracer_counts_the_top_solve_as_cells():
+    # The GF(2) solve never builds the (2k-1)-cells, yet its unknowns are
+    # counted as their number.
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        result = obstruction.certify_vanishing(cone(cycle(5)))
+    finally:
+        tracer.uninstall()
+    assert result.status == "primitive"
+    space = config_space.ConfigurationSpace(octahedralize(cone(cycle(5))).complex)
+    assert tracer.counts["gf2.solve.unknowns"] == len(space.cells_of_degree(3)) == 840
+    assert tracer.counts["gf2.solve.equations"] == len(space.cells_of_degree(4))
+    assert tracer.counts["homology.solve_coboundary.unknowns"] == tracer.counts["gf2.solve.unknowns"]
