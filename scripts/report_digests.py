@@ -1,0 +1,63 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every analyze report over a fixed corpus.
+
+Usage: python scripts/report_digests.py [--count N]
+
+The corpus is the zoo, the analyze cases of the benchmark workloads
+(perfbench/workloads.py) and N seeded random_flag draws (default 30),
+with n in 7..12 and p in 0.3..0.8.  Each case is analyzed twice, with
+its own options ("default") and with integral=True added ("integral").
+The output is one JSON object, case name -> {"default", "integral"}
+digests of the report bytes.  A change that must keep the reports the
+same shows it by an empty diff of this output from two checkouts.
+"""
+
+import argparse
+import hashlib
+import os
+import sys
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from raagdim import io_json  # noqa: E402
+from raagdim.bounds import analyze  # noqa: E402
+from raagdim.zoo import ZOO, build_named, random_flag  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def bench_cases():
+    """(name, complex, options) for every analyze case of the benchmark."""
+    for workload in WORKLOADS.values():
+        for case in workload.cases:
+            L = io_json.complex_from_json(case.data) if case.data is not None else build_named(case.expr)
+            yield f"bench:{workload.name}:{case.name}", L, case.options
+
+
+def cases(count: int):
+    for entry in ZOO:
+        yield f"zoo:{entry.name}", entry.complex(), {"allow_non_flag": not entry.flag}
+    yield from bench_cases()
+    for i in range(count):
+        n, p = 7 + i % 6, (3 + i // 6 % 6) / 10
+        yield f"random_flag({n},{p},{i})", random_flag(n, p, i), {}
+
+
+def digest(L, options) -> str:
+    text = io_json.dumps(io_json.report_to_json(analyze(L, **options)))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--count", type=int, default=30, help="number of random_flag draws")
+    args = parser.parse_args()
+    out = {name: {"default": digest(L, options), "integral": digest(L, {**options, "integral": True})}
+           for name, L, options in cases(args.count)}
+    print(io_json.dumps(out), end="")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,8 +6,10 @@ intervals for the van Kampen dimension of the octahedralization, the
 embedding dimension, and the action dimension of the associated group.
 `analyze` and `vkdim_lower` share one lower-bound search: the highest
 certified degree above the sphere floor, then the bound of every vertex
-link plus one.  `join_lemma_bound` is the interval arithmetic of the join
-formula; `analyze` does not apply it.
+link plus one.  `analyze` stops before the links once a certificate
+reaches the 2k ceiling (k = dim L): a link has dimension below k, so it
+gives at most 2k - 1 and can raise nothing.  `join_lemma_bound` is the
+interval arithmetic of the join formula; `analyze` does not apply it.
 Every emitted bound re-checks its hypothesis and carries a named rule;
 bounds resting on an unprovable step carry caveats and, when the step is
 genuinely open (the dimension-2 completeness gap), stay out of the
@@ -132,12 +134,14 @@ def vkdim_lower(L: SimplicialComplex, depth: int = 3, search_budget: int = 2, _c
     recursion over vertices (capped at `depth`).
 
     Returns (value, explanation).  The floor for a nonempty complex is -1
-    (the octahedralization of a vertex is a 0-sphere).
+    (the octahedralization of a vertex is a 0-sphere).  The value is at
+    most 2 dim L.  `_cache` is keyed by complex and depth, as the depth
+    left changes the bound.
     """
     if _cache is None:
         _cache = {}
-    if L in _cache:
-        return _cache[L]
+    if (L, depth) in _cache:
+        return _cache[L, depth]
     if L.dim < 0:
         return None, "empty complex"
     best = (-1, "sphere floor: the doubled vertex pair")
@@ -150,7 +154,7 @@ def vkdim_lower(L: SimplicialComplex, depth: int = 3, search_budget: int = 2, _c
         for v, sub, why in _link_bounds(L, depth - 1, search_budget, _cache):
             if sub + 1 > best[0]:
                 best = (sub + 1, f"star/link at vertex {v!r}: link gives {sub} ({why})")
-    _cache[L] = best
+    _cache[L, depth] = best
     return best
 
 
@@ -210,11 +214,13 @@ def analyze(
             detail = f"certificate on the {degree}-skeleton"
         records.append(BoundRecord("vkdim", "lower", vk_lo, "covering-chain-certificate", detail))
 
-    for v, sub, why in _link_bounds(L, STAR_DEPTH - 1, search_budget, {}):
-        if sub + 1 > vk_lo:
-            vk_lo = sub + 1
-            records.append(BoundRecord("vkdim", "lower", vk_lo, "star-link",
-                                       f"link of {v!r} gives {sub}: {why}"))
+    # A link gives at most 2k - 1, so at the 2k ceiling none can add a record.
+    if vk_lo < 2 * k:
+        for v, sub, why in _link_bounds(L, STAR_DEPTH - 1, search_budget, {}):
+            if sub + 1 > vk_lo:
+                vk_lo = sub + 1
+                records.append(BoundRecord("vkdim", "lower", vk_lo, "star-link",
+                                           f"link of {v!r} gives {sub}: {why}"))
 
     vanishing = None
     if certificate is None and k >= 1:

@@ -2,15 +2,17 @@
 
 Homology is reduced throughout (the augmentation lives in degree -1), so
 the Betti numbers of a point are all zero and b0 counts components minus
-one.  Rational ranks come from fraction-free integer elimination.
+one.  Rational ranks come from exact integer elimination: unit pivots on
+the sparse rows, then fraction-free elimination of the core they leave.
 
 Simplicial boundaries are read in one format, the `cells + signed boundary
 rows` interface: one row of sorted ``(lower cell id, coeff)`` pairs per
 d-cell, ids indexing the (d-1)-cells, from `boundary_rows(K, d)`.  Over
 GF(2) a row is the set of its ids with an odd coefficient (`_parity_rows`),
-eliminated sparsely by `gf2`; over Q, `_int_matrix` lays the rows out
-densely.  The configuration space plugs into `solve_coboundary` through
-``cells_of_degree(d)`` and, per ring, its unsigned facet keys
+eliminated sparsely by `gf2`; over Q, `intlinalg.sparse_rank` reads the
+signed rows themselves.  The configuration space plugs into
+`solve_coboundary` through ``cells_of_degree(d)`` and, per ring, its
+unsigned facet keys
 (``facet_keys(d)``, read back by ``key_cell``) or its signed
 ``boundary_rows(d)``, which the integer coboundary solve
 (`intlinalg.solve_integer`) reads themselves.
@@ -50,17 +52,6 @@ def _parity_rows(rows):
         yield [i for i, coeff in row if coeff % 2]
 
 
-def _int_matrix(rows, n: int) -> list:
-    """The rows as a dense integer matrix over n lower cells."""
-    mat = []
-    for row in rows:
-        dense = [0] * n
-        for i, coeff in row:
-            dense[i] += coeff
-        mat.append(dense)
-    return mat
-
-
 def _betti(K: SimplicialComplex, rank) -> tuple:
     """Reduced Betti numbers for k = 0..dim K, given rank(rows, n) of the
     degree-d boundary rows over their n lower cells."""
@@ -78,8 +69,8 @@ def mod2_betti(K: SimplicialComplex) -> tuple:
 
 
 def rational_betti(K: SimplicialComplex) -> tuple:
-    """dim_Q H_k(K; Q) for k = 0..dim K, by fraction-free elimination."""
-    return _betti(K, lambda rows, n: intlinalg.integer_rank(_int_matrix(rows, n)))
+    """dim_Q H_k(K; Q) for k = 0..dim K, by exact integer elimination."""
+    return _betti(K, intlinalg.sparse_rank)
 
 
 def cycle_space(K: SimplicialComplex, k: int) -> tuple:

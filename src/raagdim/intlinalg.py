@@ -1,11 +1,12 @@
 """Exact integer linear algebra: fraction-free rank, determinants, Smith
 normal form, and sparse integer linear solves.
 
-Matrices are lists of lists of Python ints.  Rank and determinant both
-read one Bareiss elimination (`_bareiss`), which keeps all intermediate
-values integral; obstruction certificates must never touch a float.
-`solve_integer` reads sparse rows, the boundary-row format of `homology`,
-and builds a dense matrix only for what its unit pivots leave.
+Matrices are lists of lists of Python ints.  Dense rank and determinant
+both read one Bareiss elimination (`_bareiss`), which keeps all
+intermediate values integral; obstruction certificates must never touch
+a float.  `sparse_rank` and `solve_integer` read sparse rows, the
+boundary-row format of `homology`, share one elimination on unit pivots
+(`_unit_pivots`) and build a dense matrix only for the core it leaves.
 """
 
 from __future__ import annotations
@@ -160,22 +161,23 @@ class CoreTooLarge(ValueError):
 INTEGRAL_ENTRY_CAP = 600_000
 
 
-def solve_integer(rows, rhs, ncols):
-    """Integer solution x of A x = rhs, or None when unsolvable over Z.
+def _unit_pivots(rows, ncols, b=None):
+    """Eliminate sparse integer rows on +-1 pivots.
 
     rows: one row of (column, coeff) pairs per equation, columns in
-    range(ncols); a column listed twice in a row adds up.
+    range(ncols); a column listed twice in a row adds up.  Every row
+    operation adds an integer multiple of a unit pivot row, so it is
+    unimodular; a right-hand side `b`, when given, is updated alongside.
+    The pivot is the unit entry of least Markowitz cost (row entries - 1)
+    x (column entries - 1), ties broken by row and then column id, so no
+    hash order enters.  A cost is recomputed when its row changes and when
+    it is popped, so a column that lost rows may keep an older, higher
+    cost for a while.
 
-    Eliminates on +-1 pivots first: every row operation adds an integer
-    multiple of a unit pivot row, so it is unimodular.  The pivot is the
-    unit entry of least Markowitz cost (row entries - 1) x (column entries
-    - 1), ties broken by row and then column id, so no hash order enters.
-    A cost is recomputed when its row changes and when it is popped, so a
-    column that lost rows may keep an older, higher cost for a while.
-    Only the rows with no unit entry left, the core, go through a dense
-    Smith normal form (raising CoreTooLarge above INTEGRAL_ENTRY_CAP
-    entries); the pivot columns are then back-substituted and every other
-    column is 0.
+    Returns (active, pivots, core): the rows as {column: coeff} dicts,
+    the (row, column) pivots in order, and the ids of the nonempty rows
+    left without a unit entry.  A pivot's column is zero in every later
+    pivot row and in the core.
     """
     import heapq
 
@@ -185,7 +187,6 @@ def solve_integer(rows, rhs, ncols):
         for j, a in row:
             summed[j] = summed.get(j, 0) + a
         active.append({j: a for j, a in summed.items() if a})
-    b = list(rhs)
     where = [set() for _ in range(ncols)]  # column -> active rows holding it
     for i, row in enumerate(active):
         for j in row:
@@ -227,12 +228,35 @@ def solve_integer(rows, rhs, ncols):
                 else:
                     del other[t]
                     where[t].discard(h)
-            b[h] -= q * b[i]
+            if b is not None:
+                b[h] -= q * b[i]
             push(h, other)
-
-    x = [0] * ncols
     core = [i for i, row in enumerate(active) if not done[i] and row]
-    if any(b[i] for i, row in enumerate(active) if not done[i] and not row):
+    return active, pivots, core
+
+
+def sparse_rank(rows, ncols) -> int:
+    """Rank over Q of sparse rows (the format of `solve_integer`): the
+    number of unit pivots plus the rank of the core they leave."""
+    active, pivots, core = _unit_pivots(rows, ncols)
+    if not core:
+        return len(pivots)
+    cols = sorted({j for i in core for j in active[i]})
+    return len(pivots) + integer_rank([[active[i].get(j, 0) for j in cols] for i in core])
+
+
+def solve_integer(rows, rhs, ncols):
+    """Integer solution x of A x = rhs, or None when unsolvable over Z.
+
+    rows: sparse rows as for `_unit_pivots`, which eliminates them.  Only
+    the rows with no unit entry left, the core, go through a dense Smith
+    normal form (raising CoreTooLarge above INTEGRAL_ENTRY_CAP entries);
+    the pivot columns are then back-substituted and every other column is 0.
+    """
+    b = list(rhs)
+    active, pivots, core = _unit_pivots(rows, ncols, b)
+    x = [0] * ncols
+    if any(b[i] for i, row in enumerate(active) if not row):
         return None
     if core:
         cols = sorted({j for i in core for j in active[i]})

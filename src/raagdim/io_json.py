@@ -148,10 +148,15 @@ def complex_to_json(K: SimplicialComplex) -> dict:
 def certificate_to_json(cert: CycleCertificate) -> dict:
     """The certificate as a JSON dict whose label and half lists are shared
     between occurrences: do not mutate them in place (`copy.deepcopy` first)."""
-    cycle, cells = sorted(cert.cycle), sorted(cert.omega)
-    halves = dict.fromkeys(half for cell in cells for half in cell)
-    labels = {v: _encode_label(v) for s in (*cycle, cert.delta, *halves) for v in s}
-    halves = {half: [labels[v] for v in half] for half in halves}
+    cycle = sorted(cert.cycle)
+    # Cells sort as tuples of halves; ranking the halves once lets them sort
+    # on one int each, in the same order.
+    ranked = sorted({half for cell in cert.omega for half in cell})
+    rank = {half: r for r, half in enumerate(ranked)}
+    n = len(ranked)
+    cells = sorted(cert.omega, key=lambda cell: rank[cell[0]] * n + rank[cell[1]])
+    labels = {v: _encode_label(v) for s in (*cycle, cert.delta, *ranked) for v in s}
+    halves = {half: [labels[v] for v in half] for half in ranked}
     return {
         "schema": CERTIFICATE_SCHEMA,
         "degree": cert.degree,

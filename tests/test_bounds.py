@@ -3,13 +3,16 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from raagdim import intlinalg, obstruction
+from raagdim import bounds, intlinalg, obstruction
 from raagdim.bounds import analyze, geometric_dimension, join_lemma_bound, l2_dimension, vkdim_lower
 from raagdim.complexes import link, make_complex
 from raagdim.homology import rational_betti
-from raagdim.obstruction import certify_vanishing
-from raagdim.zoo import ZOO, cone, cycle, octahedron_boundary, path, points, random_flag, simplex, suspension, tree
+from raagdim.obstruction import certify_nonvanishing, certify_vanishing
+from raagdim.zoo import (
+    ZOO, build_named, cone, cycle, octahedron_boundary, path, points, random_flag, simplex, suspension, tree,
+)
 
 
 def test_geometric_dimension():
@@ -62,6 +65,57 @@ def test_vkdim_lower_monotone_in_depth():
     deep, _ = vkdim_lower(L, depth=2)
     assert deep >= shallow
     assert deep == 3
+
+
+def top_certified(count=20):
+    """The zoo, the complexes of the certify benchmark and `count` random
+    flag complexes, each with a top-degree certificate."""
+    named = [entry.complex() for entry in ZOO if entry.flag]
+    named += [build_named(expr) for expr in (
+        "octahedron_boundary(4)", "octahedron_boundary(3)", "suspension(suspension(cycle(5)))",
+        "join(cycle(4),cycle(4))")]
+    drawn = (random_flag(n, p, s) for n in range(6, 11) for p in (0.3, 0.4, 0.5, 0.6, 0.7) for s in range(40))
+    found = [L for L in named if certify_nonvanishing(L, L.dim) is not None]
+    randoms = [L for L in drawn if L.dim >= 1 and certify_nonvanishing(L, L.dim) is not None]
+    assert len(randoms) >= count
+    return found + randoms[:count]
+
+
+def test_no_link_reaches_the_2k_ceiling():
+    # What lets analyze skip the links once a top certificate gives 2k.
+    checked = 0
+    for L in top_certified():
+        for v, sub, _ in bounds._link_bounds(L, bounds.STAR_DEPTH - 1, 2, {}):
+            assert sub <= 2 * L.dim - 1, (L.vertices, v)
+        report = analyze(L)
+        assert report.vkdim[0] == 2 * L.dim and report.certificate is not None
+        assert not any(r.rule == "star-link" for r in report.records)
+        checked += 1
+    assert checked >= 30
+
+
+@given(st.integers(1, 9), st.sampled_from((0.3, 0.5, 0.7, 0.9)), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_vkdim_lower_stays_below_twice_the_dimension(n, p, seed):
+    L = random_flag(n, p, seed)
+    assert vkdim_lower(L)[0] <= 2 * L.dim
+
+
+@pytest.mark.parametrize("n, p, seed", [(8, 0.8, 1), (9, 0.6, 7), (10, 0.7, 1), (11, 0.6, 0), (11, 0.7, 0)])
+def test_vkdim_lower_memo_answers_as_a_cold_call(monkeypatch, n, p, seed):
+    # A link met at one remaining depth must not answer for another depth.
+    calls = []
+
+    def recorded(L, depth=3, search_budget=2, _cache=None):
+        result = vkdim_lower(L, depth, search_budget, _cache)
+        calls.append((L, depth, search_budget, result))
+        return result
+
+    monkeypatch.setattr(bounds, "vkdim_lower", recorded)
+    analyze(random_flag(n, p, seed))
+    assert calls
+    for L, depth, budget, result in calls:
+        assert vkdim_lower(L, depth, budget) == result, (L.vertices, depth)
 
 
 def test_analyze_c4_exact():

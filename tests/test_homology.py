@@ -5,6 +5,7 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from raagdim.config_space import ConfigurationSpace
+from raagdim import homology
 from raagdim.homology import (
     boundary_rows,
     cycle_space,
@@ -15,6 +16,8 @@ from raagdim.homology import (
 )
 from raagdim.octa import octahedralize
 from raagdim.zoo import ZOO, cycle, octahedron_boundary, path, points, random_flag, simplex, tree
+from raagdim.intlinalg import integer_rank
+from test_bounds import RP2
 from test_config_space import signed_boundary
 
 
@@ -144,6 +147,27 @@ def test_rational_nonzero_implies_mod2_nonzero_on_zoo():
         for i, b in enumerate(bq):
             if b:
                 assert b2[i], f"{entry.name}: rational class without mod-2 class in degree {i}"
+
+
+def dense_rational_betti(K):
+    """Oracle: the Bareiss rank of each boundary matrix laid out densely."""
+    def rank(rows, n):
+        mat = []
+        for row in rows:
+            dense = [0] * n
+            for i, coeff in row:
+                dense[i] += coeff
+            mat.append(dense)
+        return integer_rank(mat)
+
+    return homology._betti(K, rank)
+
+
+def test_rational_betti_matches_the_dense_elimination():
+    assert rational_betti(RP2) == dense_rational_betti(RP2) == (0, 0, 0)
+    assert mod2_betti(RP2) == (0, 1, 1)
+    for K in [entry.complex() for entry in ZOO] + [octahedron_boundary(3), random_flag(9, 0.6, 2)]:
+        assert rational_betti(K) == dense_rational_betti(K), K.vertices
 
 
 # --- coboundary solving ----------------------------------------------------

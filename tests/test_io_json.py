@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from raagdim import io_json
 from raagdim.cli import main
+from raagdim.complexes import relabeled
 from raagdim.obstruction import certify_nonvanishing
 from raagdim.zoo import ZOO
 
@@ -89,6 +90,27 @@ def test_shared_and_unshared_certificates_give_the_same_bytes():
             assert text == io_json.dumps(json.loads(text)) == reference(data), entry.name
             checked += 1
     assert checked >= 6
+
+
+def test_certificate_cells_are_written_in_tuple_order():
+    """omega_support lists the cells as sorted(cert.omega) orders them, also
+    with str labels whose order is not their numbers' ('r10' < 'r9')."""
+    def encoded(half):
+        return [io_json._encode_label(v) for v in half]
+
+    checked = 0
+    for entry in ZOO:
+        L = entry.complex()
+        if not entry.flag or L.dim < 0:
+            continue
+        for K in (L, relabeled(L, {v: f"r{i + 5}" for i, v in enumerate(L.vertices)}),
+                  relabeled(L, {v: i + 5 for i, v in enumerate(L.vertices)})):
+            cert = certify_nonvanishing(K, K.dim)
+            if cert is not None:
+                cells = io_json.certificate_to_json(cert)["omega_support"]
+                assert cells == [[encoded(a), encoded(b)] for a, b in sorted(cert.omega)], entry.name
+                checked += 1
+    assert checked >= 18
 
 
 def test_cli_reports_are_json_dumps_bytes(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import gf2_dense
 from raagdim import gf2, intlinalg
-from raagdim.intlinalg import integer_det, integer_rank, smith_normal_form, solve_integer
+from raagdim.intlinalg import integer_det, integer_rank, smith_normal_form, solve_integer, sparse_rank
 
 
 def fraction_rank(mat):
@@ -201,6 +201,52 @@ def test_only_a_non_unit_core_reaches_the_smith_normal_form(monkeypatch):
     x = solve_integer(sparse_rows(mat), [3, 2], 4)
     assert residual(mat, x, [3, 2]) == [0, 0]
     assert shapes == [(1, 2)]
+@st.composite
+def sparse_rank_rows(draw):
+    """Sparse rows with entries in -3..3 (so the unit pivots can leave a
+    core), columns listed twice in a row (they add up), and rows whose
+    entries cancel to zero."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.tuples(st.integers(0, ncols - 1), st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    rows = draw(st.lists(st.lists(entry, max_size=6), min_size=1, max_size=7))
+    if draw(st.booleans()):
+        row = draw(st.lists(entry, min_size=1, max_size=3))
+        rows.insert(draw(st.integers(0, len(rows))), row + [(j, -a) for j, a in row])
+    return rows, ncols
+
+
+def dense(rows, ncols):
+    mat = [[0] * ncols for _ in rows]
+    for dense_row, row in zip(mat, rows):
+        for j, a in row:
+            dense_row[j] += a
+    return mat
+
+
+@given(sparse_rank_rows())
+@settings(max_examples=300, deadline=None)
+def test_sparse_rank_matches_the_dense_rank(system):
+    rows, ncols = system
+    mat = dense(rows, ncols)
+    assert sparse_rank(rows, ncols) == integer_rank(mat) == fraction_rank(mat)
+
+
+def test_sparse_rank_reads_the_core_left_by_unit_pivots(monkeypatch):
+    cores = []
+
+    def spy(mat):
+        cores.append(mat)
+        return integer_rank(mat)
+
+    monkeypatch.setattr(intlinalg, "integer_rank", spy)
+    # x0 + x1 pivots; 2 x0 + 2 x1 + 2 x2 + 4 x3 leaves the core 2 x2 + 4 x3,
+    # and 4 x2 + 8 x3 is twice it.
+    assert sparse_rank([[(0, 1), (1, 1)], [(0, 2), (1, 2), (2, 2), (3, 4)], [(2, 4), (3, 8)]], 4) == 2
+    assert cores == [[[2, 4], [4, 8]]]
+    assert sparse_rank([[(0, 1), (0, -1)], [(1, 1)]], 2) == 1  # a row that cancels, no core
+    assert len(cores) == 1
+
+
 # --- GF(2) ----------------------------------------------------------------
 
 

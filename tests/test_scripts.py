@@ -15,6 +15,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     (["run_zoo.py", "--json", "{tmp}"], "random_flag_b"),
     (["find_star_violation.py"], "boundary of the covering chain is nonzero on 48 cells"),
     (["moment_oracle_sweep.py", "--samples", "2", "--doubled"], "mismatches: 0"),
+    (["report_digests.py", "--count", "2"], '"random_flag(8,0.3,1)": {'),
 ])
 def test_script_runs(args, expected, tmp_path):
     run = subprocess.run(
