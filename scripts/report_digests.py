@@ -8,8 +8,11 @@ The corpus is the zoo, the analyze cases of the benchmark workloads
 with n in 7..12 and p in 0.3..0.8.  Each case is analyzed twice, with
 its own options ("default") and with integral=True added ("integral").
 The output is one JSON object, case name -> {"default", "integral"}
-digests of the report bytes.  A change that must keep the reports the
-same shows it by an empty diff of this output from two checkouts.
+digests of the report bytes.  It also holds, for seeds 0-4, the lemma
+suite's [complexes, checks, failures] over the benchmark's suite count,
+under "lemma-suite(seed=S)".  A change that must keep the reports and the
+suite the same shows it by an empty diff of this output from two
+checkouts.
 """
 
 import argparse
@@ -23,8 +26,9 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from raagdim import io_json  # noqa: E402
 from raagdim.bounds import analyze  # noqa: E402
+from raagdim.suite import run_suite  # noqa: E402
 from raagdim.zoo import ZOO, build_named, random_flag  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import SUITE_COUNT, WORKLOADS  # noqa: E402
 
 
 def bench_cases():
@@ -55,6 +59,9 @@ def main() -> int:
     args = parser.parse_args()
     out = {name: {"default": digest(L, options), "integral": digest(L, {**options, "integral": True})}
            for name, L, options in cases(args.count)}
+    for seed in range(5):
+        result = run_suite(seed, SUITE_COUNT)
+        out[f"lemma-suite(seed={seed})"] = [result.complexes, result.checks, len(result.failures)]
     print(io_json.dumps(out), end="")
     return 0
 

@@ -8,18 +8,19 @@ which acts with the sign (-1)^(dim a * dim b).
 
 ConfigurationSpace works on an index of K.  Every face gets an id (by
 dimension, then rank tuple), an int vertex bitmask, so disjointness is
-`mask_a & mask_b == 0`, and a row of (facet id, sign) pairs taken from
-`homology.boundary_rows`; this facet table is built once.  Each degree is
-enumerated once, already in cell order (by the id of a, then of b), with
-no sort; a cell's id is its position in `cells_of_degree(d)`.
+`mask_a & mask_b == 0`, and its facet ids, built once straight from the
+face ids (drop each vertex, in id order); the integer path's signed rows
+take the sign (-1)^i of dropping vertex i from that one table.  Each
+degree is enumerated once, already in cell order (by the id of a, then
+of b), with no sort; a cell's id is its position in `cells_of_degree(d)`.
 
 The facets {a', b} and {a, b'} of a cell are read off the facet table as
-face-id pairs.  `boundary(chain)` counts them mod 2 by `chain_boundary`,
-with no enumeration, no signs and no sort of the cells.  `facet_keys(d)`
-keys each facet (a, b) of every d-cell as a * F + b, F the number of
-faces; the key increases strictly in cell order, so the GF(2) coboundary
-solve and its re-check eliminate on keys as on cell ids and never build
-degree d - 1.  `boundary_rows(d)` holds the signed boundary of every d-cell
+face-id pairs.  `boundary(chain)` maps the chain to face-id pairs once and
+counts their facets mod 2 by `chain_boundary`, with no enumeration, no
+signs and no sort of the cells.  `facet_keys(d)` keys each facet (a, b) of
+every d-cell as a * F + b, F the number of faces; the key increases
+strictly in cell order, so the GF(2) coboundary solve and its re-check
+eliminate on keys as on cell ids and never build degree d - 1.  `boundary_rows(d)` holds the signed boundary of every d-cell
 as sorted (lower id, sign) pairs, built once per degree for the integer
 solve and its re-check.  `count_cells(d)` counts a degree without building
 it.
@@ -31,7 +32,6 @@ from bisect import bisect_right
 from functools import cached_property
 
 from .complexes import SimplicialComplex
-from .homology import boundary_rows
 
 
 def chain_boundary(chain, facets) -> set:
@@ -72,25 +72,24 @@ class ConfigurationSpace:
         return faces, masks, first, spans
 
     @cached_property
-    def _facet_ids(self) -> list:
-        """Each face's facet ids, without their signs, by face id."""
-        return [tuple(sa for sa, _ in row) for row in self._facets]
-
-    @cached_property
     def _face_ids(self) -> dict:
         return {f: g for g, f in enumerate(self._faces[0])}
 
     @cached_property
+    def _facet_ids(self) -> list:
+        """Each face's facet ids by face id, in id order: dropping the last
+        vertex first, as a lower rank tuple has a lower id.  Unaugmented: a
+        vertex has no facets."""
+        fid = self._face_ids
+        return [tuple([fid[f[:i] + f[i + 1 :]] for i in range(len(f) - 1, -1, -1)]) if len(f) > 1 else ()
+                for f in self._faces[0]]
+
+    @cached_property
     def _facets(self) -> list:
-        """Each face's facets as (facet id, sign) pairs sorted by id, by face
-        id.  Ids run by dimension, so a facet's id is where its dimension
-        starts plus its index there.  Unaugmented: a vertex has no facets."""
-        spans = self._faces[3]
-        facets = [()] * len(self.K.faces_of_dim(0))
-        for k in range(1, len(spans)):
-            start = spans[k - 1][0]
-            facets += [tuple((start + i, sign) for i, sign in row) for row in boundary_rows(self.K, k)]
-        return facets
+        """The facet table with signs, for the integer path: the j-th facet
+        of a face with n + 1 vertices drops vertex n - j, sign (-1)^(n - j)."""
+        return [tuple((sa, -1 if (len(ids) - 1 - j) % 2 else 1) for j, sa in enumerate(ids))
+                for ids in self._facet_ids]
 
     def _pairs(self, d: int):
         """Face-id pairs (a, b) of the d-cells, in cell order.
@@ -155,13 +154,14 @@ class ConfigurationSpace:
         ga, gb = divmod(key, len(faces))
         return faces[ga], faces[gb]
 
-    def _cell_facet_keys(self, ga: int, gb: int) -> list:
+    def _cell_facet_keys(self, pair) -> list:
         """Keys of the facets {a', b} and {a, b'} of the cell (a, b), each
         facet in stored order.  Only a facet of a can put b first: every
         facet of b starts at or after b's first vertex.  The two kinds never
         coincide, as that would need a = b."""
         faces, _masks, first, _spans = self._faces
         facet_ids, F = self._facet_ids, len(faces)
+        ga, gb = pair
         fb, aF = first[gb], ga * F
         return [sa * F + gb if first[sa] < fb else gb * F + sa for sa in facet_ids[ga]] + [
             aF + sb for sb in facet_ids[gb]
@@ -171,8 +171,7 @@ class ConfigurationSpace:
         """Unsigned boundary of every d-cell as a list of facet keys, one list
         per cell in cell order; computed once per degree."""
         if d not in self._keys:
-            keys_of = self._cell_facet_keys
-            self._keys[d] = tuple(keys_of(ga, gb) for ga, gb in self._degree(d)[1])
+            self._keys[d] = tuple(map(self._cell_facet_keys, self._degree(d)[1]))
         return self._keys[d]
 
     def boundary_rows(self, d: int) -> tuple:
@@ -206,6 +205,6 @@ class ConfigurationSpace:
         """GF(2) boundary of a chain of cells as stored (lower-ranked first
         vertex first): the cells in the boundary of an odd number of them,
         in cell order.  Enumerates nothing."""
-        fid, F, keys_of = self._face_ids, len(self._faces[0]), self._cell_facet_keys
-        odd = chain_boundary([fid[a] * F + fid[b] for a, b in chain], lambda key: keys_of(*divmod(key, F)))
+        fid = self._face_ids
+        odd = chain_boundary([(fid[a], fid[b]) for a, b in chain], self._cell_facet_keys)
         return tuple(map(self.key_cell, sorted(odd)))

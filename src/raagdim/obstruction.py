@@ -24,7 +24,7 @@ from .complexes import SimplicialComplex, skeleton
 from .config_space import ConfigurationSpace
 from .homology import cycle_space, solve_coboundary
 from .intlinalg import CoreTooLarge, integer_det, integer_rank
-from .octa import MINUS, Octahedralization, DoubledComplex, double_over, minus_lift, octahedralize, project
+from .octa import MINUS, Octahedralization, DoubledComplex, double_over, minus_lift, octahedralize
 
 
 # ---------------------------------------------------------------------------
@@ -61,39 +61,37 @@ def nonstrict_mesh_indicator(sigma: tuple, b: tuple, rank: dict) -> int:
 
     The pattern is v0 <= w0 < v1 <= w1 < ... < vk <= wk in the interleaved
     order, where the w's are the vertices of `b` (all carrying the minus
-    sign).
+    sign).  Every vertex of `b` is checked for its sign, also after the
+    pattern has broken.
     """
     if len(sigma) != len(b):
         raise ValueError("nonstrict meshing needs equal-dimensional simplices")
-    if any(s != MINUS for _v, s in b):
-        raise ValueError("second simplex must lie in the minus copy")
-    prev = None
+    meshed, prev = 1, -1
     for v, w in zip(sigma, b):
-        rv, rw = rank[v], rank[w]
-        if rv > rw:
-            return 0
-        if prev is not None and prev >= rv:
-            return 0
-        prev = rw
-    return 1
+        if w[1] != MINUS:
+            raise ValueError("second simplex must lie in the minus copy")
+        if meshed:
+            rv, rw = rank[v], rank[w]
+            meshed, prev = prev < rv <= rw, rw
+    return int(meshed)
 
 
 def push_to_product(chain, octa: Octahedralization) -> dict:
     """Push a configuration-space chain to the product with the minus copy.
 
     An unordered pair [sigma, tau] goes to (sigma, p(tau)) plus the swapped
-    term with the factor-switch sign, where p relabels onto the minus copy.
-    `chain` maps cells to integer coefficients; reduce mod 2 when needed.
+    term with the factor-switch sign, where p relabels onto the minus copy;
+    p is read from `octa.minus_table`, so every half must be a face of the
+    doubled complex.  `chain` maps cells to integer coefficients; reduce
+    mod 2 when needed.
     """
+    minus = octa.minus_table
     out: dict = {}
-
-    def add(cell, v):
-        out[cell] = out.get(cell, 0) + v
-
     for (sigma, tau), coeff in chain.items():
-        sign = (-1) ** ((len(sigma) - 1) * (len(tau) - 1))
-        add((sigma, minus_lift(project(tau))), coeff)
-        add((tau, minus_lift(project(sigma))), sign * coeff)
+        cell = (sigma, minus[tau])
+        out[cell] = out.get(cell, 0) + coeff
+        cell = (tau, minus[sigma])
+        out[cell] = out.get(cell, 0) + (-coeff if (len(sigma) - 1) * (len(tau) - 1) % 2 else coeff)
     return {c: v for c, v in out.items() if v}
 
 
@@ -114,13 +112,15 @@ def covering_pair_chain(doubled: DoubledComplex):
     supported on disjoint pairs whose projections jointly cover the chosen
     simplex.  Returns (space, chain) with the chain as a frozenset."""
     space = ConfigurationSpace(doubled.complex)
-    delta_set = set(doubled.delta)
+    k = doubled.degree
+    bit = {v: 1 << i for i, v in enumerate(doubled.delta)}
+    # Each k-face's base vertices in delta, as a bitmask over delta.
+    cover = {f: sum(bit.get(v, 0) for v, _s in f) for f in doubled.complex.faces_of_dim(k)}
+    full = (1 << (k + 1)) - 1
     # The doubled complex has dimension k, so its 2k-cells are exactly the
     # disjoint pairs of k-faces.
     cells = frozenset(
-        (a, b)
-        for a, b in space.cells_of_degree(2 * doubled.degree)
-        if delta_set <= set(project(a)) | set(project(b))
+        (a, b) for a, b in space.cells_of_degree(2 * k) if cover[a] | cover[b] == full
     )
     return space, cells
 
@@ -145,11 +145,8 @@ def check_star_condition(cycle, delta: tuple) -> StarConditionReport:
 
 def delta_product_chain(doubled: DoubledComplex) -> dict:
     """The product chain (all signed lifts of delta) x (minus copy of the cycle)."""
-    out = {}
-    for sigma in doubled.octa.lifts(doubled.delta):
-        for b in sorted(doubled.cycle):
-            out[(sigma, minus_lift(b))] = 1
-    return out
+    minus_cycle = [minus_lift(b) for b in sorted(doubled.cycle)]
+    return {(sigma, b): 1 for sigma in doubled.octa.lifts(doubled.delta) for b in minus_cycle}
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,15 @@ The vertex order on the doubled complex interleaves the base order:
 
 and nothing downstream is allowed to use any other order, because the
 meshing cocycles read it.  Projection onto the base forgets the sign.
+`Octahedralization.minus_table` holds, once per complex, each doubled
+face's minus copy `minus_lift(project(face))`, the relabelling that the
+push to the product with the minus copy applies to every half.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .complexes import SimplicialComplex, make_complex
@@ -43,6 +47,11 @@ class Octahedralization:
     @property
     def rank(self) -> dict:
         return self.complex.rank
+
+    @cached_property
+    def minus_table(self) -> dict:
+        """Each face of the doubled complex -> minus_lift(project(face))."""
+        return {f: minus_lift(project(f)) for f in self.complex.faces}
 
     def lifts(self, face: tuple) -> tuple:
         """All signed lifts of a base face, in sign-pattern order."""

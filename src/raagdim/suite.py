@@ -18,8 +18,10 @@ plus agreement of the moment-curve intersection oracle with the cocycle on
 The driver's own faults live in tests/test_suite.py, which swaps this
 module's `push_to_product` for one that keeps only the first product term
 (the pushforward identity catches it), its `mesh_number` for an inverted
-meshing test (the pullback identity catches it on the first cell), and its
-`moment_intersection` for a negated oracle (the oracle agreement catches it).
+meshing test (the pullback identity catches it on the first cell), its
+`moment_intersection` for a negated oracle (the oracle agreement catches it),
+and `Octahedralization.minus_table` for one with a wrong entry (the pullback
+or pushforward identity catches it).
 """
 
 from __future__ import annotations

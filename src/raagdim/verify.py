@@ -7,8 +7,9 @@ the first failing check.  Both cycle checks are GF(2) boundaries counted by
 the empty face, so in degree 0 the rule is an even vertex count), the
 stored chain's on the face index of the doubled complex's configuration
 space, onto which every stored pair is first mapped (either half first).
-The stored support must match the rebuilt chain exactly; a certificate is
-a proof object, not a hint.
+The stored support must match the rebuilt chain exactly, and neither M nor
+the stored support may list an entry twice (it would cancel mod 2); a
+certificate is a proof object, not a hint.
 """
 
 from __future__ import annotations
@@ -70,6 +71,10 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
                                    "M is not pure of the stated degree", tuple(run))
 
     run.append("cycle-condition")
+    if len(m_faces) != len(cert["M"]):
+        listed = [K.sort_face(f) for f in cert["M"]]
+        twice = next(f for i, f in enumerate(listed) if f in listed[:i])
+        return VerificationOutcome(False, "cycle-condition", f"M lists {twice} twice", tuple(run))
     # A vertex's facet is the empty face, so a 0-cycle has evenly many vertices.
     if chain_boundary(m_faces, lambda f: [f[:i] + f[i + 1 :] for i in range(len(f))]):
         return VerificationOutcome(False, "cycle-condition", "M is not a GF(2) cycle", tuple(run))
@@ -96,6 +101,9 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
             return VerificationOutcome(False, "omega-cycle",
                                        f"stored pair {(a, b)} is not a disjoint pair of faces "
                                        f"of degree {2 * degree}", tuple(run))
+        if cells[i] in stored:
+            return VerificationOutcome(False, "omega-cycle",
+                                       f"stored pair {(a, b)} lists the cell {cells[i]} twice", tuple(run))
         stored.add(cells[i])
     boundary = space.boundary(stored)
     if boundary:

@@ -1,0 +1,43 @@
+"""Reference oracles: the push to the product and the nonstrict meshing
+indicator written straight from their definitions, deriving the minus
+copy of every half on each call and testing the signs of `b` before any
+vertex order.  `raagdim.obstruction` reads the minus copies from the
+per-complex `Octahedralization.minus_table` and checks the signs within
+its one loop; the tests compare the two.
+"""
+
+from __future__ import annotations
+
+from raagdim.octa import MINUS, minus_lift, project
+
+
+def nonstrict_mesh_indicator(sigma: tuple, b: tuple, rank: dict) -> int:
+    """v0 <= w0 < v1 <= w1 < ... < vk <= wk, the w's the minus vertices of b."""
+    if len(sigma) != len(b):
+        raise ValueError("nonstrict meshing needs equal-dimensional simplices")
+    if any(s != MINUS for _v, s in b):
+        raise ValueError("second simplex must lie in the minus copy")
+    prev = None
+    for v, w in zip(sigma, b):
+        rv, rw = rank[v], rank[w]
+        if rv > rw:
+            return 0
+        if prev is not None and prev >= rv:
+            return 0
+        prev = rw
+    return 1
+
+
+def push_to_product(chain, octa) -> dict:
+    """[sigma, tau] -> (sigma, p(tau)) + sign * (tau, p(sigma)), with sign
+    the factor switch (-1)^(dim sigma * dim tau)."""
+    out: dict = {}
+
+    def add(cell, v):
+        out[cell] = out.get(cell, 0) + v
+
+    for (sigma, tau), coeff in chain.items():
+        sign = (-1) ** ((len(sigma) - 1) * (len(tau) - 1))
+        add((sigma, minus_lift(project(tau))), coeff)
+        add((tau, minus_lift(project(sigma))), sign * coeff)
+    return {c: v for c, v in out.items() if v}

@@ -400,6 +400,20 @@ def test_verify_certificate_mutations(tmp_path):
     out = verify_certificate(L, bad)
     assert not out.ok and out.failed_check == "star-condition"
 
+    # A repeated entry cancels mod 2, so the chain it lists is not the one stored.
+    bad = copy.deepcopy(data)
+    bad["M"] = bad["M"] + [bad["M"][0]]
+    out = verify_certificate(L, bad)
+    assert not out.ok and out.failed_check == "cycle-condition"
+    assert f"{tuple(data['M'][0])} twice" in out.detail
+
+    bad = copy.deepcopy(data)
+    a, b = bad["omega_support"][0]
+    bad["omega_support"] = bad["omega_support"] + [[b, a]]
+    out = verify_certificate(L, bad)
+    assert not out.ok and out.failed_check == "omega-cycle"
+    assert f"{(b, a)} lists the cell" in out.detail and "twice" in out.detail
+
 
 @pytest.mark.parametrize("L", [cycle(4), octahedron_boundary(2)], ids=["cycle4", "octahedron2"])
 def test_verify_certificate_one_cell_mutation_sweep(L):

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from raagdim.complexes import skeleton
 from raagdim.config_space import ConfigurationSpace, chain_boundary
-from raagdim.homology import cycle_space, simplex_boundary
+from raagdim.homology import boundary_rows, cycle_space, simplex_boundary
 from raagdim.octa import double_over, octahedralize
-from raagdim.zoo import cycle, points, random_flag
+from raagdim.zoo import ZOO, cycle, points, random_flag
 
 
 def pair_cell_boundary(cell):
@@ -306,3 +306,25 @@ def test_boundary_rows_match_per_cell_boundary(seed):
         for cell, row in zip(cs.cells_of_degree(d), rows):
             assert [i for i, _ in row] == sorted({i for i, _ in row})
             assert tuple((lower[i], sign) for i, sign in row) == signed_boundary(K, cell)
+
+
+def octahedralized_and_doubled(L):
+    """OL, and the doubled complex over the first cycle of each degree."""
+    yield octahedralize(L).complex
+    for k in range(L.dim + 1):
+        K = skeleton(L, k)
+        for cyc in cycle_space(K, k)[:1]:
+            yield double_over(octahedralize(K), cyc, sorted(cyc)[0]).complex
+
+
+def test_facet_table_matches_homology_boundary_rows():
+    complexes = [entry.complex() for entry in ZOO] + [random_flag(7, 0.5, seed) for seed in range(20)]
+    for K in (D for L in complexes for D in octahedralized_and_doubled(L)):
+        cs = ConfigurationSpace(K)
+        # Face ids run by dimension; a vertex has no facets (unaugmented).
+        signed, start = [()] * len(K.faces_of_dim(0)), 0
+        for k in range(1, K.dim + 1):
+            signed += [tuple((start + i, sign) for i, sign in row) for row in boundary_rows(K, k)]
+            start += len(K.faces_of_dim(k - 1))
+        assert cs._facets == signed
+        assert cs._facet_ids == [tuple(i for i, _ in row) for row in signed]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gf2_dense
+import push_reference
 import raagdim
 from raagdim import io_json, obstruction
 from raagdim.complexes import skeleton
@@ -28,7 +29,7 @@ from raagdim.obstruction import (
 )
 from raagdim.octa import MINUS, PLUS, double_over, minus_lift, octahedralize
 from raagdim.suite import run_suite
-from raagdim.zoo import cone, cycle, octahedron_boundary, path, points, random_flag, simplex, suspension, tree
+from raagdim.zoo import ZOO, cone, cycle, octahedron_boundary, path, points, random_flag, simplex, suspension, tree
 from test_config_space import pair_cell_boundary, signed_boundary, signed_chain_boundary
 from test_pins import load_workloads
 
@@ -63,6 +64,15 @@ def test_nonstrict_mesh_examples():
         nonstrict_mesh_indicator(delta_minus, (("v0", MINUS), ("v1", PLUS)), rank)
 
 
+def test_nonstrict_mesh_checks_every_sign_after_the_pattern_breaks():
+    rank = octahedralize(simplex(1)).rank
+    # v0+ <= v0- fails at the first position; b's plus vertex comes after it.
+    with pytest.raises(ValueError):
+        nonstrict_mesh_indicator((("v0", PLUS), ("v1", MINUS)), (("v0", MINUS), ("v1", PLUS)), rank)
+    with pytest.raises(ValueError):
+        push_reference.nonstrict_mesh_indicator((("v0", PLUS), ("v1", MINUS)), (("v0", MINUS), ("v1", PLUS)), rank)
+
+
 def test_push_single_cell_formula():
     o = octahedralize(cycle(4))
     cs = ConfigurationSpace(o.complex)
@@ -95,6 +105,51 @@ def test_push_is_a_chain_map(seed):
         lhs = signed_chain_boundary(push_to_product(chain, o), pair_cell_boundary)
         rhs = push_to_product(signed_chain_boundary(chain, partial(signed_boundary, o.complex)), o)
         assert lhs == rhs
+
+
+def indicator_outcome(indicator, sigma, b, rank):
+    """The indicator's value, or the type of the error it raises."""
+    try:
+        return indicator(sigma, b, rank)
+    except ValueError:
+        return ValueError
+
+
+def sample_spaces(L, rng):
+    """(octahedralization, configuration space) pairs: on OL and on one
+    complex doubled over a random cycle of L, each with the octahedralization
+    whose minus copies its push reads."""
+    o = octahedralize(L)
+    out = [(o, ConfigurationSpace(o.complex))]
+    cycles = [(k, c) for k in range(L.dim + 1) for c in cycle_space(skeleton(L, k), k)]
+    if cycles:
+        k, cyc = cycles[rng.randrange(len(cycles))]
+        ok = octahedralize(skeleton(L, k))
+        doubled = double_over(ok, cyc, sorted(cyc)[rng.randrange(len(cyc))])
+        out.append((ok, ConfigurationSpace(doubled.complex)))
+    return out
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=20, deadline=None)
+def test_push_and_indicator_match_their_reference_oracles(seed):
+    rng = random.Random(seed)
+    for o, cs in sample_spaces(random_flag(6, 0.5, seed), rng):
+        rank = o.rank
+        for d in range(2 * cs.K.dim + 1):
+            cells = cs.cells_of_degree(d)
+            if not cells:
+                continue
+            chain = {c: rng.choice((-2, -1, 1, 2)) for c in rng.sample(cells, min(6, len(cells)))}
+            # A zero coefficient pushes to nothing.
+            chain[cells[0]] = 0
+            pushed = push_reference.push_to_product(chain, o)
+            assert list(push_to_product(chain, o).items()) == list(pushed.items())
+            # The pushed cells, and the unpushed halves (which may carry plus
+            # vertices), against both indicators, errors included.
+            for sigma, b in list(pushed) + list(chain):
+                assert indicator_outcome(nonstrict_mesh_indicator, sigma, b, rank) == indicator_outcome(
+                    push_reference.nonstrict_mesh_indicator, sigma, b, rank)
 
 
 # --- the four identities ----------------------------------------------------
@@ -160,6 +215,47 @@ def test_pushforward_cycle_and_evaluation_identities(seed):
 
 
 # --- covering chain examples -------------------------------------------------
+
+
+def set_based_covering_chain(doubled, space):
+    """Oracle: the covering filter on the base vertex sets of both halves."""
+    delta = set(doubled.delta)
+    return frozenset((a, b) for a, b in space.cells_of_degree(2 * doubled.degree)
+                     if delta <= {v for v, _ in a} | {v for v, _ in b})
+
+
+def test_covering_chain_matches_the_set_based_filter_on_zoo_certificates():
+    found = 0
+    for entry in ZOO:
+        L = entry.complex()
+        for k in range(L.dim + 1):
+            cert = certify_nonvanishing(L, k)
+            if cert is None:
+                continue
+            doubled = double_over(octahedralize(skeleton(L, k)), cert.cycle, cert.delta)
+            space, omega = covering_pair_chain(doubled)
+            assert omega == cert.omega == set_based_covering_chain(doubled, space)
+            found += 1
+    assert found >= 10
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=20, deadline=None)
+def test_covering_chain_matches_the_set_based_filter_on_random_pairs(seed):
+    rng = random.Random(seed)
+    L = random_flag(7, 0.5, seed)
+    for k in range(L.dim + 1):
+        basis = cycle_space(skeleton(L, k), k)
+        if not basis:
+            continue
+        # A sum of basis cycles (nonzero: the basis is independent), doubled
+        # over a random simplex.
+        cyc = frozenset()
+        for c in rng.sample(basis, rng.randint(1, len(basis))):
+            cyc ^= c
+        doubled = double_over(octahedralize(skeleton(L, k)), cyc, rng.choice(sorted(cyc)))
+        space, omega = covering_pair_chain(doubled)
+        assert omega == set_based_covering_chain(doubled, space)
 
 
 def test_covering_chain_single_edge():

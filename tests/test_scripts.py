@@ -25,6 +25,12 @@ def test_script_runs(args, expected, tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert expected in run.stdout
+    if args[0] == "report_digests.py":
+        # The lemma suite's [complexes, checks, failures] for seeds 0-4.
+        suites = {name: v for name, v in json.loads(run.stdout).items() if name.startswith("lemma-suite")}
+        assert sorted(suites) == [f"lemma-suite(seed={seed})" for seed in range(5)]
+        assert suites["lemma-suite(seed=0)"] == [50, 85897, 0]
+        assert all(complexes == 50 and failures == 0 for complexes, _checks, failures in suites.values())
     # run_zoo.py writes one report per table row (less the header and its
     # rule), each with the bytes of json.dumps(..., sort_keys=True, indent=2).
     names = sorted(os.listdir(tmp_path))

@@ -1,11 +1,12 @@
 """The randomized identity driver itself."""
 
 import random
+from functools import cached_property
 
 from raagdim import suite
 from raagdim.complexes import make_complex
 from raagdim.obstruction import mesh_number, moment_intersection
-from raagdim.octa import minus_lift, project
+from raagdim.octa import Octahedralization, minus_lift, project
 from raagdim.suite import SuiteResult, check_complex, run_suite
 
 
@@ -76,3 +77,21 @@ def test_injected_oracle_fault_is_caught_and_shrunk(monkeypatch):
     probe = SuiteResult()
     check_complex(shrunk, probe)
     assert [f.check for f in probe.failures] == ["moment-oracle"]
+
+
+def test_corrupted_minus_table_entry_is_caught(monkeypatch):
+    build = Octahedralization.minus_table.func
+
+    def corrupted(octa):
+        """Fault: the first top face's minus copy is the last top face's."""
+        table = build(octa)
+        top = octa.complex.faces_of_dim(octa.complex.dim)
+        table[top[0]] = table[top[-1]]
+        return table
+
+    fault = cached_property(corrupted)
+    fault.__set_name__(Octahedralization, "minus_table")
+    monkeypatch.setattr(Octahedralization, "minus_table", fault)
+    res = run_suite(seed=3, count=5)
+    assert res.failures
+    assert res.failures[0].check in ("pullback", "pushforward")
