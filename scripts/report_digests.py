@@ -5,10 +5,13 @@ Usage: python scripts/report_digests.py [--count N]
 
 The corpus is the zoo, the analyze cases of the benchmark workloads
 (perfbench/workloads.py) and N seeded random_flag draws (default 30),
-with n in 7..12 and p in 0.3..0.8.  Each case is analyzed twice, with
-its own options ("default") and with integral=True added ("integral").
-The output is one JSON object, case name -> {"default", "integral"}
-digests of the report bytes.  It also holds, for seeds 0-4, the lemma
+with n in 7..12 and p in 0.3..0.8.  Each case is analyzed three times:
+with its own options ("default"), with integral=True added ("integral"),
+and with max_cells=0 ("refuse"), so that every case of dimension >= 1
+without a top certificate refuses the coboundary solve and its report
+carries the exact cell count of the size guard.  The output is one JSON
+object, case name -> {"default", "integral", "refuse"} digests of the
+report bytes.  It also holds, for seeds 0-4, the lemma
 suite's [complexes, checks, failures] over the benchmark's suite count,
 under "lemma-suite(seed=S)".  A change that must keep the reports and the
 suite the same shows it by an empty diff of this output from two
@@ -57,7 +60,8 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--count", type=int, default=30, help="number of random_flag draws")
     args = parser.parse_args()
-    out = {name: {"default": digest(L, options), "integral": digest(L, {**options, "integral": True})}
+    out = {name: {"default": digest(L, options), "integral": digest(L, {**options, "integral": True}),
+                  "refuse": digest(L, {**options, "max_cells": 0})}
            for name, L, options in cases(args.count)}
     for seed in range(5):
         result = run_suite(seed, SUITE_COUNT)

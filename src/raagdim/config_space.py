@@ -20,16 +20,17 @@ counts their facets mod 2 by `chain_boundary`, with no enumeration, no
 signs and no sort of the cells.  `facet_keys(d)` keys each facet (a, b) of
 every d-cell as a * F + b, F the number of faces; the key increases
 strictly in cell order, so the GF(2) coboundary solve and its re-check
-eliminate on keys as on cell ids and never build degree d - 1.  `boundary_rows(d)` holds the signed boundary of every d-cell
-as sorted (lower id, sign) pairs, built once per degree for the integer
-solve and its re-check.  `count_cells(d)` counts a degree without building
-it.
+eliminate on keys as on cell ids and never build degree d - 1.
+`boundary_rows(d)` holds the signed boundary of every d-cell, built once
+per degree for the integer solve.  `count_cells(d)` counts a degree by
+popcounts over one face bitset per vertex, without enumerating it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .complexes import SimplicialComplex
 
@@ -120,10 +121,39 @@ class ConfigurationSpace:
     def cells_of_degree(self, d: int) -> tuple:
         return self._degree(d)[0]
 
+    def indexed_cells(self, d: int) -> tuple:
+        """The faces by id, and the face-id pairs (a, b) of the d-cells in cell order."""
+        return self._faces[0], self._degree(d)[1].keys()
+
+    @cached_property
+    def _holders(self) -> list:
+        """Per dimension, per vertex: the bitset of the dimension's faces
+        holding the vertex, bit p for its p-th face."""
+        faces, _masks, _first, spans = self._faces
+        out = []
+        for start, stop, _ in spans:
+            bits = {v: bytearray((stop - start) // 8 + 1) for v in self.K.vertices}
+            for p, f in enumerate(faces[start:stop]):
+                for v in f:
+                    bits[v][p >> 3] |= 1 << (p & 7)
+            out.append({v: int.from_bytes(b, "little") for v, b in bits.items()})
+        return out
+
     def count_cells(self, d: int) -> int:
-        """Exact number of d-cells, without building them; counted once."""
+        """Exact number of d-cells, counted once and without enumerating
+        them: in each dimension split a face a pairs with the faces of its
+        first-vertex suffix (as in `_pairs`) that hold none of its vertices."""
         if d not in self._counts:
-            self._counts[d] = sum(1 for _ in self._pairs(d))
+            faces, _masks, first, spans = self._faces
+            top, total = len(spans) - 1, 0
+            for i in range(max(0, d - top), min(d, top) + 1):
+                (a_start, a_stop, _), (b_start, b_stop, b_first) = spans[i], spans[d - i]
+                holders, everything = self._holders[d - i], (1 << (b_stop - b_start)) - 1
+                for ga in range(a_start, a_stop):
+                    s = bisect_right(b_first, first[ga])
+                    meet = reduce(or_, map(holders.__getitem__, faces[ga]))
+                    total += ((everything >> s << s) & ~meet).bit_count()
+            self._counts[d] = total
         return self._counts[d]
 
     def _stored_pair(self, cell):

@@ -31,29 +31,27 @@ from .octa import MINUS, Octahedralization, DoubledComplex, double_over, minus_l
 # Cocycles
 
 
-def _interleaves(a: tuple, b: tuple, rank: dict) -> bool:
-    """a0 < b0 < a1 < b1 < ... < ak < bk in the vertex order."""
-    prev = None
+def _interleaves(a, b) -> bool:
+    """a0 < b0 < a1 < b1 < ... < ak < bk, for rank tuples (or iterables of
+    ranks, read only up to the first break)."""
+    prev = -1
     for x, y in zip(a, b):
-        rx, ry = rank[x], rank[y]
-        if rx >= ry:
+        if not prev < x < y:
             return False
-        if prev is not None and prev >= rx:
-            return False
-        prev = ry
+        prev = y
     return True
 
 
 def mesh_number(sigma: tuple, tau: tuple, rank: dict) -> int:
-    """Value of the top integral obstruction cocycle on an ordered pair."""
+    """Value of the top integral obstruction cocycle on an ordered pair:
+    `_interleaves` on the simplices mapped to ranks, led by the simplex
+    whose first vertex ranks lower (only that order can interleave)."""
     if len(sigma) != len(tau):
         raise ValueError("meshing is defined for equal-dimensional simplices")
-    k = len(sigma) - 1
-    if _interleaves(sigma, tau, rank):
-        return 1
-    if _interleaves(tau, sigma, rank):
-        return (-1) ** k
-    return 0
+    r = rank.__getitem__
+    if r(sigma[0]) < r(tau[0]):
+        return int(_interleaves(map(r, sigma), map(r, tau)))
+    return (-1) ** (len(sigma) - 1) if _interleaves(map(r, tau), map(r, sigma)) else 0
 
 
 def nonstrict_mesh_indicator(sigma: tuple, b: tuple, rank: dict) -> int:
@@ -241,12 +239,12 @@ def top_mesh_cocycle(octa: Octahedralization, space: ConfigurationSpace, degree:
     A stored cell puts the simplex with the lower-ranked first vertex
     first, so only its own order can interleave and `mesh_number` is 0 or
     1 there: this is the integer cocycle as well as its mod-2 reduction.
+    `_interleaves` reads each cell's face-id pair as rank tuples, one per face.
     """
-    return {
-        cell: 1
-        for cell in space.cells_of_degree(2 * degree)
-        if mesh_number(cell[0], cell[1], octa.rank)
-    }
+    faces, pairs = space.indexed_cells(2 * degree)
+    ranks = [tuple([octa.rank[v] for v in f]) for f in faces]
+    return {cell: 1 for cell, (ga, gb) in zip(space.cells_of_degree(2 * degree), pairs)
+            if _interleaves(ranks[ga], ranks[gb])}
 
 
 def _recheck(space: ConfigurationSpace, degree: int, phi: dict, primitive: dict, modulus: int, what: str):

@@ -6,7 +6,10 @@ The vertex order on the doubled complex interleaves the base order:
     v0-, v0+, v1-, v1+, ..., vn-, vn+
 
 and nothing downstream is allowed to use any other order, because the
-meshing cocycles read it.  Projection onto the base forgets the sign.
+meshing cocycles read it.  `Octahedralization` reads the order and its
+ranks off the base, and builds the doubled face set only when `complex`
+is first read, so readers of the order alone (the certificate search,
+`double_over`) never build it.  Projection onto the base forgets the sign.
 `Octahedralization.minus_table` holds, once per complex, each doubled
 face's minus copy `minus_lift(project(face))`, the relabelling that the
 push to the product with the minus copy applies to every half.
@@ -39,14 +42,25 @@ def minus_lift(face: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class Octahedralization:
-    """The doubled complex together with its base and the projection."""
+    """The doubled complex of a base, its face set built on first read."""
 
     base: SimplicialComplex
-    complex: SimplicialComplex
 
-    @property
+    @cached_property
+    def vertices(self) -> tuple:
+        return tuple(sv for v in self.base.vertices for sv in ((v, MINUS), (v, PLUS)))
+
+    @cached_property
     def rank(self) -> dict:
-        return self.complex.rank
+        return {sv: i for i, sv in enumerate(self.vertices)}
+
+    @cached_property
+    def complex(self) -> SimplicialComplex:
+        """A set of signed vertices spans a face exactly when its bases are
+        distinct and span a face of the base."""
+        faces = frozenset(signed_lift(f, signs) for f in self.base.faces
+                          for signs in product((MINUS, PLUS), repeat=len(f)))
+        return SimplicialComplex(vertices=self.vertices, faces=faces)
 
     @cached_property
     def minus_table(self) -> dict:
@@ -59,18 +73,8 @@ class Octahedralization:
 
 
 def octahedralize(L: SimplicialComplex) -> Octahedralization:
-    """Double the vertices of L; a set of signed vertices spans a face
-    exactly when its bases are distinct and span a face of L."""
-    verts = []
-    for v in L.vertices:
-        verts.append((v, MINUS))
-        verts.append((v, PLUS))
-    faces = set()
-    for f in L.faces:
-        for signs in product((MINUS, PLUS), repeat=len(f)):
-            faces.add(signed_lift(f, signs))
-    doubled = SimplicialComplex(vertices=tuple(verts), faces=frozenset(faces))
-    return Octahedralization(base=L, complex=doubled)
+    """Double the vertices of L; the doubled face set is built on first read."""
+    return Octahedralization(base=L)
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,7 @@ def double_over(octa: Octahedralization, cycle, delta) -> DoubledComplex:
         for lift in product(*options):
             faces.add(lift)
     doubled = SimplicialComplex(
-        vertices=tuple(sv for sv in octa.complex.vertices if (sv,) in faces),
+        vertices=tuple(sv for sv in octa.vertices if (sv,) in faces),
         faces=frozenset(faces),
     )
     return DoubledComplex(complex=doubled, cycle=cycle, delta=delta, octa=octa)

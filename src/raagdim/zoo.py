@@ -94,6 +94,8 @@ def suspension(K: SimplicialComplex) -> SimplicialComplex:
 
 def random_flag(n: int, p: float, seed: int) -> SimplicialComplex:
     _size("random_flag", "n", n, 1)
+    if type(p) not in (int, float) or not 0 <= p <= 1:
+        raise ValueError(f"random_flag needs 0 <= p <= 1, got {p!r}")
     rng = random.Random(seed)
     vs = [f"r{i}" for i in range(n)]
     edges = [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
@@ -176,6 +178,9 @@ def build_named(expr: str) -> SimplicialComplex:
     """Build a complex from an expression like 'cycle(4)' or
     'join(points(2),points(2))'; joins relabel factors to stay disjoint."""
     expr = expr.strip()
+    opened = [expr[: i + 1].count("(") - expr[: i + 1].count(")") for i in range(len(expr))]
+    if opened and (min(opened) < 0 or opened[-1]):
+        raise ValueError(f"unbalanced parentheses in {expr!r}")
     if "(" not in expr:
         entry = next((e for e in ZOO if e.name == expr), None)
         if entry is None:
@@ -205,9 +210,9 @@ def build_named(expr: str) -> SimplicialComplex:
     values = []
     for a in args:
         try:
-            values.append(int(a))
+            values.append(int(a) if a.lstrip("+-").isdigit() else float(a))
         except ValueError:
-            values.append(float(a))
+            raise ValueError(f"{name} needs numeric arguments, got {a!r}") from None
     return GENERATORS[name](*values)
 
 

@@ -243,6 +243,14 @@ def test_cli_bad_input_exits_1_with_a_located_message(tmp_path):
         (["generate", "random_flag", "-2", "0.5"], "random_flag needs n >= 1, got -2"),
         (["generate", "simplex", "1.5"], "simplex needs an integer k, got 1.5"),
         (["generate", "cycle(2)"], "cycle needs n >= 3, got 2"),
+        (["generate", "join(cycle(4)"], "unbalanced parentheses in 'join(cycle(4)'"),
+        (["generate", "cycle(4))"], "unbalanced parentheses in 'cycle(4))'"),
+        (["generate", "cycle(x)"], "cycle needs numeric arguments, got 'x'"),
+        (["generate", "join(cycle(4),path(y))"], "path needs numeric arguments, got 'y'"),
+        (["generate", "random_flag(5,2.0,1)"], "random_flag needs 0 <= p <= 1, got 2.0"),
+        (["generate", "random_flag(5,-0.5,1)"], "random_flag needs 0 <= p <= 1, got -0.5"),
+        (["generate", "random_flag(5,nan,1)"], "random_flag needs 0 <= p <= 1, got nan"),
+        (["generate", "random_flag", "5", "1.5"], "random_flag needs 0 <= p <= 1, got 1.5"),
         (["analyze", write_json(tmp_path, "repeated-graph.json",
                                 {"graph": {"vertices": [1, 1, 2], "edges": [[1, 2]]}})],
          "$.graph.vertices"),

@@ -328,3 +328,37 @@ def test_facet_table_matches_homology_boundary_rows():
             start += len(K.faces_of_dim(k - 1))
         assert cs._facets == signed
         assert cs._facet_ids == [tuple(i for i, _ in row) for row in signed]
+
+
+def base_pair_count(L, d):
+    """Oracle: the d-cells of OL's configuration space counted on the base.
+    An ordered pair (s, t) of faces of L lifts to 2^|s u t| ordered disjoint
+    pairs of OL (opposite signs over shared vertices, any sign elsewhere),
+    and each unordered cell is counted twice."""
+    return sum(2 ** len(set(s) | set(t)) for s in L.faces for t in L.faces if len(s) + len(t) - 2 == d) // 2
+
+
+def test_bitset_count_matches_enumeration_in_every_degree():
+    bases = [entry.complex() for entry in ZOO] + [random_flag(7, 0.5, seed) for seed in range(20)]
+    for L in bases:
+        for K in (L, *octahedralized_and_doubled(L)):
+            counting, built = ConfigurationSpace(K), ConfigurationSpace(K)
+            for d in range(-1, 2 * K.dim + 2):
+                n = len(built.cells_of_degree(d))
+                assert counting.count_cells(d) == n == built.count_cells(d), (L.maximal_faces(), d)
+            assert not counting._degrees
+        OL = octahedralize(L).complex
+        counting = ConfigurationSpace(OL)
+        for d in range(-1, 2 * OL.dim + 2):
+            assert counting.count_cells(d) == base_pair_count(L, d), (L.maximal_faces(), d)
+
+
+@given(st.integers(3, 7), st.floats(0.2, 0.8), st.integers(0, 10**6))
+@settings(max_examples=20, deadline=None)
+def test_bitset_count_of_the_octahedralization_matches_the_base_oracle(n, p, seed):
+    L = random_flag(n, p, seed)
+    OL = octahedralize(L).complex
+    counting, built = ConfigurationSpace(OL), ConfigurationSpace(OL)
+    for d in range(-1, 2 * OL.dim + 2):
+        assert counting.count_cells(d) == base_pair_count(L, d) == len(built.cells_of_degree(d))
+    assert not counting._degrees

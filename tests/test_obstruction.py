@@ -27,7 +27,7 @@ from raagdim.obstruction import (
     push_to_product,
     top_mesh_cocycle,
 )
-from raagdim.octa import MINUS, PLUS, double_over, minus_lift, octahedralize
+from raagdim.octa import MINUS, PLUS, Octahedralization, double_over, minus_lift, octahedralize
 from raagdim.suite import run_suite
 from raagdim.zoo import ZOO, cone, cycle, octahedron_boundary, path, points, random_flag, simplex, suspension, tree
 from test_config_space import pair_cell_boundary, signed_boundary, signed_chain_boundary
@@ -173,17 +173,34 @@ def test_pullback_identity_every_cell(seed):
         assert mesh_number(cell[0], cell[1], o.rank) == evaluate_nonstrict_on_product(pushed, o.rank)
 
 
-@given(st.integers(0, 10**6))
+def interleaving_reference(sigma, tau, rank):
+    """Oracle: the cocycle from the merged vertex sequence.  The pair meshes
+    when the merged ranks alternate between the two simplices, starting with
+    sigma (+1) or with tau ((-1)^k)."""
+    merged = sorted([(rank[v], 0) for v in sigma] + [(rank[v], 1) for v in tau])
+    sides = [side for _r, side in merged]
+    if sides == [0, 1] * len(sigma):
+        return 1
+    if sides == [1, 0] * len(sigma):
+        return (-1) ** (len(sigma) - 1)
+    return 0
+
+
+@given(st.integers(3, 7), st.floats(0.2, 0.8), st.integers(0, 10**6))
+@example(6, 0.5, 0)
 @settings(max_examples=20, deadline=None)
-def test_stored_top_cells_mesh_0_or_1_so_the_top_cocycle_is_integral(seed):
+def test_stored_top_cells_mesh_0_or_1_so_the_top_cocycle_is_integral(n, p, seed):
     # A stored cell leads with the lower-ranked first vertex, so only its own
     # order can interleave: the integer cocycle is top_mesh_cocycle itself.
-    L = random_flag(6, 0.5, seed)
+    L = random_flag(n, p, seed)
     if L.dim < 1:
         return
     o = octahedralize(L)
     space = ConfigurationSpace(o.complex)
     values = {cell: mesh_number(cell[0], cell[1], o.rank) for cell in space.cells_of_degree(2 * L.dim)}
+    for a, b in values:
+        assert values[a, b] == interleaving_reference(a, b, o.rank)
+        assert mesh_number(b, a, o.rank) == interleaving_reference(b, a, o.rank)
     assert set(values.values()) <= {0, 1}
     assert top_mesh_cocycle(o, space, L.dim) == {cell: v for cell, v in values.items() if v}
 
@@ -382,9 +399,24 @@ def test_certify_vanishing_refuses_by_count_without_building_cells(monkeypatch):
     monkeypatch.setattr(ConfigurationSpace, "cells_of_degree", refuse_to_build)
     monkeypatch.setattr(ConfigurationSpace, "facet_keys", refuse_to_build)
     monkeypatch.setattr(ConfigurationSpace, "boundary_rows", refuse_to_build)
+    # The guard's count enumerates no face pairs either.
+    monkeypatch.setattr(ConfigurationSpace, "_pairs", refuse_to_build)
     result = certify_vanishing(cone(octahedron_boundary(3)), max_cells=1000)
     assert result.status == "skipped"
     assert result.reason == "cell budget exceeded (117504 > 1000)"
+
+
+def test_certificate_search_never_builds_the_octahedralization_face_set(monkeypatch):
+    def no_face_set(self):
+        raise AssertionError("the face set of OL was built")
+
+    monkeypatch.setattr(Octahedralization, "complex", property(no_face_set))
+    found = 0
+    for entry in ZOO:
+        L = entry.complex()
+        for k in range(L.dim + 1):
+            found += certify_nonvanishing(L, k) is not None
+    assert found
 
 
 def dense_top_solve(L):

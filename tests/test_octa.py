@@ -5,9 +5,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raagdim.complexes import full_subcomplex, is_flag, join, make_complex, relabeled
+from raagdim.complexes import SimplicialComplex, full_subcomplex, is_flag, join, make_complex, relabeled
 from raagdim.octa import MINUS, PLUS, double_over, octahedralize, project
-from raagdim.zoo import cycle, points, random_flag, simplex
+from raagdim.zoo import ZOO, cycle, points, random_flag, simplex
 
 
 def brute_doubled_faces(L):
@@ -17,6 +17,24 @@ def brute_doubled_faces(L):
         for signs in product((MINUS, PLUS), repeat=len(f)):
             out.add(tuple((v, s) for v, s in zip(f, signs)))
     return out
+
+
+def eager_octahedralization(L):
+    """The doubled complex built eagerly: the interleaved vertex order and
+    every signed lift of every face."""
+    verts = tuple(sv for v in L.vertices for sv in ((v, MINUS), (v, PLUS)))
+    return SimplicialComplex(vertices=verts, faces=frozenset(brute_doubled_faces(L)))
+
+
+def test_face_set_is_built_on_first_read_and_matches_the_eager_construction():
+    for L in [entry.complex() for entry in ZOO] + [random_flag(7, 0.5, seed) for seed in range(10)]:
+        o = octahedralize(L)
+        eager = eager_octahedralization(L)
+        assert o.rank == eager.rank
+        assert "complex" not in vars(o)
+        assert o.complex == eager
+        assert o.rank == o.complex.rank
+        assert o.vertices == o.complex.vertices
 
 
 def test_octahedralize_edge_is_four_cycle():

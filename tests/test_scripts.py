@@ -31,6 +31,13 @@ def test_script_runs(args, expected, tmp_path):
         assert sorted(suites) == [f"lemma-suite(seed={seed})" for seed in range(5)]
         assert suites["lemma-suite(seed=0)"] == [50, 85897, 0]
         assert all(complexes == 50 and failures == 0 for complexes, _checks, failures in suites.values())
+        # Every case has its three digests.  With max_cells=0 a case without
+        # a top certificate refuses at the size guard, so its report differs
+        # from the default; a case with one never reaches the guard.
+        digests = {name: v for name, v in json.loads(run.stdout).items() if name not in suites}
+        assert all(sorted(v) == ["default", "integral", "refuse"] for v in digests.values())
+        assert digests["zoo:cycle3"]["refuse"] != digests["zoo:cycle3"]["default"]
+        assert digests["zoo:cycle4"]["refuse"] == digests["zoo:cycle4"]["default"]
     # run_zoo.py writes one report per table row (less the header and its
     # rule), each with the bytes of json.dumps(..., sort_keys=True, indent=2).
     names = sorted(os.listdir(tmp_path))
