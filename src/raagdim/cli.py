@@ -209,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 2 when any quantity is undetermined")
     p.add_argument("--allow-non-flag", action="store_true")
     p.add_argument("--integral", action="store_true",
-                   help="also run the integer coboundary solve")
+                   help="also solve for the top primitive over Z: on L, pulled back "
+                        "to the configuration space, else by the full integer solve")
     p.add_argument("--max-cells", type=int, default=10**6)
     p.add_argument("--search-budget", type=int, default=2,
                    help="max number of cycle basis elements to sum in the search")

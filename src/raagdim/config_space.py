@@ -9,10 +9,10 @@ which acts with the sign (-1)^(dim a * dim b).
 ConfigurationSpace works on an index of K.  Every face gets an id (by
 dimension, then rank tuple), an int vertex bitmask, so disjointness is
 `mask_a & mask_b == 0`, and its facet ids, built once straight from the
-face ids (drop each vertex, in id order); the integer path's signed rows
-take the sign (-1)^i of dropping vertex i from that one table.  Each
-degree is enumerated once, already in cell order (by the id of a, then
-of b), with no sort; a cell's id is its position in `cells_of_degree(d)`.
+face ids (drop each vertex, in id order), with the sign (-1)^i of
+dropping vertex i for the integer path.  Each degree is enumerated once,
+already in cell order (by the id of a, then of b), with no sort; a cell's
+id is its position in `cells_of_degree(d)`.
 
 The facets {a', b} and {a, b'} of a cell are read off the facet table as
 face-id pairs.  `boundary(chain)` maps the chain to face-id pairs once and
@@ -21,9 +21,13 @@ signs and no sort of the cells.  `facet_keys(d)` keys each facet (a, b) of
 every d-cell as a * F + b, F the number of faces; the key increases
 strictly in cell order, so the GF(2) coboundary solve and its re-check
 eliminate on keys as on cell ids and never build degree d - 1.
-`boundary_rows(d)` holds the signed boundary of every d-cell, built once
-per degree for the integer solve.  `count_cells(d)` counts a degree by
-popcounts over one face bitset per vertex, without enumerating it.
+`signed_facet_keys(d)` puts the signs on those rows, the one copy of the
+sign and swap rule: it serves the integer re-check of a primitive, which
+the pullback from L hands over on keys, so the integer route never
+builds degree d - 1 either.  `boundary_rows(d)` is that table with each
+key mapped to its cell id, built only for the full integer solve.
+`count_cells(d)` counts a degree by popcounts over one face bitset per
+vertex, without enumerating it.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ class ConfigurationSpace:
         self._degrees: dict = {}
         self._counts: dict = {}
         self._keys: dict = {}
+        self._signed: dict = {}
         self._rows: dict = {}
 
     @cached_property
@@ -204,32 +209,43 @@ class ConfigurationSpace:
             self._keys[d] = tuple(map(self._cell_facet_keys, self._degree(d)[1]))
         return self._keys[d]
 
+    def signed_facet_keys(self, d: int) -> tuple:
+        """Signed boundary of every d-cell: each row of `facet_keys(d)` with
+        the signs of its facets, as a (keys, signs) pair; computed once per
+        degree.
+
+        The j-th facet of a face with n + 1 vertices drops vertex n - j, sign
+        (-1)^(n - j) (the signed facet table); a facet of b carries
+        (-1)^dim(a) on top, and a facet a' of a stored after b (its key in
+        b's block) the swap sign (-1)^(dim(a') * dim(b)).
+        """
+        if d not in self._signed:
+            faces, facets, F = self._faces[0], self._facets, len(self._faces[0])
+            dim = [len(f) - 1 for f in faces]
+            unswapped: dict = {}  # (dim a, dim b) -> signs of the facets of a, then of b
+            rows = []
+            for (ga, gb), keys in zip(self._degree(d)[1], self.facet_keys(d)):
+                da, db = dim[ga], dim[gb]
+                signs = unswapped.get((da, db))
+                if signs is None:
+                    signs = unswapped[da, db] = tuple([s for _, s in facets[ga]] +
+                                                      [(-1) ** da * s for _, s in facets[gb]])
+                if (da - 1) * db % 2:
+                    signs = tuple([-s if j <= da and key // F == gb else s
+                                   for j, (key, s) in enumerate(zip(keys, signs))])
+                rows.append((keys, signs))
+            self._signed[d] = tuple(rows)
+        return self._signed[d]
+
     def boundary_rows(self, d: int) -> tuple:
         """Signed boundary of every d-cell as (lower id, sign) pairs sorted by
-        id, one row per cell in cell order; computed once per degree."""
-        if d in self._rows:
-            return self._rows[d]
-        faces, _masks, first, _spans = self._faces
-        facets = self._facets
-        lower = self._degree(d - 1)[1]
-        rows = []
-        for ga, gb in self._degree(d)[1]:
-            row = []
-            # Dropping the first vertex of a can put b first.
-            for sa, sign in facets[ga]:
-                if first[sa] < first[gb]:
-                    row.append((lower[sa, gb], sign))
-                else:
-                    swap = (-1) ** ((len(faces[sa]) - 1) * (len(faces[gb]) - 1))
-                    row.append((lower[gb, sa], swap * sign))
-            # Every facet of b starts at or after b's first vertex.
-            flip = (-1) ** (len(faces[ga]) - 1)
-            for sb, sign in facets[gb]:
-                row.append((lower[ga, sb], flip * sign))
-            row.sort()
-            rows.append(tuple(row))
-        self._rows[d] = rows = tuple(rows)
-        return rows
+        id, one row per cell in cell order: `signed_facet_keys(d)` with each
+        key mapped to its cell id; computed once per degree."""
+        if d not in self._rows:
+            lower, F = self._degree(d - 1)[1], len(self._faces[0])
+            self._rows[d] = tuple(tuple(sorted(zip([lower[divmod(key, F)] for key in keys], signs)))
+                                  for keys, signs in self.signed_facet_keys(d))
+        return self._rows[d]
 
     def boundary(self, chain) -> tuple:
         """GF(2) boundary of a chain of cells as stored (lower-ranked first

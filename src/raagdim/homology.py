@@ -15,7 +15,9 @@ signed rows themselves.  The configuration space plugs into
 unsigned facet keys
 (``facet_keys(d)``, read back by ``key_cell``) or its signed
 ``boundary_rows(d)``, which the integer coboundary solve
-(`intlinalg.solve_integer`) reads themselves.
+(`intlinalg.solve_integer`) reads themselves; that full solve is the
+fallback of the route that solves on L and pulls back
+(`obstruction.certify_vanishing`).
 """
 
 from __future__ import annotations
@@ -105,6 +107,12 @@ def solve_coboundary(phi, degree: int, space, coefficients: str = "gf2"):
     cell order, when solvable, otherwise None and `witness` is a list of
     m-cells forming a cycle on which phi evaluates to 1 (GF(2)) resp.
     nontrivially.
+
+    For the top cocycle of a configuration space, `certify_vanishing`
+    first solves over Z on L and pulls the result back, which builds no
+    (m-1)-cell; it comes here over Z only as the fallback, when L's top
+    rows leave a core after their unit pivots or some right-hand side on L
+    has no integer solution.
     """
     m_cells = space.cells_of_degree(degree)
     if coefficients == "gf2":

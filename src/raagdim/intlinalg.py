@@ -4,9 +4,10 @@ normal form, and sparse integer linear solves.
 Matrices are lists of lists of Python ints.  Dense rank and determinant
 both read one Bareiss elimination (`_bareiss`), which keeps all
 intermediate values integral; obstruction certificates must never touch
-a float.  `sparse_rank` and `solve_integer` read sparse rows, the
-boundary-row format of `homology`, share one elimination on unit pivots
-(`_unit_pivots`) and build a dense matrix only for the core it leaves.
+a float.  `sparse_rank`, `solve_integer` and `unit_pivot_solve` read
+sparse rows, the boundary-row format of `homology`, share one elimination
+on unit pivots (`_unit_pivots`) and build a dense matrix only for the core
+it leaves (`unit_pivot_solve` refuses a core instead).
 """
 
 from __future__ import annotations
@@ -161,13 +162,14 @@ class CoreTooLarge(ValueError):
 INTEGRAL_ENTRY_CAP = 600_000
 
 
-def _unit_pivots(rows, ncols, b=None):
+def _unit_pivots(rows, ncols, rhss=()):
     """Eliminate sparse integer rows on +-1 pivots.
 
     rows: one row of (column, coeff) pairs per equation, columns in
     range(ncols); a column listed twice in a row adds up.  Every row
     operation adds an integer multiple of a unit pivot row, so it is
-    unimodular; a right-hand side `b`, when given, is updated alongside.
+    unimodular; each right-hand side in `rhss` (a list by row) is updated
+    alongside.
     The pivot is the unit entry of least Markowitz cost (row entries - 1)
     x (column entries - 1), ties broken by row and then column id, so no
     hash order enters.  A cost is recomputed when its row changes and when
@@ -228,7 +230,7 @@ def _unit_pivots(rows, ncols, b=None):
                 else:
                     del other[t]
                     where[t].discard(h)
-            if b is not None:
+            for b in rhss:
                 b[h] -= q * b[i]
             push(h, other)
     core = [i for i, row in enumerate(active) if not done[i] and row]
@@ -245,6 +247,32 @@ def sparse_rank(rows, ncols) -> int:
     return len(pivots) + integer_rank([[active[i].get(j, 0) for j in cols] for i in core])
 
 
+def _back_substitute(active, pivots, b, x):
+    """Fill the pivot columns of x, last pivot first, from the eliminated
+    rows and right-hand side; every other column keeps its value."""
+    for i, j in reversed(pivots):
+        row = active[i]
+        x[j] = row[j] * (b[i] - sum(v * x[t] for t, v in row.items() if t != j))
+    return x
+
+
+def unit_pivot_solve(rows, rhss, ncols):
+    """Integer solutions x of A x = b, one per b in rhss, from one
+    elimination on unit pivots shared by all of them.
+
+    None when the rows leave a core (the pivots read no right-hand side,
+    so that holds for every b, and no Smith normal form is run) or when
+    some b has no solution.  With no core every row is a pivot row or
+    empty, so b is solvable exactly when it is 0 on the empty rows.
+    """
+    bs = [list(b) for b in rhss]
+    active, pivots, core = _unit_pivots(rows, ncols, bs)
+    empty = [i for i, row in enumerate(active) if not row]
+    if core or any(b[i] for b in bs for i in empty):
+        return None
+    return [_back_substitute(active, pivots, b, [0] * ncols) for b in bs]
+
+
 def solve_integer(rows, rhs, ncols):
     """Integer solution x of A x = rhs, or None when unsolvable over Z.
 
@@ -254,7 +282,7 @@ def solve_integer(rows, rhs, ncols):
     the pivot columns are then back-substituted and every other column is 0.
     """
     b = list(rhs)
-    active, pivots, core = _unit_pivots(rows, ncols, b)
+    active, pivots, core = _unit_pivots(rows, ncols, [b])
     x = [0] * ncols
     if any(b[i] for i, row in enumerate(active) if not row):
         return None
@@ -277,7 +305,4 @@ def solve_integer(rows, rhs, ncols):
                 z[t] = ct // d
         for j, V_row in zip(cols, V):
             x[j] = sum(v * zt for v, zt in zip(V_row, z))
-    for i, j in reversed(pivots):
-        row = active[i]
-        x[j] = row[j] * (b[i] - sum(v * x[t] for t, v in row.items() if t != j))
-    return x
+    return _back_substitute(active, pivots, b, x)

@@ -22,8 +22,8 @@ from itertools import combinations, combinations_with_replacement
 
 from .complexes import SimplicialComplex, skeleton
 from .config_space import ConfigurationSpace
-from .homology import cycle_space, solve_coboundary
-from .intlinalg import CoreTooLarge, integer_det, integer_rank
+from .homology import boundary_rows, cycle_space, solve_coboundary
+from .intlinalg import CoreTooLarge, integer_det, integer_rank, unit_pivot_solve
 from .octa import MINUS, Octahedralization, DoubledComplex, double_over, minus_lift, octahedralize
 
 
@@ -247,20 +247,54 @@ def top_mesh_cocycle(octa: Octahedralization, space: ConfigurationSpace, degree:
             if _interleaves(ranks[ga], ranks[gb])}
 
 
-def _recheck(space: ConfigurationSpace, degree: int, phi: dict, primitive: dict, modulus: int, what: str):
-    """Check delta(primitive) = phi on every degree-cell, mod `modulus`
-    (0 for exactly over Z), from the rows the solve read: the facet keys
-    mod 2, the signed boundary rows over Z."""
+def _recheck(space: ConfigurationSpace, degree: int, phi: dict, values: dict, modulus: int, what: str):
+    """Check delta(x) = phi on every degree-cell, mod `modulus` (0 for
+    exactly over Z), for the cochain x given by its values on cell keys
+    (`space.cell_key`): from the facet keys mod 2, from the signed facet
+    keys over Z."""
     if modulus == 2:
-        support = {space.cell_key(cell) for cell, v in primitive.items() if v % 2}
+        support = {key for key, v in values.items() if v % 2}
         diffs = (len(support.intersection(keys)) for keys in space.facet_keys(degree))
     else:
-        value = {space.cell_id(cell): v for cell, v in primitive.items()}
-        diffs = (sum(coeff * value[sub] for sub, coeff in row if sub in value) for row in space.boundary_rows(degree))
+        get = values.get
+        diffs = (sum([s * get(key, 0) for key, s in zip(keys, signs)]) for keys, signs in space.signed_facet_keys(degree))
     for cell, diff in zip(space.cells_of_degree(degree), diffs):
         diff -= phi.get(cell, 0)
         if (diff % modulus if modulus else diff) != 0:
             raise RuntimeError(f"{what} fails verification")
+
+
+def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: int) -> dict | None:
+    """An integer primitive of the top cocycle pulled back from L, as values
+    on cell keys, or None when this route does not apply.
+
+    By the pullback identity (top cocycle = nonstrict cocycle after
+    `push_to_product`), if delta_L psi_a = (-1)^k nu'(a, -) on L for every
+    k-face a of OL, then x{a, tau} = psi_a(p tau) solves delta x = phi; the
+    swap sign (-1)^(k(k-1)) is 1, so x does not depend on the stored order.
+    The distinct right-hand sides share one elimination of L's top
+    boundary rows.  None when those rows leave a core after their unit
+    pivots (so the Smith normal form stays where the full solve runs it)
+    or some psi_a has no integer solution.  Builds no (2k-1)-cell.
+    """
+    L = octa.base
+    lower, sign, rank = L.faces_of_dim(k - 1), (-1) ** k, octa.rank
+    minus_top = [minus_lift(beta) for beta in L.faces_of_dim(k)]
+    tops = octa.complex.faces_of_dim(k)
+    rhs = [tuple([sign * nonstrict_mesh_indicator(a, b, rank) for b in minus_top]) for a in tops]
+    distinct = list(dict.fromkeys(rhs))
+    psis = unit_pivot_solve(boundary_rows(L, k), distinct, len(lower))
+    if psis is None:
+        return None
+    psi = {r: [(lower[i], v) for i, v in enumerate(x) if v] for r, x in zip(distinct, psis)}
+    values: dict = {}
+    for a, r in zip(tops, rhs):
+        a_set = set(a)
+        for beta, v in psi[r]:
+            for tau in octa.lifts(beta):
+                if a_set.isdisjoint(tau):
+                    values[space.cell_key((a, tau))] = v
+    return values
 
 
 def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: int = 10**6) -> VanishingResult:
@@ -270,10 +304,13 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
     complex over GF(2).  On failure returns a witness cycle pairing to 1,
     which simultaneously certifies nonvanishing.  With `integral` set, phi,
     which is also the integer cocycle (see `top_mesh_cocycle`), is
-    additionally solved over Z by `intlinalg.solve_integer`, refused (with
-    a reason) when the dense core left after its unit pivots has more than
-    `intlinalg.INTEGRAL_ENTRY_CAP` entries.  Each primitive found is
-    re-checked exactly, mod 2 resp. over Z, on every top cell.
+    additionally solved over Z: first on L and pulled back
+    (`_pullback_primitive`), which builds no (2k-1)-cell; when that route
+    does not apply, on the whole configuration space by
+    `intlinalg.solve_integer`, refused (with a reason) when the dense core
+    left after its unit pivots has more than `intlinalg.INTEGRAL_ENTRY_CAP`
+    entries.  Each primitive found is re-checked exactly, mod 2 resp. over
+    Z, on every top cell.
     """
     k = L.dim
     if k < 0:
@@ -296,15 +333,21 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
         if sum(phi.get(c, 0) for c in witness) % 2 != 1:
             raise RuntimeError("inconsistency witness does not pair to 1")
         return VanishingResult(status="obstructed", primitive=None, witness_cycle=witness)
-    _recheck(space, 2 * k, phi, primitive, 2, "primitive")
+    _recheck(space, 2 * k, phi, dict.fromkeys(map(space.cell_key, primitive), 1), 2, "primitive")
     integral_prim, reason = None, ""
     if integral:
-        try:
-            integral_prim, _ = solve_coboundary(phi, 2 * k, space, coefficients="int")
-        except CoreTooLarge as exc:
-            reason = str(exc)
-        if integral_prim is not None:
-            _recheck(space, 2 * k, phi, integral_prim, 0, "integer primitive")
+        values = _pullback_primitive(octa, space, k)
+        if values is not None:
+            integral_prim = {space.key_cell(key): v for key, v in sorted(values.items())}
+        else:
+            try:
+                integral_prim, _ = solve_coboundary(phi, 2 * k, space, coefficients="int")
+            except CoreTooLarge as exc:
+                reason = str(exc)
+            if integral_prim is not None:
+                values = {space.cell_key(cell): v for cell, v in integral_prim.items()}
+        if values is not None:
+            _recheck(space, 2 * k, phi, values, 0, "integer primitive")
     return VanishingResult(status="primitive", primitive=primitive, witness_cycle=None, reason=reason,
                            integral_primitive=integral_prim, integral_checked=integral and not reason)
 

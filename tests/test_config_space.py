@@ -11,6 +11,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
+import integer_recheck
 from raagdim.complexes import skeleton
 from raagdim.config_space import ConfigurationSpace, chain_boundary
 from raagdim.homology import boundary_rows, cycle_space, simplex_boundary
@@ -328,6 +329,19 @@ def test_facet_table_matches_homology_boundary_rows():
             start += len(K.faces_of_dim(k - 1))
         assert cs._facets == signed
         assert cs._facet_ids == [tuple(i for i, _ in row) for row in signed]
+
+
+def test_signed_facet_keys_reproduce_the_cell_id_boundary_rows():
+    complexes = [entry.complex() for entry in ZOO] + [random_flag(7, 0.5, seed) for seed in range(20)]
+    for K in (D for L in complexes for D in octahedralized_and_doubled(L)):
+        cs = ConfigurationSpace(K)
+        for d in range(2 * K.dim + 1):
+            rows = integer_recheck.boundary_rows(cs, d)
+            keyed = cs.signed_facet_keys(d)
+            assert [keys for keys, _signs in keyed] == list(cs.facet_keys(d))
+            assert [tuple(sorted(zip([cs.cell_id(cs.key_cell(key)) for key in keys], signs)))
+                    for keys, signs in keyed] == list(rows)
+            assert cs.boundary_rows(d) == rows
 
 
 def base_pair_count(L, d):

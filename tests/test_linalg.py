@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import gf2_dense
 from raagdim import gf2, intlinalg
-from raagdim.intlinalg import integer_det, integer_rank, smith_normal_form, solve_integer, sparse_rank
+from raagdim.intlinalg import integer_det, integer_rank, smith_normal_form, solve_integer, sparse_rank, unit_pivot_solve
 
 
 def fraction_rank(mat):
@@ -181,6 +181,33 @@ def test_solve_integer_agrees_with_dense_snf_oracle(system):
     assert (x is not None) == dense_snf_solvable(mat, rhs)
     if x is not None:
         assert residual(mat, x, rhs) == [0] * len(mat)
+
+
+@given(st.lists(sparse_systems(), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_unit_pivot_solve_agrees_with_solve_integer_when_no_core_is_left(systems):
+    # One matrix, the right-hand sides of all the drawn systems cut to its rows.
+    mat = systems[0][0]
+    rhss = [(rhs * len(mat))[: len(mat)] for _, rhs in systems]
+    rows = sparse_rows(mat)
+    xs = unit_pivot_solve(rows, rhss, len(mat[0]))
+    if intlinalg._unit_pivots(rows, len(mat[0]))[2]:
+        assert xs is None
+        return
+    singles = [solve_integer(rows, rhs, len(mat[0])) for rhs in rhss]
+    assert xs == (None if None in singles else singles)
+
+
+def test_unit_pivot_solve_refuses_a_core_without_the_smith_normal_form(monkeypatch):
+    def refuse(mat):
+        raise AssertionError("the Smith normal form ran")
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
+    assert unit_pivot_solve(sparse_rows([[1, 1, 0, 0], [2, 2, 2, 4]]), [[3, 2]], 4) is None
+    assert unit_pivot_solve(sparse_rows([[1, -1, 0], [1, -1, 0]]), [[1, 1], [1, 2]], 3) is None
+    mat = [[1, -1, 0], [0, 1, 1]]
+    xs = unit_pivot_solve(sparse_rows(mat), [[1, 0], [0, 2]], 3)
+    assert [residual(mat, x, rhs) for x, rhs in zip(xs, [[1, 0], [0, 2]])] == [[0, 0], [0, 0]]
 
 
 def test_only_a_non_unit_core_reaches_the_smith_normal_form(monkeypatch):
