@@ -11,7 +11,10 @@ and with max_cells=0 ("refuse"), so that every case of dimension >= 1
 without a top certificate refuses the coboundary solve and its report
 carries the exact cell count of the size guard.  The output is one JSON
 object, case name -> {"default", "integral", "refuse"} digests of the
-report bytes.  It also holds, for seeds 0-4, the lemma
+report bytes.  When the default report carries a certificate, the case
+also gets the [ok, failed_check] of verifying that certificate after a
+JSON round trip ("verify") and with its first omega_support cell dropped
+("verify-drop-first").  The output also holds, for seeds 0-4, the lemma
 suite's [complexes, checks, failures] over the benchmark's suite count,
 under "lemma-suite(seed=S)".  A change that must keep the reports and the
 suite the same shows it by an empty diff of this output from two
@@ -20,6 +23,7 @@ checkouts.
 
 import argparse
 import hashlib
+import json
 import os
 import sys
 
@@ -30,6 +34,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from raagdim import io_json  # noqa: E402
 from raagdim.bounds import analyze  # noqa: E402
 from raagdim.suite import run_suite  # noqa: E402
+from raagdim.verify import verify_certificate  # noqa: E402
 from raagdim.zoo import ZOO, build_named, random_flag  # noqa: E402
 from workloads import SUITE_COUNT, WORKLOADS  # noqa: E402
 
@@ -51,18 +56,34 @@ def cases(count: int):
         yield f"random_flag({n},{p},{i})", random_flag(n, p, i), {}
 
 
-def digest(L, options) -> str:
-    text = io_json.dumps(io_json.report_to_json(analyze(L, **options)))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def report(L, options) -> dict:
+    return io_json.report_to_json(analyze(L, **options))
+
+
+def digest(data) -> str:
+    return hashlib.sha256(io_json.dumps(data).encode("utf-8")).hexdigest()
+
+
+def verdicts(L, certificate) -> dict:
+    """[ok, failed_check] of verifying the certificate read back from its
+    JSON text, as is and with its first omega_support cell dropped."""
+    cert = io_json.certificate_from_json(json.loads(io_json.dumps(certificate)))
+    outcomes = {"verify": verify_certificate(L, cert),
+                "verify-drop-first": verify_certificate(L, dict(cert, omega_support=cert["omega_support"][1:]))}
+    return {name: [outcome.ok, outcome.failed_check] for name, outcome in outcomes.items()}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--count", type=int, default=30, help="number of random_flag draws")
     args = parser.parse_args()
-    out = {name: {"default": digest(L, options), "integral": digest(L, {**options, "integral": True}),
-                  "refuse": digest(L, {**options, "max_cells": 0})}
-           for name, L, options in cases(args.count)}
+    out = {}
+    for name, L, options in cases(args.count):
+        default = report(L, options)
+        out[name] = {"default": digest(default), "integral": digest(report(L, {**options, "integral": True})),
+                     "refuse": digest(report(L, {**options, "max_cells": 0}))}
+        if "certificate" in default:
+            out[name].update(verdicts(L, default["certificate"]))
     for seed in range(5):
         result = run_suite(seed, SUITE_COUNT)
         out[f"lemma-suite(seed={seed})"] = [result.complexes, result.checks, len(result.failures)]

@@ -6,7 +6,7 @@ disjoint simplex pairs, and turn certificates into certified intervals for
 the group's action dimension.
 """
 
-from .bounds import DimensionReport, analyze, geometric_dimension, join_lemma_bound, l2_dimension
+from .bounds import DimensionReport, analyze, geometric_dimension, l2_dimension
 from .complexes import (
     SimplicialComplex,
     flag_completion,
@@ -45,7 +45,6 @@ __all__ = [
     "geometric_dimension",
     "is_flag",
     "join",
-    "join_lemma_bound",
     "l2_dimension",
     "link",
     "make_complex",

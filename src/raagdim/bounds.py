@@ -8,12 +8,10 @@ embedding dimension, and the action dimension of the associated group.
 certified degree above the sphere floor, then the bound of every vertex
 link plus one.  `analyze` stops before the links once a certificate
 reaches the 2k ceiling (k = dim L): a link has dimension below k, so it
-gives at most 2k - 1 and can raise nothing.  `join_lemma_bound` is the
-interval arithmetic of the join formula; `analyze` does not apply it.
-Every emitted bound re-checks its hypothesis and carries a named rule;
-bounds resting on an unprovable step carry caveats and, when the step is
-genuinely open (the dimension-2 completeness gap), stay out of the
-certified interval.
+gives at most 2k - 1 and can raise nothing.  Every emitted bound
+re-checks its hypothesis and carries a named rule; bounds resting on an
+unprovable step carry caveats and, when the step is genuinely open (the
+dimension-2 completeness gap), stay out of the certified interval.
 """
 
 from __future__ import annotations
@@ -94,12 +92,6 @@ def l2_dimension(betti: tuple) -> int | None:
     if not nonzero:
         return None
     return 1 + max(nonzero)
-
-
-def join_lemma_bound(interval_a, interval_b) -> tuple:
-    """Interval arithmetic for the join formula: dimensions add plus two."""
-    (la, ua), (lb, ub) = interval_a, interval_b
-    return (la + lb + 2, ua + ub + 2)
 
 
 def is_full_simplex(L: SimplicialComplex) -> bool:

@@ -11,23 +11,21 @@ dimension, then rank tuple), an int vertex bitmask, so disjointness is
 `mask_a & mask_b == 0`, and its facet ids, built once straight from the
 face ids (drop each vertex, in id order), with the sign (-1)^i of
 dropping vertex i for the integer path.  Each degree is enumerated once,
-already in cell order (by the id of a, then of b), with no sort; a cell's
-id is its position in `cells_of_degree(d)`.
+already in cell order (by the id of a, then of b), with no sort.
 
-The facets {a', b} and {a, b'} of a cell are read off the facet table as
-face-id pairs.  `boundary(chain)` maps the chain to face-id pairs once and
-counts their facets mod 2 by `chain_boundary`, with no enumeration, no
-signs and no sort of the cells.  `facet_keys(d)` keys each facet (a, b) of
-every d-cell as a * F + b, F the number of faces; the key increases
-strictly in cell order, so the GF(2) coboundary solve and its re-check
-eliminate on keys as on cell ids and never build degree d - 1.
+A cell has one name: its key a * F + b (`cell_key`, read back by
+`key_cell`), from the face ids (a, b) in stored order, F the number of
+faces.  The key increases strictly in cell order.  The facets {a', b}
+and {a, b'} of a cell are read off the facet table as keys.
+`boundary(chain)` maps the chain to face-id pairs once and counts their
+facets mod 2 by `chain_boundary`, with no enumeration, no signs and no
+sort of the cells.  `facet_keys(d)` lists the facet keys of every d-cell,
+the rows of the GF(2) coboundary solve and its re-check;
 `signed_facet_keys(d)` puts the signs on those rows, the one copy of the
-sign and swap rule: it serves the integer re-check of a primitive, which
-the pullback from L hands over on keys, so the integer route never
-builds degree d - 1 either.  `boundary_rows(d)` is that table with each
-key mapped to its cell id, built only for the full integer solve.
-`count_cells(d)` counts a degree by popcounts over one face bitset per
-vertex, without enumerating it.
+sign and swap rule, and serves the integer solve and re-check.  So no
+solve, over either ring, builds degree d - 1.  `count_cells(d)` counts a
+degree by popcounts over one face bitset per vertex, without enumerating
+it.
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ class ConfigurationSpace:
         self._counts: dict = {}
         self._keys: dict = {}
         self._signed: dict = {}
-        self._rows: dict = {}
 
     @cached_property
     def _faces(self):
@@ -116,11 +113,11 @@ class ConfigurationSpace:
                         yield ga, gb
 
     def _degree(self, d: int):
-        """The d-cells in cell order and the map from face-id pair to cell id."""
+        """The d-cells in cell order and their face-id pairs."""
         if d not in self._degrees:
             faces = self._faces[0]
-            ids = {pair: i for i, pair in enumerate(self._pairs(d))}
-            self._degrees[d] = tuple((faces[ga], faces[gb]) for ga, gb in ids), ids
+            pairs = tuple(self._pairs(d))
+            self._degrees[d] = tuple((faces[ga], faces[gb]) for ga, gb in pairs), pairs
         return self._degrees[d]
 
     def cells_of_degree(self, d: int) -> tuple:
@@ -128,7 +125,7 @@ class ConfigurationSpace:
 
     def indexed_cells(self, d: int) -> tuple:
         """The faces by id, and the face-id pairs (a, b) of the d-cells in cell order."""
-        return self._faces[0], self._degree(d)[1].keys()
+        return self._faces[0], self._degree(d)[1]
 
     @cached_property
     def _holders(self) -> list:
@@ -161,27 +158,18 @@ class ConfigurationSpace:
             self._counts[d] = total
         return self._counts[d]
 
-    def _stored_pair(self, cell):
-        """Face ids (a, b) of the cell {a, b} in stored order, either half
-        first; None when a half is not a face of K."""
+    def cell_key(self, cell) -> int | None:
+        """Key a * F + b of the cell {a, b} in stored order, either half
+        first, as in facet_keys; None when a half is not a face of K.  It
+        does not check that the halves are disjoint."""
         a, b = cell
         fid, first = self._face_ids, self._faces[2]
         ga, gb = fid.get(a), fid.get(b)
         if ga is None or gb is None:
             return None
-        return (gb, ga) if first[gb] < first[ga] else (ga, gb)
-
-    def cell_id(self, cell) -> int | None:
-        """Position of the cell {a, b} in cells_of_degree, either half first;
-        None when the halves are not disjoint faces of K."""
-        pair = self._stored_pair(cell)
-        return None if pair is None else self._degree(len(cell[0]) + len(cell[1]) - 2)[1].get(pair)
-
-    def cell_key(self, cell) -> int | None:
-        """Key a * F + b of the cell {a, b}, as in facet_keys; None when a
-        half is not a face of K."""
-        pair = self._stored_pair(cell)
-        return None if pair is None else pair[0] * len(self._faces[0]) + pair[1]
+        if first[gb] < first[ga]:
+            ga, gb = gb, ga
+        return ga * len(fid) + gb
 
     def key_cell(self, key: int) -> tuple:
         """The cell with the given key, as stored."""
@@ -236,16 +224,6 @@ class ConfigurationSpace:
                 rows.append((keys, signs))
             self._signed[d] = tuple(rows)
         return self._signed[d]
-
-    def boundary_rows(self, d: int) -> tuple:
-        """Signed boundary of every d-cell as (lower id, sign) pairs sorted by
-        id, one row per cell in cell order: `signed_facet_keys(d)` with each
-        key mapped to its cell id; computed once per degree."""
-        if d not in self._rows:
-            lower, F = self._degree(d - 1)[1], len(self._faces[0])
-            self._rows[d] = tuple(tuple(sorted(zip([lower[divmod(key, F)] for key in keys], signs)))
-                                  for keys, signs in self.signed_facet_keys(d))
-        return self._rows[d]
 
     def boundary(self, chain) -> tuple:
         """GF(2) boundary of a chain of cells as stored (lower-ranked first

@@ -11,12 +11,11 @@ d-cell, ids indexing the (d-1)-cells, from `boundary_rows(K, d)`.  Over
 GF(2) a row is the set of its ids with an odd coefficient (`_parity_rows`),
 eliminated sparsely by `gf2`; over Q, `intlinalg.sparse_rank` reads the
 signed rows themselves.  The configuration space plugs into
-`solve_coboundary` through ``cells_of_degree(d)`` and, per ring, its
-unsigned facet keys
-(``facet_keys(d)``, read back by ``key_cell``) or its signed
-``boundary_rows(d)``, which the integer coboundary solve
-(`intlinalg.solve_integer`) reads themselves; that full solve is the
-fallback of the route that solves on L and pulls back
+`solve_coboundary` through ``cells_of_degree(d)`` and its facet-key rows,
+read back by ``key_cell``: unsigned (``facet_keys(d)``) over GF(2), signed
+(``signed_facet_keys(d)``) over Z, where `intlinalg.solve_integer` reads
+them themselves.  Neither ring builds the (d-1)-cells.  The integer solve
+is the fallback of the route that solves on L and pulls back
 (`obstruction.certify_vanishing`).
 """
 
@@ -55,19 +54,18 @@ def _parity_rows(rows):
 
 
 def _betti(K: SimplicialComplex, rank) -> tuple:
-    """Reduced Betti numbers for k = 0..dim K, given rank(rows, n) of the
-    degree-d boundary rows over their n lower cells."""
+    """Reduced Betti numbers for k = 0..dim K, given rank(rows) of the
+    degree-d boundary rows."""
     if K.dim < 0:
         return ()
-    # Degree 0 rows index the one augmentation cell; no face has degree dim + 1.
-    ranks = [rank(boundary_rows(K, d), len(K.faces_of_dim(d - 1)) if d else 1)
-             for d in range(K.dim + 1)] + [0]
+    # No face has degree dim + 1.
+    ranks = [rank(boundary_rows(K, d)) for d in range(K.dim + 1)] + [0]
     return tuple(len(K.faces_of_dim(k)) - ranks[k] - ranks[k + 1] for k in range(K.dim + 1))
 
 
 def mod2_betti(K: SimplicialComplex) -> tuple:
     """dim H_k(K; Z/2) for k = 0..dim K."""
-    return _betti(K, lambda rows, n: gf2.rank(_parity_rows(rows)))
+    return _betti(K, lambda rows: gf2.rank(_parity_rows(rows)))
 
 
 def rational_betti(K: SimplicialComplex) -> tuple:
@@ -99,9 +97,10 @@ def solve_coboundary(phi, degree: int, space, coefficients: str = "gf2"):
     """Find x with (delta x) = phi on the m-cells of a cell complex.
 
     phi: mapping from m-cells to coefficients (missing cells read as 0).
-    space: cell complex exposing cells_of_degree(d); over GF(2) also
-    count_cells(d), facet_keys(d), whose keys increase strictly in the
-    order of the (m-1)-cells, and key_cell(key); over Z, boundary_rows(d).
+    space: cell complex exposing cells_of_degree(d), key_cell(key) and
+    rows of facet keys, which increase strictly in the order of the
+    (m-1)-cells: over GF(2) count_cells(d) and facet_keys(d), over Z
+    signed_facet_keys(d).  Neither ring builds the (m-1)-cells.
 
     Returns (primitive, witness): `primitive` is a dict on (m-1)-cells, in
     cell order, when solvable, otherwise None and `witness` is a list of
@@ -124,10 +123,9 @@ def solve_coboundary(phi, degree: int, space, coefficients: str = "gf2"):
             return None, [m_cells[i] for i in witness]
         return {space.key_cell(key): 1 for key in sorted(x)}, None
     if coefficients == "int":
-        lower = space.cells_of_degree(degree - 1) if degree > 0 else ()
-        rhs = [phi.get(cell, 0) for cell in m_cells]
-        sol = intlinalg.solve_integer(space.boundary_rows(degree), rhs, len(lower))
+        rows = (zip(keys, signs) for keys, signs in space.signed_facet_keys(degree))
+        sol = intlinalg.solve_integer(rows, [phi.get(cell, 0) for cell in m_cells])
         if sol is None:
             return None, []
-        return {lower[i]: v for i, v in enumerate(sol) if v}, None
+        return {space.key_cell(key): v for key, v in sorted(sol.items()) if v}, None
     raise ValueError(f"unknown coefficient ring {coefficients!r}")

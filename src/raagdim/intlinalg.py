@@ -7,7 +7,9 @@ intermediate values integral; obstruction certificates must never touch
 a float.  `sparse_rank`, `solve_integer` and `unit_pivot_solve` read
 sparse rows, the boundary-row format of `homology`, share one elimination
 on unit pivots (`_unit_pivots`) and build a dense matrix only for the core
-it leaves (`unit_pivot_solve` refuses a core instead).
+it leaves (`unit_pivot_solve` refuses a core instead).  A column is any
+int, such as a face id of L or a configuration space's facet key, and a
+solution is a {column: value} dict, so no column count is passed.
 """
 
 from __future__ import annotations
@@ -162,16 +164,15 @@ class CoreTooLarge(ValueError):
 INTEGRAL_ENTRY_CAP = 600_000
 
 
-def _unit_pivots(rows, ncols, rhss=()):
+def _unit_pivots(rows, rhss=()):
     """Eliminate sparse integer rows on +-1 pivots.
 
-    rows: one row of (column, coeff) pairs per equation, columns in
-    range(ncols); a column listed twice in a row adds up.  Every row
-    operation adds an integer multiple of a unit pivot row, so it is
-    unimodular; each right-hand side in `rhss` (a list by row) is updated
-    alongside.
+    rows: one row of (column, coeff) pairs per equation, columns ints; a
+    column listed twice in a row adds up.  Every row operation adds an
+    integer multiple of a unit pivot row, so it is unimodular; each
+    right-hand side in `rhss` (a list by row) is updated alongside.
     The pivot is the unit entry of least Markowitz cost (row entries - 1)
-    x (column entries - 1), ties broken by row and then column id, so no
+    x (column entries - 1), ties broken by row and then column, so no
     hash order enters.  A cost is recomputed when its row changes and when
     it is popped, so a column that lost rows may keep an older, higher
     cost for a while.
@@ -189,10 +190,10 @@ def _unit_pivots(rows, ncols, rhss=()):
         for j, a in row:
             summed[j] = summed.get(j, 0) + a
         active.append({j: a for j, a in summed.items() if a})
-    where = [set() for _ in range(ncols)]  # column -> active rows holding it
+    where: dict = {}  # column -> active rows holding it
     for i, row in enumerate(active):
         for j in row:
-            where[j].add(i)
+            where.setdefault(j, set()).add(i)
     heap: list = []
 
     def push(i, cols):
@@ -237,10 +238,10 @@ def _unit_pivots(rows, ncols, rhss=()):
     return active, pivots, core
 
 
-def sparse_rank(rows, ncols) -> int:
+def sparse_rank(rows) -> int:
     """Rank over Q of sparse rows (the format of `solve_integer`): the
     number of unit pivots plus the rank of the core they leave."""
-    active, pivots, core = _unit_pivots(rows, ncols)
+    active, pivots, core = _unit_pivots(rows)
     if not core:
         return len(pivots)
     cols = sorted({j for i in core for j in active[i]})
@@ -249,16 +250,18 @@ def sparse_rank(rows, ncols) -> int:
 
 def _back_substitute(active, pivots, b, x):
     """Fill the pivot columns of x, last pivot first, from the eliminated
-    rows and right-hand side; every other column keeps its value."""
+    rows and right-hand side; every other column keeps its value (0 when
+    absent)."""
     for i, j in reversed(pivots):
         row = active[i]
-        x[j] = row[j] * (b[i] - sum(v * x[t] for t, v in row.items() if t != j))
+        x[j] = row[j] * (b[i] - sum(v * x.get(t, 0) for t, v in row.items() if t != j))
     return x
 
 
-def unit_pivot_solve(rows, rhss, ncols):
+def unit_pivot_solve(rows, rhss):
     """Integer solutions x of A x = b, one per b in rhss, from one
-    elimination on unit pivots shared by all of them.
+    elimination on unit pivots shared by all of them; each x is a
+    {column: value} dict on the pivot columns, every other column 0.
 
     None when the rows leave a core (the pivots read no right-hand side,
     so that holds for every b, and no Smith normal form is run) or when
@@ -266,24 +269,26 @@ def unit_pivot_solve(rows, rhss, ncols):
     empty, so b is solvable exactly when it is 0 on the empty rows.
     """
     bs = [list(b) for b in rhss]
-    active, pivots, core = _unit_pivots(rows, ncols, bs)
+    active, pivots, core = _unit_pivots(rows, bs)
     empty = [i for i, row in enumerate(active) if not row]
     if core or any(b[i] for b in bs for i in empty):
         return None
-    return [_back_substitute(active, pivots, b, [0] * ncols) for b in bs]
+    return [_back_substitute(active, pivots, b, {}) for b in bs]
 
 
-def solve_integer(rows, rhs, ncols):
-    """Integer solution x of A x = rhs, or None when unsolvable over Z.
+def solve_integer(rows, rhs):
+    """Integer solution x of A x = rhs as a {column: value} dict, or None
+    when unsolvable over Z.
 
     rows: sparse rows as for `_unit_pivots`, which eliminates them.  Only
     the rows with no unit entry left, the core, go through a dense Smith
     normal form (raising CoreTooLarge above INTEGRAL_ENTRY_CAP entries);
-    the pivot columns are then back-substituted and every other column is 0.
+    the pivot columns are then back-substituted and every column left out
+    of x is 0.
     """
     b = list(rhs)
-    active, pivots, core = _unit_pivots(rows, ncols, [b])
-    x = [0] * ncols
+    active, pivots, core = _unit_pivots(rows, [b])
+    x: dict = {}
     if any(b[i] for i, row in enumerate(active) if not row):
         return None
     if core:

@@ -283,10 +283,10 @@ def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: i
     tops = octa.complex.faces_of_dim(k)
     rhs = [tuple([sign * nonstrict_mesh_indicator(a, b, rank) for b in minus_top]) for a in tops]
     distinct = list(dict.fromkeys(rhs))
-    psis = unit_pivot_solve(boundary_rows(L, k), distinct, len(lower))
+    psis = unit_pivot_solve(boundary_rows(L, k), distinct)
     if psis is None:
         return None
-    psi = {r: [(lower[i], v) for i, v in enumerate(x) if v] for r, x in zip(distinct, psis)}
+    psi = {r: [(lower[i], v) for i, v in x.items() if v] for r, x in zip(distinct, psis)}
     values: dict = {}
     for a, r in zip(tops, rhs):
         a_set = set(a)
@@ -305,12 +305,12 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
     which simultaneously certifies nonvanishing.  With `integral` set, phi,
     which is also the integer cocycle (see `top_mesh_cocycle`), is
     additionally solved over Z: first on L and pulled back
-    (`_pullback_primitive`), which builds no (2k-1)-cell; when that route
-    does not apply, on the whole configuration space by
-    `intlinalg.solve_integer`, refused (with a reason) when the dense core
-    left after its unit pivots has more than `intlinalg.INTEGRAL_ENTRY_CAP`
-    entries.  Each primitive found is re-checked exactly, mod 2 resp. over
-    Z, on every top cell.
+    (`_pullback_primitive`); when that route does not apply, on the whole
+    configuration space's signed facet keys by `intlinalg.solve_integer`.
+    Neither builds a (2k-1)-cell.  The full solve is refused (with a
+    reason) when the dense core left after its unit pivots has more than
+    `intlinalg.INTEGRAL_ENTRY_CAP` entries.  Each primitive found is
+    re-checked exactly, mod 2 resp. over Z, on every top cell.
     """
     k = L.dim
     if k < 0:

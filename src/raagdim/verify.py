@@ -6,7 +6,9 @@ the first failing check.  Both cycle checks are GF(2) boundaries counted by
 `chain_boundary`: M's over the facets of its simplices (a vertex's facet is
 the empty face, so in degree 0 the rule is an even vertex count), the
 stored chain's on the face index of the doubled complex's configuration
-space, onto which every stored pair is first mapped (either half first).
+space.  Every stored pair must have the stated total size and disjoint
+halves; it is then named by its cell key (either half first), the one
+name the configuration space gives a cell.
 The stored support must match the rebuilt chain exactly, and neither M nor
 the stored support may list an entry twice (it would cancel mod 2); a
 certificate is a proof object, not a hint.
@@ -93,18 +95,18 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
     space, rebuilt = covering_pair_chain(doubled)
 
     run.append("omega-cycle")
-    cells = space.cells_of_degree(2 * degree)
     stored = set()
     for a, b in cert["omega_support"]:
-        i = space.cell_id((a, b)) if len(a) + len(b) == 2 * degree + 2 else None
-        if i is None:
+        key = space.cell_key((a, b)) if len(a) + len(b) == 2 * degree + 2 and set(a).isdisjoint(b) else None
+        if key is None:
             return VerificationOutcome(False, "omega-cycle",
                                        f"stored pair {(a, b)} is not a disjoint pair of faces "
                                        f"of degree {2 * degree}", tuple(run))
-        if cells[i] in stored:
+        cell = space.key_cell(key)
+        if cell in stored:
             return VerificationOutcome(False, "omega-cycle",
-                                       f"stored pair {(a, b)} lists the cell {cells[i]} twice", tuple(run))
-        stored.add(cells[i])
+                                       f"stored pair {(a, b)} lists the cell {cell} twice", tuple(run))
+        stored.add(cell)
     boundary = space.boundary(stored)
     if boundary:
         return VerificationOutcome(False, "omega-cycle",

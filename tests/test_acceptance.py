@@ -7,7 +7,7 @@ lines alongside the pytest verdicts.
 import time
 from functools import partial
 
-from raagdim.bounds import analyze, join_lemma_bound
+from raagdim.bounds import analyze
 from raagdim.complexes import join, relabeled, skeleton
 from raagdim.config_space import ConfigurationSpace
 from raagdim.homology import mod2_betti
@@ -185,8 +185,7 @@ def test_criterion_8_join_lemma_consistency():
         va, vb = factors[na][1], factors[nb][1]
         assert join_lower >= va + vb + 2
         # Both sides exactly determined here: the join formula is an equality.
-        expected = join_lemma_bound((va, va), (vb, vb))
-        assert (join_lower, join_lower) == expected, (na, nb)
+        assert join_lower == va + vb + 2, (na, nb)
     print(f"\nCRITERION 8 PASS: join certificates match the join formula exactly "
           f"on {len(pairs)} pairs ({time.perf_counter() - t0:.1f}s)")
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raagdim import bounds, intlinalg, obstruction
-from raagdim.bounds import analyze, geometric_dimension, join_lemma_bound, l2_dimension, vkdim_lower
+from raagdim.bounds import analyze, geometric_dimension, l2_dimension, vkdim_lower
 from raagdim.complexes import link, make_complex
 from raagdim.homology import rational_betti
 from raagdim.obstruction import certify_nonvanishing, certify_vanishing
@@ -27,14 +27,6 @@ def test_l2_dimension():
     assert l2_dimension(rational_betti(simplex(2))) is None
     assert l2_dimension(rational_betti(octahedron_boundary(2))) == 3
     assert l2_dimension(rational_betti(points(2))) == 1
-
-
-def test_join_lemma_interval_arithmetic():
-    assert join_lemma_bound((0, 0), (0, 0)) == (2, 2)
-    assert join_lemma_bound((1, 2), (0, 1)) == (3, 5)
-    # Sphere dimensions: joining an m-sphere and an n-sphere lands at m+n.
-    for m, n in ((1, 1), (1, 2), (2, 3)):
-        assert join_lemma_bound((m - 1, m - 1), (n - 1, n - 1)) == (m + n, m + n)
 
 
 def star_link_bound(L, vertex):

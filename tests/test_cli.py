@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 import raagdim
 from raagdim import io_json, suite
 from raagdim.cli import main
+from raagdim.complexes import skeleton
 from raagdim.obstruction import certify_nonvanishing
-from raagdim.octa import octahedralize
+from raagdim.octa import double_over, octahedralize
 from raagdim.verify import CHECKS, verify_certificate
 from raagdim.zoo import ZOO, cycle, octahedron_boundary
 from test_suite import dropped_push_to_product, flipped_mesh_number
@@ -421,6 +422,20 @@ def test_verify_certificate_mutations(tmp_path):
     out = verify_certificate(L, bad)
     assert not out.ok and out.failed_check == "omega-cycle"
     assert f"{(b, a)} lists the cell" in out.detail and "twice" in out.detail
+
+
+def test_verify_certificate_refuses_an_overlapping_pair_by_name():
+    # The sweep's "overlap" grows b, so it fails on size; here b keeps its
+    # size, is a face of the doubled complex and meets a.
+    L = cycle(4)
+    cert = certify_nonvanishing(L, 1)
+    data = io_json.certificate_from_json(io_json.certificate_to_json(cert))
+    doubled = double_over(octahedralize(skeleton(L, 1)), cert.cycle, cert.delta)
+    (a, b), *rest = data["omega_support"]
+    meets_a = next(f for f in doubled.complex.faces_of_dim(len(b) - 1) if f != a and not set(f).isdisjoint(a))
+    out = verify_certificate(L, dict(data, omega_support=[(a, meets_a)] + rest))
+    assert not out.ok and out.failed_check == "omega-cycle"
+    assert f"stored pair {(a, meets_a)} is not a disjoint pair" in out.detail
 
 
 @pytest.mark.parametrize("L", [cycle(4), octahedron_boundary(2)], ids=["cycle4", "octahedron2"])

@@ -1,7 +1,7 @@
 """Deleted products, the unordered quotient, and the transfer map.
 
 The signed per-cell boundary of the quotient lives here as the oracle for
-the configuration space's GF(2) boundary and signed boundary rows; other
+the configuration space's GF(2) boundary and signed facet keys; other
 test modules import it from here.
 """
 
@@ -176,10 +176,12 @@ def test_swap_sign_convention():
     assert rep1 == rep2
     assert s1 == 1
     assert s2 == (-1) ** ((len(a) - 1) * (len(b) - 1))
-    # The index accepts either half first and refuses what is not a cell.
-    assert cs.cell_id((a, b)) == cs.cell_id((b, a)) == cs.cells_of_degree(2).index(rep1)
-    assert cs.cell_id((a, ("c1", "c2"))) is None
-    assert cs.cell_id((a, ("c2", "zz"))) is None
+    # The key accepts either half first, names no cell for halves that
+    # meet, and refuses a half that is not a face.
+    assert cs.cell_key((a, b)) == cs.cell_key((b, a)) == cs.cell_key(rep1)
+    assert cs.key_cell(cs.cell_key((b, a))) == rep1
+    assert cs.cell_key((a, ("c1", "c2"))) not in set(map(cs.cell_key, cs.cells_of_degree(2)))
+    assert cs.cell_key((a, ("c2", "zz"))) is None
 
 
 @given(st.integers(0, 10**6))
@@ -292,7 +294,10 @@ def test_indexed_enumeration_matches_rank_sorted_oracle(seed):
     for d in range(2 * K.dim + 1):
         cells = cs.cells_of_degree(d)
         assert list(cells) == rank_sorted_cells(K, d)
-        assert [cs.cell_id(c) for c in cells] == list(range(len(cells)))
+        # Keys rise strictly in cell order and name each cell, either half first.
+        keys = [cs.cell_key(c) for c in cells]
+        assert keys == sorted(set(keys)) == [cs.cell_key((b, a)) for a, b in cells]
+        assert [cs.key_cell(key) for key in keys] == list(cells)
 
 
 @given(st.integers(0, 10**6))
@@ -301,12 +306,11 @@ def test_boundary_rows_match_per_cell_boundary(seed):
     K = octahedralize(random_flag(5, 0.5, seed)).complex
     cs = ConfigurationSpace(K)
     for d in range(2 * K.dim + 1):
-        lower = cs.cells_of_degree(d - 1)
-        rows = cs.boundary_rows(d)
+        rows = cs.signed_facet_keys(d)
         assert len(rows) == len(cs.cells_of_degree(d))
-        for cell, row in zip(cs.cells_of_degree(d), rows):
-            assert [i for i, _ in row] == sorted({i for i, _ in row})
-            assert tuple((lower[i], sign) for i, sign in row) == signed_boundary(K, cell)
+        for cell, (keys, signs) in zip(cs.cells_of_degree(d), rows):
+            assert len(set(keys)) == len(keys)
+            assert tuple((cs.key_cell(key), sign) for key, sign in sorted(zip(keys, signs))) == signed_boundary(K, cell)
 
 
 def octahedralized_and_doubled(L):
@@ -336,12 +340,11 @@ def test_signed_facet_keys_reproduce_the_cell_id_boundary_rows():
     for K in (D for L in complexes for D in octahedralized_and_doubled(L)):
         cs = ConfigurationSpace(K)
         for d in range(2 * K.dim + 1):
-            rows = integer_recheck.boundary_rows(cs, d)
+            rows, lower = integer_recheck.boundary_rows(cs, d), integer_recheck.cell_ids(cs, d - 1)
             keyed = cs.signed_facet_keys(d)
             assert [keys for keys, _signs in keyed] == list(cs.facet_keys(d))
-            assert [tuple(sorted(zip([cs.cell_id(cs.key_cell(key)) for key in keys], signs)))
+            assert [tuple(sorted(zip([lower[cs.key_cell(key)] for key in keys], signs)))
                     for keys, signs in keyed] == list(rows)
-            assert cs.boundary_rows(d) == rows
 
 
 def base_pair_count(L, d):

@@ -151,7 +151,9 @@ def test_rational_nonzero_implies_mod2_nonzero_on_zoo():
 
 def dense_rational_betti(K):
     """Oracle: the Bareiss rank of each boundary matrix laid out densely."""
-    def rank(rows, n):
+    def rank(rows):
+        # Columns no row holds are zero and leave the rank alone.
+        n = 1 + max((i for row in rows for i, _ in row), default=-1)
         mat = []
         for row in rows:
             dense = [0] * n

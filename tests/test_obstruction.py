@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gf2_dense
+import integer_recheck
 import push_reference
 import raagdim
 from raagdim import io_json, obstruction
@@ -398,7 +399,6 @@ def test_certify_vanishing_refuses_by_count_without_building_cells(monkeypatch):
 
     monkeypatch.setattr(ConfigurationSpace, "cells_of_degree", refuse_to_build)
     monkeypatch.setattr(ConfigurationSpace, "facet_keys", refuse_to_build)
-    monkeypatch.setattr(ConfigurationSpace, "boundary_rows", refuse_to_build)
     # The guard's count enumerates no face pairs either.
     monkeypatch.setattr(ConfigurationSpace, "_pairs", refuse_to_build)
     result = certify_vanishing(cone(octahedron_boundary(3)), max_cells=1000)
@@ -420,14 +420,14 @@ def test_certificate_search_never_builds_the_octahedralization_face_set(monkeypa
 
 
 def dense_top_solve(L):
-    """Oracle: the top GF(2) solve as dense bitmasks over the signed boundary
-    rows and the cell ids, as (primitive, witness)."""
+    """Oracle: the top GF(2) solve as dense bitmasks over the reference
+    signed boundary rows on cell ids, as (primitive, witness)."""
     octa = octahedralize(L)
     space = ConfigurationSpace(octa.complex)
     phi = top_mesh_cocycle(octa, space, L.dim)
     cells, lower = space.cells_of_degree(2 * L.dim), space.cells_of_degree(2 * L.dim - 1)
     eqs = [(sum(1 << i for i, coeff in row if coeff % 2), phi.get(cell, 0))
-           for cell, row in zip(cells, space.boundary_rows(2 * L.dim))]
+           for cell, row in zip(cells, integer_recheck.boundary_rows(space, 2 * L.dim))]
     x, _ = gf2_dense.solve(eqs, len(lower))
     if x is None:
         _, witness = gf2_dense.solve(eqs, len(lower), want_witness=True)

@@ -65,31 +65,29 @@ def test_fallback_returns_the_full_solves_own_primitive_and_reason(L):
 
 
 def test_route_builds_neither_degree_2k_minus_1_nor_boundary_rows(monkeypatch):
-    L = cone(cycle(5))
-    low = 2 * L.dim - 1
-    degree = ConfigurationSpace._degree
+    # The route (cone(cycle(5))) and the fallback (the other three) alike
+    # read facet keys and enumerate no (2k-1)-cell.
+    pairs = ConfigurationSpace._pairs
+    for L in (cone(cycle(5)), cycle(3), TETRAHEDRON_BOUNDARY, RP2):
+        low = 2 * L.dim - 1
 
-    def refuse_low(self, d):
-        if d == low:
-            raise AssertionError(f"degree {d} was built")
-        return degree(self, d)
+        def refuse_low(self, d):
+            if d == low:
+                raise AssertionError(f"degree {d} was built")
+            return pairs(self, d)
 
-    def refuse_rows(self, d):
-        raise AssertionError("boundary_rows was built")
-
-    monkeypatch.setattr(ConfigurationSpace, "_degree", refuse_low)
-    monkeypatch.setattr(ConfigurationSpace, "boundary_rows", refuse_rows)
-    result = certify_vanishing(L, integral=True)
-    assert result.integral_checked and result.integral_primitive and not result.reason
-    assert all(len(a) + len(b) - 2 == low for a, b in result.integral_primitive)
+        monkeypatch.setattr(ConfigurationSpace, "_pairs", refuse_low)
+        result = certify_vanishing(L, integral=True)
+        assert result.integral_checked and result.integral_primitive and not result.reason
+        assert all(len(a) + len(b) - 2 == low for a, b in result.integral_primitive)
 
 
 def test_tripled_route_primitive_fails_verification(monkeypatch):
     solve = obstruction.unit_pivot_solve
 
-    def tripled(rows, rhss, ncols):
-        xs = solve(rows, rhss, ncols)
-        return None if xs is None else [[3 * v for v in x] for x in xs]  # still right mod 2
+    def tripled(rows, rhss):
+        xs = solve(rows, rhss)
+        return None if xs is None else [{j: 3 * v for j, v in x.items()} for x in xs]  # still right mod 2
 
     monkeypatch.setattr(obstruction, "unit_pivot_solve", tripled)
     with pytest.raises(RuntimeError, match="integer primitive fails verification"):

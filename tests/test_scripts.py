@@ -35,9 +35,15 @@ def test_script_runs(args, expected, tmp_path):
         # a top certificate refuses at the size guard, so its report differs
         # from the default; a case with one never reaches the guard.
         digests = {name: v for name, v in json.loads(run.stdout).items() if name not in suites}
-        assert all(sorted(v) == ["default", "integral", "refuse"] for v in digests.values())
+        three = ["default", "integral", "refuse"]
+        assert all(sorted(v) in (three, three + ["verify", "verify-drop-first"]) for v in digests.values())
         assert digests["zoo:cycle3"]["refuse"] != digests["zoo:cycle3"]["default"]
         assert digests["zoo:cycle4"]["refuse"] == digests["zoo:cycle4"]["default"]
+        # A certificate verifies after its JSON round trip, and not without
+        # its first cell; a report without one gets no verdicts.
+        assert digests["zoo:cycle4"]["verify"] == [True, None]
+        assert digests["zoo:cycle4"]["verify-drop-first"] == [False, "omega-cycle"]
+        assert sorted(digests["zoo:cycle3"]) == three
     # run_zoo.py writes one report per table row (less the header and its
     # rule), each with the bytes of json.dumps(..., sort_keys=True, indent=2).
     names = sorted(os.listdir(tmp_path))
