@@ -14,7 +14,10 @@ object, case name -> {"default", "integral", "refuse"} digests of the
 report bytes.  When the default report carries a certificate, the case
 also gets the [ok, failed_check] of verifying that certificate after a
 JSON round trip ("verify") and with its first omega_support cell dropped
-("verify-drop-first").  The output also holds, for seeds 0-4, the lemma
+("verify-drop-first").  Every case also gets one digest of
+[v, d, vkdim_lower(link(L, (v,)), d)] over its vertices v and the depths
+d <= 2 ("links"), which covers link bounds that no report records.  The
+output also holds, for seeds 0-4, the lemma
 suite's [complexes, checks, failures] over the benchmark's suite count,
 under "lemma-suite(seed=S)".  A change that must keep the reports and the
 suite the same shows it by an empty diff of this output from two
@@ -32,7 +35,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from raagdim import io_json  # noqa: E402
-from raagdim.bounds import analyze  # noqa: E402
+from raagdim.bounds import analyze, vkdim_lower  # noqa: E402
+from raagdim.complexes import link  # noqa: E402
 from raagdim.suite import run_suite  # noqa: E402
 from raagdim.verify import verify_certificate  # noqa: E402
 from raagdim.zoo import ZOO, build_named, random_flag  # noqa: E402
@@ -64,6 +68,13 @@ def digest(data) -> str:
     return hashlib.sha256(io_json.dumps(data).encode("utf-8")).hexdigest()
 
 
+def link_bounds(L) -> list:
+    """[v, d, vkdim_lower(link(L, (v,)), d)] for every vertex v and d <= 2,
+    with one memo for the case."""
+    cache: dict = {}
+    return [[v, d, vkdim_lower(link(L, (v,)), d, 2, cache)] for v in L.vertices for d in range(3)]
+
+
 def verdicts(L, certificate) -> dict:
     """[ok, failed_check] of verifying the certificate read back from its
     JSON text, as is and with its first omega_support cell dropped."""
@@ -81,7 +92,7 @@ def main() -> int:
     for name, L, options in cases(args.count):
         default = report(L, options)
         out[name] = {"default": digest(default), "integral": digest(report(L, {**options, "integral": True})),
-                     "refuse": digest(report(L, {**options, "max_cells": 0}))}
+                     "refuse": digest(report(L, {**options, "max_cells": 0})), "links": digest(link_bounds(L))}
         if "certificate" in default:
             out[name].update(verdicts(L, default["certificate"]))
     for seed in range(5):

@@ -6,9 +6,12 @@ intervals for the van Kampen dimension of the octahedralization, the
 embedding dimension, and the action dimension of the associated group.
 `analyze` and `vkdim_lower` share one lower-bound search: the highest
 certified degree above the sphere floor, then the bound of every vertex
-link plus one.  `analyze` stops before the links once a certificate
-reaches the 2k ceiling (k = dim L): a link has dimension below k, so it
-gives at most 2k - 1 and can raise nothing.  Every emitted bound
+link plus one (vkdim(OL) >= vkdim(O lk v) + 1).
+
+The link search is branch and bound (see `vkdim_lower`): a link is
+searched only for a value that would raise the running bound, and none is
+built once that bound reaches 2 dim L - 1, the most a link can give, so
+`analyze` skips the links at the 2k ceiling.  Every emitted bound
 re-checks its hypothesis and carries a named rule; bounds resting on an
 unprovable step carry caveats and, when the step is genuinely open (the
 dimension-2 completeness gap), stay out of the certified interval.
@@ -110,42 +113,82 @@ def _top_certificate(L: SimplicialComplex, floor: int, search_budget: int):
     return None
 
 
-def _link_bounds(L: SimplicialComplex, depth: int, search_budget: int, cache: dict):
-    """(v, bound, why) from vkdim_lower on the link of each vertex v whose
-    link is nonempty."""
+def _link_bounds(L: SimplicialComplex, depth: int, search_budget: int, cache: dict, above: int):
+    """(v, bound, why) for each vertex v, in vertex order, whose link bound
+    plus one beats `above` and every bound this call yielded before.
+
+    Each link is asked through `vkdim_lower` with threshold `above - 1`,
+    so it is searched only as far as a raise needs.  A vertex link has
+    dimension at most dim L - 1 and so gives at most 2 dim L - 1: once the
+    running bound reaches that, no link is built.
+    """
+    ceiling = 2 * L.dim - 1
     for v in L.vertices:
+        if above >= ceiling:
+            return
         lk = link(L, (v,))
         if lk.dim >= 0:
-            sub, why = vkdim_lower(lk, depth, search_budget, cache)
-            yield v, sub, why
+            found = vkdim_lower(lk, depth, search_budget, cache, above - 1)
+            if found is not None:
+                sub, why = found
+                above = sub + 1
+                yield v, sub, why
 
 
-def vkdim_lower(L: SimplicialComplex, depth: int = 3, search_budget: int = 2, _cache=None):
+def vkdim_lower(L: SimplicialComplex, depth: int = 3, search_budget: int = 2, _cache=None, _above=-2):
     """Certified lower bound for the van Kampen dimension of the
     octahedralization, from certificates in all degrees and the star/link
     recursion over vertices (capped at `depth`).
 
     Returns (value, explanation).  The floor for a nonempty complex is -1
-    (the octahedralization of a vertex is a 0-sphere).  The value is at
-    most 2 dim L.  `_cache` is keyed by complex and depth, as the depth
-    left changes the bound.
+    (the octahedralization of a vertex is a 0-sphere), so a call without
+    `_above` always gets the pair; an empty complex gets
+    (None, "empty complex").  The private `_above` asks only for a value
+    above it: the call returns the exact (value, explanation) when the
+    value beats `_above` and None when it does not.
+
+    The value is at most 2 dim L, by induction on the dimension: a
+    certificate lives in a degree d <= dim L and gives 2d, and a link
+    gives at most 2 (dim L - 1) + 1.  The search relies on it, so a value
+    above it raises RuntimeError.  With the threshold the search keeps a
+    candidate only when it beats both `_above` and the candidates before
+    it, in the order floor, full simplex, certificate, vertex links.  The
+    unpruned search keeps the first candidate that reaches the maximum; if
+    that maximum beats `_above`, the pruned search keeps the same
+    candidate, and if it does not, nothing passes.  So the explanation is
+    the same one, and the certificate floor and every link's threshold
+    can be raised to `_above` without changing it.
+
+    `_cache` maps (complex, depth), as the depth left changes the bound,
+    to the exact pair or to an int t proven to bound the value from
+    above.  A bound t answers every call whose threshold is at least t;
+    any other call searches again and refines the entry.
     """
     if _cache is None:
         _cache = {}
-    if (L, depth) in _cache:
-        return _cache[L, depth]
     if L.dim < 0:
         return None, "empty complex"
+    if 2 * L.dim <= _above:
+        return None
+    known = _cache.get((L, depth))
+    if type(known) is tuple:
+        return known if known[0] > _above else None
+    if known is not None and known <= _above:
+        return None
     best = (-1, "sphere floor: the doubled vertex pair")
     if is_full_simplex(L):
         best = (L.dim - 1, f"octahedral sphere of dimension {L.dim}")
-    found = _top_certificate(L, best[0], search_budget)
+    found = _top_certificate(L, max(best[0], _above), search_budget)
     if found is not None:
         best = (2 * found[0], f"covering-chain certificate in degree {found[0]}")
     if depth > 0:
-        for v, sub, why in _link_bounds(L, depth - 1, search_budget, _cache):
-            if sub + 1 > best[0]:
-                best = (sub + 1, f"star/link at vertex {v!r}: link gives {sub} ({why})")
+        for v, sub, why in _link_bounds(L, depth - 1, search_budget, _cache, max(best[0], _above)):
+            best = (sub + 1, f"star/link at vertex {v!r}: link gives {sub} ({why})")
+    if best[0] > 2 * L.dim:
+        raise RuntimeError(f"star/link bound {best[0]} exceeds twice the dimension {L.dim}: {best[1]}")
+    if best[0] <= _above:
+        _cache[L, depth] = _above
+        return None
     _cache[L, depth] = best
     return best
 
@@ -206,13 +249,10 @@ def analyze(
             detail = f"certificate on the {degree}-skeleton"
         records.append(BoundRecord("vkdim", "lower", vk_lo, "covering-chain-certificate", detail))
 
-    # A link gives at most 2k - 1, so at the 2k ceiling none can add a record.
-    if vk_lo < 2 * k:
-        for v, sub, why in _link_bounds(L, STAR_DEPTH - 1, search_budget, {}):
-            if sub + 1 > vk_lo:
-                vk_lo = sub + 1
-                records.append(BoundRecord("vkdim", "lower", vk_lo, "star-link",
-                                           f"link of {v!r} gives {sub}: {why}"))
+    for v, sub, why in _link_bounds(L, STAR_DEPTH - 1, search_budget, {}, vk_lo):
+        vk_lo = sub + 1
+        records.append(BoundRecord("vkdim", "lower", vk_lo, "star-link",
+                                   f"link of {v!r} gives {sub}: {why}"))
 
     vanishing = None
     if certificate is None and k >= 1:

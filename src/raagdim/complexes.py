@@ -199,12 +199,14 @@ def is_flag(K: SimplicialComplex) -> FlagWitness:
 
 
 def link(K: SimplicialComplex, sigma) -> SimplicialComplex:
+    """{f - sigma : f a face of K strictly containing sigma}; dropping
+    sigma's vertices keeps each face in rank order."""
     s = K.sort_face(sigma)
     if s not in K.faces:
         raise ValueError(f"simplex {sigma!r} is not a face")
     ss = set(s)
-    rk = K.rank
-    faces = {f for f in K.faces if not (set(f) & ss) and tuple(sorted(f + s, key=rk.__getitem__)) in K.faces}
+    n = len(s)
+    faces = {tuple(v for v in f if v not in ss) for f in K.faces if len(f) > n and ss.issubset(f)}
     verts = tuple(v for v in K.vertices if (v,) in faces)
     return SimplicialComplex(vertices=verts, faces=frozenset(faces))
 

@@ -14,6 +14,8 @@ from raagdim.zoo import (
     ZOO, build_named, cone, cycle, octahedron_boundary, path, points, random_flag, simplex, suspension, tree,
 )
 
+import star_link_reference
+
 
 def test_geometric_dimension():
     assert geometric_dimension(cycle(4)) == 2
@@ -73,13 +75,26 @@ def top_certified(count=20):
     return found + randoms[:count]
 
 
-def test_no_link_reaches_the_2k_ceiling():
+def test_no_link_reaches_the_2k_ceiling(monkeypatch):
     # What lets analyze skip the links once a top certificate gives 2k.
+    built = []
+
+    def recorded_link(K, sigma):
+        built.append((K.vertices, sigma))
+        return link(K, sigma)
+
     checked = 0
     for L in top_certified():
-        for v, sub, _ in bounds._link_bounds(L, bounds.STAR_DEPTH - 1, 2, {}):
-            assert sub <= 2 * L.dim - 1, (L.vertices, v)
-        report = analyze(L)
+        cache: dict = {}
+        for v in L.vertices:
+            lk = link(L, (v,))
+            if lk.dim >= 0:
+                sub, _ = vkdim_lower(lk, bounds.STAR_DEPTH - 1, 2, cache)
+                assert sub <= 2 * L.dim - 1, (L.vertices, v)
+        with monkeypatch.context() as m:
+            m.setattr(bounds, "link", recorded_link)
+            report = analyze(L)
+        assert not built, built[0]
         assert report.vkdim[0] == 2 * L.dim and report.certificate is not None
         assert not any(r.rule == "star-link" for r in report.records)
         checked += 1
@@ -95,19 +110,63 @@ def test_vkdim_lower_stays_below_twice_the_dimension(n, p, seed):
 
 @pytest.mark.parametrize("n, p, seed", [(8, 0.8, 1), (9, 0.6, 7), (10, 0.7, 1), (11, 0.6, 0), (11, 0.7, 0)])
 def test_vkdim_lower_memo_answers_as_a_cold_call(monkeypatch, n, p, seed):
-    # A link met at one remaining depth must not answer for another depth.
+    # A link met at one remaining depth or threshold must not answer for
+    # another: a pair is the cold value, and None means the cold value
+    # does not beat the threshold.
     calls = []
 
-    def recorded(L, depth=3, search_budget=2, _cache=None):
-        result = vkdim_lower(L, depth, search_budget, _cache)
-        calls.append((L, depth, search_budget, result))
+    def recorded(L, depth=3, search_budget=2, _cache=None, _above=-2):
+        result = vkdim_lower(L, depth, search_budget, _cache, _above)
+        calls.append((L, depth, search_budget, _above, result))
         return result
 
     monkeypatch.setattr(bounds, "vkdim_lower", recorded)
     analyze(random_flag(n, p, seed))
+    monkeypatch.undo()
     assert calls
-    for L, depth, budget, result in calls:
-        assert vkdim_lower(L, depth, budget) == result, (L.vertices, depth)
+    for L, depth, budget, above, result in calls:
+        cold = vkdim_lower(L, depth, budget)
+        if result is None:
+            assert cold[0] <= above, (L.vertices, depth, above)
+        else:
+            assert result == cold, (L.vertices, depth, above)
+
+
+def check_against_reference(L):
+    """vkdim_lower at every depth <= 3 and every threshold -2..2 dim L
+    against the unpruned reference, cold and through one memo that sees
+    the thresholds falling and then rising; vertex and edge links against
+    the reference's link."""
+    for sigma in L.faces_of_dim(0) + L.faces_of_dim(1):
+        assert link(L, sigma) == star_link_reference.link(L, sigma), sigma
+    shared: dict = {}
+    thresholds = [*range(2 * L.dim, -3, -1), *range(-2, 2 * L.dim + 1)]
+    for depth in range(4):
+        expected = star_link_reference.vkdim_lower(L, depth)
+        assert vkdim_lower(L, depth) == expected, (L.vertices, depth)
+        for above in thresholds:
+            want = expected if expected[0] > above else None
+            assert vkdim_lower(L, depth, _above=above) == want, (L.vertices, depth, above)
+            assert vkdim_lower(L, depth, 2, shared, above) == want, (L.vertices, depth, above, "memo")
+
+
+@given(st.integers(5, 10), st.sampled_from((0.3, 0.4, 0.5, 0.6, 0.7, 0.8)), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_pruned_search_matches_the_reference_on_random_flags(n, p, seed):
+    check_against_reference(random_flag(n, p, seed))
+
+
+@pytest.mark.parametrize("entry", [e for e in ZOO if e.flag], ids=lambda e: e.name)
+def test_pruned_search_matches_the_reference_on_the_zoo(entry):
+    check_against_reference(entry.complex())
+
+
+def test_vkdim_lower_refuses_a_value_above_twice_the_dimension(monkeypatch):
+    # The pruning rests on value <= 2 dim L; a certificate claimed above the
+    # top degree breaks it, and the search says so.
+    monkeypatch.setattr(bounds, "_top_certificate", lambda L, floor, budget: (L.dim + 1, None))
+    with pytest.raises(RuntimeError, match="exceeds twice the dimension"):
+        vkdim_lower(cycle(4))
 
 
 def test_analyze_c4_exact():

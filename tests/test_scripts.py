@@ -1,11 +1,17 @@
 """Smoke runs of the experiment scripts under scripts/, as subprocesses."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from raagdim import io_json
+from raagdim.bounds import vkdim_lower
+from raagdim.complexes import link
+from raagdim.zoo import cycle
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -31,19 +37,24 @@ def test_script_runs(args, expected, tmp_path):
         assert sorted(suites) == [f"lemma-suite(seed={seed})" for seed in range(5)]
         assert suites["lemma-suite(seed=0)"] == [50, 85897, 0]
         assert all(complexes == 50 and failures == 0 for complexes, _checks, failures in suites.values())
-        # Every case has its three digests.  With max_cells=0 a case without
-        # a top certificate refuses at the size guard, so its report differs
-        # from the default; a case with one never reaches the guard.
+        # Every case has its three report digests and its link digest.  With
+        # max_cells=0 a case without a top certificate refuses at the size
+        # guard, so its report differs from the default; a case with one
+        # never reaches the guard.
         digests = {name: v for name, v in json.loads(run.stdout).items() if name not in suites}
-        three = ["default", "integral", "refuse"]
-        assert all(sorted(v) in (three, three + ["verify", "verify-drop-first"]) for v in digests.values())
+        keys = ["default", "integral", "links", "refuse"]
+        assert all(sorted(v) in (keys, keys + ["verify", "verify-drop-first"]) for v in digests.values())
+        # The link digest covers [v, d, bound] for every vertex and d <= 2.
+        c4 = cycle(4)
+        bounds = [[v, d, list(vkdim_lower(link(c4, (v,)), d))] for v in c4.vertices for d in range(3)]
+        assert digests["zoo:cycle4"]["links"] == hashlib.sha256(io_json.dumps(bounds).encode()).hexdigest()
         assert digests["zoo:cycle3"]["refuse"] != digests["zoo:cycle3"]["default"]
         assert digests["zoo:cycle4"]["refuse"] == digests["zoo:cycle4"]["default"]
         # A certificate verifies after its JSON round trip, and not without
         # its first cell; a report without one gets no verdicts.
         assert digests["zoo:cycle4"]["verify"] == [True, None]
         assert digests["zoo:cycle4"]["verify-drop-first"] == [False, "omega-cycle"]
-        assert sorted(digests["zoo:cycle3"]) == three
+        assert sorted(digests["zoo:cycle3"]) == keys
     # run_zoo.py writes one report per table row (less the header and its
     # rule), each with the bytes of json.dumps(..., sort_keys=True, indent=2).
     names = sorted(os.listdir(tmp_path))
