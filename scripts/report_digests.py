@@ -12,9 +12,11 @@ without a top certificate refuses the coboundary solve and its report
 carries the exact cell count of the size guard.  The output is one JSON
 object, case name -> {"default", "integral", "refuse"} digests of the
 report bytes.  When the default report carries a certificate, the case
-also gets the [ok, failed_check] of verifying that certificate after a
-JSON round trip ("verify") and with its first omega_support cell dropped
-("verify-drop-first").  Every case also gets one digest of
+also gets the [ok, failed_check, detail] of verifying that certificate
+after a JSON round trip ("verify"), with its first omega_support cell
+dropped ("verify-drop-first"), with the sign of that cell's first vertex
+flipped ("verify-flip-sign") and with that cell listed twice
+("verify-repeat-first"), so the diff covers the failure wording too.  Every case also gets one digest of
 [v, d, vkdim_lower(link(L, (v,)), d)] over its vertices v and the depths
 d <= 2 ("links"), which covers link bounds that no report records.  The
 output also holds, for seeds 0-4, the lemma
@@ -76,12 +78,17 @@ def link_bounds(L) -> list:
 
 
 def verdicts(L, certificate) -> dict:
-    """[ok, failed_check] of verifying the certificate read back from its
-    JSON text, as is and with its first omega_support cell dropped."""
+    """[ok, failed_check, detail] of verifying the certificate read back
+    from its JSON text, as is and with its first omega_support cell
+    dropped, sign-flipped at its first vertex, or listed twice."""
     cert = io_json.certificate_from_json(json.loads(io_json.dumps(certificate)))
-    outcomes = {"verify": verify_certificate(L, cert),
-                "verify-drop-first": verify_certificate(L, dict(cert, omega_support=cert["omega_support"][1:]))}
-    return {name: [outcome.ok, outcome.failed_check] for name, outcome in outcomes.items()}
+    (a, b), *rest = support = cert["omega_support"]
+    (v, sign), *tail = a
+    mutated = {"verify": support, "verify-drop-first": rest,
+               "verify-flip-sign": [(((v, -sign), *tail), b)] + rest,
+               "verify-repeat-first": [(a, b)] + support}
+    outcomes = {name: verify_certificate(L, dict(cert, omega_support=cells)) for name, cells in mutated.items()}
+    return {name: [outcome.ok, outcome.failed_check, outcome.detail] for name, outcome in outcomes.items()}
 
 
 def main() -> int:

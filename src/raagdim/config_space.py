@@ -11,21 +11,25 @@ dimension, then rank tuple), an int vertex bitmask, so disjointness is
 `mask_a & mask_b == 0`, and its facet ids, built once straight from the
 face ids (drop each vertex, in id order), with the sign (-1)^i of
 dropping vertex i for the integer path.  Each degree is enumerated once,
-already in cell order (by the id of a, then of b), with no sort.
+as face-id pairs (a, b) already in cell order (by the id of a, then of
+b), with no sort; `indexed_cells(d)` hands them out, and
+`cells_of_degree(d)` turns them into pairs of faces only when read.
 
 A cell has one name: its key a * F + b (`cell_key`, read back by
 `key_cell`), from the face ids (a, b) in stored order, F the number of
 faces.  The key increases strictly in cell order.  The facets {a', b}
 and {a, b'} of a cell are read off the facet table as keys.
-`boundary(chain)` maps the chain to face-id pairs once and counts their
-facets mod 2 by `chain_boundary`, with no enumeration, no signs and no
-sort of the cells.  `facet_keys(d)` lists the facet keys of every d-cell,
-the rows of the GF(2) coboundary solve and its re-check;
+`boundary(pairs)` reads a chain as the face-id pairs of its cells and
+counts their facets mod 2 by `chain_boundary`, with no enumeration, no
+signs and no sort of the cells.  `facet_keys(d)` lists the facet keys of
+every d-cell, the rows of the GF(2) coboundary solve and its re-check;
 `signed_facet_keys(d)` puts the signs on those rows, the one copy of the
 sign and swap rule, and serves the integer solve and re-check.  So no
 solve, over either ring, builds degree d - 1.  `count_cells(d)` counts a
 degree by popcounts over one face bitset per vertex, without enumerating
-it.
+it.  For a complex on signed vertices, `minus_ids` is the projection
+table that the push to the product with the minus copy reads: each
+face's minus copy, by id.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from functools import cached_property, reduce
 from operator import or_
 
 from .complexes import SimplicialComplex
+from .octa import minus_lift, project
 
 
 def chain_boundary(chain, facets) -> set:
@@ -54,6 +59,7 @@ class ConfigurationSpace:
     def __init__(self, K: SimplicialComplex):
         self.K = K
         self._degrees: dict = {}
+        self._cells: dict = {}
         self._counts: dict = {}
         self._keys: dict = {}
         self._signed: dict = {}
@@ -74,16 +80,30 @@ class ConfigurationSpace:
             start = stop
         return faces, masks, first, spans
 
+    @property
+    def faces(self) -> list:
+        """The faces of K by id."""
+        return self._faces[0]
+
     @cached_property
-    def _face_ids(self) -> dict:
+    def face_ids(self) -> dict:
+        """Face -> id."""
         return {f: g for g, f in enumerate(self._faces[0])}
+
+    @cached_property
+    def minus_ids(self) -> list:
+        """The projection table of a complex on signed vertices (label, sign)
+        that holds the minus copy `minus_lift(project(f))` of each face f (OL
+        and every doubled complex do): by face id, the id of that copy."""
+        fid = self.face_ids
+        return [fid[minus_lift(project(f))] for f in self._faces[0]]
 
     @cached_property
     def _facet_ids(self) -> list:
         """Each face's facet ids by face id, in id order: dropping the last
         vertex first, as a lower rank tuple has a lower id.  Unaugmented: a
         vertex has no facets."""
-        fid = self._face_ids
+        fid = self.face_ids
         return [tuple([fid[f[:i] + f[i + 1 :]] for i in range(len(f) - 1, -1, -1)]) if len(f) > 1 else ()
                 for f in self._faces[0]]
 
@@ -112,20 +132,22 @@ class ConfigurationSpace:
                     if not ma & masks[gb]:
                         yield ga, gb
 
-    def _degree(self, d: int):
-        """The d-cells in cell order and their face-id pairs."""
+    def _degree(self, d: int) -> tuple:
+        """The face-id pairs of the d-cells in cell order, enumerated once."""
         if d not in self._degrees:
-            faces = self._faces[0]
-            pairs = tuple(self._pairs(d))
-            self._degrees[d] = tuple((faces[ga], faces[gb]) for ga, gb in pairs), pairs
+            self._degrees[d] = tuple(self._pairs(d))
         return self._degrees[d]
 
     def cells_of_degree(self, d: int) -> tuple:
-        return self._degree(d)[0]
+        """The d-cells in cell order, as pairs of faces; built on first read."""
+        if d not in self._cells:
+            faces = self._faces[0]
+            self._cells[d] = tuple([(faces[ga], faces[gb]) for ga, gb in self._degree(d)])
+        return self._cells[d]
 
     def indexed_cells(self, d: int) -> tuple:
         """The faces by id, and the face-id pairs (a, b) of the d-cells in cell order."""
-        return self._faces[0], self._degree(d)[1]
+        return self._faces[0], self._degree(d)
 
     @cached_property
     def _holders(self) -> list:
@@ -163,7 +185,7 @@ class ConfigurationSpace:
         first, as in facet_keys; None when a half is not a face of K.  It
         does not check that the halves are disjoint."""
         a, b = cell
-        fid, first = self._face_ids, self._faces[2]
+        fid, first = self.face_ids, self._faces[2]
         ga, gb = fid.get(a), fid.get(b)
         if ga is None or gb is None:
             return None
@@ -194,7 +216,7 @@ class ConfigurationSpace:
         """Unsigned boundary of every d-cell as a list of facet keys, one list
         per cell in cell order; computed once per degree."""
         if d not in self._keys:
-            self._keys[d] = tuple(map(self._cell_facet_keys, self._degree(d)[1]))
+            self._keys[d] = tuple(map(self._cell_facet_keys, self._degree(d)))
         return self._keys[d]
 
     def signed_facet_keys(self, d: int) -> tuple:
@@ -212,7 +234,7 @@ class ConfigurationSpace:
             dim = [len(f) - 1 for f in faces]
             unswapped: dict = {}  # (dim a, dim b) -> signs of the facets of a, then of b
             rows = []
-            for (ga, gb), keys in zip(self._degree(d)[1], self.facet_keys(d)):
+            for (ga, gb), keys in zip(self._degree(d), self.facet_keys(d)):
                 da, db = dim[ga], dim[gb]
                 signs = unswapped.get((da, db))
                 if signs is None:
@@ -225,10 +247,8 @@ class ConfigurationSpace:
             self._signed[d] = tuple(rows)
         return self._signed[d]
 
-    def boundary(self, chain) -> tuple:
-        """GF(2) boundary of a chain of cells as stored (lower-ranked first
-        vertex first): the cells in the boundary of an odd number of them,
-        in cell order.  Enumerates nothing."""
-        fid = self._face_ids
-        odd = chain_boundary([(fid[a], fid[b]) for a, b in chain], self._cell_facet_keys)
-        return tuple(map(self.key_cell, sorted(odd)))
+    def boundary(self, pairs) -> tuple:
+        """GF(2) boundary of a chain given by the face-id pairs (a, b) of its
+        cells, in stored order: the keys of the cells in the boundary of an
+        odd number of them, in cell order.  Enumerates nothing."""
+        return tuple(sorted(chain_boundary(pairs, self._cell_facet_keys)))

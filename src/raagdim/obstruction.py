@@ -8,7 +8,10 @@ configuration space.  A nonstrict variant pairs simplices of the doubled
 complex with simplices of the minus copy.
 
 Nonvanishing is certified by a cycle of unordered disjoint pairs that
-jointly cover a chosen simplex, built from a GF(2) cycle of the base.
+jointly cover a chosen simplex, built from a GF(2) cycle of the base.  The
+covering chain, its push to the product and its evaluation run on the
+face-id pairs of the configuration space's index; the certificate stores
+the pairs as cells once.
 Vanishing is certified by an explicit coboundary primitive.  A geometric
 cross-check computes exact signed intersection numbers of simplices mapped
 to the moment curve and must reproduce the combinatorial cocycle.
@@ -74,31 +77,33 @@ def nonstrict_mesh_indicator(sigma: tuple, b: tuple, rank: dict) -> int:
     return int(meshed)
 
 
-def push_to_product(chain, octa: Octahedralization) -> dict:
+def mesh_values(faces, pairs, rank: dict) -> list:
+    """Whether each cell, given by its face-id pair (a, b) in stored order,
+    meshes: `_interleaves` on the faces' rank tuples, built once per face.
+    A stored cell puts the simplex with the lower-ranked first vertex first,
+    so only its own order can interleave and `mesh_number` is 0 or 1 there."""
+    ranks = [tuple([rank[v] for v in f]) for f in faces]
+    return [_interleaves(ranks[a], ranks[b]) for a, b in pairs]
+
+
+def push_to_product(chain, space: ConfigurationSpace) -> dict:
     """Push a configuration-space chain to the product with the minus copy.
 
-    An unordered pair [sigma, tau] goes to (sigma, p(tau)) plus the swapped
-    term with the factor-switch sign, where p relabels onto the minus copy;
-    p is read from `octa.minus_table`, so every half must be a face of the
-    doubled complex.  `chain` maps cells to integer coefficients; reduce
-    mod 2 when needed.
+    `chain` maps the face-id pairs (sigma, tau) of its cells to integer
+    coefficients; reduce mod 2 when needed.  An unordered pair [sigma, tau]
+    goes to (sigma, p tau) plus the swapped term (tau, p sigma) with the
+    factor-switch sign, where p relabels onto the minus copy; p is read from
+    the projection table `space.minus_ids`.  The terms are face-id pairs
+    of `space`'s complex, which holds every minus copy.
     """
-    minus = octa.minus_table
+    minus, faces = space.minus_ids, space.faces
     out: dict = {}
     for (sigma, tau), coeff in chain.items():
         cell = (sigma, minus[tau])
         out[cell] = out.get(cell, 0) + coeff
         cell = (tau, minus[sigma])
-        out[cell] = out.get(cell, 0) + (-coeff if (len(sigma) - 1) * (len(tau) - 1) % 2 else coeff)
+        out[cell] = out.get(cell, 0) + (-coeff if (len(faces[sigma]) - 1) * (len(faces[tau]) - 1) % 2 else coeff)
     return {c: v for c, v in out.items() if v}
-
-
-def evaluate_nonstrict_on_product(chain: dict, rank: dict) -> int:
-    """Integer pairing of the nonstrict meshing cocycle with a product chain."""
-    total = 0
-    for (sigma, b), coeff in chain.items():
-        total += coeff * nonstrict_mesh_indicator(sigma, b, rank)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -108,19 +113,18 @@ def evaluate_nonstrict_on_product(chain: dict, rank: dict) -> int:
 def covering_pair_chain(doubled: DoubledComplex):
     """The top GF(2) chain of the doubled complex's configuration space
     supported on disjoint pairs whose projections jointly cover the chosen
-    simplex.  Returns (space, chain) with the chain as a frozenset."""
+    simplex.  Returns (space, pairs): the chain as the face-id pairs of its
+    cells, in cell order."""
     space = ConfigurationSpace(doubled.complex)
     k = doubled.degree
     bit = {v: 1 << i for i, v in enumerate(doubled.delta)}
-    # Each k-face's base vertices in delta, as a bitmask over delta.
-    cover = {f: sum(bit.get(v, 0) for v, _s in f) for f in doubled.complex.faces_of_dim(k)}
+    faces, pairs = space.indexed_cells(2 * k)
+    # Each face's base vertices in delta, as a bitmask over delta, by face id.
+    cover = [sum([bit.get(v, 0) for v, _s in f]) for f in faces]
     full = (1 << (k + 1)) - 1
     # The doubled complex has dimension k, so its 2k-cells are exactly the
     # disjoint pairs of k-faces.
-    cells = frozenset(
-        (a, b) for a, b in space.cells_of_degree(2 * k) if cover[a] | cover[b] == full
-    )
-    return space, cells
+    return space, tuple([(a, b) for a, b in pairs if cover[a] | cover[b] == full])
 
 
 @dataclass(frozen=True)
@@ -141,10 +145,12 @@ def check_star_condition(cycle, delta: tuple) -> StarConditionReport:
     return StarConditionReport(holds=True, violation=None)
 
 
-def delta_product_chain(doubled: DoubledComplex) -> dict:
-    """The product chain (all signed lifts of delta) x (minus copy of the cycle)."""
-    minus_cycle = [minus_lift(b) for b in sorted(doubled.cycle)]
-    return {(sigma, b): 1 for sigma in doubled.octa.lifts(doubled.delta) for b in minus_cycle}
+def delta_product_chain(doubled: DoubledComplex, space: ConfigurationSpace) -> dict:
+    """The product chain (all signed lifts of delta) x (minus copy of the
+    cycle), on the face-id pairs of `space`'s complex, which must hold them."""
+    fid = space.face_ids
+    minus_cycle = [fid[minus_lift(b)] for b in sorted(doubled.cycle)]
+    return {(fid[sigma], b): 1 for sigma in doubled.octa.lifts(doubled.delta) for b in minus_cycle}
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +202,14 @@ def certify_nonvanishing(L: SimplicialComplex, degree: int | None = None, search
             if not report.holds:
                 continue
             doubled = double_over(octa, cycle, delta)
-            space, omega = covering_pair_chain(doubled)
-            if space.boundary(omega):
+            space, pairs = covering_pair_chain(doubled)
+            faces = space.faces
+            if space.boundary(pairs):
                 raise RuntimeError(
                     "covering chain failed to be a cycle under the pair-intersection "
                     f"condition (cycle {sorted(cycle)}, delta {delta})"
                 )
-            if sum(mesh_number(a, b, octa.rank) for a, b in omega) % 2 != 1:
+            if sum(mesh_values(faces, pairs, octa.rank)) % 2 != 1:
                 raise RuntimeError(
                     f"covering chain evaluated to 0 (cycle {sorted(cycle)}, delta {delta})"
                 )
@@ -210,7 +217,7 @@ def certify_nonvanishing(L: SimplicialComplex, degree: int | None = None, search
                 degree=k,
                 cycle=cycle,
                 delta=delta,
-                omega=omega,
+                omega=frozenset([(faces[a], faces[b]) for a, b in pairs]),
             )
     return None
 
@@ -236,15 +243,12 @@ class VanishingResult:
 def top_mesh_cocycle(octa: Octahedralization, space: ConfigurationSpace, degree: int) -> dict:
     """The meshing cocycle on the top cells, as its support with value 1.
 
-    A stored cell puts the simplex with the lower-ranked first vertex
-    first, so only its own order can interleave and `mesh_number` is 0 or
-    1 there: this is the integer cocycle as well as its mod-2 reduction.
-    `_interleaves` reads each cell's face-id pair as rank tuples, one per face.
+    `mesh_number` is 0 or 1 on a stored cell (`mesh_values`), so this is the
+    integer cocycle as well as its mod-2 reduction.
     """
     faces, pairs = space.indexed_cells(2 * degree)
-    ranks = [tuple([octa.rank[v] for v in f]) for f in faces]
-    return {cell: 1 for cell, (ga, gb) in zip(space.cells_of_degree(2 * degree), pairs)
-            if _interleaves(ranks[ga], ranks[gb])}
+    return {cell: 1 for cell, meshed in zip(space.cells_of_degree(2 * degree), mesh_values(faces, pairs, octa.rank))
+            if meshed}
 
 
 def _recheck(space: ConfigurationSpace, degree: int, phi: dict, values: dict, modulus: int, what: str):
@@ -328,7 +332,8 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
     primitive, witness = solve_coboundary(phi, 2 * k, space, coefficients="gf2")
     if primitive is None:
         witness = tuple(witness)
-        if space.boundary(witness):
+        fid = space.face_ids
+        if space.boundary([(fid[a], fid[b]) for a, b in witness]):
             raise RuntimeError("inconsistency witness is not a cycle")
         if sum(phi.get(c, 0) for c in witness) % 2 != 1:
             raise RuntimeError("inconsistency witness does not pair to 1")

@@ -9,10 +9,11 @@ and nothing downstream is allowed to use any other order, because the
 meshing cocycles read it.  `Octahedralization` reads the order and its
 ranks off the base, and builds the doubled face set only when `complex`
 is first read, so readers of the order alone (the certificate search,
-`double_over`) never build it.  Projection onto the base forgets the sign.
-`Octahedralization.minus_table` holds, once per complex, each doubled
-face's minus copy `minus_lift(project(face))`, the relabelling that the
-push to the product with the minus copy applies to every half.
+`double_over`, the certificate check) never build it.  Projection onto
+the base forgets the sign; `minus_lift(project(face))` is a face's minus
+copy, the relabelling that the push to the product with the minus copy
+applies to every half, read by face id from
+`ConfigurationSpace.minus_ids` of the complex that holds the chain.
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ class Octahedralization:
         faces = frozenset(signed_lift(f, signs) for f in self.base.faces
                           for signs in product((MINUS, PLUS), repeat=len(f)))
         return SimplicialComplex(vertices=self.vertices, faces=faces)
-
-    @cached_property
-    def minus_table(self) -> dict:
-        """Each face of the doubled complex -> minus_lift(project(face))."""
-        return {f: minus_lift(project(f)) for f in self.complex.faces}
 
     def lifts(self, face: tuple) -> tuple:
         """All signed lifts of a base face, in sign-pattern order."""

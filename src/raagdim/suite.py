@@ -15,13 +15,17 @@ On seeded random flag complexes (small, with a top cycle) this checks:
 plus agreement of the moment-curve intersection oracle with the cocycle on
 (a sample of) top cells.  Failures are reported with a shrunk complex.
 
+Chains are face-id pairs; one memo per complex holds the nonstrict
+indicator of each product cell, filled by the pullback check and read
+again by the evaluation check.
+
 The driver's own faults live in tests/test_suite.py, which swaps this
 module's `push_to_product` for one that keeps only the first product term
 (the pushforward identity catches it), its `mesh_number` for an inverted
 meshing test (the pullback identity catches it on the first cell), its
 `moment_intersection` for a negated oracle (the oracle agreement catches it),
-and `Octahedralization.minus_table` for one with a wrong entry (the pullback
-or pushforward identity catches it).
+and the projection table `ConfigurationSpace.minus_ids` for one with a
+wrong entry (the pullback or pushforward identity catches it).
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .obstruction import (
     check_star_condition,
     covering_pair_chain,
     delta_product_chain,
-    evaluate_nonstrict_on_product,
     mesh_number,
     moment_intersection,
     nonstrict_mesh_indicator,
@@ -109,20 +112,23 @@ def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
     octa = octahedralize(K)
     rank = octa.rank
     space = ConfigurationSpace(octa.complex)
+    faces, top_pairs = space.indexed_cells(2 * k)
     top_cells = space.cells_of_degree(2 * k)
     cocycle = []
-    # Nonstrict meshing of each product cell, which many pushes share.
+    # Nonstrict meshing of each product cell (a face-id pair of OL), which
+    # many pushes and the product chains share.
     nonstrict: dict = {}
 
-    for cell in top_cells:
+    def indicator(term):
+        if term not in nonstrict:
+            nonstrict[term] = nonstrict_mesh_indicator(faces[term[0]], faces[term[1]], rank)
+        return nonstrict[term]
+
+    for cell, pair in zip(top_cells, top_pairs):
         result.checks += 1
         lhs = mesh_number(cell[0], cell[1], rank)
         cocycle.append(lhs)
-        rhs = 0
-        for term, coeff in push_to_product({cell: 1}, octa).items():
-            if term not in nonstrict:
-                nonstrict[term] = nonstrict_mesh_indicator(term[0], term[1], rank)
-            rhs += coeff * nonstrict[term]
+        rhs = sum([coeff * indicator(term) for term, coeff in push_to_product({pair: 1}, space).items()])
         if lhs != rhs:
             result.failures.append(SuiteFailure(
                 "pullback", K.maximal_faces(),
@@ -138,11 +144,10 @@ def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
     for cyc, delta in pairs:
         doubled = double_over(octa, cyc, delta)
         dspace, omega = covering_pair_chain(doubled)
-        product = delta_product_chain(doubled)
 
         result.checks += 1
-        pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(omega, 1), octa).items() if v % 2}
-        if pushed != product:
+        pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(omega, 1), dspace).items() if v % 2}
+        if pushed != delta_product_chain(doubled, dspace):
             result.failures.append(SuiteFailure(
                 "pushforward", K.maximal_faces(),
                 f"cycle {sorted(cyc)}, delta {delta}: push of covering chain differs from product chain"))
@@ -158,7 +163,7 @@ def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
                 return
 
         result.checks += 1
-        if evaluate_nonstrict_on_product(product, rank) % 2 != 1:
+        if sum([indicator(term) for term in delta_product_chain(doubled, space)]) % 2 != 1:
             result.failures.append(SuiteFailure(
                 "evaluation", K.maximal_faces(),
                 f"cycle {sorted(cyc)}, delta {delta}: product chain evaluates to 0"))

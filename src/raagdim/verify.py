@@ -2,16 +2,17 @@
 
 Rebuilds the doubled complex and the covering chain from the certificate's
 (M, Delta) against the provided complex and re-runs every identity, naming
-the first failing check.  Both cycle checks are GF(2) boundaries counted by
-`chain_boundary`: M's over the facets of its simplices (a vertex's facet is
-the empty face, so in degree 0 the rule is an even vertex count), the
-stored chain's on the face index of the doubled complex's configuration
-space.  Every stored pair must have the stated total size and disjoint
-halves; it is then named by its cell key (either half first), the one
-name the configuration space gives a cell.
-The stored support must match the rebuilt chain exactly, and neither M nor
-the stored support may list an entry twice (it would cancel mod 2); a
-certificate is a proof object, not a hint.
+the first failing check.  M's cycle check counts the facets of its
+simplices mod 2 by `chain_boundary` (a vertex's facet is the empty face, so
+in degree 0 the rule is an even vertex count).  Every stored pair must have
+the stated total size and disjoint halves; it is then named once by its
+cell key (either half first), and the stored chain's boundary, evaluation,
+push and support match run on keys and face-id pairs of the doubled
+complex's configuration space, never on OL's face set.  A key becomes a
+cell again only to word a failure.  The stored support must match the
+rebuilt chain exactly, and neither M nor the stored support may list an
+entry twice (it would cancel mod 2); a certificate is a proof object, not
+a hint.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .obstruction import (
     check_star_condition,
     covering_pair_chain,
     delta_product_chain,
-    evaluate_nonstrict_on_product,
-    mesh_number,
+    mesh_values,
+    nonstrict_mesh_indicator,
     push_to_product,
 )
 from .octa import double_over, octahedralize
@@ -93,44 +94,49 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
     octa = octahedralize(K)
     doubled = double_over(octa, m_faces, delta)
     space, rebuilt = covering_pair_chain(doubled)
+    faces = space.faces
+    F = len(faces)
 
     run.append("omega-cycle")
-    stored = set()
+    keys = set()
     for a, b in cert["omega_support"]:
         key = space.cell_key((a, b)) if len(a) + len(b) == 2 * degree + 2 and set(a).isdisjoint(b) else None
         if key is None:
             return VerificationOutcome(False, "omega-cycle",
                                        f"stored pair {(a, b)} is not a disjoint pair of faces "
                                        f"of degree {2 * degree}", tuple(run))
-        cell = space.key_cell(key)
-        if cell in stored:
+        if key in keys:
             return VerificationOutcome(False, "omega-cycle",
-                                       f"stored pair {(a, b)} lists the cell {cell} twice", tuple(run))
-        stored.add(cell)
+                                       f"stored pair {(a, b)} lists the cell {space.key_cell(key)} twice",
+                                       tuple(run))
+        keys.add(key)
+    stored = [divmod(key, F) for key in keys]
     boundary = space.boundary(stored)
     if boundary:
         return VerificationOutcome(False, "omega-cycle",
-                                   f"stored chain has boundary, e.g. at {boundary[0]}", tuple(run))
+                                   f"stored chain has boundary, e.g. at {space.key_cell(boundary[0])}",
+                                   tuple(run))
 
     run.append("omega-evaluation")
-    evaluation = sum(mesh_number(a, b, octa.rank) for a, b in stored) % 2
+    evaluation = sum(mesh_values(faces, stored, octa.rank)) % 2
     if evaluation != 1 or evaluation != cert["evaluation"]:
         return VerificationOutcome(False, "omega-evaluation",
                                    f"stored chain evaluates to {evaluation}", tuple(run))
 
     run.append("pushforward-identity")
-    pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(stored, 1), octa).items() if v % 2}
-    if pushed != delta_product_chain(doubled):
+    pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(stored, 1), space).items() if v % 2}
+    if pushed != delta_product_chain(doubled, space):
         return VerificationOutcome(False, "pushforward-identity",
                                    "push of the stored chain is not the product chain", tuple(run))
-    if evaluate_nonstrict_on_product(pushed, octa.rank) % 2 != 1:
+    if sum([nonstrict_mesh_indicator(faces[a], faces[b], octa.rank) for a, b in pushed]) % 2 != 1:
         return VerificationOutcome(False, "pushforward-identity",
                                    "product evaluation is not 1", tuple(run))
 
     run.append("omega-support-match")
-    if stored != rebuilt:
-        extra = sorted(stored - rebuilt)[:3]
-        missing = sorted(rebuilt - stored)[:3]
+    rebuilt_keys = {a * F + b for a, b in rebuilt}
+    if keys != rebuilt_keys:
+        extra = sorted(map(space.key_cell, keys - rebuilt_keys))[:3]
+        missing = sorted(map(space.key_cell, rebuilt_keys - keys))[:3]
         return VerificationOutcome(False, "omega-support-match",
                                    f"stored support differs (extra {extra}, missing {missing})",
                                    tuple(run))

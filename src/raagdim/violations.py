@@ -67,15 +67,15 @@ def find_star_violation(seed: int = 0, budget: int = 40) -> ViolationExhibit | N
                 if report.holds:
                     continue
                 doubled = double_over(octa, cyc, delta)
-                space, omega = covering_pair_chain(doubled)
-                boundary = space.boundary(omega)
+                space, pairs = covering_pair_chain(doubled)
+                boundary = space.boundary(pairs)
                 if boundary:
                     return ViolationExhibit(
                         complex=K,
                         cycle=cyc,
                         delta=delta,
                         violating_pair=report.violation,
-                        boundary_cell=boundary[0],
+                        boundary_cell=space.key_cell(boundary[0]),
                         boundary_size=len(boundary),
                     )
     return None

@@ -1,9 +1,10 @@
 """Reference oracles: the push to the product and the nonstrict meshing
-indicator written straight from their definitions, deriving the minus
-copy of every half on each call and testing the signs of `b` before any
-vertex order.  `raagdim.obstruction` reads the minus copies from the
-per-complex `Octahedralization.minus_table` and checks the signs within
-its one loop; the tests compare the two.
+indicator written straight from their definitions, on cells, deriving the
+minus copy of every half on each call and testing the signs of `b` before
+any vertex order.  `raagdim.obstruction` pushes face-id pairs, reads the
+minus copies from the per-space projection table
+`ConfigurationSpace.minus_ids` and checks the signs within its one loop;
+the tests compare the two.
 """
 
 from __future__ import annotations

@@ -151,7 +151,9 @@ def test_criterion_7_star_condition_failure_exhibit():
 
     octa = octahedralize(exhibit.complex)
     doubled = double_over(octa, exhibit.cycle, exhibit.delta)
-    space, omega = covering_pair_chain(doubled)
+    space, pairs = covering_pair_chain(doubled)
+    F = len(space.faces)
+    omega = [space.key_cell(a * F + b) for a, b in pairs]
     signed = signed_chain_boundary(omega, partial(signed_boundary, doubled.complex))
     boundary = {c for c, v in signed.items() if v % 2}
     assert len(boundary) == exhibit.boundary_size

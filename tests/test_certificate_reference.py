@@ -1,0 +1,102 @@
+"""The certificate path on face ids against its reference oracles on cells:
+the covering chain, the push and `verify_certificate`, failure wording
+included."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+import certificate_reference
+import push_reference
+from raagdim import io_json
+from raagdim.complexes import skeleton
+from raagdim.homology import cycle_space
+from raagdim.obstruction import certify_nonvanishing, covering_pair_chain, push_to_product
+from raagdim.octa import double_over, octahedralize
+from raagdim.verify import verify_certificate
+from raagdim.zoo import ZOO, build_named, random_flag
+from test_pins import load_workloads
+
+
+@given(st.integers(6, 9), st.floats(0.3, 0.7), st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_pair_chain_and_id_push_match_the_cell_references(n, p, seed):
+    rng = random.Random(seed)
+    L = random_flag(n, p, seed)
+    for k in range(L.dim + 1):
+        K = skeleton(L, k)
+        basis = cycle_space(K, k)
+        if not basis:
+            continue
+        cyc = frozenset()
+        for c in rng.sample(basis, rng.randint(1, len(basis))):
+            cyc ^= c
+        doubled = double_over(octahedralize(K), cyc, rng.choice(sorted(cyc)))
+        space, pairs = covering_pair_chain(doubled)
+        _space, reference = certificate_reference.covering_pair_chain(doubled)
+        # Cell for cell, in cell order.
+        F = len(space.faces)
+        assert [space.key_cell(a * F + b) for a, b in pairs] == sorted(reference, key=space.cell_key)
+        # The push of the chain with random coefficients, term for term in
+        # the reference's order, signs included; and of chains in every degree.
+        chains = [dict(zip(pairs, rng.choices((-2, -1, 1, 2), k=len(pairs))))]
+        for d in range(2 * k):
+            lower = space.indexed_cells(d)[1]
+            chains.append({pair: rng.choice((-1, 1)) for pair in rng.sample(lower, min(8, len(lower)))})
+        faces = space.faces
+        for chain in chains:
+            pushed = push_to_product(chain, space)
+            cells = {(faces[a], faces[b]): v for (a, b), v in chain.items()}
+            expect = push_reference.push_to_product(cells, doubled.octa)
+            assert [((faces[a], faces[b]), v) for (a, b), v in pushed.items()] == list(expect.items())
+
+
+def sweep_certificates():
+    """(name, L, decoded certificate) for every zoo certificate in every
+    degree and the top certificate of every `certify` benchmark case."""
+    for entry in ZOO:
+        L = entry.complex()
+        for k in range(L.dim + 1):
+            cert = certify_nonvanishing(L, k)
+            if cert is not None:
+                yield f"zoo:{entry.name}:{k}", L, cert
+    for case in load_workloads().WORKLOADS["certify"].cases:
+        L = build_named(case.expr)
+        yield f"certify:{case.name}", L, certify_nonvanishing(L)
+
+
+def mutations(L, data):
+    """The certificate as stored and mutated: the one-cell mutations at a
+    few positions, a repeated cell, a dropped M simplex and a duplicate
+    listed with its halves swapped."""
+    rank = octahedralize(L).rank
+    support = data["omega_support"]
+    yield "as-is", data
+    for i in sorted({0, 1, len(support) // 2, len(support) - 1} & set(range(len(support)))):
+        a, b = support[i]
+        j = i % len(a)
+        (v, sign), rest = a[j], a[:j] + a[j + 1 :]
+        into_b = tuple(sorted(b + (a[j],), key=rank.__getitem__))
+        for name, cells in {"swap": [(b, a)], "drop": [], "flip-sign": [(a[:j] + ((v, -sign),) + a[j + 1 :], b)],
+                            "overlap": [(a, into_b)], "move": [(rest, into_b)]}.items():
+            yield f"{name}@{i}", dict(data, omega_support=support[:i] + cells + support[i + 1 :])
+    a, b = support[0]
+    yield "repeat-first", dict(data, omega_support=[support[0]] + support)
+    yield "swapped-duplicate", dict(data, omega_support=support + [(b, a)])
+    dropped = next(f for f in data["M"] if f != data["Delta"]) if len(data["M"]) > 1 else data["M"][0]
+    yield "drop-M", dict(data, M=[f for f in data["M"] if f != dropped])
+
+
+def test_verify_matches_the_cell_reference_on_zoo_and_certify_mutations():
+    failed_checks = set()
+    count = 0
+    for name, L, cert in sweep_certificates():
+        data = io_json.certificate_from_json(io_json.certificate_to_json(cert))
+        for mutation, mutated in mutations(L, data):
+            out = verify_certificate(L, mutated)
+            assert out == certificate_reference.verify_certificate(L, mutated), (name, mutation)
+            assert out.ok == (mutation == "as-is" or mutation.startswith("swap@")), (name, mutation, out)
+            failed_checks.add(out.failed_check)
+            count += 1
+    assert count > 300
+    assert {"cycle-condition", "omega-cycle"} <= failed_checks

@@ -18,7 +18,7 @@ from raagdim.octa import octahedralize
 from raagdim.zoo import ZOO, cycle, octahedron_boundary, path, points, random_flag, simplex, tree
 from raagdim.intlinalg import integer_rank
 from test_bounds import RP2
-from test_config_space import signed_boundary
+from test_config_space import pairs_of, signed_boundary
 
 
 def brute_kernel_members(K, k):
@@ -215,7 +215,7 @@ def brute_solvability(phi, m, space):
     cells = space.cells_of_degree(m)
     for r in range(len(cells) + 1):
         for sub in combinations(cells, r):
-            if space.boundary(sub):
+            if space.boundary(pairs_of(space, sub)):
                 continue
             if sum(phi.get(c, 0) for c in sub) % 2:
                 return False

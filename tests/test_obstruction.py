@@ -21,7 +21,6 @@ from raagdim.obstruction import (
     check_star_condition,
     covering_pair_chain,
     delta_product_chain,
-    evaluate_nonstrict_on_product,
     mesh_number,
     moment_intersection,
     nonstrict_mesh_indicator,
@@ -30,8 +29,9 @@ from raagdim.obstruction import (
 )
 from raagdim.octa import MINUS, PLUS, Octahedralization, double_over, minus_lift, octahedralize
 from raagdim.suite import run_suite
+from raagdim.verify import verify_certificate
 from raagdim.zoo import ZOO, cone, cycle, octahedron_boundary, path, points, random_flag, simplex, suspension, tree
-from test_config_space import pair_cell_boundary, signed_boundary, signed_chain_boundary
+from test_config_space import pair_cell_boundary, pairs_of, signed_boundary, signed_chain_boundary
 from test_pins import load_workloads
 
 RANK4 = {"v0": 0, "v1": 1, "v2": 2, "v3": 3}
@@ -74,18 +74,31 @@ def test_nonstrict_mesh_checks_every_sign_after_the_pattern_breaks():
         push_reference.nonstrict_mesh_indicator((("v0", PLUS), ("v1", MINUS)), (("v0", MINUS), ("v1", PLUS)), rank)
 
 
+def push_cells(chain, cs) -> dict:
+    """`push_to_product` of a chain on cells, its terms read back as cells."""
+    fid, faces = cs.face_ids, cs.faces
+    pushed = push_to_product({(fid[a], fid[b]): v for (a, b), v in chain.items()}, cs)
+    return {(faces[a], faces[b]): v for (a, b), v in pushed.items()}
+
+
+def evaluate_nonstrict_on_product(chain, faces, rank) -> int:
+    """Integer pairing of the nonstrict meshing cocycle with a product chain
+    on face-id pairs."""
+    return sum(coeff * nonstrict_mesh_indicator(faces[a], faces[b], rank) for (a, b), coeff in chain.items())
+
+
 def test_push_single_cell_formula():
     o = octahedralize(cycle(4))
     cs = ConfigurationSpace(o.complex)
     cell = next(c for c in cs.cells_of_degree(2) if len(c[0]) == 2)
     a, b = cell
-    pushed = push_to_product({cell: 1}, o)
+    pushed = push_cells({cell: 1}, cs)
     sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
     assert pushed == {
         (a, minus_lift(tuple(v for v, _ in b))): 1,
         (b, minus_lift(tuple(v for v, _ in a))): sign,
     }
-    assert push_to_product({}, o) == {}
+    assert push_to_product({}, cs) == {}
 
 
 @given(st.integers(0, 10**6))
@@ -103,8 +116,8 @@ def test_push_is_a_chain_map(seed):
             continue
         chain = {c: rng.randint(-2, 2) for c in rng.sample(list(cells), min(4, len(cells)))}
         chain = {c: v for c, v in chain.items() if v}
-        lhs = signed_chain_boundary(push_to_product(chain, o), pair_cell_boundary)
-        rhs = push_to_product(signed_chain_boundary(chain, partial(signed_boundary, o.complex)), o)
+        lhs = signed_chain_boundary(push_cells(chain, cs), pair_cell_boundary)
+        rhs = push_cells(signed_chain_boundary(chain, partial(signed_boundary, o.complex)), cs)
         assert lhs == rhs
 
 
@@ -119,7 +132,7 @@ def indicator_outcome(indicator, sigma, b, rank):
 def sample_spaces(L, rng):
     """(octahedralization, configuration space) pairs: on OL and on one
     complex doubled over a random cycle of L, each with the octahedralization
-    whose minus copies its push reads."""
+    whose minus copies the reference push derives."""
     o = octahedralize(L)
     out = [(o, ConfigurationSpace(o.complex))]
     cycles = [(k, c) for k in range(L.dim + 1) for c in cycle_space(skeleton(L, k), k)]
@@ -145,7 +158,7 @@ def test_push_and_indicator_match_their_reference_oracles(seed):
             # A zero coefficient pushes to nothing.
             chain[cells[0]] = 0
             pushed = push_reference.push_to_product(chain, o)
-            assert list(push_to_product(chain, o).items()) == list(pushed.items())
+            assert list(push_cells(chain, cs).items()) == list(pushed.items())
             # The pushed cells, and the unpushed halves (which may carry plus
             # vertices), against both indicators, errors included.
             for sigma, b in list(pushed) + list(chain):
@@ -169,9 +182,11 @@ def test_pullback_identity_every_cell(seed):
     if L.dim < 1:
         return
     o = octahedralize(L)
-    for cell in all_top_cells(o):
-        pushed = push_to_product({cell: 1}, o)
-        assert mesh_number(cell[0], cell[1], o.rank) == evaluate_nonstrict_on_product(pushed, o.rank)
+    cs = ConfigurationSpace(o.complex)
+    fid = cs.face_ids
+    for a, b in all_top_cells(o):
+        pushed = push_to_product({(fid[a], fid[b]): 1}, cs)
+        assert mesh_number(a, b, o.rank) == evaluate_nonstrict_on_product(pushed, cs.faces, o.rank)
 
 
 def interleaving_reference(sigma, tau, rank):
@@ -224,15 +239,24 @@ def test_pushforward_cycle_and_evaluation_identities(seed):
     for cyc, delta in lemma_pairs(L):
         doubled = double_over(o, cyc, delta)
         space, omega = covering_pair_chain(doubled)
-        product = delta_product_chain(doubled)
-        pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(omega, 1), o).items() if v % 2}
+        product = delta_product_chain(doubled, space)
+        pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(omega, 1), space).items() if v % 2}
         assert pushed == product  # holds with or without the star condition
         if check_star_condition(cyc, delta).holds:
             assert not space.boundary(omega)
-        assert evaluate_nonstrict_on_product(product, o.rank) % 2 == 1
+        assert evaluate_nonstrict_on_product(product, space.faces, o.rank) % 2 == 1
 
 
 # --- covering chain examples -------------------------------------------------
+
+
+def covering_cells(doubled):
+    """`covering_pair_chain` with its pairs read back as cells by `key_cell`;
+    the pairs come in cell order, each once."""
+    space, pairs = covering_pair_chain(doubled)
+    keys = [a * len(space.faces) + b for a, b in pairs]
+    assert keys == sorted(set(keys))
+    return space, pairs, [space.key_cell(key) for key in keys]
 
 
 def set_based_covering_chain(doubled, space):
@@ -251,8 +275,8 @@ def test_covering_chain_matches_the_set_based_filter_on_zoo_certificates():
             if cert is None:
                 continue
             doubled = double_over(octahedralize(skeleton(L, k)), cert.cycle, cert.delta)
-            space, omega = covering_pair_chain(doubled)
-            assert omega == cert.omega == set_based_covering_chain(doubled, space)
+            space, _pairs, omega = covering_cells(doubled)
+            assert frozenset(omega) == cert.omega == set_based_covering_chain(doubled, space)
             found += 1
     assert found >= 10
 
@@ -272,14 +296,14 @@ def test_covering_chain_matches_the_set_based_filter_on_random_pairs(seed):
         for c in rng.sample(basis, rng.randint(1, len(basis))):
             cyc ^= c
         doubled = double_over(octahedralize(skeleton(L, k)), cyc, rng.choice(sorted(cyc)))
-        space, omega = covering_pair_chain(doubled)
-        assert omega == set_based_covering_chain(doubled, space)
+        space, _pairs, omega = covering_cells(doubled)
+        assert frozenset(omega) == set_based_covering_chain(doubled, space)
 
 
 def test_covering_chain_single_edge():
     o = octahedralize(simplex(1))
     doubled = double_over(o, frozenset({("v0", "v1")}), ("v0", "v1"))
-    space, omega = covering_pair_chain(doubled)
+    _space, _pairs, omega = covering_cells(doubled)
     # The two diagonal pairs of the doubled edge (a 4-cycle).
     assert len(omega) == 2
     for a, b in omega:
@@ -291,17 +315,17 @@ def test_covering_chain_c4_frozen_values():
     L = cycle(4)
     o = octahedralize(L)
     doubled = double_over(o, frozenset(L.faces_of_dim(1)), ("c0", "c1"))
-    space, omega = covering_pair_chain(doubled)
+    space, pairs, omega = covering_cells(doubled)
     # Hand-derived: 4+2+4+4+4 qualifying pairs, 5 of them meshed.
     assert len(omega) == 18
     assert sum(mesh_number(a, b, o.rank) for a, b in omega) == 5
-    assert not space.boundary(omega)
+    assert not space.boundary(pairs)
 
 
 def test_covering_chain_empty_cycle():
     o = octahedralize(points(2))
     doubled = double_over(o, frozenset({("p0",), ("p1",)}), ("p0",))
-    space, omega = covering_pair_chain(doubled)
+    _space, _pairs, omega = covering_cells(doubled)
     # Degree 0: pairs of distinct vertices covering the doubled point.
     assert len(omega) == 2 * 2 - 1
     assert sum(mesh_number(a, b, o.rank) for a, b in omega) % 2 == 1
@@ -389,7 +413,7 @@ def test_certify_vanishing_c4_obstructed_with_witness():
     o = octahedralize(cycle(4))
     space = ConfigurationSpace(o.complex)
     witness = frozenset(result.witness_cycle)
-    assert not space.boundary(witness)
+    assert not space.boundary(pairs_of(space, witness))
     assert sum(mesh_number(a, b, o.rank) for a, b in witness) % 2 == 1
 
 
@@ -415,8 +439,12 @@ def test_certificate_search_never_builds_the_octahedralization_face_set(monkeypa
     for entry in ZOO:
         L = entry.complex()
         for k in range(L.dim + 1):
-            found += certify_nonvanishing(L, k) is not None
-    assert found
+            cert = certify_nonvanishing(L, k)
+            if cert is not None:
+                # The check reads the doubled complex's push, not OL's faces.
+                assert verify_certificate(L, io_json.certificate_from_json(io_json.certificate_to_json(cert))).ok
+                found += 1
+    assert found >= 10
 
 
 def dense_top_solve(L):

@@ -43,7 +43,8 @@ def test_script_runs(args, expected, tmp_path):
         # never reaches the guard.
         digests = {name: v for name, v in json.loads(run.stdout).items() if name not in suites}
         keys = ["default", "integral", "links", "refuse"]
-        assert all(sorted(v) in (keys, keys + ["verify", "verify-drop-first"]) for v in digests.values())
+        verdicts = ["verify", "verify-drop-first", "verify-flip-sign", "verify-repeat-first"]
+        assert all(sorted(v) in (keys, keys + verdicts) for v in digests.values())
         # The link digest covers [v, d, bound] for every vertex and d <= 2.
         c4 = cycle(4)
         bounds = [[v, d, list(vkdim_lower(link(c4, (v,)), d))] for v in c4.vertices for d in range(3)]
@@ -51,9 +52,18 @@ def test_script_runs(args, expected, tmp_path):
         assert digests["zoo:cycle3"]["refuse"] != digests["zoo:cycle3"]["default"]
         assert digests["zoo:cycle4"]["refuse"] == digests["zoo:cycle4"]["default"]
         # A certificate verifies after its JSON round trip, and not without
-        # its first cell; a report without one gets no verdicts.
-        assert digests["zoo:cycle4"]["verify"] == [True, None]
-        assert digests["zoo:cycle4"]["verify-drop-first"] == [False, "omega-cycle"]
+        # its first cell, with that cell's first sign flipped or with that
+        # cell twice; each failure is named and worded.  A report without a
+        # certificate gets no verdicts.
+        verified = digests["zoo:cycle4"]
+        assert verified["verify"] == [True, None, "certificate verified"]
+        first = "((('c0', -1), ('c1', -1)), (('c0', 1), ('c1', 1)))"
+        assert verified["verify-drop-first"] == [
+            False, "omega-cycle", "stored chain has boundary, e.g. at ((('c0', -1),), (('c0', 1), ('c1', 1)))"]
+        assert verified["verify-flip-sign"] == [
+            False, "omega-cycle",
+            "stored pair ((('c0', 1), ('c1', -1)), (('c0', 1), ('c1', 1))) is not a disjoint pair of faces of degree 2"]
+        assert verified["verify-repeat-first"] == [False, "omega-cycle", f"stored pair {first} lists the cell {first} twice"]
         assert sorted(digests["zoo:cycle3"]) == keys
     # run_zoo.py writes one report per table row (less the header and its
     # rule), each with the bytes of json.dumps(..., sort_keys=True, indent=2).

@@ -6,7 +6,7 @@ from functools import cached_property
 from raagdim import suite
 from raagdim.complexes import make_complex
 from raagdim.obstruction import mesh_number, moment_intersection
-from raagdim.octa import Octahedralization, minus_lift, project
+from raagdim.config_space import ConfigurationSpace
 from raagdim.suite import SuiteResult, check_complex, run_suite
 
 
@@ -15,11 +15,11 @@ def flipped_mesh_number(sigma, tau, rank):
     return 1 - abs(mesh_number(sigma, tau, rank))
 
 
-def dropped_push_to_product(chain, octa):
+def dropped_push_to_product(chain, space):
     """Fault: the push keeps only its first product term, not the swap."""
     out: dict = {}
     for (sigma, tau), coeff in chain.items():
-        cell = (sigma, minus_lift(project(tau)))
+        cell = (sigma, space.minus_ids[tau])
         out[cell] = out.get(cell, 0) + coeff
     return {c: v for c, v in out.items() if v}
 
@@ -80,18 +80,18 @@ def test_injected_oracle_fault_is_caught_and_shrunk(monkeypatch):
 
 
 def test_corrupted_minus_table_entry_is_caught(monkeypatch):
-    build = Octahedralization.minus_table.func
+    build = ConfigurationSpace.minus_ids.func
 
-    def corrupted(octa):
+    def corrupted(space):
         """Fault: the first top face's minus copy is the last top face's."""
-        table = build(octa)
-        top = octa.complex.faces_of_dim(octa.complex.dim)
-        table[top[0]] = table[top[-1]]
+        table = build(space)
+        fid, top = space.face_ids, space.K.faces_of_dim(space.K.dim)
+        table[fid[top[0]]] = table[fid[top[-1]]]
         return table
 
     fault = cached_property(corrupted)
-    fault.__set_name__(Octahedralization, "minus_table")
-    monkeypatch.setattr(Octahedralization, "minus_table", fault)
+    fault.__set_name__(ConfigurationSpace, "minus_ids")
+    monkeypatch.setattr(ConfigurationSpace, "minus_ids", fault)
     res = run_suite(seed=3, count=5)
     assert res.failures
     assert res.failures[0].check in ("pullback", "pushforward")
