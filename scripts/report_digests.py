@@ -11,10 +11,16 @@ and with max_cells=0 ("refuse"), so that every case of dimension >= 1
 without a top certificate refuses the coboundary solve and its report
 carries the exact cell count of the size guard.  The output is one JSON
 object, case name -> {"default", "integral", "refuse"} digests of the
-report bytes.  When the default report carries a certificate, the case
-also gets the [ok, failed_check, detail] of verifying that certificate
-after a JSON round trip ("verify"), with its first omega_support cell
-dropped ("verify-drop-first"), with the sign of that cell's first vertex
+report bytes.  The top coboundary solve of the "default" and "integral"
+analyses gets one digest each ("vanishing", "vanishing-integral") of
+[status, GF(2) primitive, witness, integer primitive] as the report's
+VanishingResult holds them, each cell written as a pair of faces in the
+order the result lists it (a cell key is read back by
+`ConfigurationSpace.key_cell`), so the diff covers the primitives and
+witnesses, not just the primitive's size.  When the default report
+carries a certificate, the case also gets the [ok, failed_check, detail]
+of verifying that certificate after a JSON round trip ("verify"), with
+its first omega_support cell dropped ("verify-drop-first"), with the sign of that cell's first vertex
 flipped ("verify-flip-sign") and with that cell listed twice
 ("verify-repeat-first"), so the diff covers the failure wording too.  Every case also gets one digest of
 [v, d, vkdim_lower(link(L, (v,)), d)] over its vertices v and the depths
@@ -39,6 +45,8 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from raagdim import io_json  # noqa: E402
 from raagdim.bounds import analyze, vkdim_lower  # noqa: E402
 from raagdim.complexes import link  # noqa: E402
+from raagdim.config_space import ConfigurationSpace  # noqa: E402
+from raagdim.octa import octahedralize  # noqa: E402
 from raagdim.suite import run_suite  # noqa: E402
 from raagdim.verify import verify_certificate  # noqa: E402
 from raagdim.zoo import ZOO, build_named, random_flag  # noqa: E402
@@ -62,8 +70,29 @@ def cases(count: int):
         yield f"random_flag({n},{p},{i})", random_flag(n, p, i), {}
 
 
-def report(L, options) -> dict:
-    return io_json.report_to_json(analyze(L, **options))
+def report(L, options) -> tuple:
+    """The report JSON of analyze(L, **options) and its VanishingResult."""
+    result = analyze(L, **options)
+    return io_json.report_to_json(result), result.vanishing
+
+
+def solve_record(L, vanishing) -> list:
+    """[status, GF(2) primitive, witness, integer primitive] of the top
+    solve, a primitive as [cell, value] pairs; None without a solve.  A
+    primitive on cell keys is read back by `key_cell`, one on cells is
+    written as is, so two checkouts that name cells differently can be
+    compared."""
+    if vanishing is None:
+        return None
+    space = ConfigurationSpace(octahedralize(L).complex)
+
+    def cochain(values):
+        if values is None:
+            return None
+        return [[space.key_cell(cell) if isinstance(cell, int) else cell, v] for cell, v in values.items()]
+
+    return [vanishing.status, cochain(vanishing.primitive), vanishing.witness_cycle,
+            cochain(vanishing.integral_primitive)]
 
 
 def digest(data) -> str:
@@ -97,9 +126,12 @@ def main() -> int:
     args = parser.parse_args()
     out = {}
     for name, L, options in cases(args.count):
-        default = report(L, options)
-        out[name] = {"default": digest(default), "integral": digest(report(L, {**options, "integral": True})),
-                     "refuse": digest(report(L, {**options, "max_cells": 0})), "links": digest(link_bounds(L))}
+        default, vanishing = report(L, options)
+        integral, integral_vanishing = report(L, {**options, "integral": True})
+        out[name] = {"default": digest(default), "integral": digest(integral),
+                     "refuse": digest(report(L, {**options, "max_cells": 0})[0]), "links": digest(link_bounds(L)),
+                     "vanishing": digest(solve_record(L, vanishing)),
+                     "vanishing-integral": digest(solve_record(L, integral_vanishing))}
         if "certificate" in default:
             out[name].update(verdicts(L, default["certificate"]))
     for seed in range(5):

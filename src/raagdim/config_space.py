@@ -9,11 +9,10 @@ which acts with the sign (-1)^(dim a * dim b).
 ConfigurationSpace works on an index of K.  Every face gets an id (by
 dimension, then rank tuple), an int vertex bitmask, so disjointness is
 `mask_a & mask_b == 0`, and its facet ids, built once straight from the
-face ids (drop each vertex, in id order), with the sign (-1)^i of
-dropping vertex i for the integer path.  Each degree is enumerated once,
-as face-id pairs (a, b) already in cell order (by the id of a, then of
-b), with no sort; `indexed_cells(d)` hands them out, and
-`cells_of_degree(d)` turns them into pairs of faces only when read.
+face ids (drop each vertex, in id order).  Each degree is enumerated
+once, as face-id pairs (a, b) already in cell order (by the id of a, then
+of b), with no sort; `indexed_cells(d)` hands them out, and
+`cells_of_degree(d)`, uncached, turns them into pairs of faces.
 
 A cell has one name: its key a * F + b (`cell_key`, read back by
 `key_cell`), from the face ids (a, b) in stored order, F the number of
@@ -23,13 +22,13 @@ and {a, b'} of a cell are read off the facet table as keys.
 counts their facets mod 2 by `chain_boundary`, with no enumeration, no
 signs and no sort of the cells.  `facet_keys(d)` lists the facet keys of
 every d-cell, the rows of the GF(2) coboundary solve and its re-check;
-`signed_facet_keys(d)` puts the signs on those rows, the one copy of the
-sign and swap rule, and serves the integer solve and re-check.  So no
-solve, over either ring, builds degree d - 1.  `count_cells(d)` counts a
-degree by popcounts over one face bitset per vertex, without enumerating
-it.  For a complex on signed vertices, `minus_ids` is the projection
-table that the push to the product with the minus copy reads: each
-face's minus copy, by id.
+`signed_facet_keys(d)` puts the signs, read off the dimensions, on those
+rows, the one copy of the sign and swap rule, and serves the integer
+solve and re-check.  So no solve, over either ring, builds a cell of
+degree d or d - 1.  `count_cells(d)` counts a degree by popcounts over
+one face bitset per vertex, without enumerating it.  For a complex on
+signed vertices, `minus_ids` is the projection table that the push to
+the product with the minus copy reads: each face's minus copy, by id.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ class ConfigurationSpace:
     def __init__(self, K: SimplicialComplex):
         self.K = K
         self._degrees: dict = {}
-        self._cells: dict = {}
         self._counts: dict = {}
         self._keys: dict = {}
         self._signed: dict = {}
@@ -107,13 +105,6 @@ class ConfigurationSpace:
         return [tuple([fid[f[:i] + f[i + 1 :]] for i in range(len(f) - 1, -1, -1)]) if len(f) > 1 else ()
                 for f in self._faces[0]]
 
-    @cached_property
-    def _facets(self) -> list:
-        """The facet table with signs, for the integer path: the j-th facet
-        of a face with n + 1 vertices drops vertex n - j, sign (-1)^(n - j)."""
-        return [tuple((sa, -1 if (len(ids) - 1 - j) % 2 else 1) for j, sa in enumerate(ids))
-                for ids in self._facet_ids]
-
     def _pairs(self, d: int):
         """Face-id pairs (a, b) of the d-cells, in cell order.
 
@@ -139,11 +130,9 @@ class ConfigurationSpace:
         return self._degrees[d]
 
     def cells_of_degree(self, d: int) -> tuple:
-        """The d-cells in cell order, as pairs of faces; built on first read."""
-        if d not in self._cells:
-            faces = self._faces[0]
-            self._cells[d] = tuple([(faces[ga], faces[gb]) for ga, gb in self._degree(d)])
-        return self._cells[d]
+        """The d-cells in cell order, as pairs of faces; built on every read."""
+        faces = self._faces[0]
+        return tuple([(faces[ga], faces[gb]) for ga, gb in self._degree(d)])
 
     def indexed_cells(self, d: int) -> tuple:
         """The faces by id, and the face-id pairs (a, b) of the d-cells in cell order."""
@@ -224,13 +213,13 @@ class ConfigurationSpace:
         the signs of its facets, as a (keys, signs) pair; computed once per
         degree.
 
-        The j-th facet of a face with n + 1 vertices drops vertex n - j, sign
-        (-1)^(n - j) (the signed facet table); a facet of b carries
-        (-1)^dim(a) on top, and a facet a' of a stored after b (its key in
-        b's block) the swap sign (-1)^(dim(a') * dim(b)).
+        The j-th facet of an n-face (n > 0) drops vertex n - j, sign
+        (-1)^(n - j), so the signs depend on the dimension alone; a facet of
+        b carries (-1)^dim(a) on top, and a facet a' of a stored after b (its
+        key in b's block) the swap sign (-1)^(dim(a') * dim(b)).
         """
         if d not in self._signed:
-            faces, facets, F = self._faces[0], self._facets, len(self._faces[0])
+            faces, F = self._faces[0], len(self._faces[0])
             dim = [len(f) - 1 for f in faces]
             unswapped: dict = {}  # (dim a, dim b) -> signs of the facets of a, then of b
             rows = []
@@ -238,8 +227,8 @@ class ConfigurationSpace:
                 da, db = dim[ga], dim[gb]
                 signs = unswapped.get((da, db))
                 if signs is None:
-                    signs = unswapped[da, db] = tuple([s for _, s in facets[ga]] +
-                                                      [(-1) ** da * s for _, s in facets[gb]])
+                    signs = unswapped[da, db] = tuple([(-1) ** (da - j) for j in range(da + 1) if da] +
+                                                      [(-1) ** (da + db - j) for j in range(db + 1) if db])
                 if (da - 1) * db % 2:
                     signs = tuple([-s if j <= da and key // F == gb else s
                                    for j, (key, s) in enumerate(zip(keys, signs))])

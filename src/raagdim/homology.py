@@ -11,12 +11,13 @@ d-cell, ids indexing the (d-1)-cells, from `boundary_rows(K, d)`.  Over
 GF(2) a row is the set of its ids with an odd coefficient (`_parity_rows`),
 eliminated sparsely by `gf2`; over Q, `intlinalg.sparse_rank` reads the
 signed rows themselves.  The configuration space plugs into
-`solve_coboundary` through ``cells_of_degree(d)`` and its facet-key rows,
-read back by ``key_cell``: unsigned (``facet_keys(d)``) over GF(2), signed
-(``signed_facet_keys(d)``) over Z, where `intlinalg.solve_integer` reads
-them themselves.  Neither ring builds the (d-1)-cells.  The integer solve
-is the fallback of the route that solves on L and pulls back
-(`obstruction.certify_vanishing`).
+`solve_coboundary` through its facet-key rows alone: unsigned
+(``facet_keys(d)``) over GF(2), signed (``signed_facet_keys(d)``) over Z,
+where `intlinalg.solve_integer` reads them themselves.  The cochain phi is
+a sequence in the order of those rows, the cell order, and a primitive
+comes back on cell keys, so neither ring builds a cell, of degree d or
+d-1.  The integer solve is the fallback of the route that solves on L and
+pulls back (`obstruction.certify_vanishing`).
 """
 
 from __future__ import annotations
@@ -96,16 +97,19 @@ def cycle_space(K: SimplicialComplex, k: int) -> tuple:
 def solve_coboundary(phi, degree: int, space, coefficients: str = "gf2"):
     """Find x with (delta x) = phi on the m-cells of a cell complex.
 
-    phi: mapping from m-cells to coefficients (missing cells read as 0).
-    space: cell complex exposing cells_of_degree(d), key_cell(key) and
-    rows of facet keys, which increase strictly in the order of the
-    (m-1)-cells: over GF(2) count_cells(d) and facet_keys(d), over Z
-    signed_facet_keys(d).  Neither ring builds the (m-1)-cells.
+    phi: the values on the m-cells, a sequence in cell order, one per row
+    (a ValueError when its length differs).  space: cell complex exposing
+    rows of facet keys, one row per m-cell in cell order, the keys
+    increasing strictly in the order of the (m-1)-cells: over GF(2)
+    count_cells(d) and facet_keys(d), over Z signed_facet_keys(d).
+    Neither ring builds a cell.
 
-    Returns (primitive, witness): `primitive` is a dict on (m-1)-cells, in
-    cell order, when solvable, otherwise None and `witness` is a list of
-    m-cells forming a cycle on which phi evaluates to 1 (GF(2)) resp.
-    nontrivially.
+    Returns (primitive, witness): `primitive` is a {key: value} dict on the
+    keys of the (m-1)-cells, in key order (cell order), with no zero value,
+    when solvable, otherwise None.  Over GF(2) the witness of an unsolvable
+    system is the ascending list of the indices of m-cells forming a cycle
+    on which phi evaluates to 1; over Z no witness is given (an empty
+    list).
 
     For the top cocycle of a configuration space, `certify_vanishing`
     first solves over Z on L and pulls the result back, which builds no
@@ -113,19 +117,17 @@ def solve_coboundary(phi, degree: int, space, coefficients: str = "gf2"):
     rows leave a core after their unit pivots or some right-hand side on L
     has no integer solution.
     """
-    m_cells = space.cells_of_degree(degree)
     if coefficients == "gf2":
         n_lower = space.count_cells(degree - 1) if degree > 0 else 0
-        eqs = list(zip(space.facet_keys(degree), [phi.get(cell, 0) % 2 for cell in m_cells]))
+        eqs = list(zip(space.facet_keys(degree), phi, strict=True))
         x, _ = gf2.solve(eqs, n_lower)
         if x is None:
-            _, witness = gf2.solve(eqs, n_lower, want_witness=True)
-            return None, [m_cells[i] for i in witness]
-        return {space.key_cell(key): 1 for key in sorted(x)}, None
+            return None, gf2.solve(eqs, n_lower, want_witness=True)[1]
+        return dict.fromkeys(sorted(x), 1), None
     if coefficients == "int":
-        rows = (zip(keys, signs) for keys, signs in space.signed_facet_keys(degree))
-        sol = intlinalg.solve_integer(rows, [phi.get(cell, 0) for cell in m_cells])
+        eqs = list(zip(space.signed_facet_keys(degree), phi, strict=True))
+        sol = intlinalg.solve_integer((zip(*row) for row, _ in eqs), [v for _, v in eqs])
         if sol is None:
             return None, []
-        return {space.key_cell(key): v for key, v in sorted(sol.items()) if v}, None
+        return {key: v for key, v in sorted(sol.items()) if v}, None
     raise ValueError(f"unknown coefficient ring {coefficients!r}")

@@ -12,9 +12,10 @@ jointly cover a chosen simplex, built from a GF(2) cycle of the base.  The
 covering chain, its push to the product and its evaluation run on the
 face-id pairs of the configuration space's index; the certificate stores
 the pairs as cells once.
-Vanishing is certified by an explicit coboundary primitive.  A geometric
-cross-check computes exact signed intersection numbers of simplices mapped
-to the moment curve and must reproduce the combinatorial cocycle.
+Vanishing is certified by an explicit coboundary primitive on cell keys.
+A geometric cross-check computes exact signed intersection numbers of
+simplices mapped to the moment curve and must reproduce the combinatorial
+cocycle.
 """
 
 from __future__ import annotations
@@ -229,7 +230,9 @@ class VanishingResult:
     status: 'primitive' (solved; the class vanishes mod 2), 'obstructed'
     (a witness cycle pairs nontrivially), or 'skipped' (size guard or a
     degenerate degree).  `reason` says why the solve, or with status
-    'primitive' the requested integer solve, was skipped.
+    'primitive' the requested integer solve, was skipped.  `primitive` and
+    `integral_primitive` are {cell key: value} dicts on the (2k-1)-cells of
+    C(OL), in key order; `witness_cycle` is a tuple of 2k-cells.
     """
 
     status: str
@@ -240,20 +243,20 @@ class VanishingResult:
     integral_checked: bool = False
 
 
-def top_mesh_cocycle(octa: Octahedralization, space: ConfigurationSpace, degree: int) -> dict:
-    """The meshing cocycle on the top cells, as its support with value 1.
+def top_mesh_cocycle(octa: Octahedralization, space: ConfigurationSpace, degree: int) -> list:
+    """The meshing cocycle on the top cells, as its 0/1 values in cell order.
 
     `mesh_number` is 0 or 1 on a stored cell (`mesh_values`), so this is the
     integer cocycle as well as its mod-2 reduction.
     """
     faces, pairs = space.indexed_cells(2 * degree)
-    return {cell: 1 for cell, meshed in zip(space.cells_of_degree(2 * degree), mesh_values(faces, pairs, octa.rank))
-            if meshed}
+    return mesh_values(faces, pairs, octa.rank)
 
 
-def _recheck(space: ConfigurationSpace, degree: int, phi: dict, values: dict, modulus: int, what: str):
+def _recheck(space: ConfigurationSpace, degree: int, phi: list, values: dict, modulus: int, what: str):
     """Check delta(x) = phi on every degree-cell, mod `modulus` (0 for
-    exactly over Z), for the cochain x given by its values on cell keys
+    exactly over Z), for phi given by position in cell order (a ValueError
+    when its length differs) and the cochain x by its values on cell keys
     (`space.cell_key`): from the facet keys mod 2, from the signed facet
     keys over Z."""
     if modulus == 2:
@@ -262,15 +265,15 @@ def _recheck(space: ConfigurationSpace, degree: int, phi: dict, values: dict, mo
     else:
         get = values.get
         diffs = (sum([s * get(key, 0) for key, s in zip(keys, signs)]) for keys, signs in space.signed_facet_keys(degree))
-    for cell, diff in zip(space.cells_of_degree(degree), diffs):
-        diff -= phi.get(cell, 0)
+    for diff, target in zip(diffs, phi, strict=True):
+        diff -= target
         if (diff % modulus if modulus else diff) != 0:
             raise RuntimeError(f"{what} fails verification")
 
 
 def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: int) -> dict | None:
     """An integer primitive of the top cocycle pulled back from L, as values
-    on cell keys, or None when this route does not apply.
+    on cell keys in key order, or None when this route does not apply.
 
     By the pullback identity (top cocycle = nonstrict cocycle after
     `push_to_product`), if delta_L psi_a = (-1)^k nu'(a, -) on L for every
@@ -298,7 +301,7 @@ def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: i
             for tau in octa.lifts(beta):
                 if a_set.isdisjoint(tau):
                     values[space.cell_key((a, tau))] = v
-    return values
+    return dict(sorted(values.items()))
 
 
 def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: int = 10**6) -> VanishingResult:
@@ -331,28 +334,25 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
     phi = top_mesh_cocycle(octa, space, k)
     primitive, witness = solve_coboundary(phi, 2 * k, space, coefficients="gf2")
     if primitive is None:
-        witness = tuple(witness)
-        fid = space.face_ids
-        if space.boundary([(fid[a], fid[b]) for a, b in witness]):
+        faces, pairs = space.indexed_cells(2 * k)
+        chain = [pairs[i] for i in witness]
+        if space.boundary(chain):
             raise RuntimeError("inconsistency witness is not a cycle")
-        if sum(phi.get(c, 0) for c in witness) % 2 != 1:
+        if sum([phi[i] for i in witness]) % 2 != 1:
             raise RuntimeError("inconsistency witness does not pair to 1")
-        return VanishingResult(status="obstructed", primitive=None, witness_cycle=witness)
-    _recheck(space, 2 * k, phi, dict.fromkeys(map(space.cell_key, primitive), 1), 2, "primitive")
+        return VanishingResult(status="obstructed", primitive=None,
+                               witness_cycle=tuple([(faces[a], faces[b]) for a, b in chain]))
+    _recheck(space, 2 * k, phi, primitive, 2, "primitive")
     integral_prim, reason = None, ""
     if integral:
-        values = _pullback_primitive(octa, space, k)
-        if values is not None:
-            integral_prim = {space.key_cell(key): v for key, v in sorted(values.items())}
-        else:
+        integral_prim = _pullback_primitive(octa, space, k)
+        if integral_prim is None:
             try:
                 integral_prim, _ = solve_coboundary(phi, 2 * k, space, coefficients="int")
             except CoreTooLarge as exc:
                 reason = str(exc)
-            if integral_prim is not None:
-                values = {space.cell_key(cell): v for cell, v in integral_prim.items()}
-        if values is not None:
-            _recheck(space, 2 * k, phi, values, 0, "integer primitive")
+        if integral_prim is not None:
+            _recheck(space, 2 * k, phi, integral_prim, 0, "integer primitive")
     return VanishingResult(status="primitive", primitive=primitive, witness_cycle=None, reason=reason,
                            integral_primitive=integral_prim, integral_checked=integral and not reason)
 

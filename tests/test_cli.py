@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import raagdim
-from raagdim import io_json, suite
+from raagdim import io_json, suite, verify
 from raagdim.cli import main
 from raagdim.complexes import skeleton
-from raagdim.obstruction import certify_nonvanishing
+from raagdim.obstruction import certify_nonvanishing, covering_pair_chain, delta_product_chain
 from raagdim.octa import double_over, octahedralize
-from raagdim.verify import CHECKS, verify_certificate
+from raagdim.verify import CHECKS, VerificationOutcome, verify_certificate
 from raagdim.zoo import ZOO, cycle, octahedron_boundary
 from test_suite import dropped_push_to_product, flipped_mesh_number
 
@@ -461,6 +461,38 @@ def test_verify_certificate_one_cell_mutation_sweep(L):
         for name, cells in mutations.items():
             out = verify_with(i, cells)
             assert not out.ok and out.failed_check in CHECKS, (name, i, out)
+
+
+def test_verify_certificate_push_and_support_match_failures(monkeypatch):
+    # On these complexes omega spans the top GF(2) cycles of the doubled
+    # complex, so no stored support that passes omega-cycle and
+    # omega-evaluation differs from it; the later branches are reached by
+    # faulting verify's own bindings instead.
+    L = cycle(4)
+    data = io_json.certificate_from_json(io_json.certificate_to_json(certify_nonvanishing(L, 1)))
+
+    def product_minus_one_term(doubled, space):
+        chain = delta_product_chain(doubled, space)
+        del chain[next(iter(chain))]
+        return chain
+
+    def rebuilt_without_first(doubled):
+        space, pairs = covering_pair_chain(doubled)
+        return space, pairs[1:]
+
+    push = VerificationOutcome(False, "pushforward-identity", "push of the stored chain is not the product chain",
+                               CHECKS[:6])
+    evaluation = VerificationOutcome(False, "pushforward-identity", "product evaluation is not 1", CHECKS[:6])
+    first = "((('c0', -1), ('c1', -1)), (('c0', 1), ('c1', 1)))"
+    support = VerificationOutcome(False, "omega-support-match", f"stored support differs (extra [{first}], missing [])",
+                                  CHECKS)
+    for name, fault, outcome in [("delta_product_chain", product_minus_one_term, push),
+                                 ("nonstrict_mesh_indicator", lambda sigma, b, rank: 0, evaluation),
+                                 ("covering_pair_chain", rebuilt_without_first, support)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, name, fault)
+            assert verify_certificate(L, data) == outcome, name
+    assert verify_certificate(L, data).ok
 
 
 def test_verify_certificate_octahedron_roundtrip():

@@ -339,8 +339,11 @@ def test_facet_table_matches_homology_boundary_rows():
         for k in range(1, K.dim + 1):
             signed += [tuple((start + i, sign) for i, sign in row) for row in boundary_rows(K, k)]
             start += len(K.faces_of_dim(k - 1))
-        assert cs._facets == signed
         assert cs._facet_ids == [tuple(i for i, _ in row) for row in signed]
+        # The signs that signed_facet_keys derives from the dimension: the
+        # j-th facet of an n-face, in id order, has sign (-1)^(n - j).
+        assert [tuple(sign for _, sign in row) for row in signed] == [
+            tuple((-1) ** (len(row) - 1 - j) for j in range(len(row))) for row in signed]
 
 
 def test_signed_facet_keys_reproduce_the_cell_id_boundary_rows():

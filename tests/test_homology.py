@@ -2,6 +2,7 @@
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from raagdim.config_space import ConfigurationSpace
@@ -14,6 +15,7 @@ from raagdim.homology import (
     simplex_boundary,
     solve_coboundary,
 )
+from raagdim.obstruction import _recheck, top_mesh_cocycle
 from raagdim.octa import octahedralize
 from raagdim.zoo import ZOO, cycle, octahedron_boundary, path, points, random_flag, simplex, tree
 from raagdim.intlinalg import integer_rank
@@ -177,9 +179,26 @@ def test_rational_betti_matches_the_dense_elimination():
 
 def test_solve_coboundary_zero_is_zero():
     space = ConfigurationSpace(octahedralize(path(3)).complex)
-    prim, witness = solve_coboundary({}, 2, space)
+    n = space.count_cells(2)
+    assert n > 0
+    prim, witness = solve_coboundary([0] * n, 2, space)
     assert witness is None
     assert prim == {}
+
+
+def test_a_phi_one_entry_short_is_refused_by_both_solves_and_the_recheck():
+    # phi is read by position: one entry short must raise, not pair off
+    # fewer equations.
+    octa = octahedralize(path(3))
+    space = ConfigurationSpace(octa.complex)
+    phi = top_mesh_cocycle(octa, space, 1)
+    for ring, modulus in (("gf2", 2), ("int", 0)):
+        prim, _ = solve_coboundary(phi, 2, space, ring)
+        _recheck(space, 2, phi, prim, modulus, "primitive")
+        with pytest.raises(ValueError, match="argument 2 is shorter"):
+            solve_coboundary(phi[:-1], 2, space, ring)
+        with pytest.raises(ValueError, match="argument 2 is shorter"):
+            _recheck(space, 2, phi[:-1], prim, modulus, "primitive")
 
 
 @given(st.integers(0, 10**6))
@@ -203,21 +222,23 @@ def test_solve_coboundary_recovers_constructed_coboundaries(seed):
         v = sum(coeff for sub, coeff in signed_boundary(K, cell) if sub in psi) % 2
         if v:
             phi[cell] = 1
-    prim, witness = solve_coboundary(phi, m, space)
+    prim, witness = solve_coboundary([phi.get(c, 0) for c in space.cells_of_degree(m)], m, space)
     assert witness is None
+    prim = {space.key_cell(key): v for key, v in prim.items()}
     for cell in space.cells_of_degree(m):
         v = sum(coeff for sub, coeff in signed_boundary(K, cell) if sub in prim) % 2
         assert v == phi.get(cell, 0)
 
 
 def brute_solvability(phi, m, space):
-    """Oracle: solvable iff phi kills every GF(2) m-cycle (enumerated)."""
+    """Oracle: solvable iff phi, given by position in cell order, kills
+    every GF(2) m-cycle (enumerated)."""
     cells = space.cells_of_degree(m)
     for r in range(len(cells) + 1):
-        for sub in combinations(cells, r):
-            if space.boundary(pairs_of(space, sub)):
+        for sub in combinations(range(len(cells)), r):
+            if space.boundary(pairs_of(space, [cells[i] for i in sub])):
                 continue
-            if sum(phi.get(c, 0) for c in sub) % 2:
+            if sum(phi[i] for i in sub) % 2:
                 return False
     return True
 
@@ -231,7 +252,7 @@ def test_solvability_matches_cycle_pairing_oracle_tiny():
     import itertools
 
     for bits in itertools.product([0, 1], repeat=2):
-        phi = {c: b for c, b in zip(cells2, bits) if b}
+        phi = list(bits)
         prim, _ = solve_coboundary(phi, 2, space)
         assert (prim is not None) == brute_solvability(phi, 2, space)
 
@@ -247,8 +268,9 @@ def test_solve_coboundary_integer_route():
         v = sum(coeff * psi.get(sub, 0) for sub, coeff in signed_boundary(K, cell))
         if v:
             phi[cell] = v
-    prim, witness = solve_coboundary(phi, 2, space, coefficients="int")
+    prim, witness = solve_coboundary([phi.get(c, 0) for c in cells], 2, space, coefficients="int")
     assert witness is None
+    prim = {space.key_cell(key): v for key, v in prim.items()}
     for cell in cells:
         v = sum(coeff * prim.get(sub, 0) for sub, coeff in signed_boundary(K, cell))
         assert v == phi.get(cell, 0)

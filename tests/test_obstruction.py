@@ -218,7 +218,7 @@ def test_stored_top_cells_mesh_0_or_1_so_the_top_cocycle_is_integral(n, p, seed)
         assert values[a, b] == interleaving_reference(a, b, o.rank)
         assert mesh_number(b, a, o.rank) == interleaving_reference(b, a, o.rank)
     assert set(values.values()) <= {0, 1}
-    assert top_mesh_cocycle(o, space, L.dim) == {cell: v for cell, v in values.items() if v}
+    assert top_mesh_cocycle(o, space, L.dim) == list(values.values())
 
 
 def lemma_pairs(L, cap=4):
@@ -454,8 +454,8 @@ def dense_top_solve(L):
     space = ConfigurationSpace(octa.complex)
     phi = top_mesh_cocycle(octa, space, L.dim)
     cells, lower = space.cells_of_degree(2 * L.dim), space.cells_of_degree(2 * L.dim - 1)
-    eqs = [(sum(1 << i for i, coeff in row if coeff % 2), phi.get(cell, 0))
-           for cell, row in zip(cells, integer_recheck.boundary_rows(space, 2 * L.dim))]
+    eqs = [(sum(1 << i for i, coeff in row if coeff % 2), v)
+           for row, v in zip(integer_recheck.boundary_rows(space, 2 * L.dim), phi, strict=True)]
     x, _ = gf2_dense.solve(eqs, len(lower))
     if x is None:
         _, witness = gf2_dense.solve(eqs, len(lower), want_witness=True)
@@ -487,8 +487,10 @@ def test_top_solve_matches_the_dense_signed_row_solve():
             continue
         result = certify_vanishing(L)
         primitive, witness = dense_top_solve(L)
+        space = ConfigurationSpace(octahedralize(L).complex)
         assert result.witness_cycle == witness, name
-        assert list((result.primitive or {}).items()) == list((primitive or {}).items()), name
+        assert [(space.key_cell(key), v) for key, v in (result.primitive or {}).items()] == list(
+            (primitive or {}).items()), name
         statuses.add(result.status)
     assert statuses == {"primitive", "obstructed"}
 

@@ -11,7 +11,7 @@ from raagdim.config_space import ConfigurationSpace
 from raagdim.homology import solve_coboundary
 from raagdim.obstruction import _pullback_primitive, certify_vanishing, top_mesh_cocycle
 from raagdim.octa import octahedralize
-from raagdim.zoo import cone, cycle, random_flag, tree
+from raagdim.zoo import cone, cycle, path, random_flag, tree
 from test_bounds import RP2
 from test_obstruction import bench_vanishing_complexes
 
@@ -24,6 +24,11 @@ def top_system(L):
     return octa, space, top_mesh_cocycle(octa, space, L.dim)
 
 
+def on_cells(space, values: dict) -> dict:
+    """A cochain on cell keys as a dict on cells, for the cell-id oracle."""
+    return {space.key_cell(key): v for key, v in values.items()}
+
+
 def check_route_against_full_solve(L):
     """When the route returns, the cell-id re-check accepts its primitive and
     the full integer solve is solvable too.  Returns whether it returned."""
@@ -32,10 +37,11 @@ def check_route_against_full_solve(L):
     values = _pullback_primitive(octa, space, k)
     if values is None:
         return False
-    primitive = {space.key_cell(key): v for key, v in values.items()}
-    assert integer_recheck.recheck(space, 2 * k, phi, primitive)
+    assert list(values) == sorted(values)
+    phi_cells = dict(zip(space.cells_of_degree(2 * k), phi, strict=True))
+    assert integer_recheck.recheck(space, 2 * k, phi_cells, on_cells(space, values))
     full, _ = solve_coboundary(phi, 2 * k, space, coefficients="int")
-    assert full is not None and integer_recheck.recheck(space, 2 * k, phi, full)
+    assert full is not None and integer_recheck.recheck(space, 2 * k, phi_cells, on_cells(space, full))
     return True
 
 
@@ -60,15 +66,27 @@ def test_fallback_returns_the_full_solves_own_primitive_and_reason(L):
     assert _pullback_primitive(octa, space, L.dim) is None
     full, _ = solve_coboundary(phi, 2 * L.dim, space, coefficients="int")
     result = certify_vanishing(L, integral=True)
-    assert result.integral_primitive == full and result.reason == ""
+    assert list(result.integral_primitive.items()) == list(full.items()) and result.reason == ""
     assert result.integral_checked
+    phi_cells = dict(zip(space.cells_of_degree(2 * L.dim), phi, strict=True))
+    assert integer_recheck.recheck(space, 2 * L.dim, phi_cells, on_cells(space, full))
 
 
 def test_route_builds_neither_degree_2k_minus_1_nor_boundary_rows(monkeypatch):
-    # The route (cone(cycle(5))) and the fallback (the other three) alike
-    # read facet keys and enumerate no (2k-1)-cell.
+    # The route (cone(cycle(5))) and the fallback (cycle3, the tetrahedron
+    # boundary, RP2) alike read facet keys and enumerate no (2k-1)-cell.
+    # With and without the integer solve, on a primitive (path(3)) and on an
+    # obstructed witness (cycle(4)) too, the vanishing path names no cell by
+    # its faces: it neither builds cells_of_degree nor reads a key back.
+    def refuse_cells(self, *args):
+        raise AssertionError("a cell was named by its faces")
+
+    monkeypatch.setattr(ConfigurationSpace, "cells_of_degree", refuse_cells)
+    monkeypatch.setattr(ConfigurationSpace, "key_cell", refuse_cells)
     pairs = ConfigurationSpace._pairs
-    for L in (cone(cycle(5)), cycle(3), TETRAHEDRON_BOUNDARY, RP2):
+    cases = [(path(3), "primitive"), (cycle(4), "obstructed"), (cone(cycle(5)), "primitive"),
+             (cycle(3), "primitive"), (TETRAHEDRON_BOUNDARY, "primitive"), (RP2, "primitive")]
+    for L, status in cases:
         low = 2 * L.dim - 1
 
         def refuse_low(self, d):
@@ -77,9 +95,21 @@ def test_route_builds_neither_degree_2k_minus_1_nor_boundary_rows(monkeypatch):
             return pairs(self, d)
 
         monkeypatch.setattr(ConfigurationSpace, "_pairs", refuse_low)
-        result = certify_vanishing(L, integral=True)
-        assert result.integral_checked and result.integral_primitive and not result.reason
-        assert all(len(a) + len(b) - 2 == low for a, b in result.integral_primitive)
+        faces = ConfigurationSpace(octahedralize(L).complex).faces
+
+        def degree(key):
+            return len(faces[key // len(faces)]) + len(faces[key % len(faces)]) - 2
+
+        for integral in (False, True):
+            result = certify_vanishing(L, integral=integral)
+            assert result.status == status
+            if status == "obstructed":
+                assert result.witness_cycle and result.primitive is None
+                continue
+            assert result.primitive and all(degree(key) == low for key in result.primitive)
+            assert result.integral_checked == integral and not result.reason
+            if integral:
+                assert result.integral_primitive and all(degree(key) == low for key in result.integral_primitive)
 
 
 def test_tripled_route_primitive_fails_verification(monkeypatch):

@@ -37,12 +37,12 @@ def test_script_runs(args, expected, tmp_path):
         assert sorted(suites) == [f"lemma-suite(seed={seed})" for seed in range(5)]
         assert suites["lemma-suite(seed=0)"] == [50, 85897, 0]
         assert all(complexes == 50 and failures == 0 for complexes, _checks, failures in suites.values())
-        # Every case has its three report digests and its link digest.  With
-        # max_cells=0 a case without a top certificate refuses at the size
+        # Every case has its three report digests, its link digest and the
+        # digests of its default and integral top solves.  With max_cells=0 a case without a top certificate refuses at the size
         # guard, so its report differs from the default; a case with one
         # never reaches the guard.
         digests = {name: v for name, v in json.loads(run.stdout).items() if name not in suites}
-        keys = ["default", "integral", "links", "refuse"]
+        keys = ["default", "integral", "links", "refuse", "vanishing", "vanishing-integral"]
         verdicts = ["verify", "verify-drop-first", "verify-flip-sign", "verify-repeat-first"]
         assert all(sorted(v) in (keys, keys + verdicts) for v in digests.values())
         # The link digest covers [v, d, bound] for every vertex and d <= 2.
@@ -51,6 +51,10 @@ def test_script_runs(args, expected, tmp_path):
         assert digests["zoo:cycle4"]["links"] == hashlib.sha256(io_json.dumps(bounds).encode()).hexdigest()
         assert digests["zoo:cycle3"]["refuse"] != digests["zoo:cycle3"]["default"]
         assert digests["zoo:cycle4"]["refuse"] == digests["zoo:cycle4"]["default"]
+        # A case with a certificate runs no top solve; the hollow triangle's
+        # integral solve adds an integer primitive to its record.
+        assert digests["zoo:cycle4"]["vanishing"] == hashlib.sha256(io_json.dumps(None).encode()).hexdigest()
+        assert digests["zoo:cycle3"]["vanishing"] != digests["zoo:cycle3"]["vanishing-integral"]
         # A certificate verifies after its JSON round trip, and not without
         # its first cell, with that cell's first sign flipped or with that
         # cell twice; each failure is named and worded.  A report without a
