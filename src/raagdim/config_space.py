@@ -17,14 +17,19 @@ of b), with no sort; `indexed_cells(d)` hands them out, and
 A cell has one name: its key a * F + b (`cell_key`, read back by
 `key_cell`), from the face ids (a, b) in stored order, F the number of
 faces.  The key increases strictly in cell order.  The facets {a', b}
-and {a, b'} of a cell are read off the facet table as keys.
+and {a, b'} of a cell are read off the facet table as keys, by one
+first-vertex argument (`_facet_rows`): a stored cell has a's first vertex
+below b's, so every facet of a that keeps that vertex stays first, with
+key a' * F + b, and only the one that drops it can swap; every facet of
+b starts at or after b's first vertex, so never comes first.
 `boundary(pairs)` reads a chain as the face-id pairs of its cells and
 counts their facets mod 2 by `chain_boundary`, with no enumeration, no
 signs and no sort of the cells.  `facet_keys(d)` lists the facet keys of
-every d-cell, the rows of the GF(2) coboundary solve and its re-check;
+every d-cell, the rows of the GF(2) coboundary solve and its re-check,
+which the solve holds as its pivot rows without a copy;
 `signed_facet_keys(d)` puts the signs, read off the dimensions, on those
-rows, the one copy of the sign and swap rule, and serves the integer
-solve and re-check.  So no solve, over either ring, builds a cell of
+rows, the one copy of the sign rule, and serves the integer solve and
+re-check.  So no solve, over either ring, builds a cell of
 degree d or d - 1.  `count_cells(d)` counts a degree by popcounts over
 one face bitset per vertex, without enumerating it.  For a complex on
 signed vertices, `minus_ids` is the projection table that the push to
@@ -188,24 +193,37 @@ class ConfigurationSpace:
         ga, gb = divmod(key, len(faces))
         return faces[ga], faces[gb]
 
-    def _cell_facet_keys(self, pair) -> list:
-        """Keys of the facets {a', b} and {a, b'} of the cell (a, b), each
-        facet in stored order.  Only a facet of a can put b first: every
-        facet of b starts at or after b's first vertex.  The two kinds never
-        coincide, as that would need a = b."""
+    def _facet_rows(self, pairs):
+        """The keys of the facets {a', b}, then {a, b'}, of each cell (a, b)
+        of `pairs`, each facet in stored order; one list per cell.
+
+        The one copy of the swap rule: of a's facets, in id order, only the
+        last drops a's first vertex, so only it can put b first (the module
+        docstring has the argument).  The two kinds never coincide, as that
+        would need a = b.  What a alone fixes is built once per run of cells
+        that share a, as a degree's cells do in cell order."""
         faces, _masks, first, _spans = self._faces
         facet_ids, F = self._facet_ids, len(faces)
-        ga, gb = pair
-        fb, aF = first[gb], ga * F
-        return [sa * F + gb if first[sa] < fb else gb * F + sa for sa in facet_ids[ga]] + [
-            aF + sb for sb in facet_ids[gb]
-        ]
+        prev = None
+        for ga, gb in pairs:
+            if ga != prev:
+                prev, ids, aF = ga, facet_ids[ga], ga * F
+                if ids:
+                    keep, drop = [sa * F for sa in ids[:-1]], ids[-1]
+                    drop_first, dropF = first[drop], drop * F
+            if ids:
+                row = [k + gb for k in keep]
+                row.append(dropF + gb if drop_first < first[gb] else gb * F + drop)
+                row += [aF + sb for sb in facet_ids[gb]]
+            else:
+                row = [aF + sb for sb in facet_ids[gb]]
+            yield row
 
     def facet_keys(self, d: int) -> tuple:
         """Unsigned boundary of every d-cell as a list of facet keys, one list
         per cell in cell order; computed once per degree."""
         if d not in self._keys:
-            self._keys[d] = tuple(map(self._cell_facet_keys, self._degree(d)))
+            self._keys[d] = tuple(self._facet_rows(self._degree(d)))
         return self._keys[d]
 
     def signed_facet_keys(self, d: int) -> tuple:
@@ -239,5 +257,8 @@ class ConfigurationSpace:
     def boundary(self, pairs) -> tuple:
         """GF(2) boundary of a chain given by the face-id pairs (a, b) of its
         cells, in stored order: the keys of the cells in the boundary of an
-        odd number of them, in cell order.  Enumerates nothing."""
-        return tuple(sorted(chain_boundary(pairs, self._cell_facet_keys)))
+        odd number of them, in cell order.  Enumerates nothing.
+        `chain_boundary` asks for the facets of each cell once, in chain
+        order, so they are read off one pass of `_facet_rows`."""
+        rows = self._facet_rows(pairs)
+        return tuple(sorted(chain_boundary(pairs, lambda _pair: next(rows))))

@@ -1,45 +1,57 @@
-"""Sparse GF(2) linear algebra on sets of int column keys.
+"""Sparse GF(2) linear algebra on rows of int column keys.
 
-A row is the set of its columns, each an int key; only the order of the
-keys matters, so any order-preserving labels of the columns serve.
-Elimination pivots on the largest key of each row (the dense highest-bit
-rule), which keeps the inner loop at one symmetric difference per
-reduction.  A row holds only its own entries, so elimination without fill
+A row is a collection of its columns, each an int key listed at most once;
+only the order of the keys matters, so any order-preserving labels of the
+columns serve.  Elimination pivots on the largest key of each row (the
+dense highest-bit rule).  A row whose largest key is not yet a pivot
+becomes that pivot as given, with no copy; only a row that meets a pivot is
+copied into a set and reduced there, one symmetric difference per step.
+So no row, given or stored, is ever mutated, and elimination without fill
 costs what the rows hold, not their width.  Exactness is the point: no
 floats anywhere.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 
-def _reduce(piv, r):
-    """Clear the largest key of the set r, in place, by the pivot rows until
-    one is new, and return that key; None once r is empty."""
-    while r:
+
+def _reduce(piv, row):
+    """Reduce the row by the pivot rows until its largest key is new.
+
+    Returns (that key, the reduced row), or (None, an empty row) once the
+    row cancels.  A row whose largest key is new at once comes back as given;
+    any other is copied into a set before the first reduction step, so
+    neither the row nor a pivot is mutated."""
+    c = max(row) if row else None
+    if c not in piv:
+        return c, row
+    r = set(row)
+    while True:
+        r.symmetric_difference_update(piv[c])
+        if not r:
+            return None, r
         c = max(r)
         if c not in piv:
-            return c
-        r ^= piv[c]
-    return None
+            return c, r
 
 
 def _echelon(rows):
     """Pivot dict {largest key: row} from incremental elimination."""
     piv: dict = {}
     for row in rows:
-        r = set(row)
-        c = _reduce(piv, r)
+        c, r = _reduce(piv, row)
         if c is not None:
             piv[c] = r
     return piv
 
 
-def _back_substitute(piv, x):
-    """Add each pivot column to the set x, in ascending order, when its row
-    has odd parity on x.  A row has no key above its own pivot, and x never
-    holds that key when the row is visited, so the row's parity on x is the
-    sum of its lower columns."""
-    for c in sorted(piv):
+def _back_substitute(piv, order, x):
+    """Add each pivot column of `order` (ascending) to the set x when its
+    row has odd parity on x.  A row has no key above its own pivot, and x
+    never holds that key when the row is visited, so the row's parity on x
+    is the sum of its lower columns."""
+    for c in order:
         if len(x.intersection(piv[c])) & 1:
             x.add(c)
     return x
@@ -51,20 +63,24 @@ def rank(rows) -> int:
 
 def kernel_basis(rows, ncols) -> list:
     """Basis of {x : A x = 0} over the columns 0..ncols-1, one key set per
-    basis vector: each free column set alone, with the pivot columns
-    back-substituted."""
+    basis vector: each free column f set alone, with the pivot columns
+    back-substituted.  Only the pivots above f can fire: a pivot row below
+    f holds no key as high as f, nor any pivot column added after it."""
     piv = _echelon(rows)
-    return [_back_substitute(piv, {f}) for f in range(ncols) if f not in piv]
+    order = sorted(piv)
+    return [_back_substitute(piv, order[bisect_right(order, f):], {f}) for f in range(ncols) if f not in piv]
 
 
 def solve(equations, ncols, want_witness=False):
     """Solve A x = b over GF(2).
 
-    equations: iterable of (keys, rhs_bit) pairs, one per equation, its
-    variables given by nonnegative column keys; each is eliminated as it
-    arrives, so only the pivot rows are ever held.  ncols is the number of
-    unknowns; elimination does not read it, as the keys only order the
-    unknowns and need not lie below it.
+    equations: a list of (keys, rhs_bit) pairs, one per equation, its
+    variables given by a collection of nonnegative column keys, each at
+    most once.  Each is eliminated as it arrives, so only the pivot rows
+    are ever held, and a row is kept as given until it meets a pivot (a
+    copy when it needs the rhs or witness keys below); no row is mutated.
+    ncols is the number of unknowns; elimination does not read it, as the
+    keys only order the unknowns and need not lie below it.
     Returns (x, None) on success, x the set of keys set to 1 with free
     variables 0, or (None, witness) when inconsistent; the witness (only
     computed when requested) is the ascending list of equation indices
@@ -77,17 +93,16 @@ def solve(equations, ncols, want_witness=False):
     """
     piv: dict = {}
     for i, (keys, rhs) in enumerate(equations):
-        r = set(keys)
-        if rhs & 1:
-            r.add(-1)
         if want_witness:
-            r.add(-2 - i)
-        c = _reduce(piv, r)
+            keys = (*keys, -1, -2 - i) if rhs & 1 else (*keys, -2 - i)
+        elif rhs & 1:
+            keys = (*keys, -1)
+        c, r = _reduce(piv, keys)
         if c is not None and c >= 0:
             piv[c] = r
         elif c == -1:
             return None, sorted(-2 - key for key in r if key < -1) if want_witness else None
     # The key -1 in x is the rhs column, read as the constant 1.
-    x = _back_substitute(piv, {-1})
+    x = _back_substitute(piv, sorted(piv), {-1})
     x.discard(-1)
     return x, None

@@ -8,7 +8,7 @@ the sparse rows, then fraction-free elimination of the core they leave.
 Simplicial boundaries are read in one format, the `cells + signed boundary
 rows` interface: one row of sorted ``(lower cell id, coeff)`` pairs per
 d-cell, ids indexing the (d-1)-cells, from `boundary_rows(K, d)`.  Over
-GF(2) a row is the set of its ids with an odd coefficient (`_parity_rows`),
+GF(2) a row is the list of its ids with an odd coefficient (`_parity_rows`),
 eliminated sparsely by `gf2`; over Q, `intlinalg.sparse_rank` reads the
 signed rows themselves.  The configuration space plugs into
 `solve_coboundary` through its facet-key rows alone: unsigned

@@ -11,6 +11,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
+import facet_reference
 import integer_recheck
 from raagdim.complexes import skeleton
 from raagdim.config_space import ConfigurationSpace, chain_boundary
@@ -356,6 +357,47 @@ def test_signed_facet_keys_reproduce_the_cell_id_boundary_rows():
             assert [keys for keys, _signs in keyed] == list(cs.facet_keys(d))
             assert [tuple(sorted(zip([lower[cs.key_cell(key)] for key in keys], signs)))
                     for keys, signs in keyed] == list(rows)
+
+
+def facet_rule_spaces():
+    """Configuration spaces on which the facet rows meet the per-cell rule:
+    each zoo entry, its OL and the doubled complexes over it, and
+    random_flag(n, p, s) for n in 6..10, p in 0.3..0.7, with its OL for
+    n <= 7 (a larger OL has too many cells for a quick test)."""
+    for entry in ZOO:
+        L = entry.complex()
+        yield from (L, *octahedralized_and_doubled(L))
+    for n in range(6, 11):
+        for p in (0.3, 0.5, 0.7):
+            for seed in range(2):
+                L = random_flag(n, p, seed)
+                yield from (L, octahedralize(L).complex) if n <= 7 else (L,)
+
+
+def test_facet_keys_match_the_per_cell_rule_row_by_row():
+    for K in facet_rule_spaces():
+        cs = ConfigurationSpace(K)
+        for d in range(2 * K.dim + 1):
+            _faces, pairs = cs.indexed_cells(d)
+            rows = cs.facet_keys(d)
+            assert len(rows) == len(pairs)
+            for pair, row in zip(pairs, rows):
+                assert row == facet_reference.cell_facet_keys(cs, pair), (K.maximal_faces(), d, pair)
+
+
+def test_boundary_matches_the_per_cell_rule_in_any_chain_order():
+    rng = random.Random(20)
+    for K in facet_rule_spaces():
+        cs = ConfigurationSpace(K)
+        for d in range(2 * K.dim + 1):
+            _faces, pairs = cs.indexed_cells(d)
+            for _ in range(3):
+                chain = sorted(rng.sample(range(len(pairs)), min(len(pairs), rng.randint(0, 30))))
+                in_order = [pairs[i] for i in chain]
+                # verify hands over the pairs of a set, in no cell order.
+                shuffled = rng.sample(in_order, len(in_order))
+                expect = facet_reference.boundary(cs, in_order)
+                assert cs.boundary(in_order) == cs.boundary(shuffled) == expect, (K.maximal_faces(), d)
 
 
 def base_pair_count(L, d):

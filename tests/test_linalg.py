@@ -360,22 +360,62 @@ def test_gf2_solve_inconsistent_with_witness():
     assert sorted(witness) == [0, 1]
 
 
+ROW_KINDS = (tuple, list, set, frozenset)
+
+
 @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
     st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True),
-    st.lists(st.tuples(st.integers(0, 2**n - 1), st.integers(0, 1)), max_size=12))))
+    st.lists(st.tuples(st.integers(0, 2**n - 1), st.integers(0, 1), st.sampled_from(ROW_KINDS),
+                       st.randoms(use_true_random=False)), max_size=12))))
 @settings(max_examples=300, deadline=None)
 def test_gf2_solve_on_increasing_keys_matches_the_dense_oracle(system):
     # Column j carries the j-th smallest key: any strictly increasing
-    # labels give the dense solve's x and witness.
-    labels, eqs = system
+    # labels give the dense solve's x and witness.  The rows list their
+    # keys in any order, as tuples, lists or sets, some fresh, some meeting
+    # a pivot, some empty, with odd and even right-hand sides; none is
+    # mutated.
+    labels, drawn = system
     labels = sorted(labels)
-    sparse = [({labels[j] for j in gf2_dense.indices_from_mask(m)}, r) for m, r in eqs]
+    eqs, sparse = [], []
+    for mask, rhs, kind, rng in drawn:
+        row = [labels[j] for j in gf2_dense.indices_from_mask(mask)]
+        rng.shuffle(row)
+        eqs.append((mask, rhs))
+        sparse.append((kind(row), rhs))
+    before = [(type(keys), list(keys), rhs) for keys, rhs in sparse]
     for want_witness in (False, True):
         x, witness = gf2.solve(sparse, len(labels), want_witness)
         x_dense, witness_dense = gf2_dense.solve(eqs, len(labels), want_witness)
         assert witness == witness_dense
-        expect = None if x_dense is None else {labels[j] for j in gf2_dense.indices_from_mask(x_dense)}
-        assert x == expect
+        assert x == (None if x_dense is None else {labels[j] for j in gf2_dense.indices_from_mask(x_dense)})
+        assert [(type(keys), list(keys), rhs) for keys, rhs in sparse] == before
+    # rank and kernel_basis read the same kinds of rows, on the columns
+    # 0..n-1, and mutate none of them either.
+    rows = [type(keys)(labels.index(key) for key in keys) for keys, _rhs in sparse]
+    before = [(type(row), list(row)) for row in rows]
+    basis = gf2.kernel_basis(rows, len(labels))
+    assert len(basis) == len(labels) - gf2.rank(rows) == len(labels) - len(leading_bits(m for m, _ in eqs))
+    assert all(len(x.intersection(row)) % 2 == 0 for x in basis for row in rows)
+    assert [(type(row), list(row)) for row in rows] == before
+
+
+def test_gf2_fresh_rows_become_pivots_as_given():
+    # Rows as tuples, lists and sets: (2, 0) and [1] arrive with a new
+    # largest key and are held as they are; {2, 1} meets the pivots 2 and 1
+    # and is reduced, in a set of its own, to {0}; the empty row is 0 = 0.
+    rows = [(2, 0), [1], (), {2, 1}]
+    piv = gf2._echelon(rows)
+    assert piv[2] is rows[0] and piv[1] is rows[1]
+    assert piv[0] == {0} and piv[0] is not rows[3]
+    assert rows == [(2, 0), [1], (), {2, 1}]
+    # x2 + x0 = 1, x1 = 0, 0 = 0, x2 + x1 = 1: the odd rhs of a fresh row
+    # stays with its pivot.
+    eqs = [((2, 0), 1), ([1], 0), ((), 0), ({2, 1}, 1)]
+    assert gf2.solve(eqs, 3) == gf2.solve(eqs, 3, want_witness=True) == ({2}, None)
+    # An empty row with an odd rhs reads 0 = 1 and is its own witness.
+    assert gf2.solve(eqs + [([], 1)], 3) == (None, None)
+    assert gf2.solve(eqs + [([], 1)], 3, want_witness=True) == (None, [4])
+    assert eqs == [((2, 0), 1), ([1], 0), ((), 0), ({2, 1}, 1)]
 
 
 def mask_from_indices(indices) -> int:
