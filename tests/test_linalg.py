@@ -387,7 +387,8 @@ def test_gf2_solve_on_increasing_keys_matches_the_dense_oracle(system):
         x, witness = gf2.solve(sparse, len(labels), want_witness)
         x_dense, witness_dense = gf2_dense.solve(eqs, len(labels), want_witness)
         assert witness == witness_dense
-        assert x == (None if x_dense is None else {labels[j] for j in gf2_dense.indices_from_mask(x_dense)})
+        expect = None if x_dense is None else {labels[j] for j in gf2_dense.indices_from_mask(x_dense)}
+        assert x == expect
         assert [(type(keys), list(keys), rhs) for keys, rhs in sparse] == before
     # rank and kernel_basis read the same kinds of rows, on the columns
     # 0..n-1, and mutate none of them either.

@@ -10,7 +10,10 @@ import os
 import pytest
 
 from raagdim.bounds import analyze
-from raagdim.obstruction import certify_vanishing
+from raagdim.config_space import ConfigurationSpace
+from raagdim.homology import solve_coboundary
+from raagdim.obstruction import certify_vanishing, top_mesh_cocycle
+from raagdim.octa import octahedralize
 from raagdim.zoo import build_named
 
 SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "report_digests.py")
@@ -56,3 +59,20 @@ def test_obstructed_witness_digest():
     assert len(vanishing.witness_cycle) == 648
     assert script.digest(script.solve_record(L, vanishing)) == (
         "0e816e70d079a0bb852aaab90e219efecf86434c3b9d45355a03941abfe65927")
+
+
+@pytest.mark.parametrize("expr, solvable", [("cone(cycle(5))", True), ("octahedron_boundary(3)", False)])
+def test_top_solve_leaves_the_cached_facet_rows_as_built(expr, solvable):
+    # The solve holds fresh rows as its pivots without a copy, and those
+    # are the space's cached facet_keys rows; the witness pass reads them
+    # again.  Neither pass may change them.
+    L = build_named(expr)
+    octa = octahedralize(L)
+    space = ConfigurationSpace(octa.complex)
+    phi = top_mesh_cocycle(octa, space, L.dim)
+    rows = space.facet_keys(2 * L.dim)
+    before = [list(row) for row in rows]
+    primitive, witness = solve_coboundary(phi, 2 * L.dim, space)
+    assert (primitive is not None, bool(witness)) == (solvable, not solvable)
+    assert space.facet_keys(2 * L.dim) is rows
+    assert [list(row) for row in rows] == before
