@@ -84,7 +84,7 @@ def solve_record(L, vanishing) -> list:
     compared."""
     if vanishing is None:
         return None
-    space = ConfigurationSpace(octahedralize(L).complex)
+    space = ConfigurationSpace(octahedralize(L))
 
     def cochain(values):
         if values is None:

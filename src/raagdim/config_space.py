@@ -6,13 +6,37 @@ first.  It is the quotient of the deleted product, whose ordered cells have
 the boundary d(a x b) = da x b + (-1)^dim(a) a x db, by the factor swap,
 which acts with the sign (-1)^(dim a * dim b).
 
-ConfigurationSpace works on an index of K.  Every face gets an id (by
-dimension, then rank tuple), an int vertex bitmask, so disjointness is
-`mask_a & mask_b == 0`, and its facet ids, built once straight from the
-face ids (drop each vertex, in id order).  Each degree is enumerated
-once, as face-id pairs (a, b) already in cell order (by the id of a, then
-of b), with no sort; `indexed_cells(d)` hands them out, and
-`cells_of_degree(d)`, uncached, turns them into pairs of faces.
+ConfigurationSpace works on an index of K, all in ints.  Every face gets
+an id (by dimension, then rank tuple), its rank tuple, an int vertex
+bitmask, so disjointness is `mask_a & mask_b == 0`, and its facet ids,
+built once through a dict on the rank tuples (drop each vertex, in id
+order).  Each degree is enumerated once, as face-id pairs (a, b) already
+in cell order (by the id of a, then of b), with no sort; `indexed_cells(d)`
+hands them out with the rank tuples, which the meshing cocycle reads, and
+`cells_of_degree(d)`, uncached, turns them into pairs of faces.  The
+faces as vertex tuples, `face_ids` and `minus_ids` are built only on first
+read, from the rank tuples.
+
+The space of OL is built from the Octahedralization, not from its face
+set, which it never builds.  A signed vertex (v, s) ranks 2 r(v) + [s =
++], so a face of L with ranks (r0, .., rk) lifts to the 2^(k+1) rank tuples
+(2 r0 + e0, .., 2 rk + ek); sorting each dimension's lifts, int tuples
+with no key, gives the id order, so the index, and with it the cell order,
+the keys and every solve, are those of the space on OL's face set.  Its
+cells are counted on L without building the index, by the identity
+
+    n_d = 1/2 * sum 2^|s u t|   over ordered pairs (s, t) of faces of L
+                                with dim s + dim t = d.
+
+Proof: two faces of OL are disjoint exactly when their signs differ on
+every vertex of L they share, as signed vertices over distinct vertices of
+L are distinct.  So over an ordered pair (s, t) of faces of L lie the
+ordered disjoint pairs (a, b) with signs free on s, forced opposite to a's
+on s n t and free on t - s: 2^|s| * 2^|t - s| = 2^|s u t| of them, of
+dimension dim s + dim t.  A cell {a, b} has a != b, so it is counted once
+as (a, b) and once as (b, a).  The size guard of the top solve reads only
+this count, so a refusal builds nothing of OL.  On any other space
+`count_cells` is the length of the enumerated degree.
 
 A cell has one name: its key a * F + b (`cell_key`, read back by
 `key_cell`), from the face ids (a, b) in stored order, F the number of
@@ -30,8 +54,7 @@ which the solve holds as its pivot rows without a copy;
 `signed_facet_keys(d)` puts the signs, read off the dimensions, on those
 rows, the one copy of the sign rule, and serves the integer solve and
 re-check.  So no solve, over either ring, builds a cell of
-degree d or d - 1.  `count_cells(d)` counts a degree by popcounts over
-one face bitset per vertex, without enumerating it.  For a complex on
+degree d or d - 1.  For a complex on
 signed vertices, `minus_ids` is the projection table that the push to
 the product with the minus copy reads: each face's minus copy, by id.
 """
@@ -39,11 +62,10 @@ the product with the minus copy reads: each face's minus copy, by id.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 
 from .complexes import SimplicialComplex
-from .octa import minus_lift, project
+from .octa import Octahedralization, minus_lift, project
 
 
 def chain_boundary(chain, facets) -> set:
@@ -57,10 +79,26 @@ def chain_boundary(chain, facets) -> set:
     return odd
 
 
-class ConfigurationSpace:
-    """Unordered disjoint pairs {sigma, tau}; the quotient cell complex."""
+def _lifted_pair_count(L: SimplicialComplex, d: int) -> int:
+    """The number of d-cells of C(OL), read off L: half the sum of
+    2^|s u t| over the ordered pairs (s, t) of faces of L with
+    dim s + dim t = d."""
+    rk = L.rank
+    masks = [[sum([1 << rk[v] for v in f]) for f in L.faces_of_dim(k)] for k in range(L.dim + 1)]
+    top, total = L.dim, 0
+    for i in range(max(0, d - top), min(d, top) + 1):
+        total += sum([1 << (ms | mt).bit_count() for ms in masks[i] for mt in masks[d - i]])
+    return total // 2
 
-    def __init__(self, K: SimplicialComplex):
+
+class ConfigurationSpace:
+    """Unordered disjoint pairs {sigma, tau}; the quotient cell complex.
+
+    K is a SimplicialComplex, or an Octahedralization, whose index is lifted
+    from its base and whose cells are counted on its base, so that OL's face
+    set is never built (see the module docstring)."""
+
+    def __init__(self, K: SimplicialComplex | Octahedralization):
         self.K = K
         self._degrees: dict = {}
         self._counts: dict = {}
@@ -68,30 +106,46 @@ class ConfigurationSpace:
         self._signed: dict = {}
 
     @cached_property
-    def _faces(self):
-        """Faces by id (dimension, then rank tuple) with their vertex bitmasks
-        and first-vertex ranks, plus each dimension's id range and first
-        ranks."""
-        rk = self.K.rank
-        faces = [f for k in range(self.K.dim + 1) for f in self.K.faces_of_dim(k)]
-        masks = [sum(1 << rk[v] for v in f) for f in faces]
-        first = [rk[f[0]] for f in faces]
+    def _index(self):
+        """Rank tuples of the faces by id (dimension, then rank tuple), with
+        their vertex bitmasks and first ranks, plus each dimension's id range
+        and first ranks."""
+        K = self.K
+        if isinstance(K, Octahedralization):
+            by_dim = K.ranked_faces()
+        else:
+            rk = K.rank
+            by_dim = [[tuple([rk[v] for v in f]) for f in K.faces_of_dim(k)] for k in range(K.dim + 1)]
+        ranks = [t for level in by_dim for t in level]
+        masks = [sum([1 << r for r in t]) for t in ranks]
+        first = [t[0] for t in ranks]
         spans, start = [], 0
-        for k in range(self.K.dim + 1):
-            stop = start + len(self.K.faces_of_dim(k))
+        for level in by_dim:
+            stop = start + len(level)
             spans.append((start, stop, first[start:stop]))
             start = stop
-        return faces, masks, first, spans
+        return ranks, masks, first, spans
 
     @property
+    def ranks(self) -> list:
+        """The rank tuples of the faces of K by id."""
+        return self._index[0]
+
+    @cached_property
     def faces(self) -> list:
-        """The faces of K by id."""
-        return self._faces[0]
+        """The faces of K by id, as vertex tuples; built on first read."""
+        vertices = self.K.vertices
+        return [tuple([vertices[r] for r in t]) for t in self._index[0]]
+
+    def faces_of_dim(self, k: int) -> list:
+        """The k-faces of K in id order, as vertex tuples."""
+        start, stop, _ = self._index[3][k]
+        return self.faces[start:stop]
 
     @cached_property
     def face_ids(self) -> dict:
-        """Face -> id."""
-        return {f: g for g, f in enumerate(self._faces[0])}
+        """Face -> id; built on first read."""
+        return {f: g for g, f in enumerate(self.faces)}
 
     @cached_property
     def minus_ids(self) -> list:
@@ -99,16 +153,17 @@ class ConfigurationSpace:
         that holds the minus copy `minus_lift(project(f))` of each face f (OL
         and every doubled complex do): by face id, the id of that copy."""
         fid = self.face_ids
-        return [fid[minus_lift(project(f))] for f in self._faces[0]]
+        return [fid[minus_lift(project(f))] for f in self.faces]
 
     @cached_property
     def _facet_ids(self) -> list:
         """Each face's facet ids by face id, in id order: dropping the last
         vertex first, as a lower rank tuple has a lower id.  Unaugmented: a
         vertex has no facets."""
-        fid = self.face_ids
-        return [tuple([fid[f[:i] + f[i + 1 :]] for i in range(len(f) - 1, -1, -1)]) if len(f) > 1 else ()
-                for f in self._faces[0]]
+        ranks = self._index[0]
+        rid = {t: g for g, t in enumerate(ranks)}
+        return [tuple([rid[t[:i] + t[i + 1 :]] for i in range(len(t) - 1, -1, -1)]) if len(t) > 1 else ()
+                for t in ranks]
 
     def _pairs(self, d: int):
         """Face-id pairs (a, b) of the d-cells, in cell order.
@@ -117,7 +172,7 @@ class ConfigurationSpace:
         the id of a, then of b.  Every b lies in the suffix of its dimension
         whose first vertex ranks above the first vertex of a.
         """
-        _faces, masks, first, spans = self._faces
+        _ranks, masks, first, spans = self._index
         top = len(spans) - 1
         for i in range(max(0, d - top), min(d, top) + 1):
             a_start, a_stop, _ = spans[i]
@@ -136,42 +191,23 @@ class ConfigurationSpace:
 
     def cells_of_degree(self, d: int) -> tuple:
         """The d-cells in cell order, as pairs of faces; built on every read."""
-        faces = self._faces[0]
+        faces = self.faces
         return tuple([(faces[ga], faces[gb]) for ga, gb in self._degree(d)])
 
     def indexed_cells(self, d: int) -> tuple:
-        """The faces by id, and the face-id pairs (a, b) of the d-cells in cell order."""
-        return self._faces[0], self._degree(d)
-
-    @cached_property
-    def _holders(self) -> list:
-        """Per dimension, per vertex: the bitset of the dimension's faces
-        holding the vertex, bit p for its p-th face."""
-        faces, _masks, _first, spans = self._faces
-        out = []
-        for start, stop, _ in spans:
-            bits = {v: bytearray((stop - start) // 8 + 1) for v in self.K.vertices}
-            for p, f in enumerate(faces[start:stop]):
-                for v in f:
-                    bits[v][p >> 3] |= 1 << (p & 7)
-            out.append({v: int.from_bytes(b, "little") for v, b in bits.items()})
-        return out
+        """The rank tuples of the faces by id, and the face-id pairs (a, b) of
+        the d-cells in cell order."""
+        return self._index[0], self._degree(d)
 
     def count_cells(self, d: int) -> int:
-        """Exact number of d-cells, counted once and without enumerating
-        them: in each dimension split a face a pairs with the faces of its
-        first-vertex suffix (as in `_pairs`) that hold none of its vertices."""
+        """Exact number of d-cells, counted once.  On OL's space it is read
+        off the base, by the count identity of the module docstring, without
+        building OL's faces or index; on any other space it is the length of
+        the enumerated degree."""
+        if not isinstance(self.K, Octahedralization):
+            return len(self._degree(d))
         if d not in self._counts:
-            faces, _masks, first, spans = self._faces
-            top, total = len(spans) - 1, 0
-            for i in range(max(0, d - top), min(d, top) + 1):
-                (a_start, a_stop, _), (b_start, b_stop, b_first) = spans[i], spans[d - i]
-                holders, everything = self._holders[d - i], (1 << (b_stop - b_start)) - 1
-                for ga in range(a_start, a_stop):
-                    s = bisect_right(b_first, first[ga])
-                    meet = reduce(or_, map(holders.__getitem__, faces[ga]))
-                    total += ((everything >> s << s) & ~meet).bit_count()
-            self._counts[d] = total
+            self._counts[d] = _lifted_pair_count(self.K.base, d)
         return self._counts[d]
 
     def cell_key(self, cell) -> int | None:
@@ -179,7 +215,7 @@ class ConfigurationSpace:
         first, as in facet_keys; None when a half is not a face of K.  It
         does not check that the halves are disjoint."""
         a, b = cell
-        fid, first = self.face_ids, self._faces[2]
+        fid, first = self.face_ids, self._index[2]
         ga, gb = fid.get(a), fid.get(b)
         if ga is None or gb is None:
             return None
@@ -189,7 +225,7 @@ class ConfigurationSpace:
 
     def key_cell(self, key: int) -> tuple:
         """The cell with the given key, as stored."""
-        faces = self._faces[0]
+        faces = self.faces
         ga, gb = divmod(key, len(faces))
         return faces[ga], faces[gb]
 
@@ -202,8 +238,8 @@ class ConfigurationSpace:
         docstring has the argument).  The two kinds never coincide, as that
         would need a = b.  What a alone fixes is built once per run of cells
         that share a, as a degree's cells do in cell order."""
-        faces, _masks, first, _spans = self._faces
-        facet_ids, F = self._facet_ids, len(faces)
+        first = self._index[2]
+        facet_ids, F = self._facet_ids, len(first)
         prev = None
         for ga, gb in pairs:
             if ga != prev:
@@ -237,8 +273,8 @@ class ConfigurationSpace:
         key in b's block) the swap sign (-1)^(dim(a') * dim(b)).
         """
         if d not in self._signed:
-            faces, F = self._faces[0], len(self._faces[0])
-            dim = [len(f) - 1 for f in faces]
+            dim = [len(t) - 1 for t in self._index[0]]
+            F = len(dim)
             unswapped: dict = {}  # (dim a, dim b) -> signs of the facets of a, then of b
             rows = []
             for (ga, gb), keys in zip(self._degree(d), self.facet_keys(d)):

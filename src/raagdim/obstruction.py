@@ -78,12 +78,13 @@ def nonstrict_mesh_indicator(sigma: tuple, b: tuple, rank: dict) -> int:
     return int(meshed)
 
 
-def mesh_values(faces, pairs, rank: dict) -> list:
+def mesh_values(ranks, pairs) -> list:
     """Whether each cell, given by its face-id pair (a, b) in stored order,
-    meshes: `_interleaves` on the faces' rank tuples, built once per face.
-    A stored cell puts the simplex with the lower-ranked first vertex first,
-    so only its own order can interleave and `mesh_number` is 0 or 1 there."""
-    ranks = [tuple([rank[v] for v in f]) for f in faces]
+    meshes: `_interleaves` on the rank tuples of the space's index
+    (`ConfigurationSpace.ranks`).  A stored cell puts the simplex with the
+    lower-ranked first vertex first, so only its own order can interleave
+    and `mesh_number` is 0 or 1 there.  Meshing reads only the order of the
+    ranks, so a doubled complex's own ranks give OL's values."""
     return [_interleaves(ranks[a], ranks[b]) for a, b in pairs]
 
 
@@ -119,7 +120,7 @@ def covering_pair_chain(doubled: DoubledComplex):
     space = ConfigurationSpace(doubled.complex)
     k = doubled.degree
     bit = {v: 1 << i for i, v in enumerate(doubled.delta)}
-    faces, pairs = space.indexed_cells(2 * k)
+    faces, pairs = space.faces, space.indexed_cells(2 * k)[1]
     # Each face's base vertices in delta, as a bitmask over delta, by face id.
     cover = [sum([bit.get(v, 0) for v, _s in f]) for f in faces]
     full = (1 << (k + 1)) - 1
@@ -204,16 +205,16 @@ def certify_nonvanishing(L: SimplicialComplex, degree: int | None = None, search
                 continue
             doubled = double_over(octa, cycle, delta)
             space, pairs = covering_pair_chain(doubled)
-            faces = space.faces
             if space.boundary(pairs):
                 raise RuntimeError(
                     "covering chain failed to be a cycle under the pair-intersection "
                     f"condition (cycle {sorted(cycle)}, delta {delta})"
                 )
-            if sum(mesh_values(faces, pairs, octa.rank)) % 2 != 1:
+            if sum(mesh_values(space.ranks, pairs)) % 2 != 1:
                 raise RuntimeError(
                     f"covering chain evaluated to 0 (cycle {sorted(cycle)}, delta {delta})"
                 )
+            faces = space.faces
             return CycleCertificate(
                 degree=k,
                 cycle=cycle,
@@ -247,10 +248,10 @@ def top_mesh_cocycle(octa: Octahedralization, space: ConfigurationSpace, degree:
     """The meshing cocycle on the top cells, as its 0/1 values in cell order.
 
     `mesh_number` is 0 or 1 on a stored cell (`mesh_values`), so this is the
-    integer cocycle as well as its mod-2 reduction.
+    integer cocycle as well as its mod-2 reduction.  It reads the rank
+    tuples of `space`'s index, which are `octa`'s ranks.
     """
-    faces, pairs = space.indexed_cells(2 * degree)
-    return mesh_values(faces, pairs, octa.rank)
+    return mesh_values(*space.indexed_cells(2 * degree))
 
 
 def _recheck(space: ConfigurationSpace, degree: int, phi: list, values: dict, modulus: int, what: str):
@@ -287,7 +288,7 @@ def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: i
     L = octa.base
     lower, sign, rank = L.faces_of_dim(k - 1), (-1) ** k, octa.rank
     minus_top = [minus_lift(beta) for beta in L.faces_of_dim(k)]
-    tops = octa.complex.faces_of_dim(k)
+    tops = space.faces_of_dim(k)
     rhs = [tuple([sign * nonstrict_mesh_indicator(a, b, rank) for b in minus_top]) for a in tops]
     distinct = list(dict.fromkeys(rhs))
     psis = unit_pivot_solve(boundary_rows(L, k), distinct)
@@ -308,7 +309,10 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
     """Decide whether the top mod-2 obstruction cocycle is a coboundary.
 
     Solves delta(x) = phi on the configuration space of the octahedralized
-    complex over GF(2).  On failure returns a witness cycle pairing to 1,
+    complex over GF(2), the space `ConfigurationSpace(octa)` whose index is
+    lifted from L's faces.  The size guard counts the cells of degrees 2k
+    and 2k - 1 on L (`count_cells`), so a refusal, past `max_cells`, builds
+    nothing of OL.  On failure returns a witness cycle pairing to 1,
     which simultaneously certifies nonvanishing.  With `integral` set, phi,
     which is also the integer cocycle (see `top_mesh_cocycle`), is
     additionally solved over Z: first on L and pulled back
@@ -326,7 +330,7 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
         return VanishingResult(status="skipped", primitive=None, witness_cycle=None,
                                reason="degree 0 is handled by the sphere rules")
     octa = octahedralize(L)
-    space = ConfigurationSpace(octa.complex)
+    space = ConfigurationSpace(octa)
     n_cells = space.count_cells(2 * k) + space.count_cells(2 * k - 1)
     if n_cells > max_cells:
         return VanishingResult(status="skipped", primitive=None, witness_cycle=None,
@@ -334,7 +338,7 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
     phi = top_mesh_cocycle(octa, space, k)
     primitive, witness = solve_coboundary(phi, 2 * k, space, coefficients="gf2")
     if primitive is None:
-        faces, pairs = space.indexed_cells(2 * k)
+        faces, pairs = space.faces, space.indexed_cells(2 * k)[1]
         chain = [pairs[i] for i in witness]
         if space.boundary(chain):
             raise RuntimeError("inconsistency witness is not a cycle")

@@ -8,8 +8,12 @@ The vertex order on the doubled complex interleaves the base order:
 and nothing downstream is allowed to use any other order, because the
 meshing cocycles read it.  `Octahedralization` reads the order and its
 ranks off the base, and builds the doubled face set only when `complex`
-is first read, so readers of the order alone (the certificate search,
-`double_over`, the certificate check) never build it.  Projection onto
+is first read.  `analyze`, `verify` and the lemma suite never read it:
+the certificate search, `double_over` and the certificate check read the
+order alone, and OL's configuration space lifts OL's faces from the base
+as rank tuples (`ranked_faces`) and counts its cells on the base.  Only
+`raagdim octahedralize`, which writes OL out, and the tests, as an
+oracle, read `complex`.  Projection onto
 the base forgets the sign; `minus_lift(project(face))` is a face's minus
 copy, the relabelling that the push to the product with the minus copy
 applies to every half, read by face id from
@@ -62,6 +66,20 @@ class Octahedralization:
         faces = frozenset(signed_lift(f, signs) for f in self.base.faces
                           for signs in product((MINUS, PLUS), repeat=len(f)))
         return SimplicialComplex(vertices=self.vertices, faces=faces)
+
+    def ranked_faces(self) -> list:
+        """The faces as rank tuples, one sorted list per dimension, lifted
+        from the base without building `complex`: (v, s) ranks 2 r(v) + 1
+        for s = PLUS and 2 r(v) for MINUS, so a base face with ranks
+        (r0, .., rk) lifts to the 2^(k+1) tuples (2 r0 + e0, .., 2 rk + ek).
+        Sorted, each list is the rank-tuple order of `faces_of_dim`."""
+        rk = self.base.rank
+        out = []
+        for k in range(self.base.dim + 1):
+            level = [t for f in self.base.faces_of_dim(k) for t in product(*[(2 * rk[v], 2 * rk[v] + 1) for v in f])]
+            level.sort()
+            out.append(level)
+        return out
 
     def lifts(self, face: tuple) -> tuple:
         """All signed lifts of a base face, in sign-pattern order."""

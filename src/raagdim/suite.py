@@ -111,8 +111,8 @@ def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
     k = K.dim
     octa = octahedralize(K)
     rank = octa.rank
-    space = ConfigurationSpace(octa.complex)
-    faces, top_pairs = space.indexed_cells(2 * k)
+    space = ConfigurationSpace(octa)
+    faces, top_pairs = space.faces, space.indexed_cells(2 * k)[1]
     top_cells = space.cells_of_degree(2 * k)
     cocycle = []
     # Nonstrict meshing of each product cell (a face-id pair of OL), which

@@ -110,7 +110,8 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
                                        f"stored pair {(a, b)} lists the cell {space.key_cell(key)} twice",
                                        tuple(run))
         keys.add(key)
-    stored = [divmod(key, F) for key in keys]
+    # In cell order, so `boundary` builds each first half's part once per run.
+    stored = [divmod(key, F) for key in sorted(keys)]
     boundary = space.boundary(stored)
     if boundary:
         return VerificationOutcome(False, "omega-cycle",
@@ -118,7 +119,7 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
                                    tuple(run))
 
     run.append("omega-evaluation")
-    evaluation = sum(mesh_values(faces, stored, octa.rank)) % 2
+    evaluation = sum(mesh_values(space.ranks, stored)) % 2
     if evaluation != 1 or evaluation != cert["evaluation"]:
         return VerificationOutcome(False, "omega-evaluation",
                                    f"stored chain evaluates to {evaluation}", tuple(run))

@@ -14,8 +14,8 @@ def cell_facet_keys(space, pair) -> list:
     """Keys of the facets {a', b}, then {a, b'}, of the cell (a, b), each
     facet in stored order: the half with the lower-ranked first vertex
     first."""
-    faces, _masks, first, _spans = space._faces
-    facet_ids, F = space._facet_ids, len(faces)
+    _ranks, _masks, first, _spans = space._index
+    facet_ids, F = space._facet_ids, len(first)
     ga, gb = pair
     return [sa * F + gb if first[sa] < first[gb] else gb * F + sa for sa in facet_ids[ga]] + [
         ga * F + sb for sb in facet_ids[gb]

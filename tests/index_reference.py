@@ -1,0 +1,59 @@
+"""Reference oracle: the index of a configuration space, built from the tuple
+face set of its complex.
+
+`raagdim.config_space` lifts the index of OL's space from the faces of the
+base L and counts OL's cells on L, so OL's tuple face set is never built.
+Here every field is built from a complex's face tuples instead (for OL, from
+`Octahedralization.complex`): faces sorted by rank tuple, masks and first
+ranks from the vertex ranks, facet and minus ids through a dict on the face
+tuples, and each degree's cells by a scan of every pair of faces of the
+right dimensions.  The tests compare the two field by field.
+"""
+
+from __future__ import annotations
+
+from raagdim.octa import minus_lift, project
+
+
+def tuple_index(K) -> dict:
+    """Every field of the index of K's configuration space, by face id."""
+    rk = K.rank
+    faces = [f for k in range(K.dim + 1) for f in K.faces_of_dim(k)]
+    fid = {f: g for g, f in enumerate(faces)}
+    first = [rk[f[0]] for f in faces]
+    spans, start = [], 0
+    for k in range(K.dim + 1):
+        stop = start + len(K.faces_of_dim(k))
+        spans.append((start, stop, first[start:stop]))
+        start = stop
+    return {
+        "faces": faces,
+        "face_ids": fid,
+        "ranks": [tuple(rk[v] for v in f) for f in faces],
+        "masks": [sum(1 << rk[v] for v in f) for f in faces],
+        "first": first,
+        "spans": spans,
+        "facet_ids": [tuple(fid[f[:i] + f[i + 1 :]] for i in range(len(f) - 1, -1, -1)) if len(f) > 1 else ()
+                      for f in faces],
+        "minus_ids": [fid[minus_lift(project(f))] for f in faces],
+    }
+
+
+def scan_cost(index: dict, d: int) -> int:
+    """The number of face pairs that `pairs(index, d)` scans."""
+    spans = index["spans"]
+    return sum((spans[i][1] - spans[i][0]) * (spans[d - i][1] - spans[d - i][0])
+               for i in range(len(spans)) if 0 <= d - i < len(spans))
+
+
+def pairs(index: dict, d: int) -> list:
+    """The face-id pairs (a, b) of the d-cells in cell order (by a, then b):
+    every disjoint pair of faces whose dimensions sum to d, the half with
+    the lower-ranked first vertex first."""
+    masks, first, spans = index["masks"], index["first"], index["spans"]
+    found = []
+    for i in range(len(spans)):
+        if 0 <= d - i < len(spans):
+            found += [(a, b) for a in range(*spans[i][:2]) for b in range(*spans[d - i][:2])
+                      if not masks[a] & masks[b] and first[a] < first[b]]
+    return sorted(found)

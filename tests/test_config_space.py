@@ -12,6 +12,7 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 import facet_reference
+import index_reference
 import integer_recheck
 from raagdim.complexes import skeleton
 from raagdim.config_space import ConfigurationSpace, chain_boundary
@@ -408,27 +409,72 @@ def base_pair_count(L, d):
     return sum(2 ** len(set(s) | set(t)) for s in L.faces for t in L.faces if len(s) + len(t) - 2 == d) // 2
 
 
-def test_bitset_count_matches_enumeration_in_every_degree():
+def built_nothing(cs) -> bool:
+    """Whether the space has built neither its index nor a degree."""
+    return "_index" not in vars(cs) and not cs._degrees
+
+
+def test_lifted_count_matches_enumeration_in_every_degree():
     bases = [entry.complex() for entry in ZOO] + [random_flag(7, 0.5, seed) for seed in range(20)]
     for L in bases:
-        for K in (L, *octahedralized_and_doubled(L)):
-            counting, built = ConfigurationSpace(K), ConfigurationSpace(K)
-            for d in range(-1, 2 * K.dim + 2):
-                n = len(built.cells_of_degree(d))
-                assert counting.count_cells(d) == n == built.count_cells(d), (L.maximal_faces(), d)
-            assert not counting._degrees
-        OL = octahedralize(L).complex
-        counting = ConfigurationSpace(OL)
-        for d in range(-1, 2 * OL.dim + 2):
-            assert counting.count_cells(d) == base_pair_count(L, d), (L.maximal_faces(), d)
+        octa = octahedralize(L)
+        counting, built = ConfigurationSpace(octa), ConfigurationSpace(octa.complex)
+        for d in range(-1, 2 * L.dim + 2):
+            n = len(built.cells_of_degree(d))
+            assert counting.count_cells(d) == n == built.count_cells(d) == base_pair_count(L, d), (L.maximal_faces(), d)
+        assert built_nothing(counting)
 
 
 @given(st.integers(3, 7), st.floats(0.2, 0.8), st.integers(0, 10**6))
 @settings(max_examples=20, deadline=None)
-def test_bitset_count_of_the_octahedralization_matches_the_base_oracle(n, p, seed):
+def test_lifted_count_of_the_octahedralization_matches_the_base_oracle(n, p, seed):
     L = random_flag(n, p, seed)
-    OL = octahedralize(L).complex
-    counting, built = ConfigurationSpace(OL), ConfigurationSpace(OL)
-    for d in range(-1, 2 * OL.dim + 2):
+    octa = octahedralize(L)
+    counting, built = ConfigurationSpace(octa), ConfigurationSpace(octa.complex)
+    for d in range(-1, 2 * L.dim + 2):
         assert counting.count_cells(d) == base_pair_count(L, d) == len(built.cells_of_degree(d))
-    assert not counting._degrees
+    assert built_nothing(counting)
+
+
+# Degrees whose oracle scan passes more face pairs than this are compared
+# on their counts alone.
+SCAN_CAP = 60_000
+
+
+def assert_lifted_index_matches_the_tuple_oracle(L):
+    """OL's space, lifted from L, against the index of OL's tuple face set,
+    field by field, and against the space built on that face set."""
+    octa = octahedralize(L)
+    lifted, ref = ConfigurationSpace(octa), index_reference.tuple_index(octa.complex)
+    ranks, masks, first, spans = lifted._index
+    assert ranks == ref["ranks"]
+    assert masks == ref["masks"]
+    assert first == ref["first"]
+    assert spans == ref["spans"]
+    assert lifted._facet_ids == ref["facet_ids"]
+    assert lifted.faces == ref["faces"]
+    assert lifted.face_ids == ref["face_ids"]
+    assert lifted.minus_ids == ref["minus_ids"]
+    assert [lifted.faces_of_dim(k) for k in range(L.dim + 1)] == [list(octa.complex.faces_of_dim(k))
+                                                                  for k in range(L.dim + 1)]
+    assert lifted._index == ConfigurationSpace(octa.complex)._index
+    for d in range(-1, 2 * L.dim + 2):
+        count = lifted.count_cells(d)
+        assert count == base_pair_count(L, d), (L.maximal_faces(), d)
+        if index_reference.scan_cost(ref, d) > SCAN_CAP:
+            continue
+        pairs = index_reference.pairs(ref, d)
+        assert list(lifted.indexed_cells(d)[1]) == pairs, (L.maximal_faces(), d)
+        assert count == len(pairs)
+        assert list(lifted.facet_keys(d)) == [facet_reference.cell_facet_keys(lifted, pair) for pair in pairs]
+
+
+def test_lifted_index_matches_the_tuple_oracle_on_the_zoo():
+    for entry in ZOO:
+        assert_lifted_index_matches_the_tuple_oracle(entry.complex())
+
+
+@given(st.integers(3, 9), st.floats(0.2, 0.8), st.integers(0, 10**6))
+@settings(max_examples=20, deadline=None)
+def test_lifted_index_matches_the_tuple_oracle(n, p, seed):
+    assert_lifted_index_matches_the_tuple_oracle(random_flag(n, p, seed))

@@ -447,6 +447,33 @@ def test_certificate_search_never_builds_the_octahedralization_face_set(monkeypa
     assert found >= 10
 
 
+def test_a_refusal_builds_nothing_of_the_octahedralization(monkeypatch):
+    def built(self):
+        raise AssertionError("the refusal built part of OL")
+
+    # The size guard counts the cells on L: neither OL's face set nor the
+    # space's index (which lifts L's faces) is built before it refuses.
+    monkeypatch.setattr(Octahedralization, "complex", property(built))
+    monkeypatch.setattr(ConfigurationSpace, "_index", property(built))
+    result = certify_vanishing(cone(octahedron_boundary(3)), max_cells=1000)
+    assert (result.status, result.reason) == ("skipped", "cell budget exceeded (117504 > 1000)")
+
+
+def test_the_top_solve_never_builds_the_octahedralization_face_set(monkeypatch):
+    def no_face_set(self):
+        raise AssertionError("the face set of OL was built")
+
+    monkeypatch.setattr(Octahedralization, "complex", property(no_face_set))
+    statuses = set()
+    for entry in ZOO:
+        L = entry.complex()
+        if L.dim >= 1:
+            statuses.add(certify_vanishing(L, integral=True).status)
+    assert statuses == {"primitive", "obstructed"}
+    # The lemma suite reads OL's space too.
+    assert not run_suite(seed=0, count=5).failures
+
+
 def dense_top_solve(L):
     """Oracle: the top GF(2) solve as dense bitmasks over the reference
     signed boundary rows on cell ids, as (primitive, witness)."""

@@ -22,6 +22,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     (["find_star_violation.py"], "boundary of the covering chain is nonzero on 48 cells"),
     (["moment_oracle_sweep.py", "--samples", "2", "--doubled"], "mismatches: 0"),
     (["report_digests.py", "--count", "2"], '"random_flag(8,0.3,1)": {'),
+    (["census.py", "--seed", "5", "--count", "4"], "census: seed 5, 4 complexes"),
 ])
 def test_script_runs(args, expected, tmp_path):
     run = subprocess.run(
@@ -77,3 +78,39 @@ def test_script_runs(args, expected, tmp_path):
         with open(tmp_path / name, encoding="utf-8") as fh:
             text = fh.read()
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", name
+
+
+# The census of the first 30 complexes of the sample.  It changes only with
+# a rule that is added or changed; record each re-pin in CHANGES.md.
+CENSUS_30 = """\
+census: seed 0, 30 complexes
+determined: 10 of 30
+vkdim: 11 determined, 19 undetermined
+embdim: 10 determined, 20 undetermined
+actdim: 10 determined, 20 undetermined
+undetermined by (dim, vkdim gap):
+  (2, 0): 1
+  (2, 1): 12
+  (2, 2): 1
+  (3, 1): 1
+  (3, 2): 2
+  (3, 3): 2
+  (4, 3): 1
+rule at each end:
+  vkdim lower: covering-chain-certificate 18, star-link 12
+  vkdim upper: top-cocycle-coboundary 27, top-degree 3
+  embdim lower: embdim-above-vkdim 30
+  embdim upper: general-position 17, vanishing-route 13
+  actdim lower: classifying-space 3, obstructor 27
+  actdim upper: double-geometric-dimension 17, vanishing-route 13
+conjecture_status: verified 25, vacuous 5, open-here 0
+"""
+
+
+def test_census_of_thirty_complexes_is_pinned():
+    run = subprocess.run(
+        [sys.executable, os.path.join(REPO, "scripts", "census.py"), "--seed", "0", "--count", "30"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=os.path.join(REPO, "src")),
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == CENSUS_30

@@ -85,7 +85,7 @@ def test_corrupted_minus_table_entry_is_caught(monkeypatch):
     def corrupted(space):
         """Fault: the first top face's minus copy is the last top face's."""
         table = build(space)
-        fid, top = space.face_ids, space.K.faces_of_dim(space.K.dim)
+        fid, top = space.face_ids, space.faces_of_dim(len(space.faces[-1]) - 1)
         table[fid[top[0]]] = table[fid[top[-1]]]
         return table
 
