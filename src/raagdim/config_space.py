@@ -17,13 +17,17 @@ hands them out with the rank tuples, which the meshing cocycle reads, and
 faces as vertex tuples, `face_ids` and `minus_ids` are built only on first
 read, from the rank tuples.
 
-The space of OL is built from the Octahedralization, not from its face
-set, which it never builds.  A signed vertex (v, s) ranks 2 r(v) + [s =
-+], so a face of L with ranks (r0, .., rk) lifts to the 2^(k+1) rank tuples
-(2 r0 + e0, .., 2 rk + ek); sorting each dimension's lifts, int tuples
-with no key, gives the id order, so the index, and with it the cell order,
-the keys and every solve, are those of the space on OL's face set.  Its
-cells are counted on L without building the index, by the identity
+The space of a complex on signed vertices, OL or a doubled complex, is
+built from its base, not from its face set, which it never builds.  A
+signed vertex (v, s) ranks 2 r(v) + [s = +], so a face of the base with
+ranks (r0, .., rk) lifts to the rank tuples (2 r0 + e0, .., 2 rk + ek),
+with a plus copy over every vertex for OL and over delta only for a
+doubled complex (`octa.lift_ranks`, the one lifting rule); sorting each
+dimension's lifts, int tuples with no key, gives the id order, as a
+doubled complex's own vertex order is a suborder of OL's.  So the index,
+and with it the cell order, the keys, every solve and every certificate,
+are those of the space on the face set.  OL's cells are counted on L
+without building the index, by the identity
 
     n_d = 1/2 * sum 2^|s u t|   over ordered pairs (s, t) of faces of L
                                 with dim s + dim t = d.
@@ -42,14 +46,18 @@ A cell has one name: its key a * F + b (`cell_key`, read back by
 `key_cell`), from the face ids (a, b) in stored order, F the number of
 faces.  The key increases strictly in cell order.  The facets {a', b}
 and {a, b'} of a cell are read off the facet table as keys, by one
-first-vertex argument (`_facet_rows`): a stored cell has a's first vertex
+first-vertex argument (`_first_half`): a stored cell has a's first vertex
 below b's, so every facet of a that keeps that vertex stays first, with
 key a' * F + b, and only the one that drops it can swap; every facet of
 b starts at or after b's first vertex, so never comes first.
 `boundary(pairs)` reads a chain as the face-id pairs of its cells and
-counts their facets mod 2 by `chain_boundary`, with no enumeration, no
-signs and no sort of the cells.  `facet_keys(d)` lists the facet keys of
-every d-cell, the rows of the GF(2) coboundary solve and its re-check,
+takes its GF(2) boundary face by face, with no enumeration, no signs and
+no row per cell: as the facets that keep a's first vertex are first
+whatever b is, the cells that share a send all their partners b to each
+such facet in one set operation, and only the facet that drops that
+vertex needs the swap rule, cell by cell; each b's facets then go to a's
+partners, one set operation per cell.  `facet_keys(d)` lists the facet
+keys of every d-cell, the rows of the GF(2) coboundary solve and its re-check,
 which the solve holds as its pivot rows without a copy;
 `signed_facet_keys(d)` puts the signs, read off the dimensions, on those
 rows, the one copy of the sign rule, and serves the integer solve and
@@ -65,11 +73,12 @@ from bisect import bisect_right
 from functools import cached_property
 
 from .complexes import SimplicialComplex
-from .octa import Octahedralization, minus_lift, project
+from .octa import DoubledComplex, Octahedralization, minus_lift, project
 
 
 def chain_boundary(chain, facets) -> set:
-    """GF(2) boundary of a chain: the facets of an odd number of its cells.
+    """GF(2) boundary of a chain: the facets of an odd number of its cells,
+    toggled cell by cell (the check that a certificate's M is a cycle).
 
     `facets(cell)` lists the facets of one cell, none of them twice.
     """
@@ -94,11 +103,12 @@ def _lifted_pair_count(L: SimplicialComplex, d: int) -> int:
 class ConfigurationSpace:
     """Unordered disjoint pairs {sigma, tau}; the quotient cell complex.
 
-    K is a SimplicialComplex, or an Octahedralization, whose index is lifted
-    from its base and whose cells are counted on its base, so that OL's face
-    set is never built (see the module docstring)."""
+    K is a SimplicialComplex, or a complex on signed vertices (an
+    Octahedralization or a DoubledComplex) whose index is lifted from its
+    base, so that its face set is never built; OL's cells are also counted
+    on its base (see the module docstring)."""
 
-    def __init__(self, K: SimplicialComplex | Octahedralization):
+    def __init__(self, K: SimplicialComplex | Octahedralization | DoubledComplex):
         self.K = K
         self._degrees: dict = {}
         self._counts: dict = {}
@@ -111,11 +121,11 @@ class ConfigurationSpace:
         their vertex bitmasks and first ranks, plus each dimension's id range
         and first ranks."""
         K = self.K
-        if isinstance(K, Octahedralization):
-            by_dim = K.ranked_faces()
-        else:
+        if isinstance(K, SimplicialComplex):
             rk = K.rank
             by_dim = [[tuple([rk[v] for v in f]) for f in K.faces_of_dim(k)] for k in range(K.dim + 1)]
+        else:
+            by_dim = K.ranked_faces()
         ranks = [t for level in by_dim for t in level]
         masks = [sum([1 << r for r in t]) for t in ranks]
         first = [t[0] for t in ranks]
@@ -229,30 +239,42 @@ class ConfigurationSpace:
         ga, gb = divmod(key, len(faces))
         return faces[ga], faces[gb]
 
+    def _first_half(self, ga: int) -> tuple:
+        """What the first half a of a stored cell (a, b) fixes of its facets
+        {a', b}: the ids of a's facets that keep a's first vertex, which stay
+        first whatever b is, then the id and the first rank of the one that
+        drops it, which stays first only before a b whose first vertex ranks
+        above its own (None, None for a vertex, which has no facets).
+
+        The one copy of the swap rule: of a's facets, in id order, only the
+        last drops a's first vertex, so only it can put b first (the module
+        docstring has the argument)."""
+        ids = self._facet_ids[ga]
+        if not ids:
+            return (), None, None
+        return ids[:-1], ids[-1], self._index[2][ids[-1]]
+
     def _facet_rows(self, pairs):
         """The keys of the facets {a', b}, then {a, b'}, of each cell (a, b)
         of `pairs`, each facet in stored order; one list per cell.
 
-        The one copy of the swap rule: of a's facets, in id order, only the
-        last drops a's first vertex, so only it can put b first (the module
-        docstring has the argument).  The two kinds never coincide, as that
-        would need a = b.  What a alone fixes is built once per run of cells
-        that share a, as a degree's cells do in cell order."""
+        The two kinds never coincide, as that would need a = b.  What a alone
+        fixes (`_first_half`) is built once per run of cells that share a,
+        as a degree's cells do in cell order."""
         first = self._index[2]
         facet_ids, F = self._facet_ids, len(first)
         prev = None
         for ga, gb in pairs:
             if ga != prev:
-                prev, ids, aF = ga, facet_ids[ga], ga * F
-                if ids:
-                    keep, drop = [sa * F for sa in ids[:-1]], ids[-1]
-                    drop_first, dropF = first[drop], drop * F
-            if ids:
-                row = [k + gb for k in keep]
+                prev, aF = ga, ga * F
+                keep, drop, drop_first = self._first_half(ga)
+                keep = [sa * F for sa in keep]
+                if drop is not None:
+                    dropF = drop * F
+            row = [k + gb for k in keep]
+            if drop is not None:
                 row.append(dropF + gb if drop_first < first[gb] else gb * F + drop)
-                row += [aF + sb for sb in facet_ids[gb]]
-            else:
-                row = [aF + sb for sb in facet_ids[gb]]
+            row += [aF + sb for sb in facet_ids[gb]]
             yield row
 
     def facet_keys(self, d: int) -> tuple:
@@ -292,9 +314,44 @@ class ConfigurationSpace:
 
     def boundary(self, pairs) -> tuple:
         """GF(2) boundary of a chain given by the face-id pairs (a, b) of its
-        cells, in stored order: the keys of the cells in the boundary of an
-        odd number of them, in cell order.  Enumerates nothing.
-        `chain_boundary` asks for the facets of each cell once, in chain
-        order, so they are read off one pass of `_facet_rows`."""
-        rows = self._facet_rows(pairs)
-        return tuple(sorted(chain_boundary(pairs, lambda _pair: next(rows))))
+        cells, each in stored order, the cells in any order (a cell listed
+        twice cancels): the keys of the cells in the boundary of an odd
+        number of them, in cell order.  Enumerates nothing.
+
+        Taken face by face (the module docstring has why): the cells are
+        grouped by a, and each group's set B of partners is reduced mod 2.
+        The boundary is held as a set of second halves per first half,
+        toggled mod 2: the whole of B goes to the set of each facet of a
+        that keeps a's first vertex, and each b's facets go to a's set, one
+        set operation per cell.  The facet that drops a's first vertex goes
+        first or second for each b by the one swap rule (`_first_half`),
+        and those keys are toggled into a set of their own."""
+        first = self._index[2]
+        facet_ids, F = self._facet_ids, len(first)
+        groups: dict = {}
+        for ga, gb in pairs:
+            group = groups.get(ga)
+            if group is None:
+                groups[ga] = {gb}
+            elif gb in group:
+                group.remove(gb)
+            else:
+                group.add(gb)
+        odd: dict = {}  # first half -> the second halves it has so far
+        loose: set = set()  # keys of the facets that drop a's first vertex
+        for ga, group in groups.items():
+            keep, drop, drop_first = self._first_half(ga)
+            for sa in keep:
+                if sa in odd:
+                    odd[sa] ^= group
+                else:
+                    odd[sa] = set(group)
+            if drop is not None:
+                dropF = drop * F
+                loose.symmetric_difference_update([dropF + gb if drop_first < first[gb] else gb * F + drop
+                                                   for gb in group])
+            toggle = odd.setdefault(ga, set()).symmetric_difference_update
+            for gb in group:
+                toggle(facet_ids[gb])
+        loose.symmetric_difference_update([x * F + y for x, ys in odd.items() for y in ys])
+        return tuple(sorted(loose))

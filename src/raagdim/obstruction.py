@@ -9,9 +9,10 @@ complex with simplices of the minus copy.
 
 Nonvanishing is certified by a cycle of unordered disjoint pairs that
 jointly cover a chosen simplex, built from a GF(2) cycle of the base.  The
-covering chain, its push to the product and its evaluation run on the
-face-id pairs of the configuration space's index; the certificate stores
-the pairs as cells once.
+covering chain, its boundary, its push to the product and its evaluation
+run on the face-id pairs of the doubled complex's configuration space,
+whose index is lifted from the cycle's support, so no face set is built;
+the certificate stores the pairs as cells once.
 Vanishing is certified by an explicit coboundary primitive on cell keys.
 A geometric cross-check computes exact signed intersection numbers of
 simplices mapped to the moment curve and must reproduce the combinatorial
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .complexes import SimplicialComplex, skeleton
 from .config_space import ConfigurationSpace
@@ -116,13 +117,16 @@ def covering_pair_chain(doubled: DoubledComplex):
     """The top GF(2) chain of the doubled complex's configuration space
     supported on disjoint pairs whose projections jointly cover the chosen
     simplex.  Returns (space, pairs): the chain as the face-id pairs of its
-    cells, in cell order."""
-    space = ConfigurationSpace(doubled.complex)
+    cells, in cell order, in `ConfigurationSpace(doubled)`, whose index is
+    lifted from the cycle's support.  A face's cover of delta is read off
+    its rank tuple: (v, s) ranks 2 r(v) + [s = +]."""
+    space = ConfigurationSpace(doubled)
     k = doubled.degree
-    bit = {v: 1 << i for i, v in enumerate(doubled.delta)}
-    faces, pairs = space.faces, space.indexed_cells(2 * k)[1]
+    rk = doubled.octa.base.rank
+    bit = {2 * rk[v] + s: 1 << i for i, v in enumerate(doubled.delta) for s in (0, 1)}
+    ranks, pairs = space.indexed_cells(2 * k)
     # Each face's base vertices in delta, as a bitmask over delta, by face id.
-    cover = [sum([bit.get(v, 0) for v, _s in f]) for f in faces]
+    cover = [sum([bit.get(r, 0) for r in t]) for t in ranks]
     full = (1 << (k + 1)) - 1
     # The doubled complex has dimension k, so its 2k-cells are exactly the
     # disjoint pairs of k-faces.
@@ -139,11 +143,18 @@ class StarConditionReport:
 
 
 def check_star_condition(cycle, delta: tuple) -> StarConditionReport:
-    delta_set = set(delta)
+    """The first pair (a, b), a <= b in sorted order, of cycle simplices
+    that covers delta and meets outside it, on vertex bitmasks."""
     simplices = sorted(cycle)
-    for a, b in combinations_with_replacement(simplices, 2):
-        if delta_set <= set(a) | set(b) and not set(a) & set(b) <= delta_set:
-            return StarConditionReport(holds=False, violation=(a, b))
+    bit = {v: 1 << i for i, v in enumerate(dict.fromkeys([v for s in (delta, *simplices) for v in s]))}
+    d = sum([bit[v] for v in delta])
+    masks = [sum([bit[v] for v in s]) for s in simplices]
+    for i, ma in enumerate(masks):
+        need = d & ~ma
+        for j in range(i, len(masks)):
+            mb = masks[j]
+            if not need & ~mb and ma & mb & ~d:
+                return StarConditionReport(holds=False, violation=(simplices[i], simplices[j]))
     return StarConditionReport(holds=True, violation=None)
 
 
@@ -244,12 +255,12 @@ class VanishingResult:
     integral_checked: bool = False
 
 
-def top_mesh_cocycle(octa: Octahedralization, space: ConfigurationSpace, degree: int) -> list:
+def top_mesh_cocycle(space: ConfigurationSpace, degree: int) -> list:
     """The meshing cocycle on the top cells, as its 0/1 values in cell order.
 
     `mesh_number` is 0 or 1 on a stored cell (`mesh_values`), so this is the
     integer cocycle as well as its mod-2 reduction.  It reads the rank
-    tuples of `space`'s index, which are `octa`'s ranks.
+    tuples of `space`'s index.
     """
     return mesh_values(*space.indexed_cells(2 * degree))
 
@@ -335,7 +346,7 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
     if n_cells > max_cells:
         return VanishingResult(status="skipped", primitive=None, witness_cycle=None,
                                reason=f"cell budget exceeded ({n_cells} > {max_cells})")
-    phi = top_mesh_cocycle(octa, space, k)
+    phi = top_mesh_cocycle(space, k)
     primitive, witness = solve_coboundary(phi, 2 * k, space, coefficients="gf2")
     if primitive is None:
         faces, pairs = space.faces, space.indexed_cells(2 * k)[1]

@@ -8,23 +8,26 @@ The vertex order on the doubled complex interleaves the base order:
 and nothing downstream is allowed to use any other order, because the
 meshing cocycles read it.  `Octahedralization` reads the order and its
 ranks off the base, and builds the doubled face set only when `complex`
-is first read.  `analyze`, `verify` and the lemma suite never read it:
-the certificate search, `double_over` and the certificate check read the
-order alone, and OL's configuration space lifts OL's faces from the base
-as rank tuples (`ranked_faces`) and counts its cells on the base.  Only
-`raagdim octahedralize`, which writes OL out, and the tests, as an
-oracle, read `complex`.  Projection onto
-the base forgets the sign; `minus_lift(project(face))` is a face's minus
-copy, the relabelling that the push to the product with the minus copy
-applies to every half, read by face id from
-`ConfigurationSpace.minus_ids` of the complex that holds the chain.
+is first read.  A `DoubledComplex`, the support of a cycle doubled over
+one of its simplices, keeps only the cycle, the simplex and OL, and builds
+its face set likewise only when `complex` is first read.  `analyze`,
+`verify` and the lemma suite read neither face set: the configuration
+space of OL and of a doubled complex lifts its faces from the base as
+rank tuples in OL's order (`ranked_faces`, both by `lift_ranks`, the one
+lifting rule for signed complexes), and OL's counts its cells on the
+base.  Only `raagdim octahedralize`, which writes OL out, and the tests,
+as oracles, read `complex`.  Projection onto the base forgets the sign;
+`minus_lift(project(face))` is a face's minus copy, the relabelling that
+the push to the product with the minus copy applies to every half, read
+by face id from `ConfigurationSpace.minus_ids` of the complex that holds
+the chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 
 from .complexes import SimplicialComplex, make_complex
 
@@ -43,6 +46,24 @@ def signed_lift(face: tuple, signs) -> tuple:
 
 def minus_lift(face: tuple) -> tuple:
     return tuple([(v, MINUS) for v in face])
+
+
+def lift_ranks(levels, plus) -> list:
+    """The faces of a complex on signed vertices as rank tuples in OL's
+    vertex order, one sorted list per dimension, from its base faces'
+    rank tuples (`levels`, one list per dimension).
+
+    (v, s) ranks 2 r(v) + 1 for s = PLUS and 2 r(v) for MINUS, so a base
+    face with ranks (r0, .., rk) lifts to the tuples (2 r0 + e0, .., 2 rk +
+    ek), with ei = 1 allowed only for ri in `plus`.  Sorted with no key,
+    each list is the rank-tuple order of the signed complex's own
+    `faces_of_dim`: its vertex order is a suborder of OL's."""
+    out = []
+    for level in levels:
+        lifted = [t for f in level for t in product(*[(2 * r, 2 * r + 1) if r in plus else (2 * r,) for r in f])]
+        lifted.sort()
+        out.append(lifted)
+    return out
 
 
 @dataclass(frozen=True)
@@ -69,17 +90,11 @@ class Octahedralization:
 
     def ranked_faces(self) -> list:
         """The faces as rank tuples, one sorted list per dimension, lifted
-        from the base without building `complex`: (v, s) ranks 2 r(v) + 1
-        for s = PLUS and 2 r(v) for MINUS, so a base face with ranks
-        (r0, .., rk) lifts to the 2^(k+1) tuples (2 r0 + e0, .., 2 rk + ek).
-        Sorted, each list is the rank-tuple order of `faces_of_dim`."""
+        from the base by `lift_ranks` with a plus copy over every vertex,
+        without building `complex`."""
         rk = self.base.rank
-        out = []
-        for k in range(self.base.dim + 1):
-            level = [t for f in self.base.faces_of_dim(k) for t in product(*[(2 * rk[v], 2 * rk[v] + 1) for v in f])]
-            level.sort()
-            out.append(level)
-        return out
+        return lift_ranks([[tuple([rk[v] for v in f]) for f in self.base.faces_of_dim(k)]
+                           for k in range(self.base.dim + 1)], range(len(rk)))
 
     def lifts(self, face: tuple) -> tuple:
         """All signed lifts of a base face, in sign-pattern order."""
@@ -93,14 +108,12 @@ def octahedralize(L: SimplicialComplex) -> Octahedralization:
 
 @dataclass(frozen=True)
 class DoubledComplex:
-    """A cycle support doubled over one of its simplices.
+    """A cycle support doubled over one of its simplices: the full
+    subcomplex of the octahedralized support on the minus copy of the cycle
+    plus both lifts of the chosen simplex.  Kept as the cycle, the simplex
+    and OL; `ConfigurationSpace(doubled)` lifts its index from the support
+    (`ranked_faces`), and only the tests read the face set `complex`."""
 
-    complex: full subcomplex of the octahedralized support on the minus
-    copy of the cycle plus both lifts of the chosen simplex, kept with the
-    cycle, the simplex and the octahedralization it was built from.
-    """
-
-    complex: SimplicialComplex
     cycle: frozenset
     delta: tuple
     octa: Octahedralization
@@ -109,15 +122,46 @@ class DoubledComplex:
     def degree(self) -> int:
         return len(self.delta) - 1
 
+    @property
+    def vertices(self) -> tuple:
+        """OL's vertex order, which `ranked_faces` ranks."""
+        return self.octa.vertices
+
+    def ranked_faces(self) -> list:
+        """The faces as rank tuples, one sorted list per dimension: the
+        support's faces (subsets of the cycle's simplices) lifted by
+        `lift_ranks` with a plus copy over delta only."""
+        rk = self.octa.base.rank
+        support = [set() for _ in self.delta]
+        for f in self.cycle:
+            t = tuple([rk[v] for v in f])
+            for r, level in enumerate(support, 1):
+                level.update(combinations(t, r))
+        return lift_ranks(support, {rk[v] for v in self.delta})
+
+    @cached_property
+    def complex(self) -> SimplicialComplex:
+        """The signed lifts of the support's faces whose plus vertices all
+        lie over delta; built on first read."""
+        support = make_complex(sorted(self.cycle), vertex_order=self.octa.base.vertices)
+        delta_set = set(self.delta)
+        faces = set()
+        for f in support.faces:
+            options = [((v, MINUS), (v, PLUS)) if v in delta_set else ((v, MINUS),) for v in f]
+            faces.update(product(*options))
+        return SimplicialComplex(
+            vertices=tuple(sv for sv in self.octa.vertices if (sv,) in faces),
+            faces=frozenset(faces),
+        )
+
 
 def double_over(octa: Octahedralization, cycle, delta) -> DoubledComplex:
-    """Build the doubled complex for a GF(2) cycle and a simplex in it.
+    """Check a GF(2) cycle and a simplex in it, and keep them for doubling.
 
     `cycle` is a set of k-simplices of the base carrying coefficient 1;
-    `delta` must be one of them.  Faces of the result are the signed lifts
-    of faces of the chain's support whose plus vertices all lie over
-    `delta`.  Cycle-ness of the chain is the caller's business (the
-    certificate paths check it); the doubling itself is purely structural.
+    `delta` must be one of them.  Cycle-ness of the chain is the caller's
+    business (the certificate paths check it); the doubling itself is
+    purely structural, and builds no face set.
     """
     L = octa.base
     cycle = frozenset(L.sort_face(f) for f in cycle)
@@ -129,16 +173,4 @@ def double_over(octa: Octahedralization, cycle, delta) -> DoubledComplex:
         raise ValueError("cycle support must be pure of one dimension")
     if not cycle <= L.faces:
         raise ValueError("cycle contains simplices outside the complex")
-
-    support = make_complex(sorted(cycle), vertex_order=L.vertices)
-    delta_set = set(delta)
-    faces = set()
-    for f in support.faces:
-        options = [((v, MINUS), (v, PLUS)) if v in delta_set else ((v, MINUS),) for v in f]
-        for lift in product(*options):
-            faces.add(lift)
-    doubled = SimplicialComplex(
-        vertices=tuple(sv for sv in octa.vertices if (sv,) in faces),
-        faces=frozenset(faces),
-    )
-    return DoubledComplex(complex=doubled, cycle=cycle, delta=delta, octa=octa)
+    return DoubledComplex(cycle=cycle, delta=delta, octa=octa)

@@ -8,11 +8,11 @@ in degree 0 the rule is an even vertex count).  Every stored pair must have
 the stated total size and disjoint halves; it is then named once by its
 cell key (either half first), and the stored chain's boundary, evaluation,
 push and support match run on keys and face-id pairs of the doubled
-complex's configuration space, never on OL's face set.  A key becomes a
-cell again only to word a failure.  The stored support must match the
-rebuilt chain exactly, and neither M nor the stored support may list an
-entry twice (it would cancel mod 2); a certificate is a proof object, not
-a hint.
+complex's configuration space, lifted from M's support, never on a face
+set of OL or of the doubled complex.  A key becomes a cell again only to
+word a failure.  The stored support must match the rebuilt chain exactly,
+and neither M nor the stored support may list an entry twice (it would
+cancel mod 2); a certificate is a proof object, not a hint.
 """
 
 from __future__ import annotations

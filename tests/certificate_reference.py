@@ -2,7 +2,9 @@
 cells, the signed-vertex tuple pairs themselves.
 
 `covering_pair_chain` filters the enumerated top cells by cover masks keyed
-by face.  `verify_certificate` runs every check of `raagdim.verify` on
+by face.  `check_star_condition` scans the pairs of cycle simplices on
+vertex sets, where `raagdim` scans them on vertex bitmasks.
+`verify_certificate` runs every check of `raagdim.verify` on
 cells: the stored chain's boundary from the signed per-cell oracle, the
 push from `push_reference`, the product chain from the lifts of Delta.
 `raagdim` runs the same checks on face-id pairs and cell keys; the tests
@@ -12,11 +14,12 @@ compare the two, failure wording included.
 from __future__ import annotations
 
 from functools import partial
+from itertools import combinations_with_replacement
 
 import push_reference
 from raagdim.complexes import skeleton
 from raagdim.config_space import ConfigurationSpace, chain_boundary
-from raagdim.obstruction import check_star_condition, mesh_number
+from raagdim.obstruction import StarConditionReport, mesh_number
 from raagdim.octa import double_over, minus_lift, octahedralize
 from raagdim.verify import VerificationOutcome
 from test_config_space import signed_boundary, signed_chain_boundary
@@ -31,6 +34,16 @@ def covering_pair_chain(doubled):
     cover = {f: sum(bit.get(v, 0) for v, _s in f) for f in doubled.complex.faces_of_dim(k)}
     full = (1 << (k + 1)) - 1
     return space, frozenset((a, b) for a, b in space.cells_of_degree(2 * k) if cover[a] | cover[b] == full)
+
+
+def check_star_condition(cycle, delta: tuple) -> StarConditionReport:
+    """The first pair (a, b), a <= b in sorted order, of cycle simplices
+    that covers delta and meets outside it, on vertex sets."""
+    delta_set = set(delta)
+    for a, b in combinations_with_replacement(sorted(cycle), 2):
+        if delta_set <= set(a) | set(b) and not set(a) & set(b) <= delta_set:
+            return StarConditionReport(holds=False, violation=(a, b))
+    return StarConditionReport(holds=True, violation=None)
 
 
 def delta_product_chain(doubled) -> dict:

@@ -4,8 +4,9 @@ face set of its complex.
 `raagdim.config_space` lifts the index of OL's space from the faces of the
 base L and counts OL's cells on L, so OL's tuple face set is never built.
 Here every field is built from a complex's face tuples instead (for OL, from
-`Octahedralization.complex`): faces sorted by rank tuple, masks and first
-ranks from the vertex ranks, facet and minus ids through a dict on the face
+`Octahedralization.complex`, for a doubled complex from
+`DoubledComplex.complex`): faces sorted by rank tuple, masks and first ranks
+from the vertex ranks, facet and minus ids through a dict on the face
 tuples, and each degree's cells by a scan of every pair of faces of the
 right dimensions.  The tests compare the two field by field.
 """
@@ -15,10 +16,13 @@ from __future__ import annotations
 from raagdim.octa import minus_lift, project
 
 
-def tuple_index(K) -> dict:
-    """Every field of the index of K's configuration space, by face id."""
-    rk = K.rank
-    faces = [f for k in range(K.dim + 1) for f in K.faces_of_dim(k)]
+def tuple_index(K, rank=None) -> dict:
+    """Every field of the index of K's configuration space, by face id, with
+    the vertices ranked by `rank` (K's own ranks by default).  A doubled
+    complex's space ranks its vertices in OL's order, which its own order
+    is a suborder of, so the face order is the same."""
+    rk = K.rank if rank is None else rank
+    faces = [f for k in range(K.dim + 1) for f in sorted(K.faces_of_dim(k), key=lambda f: [rk[v] for v in f])]
     fid = {f: g for g, f in enumerate(faces)}
     first = [rk[f[0]] for f in faces]
     spans, start = [], 0

@@ -17,8 +17,9 @@ import integer_recheck
 from raagdim.complexes import skeleton
 from raagdim.config_space import ConfigurationSpace, chain_boundary
 from raagdim.homology import boundary_rows, cycle_space, simplex_boundary
+from raagdim.obstruction import certify_vanishing
 from raagdim.octa import double_over, octahedralize
-from raagdim.zoo import ZOO, cycle, points, random_flag
+from raagdim.zoo import ZOO, cycle, octahedron_boundary, points, random_flag
 
 
 def pair_cell_boundary(cell):
@@ -324,12 +325,9 @@ def test_boundary_rows_match_per_cell_boundary(seed):
 
 
 def octahedralized_and_doubled(L):
-    """OL, and the doubled complex over the first cycle of each degree."""
+    """OL's face set, and the face sets of the complexes of `doubled_over`."""
     yield octahedralize(L).complex
-    for k in range(L.dim + 1):
-        K = skeleton(L, k)
-        for cyc in cycle_space(K, k)[:1]:
-            yield double_over(octahedralize(K), cyc, sorted(cyc)[0]).complex
+    yield from (doubled.complex for doubled in doubled_over(L))
 
 
 def test_facet_table_matches_homology_boundary_rows():
@@ -384,21 +382,6 @@ def test_facet_keys_match_the_per_cell_rule_row_by_row():
             assert len(rows) == len(pairs)
             for pair, row in zip(pairs, rows):
                 assert row == facet_reference.cell_facet_keys(cs, pair), (K.maximal_faces(), d, pair)
-
-
-def test_boundary_matches_the_per_cell_rule_in_any_chain_order():
-    rng = random.Random(20)
-    for K in facet_rule_spaces():
-        cs = ConfigurationSpace(K)
-        for d in range(2 * K.dim + 1):
-            _faces, pairs = cs.indexed_cells(d)
-            for _ in range(3):
-                chain = sorted(rng.sample(range(len(pairs)), min(len(pairs), rng.randint(0, 30))))
-                in_order = [pairs[i] for i in chain]
-                # verify hands over the pairs of a set, in no cell order.
-                shuffled = rng.sample(in_order, len(in_order))
-                expect = facet_reference.boundary(cs, in_order)
-                assert cs.boundary(in_order) == cs.boundary(shuffled) == expect, (K.maximal_faces(), d)
 
 
 def base_pair_count(L, d):
@@ -467,6 +450,8 @@ def assert_lifted_index_matches_the_tuple_oracle(L):
         assert list(lifted.indexed_cells(d)[1]) == pairs, (L.maximal_faces(), d)
         assert count == len(pairs)
         assert list(lifted.facet_keys(d)) == [facet_reference.cell_facet_keys(lifted, pair) for pair in pairs]
+    for doubled in doubled_over(L):
+        assert_lifted_doubled_index_matches_the_tuple_oracle(doubled)
 
 
 def test_lifted_index_matches_the_tuple_oracle_on_the_zoo():
@@ -478,3 +463,89 @@ def test_lifted_index_matches_the_tuple_oracle_on_the_zoo():
 @settings(max_examples=20, deadline=None)
 def test_lifted_index_matches_the_tuple_oracle(n, p, seed):
     assert_lifted_index_matches_the_tuple_oracle(random_flag(n, p, seed))
+
+
+def doubled_over(L):
+    """The doubled complexes over the first cycle of each degree of L, at
+    its first and at its last simplex."""
+    for k in range(L.dim + 1):
+        K = skeleton(L, k)
+        for cyc in cycle_space(K, k)[:1]:
+            for delta in dict.fromkeys([min(cyc), max(cyc)]):
+                yield double_over(octahedralize(K), cyc, delta)
+
+
+def boundary_spaces():
+    """The spaces of `facet_rule_spaces`, and the spaces lifted from the
+    base: OL's and the doubled complexes', for the zoo and random_flag(n,
+    p, s) with n in 6..9 (OL only for n <= 7)."""
+    yield from map(ConfigurationSpace, facet_rule_spaces())
+    bases = [entry.complex() for entry in ZOO]
+    bases += [random_flag(n, p, seed) for n in range(6, 10) for p in (0.3, 0.5, 0.7) for seed in range(2)]
+    for L in bases:
+        if len(L.vertices) <= 7:
+            yield ConfigurationSpace(octahedralize(L))
+        yield from (ConfigurationSpace(doubled) for doubled in doubled_over(L))
+
+
+def test_boundary_matches_the_per_cell_rule_in_any_chain_order():
+    # Each degree whole, and chains drawn with replacement, part of them
+    # listed again, in cell order and shuffled (verify hands over the pairs
+    # of a set): a cell listed an even number of times cancels.
+    rng = random.Random(20)
+    for cs in boundary_spaces():
+        for d in range(2 * len(cs._index[3]) - 1):
+            pairs = cs.indexed_cells(d)[1]
+            chains = [list(pairs)]
+            for _ in range(3):
+                chain = rng.choices(pairs, k=rng.randint(1, 40)) if pairs else []
+                chain += chain[: rng.randint(0, len(chain))]
+                chains += [sorted(chain), rng.sample(chain, len(chain))]
+            for chain in chains:
+                assert cs.boundary(chain) == facet_reference.boundary(cs, chain), (cs.K, d)
+
+
+def test_boundary_of_the_obstructed_witness_matches_the_per_cell_oracle():
+    L = octahedron_boundary(3)
+    result = certify_vanishing(L)
+    assert result.status == "obstructed"
+    cs = ConfigurationSpace(octahedralize(L))
+    F = len(cs.faces)
+    chain = [divmod(cs.cell_key(cell), F) for cell in result.witness_cycle]
+    assert len(chain) == 648
+    assert cs.boundary(chain) == facet_reference.boundary(cs, chain) == ()
+    # Without its first cell, and with five cells listed three times, in
+    # shuffled order, the witness has the first cell's boundary.
+    broken = chain[1:] + chain[1:6] * 2
+    random.Random(3).shuffle(broken)
+    assert cs.boundary(broken) == facet_reference.boundary(cs, broken) == facet_reference.boundary(cs, chain[:1])
+    assert cs.boundary(broken)
+
+
+def assert_lifted_doubled_index_matches_the_tuple_oracle(doubled):
+    """The doubled complex's space, lifted from the cycle's support, against
+    the index of its tuple face set ranked in OL's order, field by field,
+    and against the space built on that face set."""
+    lifted, built = ConfigurationSpace(doubled), ConfigurationSpace(doubled.complex)
+    ref = index_reference.tuple_index(doubled.complex, doubled.octa.rank)
+    ranks, masks, first, spans = lifted._index
+    assert ranks == ref["ranks"]
+    assert masks == ref["masks"]
+    assert first == ref["first"]
+    assert spans == ref["spans"]
+    assert lifted._facet_ids == ref["facet_ids"] == built._facet_ids
+    assert lifted.faces == ref["faces"] == built.faces
+    assert lifted.face_ids == ref["face_ids"]
+    assert lifted.minus_ids == ref["minus_ids"] == built.minus_ids
+    # The doubled complex's own vertex order is a suborder of OL's, so its
+    # own rank tuples order the faces as the lifted ones do.
+    own = doubled.complex.rank
+    assert sorted(doubled.complex.vertices, key=doubled.octa.rank.__getitem__) == list(doubled.complex.vertices)
+    assert built.ranks == [tuple(own[v] for v in f) for f in lifted.faces]
+    for d in range(-1, 2 * doubled.degree + 2):
+        assert lifted.count_cells(d) == built.count_cells(d), (doubled.cycle, doubled.delta, d)
+        if index_reference.scan_cost(ref, d) > SCAN_CAP:
+            continue
+        pairs = index_reference.pairs(ref, d)
+        assert list(lifted.indexed_cells(d)[1]) == pairs == list(built.indexed_cells(d)[1])
+        assert lifted.facet_keys(d) == built.facet_keys(d)

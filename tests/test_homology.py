@@ -191,7 +191,7 @@ def test_a_phi_one_entry_short_is_refused_by_both_solves_and_the_recheck():
     # fewer equations.
     octa = octahedralize(path(3))
     space = ConfigurationSpace(octa.complex)
-    phi = top_mesh_cocycle(octa, space, 1)
+    phi = top_mesh_cocycle(space, 1)
     for ring, modulus in (("gf2", 2), ("int", 0)):
         prim, _ = solve_coboundary(phi, 2, space, ring)
         _recheck(space, 2, phi, prim, modulus, "primitive")

@@ -6,6 +6,7 @@ from functools import partial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import certificate_reference
 import gf2_dense
 import integer_recheck
 import push_reference
@@ -27,8 +28,8 @@ from raagdim.obstruction import (
     push_to_product,
     top_mesh_cocycle,
 )
-from raagdim.octa import MINUS, PLUS, Octahedralization, double_over, minus_lift, octahedralize
-from raagdim.suite import run_suite
+from raagdim.octa import MINUS, PLUS, DoubledComplex, Octahedralization, double_over, minus_lift, octahedralize
+from raagdim.suite import SuiteResult, check_complex, run_suite
 from raagdim.verify import verify_certificate
 from raagdim.zoo import ZOO, cone, cycle, octahedron_boundary, path, points, random_flag, simplex, suspension, tree
 from test_config_space import pair_cell_boundary, pairs_of, signed_boundary, signed_chain_boundary
@@ -218,7 +219,7 @@ def test_stored_top_cells_mesh_0_or_1_so_the_top_cocycle_is_integral(n, p, seed)
         assert values[a, b] == interleaving_reference(a, b, o.rank)
         assert mesh_number(b, a, o.rank) == interleaving_reference(b, a, o.rank)
     assert set(values.values()) <= {0, 1}
-    assert top_mesh_cocycle(o, space, L.dim) == list(values.values())
+    assert top_mesh_cocycle(space, L.dim) == list(values.values())
 
 
 def lemma_pairs(L, cap=4):
@@ -363,6 +364,45 @@ def test_three_cycle_always_violates():
         assert not check_star_condition(cyc, delta).holds
 
 
+@given(st.integers(0, 3), st.lists(st.lists(st.integers(0, 7), min_size=4, max_size=4), min_size=1, max_size=9),
+       st.integers(0, 100))
+@settings(max_examples=200, deadline=None)
+def test_star_condition_on_bitmasks_matches_the_set_scan(k, draws, pick):
+    # Any set of k-simplices on eight labels, with delta one of them or
+    # any k-simplex, some of whose vertices may lie in no simplex.
+    simplices = {tuple(sorted(set(d)))[: k + 1] for d in draws}
+    cyc = frozenset(s for s in simplices if len(s) == k + 1)
+    if not cyc:
+        return
+    deltas = sorted(cyc) + [tuple(range(8 - k - 1, 8))]
+    delta = deltas[pick % len(deltas)]
+    assert check_star_condition(cyc, delta) == certificate_reference.check_star_condition(cyc, delta)
+
+
+def bench_star_inputs():
+    """(cycle, delta) over the benchmark's analyze complexes: each basis
+    cycle of each degree and each sum of two, at each of its simplices."""
+    wl = load_workloads()
+    for name in ("certify", "vanishing", "integral"):
+        workload = wl.WORKLOADS[name]
+        for case, data in zip(workload.cases, wl.build_inputs(raagdim, workload)):
+            if "max_cells" in case.options:
+                continue
+            L = io_json.complex_from_json(data)
+            for k in range(L.dim + 1):
+                basis = cycle_space(skeleton(L, k), k)
+                for cyc in [*basis[:4], *[a ^ b for a, b in zip(basis[:4], basis[1:5])]]:
+                    for delta in sorted(cyc):
+                        yield cyc, delta
+
+
+def test_star_condition_on_bitmasks_matches_the_set_scan_on_the_bench_complexes():
+    reports = [(check_star_condition(cyc, delta), certificate_reference.check_star_condition(cyc, delta))
+               for cyc, delta in bench_star_inputs()]
+    assert all(fast == slow for fast, slow in reports)
+    assert {fast.holds for fast, _slow in reports} == {True, False}
+
+
 # --- certificates -------------------------------------------------------------
 
 
@@ -432,19 +472,26 @@ def test_certify_vanishing_refuses_by_count_without_building_cells(monkeypatch):
 
 def test_certificate_search_never_builds_the_octahedralization_face_set(monkeypatch):
     def no_face_set(self):
-        raise AssertionError("the face set of OL was built")
+        raise AssertionError("a face set was built")
 
+    # Search, check and suite read the doubled complex's space, lifted from
+    # the cycle's support, and its push, never a face set of OL or of the
+    # doubled complex.
     monkeypatch.setattr(Octahedralization, "complex", property(no_face_set))
+    monkeypatch.setattr(DoubledComplex, "complex", property(no_face_set))
     found = 0
     for entry in ZOO:
         L = entry.complex()
         for k in range(L.dim + 1):
             cert = certify_nonvanishing(L, k)
             if cert is not None:
-                # The check reads the doubled complex's push, not OL's faces.
                 assert verify_certificate(L, io_json.certificate_from_json(io_json.certificate_to_json(cert))).ok
                 found += 1
     assert found >= 10
+    result = SuiteResult()
+    for L in (cycle(4), suspension(cycle(4)), octahedron_boundary(2), random_flag(7, 0.5, 3)):
+        check_complex(L, result)
+    assert result.checks > 0 and not result.failures
 
 
 def test_a_refusal_builds_nothing_of_the_octahedralization(monkeypatch):
@@ -479,7 +526,7 @@ def dense_top_solve(L):
     signed boundary rows on cell ids, as (primitive, witness)."""
     octa = octahedralize(L)
     space = ConfigurationSpace(octa.complex)
-    phi = top_mesh_cocycle(octa, space, L.dim)
+    phi = top_mesh_cocycle(space, L.dim)
     cells, lower = space.cells_of_degree(2 * L.dim), space.cells_of_degree(2 * L.dim - 1)
     eqs = [(sum(1 << i for i, coeff in row if coeff % 2), v)
            for row, v in zip(integer_recheck.boundary_rows(space, 2 * L.dim), phi, strict=True)]

@@ -21,7 +21,7 @@ TETRAHEDRON_BOUNDARY = make_complex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 def top_system(L):
     octa = octahedralize(L)
     space = ConfigurationSpace(octa.complex)
-    return octa, space, top_mesh_cocycle(octa, space, L.dim)
+    return octa, space, top_mesh_cocycle(space, L.dim)
 
 
 def on_cells(space, values: dict) -> dict:

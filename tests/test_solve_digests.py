@@ -69,7 +69,7 @@ def test_top_solve_leaves_the_cached_facet_rows_as_built(expr, solvable):
     L = build_named(expr)
     octa = octahedralize(L)
     space = ConfigurationSpace(octa.complex)
-    phi = top_mesh_cocycle(octa, space, L.dim)
+    phi = top_mesh_cocycle(space, L.dim)
     rows = space.facet_keys(2 * L.dim)
     before = [list(row) for row in rows]
     primitive, witness = solve_coboundary(phi, 2 * L.dim, space)
