@@ -9,13 +9,14 @@ which acts with the sign (-1)^(dim a * dim b).
 ConfigurationSpace works on an index of K, all in ints.  Every face gets
 an id (by dimension, then rank tuple), its rank tuple, an int vertex
 bitmask, so disjointness is `mask_a & mask_b == 0`, and its facet ids,
-built once through a dict on the rank tuples (drop each vertex, in id
-order).  Each degree is enumerated once, as face-id pairs (a, b) already
-in cell order (by the id of a, then of b), with no sort; `indexed_cells(d)`
-hands them out with the rank tuples, which the meshing cocycle reads, and
-`cells_of_degree(d)`, uncached, turns them into pairs of faces.  The
-faces as vertex tuples, `face_ids` and `minus_ids` are built only on first
-read, from the rank tuples.
+built once through `rank_ids`, the one dict that names a face by id, on
+its rank tuple (drop each vertex, in id order).  Each degree is enumerated
+once, as face-id pairs (a, b) already in cell order (by the id of a, then
+of b), with no sort; `indexed_cells(d)` hands them out with the rank
+tuples, which the meshing cocycle reads, and `cells_of_degree(d)`,
+uncached, turns them into pairs of faces.  The faces as vertex tuples are
+built only on first read, from the rank tuples, by what hands out cells
+(`cells_of_degree`, `key_cell`); `face_ids` only by `cell_key`.
 
 The space of a complex on signed vertices, OL or a doubled complex, is
 built from its base, not from its face set, which it never builds.  A
@@ -62,9 +63,15 @@ which the solve holds as its pivot rows without a copy;
 `signed_facet_keys(d)` puts the signs, read off the dimensions, on those
 rows, the one copy of the sign rule, and serves the integer solve and
 re-check.  So no solve, over either ring, builds a cell of
-degree d or d - 1.  For a complex on
-signed vertices, `minus_ids` is the projection table that the push to
-the product with the minus copy reads: each face's minus copy, by id.
+degree d or d - 1.
+
+For a complex on signed vertices, `minus_ids` is the projection table that
+the push to the product with the minus copy reads: each face's minus copy,
+by id, read vertex by vertex off the per-vertex table `minus_ranks` on
+`K.vertices`, which the nonstrict cocycle reads too, and through
+`rank_ids`.  The parity of a rank gives a vertex's sign only on a lifted
+index: a space built on a doubled complex's face set ranks a suborder of
+OL's vertices.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ from bisect import bisect_right
 from functools import cached_property
 
 from .complexes import SimplicialComplex
-from .octa import DoubledComplex, Octahedralization, minus_lift, project
+from .octa import MINUS, DoubledComplex, Octahedralization
 
 
 def chain_boundary(chain, facets) -> set:
@@ -141,16 +148,26 @@ class ConfigurationSpace:
         """The rank tuples of the faces of K by id."""
         return self._index[0]
 
+    @property
+    def masks(self) -> list:
+        """The vertex bitmasks of the faces of K by id (bit r for rank r)."""
+        return self._index[1]
+
+    def ids_of_dim(self, k: int) -> range:
+        """The ids of the k-faces of K."""
+        start, stop, _ = self._index[3][k]
+        return range(start, stop)
+
+    @cached_property
+    def rank_ids(self) -> dict:
+        """Rank tuple -> face id: the one dict that names a face of K by id."""
+        return {t: g for g, t in enumerate(self._index[0])}
+
     @cached_property
     def faces(self) -> list:
         """The faces of K by id, as vertex tuples; built on first read."""
         vertices = self.K.vertices
         return [tuple([vertices[r] for r in t]) for t in self._index[0]]
-
-    def faces_of_dim(self, k: int) -> list:
-        """The k-faces of K in id order, as vertex tuples."""
-        start, stop, _ = self._index[3][k]
-        return self.faces[start:stop]
 
     @cached_property
     def face_ids(self) -> dict:
@@ -158,22 +175,30 @@ class ConfigurationSpace:
         return {f: g for g, f in enumerate(self.faces)}
 
     @cached_property
+    def minus_ranks(self) -> list:
+        """The per-vertex projection table of a complex on signed vertices
+        (label, sign) that holds each vertex's minus copy (OL and every
+        doubled complex do): by rank, the rank of that copy, its own rank
+        for a minus vertex (the module docstring has why not by parity)."""
+        rank = self.K.rank
+        return [rank[(v, MINUS)] for v, _s in self.K.vertices]
+
+    @cached_property
     def minus_ids(self) -> list:
-        """The projection table of a complex on signed vertices (label, sign)
-        that holds the minus copy `minus_lift(project(f))` of each face f (OL
-        and every doubled complex do): by face id, the id of that copy."""
-        fid = self.face_ids
-        return [fid[minus_lift(project(f))] for f in self.faces]
+        """The projection table on faces: by face id, the id of the face's
+        minus copy `minus_lift(project(f))`, its rank tuple read through
+        `minus_ranks` vertex by vertex."""
+        minus, rid = self.minus_ranks, self.rank_ids
+        return [rid[tuple([minus[r] for r in t])] for t in self._index[0]]
 
     @cached_property
     def _facet_ids(self) -> list:
         """Each face's facet ids by face id, in id order: dropping the last
         vertex first, as a lower rank tuple has a lower id.  Unaugmented: a
         vertex has no facets."""
-        ranks = self._index[0]
-        rid = {t: g for g, t in enumerate(ranks)}
+        rid = self.rank_ids
         return [tuple([rid[t[:i] + t[i + 1 :]] for i in range(len(t) - 1, -1, -1)]) if len(t) > 1 else ()
-                for t in ranks]
+                for t in self._index[0]]
 
     def _pairs(self, d: int):
         """Face-id pairs (a, b) of the d-cells, in cell order.

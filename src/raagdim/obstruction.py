@@ -5,7 +5,12 @@ their vertices strictly interleave.  The meshing cocycle assigns +1 to a
 meshed ordered pair led by the lower vertex, (-1)^k to the swapped pair,
 and 0 otherwise; its mod-2 reduction is the top obstruction cocycle on the
 configuration space.  A nonstrict variant pairs simplices of the doubled
-complex with simplices of the minus copy.
+complex with simplices of the minus copy; its one copy,
+`nonstrict_rank_indicator`, reads rank tuples and a per-vertex table of
+minus copies, and `nonstrict_mesh_indicator` maps vertex tuples onto it.
+The push to the product with the minus copy has one copy too,
+`push_terms`: each cell's two product terms and the swap sign, which
+`push_to_product` sums and the lemma suite reads cell by cell.
 
 Nonvanishing is certified by a cycle of unordered disjoint pairs that
 jointly cover a chosen simplex, built from a GF(2) cycle of the base.  The
@@ -29,7 +34,7 @@ from .complexes import SimplicialComplex, skeleton
 from .config_space import ConfigurationSpace
 from .homology import boundary_rows, cycle_space, solve_coboundary
 from .intlinalg import CoreTooLarge, integer_det, integer_rank, unit_pivot_solve
-from .octa import MINUS, Octahedralization, DoubledComplex, double_over, minus_lift, octahedralize
+from .octa import MINUS, Octahedralization, DoubledComplex, double_over, octahedralize
 
 
 # ---------------------------------------------------------------------------
@@ -59,24 +64,34 @@ def mesh_number(sigma: tuple, tau: tuple, rank: dict) -> int:
     return (-1) ** (len(sigma) - 1) if _interleaves(map(r, tau), map(r, sigma)) else 0
 
 
-def nonstrict_mesh_indicator(sigma: tuple, b: tuple, rank: dict) -> int:
-    """Nonstrict meshing of a doubled simplex against a minus-copy simplex.
+def nonstrict_rank_indicator(a: tuple, b: tuple, minus) -> int:
+    """Nonstrict meshing of a doubled simplex against a minus-copy simplex,
+    both as rank tuples: the one copy of the rule.
 
-    The pattern is v0 <= w0 < v1 <= w1 < ... < vk <= wk in the interleaved
-    order, where the w's are the vertices of `b` (all carrying the minus
-    sign).  Every vertex of `b` is checked for its sign, also after the
-    pattern has broken.
+    The pattern is a0 <= b0 < a1 <= b1 < ... < ak <= bk.  `minus` is the
+    per-vertex projection table (`ConfigurationSpace.minus_ranks`): by rank,
+    the rank of that vertex's minus copy, so y is a minus vertex exactly when
+    minus[y] == y.  Every vertex of `b` is checked for its sign, also after
+    the pattern has broken.
     """
-    if len(sigma) != len(b):
+    if len(a) != len(b):
         raise ValueError("nonstrict meshing needs equal-dimensional simplices")
     meshed, prev = 1, -1
-    for v, w in zip(sigma, b):
-        if w[1] != MINUS:
+    for x, y in zip(a, b):
+        if minus[y] != y:
             raise ValueError("second simplex must lie in the minus copy")
         if meshed:
-            rv, rw = rank[v], rank[w]
-            meshed, prev = prev < rv <= rw, rw
+            meshed, prev = prev < x <= y, y
     return int(meshed)
+
+
+def nonstrict_mesh_indicator(sigma: tuple, b: tuple, rank: dict) -> int:
+    """`nonstrict_rank_indicator` on vertex tuples: the w's of the pattern
+    v0 <= w0 < v1 <= w1 < ... < vk <= wk are the vertices of `b`, which must
+    all carry the minus sign."""
+    rb = [rank[w] for w in b]
+    minus = {r: r if w[1] == MINUS else None for w, r in zip(b, rb)}
+    return nonstrict_rank_indicator([rank[v] for v in sigma], rb, minus)
 
 
 def mesh_values(ranks, pairs) -> list:
@@ -89,23 +104,30 @@ def mesh_values(ranks, pairs) -> list:
     return [_interleaves(ranks[a], ranks[b]) for a, b in pairs]
 
 
+def push_terms(pairs, space: ConfigurationSpace):
+    """The one copy of the push rule: for each cell of `pairs`, a face-id
+    pair (sigma, tau) of `space`'s complex, its two product terms (sigma,
+    p tau) and (tau, p sigma) and the factor-switch sign (-1)^(dim sigma *
+    dim tau) of the second.  p relabels onto the minus copy, read from the
+    projection table `space.minus_ids`."""
+    minus, ranks = space.minus_ids, space.ranks
+    for sigma, tau in pairs:
+        yield (sigma, minus[tau]), (tau, minus[sigma]), -1 if (len(ranks[sigma]) - 1) * (len(ranks[tau]) - 1) % 2 else 1
+
+
 def push_to_product(chain, space: ConfigurationSpace) -> dict:
     """Push a configuration-space chain to the product with the minus copy.
 
     `chain` maps the face-id pairs (sigma, tau) of its cells to integer
     coefficients; reduce mod 2 when needed.  An unordered pair [sigma, tau]
-    goes to (sigma, p tau) plus the swapped term (tau, p sigma) with the
-    factor-switch sign, where p relabels onto the minus copy; p is read from
-    the projection table `space.minus_ids`.  The terms are face-id pairs
-    of `space`'s complex, which holds every minus copy.
+    goes to its two `push_terms`, the second with the factor-switch sign;
+    the terms are face-id pairs of `space`'s complex, which holds every
+    minus copy.
     """
-    minus, faces = space.minus_ids, space.faces
     out: dict = {}
-    for (sigma, tau), coeff in chain.items():
-        cell = (sigma, minus[tau])
-        out[cell] = out.get(cell, 0) + coeff
-        cell = (tau, minus[sigma])
-        out[cell] = out.get(cell, 0) + (-coeff if (len(faces[sigma]) - 1) * (len(faces[tau]) - 1) % 2 else coeff)
+    for (first, second, sign), coeff in zip(push_terms(chain, space), chain.values()):
+        out[first] = out.get(first, 0) + coeff
+        out[second] = out.get(second, 0) + sign * coeff
     return {c: v for c, v in out.items() if v}
 
 
@@ -160,10 +182,12 @@ def check_star_condition(cycle, delta: tuple) -> StarConditionReport:
 
 def delta_product_chain(doubled: DoubledComplex, space: ConfigurationSpace) -> dict:
     """The product chain (all signed lifts of delta) x (minus copy of the
-    cycle), on the face-id pairs of `space`'s complex, which must hold them."""
-    fid = space.face_ids
-    minus_cycle = [fid[minus_lift(b)] for b in sorted(doubled.cycle)]
-    return {(fid[sigma], b): 1 for sigma in doubled.octa.lifts(doubled.delta) for b in minus_cycle}
+    cycle), on the face-id pairs of `space`'s complex, which must hold them:
+    each half's rank tuple read through `space.rank_ids`."""
+    rank, rid = space.K.rank, space.rank_ids
+    lifts = [rid[tuple([rank[v] for v in sigma])] for sigma in doubled.octa.lifts(doubled.delta)]
+    minus_cycle = [rid[tuple([rank[(v, MINUS)] for v in b])] for b in sorted(doubled.cycle)]
+    return {(a, b): 1 for a in lifts for b in minus_cycle}
 
 
 # ---------------------------------------------------------------------------
@@ -294,25 +318,30 @@ def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: i
     The distinct right-hand sides share one elimination of L's top
     boundary rows.  None when those rows leave a core after their unit
     pivots (so the Smith normal form stays where the full solve runs it)
-    or some psi_a has no integer solution.  Builds no (2k-1)-cell.
+    or some psi_a has no integer solution.  Builds no (2k-1)-cell, and
+    works on the index: r_a on rank tuples, the lifts of each (k-1)-face of
+    L as face ids through `space.rank_ids`, disjointness on masks and the
+    stored order by first ranks.
     """
     L = octa.base
-    lower, sign, rank = L.faces_of_dim(k - 1), (-1) ** k, octa.rank
-    minus_top = [minus_lift(beta) for beta in L.faces_of_dim(k)]
-    tops = space.faces_of_dim(k)
-    rhs = [tuple([sign * nonstrict_mesh_indicator(a, b, rank) for b in minus_top]) for a in tops]
+    ranks, masks, rid, minus = space.ranks, space.masks, space.rank_ids, space.minus_ranks
+    rank, sign, F = octa.rank, (-1) ** k, len(ranks)
+    minus_top = [tuple([rank[(v, MINUS)] for v in beta]) for beta in L.faces_of_dim(k)]
+    tops = space.ids_of_dim(k)
+    rhs = [tuple([sign * nonstrict_rank_indicator(ranks[a], b, minus) for b in minus_top]) for a in tops]
     distinct = list(dict.fromkeys(rhs))
     psis = unit_pivot_solve(boundary_rows(L, k), distinct)
     if psis is None:
         return None
+    lower = [[rid[tuple([rank[v] for v in tau])] for tau in octa.lifts(beta)] for beta in L.faces_of_dim(k - 1)]
     psi = {r: [(lower[i], v) for i, v in x.items() if v] for r, x in zip(distinct, psis)}
     values: dict = {}
     for a, r in zip(tops, rhs):
-        a_set = set(a)
-        for beta, v in psi[r]:
-            for tau in octa.lifts(beta):
-                if a_set.isdisjoint(tau):
-                    values[space.cell_key((a, tau))] = v
+        mask, first = masks[a], ranks[a][0]
+        for taus, v in psi[r]:
+            for tau in taus:
+                if not mask & masks[tau]:
+                    values[a * F + tau if first < ranks[tau][0] else tau * F + a] = v
     return dict(sorted(values.items()))
 
 

@@ -16,11 +16,15 @@ space of OL and of a doubled complex lifts its faces from the base as
 rank tuples in OL's order (`ranked_faces`, both by `lift_ranks`, the one
 lifting rule for signed complexes), and OL's counts its cells on the
 base.  Only `raagdim octahedralize`, which writes OL out, and the tests,
-as oracles, read `complex`.  Projection onto the base forgets the sign;
-`minus_lift(project(face))` is a face's minus copy, the relabelling that
-the push to the product with the minus copy applies to every half, read
-by face id from `ConfigurationSpace.minus_ids` of the complex that holds
-the chain.
+as oracles, read `complex`.  Nor do these paths name a face by its vertex
+tuple, but by its rank tuple or its id (`ConfigurationSpace.rank_ids`;
+`verify` maps a stored half's labels to ranks by `rank`): face tuples are
+built only for a certificate's stored cells, an obstructed witness, the
+lemma suite's moment oracle and the wording of a failure.  Projection onto
+the base forgets the sign; `minus_lift(project(face))` is a face's minus
+copy, the relabelling that the push to the product with the minus copy
+applies to every half.  The tests' oracles apply these two functions; the
+code reads the copy by face id from `ConfigurationSpace.minus_ids`.
 """
 
 from __future__ import annotations
@@ -126,6 +130,11 @@ class DoubledComplex:
     def vertices(self) -> tuple:
         """OL's vertex order, which `ranked_faces` ranks."""
         return self.octa.vertices
+
+    @property
+    def rank(self) -> dict:
+        """OL's vertex ranks, which `ranked_faces` uses."""
+        return self.octa.rank
 
     def ranked_faces(self) -> list:
         """The faces as rank tuples, one sorted list per dimension: the

@@ -15,17 +15,26 @@ On seeded random flag complexes (small, with a top cycle) this checks:
 plus agreement of the moment-curve intersection oracle with the cocycle on
 (a sample of) top cells.  Failures are reported with a shrunk complex.
 
-Chains are face-id pairs; one memo per complex holds the nonstrict
-indicator of each product cell, filled by the pullback check and read
-again by the evaluation check.
+Chains are face-id pairs.  The pullback check is one pass over the top
+cells of C(OL): phi is `top_mesh_cocycle`, the cocycle that `analyze`
+solves against, and each cell's two product terms and swap sign come from
+`push_terms`, the push rule that `push_to_product` sums, so the check is
+nu'(t1) + s * nu'(t2) = phi cell by cell, with no chain built per cell.
+One memo per complex holds nu' of each product cell read, evaluated once
+on rank tuples (`nonstrict_rank_indicator`), filled by the pullback check
+and read again by the evaluation check.  Only the moment oracle reads
+cells as pairs of faces (`cells_of_degree`), and a failure's wording.
 
 The driver's own faults live in tests/test_suite.py, which swaps this
 module's `push_to_product` for one that keeps only the first product term
-(the pushforward identity catches it), its `mesh_number` for an inverted
-meshing test (the pullback identity catches it on the first cell), its
-`moment_intersection` for a negated oracle (the oracle agreement catches it),
-and the projection table `ConfigurationSpace.minus_ids` for one with a
-wrong entry (the pullback or pushforward identity catches it).
+(the pushforward identity catches it), its `top_mesh_cocycle` for an
+inverted meshing test (the pullback identity catches it on the first
+cell), its `moment_intersection` for a negated oracle (the oracle agreement
+catches it), `obstruction.push_terms` for one without the swap term (the
+pushforward identity catches it; on a stored cell the swap term never
+meshes, so the pullback identity cannot), and the projection table
+`ConfigurationSpace.minus_ids` for one with a wrong entry (the pullback or
+pushforward identity catches it).
 """
 
 from __future__ import annotations
@@ -40,10 +49,11 @@ from .obstruction import (
     check_star_condition,
     covering_pair_chain,
     delta_product_chain,
-    mesh_number,
     moment_intersection,
-    nonstrict_mesh_indicator,
+    nonstrict_rank_indicator,
+    push_terms,
     push_to_product,
+    top_mesh_cocycle,
 )
 from .octa import double_over, octahedralize
 from .zoo import cycle as cycle_complex
@@ -106,34 +116,39 @@ def _shrink(K: SimplicialComplex, still_fails) -> SimplicialComplex:
     return current
 
 
+class _Nonstrict(dict):
+    """The nonstrict cocycle on the product cells (face-id pairs of OL) that
+    are read, each evaluated once, on rank tuples."""
+
+    def __init__(self, space: ConfigurationSpace):
+        super().__init__()
+        self.ranks, self.minus = space.ranks, space.minus_ranks
+
+    def __missing__(self, term):
+        value = self[term] = nonstrict_rank_indicator(self.ranks[term[0]], self.ranks[term[1]], self.minus)
+        return value
+
+
 def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
     """Run the four identities plus the oracle agreement on one complex."""
     k = K.dim
     octa = octahedralize(K)
-    rank = octa.rank
     space = ConfigurationSpace(octa)
-    faces, top_pairs = space.faces, space.indexed_cells(2 * k)[1]
-    top_cells = space.cells_of_degree(2 * k)
-    cocycle = []
-    # Nonstrict meshing of each product cell (a face-id pair of OL), which
-    # many pushes and the product chains share.
-    nonstrict: dict = {}
+    top_pairs = space.indexed_cells(2 * k)[1]
+    cocycle = top_mesh_cocycle(space, k)
+    # Shared by the pullback and the evaluation check.
+    nonstrict = _Nonstrict(space)
 
-    def indicator(term):
-        if term not in nonstrict:
-            nonstrict[term] = nonstrict_mesh_indicator(faces[term[0]], faces[term[1]], rank)
-        return nonstrict[term]
-
-    for cell, pair in zip(top_cells, top_pairs):
-        result.checks += 1
-        lhs = mesh_number(cell[0], cell[1], rank)
-        cocycle.append(lhs)
-        rhs = sum([coeff * indicator(term) for term, coeff in push_to_product({pair: 1}, space).items()])
+    for i, (lhs, (first, second, sign)) in enumerate(zip(cocycle, push_terms(top_pairs, space))):
+        rhs = nonstrict[first] + sign * nonstrict[second]
         if lhs != rhs:
+            result.checks += i + 1
+            faces, (a, b) = space.faces, top_pairs[i]
             result.failures.append(SuiteFailure(
                 "pullback", K.maximal_faces(),
-                f"cell {cell}: cocycle {lhs} != pushed evaluation {rhs}"))
+                f"cell {(faces[a], faces[b])}: cocycle {lhs} != pushed evaluation {rhs}"))
             return
+    result.checks += len(top_pairs)
 
     basis = cycle_space(K, k)
     pairs = []
@@ -163,13 +178,14 @@ def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
                 return
 
         result.checks += 1
-        if sum([indicator(term) for term in delta_product_chain(doubled, space)]) % 2 != 1:
+        if sum([nonstrict[term] for term in delta_product_chain(doubled, space)]) % 2 != 1:
             result.failures.append(SuiteFailure(
                 "evaluation", K.maximal_faces(),
                 f"cycle {sorted(cyc)}, delta {delta}: product chain evaluates to 0"))
             return
 
-    for cell, value in zip(top_cells[:ORACLE_CELL_CAP], cocycle):
+    rank = octa.rank
+    for cell, value in zip(space.cells_of_degree(2 * k)[:ORACLE_CELL_CAP], cocycle):
         result.checks += 1
         if moment_intersection(cell[0], cell[1], rank) != value:
             result.failures.append(SuiteFailure(

@@ -4,15 +4,17 @@ Rebuilds the doubled complex and the covering chain from the certificate's
 (M, Delta) against the provided complex and re-runs every identity, naming
 the first failing check.  M's cycle check counts the facets of its
 simplices mod 2 by `chain_boundary` (a vertex's facet is the empty face, so
-in degree 0 the rule is an even vertex count).  Every stored pair must have
-the stated total size and disjoint halves; it is then named once by its
-cell key (either half first), and the stored chain's boundary, evaluation,
-push and support match run on keys and face-id pairs of the doubled
-complex's configuration space, lifted from M's support, never on a face
-set of OL or of the doubled complex.  A key becomes a cell again only to
-word a failure.  The stored support must match the rebuilt chain exactly,
-and neither M nor the stored support may list an entry twice (it would
-cancel mod 2); a certificate is a proof object, not a hint.
+in degree 0 the rule is an even vertex count).  Each half of a stored pair
+is mapped to OL's ranks and named by id through `rank_ids` of the doubled
+complex's configuration space, lifted from M's support; the pair must have
+the stated total size and disjoint halves (on masks), and is then named
+once by its cell key (either half first).  The stored chain's boundary,
+evaluation, push and support match run on keys, face-id pairs and rank
+tuples, never on a face set of OL or of the doubled complex, nor on face
+tuples: a key becomes a cell again only to word a failure.  The stored
+support must match the rebuilt chain exactly, and neither M nor the
+stored support may list an entry twice (it would cancel mod 2); a
+certificate is a proof object, not a hint.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .obstruction import (
     covering_pair_chain,
     delta_product_chain,
     mesh_values,
-    nonstrict_mesh_indicator,
+    nonstrict_rank_indicator,
     push_to_product,
 )
 from .octa import double_over, octahedralize
@@ -94,17 +96,18 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
     octa = octahedralize(K)
     doubled = double_over(octa, m_faces, delta)
     space, rebuilt = covering_pair_chain(doubled)
-    faces = space.faces
-    F = len(faces)
+    ranks, masks, rid, rank = space.ranks, space.masks, space.rank_ids, octa.rank
+    F = len(ranks)
 
     run.append("omega-cycle")
     keys = set()
     for a, b in cert["omega_support"]:
-        key = space.cell_key((a, b)) if len(a) + len(b) == 2 * degree + 2 and set(a).isdisjoint(b) else None
-        if key is None:
+        ga, gb = rid.get(tuple(map(rank.get, a))), rid.get(tuple(map(rank.get, b)))
+        if ga is None or gb is None or len(a) + len(b) != 2 * degree + 2 or masks[ga] & masks[gb]:
             return VerificationOutcome(False, "omega-cycle",
                                        f"stored pair {(a, b)} is not a disjoint pair of faces "
                                        f"of degree {2 * degree}", tuple(run))
+        key = ga * F + gb if ranks[ga][0] < ranks[gb][0] else gb * F + ga
         if key in keys:
             return VerificationOutcome(False, "omega-cycle",
                                        f"stored pair {(a, b)} lists the cell {space.key_cell(key)} twice",
@@ -119,7 +122,7 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
                                    tuple(run))
 
     run.append("omega-evaluation")
-    evaluation = sum(mesh_values(space.ranks, stored)) % 2
+    evaluation = sum(mesh_values(ranks, stored)) % 2
     if evaluation != 1 or evaluation != cert["evaluation"]:
         return VerificationOutcome(False, "omega-evaluation",
                                    f"stored chain evaluates to {evaluation}", tuple(run))
@@ -129,7 +132,8 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
     if pushed != delta_product_chain(doubled, space):
         return VerificationOutcome(False, "pushforward-identity",
                                    "push of the stored chain is not the product chain", tuple(run))
-    if sum([nonstrict_mesh_indicator(faces[a], faces[b], octa.rank) for a, b in pushed]) % 2 != 1:
+    minus = space.minus_ranks
+    if sum([nonstrict_rank_indicator(ranks[a], ranks[b], minus) for a, b in pushed]) % 2 != 1:
         return VerificationOutcome(False, "pushforward-identity",
                                    "product evaluation is not 1", tuple(run))
 

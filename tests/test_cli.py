@@ -17,7 +17,7 @@ from raagdim.obstruction import certify_nonvanishing, covering_pair_chain, delta
 from raagdim.octa import double_over, octahedralize
 from raagdim.verify import CHECKS, VerificationOutcome, verify_certificate
 from raagdim.zoo import ZOO, cycle, octahedron_boundary
-from test_suite import dropped_push_to_product, flipped_mesh_number
+from test_suite import dropped_push_to_product, flipped_top_mesh_cocycle
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(raagdim.__file__)))
 
@@ -361,7 +361,7 @@ def test_cli_homology_and_octahedralize(tmp_path, capsys):
 def test_cli_lemma_suite_passes_and_catches_faults(capsys, monkeypatch):
     assert main(["lemma-suite", "--seed", "0", "--count", "3"]) == 0
     with monkeypatch.context() as m:
-        m.setattr(suite, "mesh_number", flipped_mesh_number)
+        m.setattr(suite, "top_mesh_cocycle", flipped_top_mesh_cocycle)
         assert main(["lemma-suite", "--seed", "0", "--count", "3"]) == 1
     out = capsys.readouterr().out
     assert "FAIL pullback" in out
@@ -487,7 +487,7 @@ def test_verify_certificate_push_and_support_match_failures(monkeypatch):
     support = VerificationOutcome(False, "omega-support-match", f"stored support differs (extra [{first}], missing [])",
                                   CHECKS)
     for name, fault, outcome in [("delta_product_chain", product_minus_one_term, push),
-                                 ("nonstrict_mesh_indicator", lambda sigma, b, rank: 0, evaluation),
+                                 ("nonstrict_rank_indicator", lambda a, b, minus: 0, evaluation),
                                  ("covering_pair_chain", rebuilt_without_first, support)]:
         with monkeypatch.context() as patch:
             patch.setattr(verify, name, fault)

@@ -438,8 +438,8 @@ def assert_lifted_index_matches_the_tuple_oracle(L):
     assert lifted.faces == ref["faces"]
     assert lifted.face_ids == ref["face_ids"]
     assert lifted.minus_ids == ref["minus_ids"]
-    assert [lifted.faces_of_dim(k) for k in range(L.dim + 1)] == [list(octa.complex.faces_of_dim(k))
-                                                                  for k in range(L.dim + 1)]
+    assert [[lifted.faces[g] for g in lifted.ids_of_dim(k)] for k in range(L.dim + 1)] == [
+        list(octa.complex.faces_of_dim(k)) for k in range(L.dim + 1)]
     assert lifted._index == ConfigurationSpace(octa.complex)._index
     for d in range(-1, 2 * L.dim + 2):
         count = lifted.count_cells(d)

@@ -25,6 +25,7 @@ from raagdim.obstruction import (
     mesh_number,
     moment_intersection,
     nonstrict_mesh_indicator,
+    push_terms,
     push_to_product,
     top_mesh_cocycle,
 )
@@ -165,6 +166,72 @@ def test_push_and_indicator_match_their_reference_oracles(seed):
             for sigma, b in list(pushed) + list(chain):
                 assert indicator_outcome(nonstrict_mesh_indicator, sigma, b, rank) == indicator_outcome(
                     push_reference.nonstrict_mesh_indicator, sigma, b, rank)
+
+
+def lifted_and_built_spaces(L, rng):
+    """(octahedralization, space, doubled complex or None) triples: OL's
+    space and one doubled complex's, each lifted from the base and built on
+    the face set, the doubled one over a random cycle of L with OL's space
+    of that cycle's skeleton."""
+    o = octahedralize(L)
+    out = [(o, ConfigurationSpace(o), None), (o, ConfigurationSpace(o.complex), None)]
+    cycles = [(k, c) for k in range(1, L.dim + 1) for c in cycle_space(skeleton(L, k), k)]
+    if cycles:
+        k, cyc = cycles[rng.randrange(len(cycles))]
+        ok = octahedralize(skeleton(L, k))
+        doubled = double_over(ok, cyc, sorted(cyc)[rng.randrange(len(cyc))])
+        out += [(ok, space, doubled) for space in (ConfigurationSpace(ok), ConfigurationSpace(doubled),
+                                                   ConfigurationSpace(doubled.complex))]
+    return out
+
+
+def outcome(rule, *args):
+    """The rule's value, or the message of the ValueError it raises."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(st.integers(5, 8), st.floats(0.3, 0.7), st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_rank_rules_match_their_tuple_oracles(n, p, seed):
+    rng = random.Random(seed)
+    L = random_flag(n, p, seed)
+    for o, cs, doubled in lifted_and_built_spaces(L, rng):
+        ranks, faces, fid, minus = cs.ranks, cs.faces, cs.face_ids, cs.minus_ranks
+        # The projection table, face by face.
+        assert cs.minus_ids == [fid[minus_lift(tuple([v for v, _s in f]))] for f in faces]
+        # The nonstrict rule on random faces (a second half with a plus
+        # vertex, or of another size, raises), on the minus copies too.
+        ids = list(range(len(faces)))
+        draws = [(rng.choice(ids), rng.choice(ids)) for _ in range(60)]
+        draws += [(a, cs.minus_ids[b]) for a, b in draws]
+        for a, b in draws:
+            assert outcome(obstruction.nonstrict_rank_indicator, ranks[a], ranks[b], minus) == outcome(
+                push_reference.nonstrict_mesh_indicator, faces[a], faces[b], o.rank)
+        # push_terms and push_to_product against the reference push, in
+        # three degrees.
+        degrees = range(2 * len(ranks[-1]) - 1)
+        for d in rng.sample(degrees, min(3, len(degrees))):
+            pairs = cs.indexed_cells(d)[1]
+            if not pairs:
+                continue
+            pairs = rng.sample(pairs, min(8, len(pairs)))
+            chain = {pair: rng.choice((-2, -1, 1, 2)) for pair in pairs}
+
+            def on_faces(terms):
+                return {(faces[a], faces[b]): v for (a, b), v in terms.items()}
+
+            cells = {(faces[a], faces[b]): v for (a, b), v in chain.items()}
+            assert list(on_faces(push_to_product(chain, cs)).items()) == list(
+                push_reference.push_to_product(cells, o).items())
+            for (a, b), (first, second, sign) in zip(pairs, push_terms(pairs, cs)):
+                assert on_faces({first: 1, second: sign}) == push_reference.push_to_product(
+                    {(faces[a], faces[b]): 1}, o)
+        if doubled is not None:
+            expect = certificate_reference.delta_product_chain(doubled)
+            assert {(faces[a], faces[b]): v for (a, b), v in delta_product_chain(doubled, cs).items()} == expect
 
 
 # --- the four identities ----------------------------------------------------

@@ -125,12 +125,12 @@ def test_tripled_route_primitive_fails_verification(monkeypatch):
 
 
 def test_route_without_its_sign_fails_verification(monkeypatch):
-    indicator = obstruction.nonstrict_mesh_indicator
+    indicator = obstruction.nonstrict_rank_indicator
 
-    def unsigned(sigma, b, rank):
+    def unsigned(a, b, minus):
         # Cancels the route's (-1)^k; in odd degree the primitive flips sign.
-        return (-1) ** (len(sigma) - 1) * indicator(sigma, b, rank)
+        return (-1) ** (len(a) - 1) * indicator(a, b, minus)
 
-    monkeypatch.setattr(obstruction, "nonstrict_mesh_indicator", unsigned)
+    monkeypatch.setattr(obstruction, "nonstrict_rank_indicator", unsigned)
     with pytest.raises(RuntimeError, match="integer primitive fails verification"):
         certify_vanishing(tree(6), integral=True)

@@ -12,7 +12,7 @@ import pytest
 from raagdim.bounds import analyze
 from raagdim.config_space import ConfigurationSpace
 from raagdim.homology import solve_coboundary
-from raagdim.obstruction import certify_vanishing, top_mesh_cocycle
+from raagdim.obstruction import _pullback_primitive, certify_vanishing, top_mesh_cocycle
 from raagdim.octa import octahedralize
 from raagdim.zoo import build_named
 
@@ -59,6 +59,33 @@ def test_obstructed_witness_digest():
     assert len(vanishing.witness_cycle) == 648
     assert script.digest(script.solve_record(L, vanishing)) == (
         "0e816e70d079a0bb852aaab90e219efecf86434c3b9d45355a03941abfe65927")
+
+
+# The analyze cases of the benchmark's integral workload on flag
+# complexes and the vanishing cases above, with integral=True: the integer
+# primitive is the route's, pulled back from L, of the given size.
+ROUTE = {
+    "cone(cycle(5))": (25, "d4073feb5dc35e5500b943e331b9cd18494e81ceadf0d3c46a20b5c27c7b9b08"),
+    "cone(cycle(4))": (20, "409b00aafc423fabea5967a2a505053ded58f21ad509535c205f584962b2be96"),
+    "tree6": (45, "02385593171330545eda5cb2e5ca63c5d0d82e84b688f6ac2485e57d355279a2"),
+    "cone(suspension(cycle(5)))": (150, "b0aaa531b02fedd14ce6d9623771982d9fa335716bd5bccb027d4f2cffa84813"),
+    "random_flag(12,0.5,1)": (103, "8735e4c01b638aeb3e24c484277d6acb71b0297fadecd4b850cac8f650185d19"),
+    "cone(cone(cycle(6)))": (30, "72154ed879e04698756be0d3995fb26429fef51480089e3a3bd8b6299812e995"),
+    "random_flag(10,0.45,3)": (1, "385b920df18d30687c064ad84e37cbbfc069e193041226de91b1d5aa0b17c252"),
+}
+
+
+@pytest.mark.parametrize("expr", sorted(ROUTE))
+def test_route_primitive_digest(expr):
+    script = load_script()
+    L = build_named(expr)
+    vanishing = analyze(L, integral=True).vanishing
+    size, pinned = ROUTE[expr]
+    octa = octahedralize(L)
+    assert vanishing.integral_checked
+    assert vanishing.integral_primitive == _pullback_primitive(octa, ConfigurationSpace(octa), L.dim)
+    assert len(vanishing.integral_primitive) == size
+    assert script.digest(script.solve_record(L, vanishing)) == pinned
 
 
 @pytest.mark.parametrize("expr, solvable", [("cone(cycle(5))", True), ("octahedron_boundary(3)", False)])
