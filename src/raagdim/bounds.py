@@ -135,7 +135,7 @@ def _link_bounds(L: SimplicialComplex, depth: int, search_budget: int, cache: di
                 yield v, sub, why
 
 
-def vkdim_lower(L: SimplicialComplex, depth: int = 3, search_budget: int = 2, _cache=None, _above=-2):
+def vkdim_lower(L: SimplicialComplex, depth: int = STAR_DEPTH, search_budget: int = 2, _cache=None, _above=-2):
     """Certified lower bound for the van Kampen dimension of the
     octahedralization, from certificates in all degrees and the star/link
     recursion over vertices (capped at `depth`).
@@ -222,14 +222,19 @@ def analyze(
     bettiq = rational_betti(L)
     l2 = l2_dimension(bettiq)
 
+    def end(quantity: str, kind: str) -> int:
+        """One end of a certified interval, from the records so far: the max
+        of the certified lower bounds, or the min of the upper ones.  Only
+        the vkdim lower end can lack a record: it is then the sphere floor
+        -1."""
+        values = [r.value for r in records if r.quantity == quantity and r.kind == kind and r.in_interval]
+        return max(values, default=-1) if kind == "lower" else min(values)
+
     # --- van Kampen dimension of the octahedralization -----------------
-    vk_lo = -1
-    vk_hi = 2 * k
     records.append(BoundRecord("vkdim", "upper", 2 * k,
                                "top-degree", "pair cells stop at twice the complex dimension"))
     sphere = is_full_simplex(L)
     if sphere:
-        vk_lo = vk_hi = k - 1
         records.append(BoundRecord("vkdim", "lower", k - 1, "octahedral-sphere",
                                    f"the octahedralization is the {k}-sphere"))
         records.append(BoundRecord("vkdim", "upper", k - 1, "octahedral-sphere",
@@ -237,34 +242,30 @@ def analyze(
 
     certificate = None
     sub_certs: tuple = ()
-    found = _top_certificate(L, vk_lo, search_budget)
+    found = _top_certificate(L, end("vkdim", "lower"), search_budget)
     if found is not None:
         degree, cert = found
-        vk_lo = 2 * degree
         if degree == k:
             certificate = cert
             detail = "top cocycle pairs to 1 with the certificate cycle"
         else:
             sub_certs = (cert,)
             detail = f"certificate on the {degree}-skeleton"
-        records.append(BoundRecord("vkdim", "lower", vk_lo, "covering-chain-certificate", detail))
+        records.append(BoundRecord("vkdim", "lower", 2 * degree, "covering-chain-certificate", detail))
 
-    for v, sub, why in _link_bounds(L, STAR_DEPTH - 1, search_budget, {}, vk_lo):
-        vk_lo = sub + 1
-        records.append(BoundRecord("vkdim", "lower", vk_lo, "star-link",
+    for v, sub, why in _link_bounds(L, STAR_DEPTH - 1, search_budget, {}, end("vkdim", "lower")):
+        records.append(BoundRecord("vkdim", "lower", sub + 1, "star-link",
                                    f"link of {v!r} gives {sub}: {why}"))
 
     vanishing = None
     if certificate is None and k >= 1:
         vanishing = certify_vanishing(L, integral=integral, max_cells=max_cells)
         if vanishing.status == "primitive":
-            vk_hi = min(vk_hi, 2 * k - 1)
             records.append(BoundRecord("vkdim", "upper", 2 * k - 1, "top-cocycle-coboundary",
                                        "the top cocycle is a coboundary mod 2"))
             if vanishing.reason:
                 warnings.append(f"integer coboundary solve skipped: {vanishing.reason}")
         elif vanishing.status == "obstructed":
-            vk_lo = max(vk_lo, 2 * k)
             records.append(BoundRecord("vkdim", "lower", 2 * k, "cocycle-pairing-witness",
                                        "unsolvability witness cycle pairs to 1"))
         else:
@@ -275,18 +276,16 @@ def analyze(
     # vanishing route resting on the mod-2 solve alone.
     mod2_only = vanished and betti2[k] != 0 and vanishing.integral_primitive is None
 
+    vk_lo, vk_hi = end("vkdim", "lower"), end("vkdim", "upper")
+
     # --- embedding dimension of the octahedralization ------------------
-    emb_lo = vk_lo + 1
-    records.append(BoundRecord("embdim", "lower", emb_lo, "embdim-above-vkdim",
+    records.append(BoundRecord("embdim", "lower", vk_lo + 1, "embdim-above-vkdim",
                                "embedding dimension exceeds the van Kampen dimension"))
     if sphere:
-        emb_hi = k
-        records.append(BoundRecord("embdim", "upper", emb_hi, "octahedral-sphere",
+        records.append(BoundRecord("embdim", "upper", k, "octahedral-sphere",
                                    "a sphere embeds in itself"))
-        emb_lo = max(emb_lo, emb_hi)
     else:
-        emb_hi = 2 * k + 1
-        records.append(BoundRecord("embdim", "upper", emb_hi, "general-position",
+        records.append(BoundRecord("embdim", "upper", 2 * k + 1, "general-position",
                                    "any k-complex embeds in dimension 2k+1"))
     if vanished:
         caveats = []
@@ -297,24 +296,20 @@ def analyze(
         records.append(BoundRecord("embdim", "upper", 2 * k, "vanishing-route",
                                    "vanishing top obstruction is complete away from dimension 2",
                                    caveats=tuple(caveats), in_interval=not caveats))
-        if not caveats:
-            emb_hi = min(emb_hi, 2 * k)
+    emb_lo, emb_hi = end("embdim", "lower"), end("embdim", "upper")
 
     # --- action dimension of the group ----------------------------------
     actdim = None
     conjecture = None
     if witness.flag:
-        act_lo = max(gd, vk_lo + 2)
         records.append(BoundRecord("actdim", "lower", gd, "classifying-space",
                                    "a proper action on a contractible n-manifold yields an n-dimensional classifying space"))
         if vk_lo + 2 > gd:
             records.append(BoundRecord("actdim", "lower", vk_lo + 2, "obstructor",
                                        "the octahedralization sits in the boundary at infinity"))
-        act_hi = 2 * gd
         records.append(BoundRecord("actdim", "upper", 2 * gd, "double-geometric-dimension",
                                    "thicken a classifying space to a manifold of twice its dimension"))
         if sphere:
-            act_hi = min(act_hi, gd)
             records.append(BoundRecord("actdim", "upper", gd, "free-abelian",
                                        "a full simplex gives a free abelian group acting on euclidean space"))
         if vanished and k != 2:
@@ -324,13 +319,12 @@ def analyze(
             records.append(BoundRecord("actdim", "upper", 2 * k + 1, "vanishing-route",
                                        "vanishing top obstruction caps the action dimension at 2k+1",
                                        caveats=tuple(caveats), in_interval=not mod2_only))
-            if not mod2_only:
-                act_hi = min(act_hi, 2 * k + 1)
         elif vanished and k == 2:
             records.append(BoundRecord("actdim", "upper", 2 * k + 1, "vanishing-route",
                                        "would follow if the top obstruction were complete in dimension 2",
                                        caveats=(CAVEAT_DIM2_INCOMPLETE,), in_interval=False))
-        actdim = (act_lo, act_hi)
+        act_lo = end("actdim", "lower")
+        actdim = (act_lo, end("actdim", "upper"))
         if l2 is None:
             conjecture = "vacuous"
         elif act_lo >= 2 * l2:

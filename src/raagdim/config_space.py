@@ -16,7 +16,7 @@ of b), with no sort; `indexed_cells(d)` hands them out with the rank
 tuples, which the meshing cocycle reads, and `cells_of_degree(d)`,
 uncached, turns them into pairs of faces.  The faces as vertex tuples are
 built only on first read, from the rank tuples, by what hands out cells
-(`cells_of_degree`, `key_cell`); `face_ids` only by `cell_key`.
+(`cells_of_degree`, `key_cell`).
 
 The space of a complex on signed vertices, OL or a doubled complex, is
 built from its base, not from its face set, which it never builds.  A
@@ -43,27 +43,26 @@ as (a, b) and once as (b, a).  The size guard of the top solve reads only
 this count, so a refusal builds nothing of OL.  On any other space
 `count_cells` is the length of the enumerated degree.
 
-A cell has one name: its key a * F + b (`cell_key`, read back by
-`key_cell`), from the face ids (a, b) in stored order, F the number of
-faces.  The key increases strictly in cell order.  The facets {a', b}
-and {a, b'} of a cell are read off the facet table as keys, by one
-first-vertex argument (`_first_half`): a stored cell has a's first vertex
-below b's, so every facet of a that keeps that vertex stays first, with
-key a' * F + b, and only the one that drops it can swap; every facet of
-b starts at or after b's first vertex, so never comes first.
-`boundary(pairs)` reads a chain as the face-id pairs of its cells and
-takes its GF(2) boundary face by face, with no enumeration, no signs and
-no row per cell: as the facets that keep a's first vertex are first
-whatever b is, the cells that share a send all their partners b to each
-such facet in one set operation, and only the facet that drops that
-vertex needs the swap rule, cell by cell; each b's facets then go to a's
-partners, one set operation per cell.  `facet_keys(d)` lists the facet
-keys of every d-cell, the rows of the GF(2) coboundary solve and its re-check,
-which the solve holds as its pivot rows without a copy;
-`signed_facet_keys(d)` puts the signs, read off the dimensions, on those
-rows, the one copy of the sign rule, and serves the integer solve and
-re-check.  So no solve, over either ring, builds a cell of
-degree d or d - 1.
+A cell has one name: its key a * F + b (read back by `key_cell`), from the
+face ids (a, b) in stored order, F the number of faces.  The key increases
+strictly in cell order.  The facets {a', b} and {a, b'} of a cell are read
+off the facet table as keys, by one first-vertex argument (`_first_half`):
+a stored cell has a's first vertex below b's, so every facet of a that
+keeps that vertex stays first, with key a' * F + b, and only the one that
+drops it can swap; every facet of b starts at or after b's first vertex,
+so never comes first.  `boundary(pairs)` reads a chain as the face-id
+pairs of its cells and takes its GF(2) boundary face by face, with no
+enumeration, no signs and no row per cell: as the facets that keep a's
+first vertex are first whatever b is, the cells that share a send all
+their partners b to each such facet in one set operation, and only the
+facet that drops that vertex needs the swap rule, cell by cell; each b's
+facets then go to a's partners, one set operation per cell.
+`facet_keys(d)` lists the facet keys of every d-cell, the rows of the
+GF(2) coboundary solve and its re-check, which the solve holds as its
+pivot rows without a copy; `signed_facet_keys(d)` puts the signs, read off
+the dimensions, on those rows, the one copy of the sign rule, and serves
+the integer solve and re-check.  So no solve, over either ring, builds a
+cell of degree d or d - 1.
 
 For a complex on signed vertices, `minus_ids` is the projection table that
 the push to the product with the minus copy reads: each face's minus copy,
@@ -170,11 +169,6 @@ class ConfigurationSpace:
         return [tuple([vertices[r] for r in t]) for t in self._index[0]]
 
     @cached_property
-    def face_ids(self) -> dict:
-        """Face -> id; built on first read."""
-        return {f: g for g, f in enumerate(self.faces)}
-
-    @cached_property
     def minus_ranks(self) -> list:
         """The per-vertex projection table of a complex on signed vertices
         (label, sign) that holds each vertex's minus copy (OL and every
@@ -186,8 +180,8 @@ class ConfigurationSpace:
     @cached_property
     def minus_ids(self) -> list:
         """The projection table on faces: by face id, the id of the face's
-        minus copy `minus_lift(project(f))`, its rank tuple read through
-        `minus_ranks` vertex by vertex."""
+        minus copy (each vertex (v, s) relabelled (v, MINUS)), its rank
+        tuple read through `minus_ranks` vertex by vertex."""
         minus, rid = self.minus_ranks, self.rank_ids
         return [rid[tuple([minus[r] for r in t])] for t in self._index[0]]
 
@@ -244,19 +238,6 @@ class ConfigurationSpace:
         if d not in self._counts:
             self._counts[d] = _lifted_pair_count(self.K.base, d)
         return self._counts[d]
-
-    def cell_key(self, cell) -> int | None:
-        """Key a * F + b of the cell {a, b} in stored order, either half
-        first, as in facet_keys; None when a half is not a face of K.  It
-        does not check that the halves are disjoint."""
-        a, b = cell
-        fid, first = self.face_ids, self._index[2]
-        ga, gb = fid.get(a), fid.get(b)
-        if ga is None or gb is None:
-            return None
-        if first[gb] < first[ga]:
-            ga, gb = gb, ga
-        return ga * len(fid) + gb
 
     def key_cell(self, key: int) -> tuple:
         """The cell with the given key, as stored."""

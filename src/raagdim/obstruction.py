@@ -7,7 +7,7 @@ and 0 otherwise; its mod-2 reduction is the top obstruction cocycle on the
 configuration space.  A nonstrict variant pairs simplices of the doubled
 complex with simplices of the minus copy; its one copy,
 `nonstrict_rank_indicator`, reads rank tuples and a per-vertex table of
-minus copies, and `nonstrict_mesh_indicator` maps vertex tuples onto it.
+minus copies.
 The push to the product with the minus copy has one copy too,
 `push_terms`: each cell's two product terms and the swap sign, which
 `push_to_product` sums and the lemma suite reads cell by cell.
@@ -83,15 +83,6 @@ def nonstrict_rank_indicator(a: tuple, b: tuple, minus) -> int:
         if meshed:
             meshed, prev = prev < x <= y, y
     return int(meshed)
-
-
-def nonstrict_mesh_indicator(sigma: tuple, b: tuple, rank: dict) -> int:
-    """`nonstrict_rank_indicator` on vertex tuples: the w's of the pattern
-    v0 <= w0 < v1 <= w1 < ... < vk <= wk are the vertices of `b`, which must
-    all carry the minus sign."""
-    rb = [rank[w] for w in b]
-    minus = {r: r if w[1] == MINUS else None for w, r in zip(b, rb)}
-    return nonstrict_rank_indicator([rank[v] for v in sigma], rb, minus)
 
 
 def mesh_values(ranks, pairs) -> list:
@@ -293,8 +284,8 @@ def _recheck(space: ConfigurationSpace, degree: int, phi: list, values: dict, mo
     """Check delta(x) = phi on every degree-cell, mod `modulus` (0 for
     exactly over Z), for phi given by position in cell order (a ValueError
     when its length differs) and the cochain x by its values on cell keys
-    (`space.cell_key`): from the facet keys mod 2, from the signed facet
-    keys over Z."""
+    (a * F + b, as in `space.facet_keys`): from the facet keys mod 2, from
+    the signed facet keys over Z."""
     if modulus == 2:
         support = {key for key, v in values.items() if v % 2}
         diffs = (len(support.intersection(keys)) for keys in space.facet_keys(degree))

@@ -8,23 +8,21 @@ The vertex order on the doubled complex interleaves the base order:
 and nothing downstream is allowed to use any other order, because the
 meshing cocycles read it.  `Octahedralization` reads the order and its
 ranks off the base, and builds the doubled face set only when `complex`
-is first read.  A `DoubledComplex`, the support of a cycle doubled over
-one of its simplices, keeps only the cycle, the simplex and OL, and builds
-its face set likewise only when `complex` is first read.  `analyze`,
-`verify` and the lemma suite read neither face set: the configuration
+is first read: by `raagdim octahedralize`, which writes OL out, by
+`scripts/moment_oracle_sweep.py` and by the tests' oracles.
+A `DoubledComplex`, the support of a cycle doubled over one of its
+simplices, keeps only the cycle, the simplex and OL, and has no face set.
+`analyze`, `verify` and the lemma suite build neither: the configuration
 space of OL and of a doubled complex lifts its faces from the base as
 rank tuples in OL's order (`ranked_faces`, both by `lift_ranks`, the one
 lifting rule for signed complexes), and OL's counts its cells on the
-base.  Only `raagdim octahedralize`, which writes OL out, and the tests,
-as oracles, read `complex`.  Nor do these paths name a face by its vertex
-tuple, but by its rank tuple or its id (`ConfigurationSpace.rank_ids`;
-`verify` maps a stored half's labels to ranks by `rank`): face tuples are
-built only for a certificate's stored cells, an obstructed witness, the
-lemma suite's moment oracle and the wording of a failure.  Projection onto
-the base forgets the sign; `minus_lift(project(face))` is a face's minus
-copy, the relabelling that the push to the product with the minus copy
-applies to every half.  The tests' oracles apply these two functions; the
-code reads the copy by face id from `ConfigurationSpace.minus_ids`.
+base.  Nor do these paths name a face by its vertex tuple, but by its
+rank tuple or its id (`ConfigurationSpace.rank_ids`; `verify` maps a
+stored half's labels to ranks by `rank`): face tuples are built only for
+a certificate's stored cells, an obstructed witness, the lemma suite's
+moment oracle and the wording of a failure.  A face's minus copy, the
+relabelling that the push to the product with the minus copy applies to
+every half, is read by face id from `ConfigurationSpace.minus_ids`.
 """
 
 from __future__ import annotations
@@ -33,23 +31,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 
-from .complexes import SimplicialComplex, make_complex
+from .complexes import SimplicialComplex
 
 MINUS = -1
 PLUS = +1
 
 
-def project(face: tuple) -> tuple:
-    """Base simplex under the sign-forgetting projection."""
-    return tuple([v for v, _s in face])
-
-
 def signed_lift(face: tuple, signs) -> tuple:
     return tuple((v, s) for v, s in zip(face, signs))
-
-
-def minus_lift(face: tuple) -> tuple:
-    return tuple([(v, MINUS) for v in face])
 
 
 def lift_ranks(levels, plus) -> list:
@@ -115,8 +104,8 @@ class DoubledComplex:
     """A cycle support doubled over one of its simplices: the full
     subcomplex of the octahedralized support on the minus copy of the cycle
     plus both lifts of the chosen simplex.  Kept as the cycle, the simplex
-    and OL; `ConfigurationSpace(doubled)` lifts its index from the support
-    (`ranked_faces`), and only the tests read the face set `complex`."""
+    and OL, with no face set: `ConfigurationSpace(doubled)` lifts its
+    index from the support (`ranked_faces`)."""
 
     cycle: frozenset
     delta: tuple
@@ -147,21 +136,6 @@ class DoubledComplex:
             for r, level in enumerate(support, 1):
                 level.update(combinations(t, r))
         return lift_ranks(support, {rk[v] for v in self.delta})
-
-    @cached_property
-    def complex(self) -> SimplicialComplex:
-        """The signed lifts of the support's faces whose plus vertices all
-        lie over delta; built on first read."""
-        support = make_complex(sorted(self.cycle), vertex_order=self.octa.base.vertices)
-        delta_set = set(self.delta)
-        faces = set()
-        for f in support.faces:
-            options = [((v, MINUS), (v, PLUS)) if v in delta_set else ((v, MINUS),) for v in f]
-            faces.update(product(*options))
-        return SimplicialComplex(
-            vertices=tuple(sv for sv in self.octa.vertices if (sv,) in faces),
-            faces=frozenset(faces),
-        )
 
 
 def double_over(octa: Octahedralization, cycle, delta) -> DoubledComplex:

@@ -17,21 +17,23 @@ from functools import partial
 from itertools import combinations_with_replacement
 
 import push_reference
+from index_reference import doubled_complex
+from push_reference import minus_lift
 from raagdim.complexes import skeleton
 from raagdim.config_space import ConfigurationSpace, chain_boundary
 from raagdim.obstruction import StarConditionReport, mesh_number
-from raagdim.octa import double_over, minus_lift, octahedralize
+from raagdim.octa import double_over, octahedralize
 from raagdim.verify import VerificationOutcome
-from test_config_space import signed_boundary, signed_chain_boundary
+from test_config_space import canonical, cell_key, signed_boundary, signed_chain_boundary
 
 
 def covering_pair_chain(doubled):
     """(space, chain): the disjoint pairs of k-faces whose base vertices
     jointly cover delta, as a frozenset of cells."""
-    space = ConfigurationSpace(doubled.complex)
+    space = ConfigurationSpace(doubled_complex(doubled))
     k = doubled.degree
     bit = {v: 1 << i for i, v in enumerate(doubled.delta)}
-    cover = {f: sum(bit.get(v, 0) for v, _s in f) for f in doubled.complex.faces_of_dim(k)}
+    cover = {f: sum(bit.get(v, 0) for v, _s in f) for f in space.K.faces_of_dim(k)}
     full = (1 << (k + 1)) - 1
     return space, frozenset((a, b) for a, b in space.cells_of_degree(2 * k) if cover[a] | cover[b] == full)
 
@@ -88,21 +90,21 @@ def verify_certificate(L, cert: dict) -> VerificationOutcome:
     octa = octahedralize(K)
     doubled = double_over(octa, m_faces, delta)
     space, rebuilt = covering_pair_chain(doubled)
+    D = space.K
 
     run.append("omega-cycle")
     stored = set()
     for a, b in cert["omega_support"]:
-        key = space.cell_key((a, b)) if len(a) + len(b) == 2 * degree + 2 and set(a).isdisjoint(b) else None
-        if key is None:
+        if len(a) + len(b) != 2 * degree + 2 or not set(a).isdisjoint(b) or a not in D.faces or b not in D.faces:
             return VerificationOutcome(False, "omega-cycle", f"stored pair {(a, b)} is not a disjoint pair of faces "
                                        f"of degree {2 * degree}", tuple(run))
-        cell = space.key_cell(key)
+        cell = canonical(D, a, b)[0]
         if cell in stored:
             return VerificationOutcome(False, "omega-cycle", f"stored pair {(a, b)} lists the cell {cell} twice",
                                        tuple(run))
         stored.add(cell)
-    signed = signed_chain_boundary(stored, partial(signed_boundary, doubled.complex))
-    boundary = sorted((c for c, v in signed.items() if v % 2), key=space.cell_key)
+    signed = signed_chain_boundary(stored, partial(signed_boundary, D))
+    boundary = sorted((c for c, v in signed.items() if v % 2), key=partial(cell_key, D))
     if boundary:
         return VerificationOutcome(False, "omega-cycle", f"stored chain has boundary, e.g. at {boundary[0]}",
                                    tuple(run))

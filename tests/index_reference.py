@@ -4,16 +4,33 @@ face set of its complex.
 `raagdim.config_space` lifts the index of OL's space from the faces of the
 base L and counts OL's cells on L, so OL's tuple face set is never built.
 Here every field is built from a complex's face tuples instead (for OL, from
-`Octahedralization.complex`, for a doubled complex from
-`DoubledComplex.complex`): faces sorted by rank tuple, masks and first ranks
-from the vertex ranks, facet and minus ids through a dict on the face
+`Octahedralization.complex`, for a doubled complex from `doubled_complex`,
+its face set by definition): faces sorted by rank tuple, masks and first
+ranks from the vertex ranks, facet and minus ids through a dict on the face
 tuples, and each degree's cells by a scan of every pair of faces of the
 right dimensions.  The tests compare the two field by field.
 """
 
 from __future__ import annotations
 
-from raagdim.octa import minus_lift, project
+from itertools import product
+
+from push_reference import minus_lift, project
+from raagdim.complexes import SimplicialComplex, make_complex
+from raagdim.octa import MINUS, PLUS
+
+
+def doubled_complex(doubled) -> SimplicialComplex:
+    """The face set of a doubled complex: the signed lifts of the faces of
+    the cycle's support whose plus vertices all lie over delta, on OL's
+    vertices in OL's order."""
+    support = make_complex(sorted(doubled.cycle), vertex_order=doubled.octa.base.vertices)
+    delta = set(doubled.delta)
+    faces = set()
+    for f in support.faces:
+        faces.update(product(*[((v, MINUS), (v, PLUS)) if v in delta else ((v, MINUS),) for v in f]))
+    return SimplicialComplex(vertices=tuple(sv for sv in doubled.octa.vertices if (sv,) in faces),
+                             faces=frozenset(faces))
 
 
 def tuple_index(K, rank=None) -> dict:

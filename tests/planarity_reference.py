@@ -1,11 +1,13 @@
-"""Brute-force planarity testing by Kuratowski subdivision search.
+"""Reference oracle: brute-force planarity testing by Kuratowski
+subdivision search.
 
 Decides planarity of a simple graph by exhaustively searching for a
 subdivision of K5 or K3,3 after shrinking the graph with the standard
 planarity-preserving reductions (drop low-degree vertices, suppress
-degree-2 vertices).  Complete at desk scale; used as the independent
-consistency check that octahedralized 1-complexes with vanishing top
-obstruction really embed in the 2-sphere.
+degree-2 vertices).  Complete at desk scale; the tests use it as the
+independent consistency check that octahedralized 1-complexes with
+vanishing top obstruction really embed in the 2-sphere.  `raagdim` never
+reads it.
 """
 
 from __future__ import annotations

@@ -1,15 +1,27 @@
 """Reference oracles: the push to the product and the nonstrict meshing
 indicator written straight from their definitions, on cells, deriving the
-minus copy of every half on each call and testing the signs of `b` before
-any vertex order.  `raagdim.obstruction` pushes face-id pairs, reads the
-minus copies from the per-space projection table
-`ConfigurationSpace.minus_ids` and checks the signs within its one loop;
-the tests compare the two.
+minus copy of every half on each call (`minus_lift(project(face))`) and
+testing the signs of `b` before any vertex order.  `raagdim.obstruction`
+pushes face-id pairs, reads the minus copies from the per-space
+projection table `ConfigurationSpace.minus_ids` and evaluates the
+indicator on rank tuples (`nonstrict_rank_indicator`), checking the signs
+within its one loop; the tests compare the two.  `project` and
+`minus_lift` are the signed-vertex relabellings the other oracles share.
 """
 
 from __future__ import annotations
 
-from raagdim.octa import MINUS, minus_lift, project
+from raagdim.octa import MINUS
+
+
+def project(face: tuple) -> tuple:
+    """Base simplex under the sign-forgetting projection."""
+    return tuple(v for v, _s in face)
+
+
+def minus_lift(face: tuple) -> tuple:
+    """The minus copy of a base simplex."""
+    return tuple((v, MINUS) for v in face)
 
 
 def nonstrict_mesh_indicator(sigma: tuple, b: tuple, rank: dict) -> int:

@@ -3,6 +3,7 @@ the covering chain, the push and `verify_certificate`, failure wording
 included."""
 
 import random
+from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +16,7 @@ from raagdim.obstruction import certify_nonvanishing, covering_pair_chain, push_
 from raagdim.octa import double_over, octahedralize
 from raagdim.verify import verify_certificate
 from raagdim.zoo import ZOO, build_named, random_flag
+from test_config_space import cell_key
 from test_pins import load_workloads
 
 
@@ -36,7 +38,7 @@ def test_pair_chain_and_id_push_match_the_cell_references(n, p, seed):
         _space, reference = certificate_reference.covering_pair_chain(doubled)
         # Cell for cell, in cell order.
         F = len(space.faces)
-        assert [space.key_cell(a * F + b) for a, b in pairs] == sorted(reference, key=space.cell_key)
+        assert [space.key_cell(a * F + b) for a, b in pairs] == sorted(reference, key=partial(cell_key, doubled))
         # The push of the chain with random coefficients, term for term in
         # the reference's order, signs included; and of chains in every degree.
         chains = [dict(zip(pairs, rng.choices((-2, -1, 1, 2), k=len(pairs))))]

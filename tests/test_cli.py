@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import raagdim
+from index_reference import doubled_complex
 from raagdim import io_json, suite, verify
 from raagdim.cli import main
 from raagdim.complexes import skeleton
@@ -432,7 +433,7 @@ def test_verify_certificate_refuses_an_overlapping_pair_by_name():
     data = io_json.certificate_from_json(io_json.certificate_to_json(cert))
     doubled = double_over(octahedralize(skeleton(L, 1)), cert.cycle, cert.delta)
     (a, b), *rest = data["omega_support"]
-    meets_a = next(f for f in doubled.complex.faces_of_dim(len(b) - 1) if f != a and not set(f).isdisjoint(a))
+    meets_a = next(f for f in doubled_complex(doubled).faces_of_dim(len(b) - 1) if f != a and not set(f).isdisjoint(a))
     out = verify_certificate(L, dict(data, omega_support=[(a, meets_a)] + rest))
     assert not out.ok and out.failed_check == "omega-cycle"
     assert f"stored pair {(a, meets_a)} is not a disjoint pair" in out.detail

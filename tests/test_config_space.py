@@ -55,10 +55,15 @@ def signed_boundary(K, cell):
     return tuple(sorted(out, key=lambda term: cell_key(K, term[0])))
 
 
+def face_id(cs, face) -> int:
+    """The id of a face of the space's complex, through its rank tuple."""
+    rank = cs.K.rank
+    return cs.rank_ids[tuple(rank[v] for v in face)]
+
+
 def pairs_of(cs, cells) -> list:
     """The face-id pairs of cells as stored, which `cs.boundary` reads."""
-    fid = cs.face_ids
-    return [(fid[a], fid[b]) for a, b in cells]
+    return [(face_id(cs, a), face_id(cs, b)) for a, b in cells]
 
 
 def signed_chain_boundary(chain, boundary_fn) -> dict:
@@ -185,12 +190,9 @@ def test_swap_sign_convention():
     assert rep1 == rep2
     assert s1 == 1
     assert s2 == (-1) ** ((len(a) - 1) * (len(b) - 1))
-    # The key accepts either half first, names no cell for halves that
-    # meet, and refuses a half that is not a face.
-    assert cs.cell_key((a, b)) == cs.cell_key((b, a)) == cs.cell_key(rep1)
-    assert cs.key_cell(cs.cell_key((b, a))) == rep1
-    assert cs.cell_key((a, ("c1", "c2"))) not in set(map(cs.cell_key, cs.cells_of_degree(2)))
-    assert cs.cell_key((a, ("c2", "zz"))) is None
+    # The key of the stored cell reads back as that cell.
+    ga, gb = pairs_of(cs, [rep1])[0]
+    assert cs.key_cell(ga * len(cs.faces) + gb) == rep1
 
 
 @given(st.integers(0, 10**6))
@@ -229,7 +231,8 @@ def test_boundary_is_odd_support_of_signed_oracle(seed):
     if not cycles:
         return
     k, cyc = cycles[rng.randrange(len(cycles))]
-    K = double_over(octahedralize(skeleton(L, k)), cyc, sorted(cyc)[rng.randrange(len(cyc))]).complex
+    K = index_reference.doubled_complex(double_over(octahedralize(skeleton(L, k)), cyc,
+                                                    sorted(cyc)[rng.randrange(len(cyc))]))
     cs = ConfigurationSpace(K)
     signed = partial(signed_boundary, K)
     for d in range(2 * K.dim + 1):
@@ -305,9 +308,10 @@ def test_indexed_enumeration_matches_rank_sorted_oracle(seed):
     for d in range(2 * K.dim + 1):
         cells = cs.cells_of_degree(d)
         assert list(cells) == rank_sorted_cells(K, d)
-        # Keys rise strictly in cell order and name each cell, either half first.
-        keys = [cs.cell_key(c) for c in cells]
-        assert keys == sorted(set(keys)) == [cs.cell_key((b, a)) for a, b in cells]
+        # Keys rise strictly in cell order and name each cell.
+        F = len(cs.faces)
+        keys = [a * F + b for a, b in pairs_of(cs, cells)]
+        assert keys == sorted(set(keys))
         assert [cs.key_cell(key) for key in keys] == list(cells)
 
 
@@ -327,7 +331,7 @@ def test_boundary_rows_match_per_cell_boundary(seed):
 def octahedralized_and_doubled(L):
     """OL's face set, and the face sets of the complexes of `doubled_over`."""
     yield octahedralize(L).complex
-    yield from (doubled.complex for doubled in doubled_over(L))
+    yield from map(index_reference.doubled_complex, doubled_over(L))
 
 
 def test_facet_table_matches_homology_boundary_rows():
@@ -436,7 +440,6 @@ def assert_lifted_index_matches_the_tuple_oracle(L):
     assert spans == ref["spans"]
     assert lifted._facet_ids == ref["facet_ids"]
     assert lifted.faces == ref["faces"]
-    assert lifted.face_ids == ref["face_ids"]
     assert lifted.minus_ids == ref["minus_ids"]
     assert [[lifted.faces[g] for g in lifted.ids_of_dim(k)] for k in range(L.dim + 1)] == [
         list(octa.complex.faces_of_dim(k)) for k in range(L.dim + 1)]
@@ -510,8 +513,7 @@ def test_boundary_of_the_obstructed_witness_matches_the_per_cell_oracle():
     result = certify_vanishing(L)
     assert result.status == "obstructed"
     cs = ConfigurationSpace(octahedralize(L))
-    F = len(cs.faces)
-    chain = [divmod(cs.cell_key(cell), F) for cell in result.witness_cycle]
+    chain = pairs_of(cs, result.witness_cycle)
     assert len(chain) == 648
     assert cs.boundary(chain) == facet_reference.boundary(cs, chain) == ()
     # Without its first cell, and with five cells listed three times, in
@@ -526,8 +528,9 @@ def assert_lifted_doubled_index_matches_the_tuple_oracle(doubled):
     """The doubled complex's space, lifted from the cycle's support, against
     the index of its tuple face set ranked in OL's order, field by field,
     and against the space built on that face set."""
-    lifted, built = ConfigurationSpace(doubled), ConfigurationSpace(doubled.complex)
-    ref = index_reference.tuple_index(doubled.complex, doubled.octa.rank)
+    K = index_reference.doubled_complex(doubled)
+    lifted, built = ConfigurationSpace(doubled), ConfigurationSpace(K)
+    ref = index_reference.tuple_index(K, doubled.octa.rank)
     ranks, masks, first, spans = lifted._index
     assert ranks == ref["ranks"]
     assert masks == ref["masks"]
@@ -535,12 +538,11 @@ def assert_lifted_doubled_index_matches_the_tuple_oracle(doubled):
     assert spans == ref["spans"]
     assert lifted._facet_ids == ref["facet_ids"] == built._facet_ids
     assert lifted.faces == ref["faces"] == built.faces
-    assert lifted.face_ids == ref["face_ids"]
     assert lifted.minus_ids == ref["minus_ids"] == built.minus_ids
     # The doubled complex's own vertex order is a suborder of OL's, so its
     # own rank tuples order the faces as the lifted ones do.
-    own = doubled.complex.rank
-    assert sorted(doubled.complex.vertices, key=doubled.octa.rank.__getitem__) == list(doubled.complex.vertices)
+    own = K.rank
+    assert sorted(K.vertices, key=doubled.octa.rank.__getitem__) == list(K.vertices)
     assert built.ranks == [tuple(own[v] for v in f) for f in lifted.faces]
     for d in range(-1, 2 * doubled.degree + 2):
         assert lifted.count_cells(d) == built.count_cells(d), (doubled.cycle, doubled.delta, d)

@@ -1,0 +1,59 @@
+"""The package holds the engine only: every public module-level function or
+class, and every public method, of `src/raagdim` and `scripts/` is read
+somewhere in `src/` or `scripts/`, as a name, an attribute or an import.
+API that only the tests read belongs in the tests' oracles."""
+
+import ast
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DIRS = (os.path.join(ROOT, "src", "raagdim"), os.path.join(ROOT, "scripts"))
+
+# Public names kept although nothing in src/ or scripts/ reads them, each
+# with the reason.
+ALLOWED = {
+    "face_counts": "SimplicialComplex.face_counts is the f-vector of the package's public complex type",
+}
+
+
+def sources():
+    for folder in DIRS:
+        for name in sorted(os.listdir(folder)):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path) as handle:
+                    yield os.path.relpath(path, ROOT), ast.parse(handle.read(), path)
+
+
+def public_definitions(tree):
+    """The public module-level functions and classes, and the public
+    methods of the module-level classes, as qualified names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def read_names(tree):
+    """Every name the module reads: loaded names, loaded attributes and the
+    names it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_public_name_of_the_package_and_scripts_is_read_there():
+    defined, read = [], set()
+    for path, tree in sources():
+        defined += [(path, qualname, name) for qualname, name in public_definitions(tree)]
+        read.update(read_names(tree))
+    assert {name for _path, _qualname, name in defined} >= set(ALLOWED)
+    unread = [f"{path}: {qualname}" for path, qualname, name in defined if name not in read and name not in ALLOWED]
+    assert not unread, "public API that nothing in src/ or scripts/ reads:\n" + "\n".join(unread)

@@ -10,6 +10,8 @@ import certificate_reference
 import gf2_dense
 import integer_recheck
 import push_reference
+from index_reference import doubled_complex
+from push_reference import minus_lift, project
 import raagdim
 from raagdim import io_json, obstruction
 from raagdim.complexes import skeleton
@@ -24,16 +26,16 @@ from raagdim.obstruction import (
     delta_product_chain,
     mesh_number,
     moment_intersection,
-    nonstrict_mesh_indicator,
+    nonstrict_rank_indicator,
     push_terms,
     push_to_product,
     top_mesh_cocycle,
 )
-from raagdim.octa import MINUS, PLUS, DoubledComplex, Octahedralization, double_over, minus_lift, octahedralize
+from raagdim.octa import MINUS, PLUS, DoubledComplex, Octahedralization, double_over, octahedralize
 from raagdim.suite import SuiteResult, check_complex, run_suite
 from raagdim.verify import verify_certificate
 from raagdim.zoo import ZOO, cone, cycle, octahedron_boundary, path, points, random_flag, simplex, suspension, tree
-from test_config_space import pair_cell_boundary, pairs_of, signed_boundary, signed_chain_boundary
+from test_config_space import face_id, pair_cell_boundary, pairs_of, signed_boundary, signed_chain_boundary
 from test_pins import load_workloads
 
 RANK4 = {"v0": 0, "v1": 1, "v2": 2, "v3": 3}
@@ -53,40 +55,49 @@ def test_mesh_degree_zero_all_pairs_mesh():
     assert mesh_number(("v1",), ("v0",), RANK4) == 1
 
 
+def rank_indicator(sigma: tuple, b: tuple, cs) -> int:
+    """`nonstrict_rank_indicator` on two faces of the space's complex given
+    as vertex tuples, with the space's table of minus copies."""
+    rank = cs.K.rank
+    return nonstrict_rank_indicator([rank[v] for v in sigma], [rank[w] for w in b], cs.minus_ranks)
+
+
 def test_nonstrict_mesh_examples():
     o = octahedralize(simplex(1))
-    rank = o.rank
+    cs, rank = ConfigurationSpace(o), o.rank
     delta_minus = (("v0", MINUS), ("v1", MINUS))
-    # The diagonal pair contributes.
-    assert nonstrict_mesh_indicator(delta_minus, delta_minus, rank) == 1
-    # v0+ <= v0- fails.
-    assert nonstrict_mesh_indicator((("v0", PLUS), ("v1", MINUS)), delta_minus, rank) == 0
-    # v1+ <= v1- fails.
-    assert nonstrict_mesh_indicator((("v0", MINUS), ("v1", PLUS)), delta_minus, rank) == 0
-    with pytest.raises(ValueError):
-        nonstrict_mesh_indicator(delta_minus, (("v0", MINUS), ("v1", PLUS)), rank)
+    for indicator, arg in ((rank_indicator, cs), (push_reference.nonstrict_mesh_indicator, rank)):
+        # The diagonal pair contributes.
+        assert indicator(delta_minus, delta_minus, arg) == 1
+        # v0+ <= v0- fails.
+        assert indicator((("v0", PLUS), ("v1", MINUS)), delta_minus, arg) == 0
+        # v1+ <= v1- fails.
+        assert indicator((("v0", MINUS), ("v1", PLUS)), delta_minus, arg) == 0
+        with pytest.raises(ValueError):
+            indicator(delta_minus, (("v0", MINUS), ("v1", PLUS)), arg)
 
 
 def test_nonstrict_mesh_checks_every_sign_after_the_pattern_breaks():
-    rank = octahedralize(simplex(1)).rank
+    o = octahedralize(simplex(1))
     # v0+ <= v0- fails at the first position; b's plus vertex comes after it.
     with pytest.raises(ValueError):
-        nonstrict_mesh_indicator((("v0", PLUS), ("v1", MINUS)), (("v0", MINUS), ("v1", PLUS)), rank)
+        rank_indicator((("v0", PLUS), ("v1", MINUS)), (("v0", MINUS), ("v1", PLUS)), ConfigurationSpace(o))
     with pytest.raises(ValueError):
-        push_reference.nonstrict_mesh_indicator((("v0", PLUS), ("v1", MINUS)), (("v0", MINUS), ("v1", PLUS)), rank)
+        push_reference.nonstrict_mesh_indicator((("v0", PLUS), ("v1", MINUS)), (("v0", MINUS), ("v1", PLUS)), o.rank)
 
 
 def push_cells(chain, cs) -> dict:
     """`push_to_product` of a chain on cells, its terms read back as cells."""
-    fid, faces = cs.face_ids, cs.faces
-    pushed = push_to_product({(fid[a], fid[b]): v for (a, b), v in chain.items()}, cs)
+    faces = cs.faces
+    pushed = push_to_product(dict(zip(pairs_of(cs, chain), chain.values())), cs)
     return {(faces[a], faces[b]): v for (a, b), v in pushed.items()}
 
 
-def evaluate_nonstrict_on_product(chain, faces, rank) -> int:
+def evaluate_nonstrict_on_product(chain, cs) -> int:
     """Integer pairing of the nonstrict meshing cocycle with a product chain
-    on face-id pairs."""
-    return sum(coeff * nonstrict_mesh_indicator(faces[a], faces[b], rank) for (a, b), coeff in chain.items())
+    on the space's face-id pairs."""
+    ranks, minus = cs.ranks, cs.minus_ranks
+    return sum(coeff * nonstrict_rank_indicator(ranks[a], ranks[b], minus) for (a, b), coeff in chain.items())
 
 
 def test_push_single_cell_formula():
@@ -97,8 +108,8 @@ def test_push_single_cell_formula():
     pushed = push_cells({cell: 1}, cs)
     sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
     assert pushed == {
-        (a, minus_lift(tuple(v for v, _ in b))): 1,
-        (b, minus_lift(tuple(v for v, _ in a))): sign,
+        (a, minus_lift(project(b))): 1,
+        (b, minus_lift(project(a))): sign,
     }
     assert push_to_product({}, cs) == {}
 
@@ -123,14 +134,6 @@ def test_push_is_a_chain_map(seed):
         assert lhs == rhs
 
 
-def indicator_outcome(indicator, sigma, b, rank):
-    """The indicator's value, or the type of the error it raises."""
-    try:
-        return indicator(sigma, b, rank)
-    except ValueError:
-        return ValueError
-
-
 def sample_spaces(L, rng):
     """(octahedralization, configuration space) pairs: on OL and on one
     complex doubled over a random cycle of L, each with the octahedralization
@@ -142,7 +145,7 @@ def sample_spaces(L, rng):
         k, cyc = cycles[rng.randrange(len(cycles))]
         ok = octahedralize(skeleton(L, k))
         doubled = double_over(ok, cyc, sorted(cyc)[rng.randrange(len(cyc))])
-        out.append((ok, ConfigurationSpace(doubled.complex)))
+        out.append((ok, ConfigurationSpace(doubled_complex(doubled))))
     return out
 
 
@@ -164,7 +167,7 @@ def test_push_and_indicator_match_their_reference_oracles(seed):
             # The pushed cells, and the unpushed halves (which may carry plus
             # vertices), against both indicators, errors included.
             for sigma, b in list(pushed) + list(chain):
-                assert indicator_outcome(nonstrict_mesh_indicator, sigma, b, rank) == indicator_outcome(
+                assert outcome(rank_indicator, sigma, b, cs) == outcome(
                     push_reference.nonstrict_mesh_indicator, sigma, b, rank)
 
 
@@ -181,7 +184,7 @@ def lifted_and_built_spaces(L, rng):
         ok = octahedralize(skeleton(L, k))
         doubled = double_over(ok, cyc, sorted(cyc)[rng.randrange(len(cyc))])
         out += [(ok, space, doubled) for space in (ConfigurationSpace(ok), ConfigurationSpace(doubled),
-                                                   ConfigurationSpace(doubled.complex))]
+                                                   ConfigurationSpace(doubled_complex(doubled)))]
     return out
 
 
@@ -199,9 +202,9 @@ def test_rank_rules_match_their_tuple_oracles(n, p, seed):
     rng = random.Random(seed)
     L = random_flag(n, p, seed)
     for o, cs, doubled in lifted_and_built_spaces(L, rng):
-        ranks, faces, fid, minus = cs.ranks, cs.faces, cs.face_ids, cs.minus_ranks
+        ranks, faces, minus = cs.ranks, cs.faces, cs.minus_ranks
         # The projection table, face by face.
-        assert cs.minus_ids == [fid[minus_lift(tuple([v for v, _s in f]))] for f in faces]
+        assert cs.minus_ids == [face_id(cs, minus_lift(project(f))) for f in faces]
         # The nonstrict rule on random faces (a second half with a plus
         # vertex, or of another size, raises), on the minus copies too.
         ids = list(range(len(faces)))
@@ -251,10 +254,9 @@ def test_pullback_identity_every_cell(seed):
         return
     o = octahedralize(L)
     cs = ConfigurationSpace(o.complex)
-    fid = cs.face_ids
     for a, b in all_top_cells(o):
-        pushed = push_to_product({(fid[a], fid[b]): 1}, cs)
-        assert mesh_number(a, b, o.rank) == evaluate_nonstrict_on_product(pushed, cs.faces, o.rank)
+        pushed = push_to_product(dict.fromkeys(pairs_of(cs, [(a, b)]), 1), cs)
+        assert mesh_number(a, b, o.rank) == evaluate_nonstrict_on_product(pushed, cs)
 
 
 def interleaving_reference(sigma, tau, rank):
@@ -312,7 +314,7 @@ def test_pushforward_cycle_and_evaluation_identities(seed):
         assert pushed == product  # holds with or without the star condition
         if check_star_condition(cyc, delta).holds:
             assert not space.boundary(omega)
-        assert evaluate_nonstrict_on_product(product, space.faces, o.rank) % 2 == 1
+        assert evaluate_nonstrict_on_product(product, space) % 2 == 1
 
 
 # --- covering chain examples -------------------------------------------------
@@ -542,10 +544,10 @@ def test_certificate_search_never_builds_the_octahedralization_face_set(monkeypa
         raise AssertionError("a face set was built")
 
     # Search, check and suite read the doubled complex's space, lifted from
-    # the cycle's support, and its push, never a face set of OL or of the
-    # doubled complex.
+    # the cycle's support, and its push, never a face set of OL; a doubled
+    # complex has no face set to build.
     monkeypatch.setattr(Octahedralization, "complex", property(no_face_set))
-    monkeypatch.setattr(DoubledComplex, "complex", property(no_face_set))
+    assert not hasattr(DoubledComplex, "complex")
     found = 0
     for entry in ZOO:
         L = entry.complex()

@@ -6,8 +6,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planarity_reference import _paths_between, is_planar, one_skeleton
 from raagdim.octa import octahedralize
-from raagdim.planarity import _paths_between, is_planar, one_skeleton
 from raagdim.zoo import cycle, path, tree
 
 networkx = pytest.importorskip("networkx")
