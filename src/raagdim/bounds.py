@@ -4,17 +4,18 @@ Given a flag complex L, combines exact homology, nonvanishing certificates,
 the top coboundary solve and the star/link recursion into certified
 intervals for the van Kampen dimension of the octahedralization, the
 embedding dimension, and the action dimension of the associated group.
-`analyze` and `vkdim_lower` share one lower-bound search: the highest
-certified degree above the sphere floor, then the bound of every vertex
-link plus one (vkdim(OL) >= vkdim(O lk v) + 1).
+There is one lower-bound search, `_lower_bounds`: the octahedral sphere,
+the highest certified degree above the running bound, then the bound of
+every vertex link plus one (vkdim(OL) >= vkdim(O lk v) + 1).  `analyze`
+records each rise of the bound, and `vkdim_lower` keeps the last.
 
 The link search is branch and bound (see `vkdim_lower`): a link is
 searched only for a value that would raise the running bound, and none is
-built once that bound reaches 2 dim L - 1, the most a link can give, so
-`analyze` skips the links at the 2k ceiling.  Every emitted bound
-re-checks its hypothesis and carries a named rule; bounds resting on an
-unprovable step carry caveats and, when the step is genuinely open (the
-dimension-2 completeness gap), stay out of the certified interval.
+built once that bound reaches 2 dim L - 1, the most a link can give.
+Every emitted bound re-checks its hypothesis and carries a named rule;
+bounds resting on an unprovable step carry caveats and, when the step is
+genuinely open (the dimension-2 completeness gap), stay out of the
+certified interval.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, is_flag, link
 from .homology import mod2_betti, rational_betti
-from .obstruction import CycleCertificate, VanishingResult, certify_nonvanishing, certify_vanishing
+from .obstruction import (MAX_CELLS, SEARCH_BUDGET, CycleCertificate, VanishingResult, certify_nonvanishing,
+                          certify_vanishing)
 
 CAVEAT_DIM2_INCOMPLETE = "top-obstruction-incomplete-in-dim-2"
 CAVEAT_CODIMENSION = "codimension-hypothesis-unverified"
@@ -101,44 +103,46 @@ def is_full_simplex(L: SimplicialComplex) -> bool:
     return L.dim >= 0 and len(L.vertices) == L.dim + 1
 
 
-def _top_certificate(L: SimplicialComplex, floor: int, search_budget: int):
-    """(d, certificate) for the highest degree d <= dim L with 2d above
-    `floor` that has a nonvanishing certificate, or None."""
+def _lower_bounds(L: SimplicialComplex, depth: int, search_budget: int, cache: dict, above: int):
+    """(value, rule, what) each time the running bound, from `above`,
+    rises: for the octahedral sphere (what None); for the highest degree d
+    with 2d above the bound and the sphere floor -1 that has a certificate
+    (what (d, certificate)); while `depth > 0`, for each vertex v whose link,
+    asked through `vkdim_lower` above the bound - 1, beats it (what (v, link
+    bound, why)).  A link gives at most 2 dim L - 1, so from that bound on
+    none is built."""
+    if is_full_simplex(L) and L.dim - 1 > above:
+        above = L.dim - 1
+        yield above, "octahedral-sphere", None
+    above = max(above, -1)
     for degree in range(L.dim, -1, -1):
-        if 2 * degree <= floor:
-            return None
+        if 2 * degree <= above:
+            break
         cert = certify_nonvanishing(L, degree, search_budget=search_budget)
         if cert is not None:
-            return degree, cert
-    return None
-
-
-def _link_bounds(L: SimplicialComplex, depth: int, search_budget: int, cache: dict, above: int):
-    """(v, bound, why) for each vertex v, in vertex order, whose link bound
-    plus one beats `above` and every bound this call yielded before.
-
-    Each link is asked through `vkdim_lower` with threshold `above - 1`,
-    so it is searched only as far as a raise needs.  A vertex link has
-    dimension at most dim L - 1 and so gives at most 2 dim L - 1: once the
-    running bound reaches that, no link is built.
-    """
+            above = 2 * degree
+            yield above, "covering-chain-certificate", (degree, cert)
+            break
+    if depth <= 0:
+        return
     ceiling = 2 * L.dim - 1
     for v in L.vertices:
         if above >= ceiling:
             return
         lk = link(L, (v,))
         if lk.dim >= 0:
-            found = vkdim_lower(lk, depth, search_budget, cache, above - 1)
+            found = vkdim_lower(lk, depth - 1, search_budget, cache, above - 1)
             if found is not None:
-                sub, why = found
-                above = sub + 1
-                yield v, sub, why
+                above = found[0] + 1
+                yield above, "star-link", (v, *found)
 
 
-def vkdim_lower(L: SimplicialComplex, depth: int = STAR_DEPTH, search_budget: int = 2, _cache=None, _above=-2):
+def vkdim_lower(L: SimplicialComplex, depth: int = STAR_DEPTH, search_budget: int = SEARCH_BUDGET, _cache=None,
+                _above=-2):
     """Certified lower bound for the van Kampen dimension of the
     octahedralization, from certificates in all degrees and the star/link
-    recursion over vertices (capped at `depth`).
+    recursion over vertices (capped at `depth`): the last value that
+    `_lower_bounds` yields, or the sphere floor.
 
     Returns (value, explanation).  The floor for a nonempty complex is -1
     (the octahedralization of a vertex is a 0-sphere), so a call without
@@ -176,14 +180,13 @@ def vkdim_lower(L: SimplicialComplex, depth: int = STAR_DEPTH, search_budget: in
     if known is not None and known <= _above:
         return None
     best = (-1, "sphere floor: the doubled vertex pair")
-    if is_full_simplex(L):
-        best = (L.dim - 1, f"octahedral sphere of dimension {L.dim}")
-    found = _top_certificate(L, max(best[0], _above), search_budget)
-    if found is not None:
-        best = (2 * found[0], f"covering-chain certificate in degree {found[0]}")
-    if depth > 0:
-        for v, sub, why in _link_bounds(L, depth - 1, search_budget, _cache, max(best[0], _above)):
-            best = (sub + 1, f"star/link at vertex {v!r}: link gives {sub} ({why})")
+    for value, rule, what in _lower_bounds(L, depth, search_budget, _cache, _above):
+        if rule == "octahedral-sphere":
+            best = (value, f"octahedral sphere of dimension {L.dim}")
+        elif rule == "covering-chain-certificate":
+            best = (value, f"covering-chain certificate in degree {what[0]}")
+        else:
+            best = (value, "star/link at vertex {!r}: link gives {} ({})".format(*what))
     if best[0] > 2 * L.dim:
         raise RuntimeError(f"star/link bound {best[0]} exceeds twice the dimension {L.dim}: {best[1]}")
     if best[0] <= _above:
@@ -196,9 +199,9 @@ def vkdim_lower(L: SimplicialComplex, depth: int = STAR_DEPTH, search_budget: in
 def analyze(
     L: SimplicialComplex,
     allow_non_flag: bool = False,
-    search_budget: int = 2,
+    search_budget: int = SEARCH_BUDGET,
     integral: bool = False,
-    max_cells: int = 10**6,
+    max_cells: int = MAX_CELLS,
 ) -> DimensionReport:
     """Assemble the full dimension report for a complex.
 
@@ -234,28 +237,25 @@ def analyze(
     records.append(BoundRecord("vkdim", "upper", 2 * k,
                                "top-degree", "pair cells stop at twice the complex dimension"))
     sphere = is_full_simplex(L)
-    if sphere:
-        records.append(BoundRecord("vkdim", "lower", k - 1, "octahedral-sphere",
-                                   f"the octahedralization is the {k}-sphere"))
-        records.append(BoundRecord("vkdim", "upper", k - 1, "octahedral-sphere",
-                                   f"the octahedralization is the {k}-sphere"))
-
     certificate = None
     sub_certs: tuple = ()
-    found = _top_certificate(L, end("vkdim", "lower"), search_budget)
-    if found is not None:
-        degree, cert = found
-        if degree == k:
-            certificate = cert
-            detail = "top cocycle pairs to 1 with the certificate cycle"
+    for value, rule, what in _lower_bounds(L, STAR_DEPTH, search_budget, {}, -2):
+        if rule == "octahedral-sphere":
+            detail = f"the octahedralization is the {k}-sphere"
+            records.append(BoundRecord("vkdim", "lower", value, rule, detail))
+            records.append(BoundRecord("vkdim", "upper", value, rule, detail))
+            continue
+        if rule == "covering-chain-certificate":
+            degree, cert = what
+            if degree == k:
+                certificate = cert
+                detail = "top cocycle pairs to 1 with the certificate cycle"
+            else:
+                sub_certs = (cert,)
+                detail = f"certificate on the {degree}-skeleton"
         else:
-            sub_certs = (cert,)
-            detail = f"certificate on the {degree}-skeleton"
-        records.append(BoundRecord("vkdim", "lower", 2 * degree, "covering-chain-certificate", detail))
-
-    for v, sub, why in _link_bounds(L, STAR_DEPTH - 1, search_budget, {}, end("vkdim", "lower")):
-        records.append(BoundRecord("vkdim", "lower", sub + 1, "star-link",
-                                   f"link of {v!r} gives {sub}: {why}"))
+            detail = "link of {!r} gives {}: {}".format(*what)
+        records.append(BoundRecord("vkdim", "lower", value, rule, detail))
 
     vanishing = None
     if certificate is None and k >= 1:

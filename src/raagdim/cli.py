@@ -16,6 +16,7 @@ from . import io_json
 from .bounds import analyze
 from .complexes import is_flag
 from .homology import mod2_betti, rational_betti
+from .obstruction import MAX_CELLS, SEARCH_BUDGET
 from .octa import octahedralize
 from .suite import run_suite
 from .verify import verify_certificate
@@ -211,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--integral", action="store_true",
                    help="also solve for the top primitive over Z: on L, pulled back "
                         "to the configuration space, else by the full integer solve")
-    p.add_argument("--max-cells", type=int, default=10**6)
-    p.add_argument("--search-budget", type=int, default=2,
+    p.add_argument("--max-cells", type=int, default=MAX_CELLS)
+    p.add_argument("--search-budget", type=int, default=SEARCH_BUDGET,
                    help="max number of cycle basis elements to sum in the search")
     p.set_defaults(fn=cmd_analyze)
 

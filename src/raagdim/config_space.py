@@ -23,7 +23,7 @@ built from its base, not from its face set, which it never builds.  A
 signed vertex (v, s) ranks 2 r(v) + [s = +], so a face of the base with
 ranks (r0, .., rk) lifts to the rank tuples (2 r0 + e0, .., 2 rk + ek),
 with a plus copy over every vertex for OL and over delta only for a
-doubled complex (`octa.lift_ranks`, the one lifting rule); sorting each
+doubled complex (`octa.lift_ranks`, the only lifting rule); sorting each
 dimension's lifts, int tuples with no key, gives the id order, as a
 doubled complex's own vertex order is a suborder of OL's.  So the index,
 and with it the cell order, the keys, every solve and every certificate,

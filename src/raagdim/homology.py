@@ -10,14 +10,13 @@ rows` interface: one row of sorted ``(lower cell id, coeff)`` pairs per
 d-cell, ids indexing the (d-1)-cells, from `boundary_rows(K, d)`.  Over
 GF(2) a row is the list of its ids with an odd coefficient (`_parity_rows`),
 eliminated sparsely by `gf2`; over Q, `intlinalg.sparse_rank` reads the
-signed rows themselves.  The configuration space plugs into
-`solve_coboundary` through its facet-key rows alone: unsigned
-(``facet_keys(d)``) over GF(2), signed (``signed_facet_keys(d)``) over Z,
-where `intlinalg.solve_integer` reads them themselves.  The cochain phi is
-a sequence in the order of those rows, the cell order, and a primitive
-comes back on cell keys, so neither ring builds a cell, of degree d or
-d-1.  The integer solve is the fallback of the route that solves on L and
-pulls back (`obstruction.certify_vanishing`).
+signed rows themselves.  The configuration space plugs into the GF(2)
+`solve_coboundary` through its facet-key rows alone (``facet_keys(d)``).
+The cochain phi is a sequence in the order of those rows, the cell order,
+and a primitive comes back on cell keys, so the solve builds no cell, of
+degree d or d-1.  Over Z, `obstruction.certify_vanishing` solves on L and
+pulls back, and falls back to `intlinalg.solve_integer` on the space's
+signed facet keys (``signed_facet_keys(d)``) itself.
 """
 
 from __future__ import annotations
@@ -94,40 +93,25 @@ def cycle_space(K: SimplicialComplex, k: int) -> tuple:
     return tuple(sorted(cycles, key=lambda c: (len(c), sorted(c))))
 
 
-def solve_coboundary(phi, degree: int, space, coefficients: str = "gf2"):
-    """Find x with (delta x) = phi on the m-cells of a cell complex.
+def solve_coboundary(phi, degree: int, space):
+    """Find x with (delta x) = phi over GF(2) on the m-cells of a cell
+    complex.
 
     phi: the values on the m-cells, a sequence in cell order, one per row
     (a ValueError when its length differs).  space: cell complex exposing
-    rows of facet keys, one row per m-cell in cell order, the keys
-    increasing strictly in the order of the (m-1)-cells: over GF(2)
-    count_cells(d) and facet_keys(d), over Z signed_facet_keys(d).
-    Neither ring builds a cell.
+    count_cells(d) and facet_keys(d), one row of facet keys per m-cell in
+    cell order, the keys increasing strictly in the order of the
+    (m-1)-cells.  Builds no cell.
 
-    Returns (primitive, witness): `primitive` is a {key: value} dict on the
-    keys of the (m-1)-cells, in key order (cell order), with no zero value,
-    when solvable, otherwise None.  Over GF(2) the witness of an unsolvable
-    system is the ascending list of the indices of m-cells forming a cycle
-    on which phi evaluates to 1; over Z no witness is given (an empty
-    list).
-
-    For the top cocycle of a configuration space, `certify_vanishing`
-    first solves over Z on L and pulls the result back, which builds no
-    (m-1)-cell; it comes here over Z only as the fallback, when L's top
-    rows leave a core after their unit pivots or some right-hand side on L
-    has no integer solution.
+    Returns (primitive, witness): `primitive` is a {key: 1} dict on the
+    keys of the (m-1)-cells in its support, in key order (cell order), when
+    solvable, otherwise None.  The witness of an unsolvable system is the
+    ascending list of the indices of m-cells forming a cycle on which phi
+    evaluates to 1.
     """
-    if coefficients == "gf2":
-        n_lower = space.count_cells(degree - 1) if degree > 0 else 0
-        eqs = list(zip(space.facet_keys(degree), phi, strict=True))
-        x, _ = gf2.solve(eqs, n_lower)
-        if x is None:
-            return None, gf2.solve(eqs, n_lower, want_witness=True)[1]
-        return dict.fromkeys(sorted(x), 1), None
-    if coefficients == "int":
-        eqs = list(zip(space.signed_facet_keys(degree), phi, strict=True))
-        sol = intlinalg.solve_integer((zip(*row) for row, _ in eqs), [v for _, v in eqs])
-        if sol is None:
-            return None, []
-        return {key: v for key, v in sorted(sol.items()) if v}, None
-    raise ValueError(f"unknown coefficient ring {coefficients!r}")
+    n_lower = space.count_cells(degree - 1) if degree > 0 else 0
+    eqs = list(zip(space.facet_keys(degree), phi, strict=True))
+    x, _ = gf2.solve(eqs, n_lower)
+    if x is None:
+        return None, gf2.solve(eqs, n_lower, want_witness=True)[1]
+    return dict.fromkeys(sorted(x), 1), None

@@ -33,8 +33,13 @@ from itertools import combinations
 from .complexes import SimplicialComplex, skeleton
 from .config_space import ConfigurationSpace
 from .homology import boundary_rows, cycle_space, solve_coboundary
-from .intlinalg import CoreTooLarge, integer_det, integer_rank, unit_pivot_solve
-from .octa import MINUS, Octahedralization, DoubledComplex, double_over, octahedralize
+from .intlinalg import CoreTooLarge, integer_det, integer_rank, solve_integer, unit_pivot_solve
+from .octa import Octahedralization, DoubledComplex, double_over, lift_ranks, octahedralize
+
+# Defaults, shared by `analyze` and the CLI: cycle-basis elements summed per
+# candidate cycle, and cells of degrees 2k and 2k - 1 allowed in the top solve.
+SEARCH_BUDGET = 2
+MAX_CELLS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +178,15 @@ def check_star_condition(cycle, delta: tuple) -> StarConditionReport:
 
 def delta_product_chain(doubled: DoubledComplex, space: ConfigurationSpace) -> dict:
     """The product chain (all signed lifts of delta) x (minus copy of the
-    cycle), on the face-id pairs of `space`'s complex, which must hold them:
-    each half's rank tuple read through `space.rank_ids`."""
-    rank, rid = space.K.rank, space.rank_ids
-    lifts = [rid[tuple([rank[v] for v in sigma])] for sigma in doubled.octa.lifts(doubled.delta)]
-    minus_cycle = [rid[tuple([rank[(v, MINUS)] for v in b])] for b in sorted(doubled.cycle)]
+    cycle), on the face-id pairs of `space`'s complex, which must hold them
+    and be ranked in OL's vertex order (a space lifted from the base, as
+    `ConfigurationSpace(doubled)` is): the lifts by `lift_ranks` on base
+    rank tuples, a minus copy being the lift with no plus rank, read
+    through `space.rank_ids`."""
+    rk, rid = doubled.octa.base.rank, space.rank_ids
+    delta = tuple([rk[v] for v in doubled.delta])
+    lifts = [rid[t] for t in lift_ranks([[delta]], delta)[0]]
+    minus_cycle = [rid[t] for t in lift_ranks([[tuple([rk[v] for v in b]) for b in doubled.cycle]], ())[0]]
     return {(a, b): 1 for a in lifts for b in minus_cycle}
 
 
@@ -208,7 +217,7 @@ def _cycle_candidates(basis, budget: int):
                 yield acc
 
 
-def certify_nonvanishing(L: SimplicialComplex, degree: int | None = None, search_budget: int = 2):
+def certify_nonvanishing(L: SimplicialComplex, degree: int | None = None, search_budget: int = SEARCH_BUDGET):
     """Search for a nonvanishing certificate in the given degree.
 
     Works on the degree-skeleton of L.  Tries cycle-basis elements first,
@@ -310,21 +319,23 @@ def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: i
     boundary rows.  None when those rows leave a core after their unit
     pivots (so the Smith normal form stays where the full solve runs it)
     or some psi_a has no integer solution.  Builds no (2k-1)-cell, and
-    works on the index: r_a on rank tuples, the lifts of each (k-1)-face of
-    L as face ids through `space.rank_ids`, disjointness on masks and the
-    stored order by first ranks.
+    works on the index: r_a on rank tuples, the minus copy of each k-face
+    and the lifts of each (k-1)-face of L by `lift_ranks` on L's rank
+    tuples, the lifts as face ids through `space.rank_ids`, disjointness
+    on masks and the stored order by first ranks.
     """
     L = octa.base
     ranks, masks, rid, minus = space.ranks, space.masks, space.rank_ids, space.minus_ranks
-    rank, sign, F = octa.rank, (-1) ** k, len(ranks)
-    minus_top = [tuple([rank[(v, MINUS)] for v in beta]) for beta in L.faces_of_dim(k)]
+    rk, sign, F = L.rank, (-1) ** k, len(ranks)
+    minus_top = lift_ranks([[tuple([rk[v] for v in beta]) for beta in L.faces_of_dim(k)]], ())[0]
     tops = space.ids_of_dim(k)
     rhs = [tuple([sign * nonstrict_rank_indicator(ranks[a], b, minus) for b in minus_top]) for a in tops]
     distinct = list(dict.fromkeys(rhs))
     psis = unit_pivot_solve(boundary_rows(L, k), distinct)
     if psis is None:
         return None
-    lower = [[rid[tuple([rank[v] for v in tau])] for tau in octa.lifts(beta)] for beta in L.faces_of_dim(k - 1)]
+    faces = [tuple([rk[v] for v in beta]) for beta in L.faces_of_dim(k - 1)]
+    lower = [[rid[t] for t in lift_ranks([[r]], r)[0]] for r in faces]
     psi = {r: [(lower[i], v) for i, v in x.items() if v] for r, x in zip(distinct, psis)}
     values: dict = {}
     for a, r in zip(tops, rhs):
@@ -336,7 +347,7 @@ def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: i
     return dict(sorted(values.items()))
 
 
-def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: int = 10**6) -> VanishingResult:
+def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: int = MAX_CELLS) -> VanishingResult:
     """Decide whether the top mod-2 obstruction cocycle is a coboundary.
 
     Solves delta(x) = phi on the configuration space of the octahedralized
@@ -348,11 +359,12 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
     which is also the integer cocycle (see `top_mesh_cocycle`), is
     additionally solved over Z: first on L and pulled back
     (`_pullback_primitive`); when that route does not apply, on the whole
-    configuration space's signed facet keys by `intlinalg.solve_integer`.
-    Neither builds a (2k-1)-cell.  The full solve is refused (with a
-    reason) when the dense core left after its unit pivots has more than
-    `intlinalg.INTEGRAL_ENTRY_CAP` entries.  Each primitive found is
-    re-checked exactly, mod 2 resp. over Z, on every top cell.
+    configuration space's signed facet keys, the rows the Z re-check reads,
+    by `intlinalg.solve_integer`.  Neither builds a (2k-1)-cell.  The full
+    solve is refused (with a reason) when the dense core left after its
+    unit pivots has more than `intlinalg.INTEGRAL_ENTRY_CAP` entries.  Each
+    primitive found is re-checked exactly, mod 2 resp. over Z, on every top
+    cell.
     """
     k = L.dim
     if k < 0:
@@ -367,7 +379,7 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
         return VanishingResult(status="skipped", primitive=None, witness_cycle=None,
                                reason=f"cell budget exceeded ({n_cells} > {max_cells})")
     phi = top_mesh_cocycle(space, k)
-    primitive, witness = solve_coboundary(phi, 2 * k, space, coefficients="gf2")
+    primitive, witness = solve_coboundary(phi, 2 * k, space)
     if primitive is None:
         faces, pairs = space.faces, space.indexed_cells(2 * k)[1]
         chain = [pairs[i] for i in witness]
@@ -382,8 +394,10 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
     if integral:
         integral_prim = _pullback_primitive(octa, space, k)
         if integral_prim is None:
+            rows = [zip(*row) for row, _ in zip(space.signed_facet_keys(2 * k), phi, strict=True)]
             try:
-                integral_prim, _ = solve_coboundary(phi, 2 * k, space, coefficients="int")
+                sol = solve_integer(rows, phi)
+                integral_prim = None if sol is None else {key: v for key, v in sorted(sol.items()) if v}
             except CoreTooLarge as exc:
                 reason = str(exc)
         if integral_prim is not None:

@@ -6,16 +6,19 @@ The vertex order on the doubled complex interleaves the base order:
     v0-, v0+, v1-, v1+, ..., vn-, vn+
 
 and nothing downstream is allowed to use any other order, because the
-meshing cocycles read it.  `Octahedralization` reads the order and its
-ranks off the base, and builds the doubled face set only when `complex`
-is first read: by `raagdim octahedralize`, which writes OL out, by
-`scripts/moment_oracle_sweep.py` and by the tests' oracles.
-A `DoubledComplex`, the support of a cycle doubled over one of its
-simplices, keeps only the cycle, the simplex and OL, and has no face set.
-`analyze`, `verify` and the lemma suite build neither: the configuration
-space of OL and of a doubled complex lifts its faces from the base as
-rank tuples in OL's order (`ranked_faces`, both by `lift_ranks`, the one
-lifting rule for signed complexes), and OL's counts its cells on the
+meshing cocycles read it.  `lift_ranks` is the one lifting rule, on rank
+tuples in OL's order: OL's faces and a doubled complex's
+(`ranked_faces`), and the lifts of a base face and its minus copy (the
+lift with no plus rank), which `verify` and the integer route read, all
+come from it.  `Octahedralization` reads the order and its ranks off the
+base, and builds the doubled face set, its `ranked_faces` read through
+`vertices`, only when `complex` is first read: by
+`raagdim octahedralize`, which writes OL out, by
+`scripts/moment_oracle_sweep.py` and by the tests' oracles.  A `DoubledComplex`, the support of a cycle
+doubled over one of its simplices, keeps only the cycle, the simplex and
+OL, and has no face set.  `analyze`, `verify` and the lemma suite build
+neither: the configuration space of OL and of a doubled complex lifts its
+faces from the base (`ranked_faces`), and OL's counts its cells on the
 base.  Nor do these paths name a face by its vertex tuple, but by its
 rank tuple or its id (`ConfigurationSpace.rank_ids`; `verify` maps a
 stored half's labels to ranks by `rank`): face tuples are built only for
@@ -35,10 +38,6 @@ from .complexes import SimplicialComplex
 
 MINUS = -1
 PLUS = +1
-
-
-def signed_lift(face: tuple, signs) -> tuple:
-    return tuple((v, s) for v, s in zip(face, signs))
 
 
 def lift_ranks(levels, plus) -> list:
@@ -76,10 +75,11 @@ class Octahedralization:
     @cached_property
     def complex(self) -> SimplicialComplex:
         """A set of signed vertices spans a face exactly when its bases are
-        distinct and span a face of the base."""
-        faces = frozenset(signed_lift(f, signs) for f in self.base.faces
-                          for signs in product((MINUS, PLUS), repeat=len(f)))
-        return SimplicialComplex(vertices=self.vertices, faces=faces)
+        distinct and span a face of the base: `ranked_faces` read through
+        `vertices`."""
+        vs = self.vertices
+        faces = frozenset([tuple([vs[r] for r in t]) for level in self.ranked_faces() for t in level])
+        return SimplicialComplex(vertices=vs, faces=faces)
 
     def ranked_faces(self) -> list:
         """The faces as rank tuples, one sorted list per dimension, lifted
@@ -88,10 +88,6 @@ class Octahedralization:
         rk = self.base.rank
         return lift_ranks([[tuple([rk[v] for v in f]) for f in self.base.faces_of_dim(k)]
                            for k in range(self.base.dim + 1)], range(len(rk)))
-
-    def lifts(self, face: tuple) -> tuple:
-        """All signed lifts of a base face, in sign-pattern order."""
-        return tuple(signed_lift(face, signs) for signs in product((MINUS, PLUS), repeat=len(face)))
 
 
 def octahedralize(L: SimplicialComplex) -> Octahedralization:

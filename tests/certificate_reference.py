@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement
 
 import push_reference
 from index_reference import doubled_complex
-from push_reference import minus_lift
+from push_reference import lifts, minus_lift
 from raagdim.complexes import skeleton
 from raagdim.config_space import ConfigurationSpace, chain_boundary
 from raagdim.obstruction import StarConditionReport, mesh_number
@@ -51,7 +51,7 @@ def check_star_condition(cycle, delta: tuple) -> StarConditionReport:
 def delta_product_chain(doubled) -> dict:
     """(all signed lifts of delta) x (minus copy of the cycle), on cells."""
     minus_cycle = [minus_lift(b) for b in sorted(doubled.cycle)]
-    return {(sigma, b): 1 for sigma in doubled.octa.lifts(doubled.delta) for b in minus_cycle}
+    return {(sigma, b): 1 for sigma in lifts(doubled.delta) for b in minus_cycle}
 
 
 def verify_certificate(L, cert: dict) -> VerificationOutcome:

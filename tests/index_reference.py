@@ -4,8 +4,9 @@ face set of its complex.
 `raagdim.config_space` lifts the index of OL's space from the faces of the
 base L and counts OL's cells on L, so OL's tuple face set is never built.
 Here every field is built from a complex's face tuples instead (for OL, from
-`Octahedralization.complex`, for a doubled complex from `doubled_complex`,
-its face set by definition): faces sorted by rank tuple, masks and first
+`test_octa.eager_octahedralization`, for a doubled complex from
+`doubled_complex`, each its face set by definition, not lifted as
+`Octahedralization.complex` is): faces sorted by rank tuple, masks and first
 ranks from the vertex ranks, facet and minus ids through a dict on the face
 tuples, and each degree's cells by a scan of every pair of faces of the
 right dimensions.  The tests compare the two field by field.

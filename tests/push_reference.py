@@ -5,13 +5,16 @@ testing the signs of `b` before any vertex order.  `raagdim.obstruction`
 pushes face-id pairs, reads the minus copies from the per-space
 projection table `ConfigurationSpace.minus_ids` and evaluates the
 indicator on rank tuples (`nonstrict_rank_indicator`), checking the signs
-within its one loop; the tests compare the two.  `project` and
-`minus_lift` are the signed-vertex relabellings the other oracles share.
+within its one loop; the tests compare the two.  `project`, `minus_lift`
+and `lifts` are the signed-vertex relabellings the other oracles share;
+`raagdim` lifts rank tuples instead (`octa.lift_ranks`).
 """
 
 from __future__ import annotations
 
-from raagdim.octa import MINUS
+from itertools import product
+
+from raagdim.octa import MINUS, PLUS
 
 
 def project(face: tuple) -> tuple:
@@ -22,6 +25,11 @@ def project(face: tuple) -> tuple:
 def minus_lift(face: tuple) -> tuple:
     """The minus copy of a base simplex."""
     return tuple((v, MINUS) for v in face)
+
+
+def lifts(face: tuple) -> tuple:
+    """All signed lifts of a base simplex, in sign-pattern order."""
+    return tuple(tuple(zip(face, signs)) for signs in product((MINUS, PLUS), repeat=len(face)))
 
 
 def nonstrict_mesh_indicator(sigma: tuple, b: tuple, rank: dict) -> int:

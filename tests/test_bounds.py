@@ -1,5 +1,7 @@
 """The dimension bound engine."""
 
+import importlib.util
+import os
 import re
 
 import pytest
@@ -162,11 +164,32 @@ def test_pruned_search_matches_the_reference_on_the_zoo(entry):
 
 
 def test_vkdim_lower_refuses_a_value_above_twice_the_dimension(monkeypatch):
-    # The pruning rests on value <= 2 dim L; a certificate claimed above the
-    # top degree breaks it, and the search says so.
-    monkeypatch.setattr(bounds, "_top_certificate", lambda L, floor, budget: (L.dim + 1, None))
+    # The pruning rests on value <= 2 dim L; a link bound claimed above what
+    # a link can give breaks it, and the search says so.  path(3) has no
+    # certificate, so the search reaches its links.
+    real = vkdim_lower
+    monkeypatch.setattr(bounds, "vkdim_lower", lambda L, depth, budget, cache, above: (2 * L.dim + 2, "fake"))
     with pytest.raises(RuntimeError, match="exceeds twice the dimension"):
-        vkdim_lower(cycle(4))
+        real(path(3))
+
+
+def census_sample(count):
+    """The first `count` complexes of scripts/census.py's sample from seed 0."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location("census_script", os.path.join(root, "scripts", "census.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return list(module.sample(0, count))
+
+
+@pytest.mark.parametrize("L", [e.complex() for e in ZOO] + census_sample(30),
+                         ids=[e.name for e in ZOO] + [f"census-{i}" for i in range(30)])
+def test_analyze_records_the_bound_that_vkdim_lower_returns(L):
+    # analyze and vkdim_lower read one search: apart from the obstructed
+    # solve's witness, the best certified vkdim lower record is the bound.
+    lows = [r.value for r in analyze(L, allow_non_flag=True).records
+            if (r.quantity, r.kind) == ("vkdim", "lower") and r.in_interval and r.rule != "cocycle-pairing-witness"]
+    assert max(lows, default=-1) == vkdim_lower(L)[0]
 
 
 def test_analyze_c4_exact():
@@ -332,15 +355,13 @@ def test_integral_solve_is_refused_before_the_dense_matrix(monkeypatch):
 
 
 def test_integer_primitive_is_rechecked_over_z(monkeypatch):
-    solve = obstruction.solve_coboundary
+    # cycle(3) falls back to the full integer solve.
+    solve = obstruction.solve_integer
 
-    def tripled(phi, degree, space, coefficients="gf2"):
-        prim, witness = solve(phi, degree, space, coefficients)
-        if coefficients == "int":
-            prim = {cell: 3 * v for cell, v in prim.items()}  # still right mod 2
-        return prim, witness
+    def tripled(rows, rhs):
+        return {j: 3 * v for j, v in solve(rows, rhs).items()}  # still right mod 2
 
-    monkeypatch.setattr(obstruction, "solve_coboundary", tripled)
+    monkeypatch.setattr(obstruction, "solve_integer", tripled)
     with pytest.raises(RuntimeError, match="integer primitive fails verification"):
         certify_vanishing(cycle(3), integral=True)
 

@@ -20,6 +20,7 @@ from raagdim.homology import boundary_rows, cycle_space, simplex_boundary
 from raagdim.obstruction import certify_vanishing
 from raagdim.octa import double_over, octahedralize
 from raagdim.zoo import ZOO, cycle, octahedron_boundary, points, random_flag
+from test_octa import eager_octahedralization
 
 
 def pair_cell_boundary(cell):
@@ -431,8 +432,8 @@ SCAN_CAP = 60_000
 def assert_lifted_index_matches_the_tuple_oracle(L):
     """OL's space, lifted from L, against the index of OL's tuple face set,
     field by field, and against the space built on that face set."""
-    octa = octahedralize(L)
-    lifted, ref = ConfigurationSpace(octa), index_reference.tuple_index(octa.complex)
+    octa, eager = octahedralize(L), eager_octahedralization(L)
+    lifted, ref = ConfigurationSpace(octa), index_reference.tuple_index(eager)
     ranks, masks, first, spans = lifted._index
     assert ranks == ref["ranks"]
     assert masks == ref["masks"]
@@ -442,8 +443,8 @@ def assert_lifted_index_matches_the_tuple_oracle(L):
     assert lifted.faces == ref["faces"]
     assert lifted.minus_ids == ref["minus_ids"]
     assert [[lifted.faces[g] for g in lifted.ids_of_dim(k)] for k in range(L.dim + 1)] == [
-        list(octa.complex.faces_of_dim(k)) for k in range(L.dim + 1)]
-    assert lifted._index == ConfigurationSpace(octa.complex)._index
+        list(eager.faces_of_dim(k)) for k in range(L.dim + 1)]
+    assert lifted._index == ConfigurationSpace(eager)._index
     for d in range(-1, 2 * L.dim + 2):
         count = lifted.count_cells(d)
         assert count == base_pair_count(L, d), (L.maximal_faces(), d)

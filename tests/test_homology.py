@@ -15,10 +15,11 @@ from raagdim.homology import (
     simplex_boundary,
     solve_coboundary,
 )
-from raagdim.obstruction import _recheck, top_mesh_cocycle
+from raagdim import obstruction
+from raagdim.obstruction import _recheck, certify_vanishing, top_mesh_cocycle
 from raagdim.octa import octahedralize
 from raagdim.zoo import ZOO, cycle, octahedron_boundary, path, points, random_flag, simplex, tree
-from raagdim.intlinalg import integer_rank
+from raagdim.intlinalg import integer_rank, solve_integer
 from test_bounds import RP2
 from test_config_space import pairs_of, signed_boundary
 
@@ -177,6 +178,12 @@ def test_rational_betti_matches_the_dense_elimination():
 # --- coboundary solving ----------------------------------------------------
 
 
+def integer_solve(phi, degree, space):
+    """The full integer solve on `space`'s signed facet keys, as `certify_vanishing` falls back to it."""
+    sol = solve_integer([zip(*row) for row, _ in zip(space.signed_facet_keys(degree), phi, strict=True)], phi)
+    return None if sol is None else {key: v for key, v in sorted(sol.items()) if v}
+
+
 def test_solve_coboundary_zero_is_zero():
     space = ConfigurationSpace(octahedralize(path(3)).complex)
     n = space.count_cells(2)
@@ -186,19 +193,27 @@ def test_solve_coboundary_zero_is_zero():
     assert prim == {}
 
 
-def test_a_phi_one_entry_short_is_refused_by_both_solves_and_the_recheck():
+def test_a_phi_one_entry_short_is_refused_by_both_solves_and_the_recheck(monkeypatch):
     # phi is read by position: one entry short must raise, not pair off
     # fewer equations.
     octa = octahedralize(path(3))
     space = ConfigurationSpace(octa.complex)
     phi = top_mesh_cocycle(space, 1)
-    for ring, modulus in (("gf2", 2), ("int", 0)):
-        prim, _ = solve_coboundary(phi, 2, space, ring)
+    for solve, modulus in ((lambda *args: solve_coboundary(*args)[0], 2), (integer_solve, 0)):
+        prim = solve(phi, 2, space)
         _recheck(space, 2, phi, prim, modulus, "primitive")
         with pytest.raises(ValueError, match="argument 2 is shorter"):
-            solve_coboundary(phi[:-1], 2, space, ring)
+            solve(phi[:-1], 2, space)
         with pytest.raises(ValueError, match="argument 2 is shorter"):
             _recheck(space, 2, phi[:-1], prim, modulus, "primitive")
+    # certify_vanishing's own fallback to the full integer solve, reached
+    # with a short phi past the GF(2) solve and its re-check.
+    monkeypatch.setattr(obstruction, "top_mesh_cocycle", lambda space, degree: top_mesh_cocycle(space, degree)[:-1])
+    monkeypatch.setattr(obstruction, "solve_coboundary", lambda phi, degree, space: ({}, None))
+    monkeypatch.setattr(obstruction, "_recheck", lambda *args: None)
+    monkeypatch.setattr(obstruction, "_pullback_primitive", lambda octa, space, k: None)
+    with pytest.raises(ValueError, match="argument 2 is shorter"):
+        certify_vanishing(path(3), integral=True)
 
 
 @given(st.integers(0, 10**6))
@@ -268,8 +283,7 @@ def test_solve_coboundary_integer_route():
         v = sum(coeff * psi.get(sub, 0) for sub, coeff in signed_boundary(K, cell))
         if v:
             phi[cell] = v
-    prim, witness = solve_coboundary([phi.get(c, 0) for c in cells], 2, space, coefficients="int")
-    assert witness is None
+    prim = integer_solve([phi.get(c, 0) for c in cells], 2, space)
     prim = {space.key_cell(key): v for key, v in prim.items()}
     for cell in cells:
         v = sum(coeff * prim.get(sub, 0) for sub, coeff in signed_boundary(K, cell))
