@@ -104,16 +104,17 @@ def is_full_simplex(L: SimplicialComplex) -> bool:
 
 
 def _lower_bounds(L: SimplicialComplex, depth: int, search_budget: int, cache: dict, above: int):
-    """(value, rule, what) each time the running bound, from `above`,
+    """(value, rule, what, why) each time the running bound, from `above`,
     rises: for the octahedral sphere (what None); for the highest degree d
     with 2d above the bound and the sphere floor -1 that has a certificate
     (what (d, certificate)); while `depth > 0`, for each vertex v whose link,
     asked through `vkdim_lower` above the bound - 1, beats it (what (v, link
-    bound, why)).  A link gives at most 2 dim L - 1, so from that bound on
-    none is built."""
+    bound, why)).  `why` is the rise's explanation in `vkdim_lower`; the
+    rule and `what` are the data `analyze` records.  A link gives at most
+    2 dim L - 1, so from that bound on none is built."""
     if is_full_simplex(L) and L.dim - 1 > above:
         above = L.dim - 1
-        yield above, "octahedral-sphere", None
+        yield above, "octahedral-sphere", None, f"octahedral sphere of dimension {L.dim}"
     above = max(above, -1)
     for degree in range(L.dim, -1, -1):
         if 2 * degree <= above:
@@ -121,7 +122,7 @@ def _lower_bounds(L: SimplicialComplex, depth: int, search_budget: int, cache: d
         cert = certify_nonvanishing(L, degree, search_budget=search_budget)
         if cert is not None:
             above = 2 * degree
-            yield above, "covering-chain-certificate", (degree, cert)
+            yield above, "covering-chain-certificate", (degree, cert), f"covering-chain certificate in degree {degree}"
             break
     if depth <= 0:
         return
@@ -134,7 +135,7 @@ def _lower_bounds(L: SimplicialComplex, depth: int, search_budget: int, cache: d
             found = vkdim_lower(lk, depth - 1, search_budget, cache, above - 1)
             if found is not None:
                 above = found[0] + 1
-                yield above, "star-link", (v, *found)
+                yield above, "star-link", (v, *found), "star/link at vertex {!r}: link gives {} ({})".format(v, *found)
 
 
 def vkdim_lower(L: SimplicialComplex, depth: int = STAR_DEPTH, search_budget: int = SEARCH_BUDGET, _cache=None,
@@ -180,13 +181,8 @@ def vkdim_lower(L: SimplicialComplex, depth: int = STAR_DEPTH, search_budget: in
     if known is not None and known <= _above:
         return None
     best = (-1, "sphere floor: the doubled vertex pair")
-    for value, rule, what in _lower_bounds(L, depth, search_budget, _cache, _above):
-        if rule == "octahedral-sphere":
-            best = (value, f"octahedral sphere of dimension {L.dim}")
-        elif rule == "covering-chain-certificate":
-            best = (value, f"covering-chain certificate in degree {what[0]}")
-        else:
-            best = (value, "star/link at vertex {!r}: link gives {} ({})".format(*what))
+    for value, _rule, _what, why in _lower_bounds(L, depth, search_budget, _cache, _above):
+        best = (value, why)
     if best[0] > 2 * L.dim:
         raise RuntimeError(f"star/link bound {best[0]} exceeds twice the dimension {L.dim}: {best[1]}")
     if best[0] <= _above:
@@ -239,7 +235,7 @@ def analyze(
     sphere = is_full_simplex(L)
     certificate = None
     sub_certs: tuple = ()
-    for value, rule, what in _lower_bounds(L, STAR_DEPTH, search_budget, {}, -2):
+    for value, rule, what, _why in _lower_bounds(L, STAR_DEPTH, search_budget, {}, -2):
         if rule == "octahedral-sphere":
             detail = f"the octahedralization is the {k}-sphere"
             records.append(BoundRecord("vkdim", "lower", value, rule, detail))

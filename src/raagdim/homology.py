@@ -15,8 +15,8 @@ signed rows themselves.  The configuration space plugs into the GF(2)
 The cochain phi is a sequence in the order of those rows, the cell order,
 and a primitive comes back on cell keys, so the solve builds no cell, of
 degree d or d-1.  Over Z, `obstruction.certify_vanishing` solves on L and
-pulls back, and falls back to `intlinalg.solve_integer` on the space's
-signed facet keys (``signed_facet_keys(d)``) itself.
+pulls back, and falls back to its `_integer_solve` on the space's signed
+facet keys (``signed_facet_keys(d)``).
 """
 
 from __future__ import annotations

@@ -179,14 +179,16 @@ def check_star_condition(cycle, delta: tuple) -> StarConditionReport:
 def delta_product_chain(doubled: DoubledComplex, space: ConfigurationSpace) -> dict:
     """The product chain (all signed lifts of delta) x (minus copy of the
     cycle), on the face-id pairs of `space`'s complex, which must hold them
-    and be ranked in OL's vertex order (a space lifted from the base, as
-    `ConfigurationSpace(doubled)` is): the lifts by `lift_ranks` on base
-    rank tuples, a minus copy being the lift with no plus rank, read
-    through `space.rank_ids`."""
-    rk, rid = doubled.octa.base.rank, space.rank_ids
+    in a suborder of OL's vertex order: both halves lifted by `lift_ranks`
+    (a minus copy is the lift with no plus rank), read through
+    `space.rank_ids`, after `space.K.rank` on a space not on OL's ranks."""
+    rk, rid, ranks = doubled.octa.base.rank, space.rank_ids, space.K.rank
     delta = tuple([rk[v] for v in doubled.delta])
-    lifts = [rid[t] for t in lift_ranks([[delta]], delta)[0]]
-    minus_cycle = [rid[t] for t in lift_ranks([[tuple([rk[v] for v in b]) for b in doubled.cycle]], ())[0]]
+    halves = [lift_ranks([[delta]], delta)[0], lift_ranks([[tuple([rk[v] for v in b]) for b in doubled.cycle]], ())[0]]
+    if ranks is not doubled.octa.rank:
+        to = [ranks.get(sv) for sv in doubled.octa.vertices]
+        halves = [[tuple([to[r] for r in t]) for t in half] for half in halves]
+    lifts, minus_cycle = [[rid[t] for t in half] for half in halves]
     return {(a, b): 1 for a in lifts for b in minus_cycle}
 
 
@@ -334,8 +336,8 @@ def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: i
     psis = unit_pivot_solve(boundary_rows(L, k), distinct)
     if psis is None:
         return None
-    faces = [tuple([rk[v] for v in beta]) for beta in L.faces_of_dim(k - 1)]
-    lower = [[rid[t] for t in lift_ranks([[r]], r)[0]] for r in faces]
+    faces = [[tuple([rk[v] for v in beta])] for beta in L.faces_of_dim(k - 1)]
+    lower = [[rid[t] for t in lifts] for lifts in lift_ranks(faces, range(len(rk)))]
     psi = {r: [(lower[i], v) for i, v in x.items() if v] for r, x in zip(distinct, psis)}
     values: dict = {}
     for a, r in zip(tops, rhs):
@@ -345,6 +347,14 @@ def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: i
                 if not mask & masks[tau]:
                     values[a * F + tau if first < ranks[tau][0] else tau * F + a] = v
     return dict(sorted(values.items()))
+
+
+def _integer_solve(phi, degree: int, space: ConfigurationSpace):
+    """The full integer solve of delta(x) = phi on `space`'s signed facet
+    keys, the rows the Z re-check reads: a primitive on keys, in key order
+    with no zero value, or None.  Raises `CoreTooLarge` past the cap."""
+    sol = solve_integer([zip(*row) for row, _ in zip(space.signed_facet_keys(degree), phi, strict=True)], phi)
+    return None if sol is None else {key: v for key, v in sorted(sol.items()) if v}
 
 
 def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: int = MAX_CELLS) -> VanishingResult:
@@ -359,12 +369,11 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
     which is also the integer cocycle (see `top_mesh_cocycle`), is
     additionally solved over Z: first on L and pulled back
     (`_pullback_primitive`); when that route does not apply, on the whole
-    configuration space's signed facet keys, the rows the Z re-check reads,
-    by `intlinalg.solve_integer`.  Neither builds a (2k-1)-cell.  The full
-    solve is refused (with a reason) when the dense core left after its
-    unit pivots has more than `intlinalg.INTEGRAL_ENTRY_CAP` entries.  Each
-    primitive found is re-checked exactly, mod 2 resp. over Z, on every top
-    cell.
+    configuration space (`_integer_solve`).  Neither builds a (2k-1)-cell.
+    The full solve is refused (with a reason) when the dense core left
+    after its unit pivots has more than `intlinalg.INTEGRAL_ENTRY_CAP`
+    entries.  Each primitive found is re-checked exactly, mod 2 resp. over
+    Z, on every top cell.
     """
     k = L.dim
     if k < 0:
@@ -394,10 +403,8 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
     if integral:
         integral_prim = _pullback_primitive(octa, space, k)
         if integral_prim is None:
-            rows = [zip(*row) for row, _ in zip(space.signed_facet_keys(2 * k), phi, strict=True)]
             try:
-                sol = solve_integer(rows, phi)
-                integral_prim = None if sol is None else {key: v for key, v in sorted(sol.items()) if v}
+                integral_prim = _integer_solve(phi, 2 * k, space)
             except CoreTooLarge as exc:
                 reason = str(exc)
         if integral_prim is not None:

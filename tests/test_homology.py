@@ -16,10 +16,10 @@ from raagdim.homology import (
     solve_coboundary,
 )
 from raagdim import obstruction
-from raagdim.obstruction import _recheck, certify_vanishing, top_mesh_cocycle
+from raagdim.obstruction import _integer_solve, _recheck, certify_vanishing, top_mesh_cocycle
 from raagdim.octa import octahedralize
 from raagdim.zoo import ZOO, cycle, octahedron_boundary, path, points, random_flag, simplex, tree
-from raagdim.intlinalg import integer_rank, solve_integer
+from raagdim.intlinalg import integer_rank
 from test_bounds import RP2
 from test_config_space import pairs_of, signed_boundary
 
@@ -178,12 +178,6 @@ def test_rational_betti_matches_the_dense_elimination():
 # --- coboundary solving ----------------------------------------------------
 
 
-def integer_solve(phi, degree, space):
-    """The full integer solve on `space`'s signed facet keys, as `certify_vanishing` falls back to it."""
-    sol = solve_integer([zip(*row) for row, _ in zip(space.signed_facet_keys(degree), phi, strict=True)], phi)
-    return None if sol is None else {key: v for key, v in sorted(sol.items()) if v}
-
-
 def test_solve_coboundary_zero_is_zero():
     space = ConfigurationSpace(octahedralize(path(3)).complex)
     n = space.count_cells(2)
@@ -199,7 +193,7 @@ def test_a_phi_one_entry_short_is_refused_by_both_solves_and_the_recheck(monkeyp
     octa = octahedralize(path(3))
     space = ConfigurationSpace(octa.complex)
     phi = top_mesh_cocycle(space, 1)
-    for solve, modulus in ((lambda *args: solve_coboundary(*args)[0], 2), (integer_solve, 0)):
+    for solve, modulus in ((lambda *args: solve_coboundary(*args)[0], 2), (_integer_solve, 0)):
         prim = solve(phi, 2, space)
         _recheck(space, 2, phi, prim, modulus, "primitive")
         with pytest.raises(ValueError, match="argument 2 is shorter"):
@@ -283,7 +277,7 @@ def test_solve_coboundary_integer_route():
         v = sum(coeff * psi.get(sub, 0) for sub, coeff in signed_boundary(K, cell))
         if v:
             phi[cell] = v
-    prim = integer_solve([phi.get(c, 0) for c in cells], 2, space)
+    prim = _integer_solve([phi.get(c, 0) for c in cells], 2, space)
     prim = {space.key_cell(key): v for key, v in prim.items()}
     for cell in cells:
         v = sum(coeff * prim.get(sub, 0) for sub, coeff in signed_boundary(K, cell))

@@ -8,11 +8,10 @@ import integer_recheck
 from raagdim import obstruction
 from raagdim.complexes import make_complex
 from raagdim.config_space import ConfigurationSpace
-from raagdim.obstruction import _pullback_primitive, certify_vanishing, top_mesh_cocycle
+from raagdim.obstruction import _integer_solve, _pullback_primitive, certify_vanishing, top_mesh_cocycle
 from raagdim.octa import octahedralize
 from raagdim.zoo import cone, cycle, path, random_flag, tree
 from test_bounds import RP2
-from test_homology import integer_solve
 from test_obstruction import bench_vanishing_complexes
 
 TETRAHEDRON_BOUNDARY = make_complex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
@@ -40,7 +39,7 @@ def check_route_against_full_solve(L):
     assert list(values) == sorted(values)
     phi_cells = dict(zip(space.cells_of_degree(2 * k), phi, strict=True))
     assert integer_recheck.recheck(space, 2 * k, phi_cells, on_cells(space, values))
-    full = integer_solve(phi, 2 * k, space)
+    full = _integer_solve(phi, 2 * k, space)
     assert full is not None and integer_recheck.recheck(space, 2 * k, phi_cells, on_cells(space, full))
     return True
 
@@ -64,7 +63,7 @@ def test_route_on_the_bench_cases():
 def test_fallback_returns_the_full_solves_own_primitive_and_reason(L):
     octa, space, phi = top_system(L)
     assert _pullback_primitive(octa, space, L.dim) is None
-    full = integer_solve(phi, 2 * L.dim, space)
+    full = _integer_solve(phi, 2 * L.dim, space)
     result = certify_vanishing(L, integral=True)
     assert list(result.integral_primitive.items()) == list(full.items()) and result.reason == ""
     assert result.integral_checked
