@@ -13,10 +13,12 @@ built once through `rank_ids`, the one dict that names a face by id, on
 its rank tuple (drop each vertex, in id order).  Each degree is enumerated
 once, as face-id pairs (a, b) already in cell order (by the id of a, then
 of b), with no sort; `indexed_cells(d)` hands them out with the rank
-tuples, which the meshing cocycle reads, and `cells_of_degree(d)`,
-uncached, turns them into pairs of faces.  The faces as vertex tuples are
-built only on first read, from the rank tuples, by what hands out cells
-(`cells_of_degree`, `key_cell`).
+tuples, which the meshing cocycle and the moment oracle read, and
+`cells_of_degree(d)`, uncached, turns them into pairs of faces for the
+scripts, the tests and the benchmark's tracer: nothing in the package
+reads it.  The faces as vertex tuples are built only on first read, from
+the rank tuples, by what hands out cells (`cells_of_degree`, `key_cell`)
+or words a failure.
 
 The space of a complex on signed vertices, OL or a doubled complex, is
 built from its base, not from its face set, which it never builds.  A

@@ -21,7 +21,10 @@ the certificate stores the pairs as cells once.
 Vanishing is certified by an explicit coboundary primitive on cell keys.
 A geometric cross-check computes exact signed intersection numbers of
 simplices mapped to the moment curve and must reproduce the combinatorial
-cocycle.
+cocycle.  Like `mesh_values`, it reads cells as face-id pairs on the rank
+tuples of the index (`moment_values`); `moment_intersection` is its entry
+point on vertex tuples, and both share the one memoized solve on rank
+tuples and the one orientation normalization.
 """
 
 from __future__ import annotations
@@ -473,14 +476,27 @@ def _reference_sign(k: int) -> int:
     return raw
 
 
+def moment_values(ranks, pairs) -> list:
+    """The moment oracle on the index: for each cell, given by its face-id
+    pair (a, b), the exact signed moment-curve intersection number of the
+    rank tuples ranks[a] and ranks[b], normalized to the cocycle's
+    orientation convention (the one copy of that rule).  Stored cells are
+    disjoint, as the index checks on masks, so only dimensions are checked."""
+    values = []
+    for a, b in pairs:
+        pa, pb = ranks[a], ranks[b]
+        if len(pa) != len(pb):
+            raise ValueError("the moment oracle pairs equal-dimensional simplices")
+        values.append(_reference_sign(len(pa) - 1) * _raw_moment_pairing(pa, pb))
+    return values
+
+
 def moment_intersection(sigma: tuple, tau: tuple, rank: dict) -> int:
-    """Exact signed moment-curve intersection number of an ordered pair,
-    normalized to the cocycle's orientation convention."""
-    if len(sigma) != len(tau):
-        raise ValueError("the moment oracle pairs equal-dimensional simplices")
+    """Exact signed moment-curve intersection number of an ordered pair of
+    vertex tuples: `moment_values` on their rank tuples, once checked
+    disjoint."""
     pa = tuple(rank[v] for v in sigma)
     pb = tuple(rank[v] for v in tau)
     if not set(pa).isdisjoint(pb):
         raise ValueError("the moment oracle pairs disjoint simplices")
-    k = len(pa) - 1
-    return _reference_sign(k) * _raw_moment_pairing(pa, pb)
+    return moment_values((pa, pb), ((0, 1),))[0]

@@ -22,14 +22,16 @@ solves against, and each cell's two product terms and swap sign come from
 nu'(t1) + s * nu'(t2) = phi cell by cell, with no chain built per cell.
 One memo per complex holds nu' of each product cell read, evaluated once
 on rank tuples (`nonstrict_rank_indicator`), filled by the pullback check
-and read again by the evaluation check.  Only the moment oracle reads
-cells as pairs of faces (`cells_of_degree`), and a failure's wording.
+and read again by the evaluation check.  The moment oracle reads the
+same face-id pairs, the first `ORACLE_CELL_CAP` top cells, on their rank
+tuples (`moment_values`), so a passing check builds no cell as a pair of
+faces; only a failure's wording does.
 
 The driver's own faults live in tests/test_suite.py, which swaps this
 module's `push_to_product` for one that keeps only the first product term
 (the pushforward identity catches it), its `top_mesh_cocycle` for an
 inverted meshing test (the pullback identity catches it on the first
-cell), its `moment_intersection` for a negated oracle (the oracle agreement
+cell), its `moment_values` for a negated oracle (the oracle agreement
 catches it), `obstruction.push_terms` for one without the swap term (the
 pushforward identity catches it; on a stored cell the swap term never
 meshes, so the pullback identity cannot), and the projection table
@@ -49,7 +51,7 @@ from .obstruction import (
     check_star_condition,
     covering_pair_chain,
     delta_product_chain,
-    moment_intersection,
+    moment_values,
     nonstrict_rank_indicator,
     push_terms,
     push_to_product,
@@ -184,14 +186,16 @@ def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
                 f"cycle {sorted(cyc)}, delta {delta}: product chain evaluates to 0"))
             return
 
-    rank = octa.rank
-    for cell, value in zip(space.cells_of_degree(2 * k)[:ORACLE_CELL_CAP], cocycle):
-        result.checks += 1
-        if moment_intersection(cell[0], cell[1], rank) != value:
+    oracle_pairs = top_pairs[:ORACLE_CELL_CAP]
+    for i, (geo, value) in enumerate(zip(moment_values(space.ranks, oracle_pairs), cocycle)):
+        if geo != value:
+            result.checks += i + 1
+            faces, (a, b) = space.faces, oracle_pairs[i]
             result.failures.append(SuiteFailure(
                 "moment-oracle", K.maximal_faces(),
-                f"cell {cell}: geometric intersection disagrees with the cocycle"))
+                f"cell {(faces[a], faces[b])}: geometric intersection disagrees with the cocycle"))
             return
+    result.checks += len(oracle_pairs)
 
 
 def run_suite(seed: int, count: int) -> SuiteResult:

@@ -25,7 +25,9 @@ from raagdim.obstruction import (
     covering_pair_chain,
     delta_product_chain,
     mesh_number,
+    mesh_values,
     moment_intersection,
+    moment_values,
     nonstrict_rank_indicator,
     push_terms,
     push_to_product,
@@ -693,8 +695,31 @@ def test_moment_oracle_refuses_pairs_outside_its_domain(sigma, tau):
     before = obstruction._raw_moment_pairing.cache_info().currsize
     with pytest.raises(ValueError):
         moment_intersection(sigma, tau, rank)
+    if len(sigma) != len(tau):
+        # The index reader checks dimensions only: stored cells are disjoint.
+        with pytest.raises(ValueError):
+            moment_values((sigma, tau), [(0, 1)])
     # Refused before the memoized solve, so no bad key is stored.
     assert obstruction._raw_moment_pairing.cache_info().currsize == before
+
+
+def test_moment_oracle_entry_points_agree_on_every_top_cell():
+    # The suite's spaces on OL, and random flag complexes on the base and on
+    # OL's face set, as scripts/moment_oracle_sweep.py reads them.
+    cases = []
+    for K in (cycle(5), suspension(cycle(4)), octahedron_boundary(2)):
+        o = octahedralize(K)
+        cases.append((ConfigurationSpace(o), o.rank, K.dim))
+    for seed in (1, 3, 16):  # seeds whose base has top cells
+        K = random_flag(7, 0.45, seed)
+        cases += [(ConfigurationSpace(J), J.rank, J.dim) for J in (K, octahedralize(K).complex)]
+    for space, rank, k in cases:
+        ranks, pairs = space.indexed_cells(2 * k)
+        faces = space.faces
+        assert pairs
+        values = moment_values(ranks, pairs)
+        assert values == [moment_intersection(faces[a], faces[b], rank) for a, b in pairs]
+        assert values == mesh_values(ranks, pairs)
 
 
 def test_moment_oracle_memo_is_exact(monkeypatch):

@@ -5,7 +5,7 @@ from functools import cached_property
 
 from raagdim import obstruction, suite
 from raagdim.complexes import make_complex
-from raagdim.obstruction import moment_intersection, nonstrict_rank_indicator, push_terms, top_mesh_cocycle
+from raagdim.obstruction import moment_values, nonstrict_rank_indicator, push_terms, top_mesh_cocycle
 from raagdim.octa import octahedralize
 from raagdim.config_space import ConfigurationSpace
 from raagdim.suite import SuiteResult, check_complex, run_suite
@@ -32,13 +32,13 @@ def dropped_push_to_product(chain, space):
     return {c: v for c, v in out.items() if v}
 
 
-def negated_moment_intersection(sigma, tau, rank):
+def negated_moment_values(ranks, pairs):
     """Fault: the moment oracle's sign flipped.
 
     Swapped in at the suite's binding: the oracle memoizes its exact solve,
     so a fault at `intlinalg.integer_det` would be masked on a warm cache.
     """
-    return -moment_intersection(sigma, tau, rank)
+    return [-v for v in moment_values(ranks, pairs)]
 
 
 def test_suite_deterministic_for_fixed_seed():
@@ -94,7 +94,7 @@ def test_the_swap_term_of_a_stored_top_cell_never_meshes():
 
 
 def test_injected_oracle_fault_is_caught_and_shrunk(monkeypatch):
-    monkeypatch.setattr(suite, "moment_intersection", negated_moment_intersection)
+    monkeypatch.setattr(suite, "moment_values", negated_moment_values)
     res = run_suite(seed=3, count=5)
     assert res.failures
     fail = res.failures[0]
@@ -109,6 +109,30 @@ def test_injected_oracle_fault_is_caught_and_shrunk(monkeypatch):
     probe = SuiteResult()
     check_complex(shrunk, probe)
     assert [f.check for f in probe.failures] == ["moment-oracle"]
+
+
+def test_a_passing_check_builds_no_cell_tuple(monkeypatch):
+    # Every identity and the moment oracle read face-id pairs and rank
+    # tuples; only a failure's wording names a cell by its faces.
+    cases = (cycle(5), octahedron_boundary(2), suspension(cycle(4)))
+    counts = []
+    for K in cases:
+        res = SuiteResult()
+        check_complex(K, res)
+        counts.append(res.checks)
+    suite_checks = run_suite(0, 5).checks
+
+    def refuse(self, *args):
+        raise AssertionError("a cell was named by its faces")
+
+    monkeypatch.setattr(ConfigurationSpace, "cells_of_degree", refuse)
+    monkeypatch.setattr(ConfigurationSpace, "faces", property(refuse))
+    for K, checks in zip(cases, counts):
+        res = SuiteResult()
+        check_complex(K, res)
+        assert not res.failures and res.checks == checks
+    res = run_suite(0, 5)
+    assert (res.complexes, res.checks, res.failures) == (5, suite_checks, [])
 
 
 def test_corrupted_minus_table_entry_is_caught(monkeypatch):

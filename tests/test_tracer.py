@@ -31,6 +31,9 @@ def test_tracer_wraps_and_reads_every_hooked_layer():
         cert = io_json.certificate_from_json(io_json.certificate_to_json(report.certificate))
         assert verify.verify_certificate(L, cert).ok
         suite.check_complex(L, suite.SuiteResult())
+        # No engine path names cells by their faces, so this hooked reader
+        # is called directly, through the class.
+        config_space.ConfigurationSpace(L).cells_of_degree(2)
         bounds.analyze(path(3), integral=True)  # both coboundary solves
         # The unit pivots of the integer solve clear path(3); the real
         # projective plane leaves a core for the Smith normal form.
