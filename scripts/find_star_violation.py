@@ -18,7 +18,7 @@ import argparse
 import os
 import random
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -29,8 +29,7 @@ from raagdim.octa import double_over, octahedralize  # noqa: E402
 from raagdim.zoo import simplex  # noqa: E402
 
 
-@dataclass(frozen=True)
-class ViolationExhibit:
+class ViolationExhibit(NamedTuple):
     complex: SimplicialComplex
     cycle: frozenset
     delta: tuple

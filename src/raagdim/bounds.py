@@ -20,7 +20,7 @@ certified interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import SimplicialComplex, is_flag, link
 from .homology import mod2_betti, rational_betti
@@ -35,8 +35,7 @@ CAVEAT_MOD2_ONLY = "mod-2-vanishing-only"
 STAR_DEPTH = 3
 
 
-@dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(NamedTuple):
     quantity: str  # 'vkdim' | 'embdim' | 'actdim'
     kind: str  # 'lower' | 'upper'
     value: int
@@ -57,8 +56,7 @@ class BoundRecord:
         }
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     vertices: int
     dim: int
     flag: bool

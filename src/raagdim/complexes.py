@@ -13,13 +13,19 @@ are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+# SimplicialComplex's fields; subclassing them gives it the `__dict__` that
+# its cached properties fill.
+class _ComplexFields(NamedTuple):
+    vertices: tuple
+    faces: frozenset
+
+
+class SimplicialComplex(_ComplexFields):
     """Face-closed set of simplices over an ordered vertex set.
 
     vertices: labels in rank order (rank = index, contiguous from 0).
@@ -27,9 +33,6 @@ class SimplicialComplex:
 
     The empty complex has dimension -1.  The empty simplex is never stored.
     """
-
-    vertices: tuple
-    faces: frozenset
 
     @cached_property
     def rank(self) -> dict:
@@ -162,8 +165,7 @@ def flag_completion(vertices, edges) -> SimplicialComplex:
     return SimplicialComplex(vertices=vertices, faces=frozenset(faces))
 
 
-@dataclass(frozen=True)
-class FlagWitness:
+class FlagWitness(NamedTuple):
     """Result of a flag test: `missing_clique` is a minimal non-face whose
     1-skeleton is complete, present exactly when the complex is not flag."""
 

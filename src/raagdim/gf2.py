@@ -50,9 +50,11 @@ def _back_substitute(piv, order, x):
     """Add each pivot column of `order` (ascending) to the set x when its
     row has odd parity on x.  A row has no key above its own pivot, and x
     never holds that key when the row is visited, so the row's parity on x
-    is the sum of its lower columns."""
+    is the sum of its lower columns; most rows miss x, which `isdisjoint`
+    tells without building the intersection."""
     for c in order:
-        if len(x.intersection(piv[c])) & 1:
+        row = piv[c]
+        if not x.isdisjoint(row) and len(x.intersection(row)) & 1:
             x.add(c)
     return x
 

@@ -29,9 +29,9 @@ tuples and the one orientation normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .complexes import SimplicialComplex, skeleton
 from .config_space import ConfigurationSpace
@@ -154,8 +154,7 @@ def covering_pair_chain(doubled: DoubledComplex):
     return space, tuple([(a, b) for a, b in pairs if cover[a] | cover[b] == full])
 
 
-@dataclass(frozen=True)
-class StarConditionReport:
+class StarConditionReport(NamedTuple):
     """Outcome of the pair-intersection scan: every two cycle simplices that
     jointly cover the chosen simplex must intersect inside it."""
 
@@ -199,8 +198,7 @@ def delta_product_chain(doubled: DoubledComplex, space: ConfigurationSpace) -> d
 # Certificates
 
 
-@dataclass(frozen=True)
-class CycleCertificate:
+class CycleCertificate(NamedTuple):
     """Machine-checkable witness that the top mod-2 obstruction of the
     octahedralized l-skeleton pairs nontrivially with a cycle."""
 
@@ -264,8 +262,7 @@ def certify_nonvanishing(L: SimplicialComplex, degree: int | None = None, search
     return None
 
 
-@dataclass(frozen=True)
-class VanishingResult:
+class VanishingResult(NamedTuple):
     """Outcome of the top-degree coboundary solve on the configuration space.
 
     status: 'primitive' (solved; the class vanishes mod 2), 'obstructed'
@@ -302,7 +299,8 @@ def _recheck(space: ConfigurationSpace, degree: int, phi: list, values: dict, mo
     the signed facet keys over Z."""
     if modulus == 2:
         support = {key for key, v in values.items() if v % 2}
-        diffs = (len(support.intersection(keys)) for keys in space.facet_keys(degree))
+        diffs = (0 if support.isdisjoint(keys) else len(support.intersection(keys))
+                 for keys in space.facet_keys(degree))
     else:
         get = values.get
         diffs = (sum([s * get(key, 0) for key, s in zip(keys, signs)]) for keys, signs in space.signed_facet_keys(degree))

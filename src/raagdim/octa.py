@@ -30,9 +30,9 @@ every half, is read by face id from `ConfigurationSpace.minus_ids`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .complexes import SimplicialComplex
 
@@ -58,11 +58,13 @@ def lift_ranks(levels, plus) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class Octahedralization:
-    """The doubled complex of a base, its face set built on first read."""
-
+# Octahedralization's field, subclassed as `_ComplexFields` is.
+class _OctaFields(NamedTuple):
     base: SimplicialComplex
+
+
+class Octahedralization(_OctaFields):
+    """The doubled complex of a base, its face set built on first read."""
 
     @cached_property
     def vertices(self) -> tuple:
@@ -95,8 +97,7 @@ def octahedralize(L: SimplicialComplex) -> Octahedralization:
     return Octahedralization(base=L)
 
 
-@dataclass(frozen=True)
-class DoubledComplex:
+class DoubledComplex(NamedTuple):
     """A cycle support doubled over one of its simplices: the full
     subcomplex of the octahedralized support on the minus copy of the cycle
     plus both lifts of the chosen simplex.  Kept as the cycle, the simplex

@@ -42,7 +42,6 @@ pushforward identity catches it).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .complexes import SimplicialComplex, make_complex
 from .config_space import ConfigurationSpace
@@ -67,18 +66,27 @@ PAIR_CAP = 6
 ORACLE_CELL_CAP = 400
 
 
-@dataclass
-class SuiteFailure:
-    check: str
-    complex_maximal: tuple
-    detail: str
+class _Record:
+    """A mutable record, shown as `Name(field=value, ...)` and equal to one
+    of its own class with equal fields."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        return vars(other) == vars(self) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join([f'{k}={v!r}' for k, v in vars(self).items()])})"
 
 
-@dataclass
-class SuiteResult:
-    complexes: int = 0
-    checks: int = 0
-    failures: list = field(default_factory=list)
+class SuiteFailure(_Record):
+    def __init__(self, check: str, complex_maximal: tuple, detail: str):
+        self.check, self.complex_maximal, self.detail = check, complex_maximal, detail
+
+
+class SuiteResult(_Record):
+    def __init__(self, complexes: int = 0, checks: int = 0, failures: list | None = None):
+        self.complexes, self.checks, self.failures = complexes, checks, [] if failures is None else failures
 
 
 def _sample_complex(rng: random.Random) -> SimplicialComplex | None:

@@ -19,7 +19,7 @@ certificate is a proof object, not a hint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import SimplicialComplex, skeleton
 from .config_space import chain_boundary
@@ -44,8 +44,7 @@ CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
+class VerificationOutcome(NamedTuple):
     ok: bool
     failed_check: str | None
     detail: str

@@ -8,7 +8,8 @@ families are deterministic functions of their seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .complexes import SimplicialComplex, flag_completion, join, make_complex, relabeled
 
@@ -106,17 +107,17 @@ def _prefixed(K: SimplicialComplex, prefix: str) -> SimplicialComplex:
     return relabeled(K, {v: f"{prefix}{v}" for v in K.vertices})
 
 
-@dataclass(frozen=True)
-class ZooEntry:
+class ZooEntry(NamedTuple):
     """A named generator with its expected report values.
 
     `expected` maps quantity names to (value, rule) pairs; rules name the
-    bound machinery that certifies the value.
+    bound machinery that certifies the value.  Its default, shared by every
+    entry that omits it, is an empty read-only mapping.
     """
 
     name: str
     build: object
-    expected: dict = field(default_factory=dict)
+    expected: dict = MappingProxyType({})
     flag: bool = True
 
     def complex(self) -> SimplicialComplex:

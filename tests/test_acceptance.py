@@ -33,7 +33,8 @@ SEARCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 
 def load_search():
     """The violation search, loaded from its script by path (registered
-    first, as its dataclass looks its module up)."""
+    first, as an import registers a module, so that its record class is
+    found by its module's name)."""
     spec = importlib.util.spec_from_file_location("find_star_violation", SEARCH)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
