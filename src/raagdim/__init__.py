@@ -10,13 +10,11 @@ from .bounds import DimensionReport, analyze, geometric_dimension, l2_dimension
 from .complexes import (
     SimplicialComplex,
     flag_completion,
-    full_subcomplex,
     is_flag,
     join,
     link,
     make_complex,
     skeleton,
-    star,
 )
 from .homology import cycle_space, mod2_betti, rational_betti, solve_coboundary
 from .obstruction import (
@@ -41,7 +39,6 @@ __all__ = [
     "cycle_space",
     "double_over",
     "flag_completion",
-    "full_subcomplex",
     "geometric_dimension",
     "is_flag",
     "join",
@@ -54,5 +51,4 @@ __all__ = [
     "rational_betti",
     "skeleton",
     "solve_coboundary",
-    "star",
 ]

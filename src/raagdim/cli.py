@@ -252,10 +252,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except io_json.MalformedInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # io_json.MalformedInput included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

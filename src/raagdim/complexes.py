@@ -178,10 +178,7 @@ class FlagWitness(NamedTuple):
 
 
 def is_flag(K: SimplicialComplex) -> FlagWitness:
-    adj = {v: set() for v in K.vertices}
-    for e in K.faces_of_dim(1):
-        adj[e[0]].add(e[1])
-        adj[e[1]].add(e[0])
+    adj = _adjacency(K.vertices, K.faces_of_dim(1))
     # Scan cliques in increasing size; the first non-face found is minimal
     # because every smaller clique was already verified to be a face.
     current_size = 1
@@ -213,17 +210,6 @@ def link(K: SimplicialComplex, sigma) -> SimplicialComplex:
     return SimplicialComplex(vertices=verts, faces=frozenset(faces))
 
 
-def star(K: SimplicialComplex, sigma) -> SimplicialComplex:
-    """Closed star: all faces of all cofaces of sigma."""
-    s = K.sort_face(sigma)
-    if s not in K.faces:
-        raise ValueError(f"simplex {sigma!r} is not a face")
-    rk = K.rank
-    faces = {f for f in K.faces if tuple(sorted(set(f) | set(s), key=rk.__getitem__)) in K.faces}
-    verts = tuple(v for v in K.vertices if (v,) in faces)
-    return SimplicialComplex(vertices=verts, faces=frozenset(faces))
-
-
 def join(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
     """Simplicial join; vertex order is A's order followed by B's."""
     if set(A.vertices) & set(B.vertices):
@@ -237,13 +223,6 @@ def join(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
 def skeleton(K: SimplicialComplex, k: int) -> SimplicialComplex:
     faces = frozenset(f for f in K.faces if len(f) - 1 <= k)
     verts = tuple(v for v in K.vertices if (v,) in faces)
-    return SimplicialComplex(vertices=verts, faces=faces)
-
-
-def full_subcomplex(K: SimplicialComplex, vertex_subset) -> SimplicialComplex:
-    w = set(vertex_subset)
-    faces = frozenset(f for f in K.faces if set(f) <= w)
-    verts = tuple(v for v in K.vertices if v in w and (v,) in faces)
     return SimplicialComplex(vertices=verts, faces=faces)
 
 

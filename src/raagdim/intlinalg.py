@@ -4,12 +4,12 @@ normal form, and sparse integer linear solves.
 Matrices are lists of lists of Python ints.  Dense rank and determinant
 both read one Bareiss elimination (`_bareiss`), which keeps all
 intermediate values integral; obstruction certificates must never touch
-a float.  `sparse_rank`, `solve_integer` and `unit_pivot_solve` read
-sparse rows, the boundary-row format of `homology`, share one elimination
-on unit pivots (`_unit_pivots`) and build a dense matrix only for the core
-it leaves (`unit_pivot_solve` refuses a core instead).  A column is any
-int, such as a face id of L or a configuration space's facet key, and a
-solution is a {column: value} dict, so no column count is passed.
+a float.  `sparse_rank` and `solve_integer` (for any number of right-hand
+sides at once) read sparse rows, the boundary-row format of `homology`,
+share one elimination on unit pivots (`_unit_pivots`) and build a dense
+matrix only for the core it leaves.  A column is any int, such as a face
+id of L or a configuration space's facet key, and a solution is a
+{column: value} dict, so no column count is passed.
 """
 
 from __future__ import annotations
@@ -258,56 +258,40 @@ def _back_substitute(active, pivots, b, x):
     return x
 
 
-def unit_pivot_solve(rows, rhss):
-    """Integer solutions x of A x = b, one per b in rhss, from one
-    elimination on unit pivots shared by all of them; each x is a
-    {column: value} dict on the pivot columns, every other column 0.
+def solve_integer(rows, rhss):
+    """Integer solutions x of A x = b, one per b in rhss, as {column: value}
+    dicts, or None when some b has no integer solution.
 
-    None when the rows leave a core (the pivots read no right-hand side,
-    so that holds for every b, and no Smith normal form is run) or when
-    some b has no solution.  With no core every row is a pivot row or
-    empty, so b is solvable exactly when it is 0 on the empty rows.
+    rows: sparse rows as for `_unit_pivots`, whose one elimination serves
+    every b.  Only the core, the rows with no unit entry left, goes through
+    a dense Smith normal form, one for all b (raising CoreTooLarge above
+    INTEGRAL_ENTRY_CAP entries); the pivot columns are then back-substituted
+    and every column left out of x is 0.
     """
     bs = [list(b) for b in rhss]
     active, pivots, core = _unit_pivots(rows, bs)
     empty = [i for i, row in enumerate(active) if not row]
-    if core or any(b[i] for b in bs for i in empty):
+    if any(b[i] for b in bs for i in empty):
         return None
-    return [_back_substitute(active, pivots, b, {}) for b in bs]
-
-
-def solve_integer(rows, rhs):
-    """Integer solution x of A x = rhs as a {column: value} dict, or None
-    when unsolvable over Z.
-
-    rows: sparse rows as for `_unit_pivots`, which eliminates them.  Only
-    the rows with no unit entry left, the core, go through a dense Smith
-    normal form (raising CoreTooLarge above INTEGRAL_ENTRY_CAP entries);
-    the pivot columns are then back-substituted and every column left out
-    of x is 0.
-    """
-    b = list(rhs)
-    active, pivots, core = _unit_pivots(rows, [b])
-    x: dict = {}
-    if any(b[i] for i, row in enumerate(active) if not row):
-        return None
+    xs = [{} for _ in bs]
     if core:
         cols = sorted({j for i in core for j in active[i]})
         if len(core) * len(cols) > INTEGRAL_ENTRY_CAP:
             raise CoreTooLarge(f"integer core too large ({len(core)} x {len(cols)} entries > "
                                f"{INTEGRAL_ENTRY_CAP})")
         D, U, V = smith_normal_form([[active[i].get(j, 0) for j in cols] for i in core])
-        c = [sum(u * b[i] for u, i in zip(U_row, core)) for U_row in U]
-        z = [0] * len(cols)
-        for t, ct in enumerate(c):
-            d = D[t][t] if t < len(cols) else 0
-            if d == 0:
-                if ct:
+        for b, x in zip(bs, xs):
+            c = [sum(u * b[i] for u, i in zip(U_row, core)) for U_row in U]
+            z = [0] * len(cols)
+            for t, ct in enumerate(c):
+                d = D[t][t] if t < len(cols) else 0
+                if d == 0:
+                    if ct:
+                        return None
+                elif ct % d:
                     return None
-            elif ct % d:
-                return None
-            else:
-                z[t] = ct // d
-        for j, V_row in zip(cols, V):
-            x[j] = sum(v * zt for v, zt in zip(V_row, z))
-    return _back_substitute(active, pivots, b, x)
+                else:
+                    z[t] = ct // d
+            for j, V_row in zip(cols, V):
+                x[j] = sum(v * zt for v, zt in zip(V_row, z))
+    return [_back_substitute(active, pivots, b, x) for b, x in zip(bs, xs)]

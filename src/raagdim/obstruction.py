@@ -36,7 +36,7 @@ from typing import NamedTuple
 from .complexes import SimplicialComplex, skeleton
 from .config_space import ConfigurationSpace
 from .homology import boundary_rows, cycle_space, solve_coboundary
-from .intlinalg import CoreTooLarge, integer_det, integer_rank, solve_integer, unit_pivot_solve
+from .intlinalg import CoreTooLarge, integer_det, integer_rank, solve_integer
 from .octa import Octahedralization, DoubledComplex, double_over, lift_ranks, octahedralize
 
 # Defaults, shared by `analyze` and the CLI: cycle-basis elements summed per
@@ -318,14 +318,14 @@ def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: i
     `push_to_product`), if delta_L psi_a = (-1)^k nu'(a, -) on L for every
     k-face a of OL, then x{a, tau} = psi_a(p tau) solves delta x = phi; the
     swap sign (-1)^(k(k-1)) is 1, so x does not depend on the stored order.
-    The distinct right-hand sides share one elimination of L's top
-    boundary rows.  None when those rows leave a core after their unit
-    pivots (so the Smith normal form stays where the full solve runs it)
-    or some psi_a has no integer solution.  Builds no (2k-1)-cell, and
-    works on the index: r_a on rank tuples, the minus copy of each k-face
-    and the lifts of each (k-1)-face of L by `lift_ranks` on L's rank
-    tuples, the lifts as face ids through `space.rank_ids`, disjointness
-    on masks and the stored order by first ranks.
+    The distinct right-hand sides share one `solve_integer` of L's top
+    boundary rows, the full solve's unit pivots and core Smith normal form
+    (so it raises CoreTooLarge past the same cap).  None when some psi_a
+    has no integer solution.  Builds no (2k-1)-cell, and works on the
+    index: r_a on rank tuples, the minus copy of each k-face and the lifts
+    of each (k-1)-face of L by `lift_ranks` on L's rank tuples, the lifts
+    as face ids through `space.rank_ids`, disjointness on masks and the
+    stored order by first ranks.
     """
     L = octa.base
     ranks, masks, rid, minus = space.ranks, space.masks, space.rank_ids, space.minus_ranks
@@ -334,7 +334,7 @@ def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: i
     tops = space.ids_of_dim(k)
     rhs = [tuple([sign * nonstrict_rank_indicator(ranks[a], b, minus) for b in minus_top]) for a in tops]
     distinct = list(dict.fromkeys(rhs))
-    psis = unit_pivot_solve(boundary_rows(L, k), distinct)
+    psis = solve_integer(boundary_rows(L, k), distinct)
     if psis is None:
         return None
     faces = [[tuple([rk[v] for v in beta])] for beta in L.faces_of_dim(k - 1)]
@@ -354,8 +354,8 @@ def _integer_solve(phi, degree: int, space: ConfigurationSpace):
     """The full integer solve of delta(x) = phi on `space`'s signed facet
     keys, the rows the Z re-check reads: a primitive on keys, in key order
     with no zero value, or None.  Raises `CoreTooLarge` past the cap."""
-    sol = solve_integer([zip(*row) for row, _ in zip(space.signed_facet_keys(degree), phi, strict=True)], phi)
-    return None if sol is None else {key: v for key, v in sorted(sol.items()) if v}
+    sols = solve_integer([zip(*row) for row, _ in zip(space.signed_facet_keys(degree), phi, strict=True)], [phi])
+    return None if sols is None else {key: v for key, v in sorted(sols[0].items()) if v}
 
 
 def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: int = MAX_CELLS) -> VanishingResult:
@@ -369,12 +369,12 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
     which simultaneously certifies nonvanishing.  With `integral` set, phi,
     which is also the integer cocycle (see `top_mesh_cocycle`), is
     additionally solved over Z: first on L and pulled back
-    (`_pullback_primitive`); when that route does not apply, on the whole
+    (`_pullback_primitive`); when that route finds none, on the whole
     configuration space (`_integer_solve`).  Neither builds a (2k-1)-cell.
-    The full solve is refused (with a reason) when the dense core left
-    after its unit pivots has more than `intlinalg.INTEGRAL_ENTRY_CAP`
-    entries.  Each primitive found is re-checked exactly, mod 2 resp. over
-    Z, on every top cell.
+    Both call `intlinalg.solve_integer`, refused (with a reason) when a
+    dense core of more than `intlinalg.INTEGRAL_ENTRY_CAP` entries is left
+    after its unit pivots.  Each primitive found is re-checked exactly,
+    mod 2 resp. over Z, on every top cell.
     """
     k = L.dim
     if k < 0:
@@ -402,12 +402,12 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
     _recheck(space, 2 * k, phi, primitive, 2, "primitive")
     integral_prim, reason = None, ""
     if integral:
-        integral_prim = _pullback_primitive(octa, space, k)
-        if integral_prim is None:
-            try:
+        try:
+            integral_prim = _pullback_primitive(octa, space, k)
+            if integral_prim is None:
                 integral_prim = _integer_solve(phi, 2 * k, space)
-            except CoreTooLarge as exc:
-                reason = str(exc)
+        except CoreTooLarge as exc:
+            reason = str(exc)
         if integral_prim is not None:
             _recheck(space, 2 * k, phi, integral_prim, 0, "integer primitive")
     return VanishingResult(status="primitive", primitive=primitive, witness_cycle=None, reason=reason,

@@ -340,8 +340,14 @@ RP2 = make_complex([(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
 
 
 def test_integral_solve_is_refused_before_the_dense_matrix(monkeypatch):
+    # The route on L runs the Smith normal form on its 1 x 3 core, under
+    # the cap; the full solve's core is refused before it is built.
+    snf = intlinalg.smith_normal_form
+
     def refuse(mat):
-        raise AssertionError("the Smith normal form ran")
+        if len(mat) * len(mat[0]) > 100:
+            raise AssertionError("the Smith normal form ran past the cap")
+        return snf(mat)
 
     monkeypatch.setattr(intlinalg, "INTEGRAL_ENTRY_CAP", 100)
     monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
@@ -355,11 +361,12 @@ def test_integral_solve_is_refused_before_the_dense_matrix(monkeypatch):
 
 
 def test_integer_primitive_is_rechecked_over_z(monkeypatch):
-    # cycle(3) falls back to the full integer solve.
+    # cycle(3)'s route returns None, so it falls back to the full integer solve.
     solve = obstruction.solve_integer
 
-    def tripled(rows, rhs):
-        return {j: 3 * v for j, v in solve(rows, rhs).items()}  # still right mod 2
+    def tripled(rows, rhss):
+        xs = solve(rows, rhss)
+        return None if xs is None else [{j: 3 * v for j, v in x.items()} for x in xs]  # still right mod 2
 
     monkeypatch.setattr(obstruction, "solve_integer", tripled)
     with pytest.raises(RuntimeError, match="integer primitive fails verification"):

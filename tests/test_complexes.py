@@ -5,16 +5,15 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from complex_reference import full_subcomplex, star
 from raagdim.complexes import (
     flag_completion,
-    full_subcomplex,
     is_flag,
     join,
     link,
     make_complex,
     relabeled,
     skeleton,
-    star,
 )
 from raagdim.zoo import cycle, random_flag, simplex
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import gf2_dense
 from raagdim import gf2, intlinalg
-from raagdim.intlinalg import integer_det, integer_rank, smith_normal_form, solve_integer, sparse_rank, unit_pivot_solve
+from raagdim.intlinalg import integer_det, integer_rank, smith_normal_form, solve_integer, sparse_rank
 
 
 def fraction_rank(mat):
@@ -137,6 +137,12 @@ def residual(mat, x, rhs):
     return [sum(a * x.get(j, 0) for j, a in enumerate(row)) - b for row, b in zip(mat, rhs)]
 
 
+def solve_one(rows, rhs):
+    """`solve_integer` on the one right-hand side rhs: its x, or None."""
+    xs = solve_integer(rows, [rhs])
+    return None if xs is None else xs[0]
+
+
 @given(small_matrix, st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_solve_integer_roundtrip(mat, seed):
@@ -146,17 +152,19 @@ def test_solve_integer_roundtrip(mat, seed):
     nc = len(mat[0])
     x0 = [rng.randint(-3, 3) for _ in range(nc)]
     b = [sum(row[j] * x0[j] for j in range(nc)) for row in mat]
-    x = solve_integer(sparse_rows(mat), b)
+    x = solve_one(sparse_rows(mat), b)
     assert x is not None
     assert [sum(row[j] * x.get(j, 0) for j in range(nc)) for row in mat] == b
 
 
 def test_solve_integer_unsolvable():
-    assert solve_integer([[(0, 2)]], [1]) is None
-    assert solve_integer([[(0, 1), (1, 1)], [(0, 1), (1, 1)]], [0, 1]) is None
-    assert solve_integer([[(0, 1)], []], [0, 1]) is None  # a zero row, rhs 1
-    assert solve_integer([[(0, 1), (0, -1)]], [1]) is None  # entries that cancel
-    assert solve_integer([[(0, 2)]], [4]) == {0: 2}
+    assert solve_one([[(0, 2)]], [1]) is None
+    assert solve_one([[(0, 1), (1, 1)], [(0, 1), (1, 1)]], [0, 1]) is None
+    assert solve_one([[(0, 1)], []], [0, 1]) is None  # a zero row, rhs 1
+    assert solve_one([[(0, 1), (0, -1)]], [1]) is None  # entries that cancel
+    assert solve_one([[(0, 2)]], [4]) == {0: 2}
+    # One unsolvable right-hand side makes the whole solve None.
+    assert solve_integer([[(0, 2)]], [[4], [1]]) is None
 
 
 @st.composite
@@ -178,7 +186,7 @@ def sparse_systems(draw):
 @settings(max_examples=300, deadline=None)
 def test_solve_integer_agrees_with_dense_snf_oracle(system):
     mat, rhs = system
-    x = solve_integer(sparse_rows(mat), rhs)
+    x = solve_one(sparse_rows(mat), rhs)
     assert (x is not None) == dense_snf_solvable(mat, rhs)
     if x is not None:
         assert residual(mat, x, rhs) == [0] * len(mat)
@@ -186,29 +194,18 @@ def test_solve_integer_agrees_with_dense_snf_oracle(system):
 
 @given(st.lists(sparse_systems(), min_size=1, max_size=4))
 @settings(max_examples=200, deadline=None)
-def test_unit_pivot_solve_agrees_with_solve_integer_when_no_core_is_left(systems):
-    # One matrix, the right-hand sides of all the drawn systems cut to its rows.
+def test_solve_integer_on_many_right_hand_sides_agrees_with_one_at_a_time(systems):
+    # One matrix, the right-hand sides of all the drawn systems cut to its
+    # rows; the unit pivots may leave a core, which then reaches the SNF.
     mat = systems[0][0]
     rhss = [(rhs * len(mat))[: len(mat)] for _, rhs in systems]
     rows = sparse_rows(mat)
-    xs = unit_pivot_solve(rows, rhss)
-    if intlinalg._unit_pivots(rows)[2]:
-        assert xs is None
-        return
-    singles = [solve_integer(rows, rhs) for rhs in rhss]
+    xs = solve_integer(rows, rhss)
+    singles = [solve_one(rows, rhs) for rhs in rhss]
     assert xs == (None if None in singles else singles)
-
-
-def test_unit_pivot_solve_refuses_a_core_without_the_smith_normal_form(monkeypatch):
-    def refuse(mat):
-        raise AssertionError("the Smith normal form ran")
-
-    monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
-    assert unit_pivot_solve(sparse_rows([[1, 1, 0, 0], [2, 2, 2, 4]]), [[3, 2]]) is None
-    assert unit_pivot_solve(sparse_rows([[1, -1, 0], [1, -1, 0]]), [[1, 1], [1, 2]]) is None
-    mat = [[1, -1, 0], [0, 1, 1]]
-    xs = unit_pivot_solve(sparse_rows(mat), [[1, 0], [0, 2]])
-    assert [residual(mat, x, rhs) for x, rhs in zip(xs, [[1, 0], [0, 2]])] == [[0, 0], [0, 0]]
+    assert (xs is not None) == all(dense_snf_solvable(mat, rhs) for rhs in rhss)
+    for x, rhs in zip(xs or (), rhss):
+        assert residual(mat, x, rhs) == [0] * len(mat)
 
 
 def test_only_a_non_unit_core_reaches_the_smith_normal_form(monkeypatch):
@@ -221,12 +218,12 @@ def test_only_a_non_unit_core_reaches_the_smith_normal_form(monkeypatch):
     monkeypatch.setattr(intlinalg, "smith_normal_form", spy)
     # x0 - x1 = 1, x1 + x2 = 0: unit pivots clear everything.
     mat = [[1, -1, 0], [0, 1, 1]]
-    x = solve_integer(sparse_rows(mat), [1, 0])
+    x = solve_one(sparse_rows(mat), [1, 0])
     assert residual(mat, x, [1, 0]) == [0, 0]
     assert shapes == []
     # x0 + x1 = 3 leaves the core 2 x2 + 4 x3 = 2 - 2 (x0 + x1) = -4.
     mat = [[1, 1, 0, 0], [2, 2, 2, 4]]
-    x = solve_integer(sparse_rows(mat), [3, 2])
+    x = solve_one(sparse_rows(mat), [3, 2])
     assert residual(mat, x, [3, 2]) == [0, 0]
     assert shapes == [(1, 2)]
 @st.composite

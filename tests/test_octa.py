@@ -9,9 +9,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from complex_reference import full_subcomplex
 from index_reference import doubled_complex
 from push_reference import project
-from raagdim.complexes import SimplicialComplex, full_subcomplex, is_flag, join, make_complex, relabeled
+from raagdim.complexes import SimplicialComplex, is_flag, join, make_complex, relabeled
 from raagdim.octa import MINUS, PLUS, double_over, octahedralize
 from raagdim.zoo import ZOO, cycle, points, random_flag, simplex
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import integer_recheck
-from raagdim import obstruction
+from raagdim import intlinalg, obstruction
 from raagdim.complexes import make_complex
 from raagdim.config_space import ConfigurationSpace
 from raagdim.obstruction import _integer_solve, _pullback_primitive, certify_vanishing, top_mesh_cocycle
@@ -71,6 +71,27 @@ def test_fallback_returns_the_full_solves_own_primitive_and_reason(L):
     assert integer_recheck.recheck(space, 2 * L.dim, phi_cells, on_cells(space, full))
 
 
+def test_route_sends_the_core_left_on_L_to_the_smith_normal_form(monkeypatch):
+    # RP2's top boundary rows on L leave, after their unit pivots, the 1 x 3
+    # core {12: -2, 13: 2, 14: -2}; the route takes it through the Smith
+    # normal form like the full solve, finds no psi_a there, and falls back.
+    shapes = []
+    snf = intlinalg.smith_normal_form
+
+    def spy(mat):
+        shapes.append((len(mat), len(mat[0])))
+        return snf(mat)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", spy)
+    octa, space, phi = top_system(RP2)
+    assert _pullback_primitive(octa, space, RP2.dim) is None
+    assert shapes == [(1, 3)]
+    result = certify_vanishing(RP2, integral=True)
+    assert result.integral_checked and result.integral_primitive and not result.reason
+    phi_cells = dict(zip(space.cells_of_degree(2 * RP2.dim), phi, strict=True))
+    assert integer_recheck.recheck(space, 2 * RP2.dim, phi_cells, on_cells(space, result.integral_primitive))
+
+
 def test_route_builds_neither_degree_2k_minus_1_nor_boundary_rows(monkeypatch):
     # The route (cone(cycle(5))) and the fallback (cycle3, the tetrahedron
     # boundary, RP2) alike read facet keys and enumerate no (2k-1)-cell.
@@ -112,13 +133,13 @@ def test_route_builds_neither_degree_2k_minus_1_nor_boundary_rows(monkeypatch):
 
 
 def test_tripled_route_primitive_fails_verification(monkeypatch):
-    solve = obstruction.unit_pivot_solve
+    solve = obstruction.solve_integer
 
     def tripled(rows, rhss):
         xs = solve(rows, rhss)
         return None if xs is None else [{j: 3 * v for j, v in x.items()} for x in xs]  # still right mod 2
 
-    monkeypatch.setattr(obstruction, "unit_pivot_solve", tripled)
+    monkeypatch.setattr(obstruction, "solve_integer", tripled)
     with pytest.raises(RuntimeError, match="integer primitive fails verification"):
         certify_vanishing(cone(cycle(5)), integral=True)
 
