@@ -103,7 +103,7 @@ def link_bounds(L) -> list:
     """[v, d, vkdim_lower(link(L, (v,)), d)] for every vertex v and d <= 2,
     with one memo for the case."""
     cache: dict = {}
-    return [[v, d, vkdim_lower(link(L, (v,)), d, 2, cache)] for v in L.vertices for d in range(3)]
+    return [[v, d, vkdim_lower(link(L, (v,)), d, cache)] for v in L.vertices for d in range(3)]
 
 
 def verdicts(L, certificate) -> dict:

@@ -24,8 +24,7 @@ from typing import NamedTuple
 
 from .complexes import SimplicialComplex, is_flag, link
 from .homology import mod2_betti, rational_betti
-from .obstruction import (MAX_CELLS, SEARCH_BUDGET, CycleCertificate, VanishingResult, certify_nonvanishing,
-                          certify_vanishing)
+from .obstruction import MAX_CELLS, CycleCertificate, VanishingResult, certify_nonvanishing, certify_vanishing
 
 CAVEAT_DIM2_INCOMPLETE = "top-obstruction-incomplete-in-dim-2"
 CAVEAT_CODIMENSION = "codimension-hypothesis-unverified"
@@ -101,13 +100,14 @@ def is_full_simplex(L: SimplicialComplex) -> bool:
     return L.dim >= 0 and len(L.vertices) == L.dim + 1
 
 
-def _lower_bounds(L: SimplicialComplex, depth: int, search_budget: int, cache: dict, above: int):
+def _lower_bounds(L: SimplicialComplex, depth: int, cache: dict, above: int):
     """(value, rule, what, why) each time the running bound, from `above`,
     rises: for the octahedral sphere (what None); for the highest degree d
-    with 2d above the bound and the sphere floor -1 that has a certificate
-    (what (d, certificate)); while `depth > 0`, for each vertex v whose link,
-    asked through `vkdim_lower` above the bound - 1, beats it (what (v, link
-    bound, why)).  `why` is the rise's explanation in `vkdim_lower`; the
+    with 2d above the bound and the sphere floor -1 where
+    `certify_nonvanishing` finds a certificate (what (d, certificate));
+    while `depth > 0`, for each vertex v whose link, asked through
+    `vkdim_lower` above the bound - 1, beats it (what (v, link bound,
+    why)).  `why` is the rise's explanation in `vkdim_lower`; the
     rule and `what` are the data `analyze` records.  A link gives at most
     2 dim L - 1, so from that bound on none is built."""
     if is_full_simplex(L) and L.dim - 1 > above:
@@ -117,7 +117,7 @@ def _lower_bounds(L: SimplicialComplex, depth: int, search_budget: int, cache: d
     for degree in range(L.dim, -1, -1):
         if 2 * degree <= above:
             break
-        cert = certify_nonvanishing(L, degree, search_budget=search_budget)
+        cert = certify_nonvanishing(L, degree)
         if cert is not None:
             above = 2 * degree
             yield above, "covering-chain-certificate", (degree, cert), f"covering-chain certificate in degree {degree}"
@@ -130,18 +130,18 @@ def _lower_bounds(L: SimplicialComplex, depth: int, search_budget: int, cache: d
             return
         lk = link(L, (v,))
         if lk.dim >= 0:
-            found = vkdim_lower(lk, depth - 1, search_budget, cache, above - 1)
+            found = vkdim_lower(lk, depth - 1, cache, above - 1)
             if found is not None:
                 above = found[0] + 1
                 yield above, "star-link", (v, *found), "star/link at vertex {!r}: link gives {} ({})".format(v, *found)
 
 
-def vkdim_lower(L: SimplicialComplex, depth: int = STAR_DEPTH, search_budget: int = SEARCH_BUDGET, _cache=None,
-                _above=-2):
+def vkdim_lower(L: SimplicialComplex, depth: int = STAR_DEPTH, _cache=None, _above=-2):
     """Certified lower bound for the van Kampen dimension of the
-    octahedralization, from certificates in all degrees and the star/link
-    recursion over vertices (capped at `depth`): the last value that
-    `_lower_bounds` yields, or the sphere floor.
+    octahedralization, from the certificate search in all degrees
+    (`certify_nonvanishing`) and the star/link recursion over vertices
+    (capped at `depth`): the last value that `_lower_bounds` yields, or
+    the sphere floor.
 
     Returns (value, explanation).  The floor for a nonempty complex is -1
     (the octahedralization of a vertex is a 0-sphere), so a call without
@@ -179,7 +179,7 @@ def vkdim_lower(L: SimplicialComplex, depth: int = STAR_DEPTH, search_budget: in
     if known is not None and known <= _above:
         return None
     best = (-1, "sphere floor: the doubled vertex pair")
-    for value, _rule, _what, why in _lower_bounds(L, depth, search_budget, _cache, _above):
+    for value, _rule, _what, why in _lower_bounds(L, depth, _cache, _above):
         best = (value, why)
     if best[0] > 2 * L.dim:
         raise RuntimeError(f"star/link bound {best[0]} exceeds twice the dimension {L.dim}: {best[1]}")
@@ -190,18 +190,15 @@ def vkdim_lower(L: SimplicialComplex, depth: int = STAR_DEPTH, search_budget: in
     return best
 
 
-def analyze(
-    L: SimplicialComplex,
-    allow_non_flag: bool = False,
-    search_budget: int = SEARCH_BUDGET,
-    integral: bool = False,
-    max_cells: int = MAX_CELLS,
-) -> DimensionReport:
+def analyze(L: SimplicialComplex, allow_non_flag: bool = False, integral: bool = False,
+            max_cells: int = MAX_CELLS) -> DimensionReport:
     """Assemble the full dimension report for a complex.
 
     Flag complexes get group-level conclusions; non-flag inputs (accepted
     only when `allow_non_flag`) get the octahedralization bounds and a
-    warning, since the group dictionary needs flagness.
+    warning, since the group dictionary needs flagness.  An empty complex,
+    or a non-flag one without `allow_non_flag`, raises ValueError, whose
+    message the CLI prints.
     """
     if L.dim < 0:
         raise ValueError("empty complex: the associated group is trivial")
@@ -233,7 +230,7 @@ def analyze(
     sphere = is_full_simplex(L)
     certificate = None
     sub_certs: tuple = ()
-    for value, rule, what, _why in _lower_bounds(L, STAR_DEPTH, search_budget, {}, -2):
+    for value, rule, what, _why in _lower_bounds(L, STAR_DEPTH, {}, -2):
         if rule == "octahedral-sphere":
             detail = f"the octahedralization is the {k}-sphere"
             records.append(BoundRecord("vkdim", "lower", value, rule, detail))

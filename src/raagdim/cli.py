@@ -14,9 +14,8 @@ import sys
 
 from . import io_json
 from .bounds import analyze
-from .complexes import is_flag
 from .homology import mod2_betti, rational_betti
-from .obstruction import MAX_CELLS, SEARCH_BUDGET
+from .obstruction import MAX_CELLS
 from .octa import octahedralize
 from .suite import run_suite
 from .verify import verify_certificate
@@ -57,23 +56,8 @@ def _span(label: str, span) -> str:
 
 
 def _analyze_one(path: str, args) -> int:
-    data = _load_json(path)
-    L = io_json.complex_from_json(data)
-    if L.dim < 0:
-        print("error: empty complex", file=sys.stderr)
-        return 1
-    w = is_flag(L)
-    if not w.flag and not args.allow_non_flag:
-        print(f"error: complex is not flag (missing clique {w.missing_clique}); "
-              "rerun with --allow-non-flag for octahedralization bounds only", file=sys.stderr)
-        return 1
-    report = analyze(
-        L,
-        allow_non_flag=args.allow_non_flag,
-        search_budget=args.search_budget,
-        integral=args.integral,
-        max_cells=args.max_cells,
-    )
+    L = io_json.complex_from_json(_load_json(path))
+    report = analyze(L, allow_non_flag=args.allow_non_flag, integral=args.integral, max_cells=args.max_cells)
     print(f"complex: {report.vertices} vertices, dimension {report.dim}, "
           f"{'flag' if report.flag else 'NOT flag'}")
     print(f"gd = {report.gd}")
@@ -100,10 +84,9 @@ def _analyze_one(path: str, args) -> int:
 
 def cmd_analyze(args) -> int:
     # Checked here, not by argparse, whose exit code 2 means --strict.
-    for flag, value in (("--max-cells", args.max_cells), ("--search-budget", args.search_budget)):
-        if value < 0:
-            print(f"error: {flag} must be nonnegative, got {value}", file=sys.stderr)
-            return 1
+    if args.max_cells < 0:
+        print(f"error: --max-cells must be nonnegative, got {args.max_cells}", file=sys.stderr)
+        return 1
     # Batch mode: inputs are independent; the exit code is the worst one.
     if len(args.inputs) > 1 and (args.out or args.certificate):
         print("error: --out and --certificate need a single input", file=sys.stderr)
@@ -116,7 +99,7 @@ def cmd_analyze(args) -> int:
             print(f"== {path}")
         try:
             code = _analyze_one(path, args)
-        except io_json.MalformedInput as exc:
+        except ValueError as exc:  # io_json.MalformedInput included
             print(f"error: {exc}", file=sys.stderr)
             code = 1
         worst = max(worst, code)
@@ -213,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also solve for the top primitive over Z: on L, pulled back "
                         "to the configuration space, else by the full integer solve")
     p.add_argument("--max-cells", type=int, default=MAX_CELLS)
-    p.add_argument("--search-budget", type=int, default=SEARCH_BUDGET,
-                   help="max number of cycle basis elements to sum in the search")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("generate", help="emit a zoo complex as JSON")

@@ -169,7 +169,6 @@ class FlagWitness(NamedTuple):
     """Result of a flag test: `missing_clique` is a minimal non-face whose
     1-skeleton is complete, present exactly when the complex is not flag."""
 
-    complex: SimplicialComplex
     missing_clique: tuple | None
 
     @property
@@ -193,8 +192,8 @@ def is_flag(K: SimplicialComplex) -> FlagWitness:
     if missing:
         rk = K.rank
         best = min(missing, key=lambda c: tuple(rk[v] for v in c))
-        return FlagWitness(K, best)
-    return FlagWitness(K, None)
+        return FlagWitness(best)
+    return FlagWitness(None)
 
 
 def link(K: SimplicialComplex, sigma) -> SimplicialComplex:

@@ -39,8 +39,8 @@ from .homology import boundary_rows, cycle_space, solve_coboundary
 from .intlinalg import CoreTooLarge, integer_det, integer_rank, solve_integer
 from .octa import Octahedralization, DoubledComplex, double_over, lift_ranks, octahedralize
 
-# Defaults, shared by `analyze` and the CLI: cycle-basis elements summed per
-# candidate cycle, and cells of degrees 2k and 2k - 1 allowed in the top solve.
+# Cycle-basis elements summed per candidate cycle in the certificate search,
+# and the default cap on cells of degrees 2k and 2k - 1 in the top solve.
 SEARCH_BUDGET = 2
 MAX_CELLS = 10**6
 
@@ -208,10 +208,10 @@ class CycleCertificate(NamedTuple):
     omega: frozenset
 
 
-def _cycle_candidates(basis, budget: int):
+def _cycle_candidates(basis):
     for c in basis:
         yield c
-    for r in range(2, budget + 1):
+    for r in range(2, SEARCH_BUDGET + 1):
         for combo in combinations(range(len(basis)), r):
             acc: frozenset = frozenset()
             for i in combo:
@@ -220,23 +220,22 @@ def _cycle_candidates(basis, budget: int):
                 yield acc
 
 
-def certify_nonvanishing(L: SimplicialComplex, degree: int | None = None, search_budget: int = SEARCH_BUDGET):
+def certify_nonvanishing(L: SimplicialComplex, degree: int):
     """Search for a nonvanishing certificate in the given degree.
 
     Works on the degree-skeleton of L.  Tries cycle-basis elements first,
-    then sums of up to `search_budget` of them, and every simplex of each
+    then sums of up to `SEARCH_BUDGET` of them, and every simplex of each
     candidate as the doubling simplex.  Absence of a certificate is a
     legal result (None), never a vanishing claim.
     """
-    k = L.dim if degree is None else degree
-    if k < 0 or k > L.dim:
+    if degree < 0 or degree > L.dim:
         return None
-    K = skeleton(L, k)
-    basis = cycle_space(K, k)
+    K = skeleton(L, degree)
+    basis = cycle_space(K, degree)
     if not basis:
         return None
     octa = octahedralize(K)
-    for cycle in _cycle_candidates(basis, search_budget):
+    for cycle in _cycle_candidates(basis):
         for delta in sorted(cycle):
             report = check_star_condition(cycle, delta)
             if not report.holds:
@@ -254,7 +253,7 @@ def certify_nonvanishing(L: SimplicialComplex, degree: int | None = None, search
                 )
             faces = space.faces
             return CycleCertificate(
-                degree=k,
+                degree=degree,
                 cycle=cycle,
                 delta=delta,
                 omega=frozenset([(faces[a], faces[b]) for a, b in pairs]),

@@ -55,6 +55,10 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
     """cert: decoded certificate dict (degree, M, Delta, omega_support,
     star_condition, evaluation)."""
     run = []
+
+    def fail(detail: str) -> VerificationOutcome:
+        return VerificationOutcome(False, run[-1], detail, tuple(run))
+
     degree = cert["degree"]
     K = skeleton(L, degree)
 
@@ -63,34 +67,29 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
         m_faces = frozenset(K.sort_face(f) for f in cert["M"])
         delta = K.sort_face(cert["Delta"])
     except ValueError as exc:
-        return VerificationOutcome(False, "delta-membership", f"unknown simplex: {exc}", tuple(run))
+        return fail(f"unknown simplex: {exc}")
     if delta not in m_faces:
-        return VerificationOutcome(False, "delta-membership",
-                                   "Delta is not a simplex of M", tuple(run))
+        return fail("Delta is not a simplex of M")
     if not m_faces <= K.faces:
-        return VerificationOutcome(False, "delta-membership",
-                                   "M contains simplices outside the complex", tuple(run))
+        return fail("M contains simplices outside the complex")
     if any(len(f) != degree + 1 for f in m_faces):
-        return VerificationOutcome(False, "delta-membership",
-                                   "M is not pure of the stated degree", tuple(run))
+        return fail("M is not pure of the stated degree")
 
     run.append("cycle-condition")
     if len(m_faces) != len(cert["M"]):
         listed = [K.sort_face(f) for f in cert["M"]]
         twice = next(f for i, f in enumerate(listed) if f in listed[:i])
-        return VerificationOutcome(False, "cycle-condition", f"M lists {twice} twice", tuple(run))
+        return fail(f"M lists {twice} twice")
     # A vertex's facet is the empty face, so a 0-cycle has evenly many vertices.
     if chain_boundary(m_faces, lambda f: [f[:i] + f[i + 1 :] for i in range(len(f))]):
-        return VerificationOutcome(False, "cycle-condition", "M is not a GF(2) cycle", tuple(run))
+        return fail("M is not a GF(2) cycle")
 
     run.append("star-condition")
     if cert["star_condition"] is not True:
-        return VerificationOutcome(False, "star-condition",
-                                   "certificate does not state the star condition", tuple(run))
+        return fail("certificate does not state the star condition")
     star = check_star_condition(m_faces, delta)
     if not star.holds:
-        return VerificationOutcome(False, "star-condition",
-                                   f"violating pair {star.violation}", tuple(run))
+        return fail(f"violating pair {star.violation}")
 
     octa = octahedralize(K)
     doubled = double_over(octa, m_faces, delta)
@@ -103,46 +102,35 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
     for a, b in cert["omega_support"]:
         ga, gb = rid.get(tuple(map(rank.get, a))), rid.get(tuple(map(rank.get, b)))
         if ga is None or gb is None or len(a) + len(b) != 2 * degree + 2 or masks[ga] & masks[gb]:
-            return VerificationOutcome(False, "omega-cycle",
-                                       f"stored pair {(a, b)} is not a disjoint pair of faces "
-                                       f"of degree {2 * degree}", tuple(run))
+            return fail(f"stored pair {(a, b)} is not a disjoint pair of faces of degree {2 * degree}")
         key = ga * F + gb if ranks[ga][0] < ranks[gb][0] else gb * F + ga
         if key in keys:
-            return VerificationOutcome(False, "omega-cycle",
-                                       f"stored pair {(a, b)} lists the cell {space.key_cell(key)} twice",
-                                       tuple(run))
+            return fail(f"stored pair {(a, b)} lists the cell {space.key_cell(key)} twice")
         keys.add(key)
     # In cell order, so `boundary` builds each first half's part once per run.
     stored = [divmod(key, F) for key in sorted(keys)]
     boundary = space.boundary(stored)
     if boundary:
-        return VerificationOutcome(False, "omega-cycle",
-                                   f"stored chain has boundary, e.g. at {space.key_cell(boundary[0])}",
-                                   tuple(run))
+        return fail(f"stored chain has boundary, e.g. at {space.key_cell(boundary[0])}")
 
     run.append("omega-evaluation")
     evaluation = sum(mesh_values(ranks, stored)) % 2
     if evaluation != 1 or evaluation != cert["evaluation"]:
-        return VerificationOutcome(False, "omega-evaluation",
-                                   f"stored chain evaluates to {evaluation}", tuple(run))
+        return fail(f"stored chain evaluates to {evaluation}")
 
     run.append("pushforward-identity")
     pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(stored, 1), space).items() if v % 2}
     if pushed != delta_product_chain(doubled, space):
-        return VerificationOutcome(False, "pushforward-identity",
-                                   "push of the stored chain is not the product chain", tuple(run))
+        return fail("push of the stored chain is not the product chain")
     minus = space.minus_ranks
     if sum([nonstrict_rank_indicator(ranks[a], ranks[b], minus) for a, b in pushed]) % 2 != 1:
-        return VerificationOutcome(False, "pushforward-identity",
-                                   "product evaluation is not 1", tuple(run))
+        return fail("product evaluation is not 1")
 
     run.append("omega-support-match")
     rebuilt_keys = {a * F + b for a, b in rebuilt}
     if keys != rebuilt_keys:
         extra = sorted(map(space.key_cell, keys - rebuilt_keys))[:3]
         missing = sorted(map(space.key_cell, rebuilt_keys - keys))[:3]
-        return VerificationOutcome(False, "omega-support-match",
-                                   f"stored support differs (extra {extra}, missing {missing})",
-                                   tuple(run))
+        return fail(f"stored support differs (extra {extra}, missing {missing})")
 
     return VerificationOutcome(True, None, "certificate verified", tuple(run))

@@ -24,25 +24,25 @@ def link(K: SimplicialComplex, sigma) -> SimplicialComplex:
     return SimplicialComplex(vertices=verts, faces=frozenset(faces))
 
 
-def _top_certificate(L: SimplicialComplex, floor: int, search_budget: int):
+def _top_certificate(L: SimplicialComplex, floor: int):
     for degree in range(L.dim, -1, -1):
         if 2 * degree <= floor:
             return None
-        cert = certify_nonvanishing(L, degree, search_budget=search_budget)
+        cert = certify_nonvanishing(L, degree)
         if cert is not None:
             return degree, cert
     return None
 
 
-def _link_bounds(L: SimplicialComplex, depth: int, search_budget: int, cache: dict):
+def _link_bounds(L: SimplicialComplex, depth: int, cache: dict):
     for v in L.vertices:
         lk = link(L, (v,))
         if lk.dim >= 0:
-            sub, why = vkdim_lower(lk, depth, search_budget, cache)
+            sub, why = vkdim_lower(lk, depth, cache)
             yield v, sub, why
 
 
-def vkdim_lower(L: SimplicialComplex, depth: int = 3, search_budget: int = 2, _cache=None):
+def vkdim_lower(L: SimplicialComplex, depth: int = 3, _cache=None):
     """(value, explanation), exact, for a nonempty complex."""
     if _cache is None:
         _cache = {}
@@ -53,11 +53,11 @@ def vkdim_lower(L: SimplicialComplex, depth: int = 3, search_budget: int = 2, _c
     best = (-1, "sphere floor: the doubled vertex pair")
     if L.dim >= 0 and len(L.vertices) == L.dim + 1:
         best = (L.dim - 1, f"octahedral sphere of dimension {L.dim}")
-    found = _top_certificate(L, best[0], search_budget)
+    found = _top_certificate(L, best[0])
     if found is not None:
         best = (2 * found[0], f"covering-chain certificate in degree {found[0]}")
     if depth > 0:
-        for v, sub, why in _link_bounds(L, depth - 1, search_budget, _cache):
+        for v, sub, why in _link_bounds(L, depth - 1, _cache):
             if sub + 1 > best[0]:
                 best = (sub + 1, f"star/link at vertex {v!r}: link gives {sub} ({why})")
     _cache[L, depth] = best

@@ -91,7 +91,7 @@ def test_no_link_reaches_the_2k_ceiling(monkeypatch):
         for v in L.vertices:
             lk = link(L, (v,))
             if lk.dim >= 0:
-                sub, _ = vkdim_lower(lk, bounds.STAR_DEPTH - 1, 2, cache)
+                sub, _ = vkdim_lower(lk, bounds.STAR_DEPTH - 1, cache)
                 assert sub <= 2 * L.dim - 1, (L.vertices, v)
         with monkeypatch.context() as m:
             m.setattr(bounds, "link", recorded_link)
@@ -117,17 +117,17 @@ def test_vkdim_lower_memo_answers_as_a_cold_call(monkeypatch, n, p, seed):
     # does not beat the threshold.
     calls = []
 
-    def recorded(L, depth=3, search_budget=2, _cache=None, _above=-2):
-        result = vkdim_lower(L, depth, search_budget, _cache, _above)
-        calls.append((L, depth, search_budget, _above, result))
+    def recorded(L, depth=3, _cache=None, _above=-2):
+        result = vkdim_lower(L, depth, _cache, _above)
+        calls.append((L, depth, _above, result))
         return result
 
     monkeypatch.setattr(bounds, "vkdim_lower", recorded)
     analyze(random_flag(n, p, seed))
     monkeypatch.undo()
     assert calls
-    for L, depth, budget, above, result in calls:
-        cold = vkdim_lower(L, depth, budget)
+    for L, depth, above, result in calls:
+        cold = vkdim_lower(L, depth)
         if result is None:
             assert cold[0] <= above, (L.vertices, depth, above)
         else:
@@ -149,7 +149,7 @@ def check_against_reference(L):
         for above in thresholds:
             want = expected if expected[0] > above else None
             assert vkdim_lower(L, depth, _above=above) == want, (L.vertices, depth, above)
-            assert vkdim_lower(L, depth, 2, shared, above) == want, (L.vertices, depth, above, "memo")
+            assert vkdim_lower(L, depth, shared, above) == want, (L.vertices, depth, above, "memo")
 
 
 @given(st.integers(5, 10), st.sampled_from((0.3, 0.4, 0.5, 0.6, 0.7, 0.8)), st.integers(0, 10**6))
@@ -168,7 +168,7 @@ def test_vkdim_lower_refuses_a_value_above_twice_the_dimension(monkeypatch):
     # a link can give breaks it, and the search says so.  path(3) has no
     # certificate, so the search reaches its links.
     real = vkdim_lower
-    monkeypatch.setattr(bounds, "vkdim_lower", lambda L, depth, budget, cache, above: (2 * L.dim + 2, "fake"))
+    monkeypatch.setattr(bounds, "vkdim_lower", lambda L, depth, cache, above: (2 * L.dim + 2, "fake"))
     with pytest.raises(RuntimeError, match="exceeds twice the dimension"):
         real(path(3))
 

@@ -64,7 +64,7 @@ def sweep_certificates():
                 yield f"zoo:{entry.name}:{k}", L, cert
     for case in load_workloads().WORKLOADS["certify"].cases:
         L = build_named(case.expr)
-        yield f"certify:{case.name}", L, certify_nonvanishing(L)
+        yield f"certify:{case.name}", L, certify_nonvanishing(L, L.dim)
 
 
 def mutations(L, data):

@@ -1,5 +1,6 @@
 """CLI commands, JSON schemas, and certificate verification."""
 
+import argparse
 import copy
 import json
 import os
@@ -11,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import raagdim
 from index_reference import doubled_complex
-from raagdim import io_json, suite, verify
-from raagdim.cli import main
+from raagdim import bounds, cli, io_json, suite, verify
+from raagdim.cli import build_parser, main
 from raagdim.complexes import skeleton
 from raagdim.obstruction import certify_nonvanishing, covering_pair_chain, delta_product_chain
 from raagdim.octa import double_over, octahedralize
@@ -231,7 +232,6 @@ def test_cli_bad_input_exits_1_with_a_located_message(tmp_path):
         (["verify", write_json(tmp_path, "degree.json", dict(cert, degree="1")), c4], "$.degree"),
         (["verify", write_json(tmp_path, "m.json", dict(cert, M=5)), c4], "$.M"),
         (["analyze", c4, "--max-cells", "-1"], "--max-cells"),
-        (["analyze", c4, "--search-budget", "-3"], "--search-budget"),
         (["lemma-suite", "--count", "-3"], "error: --count must be nonnegative, got -3"),
         (["analyze", write_json(tmp_path, "repeated.json",
                                 {"graph": {"vertices": [1, 1, 2], "edges": [[1, 2]]}, "flag": True})],
@@ -329,6 +329,36 @@ def test_cli_rejects_empty_and_non_flag(tmp_path, capsys):
     )
     assert main(["analyze", hollow]) == 1
     assert main(["analyze", hollow, "--allow-non-flag"]) == 0
+
+
+def test_cli_analyze_tests_flagness_once_per_input_and_goes_on(tmp_path, capsys, monkeypatch):
+    # The CLI leaves the input checks to analyze and prints its message.
+    hollow = write_json(tmp_path, "c3.json", {"maximal_simplices": [["a", "b"], ["b", "c"], ["a", "c"]]})
+    empty = write_json(tmp_path, "empty.json", {"maximal_simplices": []})
+    c4 = write_json(tmp_path, "c4.json", c4_json())
+    tested = []
+    real = bounds.is_flag
+
+    def counted(K):
+        tested.append(K.vertices)
+        return real(K)
+
+    for module in (cli, bounds):
+        if hasattr(module, "is_flag"):
+            monkeypatch.setattr(module, "is_flag", counted)
+    assert main(["analyze", hollow, empty, c4]) == 1
+    assert tested == [("a", "b", "c"), io_json.complex_from_json(c4_json()).vertices]
+    out, err = capsys.readouterr()
+    assert "error: complex is not flag (missing clique ('a', 'b', 'c'))" in err
+    assert "error: empty complex: the associated group is trivial" in err
+    assert f"== {c4}" in out and "actdim(A_L) = 4" in out
+
+
+def test_cli_analyze_options_are_pinned():
+    # A new analyze knob is a deliberate edit of this list.
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {s for a in sub.choices["analyze"]._actions for s in a.option_strings} - {"-h", "--help"}
+    assert options == {"--out", "--certificate", "--strict", "--allow-non-flag", "--integral", "--max-cells"}
 
 
 def test_cli_strict_flags_undetermined(tmp_path):

@@ -79,7 +79,7 @@ def _frozen_examples():
          "rational_betti=(0,), vkdim=(-1, -1), embdim=(0, 0), actdim=(1, 1), conjecture_status=None, records=(), "
          "certificate=None, sub_certificates=(), vanishing=None, warnings=())"),
         (K, f"SimplicialComplex(vertices=(0, 1), faces={K.faces!r})"),
-        (is_flag(K), f"FlagWitness(complex={K!r}, missing_clique=None)"),
+        (is_flag(K), "FlagWitness(missing_clique=None)"),
         (octa, f"Octahedralization(base={K!r})"),
         (doubled, f"DoubledComplex(cycle={doubled.cycle!r}, delta={doubled.delta!r}, octa={doubled.octa!r})"),
         (StarConditionReport(holds=False, violation=((0,), (1,))),
