@@ -78,10 +78,8 @@ def report(L, options) -> tuple:
 
 def solve_record(L, vanishing) -> list:
     """[status, GF(2) primitive, witness, integer primitive] of the top
-    solve, a primitive as [cell, value] pairs; None without a solve.  A
-    primitive on cell keys is read back by `key_cell`, one on cells is
-    written as is, so two checkouts that name cells differently can be
-    compared."""
+    solve, a primitive as [cell, value] pairs, its cell keys read back by
+    `key_cell`; None without a solve."""
     if vanishing is None:
         return None
     space = ConfigurationSpace(octahedralize(L))
@@ -89,7 +87,7 @@ def solve_record(L, vanishing) -> list:
     def cochain(values):
         if values is None:
             return None
-        return [[space.key_cell(cell) if isinstance(cell, int) else cell, v] for cell, v in values.items()]
+        return [[space.key_cell(key), v] for key, v in values.items()]
 
     return [vanishing.status, cochain(vanishing.primitive), vanishing.witness_cycle,
             cochain(vanishing.integral_primitive)]

@@ -206,7 +206,7 @@ def analyze(L: SimplicialComplex, allow_non_flag: bool = False, integral: bool =
     if not witness.flag and not allow_non_flag:
         raise ValueError(
             f"complex is not flag (missing clique {witness.missing_clique!r}); "
-            "pass allow_non_flag to analyze the octahedralization only"
+            "pass allow_non_flag=True (--allow-non-flag) to analyze the octahedralization only"
         )
     warnings: list = []
     records: list = []

@@ -5,6 +5,12 @@ rank (position in the vertex order).  Keeping the full face set makes
 membership tests O(1), which the pair-cell constructions downstream depend
 on; everything here runs at desk scale.
 
+This module owns the face order: by dimension, then rank tuple.
+`faces_of_dim(k)` lists the k-faces in it and `ranked_faces()` their rank
+tuples, built once, which every index reads or lifts (OL's and a doubled
+complex's).  `maximal_faces` and `is_flag` read their answers off that
+order, with no sort of their own.
+
 The vertex order is part of the data, not a per-call argument.  The meshing
 cocycles read it, so two complexes with the same faces but different orders
 are different objects.  All types are immutable values and all operations
@@ -56,6 +62,15 @@ class SimplicialComplex(_ComplexFields):
     def faces_of_dim(self, k: int) -> tuple:
         return self._by_dim.get(k, ())
 
+    @cached_property
+    def _ranked(self) -> tuple:
+        rk = self.rank
+        return tuple([tuple([tuple([rk[v] for v in f]) for f in self.faces_of_dim(k)]) for k in range(self.dim + 1)])
+
+    def ranked_faces(self) -> tuple:
+        """The rank tuples of `faces_of_dim(k)`, one tuple per dimension k."""
+        return self._ranked
+
     def sort_face(self, vertices) -> tuple:
         rk = self.rank
         vs = tuple(vertices)
@@ -66,29 +81,13 @@ class SimplicialComplex(_ComplexFields):
             raise ValueError(f"repeated vertex in {vs!r}")
         return tuple(sorted(vs, key=rk.__getitem__))
 
-    def __contains__(self, face) -> bool:
-        return tuple(face) in self.faces
-
     def maximal_faces(self) -> tuple:
-        out = []
-        for f in self.faces:
-            fs = set(f)
-            if not any(fs < set(g) for g in self.faces if len(g) == len(f) + 1):
-                out.append(f)
-        rk = self.rank
-        return tuple(sorted(out, key=lambda f: (len(f), tuple(rk[v] for v in f))))
+        """The faces that are a facet of no face, in the face order."""
+        covered = {f[:i] + f[i + 1 :] for f in self.faces for i in range(len(f))}
+        return tuple([f for k in range(self.dim + 1) for f in self.faces_of_dim(k) if f not in covered])
 
     def face_counts(self) -> tuple:
         return tuple(len(self.faces_of_dim(k)) for k in range(self.dim + 1))
-
-
-def _closure(simplices) -> set:
-    out: set = set()
-    for s in simplices:
-        n = len(s)
-        for r in range(1, n + 1):
-            out.update(combinations(s, r))
-    return out
 
 
 def make_complex(faces, vertex_order=None) -> SimplicialComplex:
@@ -114,7 +113,12 @@ def make_complex(faces, vertex_order=None) -> SimplicialComplex:
         if missing:
             raise ValueError(f"vertex_order is missing {sorted(map(repr, missing))}")
     rk = {v: i for i, v in enumerate(vertex_order)}
-    closed = {tuple(sorted(f, key=rk.__getitem__)) for f in _closure(faces)}
+    closed: set = set()
+    for f in faces:
+        # Combinations of a rank-sorted simplex come out rank-sorted.
+        f = tuple(sorted(f, key=rk.__getitem__))
+        for r in range(1, len(f) + 1):
+            closed.update(combinations(f, r))
     used = sorted({v for f in closed for v in f}, key=rk.__getitem__)
     return SimplicialComplex(vertices=tuple(used), faces=frozenset(closed))
 
@@ -126,7 +130,8 @@ def from_graph(vertices, edges) -> SimplicialComplex:
 
 
 def _all_cliques(vertex_order, adjacency):
-    """Yield every clique (as a rank-sorted tuple), smaller cliques first.
+    """Yield every clique (as a rank-sorted tuple), smaller cliques first,
+    then in rank-tuple order.
 
     Standard max-vertex extension, so each clique appears exactly once.
     """
@@ -177,23 +182,10 @@ class FlagWitness(NamedTuple):
 
 
 def is_flag(K: SimplicialComplex) -> FlagWitness:
+    """The first clique of K's 1-skeleton that is not a face, if any: as the
+    cliques come smallest first, then in rank-tuple order, it is minimal."""
     adj = _adjacency(K.vertices, K.faces_of_dim(1))
-    # Scan cliques in increasing size; the first non-face found is minimal
-    # because every smaller clique was already verified to be a face.
-    current_size = 1
-    missing: list = []
-    for clique in _all_cliques(K.vertices, adj):
-        if len(clique) > current_size:
-            if missing:
-                break
-            current_size = len(clique)
-        if clique not in K.faces:
-            missing.append(clique)
-    if missing:
-        rk = K.rank
-        best = min(missing, key=lambda c: tuple(rk[v] for v in c))
-        return FlagWitness(best)
-    return FlagWitness(None)
+    return FlagWitness(next((c for c in _all_cliques(K.vertices, adj) if c not in K.faces), None))
 
 
 def link(K: SimplicialComplex, sigma) -> SimplicialComplex:

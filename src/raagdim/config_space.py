@@ -6,19 +6,20 @@ first.  It is the quotient of the deleted product, whose ordered cells have
 the boundary d(a x b) = da x b + (-1)^dim(a) a x db, by the factor swap,
 which acts with the sign (-1)^(dim a * dim b).
 
-ConfigurationSpace works on an index of K, all in ints.  Every face gets
-an id (by dimension, then rank tuple), its rank tuple, an int vertex
-bitmask, so disjointness is `mask_a & mask_b == 0`, and its facet ids,
-built once through `rank_ids`, the one dict that names a face by id, on
-its rank tuple (drop each vertex, in id order).  Each degree is enumerated
-once, as face-id pairs (a, b) already in cell order (by the id of a, then
-of b), with no sort; `indexed_cells(d)` hands them out with the rank
-tuples, which the meshing cocycle and the moment oracle read, and
-`cells_of_degree(d)`, uncached, turns them into pairs of faces for the
-scripts, the tests and the benchmark's tracer: nothing in the package
-reads it.  The faces as vertex tuples are built only on first read, from
-the rank tuples, by what hands out cells (`cells_of_degree`, `key_cell`)
-or words a failure.
+ConfigurationSpace works on an index of K, all in ints, read off
+`K.ranked_faces()` (every complex type answers it).  Every face gets an id
+(by dimension, then rank tuple: the face order `complexes` owns), its rank
+tuple, an int vertex bitmask, so disjointness is `mask_a & mask_b == 0`,
+and its facet ids, built once through `rank_ids`, the one dict that names
+a face by id, on its rank tuple (drop each vertex, in id order).  Each
+degree is enumerated once, as face-id pairs (a, b) already in cell order
+(by the id of a, then of b), with no sort; `indexed_cells(d)` hands them
+out with the rank tuples, which the meshing cocycle and the moment oracle
+read, and `cells_of_degree(d)`, uncached, turns them into pairs of faces
+for the scripts, the tests and the benchmark's tracer: nothing in the
+package reads it.  The faces as vertex tuples are built only on first read,
+from the rank tuples, by what hands out cells (`cells_of_degree`,
+`key_cell`) or words a failure.
 
 The space of a complex on signed vertices, OL or a doubled complex, is
 built from its base, not from its face set, which it never builds.  A
@@ -97,11 +98,10 @@ def chain_boundary(chain, facets) -> set:
 
 
 def _lifted_pair_count(L: SimplicialComplex, d: int) -> int:
-    """The number of d-cells of C(OL), read off L: half the sum of
-    2^|s u t| over the ordered pairs (s, t) of faces of L with
+    """The number of d-cells of C(OL), read off L's `ranked_faces`: half
+    the sum of 2^|s u t| over the ordered pairs (s, t) of faces of L with
     dim s + dim t = d."""
-    rk = L.rank
-    masks = [[sum([1 << rk[v] for v in f]) for f in L.faces_of_dim(k)] for k in range(L.dim + 1)]
+    masks = [[sum([1 << r for r in t]) for t in level] for level in L.ranked_faces()]
     top, total = L.dim, 0
     for i in range(max(0, d - top), min(d, top) + 1):
         total += sum([1 << (ms | mt).bit_count() for ms in masks[i] for mt in masks[d - i]])
@@ -125,15 +125,10 @@ class ConfigurationSpace:
 
     @cached_property
     def _index(self):
-        """Rank tuples of the faces by id (dimension, then rank tuple), with
+        """Rank tuples of the faces by id (`K.ranked_faces()` in order), with
         their vertex bitmasks and first ranks, plus each dimension's id range
         and first ranks."""
-        K = self.K
-        if isinstance(K, SimplicialComplex):
-            rk = K.rank
-            by_dim = [[tuple([rk[v] for v in f]) for f in K.faces_of_dim(k)] for k in range(K.dim + 1)]
-        else:
-            by_dim = K.ranked_faces()
+        by_dim = self.K.ranked_faces()
         ranks = [t for level in by_dim for t in level]
         masks = [sum([1 << r for r in t]) for t in ranks]
         first = [t[0] for t in ranks]

@@ -322,22 +322,21 @@ def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: i
     (so it raises CoreTooLarge past the same cap).  None when some psi_a
     has no integer solution.  Builds no (2k-1)-cell, and works on the
     index: r_a on rank tuples, the minus copy of each k-face and the lifts
-    of each (k-1)-face of L by `lift_ranks` on L's rank tuples, the lifts
+    of each (k-1)-face of L by `lift_ranks` on L's `ranked_faces`, the lifts
     as face ids through `space.rank_ids`, disjointness on masks and the
     stored order by first ranks.
     """
     L = octa.base
     ranks, masks, rid, minus = space.ranks, space.masks, space.rank_ids, space.minus_ranks
-    rk, sign, F = L.rank, (-1) ** k, len(ranks)
-    minus_top = lift_ranks([[tuple([rk[v] for v in beta]) for beta in L.faces_of_dim(k)]], ())[0]
+    ranked, sign, F = L.ranked_faces(), (-1) ** k, len(ranks)
+    minus_top = lift_ranks([ranked[k]], ())[0]
     tops = space.ids_of_dim(k)
     rhs = [tuple([sign * nonstrict_rank_indicator(ranks[a], b, minus) for b in minus_top]) for a in tops]
     distinct = list(dict.fromkeys(rhs))
     psis = solve_integer(boundary_rows(L, k), distinct)
     if psis is None:
         return None
-    faces = [[tuple([rk[v] for v in beta])] for beta in L.faces_of_dim(k - 1)]
-    lower = [[rid[t] for t in lifts] for lifts in lift_ranks(faces, range(len(rk)))]
+    lower = [[rid[t] for t in lifts] for lifts in lift_ranks([[t] for t in ranked[k - 1]], range(len(L.vertices)))]
     psi = {r: [(lower[i], v) for i, v in x.items() if v] for r, x in zip(distinct, psis)}
     values: dict = {}
     for a, r in zip(tops, rhs):

@@ -7,25 +7,27 @@ The vertex order on the doubled complex interleaves the base order:
 
 and nothing downstream is allowed to use any other order, because the
 meshing cocycles read it.  `lift_ranks` is the one lifting rule, on rank
-tuples in OL's order: OL's faces and a doubled complex's
-(`ranked_faces`), and the lifts of a base face and its minus copy (the
-lift with no plus rank), which `verify` and the integer route read, all
-come from it.  `Octahedralization` reads the order and its ranks off the
-base, and builds the doubled face set, its `ranked_faces` read through
-`vertices`, only when `complex` is first read: by
-`raagdim octahedralize`, which writes OL out, by
-`scripts/moment_oracle_sweep.py` and by the tests' oracles.  A `DoubledComplex`, the support of a cycle
-doubled over one of its simplices, keeps only the cycle, the simplex and
-OL, and has no face set.  `analyze`, `verify` and the lemma suite build
-neither: the configuration space of OL and of a doubled complex lifts its
-faces from the base (`ranked_faces`), and OL's counts its cells on the
-base.  Nor do these paths name a face by its vertex tuple, but by its
-rank tuple or its id (`ConfigurationSpace.rank_ids`; `verify` maps a
-stored half's labels to ranks by `rank`): face tuples are built only for
-a certificate's stored cells, an obstructed witness, the lemma suite's
-moment oracle and the wording of a failure.  A face's minus copy, the
-relabelling that the push to the product with the minus copy applies to
-every half, is read by face id from `ConfigurationSpace.minus_ids`.
+tuples in OL's order: OL's faces and a doubled complex's (`ranked_faces`),
+and the lifts of a base face and its minus copy (the lift with no plus
+rank), which `verify` and the integer route read, all come from it.  All
+three complex types answer `ranked_faces()`: a base its own face order,
+which `complexes` owns, and OL and a doubled complex its lifts.
+`Octahedralization` reads the order and its ranks off the base, and builds
+the doubled face set, its `ranked_faces` read through `vertices`, only
+when `complex` is first read: by `raagdim octahedralize`, which writes OL
+out, by `scripts/moment_oracle_sweep.py` and by the tests' oracles.  A
+`DoubledComplex`, the support of a cycle doubled over one of its
+simplices, keeps only the cycle, the simplex and OL, and has no face set.
+`analyze`, `verify` and the lemma suite build neither: the configuration
+space of OL and of a doubled complex lifts its faces from the base
+(`ranked_faces`), and OL's counts its cells on the base.  Nor do these
+paths name a face by its vertex tuple, but by its rank tuple or its id
+(`ConfigurationSpace.rank_ids`; `verify` maps a stored half's labels to
+ranks by `rank`): face tuples are built only for a certificate's stored
+cells, an obstructed witness, the lemma suite's moment oracle and the
+wording of a failure.  A face's minus copy, the relabelling that the push
+to the product with the minus copy applies to every half, is read by face
+id from `ConfigurationSpace.minus_ids`.
 """
 
 from __future__ import annotations
@@ -85,11 +87,9 @@ class Octahedralization(_OctaFields):
 
     def ranked_faces(self) -> list:
         """The faces as rank tuples, one sorted list per dimension, lifted
-        from the base by `lift_ranks` with a plus copy over every vertex,
-        without building `complex`."""
-        rk = self.base.rank
-        return lift_ranks([[tuple([rk[v] for v in f]) for f in self.base.faces_of_dim(k)]
-                           for k in range(self.base.dim + 1)], range(len(rk)))
+        from the base's (`ranked_faces`) by `lift_ranks` with a plus copy
+        over every vertex, without building `complex`."""
+        return lift_ranks(self.base.ranked_faces(), range(len(self.base.vertices)))
 
 
 def octahedralize(L: SimplicialComplex) -> Octahedralization:

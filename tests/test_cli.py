@@ -349,7 +349,7 @@ def test_cli_analyze_tests_flagness_once_per_input_and_goes_on(tmp_path, capsys,
     assert main(["analyze", hollow, empty, c4]) == 1
     assert tested == [("a", "b", "c"), io_json.complex_from_json(c4_json()).vertices]
     out, err = capsys.readouterr()
-    assert "error: complex is not flag (missing clique ('a', 'b', 'c'))" in err
+    assert "error: complex is not flag (missing clique ('a', 'b', 'c'))" in err and "--allow-non-flag" in err
     assert "error: empty complex: the associated group is trivial" in err
     assert f"== {c4}" in out and "actdim(A_L) = 4" in out
 

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from complex_reference import full_subcomplex, star
+from complex_reference import full_subcomplex, maximal_faces, minimal_missing_clique, star
 from raagdim.complexes import (
     flag_completion,
     is_flag,
@@ -15,7 +15,8 @@ from raagdim.complexes import (
     relabeled,
     skeleton,
 )
-from raagdim.zoo import cycle, random_flag, simplex
+from raagdim.octa import octahedralize
+from raagdim.zoo import ZOO, cycle, random_flag, simplex
 
 
 def brute_cliques(vertices, edges):
@@ -39,7 +40,7 @@ def test_from_maximal_c4():
 def test_from_maximal_full_triangle():
     K = make_complex([("a", "b", "c")])
     assert K.face_counts() == (3, 3, 1)
-    assert ("a", "c") in K
+    assert ("a", "c") in K.faces
 
 
 def test_from_maximal_point_and_duplicate_error():
@@ -100,6 +101,44 @@ def test_is_flag_witness_empty_triangle():
 def test_is_flag_simplex_and_c4():
     assert is_flag(simplex(3)).flag
     assert is_flag(cycle(4)).flag
+
+
+@st.composite
+def shuffled_complexes(draw, n_max):
+    """The closure of random simplices on the labels 0..n-1, flag or not,
+    under a shuffled vertex order."""
+    n = draw(st.integers(1, n_max))
+    order = draw(st.permutations(range(n)))
+    simplices = draw(st.lists(st.sets(st.sampled_from(order), min_size=1, max_size=4), min_size=1, max_size=10))
+    return make_complex([tuple(f) for f in simplices] + [(v,) for v in order], vertex_order=order)
+
+
+@st.composite
+def hollow_complexes(draw):
+    """Every (s-1)-subset of n vertices and some of the s-subsets, under a
+    shuffled vertex order: each s-subset left out is a missing clique, all
+    of one size."""
+    n, size = draw(st.integers(4, 7)), draw(st.integers(3, 4))
+    labels = [f"v{i}" for i in range(n)]
+    tops = draw(st.sets(st.sampled_from(list(combinations(labels, size)))))
+    return make_complex(list(combinations(labels, size - 1)) + list(tops), vertex_order=draw(st.permutations(labels)))
+
+
+@given(st.one_of(shuffled_complexes(7), hollow_complexes(),
+                 shuffled_complexes(5).map(lambda L: octahedralize(L).complex)))
+@settings(max_examples=150, deadline=None)
+def test_flag_witness_and_maximal_faces_match_the_oracles(K):
+    assert is_flag(K).missing_clique == minimal_missing_clique(K)
+    assert K.maximal_faces() == maximal_faces(K)
+
+
+def test_ranked_faces_are_the_faces_of_each_dimension_read_through_rank():
+    for entry in ZOO:
+        K = entry.complex()
+        rk = K.rank
+        assert K.ranked_faces() == tuple(tuple(tuple(rk[v] for v in f) for f in K.faces_of_dim(k))
+                                         for k in range(K.dim + 1)), entry.name
+        assert K.ranked_faces() is K.ranked_faces()
 
 
 def test_link_star_join_basics():
