@@ -108,14 +108,15 @@ def cmd_analyze(args) -> int:
 
 def cmd_generate(args) -> int:
     params = list(args.params)
+    ignored = params + ([f"--seed {args.seed}"] if args.seed is not None else [])
+    if "(" in args.name and ignored:
+        print(f"error: {args.name!r} is an expression, so '{' '.join(ignored)}' would be ignored; "
+              "put every parameter inside it", file=sys.stderr)
+        return 1
     # Seeded generators take the seed as their final parameter.
-    if args.name == "tree" and len(params) == 1:
-        params.append(str(args.seed))
-    if args.name == "random_flag" and len(params) == 2:
-        params.append(str(args.seed))
+    if (args.name, len(params)) in (("tree", 1), ("random_flag", 2)):
+        params.append(str(args.seed or 0))
     expr = args.name if not params else f"{args.name}({','.join(params)})"
-    if "(" in args.name:
-        expr = args.name
     try:
         K = build_named(expr)
     except (ValueError, TypeError) as exc:
@@ -201,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a zoo complex as JSON")
     p.add_argument("name", help="generator, e.g. cycle or join(points(2),points(2))")
     p.add_argument("params", nargs="*", help="positional parameters, e.g. 4")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of tree and random_flag given by name (default 0)")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_generate)
 

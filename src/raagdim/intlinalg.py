@@ -126,9 +126,8 @@ def smith_normal_form(mat):
                     if D[t][j]:
                         swap_cols(t, j)
                         dirty = True
-            if not dirty and all(D[i][t] == 0 for i in range(t + 1, nr)) and all(
-                D[t][j] == 0 for j in range(t + 1, nc)
-            ):
+            # No swap: the row pass cleared column t, and the column pass, which leaves it alone, row t.
+            if not dirty:
                 break
         # Enforce divisibility d_t | everything below.
         fixed = True

@@ -39,9 +39,7 @@ from .homology import boundary_rows, cycle_space, solve_coboundary
 from .intlinalg import CoreTooLarge, integer_det, integer_rank, solve_integer
 from .octa import Octahedralization, DoubledComplex, double_over, lift_ranks, octahedralize
 
-# Cycle-basis elements summed per candidate cycle in the certificate search,
-# and the default cap on cells of degrees 2k and 2k - 1 in the top solve.
-SEARCH_BUDGET = 2
+# The default cap on cells of degrees 2k and 2k - 1 in the top solve.
 MAX_CELLS = 10**6
 
 
@@ -180,16 +178,13 @@ def check_star_condition(cycle, delta: tuple) -> StarConditionReport:
 
 def delta_product_chain(doubled: DoubledComplex, space: ConfigurationSpace) -> dict:
     """The product chain (all signed lifts of delta) x (minus copy of the
-    cycle), on the face-id pairs of `space`'s complex, which must hold them
-    in a suborder of OL's vertex order: both halves lifted by `lift_ranks`
-    (a minus copy is the lift with no plus rank), read through
-    `space.rank_ids`, after `space.K.rank` on a space not on OL's ranks."""
-    rk, rid, ranks = doubled.octa.base.rank, space.rank_ids, space.K.rank
+    cycle), on the face-id pairs of `space`, a space lifted on OL's ranks
+    (OL's or the doubled complex's): both halves lifted by `lift_ranks` (a
+    minus copy is the lift with no plus rank), read through
+    `space.rank_ids`."""
+    rk, rid = doubled.octa.base.rank, space.rank_ids
     delta = tuple([rk[v] for v in doubled.delta])
     halves = [lift_ranks([[delta]], delta)[0], lift_ranks([[tuple([rk[v] for v in b]) for b in doubled.cycle]], ())[0]]
-    if ranks is not doubled.octa.rank:
-        to = [ranks.get(sv) for sv in doubled.octa.vertices]
-        halves = [[tuple([to[r] for r in t]) for t in half] for half in halves]
     lifts, minus_cycle = [[rid[t] for t in half] for half in halves]
     return {(a, b): 1 for a in lifts for b in minus_cycle}
 
@@ -209,23 +204,19 @@ class CycleCertificate(NamedTuple):
 
 
 def _cycle_candidates(basis):
-    for c in basis:
-        yield c
-    for r in range(2, SEARCH_BUDGET + 1):
-        for combo in combinations(range(len(basis)), r):
-            acc: frozenset = frozenset()
-            for i in combo:
-                acc = acc.symmetric_difference(basis[i])
-            if acc:
-                yield acc
+    """Each basis element, then the sum of each two of them, in basis order.
+    No sum is empty: the basis is independent."""
+    yield from basis
+    for a, b in combinations(basis, 2):
+        yield a ^ b
 
 
 def certify_nonvanishing(L: SimplicialComplex, degree: int):
     """Search for a nonvanishing certificate in the given degree.
 
-    Works on the degree-skeleton of L.  Tries cycle-basis elements first,
-    then sums of up to `SEARCH_BUDGET` of them, and every simplex of each
-    candidate as the doubling simplex.  Absence of a certificate is a
+    Works on the degree-skeleton of L.  Tries each cycle-basis element,
+    then each sum of two of them, and every simplex of each candidate as
+    the doubling simplex.  Absence of a certificate is a
     legal result (None), never a vanishing claim.
     """
     if degree < 0 or degree > L.dim:

@@ -27,21 +27,21 @@ same face-id pairs, the first `ORACLE_CELL_CAP` top cells, on their rank
 tuples (`moment_values`), so a passing check builds no cell as a pair of
 faces; only a failure's wording does.
 
-The driver's own faults live in tests/test_suite.py, which swaps this
-module's `push_to_product` for one that keeps only the first product term
-(the pushforward identity catches it), its `top_mesh_cocycle` for an
-inverted meshing test (the pullback identity catches it on the first
-cell), its `moment_values` for a negated oracle (the oracle agreement
-catches it), `obstruction.push_terms` for one without the swap term (the
-pushforward identity catches it; on a stored cell the swap term never
-meshes, so the pullback identity cannot), and the projection table
-`ConfigurationSpace.minus_ids` for one with a wrong entry (the pullback or
-pushforward identity catches it).
+The driver's own faults live in tests/test_suite.py, each caught by the
+check named after it: `push_to_product` with no swap term (pushforward),
+`top_mesh_cocycle` inverted (pullback, on the first cell), `moment_values`
+negated (moment-oracle), `obstruction.push_terms` with no swap term
+(pushforward; on a stored cell the swap term never meshes, so the pullback
+check cannot), a wrong `ConfigurationSpace.minus_ids` entry (pullback or
+pushforward), `check_star_condition` always holding (cycle, on the boundary
+of the 3-simplex) and an empty product chain on OL (evaluation).
 """
 
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .complexes import SimplicialComplex, make_complex
 from .config_space import ConfigurationSpace
@@ -66,35 +66,26 @@ PAIR_CAP = 6
 ORACLE_CELL_CAP = 400
 
 
-class _Record:
-    """A mutable record, shown as `Name(field=value, ...)` and equal to one
-    of its own class with equal fields."""
+class SuiteFailure(NamedTuple):
+    """One failed identity: its name, the (shrunk) complex's maximal faces, what differed."""
 
-    __hash__ = None
-
-    def __eq__(self, other):
-        return vars(other) == vars(self) if type(other) is type(self) else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join([f'{k}={v!r}' for k, v in vars(self).items()])})"
+    check: str
+    complex_maximal: tuple
+    detail: str
 
 
-class SuiteFailure(_Record):
-    def __init__(self, check: str, complex_maximal: tuple, detail: str):
-        self.check, self.complex_maximal, self.detail = check, complex_maximal, detail
+class SuiteResult(SimpleNamespace):
+    """A suite run's totals, which `check_complex` adds to: complexes, checks and failures."""
 
-
-class SuiteResult(_Record):
-    def __init__(self, complexes: int = 0, checks: int = 0, failures: list | None = None):
-        self.complexes, self.checks, self.failures = complexes, checks, [] if failures is None else failures
+    def __init__(self):
+        super().__init__(complexes=0, checks=0, failures=[])
 
 
 def _sample_complex(rng: random.Random) -> SimplicialComplex | None:
     """One random flag complex of dimension <= 2 carrying a top cycle."""
     style = rng.random()
     if style < 0.25:
-        K = suspension(cycle_complex(rng.randint(4, 6)))
-        return K if len(K.vertices) <= 8 else None
+        return suspension(cycle_complex(rng.randint(4, 6)))
     n = rng.randint(4, 8)
     p = rng.uniform(0.3, 0.65)
     K = random_flag(n, p, seed=rng.randrange(1 << 30))
@@ -140,7 +131,11 @@ class _Nonstrict(dict):
 
 
 def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
-    """Run the four identities plus the oracle agreement on one complex."""
+    """Run the four identities plus the oracle agreement on one complex; stop at the first failure."""
+
+    def fail(check: str, detail: str) -> None:
+        result.failures.append(SuiteFailure(check, K.maximal_faces(), detail))
+
     k = K.dim
     octa = octahedralize(K)
     space = ConfigurationSpace(octa)
@@ -154,10 +149,7 @@ def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
         if lhs != rhs:
             result.checks += i + 1
             faces, (a, b) = space.faces, top_pairs[i]
-            result.failures.append(SuiteFailure(
-                "pullback", K.maximal_faces(),
-                f"cell {(faces[a], faces[b])}: cocycle {lhs} != pushed evaluation {rhs}"))
-            return
+            return fail("pullback", f"cell {(faces[a], faces[b])}: cocycle {lhs} != pushed evaluation {rhs}")
     result.checks += len(top_pairs)
 
     basis = cycle_space(K, k)
@@ -173,36 +165,26 @@ def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
         result.checks += 1
         pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(omega, 1), dspace).items() if v % 2}
         if pushed != delta_product_chain(doubled, dspace):
-            result.failures.append(SuiteFailure(
-                "pushforward", K.maximal_faces(),
-                f"cycle {sorted(cyc)}, delta {delta}: push of covering chain differs from product chain"))
-            return
+            return fail("pushforward",
+                        f"cycle {sorted(cyc)}, delta {delta}: push of covering chain differs from product chain")
 
         star = check_star_condition(cyc, delta)
         if star.holds:
             result.checks += 1
             if dspace.boundary(omega):
-                result.failures.append(SuiteFailure(
-                    "cycle", K.maximal_faces(),
-                    f"cycle {sorted(cyc)}, delta {delta}: covering chain has boundary"))
-                return
+                return fail("cycle", f"cycle {sorted(cyc)}, delta {delta}: covering chain has boundary")
 
         result.checks += 1
         if sum([nonstrict[term] for term in delta_product_chain(doubled, space)]) % 2 != 1:
-            result.failures.append(SuiteFailure(
-                "evaluation", K.maximal_faces(),
-                f"cycle {sorted(cyc)}, delta {delta}: product chain evaluates to 0"))
-            return
+            return fail("evaluation", f"cycle {sorted(cyc)}, delta {delta}: product chain evaluates to 0")
 
     oracle_pairs = top_pairs[:ORACLE_CELL_CAP]
     for i, (geo, value) in enumerate(zip(moment_values(space.ranks, oracle_pairs), cocycle)):
         if geo != value:
             result.checks += i + 1
             faces, (a, b) = space.faces, oracle_pairs[i]
-            result.failures.append(SuiteFailure(
-                "moment-oracle", K.maximal_faces(),
-                f"cell {(faces[a], faces[b])}: geometric intersection disagrees with the cocycle"))
-            return
+            return fail("moment-oracle",
+                        f"cell {(faces[a], faces[b])}: geometric intersection disagrees with the cocycle")
     result.checks += len(oracle_pairs)
 
 
@@ -219,14 +201,12 @@ def run_suite(seed: int, count: int) -> SuiteResult:
         check_complex(K, result)
         if result.failures:
             fail = result.failures[-1]
-            check_name = fail.check
 
             def still_fails(cand: SimplicialComplex) -> bool:
                 probe = SuiteResult()
                 check_complex(cand, probe)
-                return any(f.check == check_name for f in probe.failures)
+                return any(f.check == fail.check for f in probe.failures)
 
-            shrunk = _shrink(K, still_fails)
-            fail.complex_maximal = shrunk.maximal_faces()
+            result.failures[-1] = fail._replace(complex_maximal=_shrink(K, still_fails).maximal_faces())
             break
     return result

@@ -84,8 +84,8 @@ def octahedron_boundary(k: int) -> SimplicialComplex:
     return out
 
 
-def cone(K: SimplicialComplex, apex: str = "apex") -> SimplicialComplex:
-    return join(make_complex([(apex,)]), _prefixed(K, "c."))
+def cone(K: SimplicialComplex) -> SimplicialComplex:
+    return join(make_complex([("apex",)]), _prefixed(K, "c."))
 
 
 def suspension(K: SimplicialComplex) -> SimplicialComplex:

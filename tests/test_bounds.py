@@ -5,7 +5,7 @@ import os
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from raagdim import bounds, intlinalg, obstruction
 from raagdim.bounds import analyze, geometric_dimension, l2_dimension, vkdim_lower
@@ -190,6 +190,29 @@ def test_analyze_records_the_bound_that_vkdim_lower_returns(L):
     lows = [r.value for r in analyze(L, allow_non_flag=True).records
             if (r.quantity, r.kind) == ("vkdim", "lower") and r.in_interval and r.rule != "cocycle-pairing-witness"]
     assert max(lows, default=-1) == vkdim_lower(L)[0]
+
+
+@st.composite
+def flag_complex_and_vertex_order(draw):
+    """A random flag complex's maximal faces and a vertex order for it."""
+    L = random_flag(draw(st.integers(5, 8)), draw(st.sampled_from((0.4, 0.5, 0.6, 0.7))), draw(st.integers(0, 10**6)))
+    return L.maximal_faces(), tuple(draw(st.permutations(L.vertices)))
+
+
+@given(flag_complex_and_vertex_order())
+@example((((("r0", "r1", "r3", "r4"), ("r2", "r3", "r4", "r6"), ("r1", "r2", "r3", "r4", "r5")),
+           ("r3", "r5", "r4", "r6", "r1", "r0", "r2"))))
+@settings(max_examples=30, deadline=None)
+def test_certified_intervals_under_two_vertex_orders_overlap(case):
+    # The certificate search can find more in one vertex order than in
+    # another (in the example: vkdim [4, 7] in the order r0..r6, [3, 7] in
+    # the other), so the intervals need not be equal; each certified lower
+    # end still holds for the complex, so it is at most the other's upper end.
+    faces, order = case
+    reports = [analyze(make_complex(faces, vertex_order=o)) for o in (sorted(order), order)]
+    for quantity in ("vkdim", "embdim", "actdim"):
+        (lo1, hi1), (lo2, hi2) = [getattr(r, quantity) for r in reports]
+        assert lo1 <= hi2 and lo2 <= hi1, (quantity, reports)
 
 
 def test_analyze_c4_exact():

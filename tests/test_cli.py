@@ -18,7 +18,7 @@ from raagdim.complexes import skeleton
 from raagdim.obstruction import certify_nonvanishing, covering_pair_chain, delta_product_chain
 from raagdim.octa import double_over, octahedralize
 from raagdim.verify import CHECKS, VerificationOutcome, verify_certificate
-from raagdim.zoo import ZOO, cycle, octahedron_boundary
+from raagdim.zoo import ZOO, cycle, octahedron_boundary, random_flag, tree
 from test_suite import dropped_push_to_product, flipped_top_mesh_cocycle
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(raagdim.__file__)))
@@ -253,6 +253,8 @@ def test_cli_bad_input_exits_1_with_a_located_message(tmp_path):
         (["generate", "random_flag(5,-0.5,1)"], "random_flag needs 0 <= p <= 1, got -0.5"),
         (["generate", "random_flag(5,nan,1)"], "random_flag needs 0 <= p <= 1, got nan"),
         (["generate", "random_flag", "5", "1.5"], "random_flag needs 0 <= p <= 1, got 1.5"),
+        (["generate", "cycle(4)", "7"], "'cycle(4)' is an expression, so '7' would be ignored"),
+        (["generate", "tree(6)", "--seed", "3"], "'tree(6)' is an expression, so '--seed 3' would be ignored"),
         (["analyze", write_json(tmp_path, "repeated-graph.json",
                                 {"graph": {"vertices": [1, 1, 2], "edges": [[1, 2]]}})],
          "$.graph.vertices"),
@@ -262,6 +264,15 @@ def test_cli_bad_input_exits_1_with_a_located_message(tmp_path):
         assert run.returncode == 1, (args, run.stderr)
         assert "Traceback" not in run.stderr
         assert where in run.stderr, (args, run.stderr)
+
+
+def test_cli_generate_seeds_a_generator_given_by_name_with_0_by_default(tmp_path):
+    for args, K in [(["tree", "6", "--seed", "3"], tree(6, 3)), (["tree", "6"], tree(6, 0)),
+                    (["random_flag", "6", "0.5", "--seed", "2"], random_flag(6, 0.5, 2))]:
+        out = str(tmp_path / "out.json")
+        assert main(["generate", *args, "--out", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            assert json.load(fh) == io_json.complex_to_json(K), args
 
 
 def test_cli_generate_analyze_verify_roundtrip(tmp_path, capsys):

@@ -177,7 +177,9 @@ def lifted_and_built_spaces(L, rng):
     """(octahedralization, space, doubled complex or None) triples: OL's
     space and one doubled complex's, each lifted from the base and built on
     the face set, the doubled one over a random cycle of L with OL's space
-    of that cycle's skeleton."""
+    of that cycle's skeleton.  The doubled complex rides along only with
+    the spaces lifted on its OL's ranks, the ones `delta_product_chain`
+    reads."""
     o = octahedralize(L)
     out = [(o, ConfigurationSpace(o), None), (o, ConfigurationSpace(o.complex), None)]
     cycles = [(k, c) for k in range(1, L.dim + 1) for c in cycle_space(skeleton(L, k), k)]
@@ -185,8 +187,8 @@ def lifted_and_built_spaces(L, rng):
         k, cyc = cycles[rng.randrange(len(cycles))]
         ok = octahedralize(skeleton(L, k))
         doubled = double_over(ok, cyc, sorted(cyc)[rng.randrange(len(cyc))])
-        out += [(ok, space, doubled) for space in (ConfigurationSpace(ok), ConfigurationSpace(doubled),
-                                                   ConfigurationSpace(doubled_complex(doubled)))]
+        out += [(ok, ConfigurationSpace(ok), doubled), (ok, ConfigurationSpace(doubled), doubled),
+                (ok, ConfigurationSpace(doubled_complex(doubled)), None)]
     return out
 
 

@@ -1,11 +1,11 @@
 """The engine's records: what each one means, and that importing the engine
 generates no code for them.
 
-The frozen records are NamedTuples and the lemma suite's two mutable ones
-are plain classes; each keeps the `Name(field=value, ...)` repr that
-failure wording embeds, and the frozen ones keep frozen fields, tuple
-equality and hash (the memo keys rely on `hash(K)`), keyword
-construction and defaults."""
+The frozen records, the lemma suite's failure among them, are NamedTuples,
+and the suite's running result is a mutable, unhashable SimpleNamespace;
+each keeps the `Name(field=value, ...)` repr that failure wording embeds,
+and the frozen ones keep frozen fields, tuple equality and hash (the memo
+keys rely on `hash(K)`), keyword construction and defaults."""
 
 import json
 import os
@@ -126,9 +126,13 @@ def test_the_suite_records_are_mutable_and_share_no_default():
     assert b.failures == [] and a != b
     fail = a.failures[0]
     assert repr(fail) == "SuiteFailure(check='pullback', complex_maximal=((0,),), detail='d')"
-    fail.complex_maximal = ((1,),)
-    assert fail == SuiteFailure("pullback", ((1,),), "d")
-    assert fail != SuiteFailure("pushforward", ((1,),), "d")
+    with pytest.raises(AttributeError):
+        fail.complex_maximal = ((1,),)
+    shrunk = fail._replace(complex_maximal=((1,),))
+    assert shrunk == SuiteFailure("pullback", ((1,),), "d") and fail.complex_maximal == ((0,),)
+    assert shrunk != SuiteFailure("pushforward", ((1,),), "d")
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_zoo_entries_without_expectations_share_one_read_only_default():

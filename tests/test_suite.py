@@ -3,13 +3,15 @@
 import random
 from functools import cached_property
 
+import pytest
 from raagdim import obstruction, suite
-from raagdim.complexes import make_complex
-from raagdim.obstruction import moment_values, nonstrict_rank_indicator, push_terms, top_mesh_cocycle
+from raagdim.complexes import make_complex, skeleton
+from raagdim.obstruction import (StarConditionReport, delta_product_chain, moment_values, nonstrict_rank_indicator,
+                                 push_terms, top_mesh_cocycle)
 from raagdim.octa import octahedralize
 from raagdim.config_space import ConfigurationSpace
 from raagdim.suite import SuiteResult, check_complex, run_suite
-from raagdim.zoo import cycle, octahedron_boundary, suspension
+from raagdim.zoo import cycle, octahedron_boundary, simplex, suspension
 
 
 def flipped_top_mesh_cocycle(space, degree):
@@ -39,6 +41,95 @@ def negated_moment_values(ranks, pairs):
     so a fault at `intlinalg.integer_det` would be masked on a warm cache.
     """
     return [-v for v in moment_values(ranks, pairs)]
+
+
+def star_condition_always_holds(cycle, delta):
+    """Fault: the pair-intersection condition reported as holding."""
+    return StarConditionReport(holds=True, violation=None)
+
+
+def empty_product_chain_on_ol(doubled, space):
+    """Fault: the product chain is empty on OL's space (the evaluation
+    check's), and right on the doubled complex's (the pushforward check's)."""
+    return {} if space.K is doubled.octa else delta_product_chain(doubled, space)
+
+
+_build_minus_ids = ConfigurationSpace.minus_ids.func
+
+
+def _corrupted_minus_ids(space):
+    """Fault: the first top face's minus copy is the last top face's."""
+    table = _build_minus_ids(space)
+    top = space.ids_of_dim(len(space.ranks[-1]) - 1)
+    table[top[0]] = table[top[-1]]
+    return table
+
+
+corrupted_minus_ids = cached_property(_corrupted_minus_ids)
+corrupted_minus_ids.__set_name__(ConfigurationSpace, "minus_ids")
+
+# Each fault: (owner, name, replacement), swapped in by name.
+FAULTS = {
+    "top_mesh_cocycle": (suite, "top_mesh_cocycle", flipped_top_mesh_cocycle),
+    "push_terms": (obstruction, "push_terms", dropped_swap_push_terms),
+    "push_to_product": (suite, "push_to_product", dropped_push_to_product),
+    "moment_values": (suite, "moment_values", negated_moment_values),
+    "minus_ids": (ConfigurationSpace, "minus_ids", corrupted_minus_ids),
+    "check_star_condition": (suite, "check_star_condition", star_condition_always_holds),
+    "delta_product_chain": (suite, "delta_product_chain", empty_product_chain_on_ol),
+}
+
+
+# Seed 3 samples the suspension of the 6-cycle first.
+SC6 = tuple((pole, f"s.c{i}", f"s.c{j}") for pole in ("north", "south")
+            for i, j in ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5)))
+PAIR = f"cycle {list(SC6)}, delta ('north', 's.c0', 's.c1')"
+FIRST_CELL = "cell ((('north', -1), ('s.c0', -1), ('s.c1', -1)), (('north', 1), ('s.c0', 1), ('s.c1', 1)))"
+# run_suite(3, 5) under each fault: (complexes, checks, failures), each
+# failure as (check, shrunk maximal faces, detail).
+FAULT_PINS = {
+    "top_mesh_cocycle": (1, 1, [("pullback", (("south", "s.c4", "s.c5"),),
+                                 f"{FIRST_CELL}: cocycle 0 != pushed evaluation 1")]),
+    "push_terms": (1, 2449, [("pushforward", SC6, f"{PAIR}: push of covering chain differs from product chain")]),
+    "push_to_product": (1, 2449, [("pushforward", SC6,
+                                   f"{PAIR}: push of covering chain differs from product chain")]),
+    "moment_values": (1, 2467, [("moment-oracle", (("south", "s.c4", "s.c5"),),
+                                 f"{FIRST_CELL}: geometric intersection disagrees with the cocycle")]),
+    "minus_ids": (1, 2, [("pullback", (("north", "s.c4", "s.c5"), ("south", "s.c3", "s.c4"), ("south", "s.c4", "s.c5")),
+                          "cell ((('north', -1), ('s.c0', -1), ('s.c1', -1)), (('north', 1), ('s.c0', 1), "
+                          "('s.c5', -1))): cocycle True != pushed evaluation 2")]),
+    # No tried pair of seed 3's samples breaks the condition, so this reads
+    # as the run without the fault; the boundary of the 3-simplex shows it.
+    "check_star_condition": (5, 12746, []),
+    "delta_product_chain": (1, 2451, [("evaluation", SC6, f"{PAIR}: product chain evaluates to 0")]),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_each_injected_fault_pins_the_whole_suite_result(monkeypatch, fault):
+    monkeypatch.setattr(*FAULTS[fault])
+    res = run_suite(seed=3, count=5)
+    failures = [(f.check, f.complex_maximal, f.detail) for f in res.failures]
+    assert (res.complexes, res.checks, failures) == FAULT_PINS[fault]
+
+
+@pytest.mark.parametrize("fault, check", [("check_star_condition", "cycle"), ("delta_product_chain", "evaluation")])
+def test_cycle_and_evaluation_faults_are_caught_on_the_boundary_of_the_3_simplex(monkeypatch, fault, check):
+    # Over the first triangle, the pair v0v1v3, v0v2v3 breaks the condition,
+    # and the covering chain has a boundary of 48 cells.
+    K = skeleton(simplex(3), 2)
+    monkeypatch.setattr(*FAULTS[fault])
+    monkeypatch.setattr(suite, "_sample_complex", lambda rng: K)
+    res = run_suite(seed=0, count=1)
+    triangles = (("v0", "v1", "v2"), ("v0", "v1", "v3"), ("v0", "v2", "v3"), ("v1", "v2", "v3"))
+    wording = {"cycle": "covering chain has boundary", "evaluation": "product chain evaluates to 0"}[check]
+    detail = f"cycle {list(triangles)}, delta ('v0', 'v1', 'v2'): {wording}"
+    assert (res.complexes, res.checks) == (1, 114)
+    # Dropping any triangle leaves no top cycle, so nothing shrinks away.
+    assert [(f.check, f.complex_maximal, f.detail) for f in res.failures] == [(check, triangles, detail)]
+    probe = SuiteResult()
+    check_complex(make_complex(triangles), probe)
+    assert [f.check for f in probe.failures] == [check]
 
 
 def test_suite_deterministic_for_fixed_seed():
@@ -136,18 +227,7 @@ def test_a_passing_check_builds_no_cell_tuple(monkeypatch):
 
 
 def test_corrupted_minus_table_entry_is_caught(monkeypatch):
-    build = ConfigurationSpace.minus_ids.func
-
-    def corrupted(space):
-        """Fault: the first top face's minus copy is the last top face's."""
-        table = build(space)
-        top = space.ids_of_dim(len(space.ranks[-1]) - 1)
-        table[top[0]] = table[top[-1]]
-        return table
-
-    fault = cached_property(corrupted)
-    fault.__set_name__(ConfigurationSpace, "minus_ids")
-    monkeypatch.setattr(ConfigurationSpace, "minus_ids", fault)
+    monkeypatch.setattr(*FAULTS["minus_ids"])
     res = run_suite(seed=3, count=5)
     assert res.failures
     assert res.failures[0].check in ("pullback", "pushforward")
