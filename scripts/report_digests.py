@@ -18,10 +18,13 @@ VanishingResult holds them, each cell written as a pair of faces in the
 order the result lists it (a cell key is read back by
 `ConfigurationSpace.key_cell`), so the diff covers the primitives and
 witnesses, not just the primitive's size.  When the default report
-carries a certificate, the case also gets the [ok, failed_check, detail]
-of verifying that certificate after a JSON round trip ("verify"), with
-its first omega_support cell dropped ("verify-drop-first"), with the sign of that cell's first vertex
-flipped ("verify-flip-sign") and with that cell listed twice
+carries a certificate, the case also gets the digest of that certificate
+written on its own, the bytes `raagdim analyze --certificate` writes
+("certificate-file"; in the report it sits at another indent), and the
+[ok, failed_check, detail] of verifying that certificate after a JSON
+round trip ("verify"), with its first omega_support cell dropped
+("verify-drop-first"), with the sign of that cell's first vertex flipped
+("verify-flip-sign") and with that cell listed twice
 ("verify-repeat-first"), so the diff covers the failure wording too.  Every case also gets one digest of
 [v, d, vkdim_lower(link(L, (v,)), d)] over its vertices v and the depths
 d <= 2 ("links"), which covers link bounds that no report records.  The
@@ -131,6 +134,7 @@ def main() -> int:
                      "vanishing": digest(solve_record(L, vanishing)),
                      "vanishing-integral": digest(solve_record(L, integral_vanishing))}
         if "certificate" in default:
+            out[name]["certificate-file"] = digest(default["certificate"])
             out[name].update(verdicts(L, default["certificate"]))
     for seed in range(5):
         result = run_suite(seed, SUITE_COUNT)

@@ -116,6 +116,10 @@ def cmd_generate(args) -> int:
     # Seeded generators take the seed as their final parameter.
     if (args.name, len(params)) in (("tree", 1), ("random_flag", 2)):
         params.append(str(args.seed or 0))
+    elif args.seed is not None:
+        print(f"error: '--seed {args.seed}' would be ignored: only 'tree N' and 'random_flag N P' take it",
+              file=sys.stderr)
+        return 1
     expr = args.name if not params else f"{args.name}({','.join(params)})"
     try:
         K = build_named(expr)

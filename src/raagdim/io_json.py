@@ -4,12 +4,16 @@ All files carry a versioned "schema" field.  Certificates are proof
 objects meant to outlive the binary, so their encoding is fully explicit:
 signed vertices serialize as [label, "+"] or [label, "-"].
 
-`dumps` writes exactly `json.dumps(data, sort_keys=True, indent=2) + "\n"`;
-`certificate_to_json` shares one list per distinct label and per distinct half.
+`dumps` writes exactly `json.dumps(data, sort_keys=True, indent=2) + "\n"`,
+a list of memoized lists (a certificate cell) in place.  A certificate has
+many cells but few halves and labels: `certificate_to_json` ranks each half
+once and shares one list per label and half, and `certificate_from_json`
+decodes each signed label to one tuple.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .bounds import DimensionReport
@@ -30,16 +34,22 @@ class MalformedInput(ValueError):
         self.location = location
 
 
-def _decode_labels(xs: list, location: str, index=None) -> tuple:
+def _decode_labels(xs: list, location: str, index=None, signed=None) -> tuple:
     """The labels the JSON values in `xs` stand for (a bool is not one).  The
-    location of a refusal, `location.format(index)`, is built only then."""
+    location of a refusal, `location.format(index)`, is built only then.
+    Callers that share `signed`, dicts of the "+" and "-" labels decoded
+    by base, get one tuple per distinct signed label."""
+    plus, minus = signed or ({}, {})
     out = []
     for x in xs:
-        if type(x) is str or type(x) is int:
+        if type(x) is list and len(x) == 2 and (x[1] == "+" or x[1] == "-"):
+            base, sign = x
+            if type(base) is not str and type(base) is not int:
+                base = _decode_labels(x[:1], location, index)[0]
+            table = plus if sign == "+" else minus
+            out.append(table.get(base) or table.setdefault(base, (base, PLUS if sign == "+" else MINUS)))
+        elif type(x) is str or type(x) is int:
             out.append(x)
-        elif type(x) is list and len(x) == 2 and x[1] in ("+", "-"):
-            base = x[0] if type(x[0]) is str or type(x[0]) is int else _decode_labels(x[:1], location, index)[0]
-            out.append((base, PLUS if x[1] == "+" else MINUS))
         else:
             raise MalformedInput(f"label must be a string, an integer, or [label, '+'|'-'], got {x!r}",
                                  location.format(index))
@@ -149,20 +159,25 @@ def certificate_to_json(cert: CycleCertificate) -> dict:
     """The certificate as a JSON dict whose label and half lists are shared
     between occurrences: do not mutate them in place (`copy.deepcopy` first)."""
     cycle = sorted(cert.cycle)
-    # Cells sort as tuples of halves; ranking the halves once lets them sort
-    # on one int each, in the same order.
-    ranked = sorted({half for cell in cert.omega for half in cell})
+    # The cells share their space's face tuples: rank each half object once,
+    # by value (equal halves held apart share a rank), then sort the cells
+    # as tuples of halves, on one int each.
+    halves = list(chain.from_iterable(cert.omega))
+    by_id = dict(zip(map(id, halves), halves))
+    ranked = sorted(set(by_id.values()))
     rank = {half: r for r, half in enumerate(ranked)}
+    rank_of_id = {i: rank[half] for i, half in by_id.items()}
+    ranks = [rank_of_id[id(half)] for half in halves]
     n = len(ranked)
-    cells = sorted(cert.omega, key=lambda cell: rank[cell[0]] * n + rank[cell[1]])
+    keys = sorted(a * n + b for a, b in zip(ranks[::2], ranks[1::2]))
     labels = {v: _encode_label(v) for s in (*cycle, cert.delta, *ranked) for v in s}
-    halves = {half: [labels[v] for v in half] for half in ranked}
+    lists = [[labels[v] for v in half] for half in ranked]
     return {
         "schema": CERTIFICATE_SCHEMA,
         "degree": cert.degree,
         "M": [[labels[v] for v in f] for f in cycle],
         "Delta": [labels[v] for v in cert.delta],
-        "omega_support": [[halves[a], halves[b]] for a, b in cells],
+        "omega_support": [[lists[key // n], lists[key % n]] for key in keys],
         # A certificate is only built once both checks hold.
         "star_condition": True,
         "evaluation": 1,
@@ -184,10 +199,12 @@ def certificate_from_json(data) -> dict:
     if type(star) is not bool:
         raise MalformedInput(f"must be a boolean, got {star!r}", "$.star_condition")
 
+    signed = ({}, {})  # few distinct signed labels, each in many cells: one tuple each
+
     def simplex(x, location, index=None):
         if type(x) is not list or not x:
             raise MalformedInput("simplex must be a nonempty list of labels", location.format(index))
-        return _decode_labels(x, location, index)
+        return _decode_labels(x, location, index, signed)
 
     def cell(x, i):
         if type(x) is not list or len(x) != 2:
@@ -284,13 +301,27 @@ def _encode(o, nl: str, memo: dict, out: list, path: set) -> None:
     if id(o) in path:
         raise TypeError("circular reference")
     path.add(id(o))
-    inner = nl + "  "
+    inner, deeper = nl + "  ", nl + "    "
     sep, comma = brackets[0] + inner, "," + inner
+    # A list of scalars and memoized lists (a certificate cell) is written in place.
+    opening, between, closing = "[" + deeper, "," + deeper, inner + "]"
     for head, x in zip(heads, values):
         out.append(sep + head)
         sep = comma
         scalar = _SCALAR_TEXT.get(type(x))
         text = scalar(x) if scalar is not None else memo.get((id(x), inner))
+        if text is None and type(x) in (list, tuple):
+            mark, piece = len(out), opening
+            for y in x:
+                scalar = _SCALAR_TEXT.get(type(y))
+                text = scalar(y) if scalar is not None else memo.get((id(y), deeper))
+                if text is None:
+                    del out[mark:]
+                    break
+                out += piece, text
+                piece = between
+            else:
+                text = closing if x else "[]"
         if text is None:
             _encode(x, inner, memo, out, path)
         else:

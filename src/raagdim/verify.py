@@ -4,21 +4,22 @@ Rebuilds the doubled complex and the covering chain from the certificate's
 (M, Delta) against the provided complex and re-runs every identity, naming
 the first failing check.  M's cycle check counts the facets of its
 simplices mod 2 by `chain_boundary` (a vertex's facet is the empty face, so
-in degree 0 the rule is an even vertex count).  Each half of a stored pair
-is mapped to OL's ranks and named by id through `rank_ids` of the doubled
-complex's configuration space, lifted from M's support; the pair must have
-the stated total size and disjoint halves (on masks), and is then named
-once by its cell key (either half first).  The stored chain's boundary,
-evaluation, push and support match run on keys, face-id pairs and rank
-tuples, never on a face set of OL or of the doubled complex, nor on face
-tuples: a key becomes a cell again only to word a failure.  The stored
-support must match the rebuilt chain exactly, and neither M nor the
-stored support may list an entry twice (it would cancel mod 2); a
-certificate is a proof object, not a hint.
+in degree 0 the rule is an even vertex count).  Each distinct half of the
+stored pairs is mapped to OL's ranks and named by id through `rank_ids` of
+the doubled complex's configuration space, lifted from M's support, once
+however many pairs list it; each pair must have the stated total size and
+disjoint halves (on masks), and is then named once by its cell key (either
+half first).  The stored chain's boundary, evaluation, push and support
+match run on keys, face-id pairs and rank tuples, never on a face set of
+OL or of the doubled complex, nor on face tuples: a key becomes a cell
+again only to word a failure.  The stored support must match the rebuilt
+chain exactly, and neither M nor the stored support may list an entry
+twice (it would cancel mod 2); a certificate is a proof object, not a hint.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from .complexes import SimplicialComplex, skeleton
@@ -99,8 +100,11 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
 
     run.append("omega-cycle")
     keys = set()
-    for a, b in cert["omega_support"]:
-        ga, gb = rid.get(tuple(map(rank.get, a))), rid.get(tuple(map(rank.get, b)))
+    # Each distinct half is named once; an unknown one is named None.
+    support = cert["omega_support"]
+    named = {half: rid.get(tuple(map(rank.get, half))) for half in dict.fromkeys(chain.from_iterable(support))}
+    for a, b in support:
+        ga, gb = named[a], named[b]
         if ga is None or gb is None or len(a) + len(b) != 2 * degree + 2 or masks[ga] & masks[gb]:
             return fail(f"stored pair {(a, b)} is not a disjoint pair of faces of degree {2 * degree}")
         key = ga * F + gb if ranks[ga][0] < ranks[gb][0] else gb * F + ga

@@ -102,3 +102,23 @@ def test_verify_matches_the_cell_reference_on_zoo_and_certify_mutations():
             count += 1
     assert count > 300
     assert {"cycle-condition", "omega-cycle"} <= failed_checks
+
+
+def test_verify_names_fresh_equal_halves_and_a_repeated_unknown_half_as_the_reference_does():
+    """Stored halves are named once each by value: halves held as separate
+    equal tuples, mutated or not, and an unknown half listed in two cells
+    get the outcome and wording of the cell reference."""
+    for expr in ("cycle(4)", "octahedron_boundary(2)", "suspension(suspension(cycle(5)))"):
+        L = build_named(expr)
+        data = io_json.certificate_from_json(io_json.certificate_to_json(certify_nonvanishing(L, L.dim)))
+        for mutation, mutated in mutations(L, data):
+            support = [(tuple(list(a)), tuple(list(b))) for a, b in mutated["omega_support"]]
+            out = verify_certificate(L, dict(mutated, omega_support=support))
+            assert out == verify_certificate(L, mutated) == certificate_reference.verify_certificate(L, mutated), (
+                expr, mutation)
+        (a, b), (c, d), *rest = data["omega_support"]
+        unknown = (("zz", 1),) + a[1:]
+        for support in ([(unknown, b), (unknown, d)] + rest, [(a, b), (c, unknown), (unknown, d)] + rest):
+            out = verify_certificate(L, dict(data, omega_support=support))
+            assert out == certificate_reference.verify_certificate(L, dict(data, omega_support=support)), expr
+            assert out.failed_check == "omega-cycle" and "('zz', 1)" in out.detail, (expr, out)

@@ -255,6 +255,8 @@ def test_cli_bad_input_exits_1_with_a_located_message(tmp_path):
         (["generate", "random_flag", "5", "1.5"], "random_flag needs 0 <= p <= 1, got 1.5"),
         (["generate", "cycle(4)", "7"], "'cycle(4)' is an expression, so '7' would be ignored"),
         (["generate", "tree(6)", "--seed", "3"], "'tree(6)' is an expression, so '--seed 3' would be ignored"),
+        (["generate", "cycle", "4", "--seed", "3"], "'--seed 3' would be ignored"),
+        (["generate", "tree", "6", "3", "--seed", "5"], "'--seed 5' would be ignored"),
         (["analyze", write_json(tmp_path, "repeated-graph.json",
                                 {"graph": {"vertices": [1, 1, 2], "edges": [[1, 2]]}})],
          "$.graph.vertices"),

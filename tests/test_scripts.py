@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from raagdim import io_json
-from raagdim.bounds import vkdim_lower
+from raagdim.bounds import analyze, vkdim_lower
 from raagdim.complexes import link
 from raagdim.zoo import cycle
 
@@ -39,13 +39,14 @@ def test_script_runs(args, expected, tmp_path):
         assert suites["lemma-suite(seed=0)"] == [50, 85897, 0]
         assert all(complexes == 50 and failures == 0 for complexes, _checks, failures in suites.values())
         # Every case has its three report digests, its link digest and the
-        # digests of its default and integral top solves.  With max_cells=0 a case without a top certificate refuses at the size
+        # digests of its default and integral top solves; a case with a
+        # certificate also has that of the certificate file and its verdicts.  With max_cells=0 a case without a top certificate refuses at the size
         # guard, so its report differs from the default; a case with one
         # never reaches the guard.
         digests = {name: v for name, v in json.loads(run.stdout).items() if name not in suites}
         keys = ["default", "integral", "links", "refuse", "vanishing", "vanishing-integral"]
         verdicts = ["verify", "verify-drop-first", "verify-flip-sign", "verify-repeat-first"]
-        assert all(sorted(v) in (keys, keys + verdicts) for v in digests.values())
+        assert all(sorted(v) in (keys, ["certificate-file"] + keys + verdicts) for v in digests.values())
         # The link digest covers [v, d, bound] for every vertex and d <= 2.
         c4 = cycle(4)
         bounds = [[v, d, list(vkdim_lower(link(c4, (v,)), d))] for v in c4.vertices for d in range(3)]
@@ -62,6 +63,8 @@ def test_script_runs(args, expected, tmp_path):
         # certificate gets no verdicts.
         verified = digests["zoo:cycle4"]
         assert verified["verify"] == [True, None, "certificate verified"]
+        assert verified["certificate-file"] == hashlib.sha256(
+            io_json.dumps(io_json.certificate_to_json(analyze(c4).certificate)).encode()).hexdigest()
         first = "((('c0', -1), ('c1', -1)), (('c0', 1), ('c1', 1)))"
         assert verified["verify-drop-first"] == [
             False, "omega-cycle", "stored chain has boundary, e.g. at ((('c0', -1),), (('c0', 1), ('c1', 1)))"]
