@@ -25,7 +25,10 @@ written on its own, the bytes `raagdim analyze --certificate` writes
 round trip ("verify"), with its first omega_support cell dropped
 ("verify-drop-first"), with the sign of that cell's first vertex flipped
 ("verify-flip-sign") and with that cell listed twice
-("verify-repeat-first"), so the diff covers the failure wording too.  Every case also gets one digest of
+("verify-repeat-first"), so the diff covers the failure wording too.
+Such a case runs no top solve in its reports, so it also gets the digest
+of the record of `certify_vanishing(L)` run on its own ("top-solve"),
+which holds the witness of an obstructed solve.  Every case also gets one digest of
 [v, d, vkdim_lower(link(L, (v,)), d)] over its vertices v and the depths
 d <= 2 ("links"), which covers link bounds that no report records.  The
 output also holds, for seeds 0-4, the lemma
@@ -49,6 +52,7 @@ from raagdim import io_json  # noqa: E402
 from raagdim.bounds import analyze, vkdim_lower  # noqa: E402
 from raagdim.complexes import link  # noqa: E402
 from raagdim.config_space import ConfigurationSpace  # noqa: E402
+from raagdim.obstruction import certify_vanishing  # noqa: E402
 from raagdim.octa import octahedralize  # noqa: E402
 from raagdim.suite import run_suite  # noqa: E402
 from raagdim.verify import verify_certificate  # noqa: E402
@@ -136,6 +140,7 @@ def main() -> int:
         if "certificate" in default:
             out[name]["certificate-file"] = digest(default["certificate"])
             out[name].update(verdicts(L, default["certificate"]))
+            out[name]["top-solve"] = digest(solve_record(L, certify_vanishing(L)))
     for seed in range(5):
         result = run_suite(seed, SUITE_COUNT)
         out[f"lemma-suite(seed={seed})"] = [result.complexes, result.checks, len(result.failures)]

@@ -7,8 +7,9 @@ dense highest-bit rule).  A row whose largest key is not yet a pivot
 becomes that pivot as given, with no copy; only a row that meets a pivot is
 copied into a set and reduced there, one symmetric difference per step.
 So no row, given or stored, is ever mutated, and elimination without fill
-costs what the rows hold, not their width.  Exactness is the point: no
-floats anywhere.
+costs what the rows hold, not their width; `solve` names the equations of
+an inconsistency from that one pass.  Exactness is the point: no floats
+anywhere.
 """
 
 from __future__ import annotations
@@ -19,28 +20,31 @@ from bisect import bisect_right
 def _reduce(piv, row):
     """Reduce the row by the pivot rows until its largest key is new.
 
-    Returns (that key, the reduced row), or (None, an empty row) once the
-    row cancels.  A row whose largest key is new at once comes back as given;
-    any other is copied into a set before the first reduction step, so
-    neither the row nor a pivot is mutated."""
+    Returns (that key, the reduced row, the pivot keys it was reduced by,
+    in order), with None and an empty row once the row cancels.  A row
+    whose largest key is new at once comes back as given, reduced by
+    nothing (``()``); any other is copied into a set before the first
+    reduction step, so neither the row nor a pivot is mutated.  Each step
+    lowers the largest key, so no pivot is listed twice."""
     c = max(row) if row else None
     if c not in piv:
-        return c, row
-    r = set(row)
+        return c, row, ()
+    r, used = set(row), []
     while True:
+        used.append(c)
         r.symmetric_difference_update(piv[c])
         if not r:
-            return None, r
+            return None, r, used
         c = max(r)
         if c not in piv:
-            return c, r
+            return c, r, used
 
 
 def _echelon(rows):
     """Pivot dict {largest key: row} from incremental elimination."""
     piv: dict = {}
     for row in rows:
-        c, r = _reduce(piv, row)
+        c, r, _ = _reduce(piv, row)
         if c is not None:
             piv[c] = r
     return piv
@@ -73,37 +77,39 @@ def kernel_basis(rows, ncols) -> list:
     return [_back_substitute(piv, order[bisect_right(order, f):], {f}) for f in range(ncols) if f not in piv]
 
 
-def solve(equations, ncols, want_witness=False):
-    """Solve A x = b over GF(2).
+def solve(equations, ncols):
+    """Solve A x = b over GF(2) in one elimination.
 
     equations: a list of (keys, rhs_bit) pairs, one per equation, its
     variables given by a collection of nonnegative column keys, each at
     most once.  Each is eliminated as it arrives, so only the pivot rows
     are ever held, and a row is kept as given until it meets a pivot (a
-    copy when it needs the rhs or witness keys below); no row is mutated.
-    ncols is the number of unknowns; elimination does not read it, as the
-    keys only order the unknowns and need not lie below it.
+    copy when it needs the rhs key -1, below every variable); no row is
+    mutated.  ncols is the number of unknowns; elimination does not read
+    it, as the keys only order the unknowns and need not lie below it.
     Returns (x, None) on success, x the set of keys set to 1 with free
-    variables 0, or (None, witness) when inconsistent; the witness (only
-    computed when requested) is the ascending list of equation indices
-    whose sum reads 0 = 1.  Witness tracking lengthens every row it
-    touches, so solve without it first.
-
-    Row i is laid out by key as  variables | rhs | witness:  the variables
-    at their own keys, the rhs at -1, and the key -2 - i marking the
-    equation, so the pivot on a variable always comes first.
+    variables 0, or (None, witness) at the first equation that reads 0 = 1:
+    the ascending list of equation indices whose sum reads 0 = 1, that
+    equation's the largest.  Each pivot keeps its equation and the pivots
+    its row was reduced by, so the same pass reads the witness back.
     """
     piv: dict = {}
+    made = []
     for i, (keys, rhs) in enumerate(equations):
-        if want_witness:
-            keys = (*keys, -1, -2 - i) if rhs & 1 else (*keys, -2 - i)
-        elif rhs & 1:
-            keys = (*keys, -1)
-        c, r = _reduce(piv, keys)
-        if c is not None and c >= 0:
+        c, r, used = _reduce(piv, (*keys, -1) if rhs & 1 else keys)
+        if c == -1:
+            # A pivot is its equation plus pivots made before it, so walking
+            # back in creation order settles each pivot's parity before it
+            # is visited.
+            odd, witness = set(used), [i]
+            for p, j, below in reversed(made):
+                if p in odd:
+                    witness.append(j)
+                    odd.symmetric_difference_update(below)
+            return None, sorted(witness)
+        if c is not None:
             piv[c] = r
-        elif c == -1:
-            return None, sorted(-2 - key for key in r if key < -1) if want_witness else None
+            made.append((c, i, used))
     # The key -1 in x is the rhs column, read as the constant 1.
     x = _back_substitute(piv, sorted(piv), {-1})
     x.discard(-1)

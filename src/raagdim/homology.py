@@ -103,15 +103,12 @@ def solve_coboundary(phi, degree: int, space):
     cell order, the keys increasing strictly in the order of the
     (m-1)-cells.  Builds no cell.
 
-    Returns (primitive, witness): `primitive` is a {key: 1} dict on the
-    keys of the (m-1)-cells in its support, in key order (cell order), when
-    solvable, otherwise None.  The witness of an unsolvable system is the
-    ascending list of the indices of m-cells forming a cycle on which phi
-    evaluates to 1.
+    Returns (primitive, witness) from one `gf2.solve`: `primitive` is a
+    {key: 1} dict on the keys of the (m-1)-cells in its support, in key
+    order (cell order), when solvable, otherwise None.  The witness of an
+    unsolvable system is the ascending list of the indices of m-cells
+    forming a cycle on which phi evaluates to 1.
     """
     n_lower = space.count_cells(degree - 1) if degree > 0 else 0
-    eqs = list(zip(space.facet_keys(degree), phi, strict=True))
-    x, _ = gf2.solve(eqs, n_lower)
-    if x is None:
-        return None, gf2.solve(eqs, n_lower, want_witness=True)[1]
-    return dict.fromkeys(sorted(x), 1), None
+    x, witness = gf2.solve(list(zip(space.facet_keys(degree), phi, strict=True)), n_lower)
+    return (None, witness) if x is None else (dict.fromkeys(sorted(x), 1), None)

@@ -105,6 +105,10 @@ def complex_from_json(data) -> SimplicialComplex:
         order = [label(v, "$.vertex_order[{}]", i) for i, v in enumerate(raw)]
         _refuse_repeated(order, "$.vertex_order")
     if "graph" in data:
+        for key, why in (("maximal_simplices", "give 'graph' or 'maximal_simplices', not both"),
+                         ("vertices", "a graph lists its vertices in 'graph.vertices'")):
+            if key in data:
+                raise MalformedInput(why, f"$.{key}")
         g = data["graph"]
         if not isinstance(g, dict) or "vertices" not in g or "edges" not in g:
             raise MalformedInput("graph needs 'vertices' and 'edges'", "$.graph")
@@ -129,6 +133,8 @@ def complex_from_json(data) -> SimplicialComplex:
         except ValueError as exc:
             raise MalformedInput(str(exc), "$.graph") from exc
     if "maximal_simplices" in data:
+        if "flag" in data:
+            raise MalformedInput("only a 'graph' is flag-completed; 'maximal_simplices' are read as given", "$.flag")
         raw = _list(data["maximal_simplices"], "$.maximal_simplices")
         simplices = []
         for i, s in enumerate(raw):

@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, skeleton
+from .complexes import SimplicialComplex
 from .config_space import ConfigurationSpace
 from .homology import boundary_rows, cycle_space, solve_coboundary
 from .intlinalg import CoreTooLarge, integer_det, integer_rank, solve_integer
@@ -214,18 +214,19 @@ def _cycle_candidates(basis):
 def certify_nonvanishing(L: SimplicialComplex, degree: int):
     """Search for a nonvanishing certificate in the given degree.
 
-    Works on the degree-skeleton of L.  Tries each cycle-basis element,
+    Reads the degree-cycles of L itself: they are those of its
+    degree-skeleton, and OL's vertex order is the same, as every vertex is
+    a 0-face, so no skeleton is built.  Tries each cycle-basis element,
     then each sum of two of them, and every simplex of each candidate as
     the doubling simplex.  Absence of a certificate is a
     legal result (None), never a vanishing claim.
     """
     if degree < 0 or degree > L.dim:
         return None
-    K = skeleton(L, degree)
-    basis = cycle_space(K, degree)
+    basis = cycle_space(L, degree)
     if not basis:
         return None
-    octa = octahedralize(K)
+    octa = octahedralize(L)
     for cycle in _cycle_candidates(basis):
         for delta in sorted(cycle):
             report = check_star_condition(cycle, delta)

@@ -86,6 +86,11 @@ def test_malformed_inputs_carry_locations():
     # Only a JSON boolean asks for the flag completion.
     ({"graph": {"vertices": [1, 2], "edges": []}, "flag": "yes"}, "$.flag", "must be a boolean"),
     ({"graph": {"vertices": [1, 2], "edges": []}, "flag": [-1, True]}, "$.flag", "must be a boolean"),
+    # One input form's keys next to the other's: the hollow triangle is
+    # not flag-completed, and neither key of a pair is dropped.
+    ({"maximal_simplices": [[1, 2], [2, 3], [1, 3]], "flag": True}, "$.flag", "only a 'graph'"),
+    ({"graph": {"vertices": [1, 2], "edges": []}, "maximal_simplices": [[1, 2]]}, "$.maximal_simplices", "not both"),
+    ({"graph": {"vertices": [1, 2], "edges": []}, "vertices": [1, 2]}, "$.vertices", "'graph.vertices'"),
 ])
 def test_complex_json_rejects_bad_labels_and_containers(data, location, reason):
     with pytest.raises(io_json.MalformedInput) as err:
@@ -260,6 +265,16 @@ def test_cli_bad_input_exits_1_with_a_located_message(tmp_path):
         (["analyze", write_json(tmp_path, "repeated-graph.json",
                                 {"graph": {"vertices": [1, 1, 2], "edges": [[1, 2]]}})],
          "$.graph.vertices"),
+        # Keys that the other input form reads are refused, not dropped.
+        (["analyze", write_json(tmp_path, "flag-simplices.json",
+                                {"maximal_simplices": [[1, 2], [2, 3], [3, 4], [4, 1]], "flag": "yes"})],
+         "$.flag: only a 'graph' is flag-completed"),
+        (["analyze", write_json(tmp_path, "graph-simplices.json",
+                                {"graph": {"vertices": [1, 2], "edges": [[1, 2]]}, "maximal_simplices": [[1, 2, 3]]})],
+         "$.maximal_simplices: give 'graph' or 'maximal_simplices', not both"),
+        (["analyze", write_json(tmp_path, "graph-vertices.json",
+                                {"graph": {"vertices": [1, 2], "edges": [[1, 2]]}, "vertices": [3]})],
+         "$.vertices: a graph lists its vertices in 'graph.vertices'"),
     ]
     for args, where in cases:
         run = run_cli(args)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raagdim.config_space import ConfigurationSpace
-from raagdim import homology
+from raagdim import gf2, homology
 from raagdim.homology import (
     boundary_rows,
     cycle_space,
@@ -208,6 +208,30 @@ def test_a_phi_one_entry_short_is_refused_by_both_solves_and_the_recheck(monkeyp
     monkeypatch.setattr(obstruction, "_pullback_primitive", lambda octa, space, k: None)
     with pytest.raises(ValueError, match="argument 2 is shorter"):
         certify_vanishing(path(3), integral=True)
+
+
+def test_an_obstructed_solve_eliminates_once_and_stops_at_its_witness(monkeypatch):
+    # One gf2.solve finds the inconsistency and names its witness: it reads
+    # the equations up to the first that reads 0 = 1, the witness's largest
+    # index, and no further.
+    reads = []
+    solve = gf2.solve
+
+    def spy(equations, ncols):
+        def counted():
+            for equation in equations:
+                reads[-1] += 1
+                yield equation
+
+        reads.append(0)
+        return solve(counted(), ncols)
+
+    monkeypatch.setattr(gf2, "solve", spy)
+    space = ConfigurationSpace(octahedralize(cycle(5)))
+    phi = top_mesh_cocycle(space, 1)
+    primitive, witness = solve_coboundary(phi, 2, space)
+    assert primitive is None
+    assert reads == [max(witness) + 1] and reads[0] < len(phi)
 
 
 @given(st.integers(0, 10**6))

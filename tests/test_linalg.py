@@ -1,8 +1,9 @@
 """Sparse GF(2) algebra and exact integer elimination."""
 
 from fractions import Fraction
+from random import Random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gf2_dense
 from raagdim import gf2, intlinalg
@@ -328,16 +329,14 @@ def test_gf2_solve_matches_brute_force(system):
     solutions = brute_solutions(eqs, ncols)
     x, witness = gf2.solve(sparse, ncols)
     assert (x is not None) == bool(solutions)
-    assert witness is None
     if x is not None:
         # The solution with free variables 0 is the only one supported on
         # the pivot columns.
         support = sum(1 << c for c in leading_bits(m for m, _ in eqs))
         assert [s for s in solutions if s & ~support == 0] == [sum(1 << c for c in x)]
-        assert gf2.solve(sparse, ncols, want_witness=True) == (x, None)
+        assert witness is None
         return
-    x, witness = gf2.solve(sparse, ncols, want_witness=True)
-    assert x is None
+    # The same pass names the equations that sum to 0 = 1.
     mask = rhs = 0
     for i in witness:
         mask ^= eqs[i][0]
@@ -352,9 +351,9 @@ def test_gf2_solve_matches_brute_force(system):
 def test_gf2_solve_inconsistent_with_witness():
     # x0 = 1 and x0 = 0: the sum of both equations reads 0 = 1.
     eqs = [({0}, 1), ({0}, 0)]
-    x, witness = gf2.solve(eqs, 1, want_witness=True)
+    x, witness = gf2.solve(eqs, 1)
     assert x is None
-    assert sorted(witness) == [0, 1]
+    assert witness == [0, 1]
 
 
 ROW_KINDS = (tuple, list, set, frozenset)
@@ -365,6 +364,10 @@ ROW_KINDS = (tuple, list, set, frozenset)
     st.lists(st.tuples(st.integers(0, 2**n - 1), st.integers(0, 1), st.sampled_from(ROW_KINDS),
                        st.randoms(use_true_random=False)), max_size=12))))
 @settings(max_examples=300, deadline=None)
+# x1 = 0 is the pivot on x1; x1 + x0 = 1 is reduced by it to the pivot on
+# x0; x1 + x0 = 0 is reduced by both to 0 = 1.  The pivot on x1 is reached
+# directly and through the pivot on x0, so it cancels: the witness is [1, 2].
+@example(([3, 7], [(0b10, 0, list, Random(0)), (0b11, 1, tuple, Random(1)), (0b11, 0, set, Random(2))]))
 def test_gf2_solve_on_increasing_keys_matches_the_dense_oracle(system):
     # Column j carries the j-th smallest key: any strictly increasing
     # labels give the dense solve's x and witness.  The rows list their
@@ -380,13 +383,12 @@ def test_gf2_solve_on_increasing_keys_matches_the_dense_oracle(system):
         eqs.append((mask, rhs))
         sparse.append((kind(row), rhs))
     before = [(type(keys), list(keys), rhs) for keys, rhs in sparse]
-    for want_witness in (False, True):
-        x, witness = gf2.solve(sparse, len(labels), want_witness)
-        x_dense, witness_dense = gf2_dense.solve(eqs, len(labels), want_witness)
-        assert witness == witness_dense
-        expect = None if x_dense is None else {labels[j] for j in gf2_dense.indices_from_mask(x_dense)}
-        assert x == expect
-        assert [(type(keys), list(keys), rhs) for keys, rhs in sparse] == before
+    x, witness = gf2.solve(sparse, len(labels))
+    x_dense, witness_dense = gf2_dense.solve(eqs, len(labels))
+    assert witness == witness_dense
+    expect = None if x_dense is None else {labels[j] for j in gf2_dense.indices_from_mask(x_dense)}
+    assert x == expect
+    assert [(type(keys), list(keys), rhs) for keys, rhs in sparse] == before
     # rank and kernel_basis read the same kinds of rows, on the columns
     # 0..n-1, and mutate none of them either.
     rows = [type(keys)(labels.index(key) for key in keys) for keys, _rhs in sparse]
@@ -409,10 +411,9 @@ def test_gf2_fresh_rows_become_pivots_as_given():
     # x2 + x0 = 1, x1 = 0, 0 = 0, x2 + x1 = 1: the odd rhs of a fresh row
     # stays with its pivot.
     eqs = [((2, 0), 1), ([1], 0), ((), 0), ({2, 1}, 1)]
-    assert gf2.solve(eqs, 3) == gf2.solve(eqs, 3, want_witness=True) == ({2}, None)
+    assert gf2.solve(eqs, 3) == ({2}, None)
     # An empty row with an odd rhs reads 0 = 1 and is its own witness.
-    assert gf2.solve(eqs + [([], 1)], 3) == (None, None)
-    assert gf2.solve(eqs + [([], 1)], 3, want_witness=True) == (None, [4])
+    assert gf2.solve(eqs + [([], 1)], 3) == (None, [4])
     assert eqs == [((2, 0), 1), ([1], 0), ((), 0), ({2, 1}, 1)]
 
 

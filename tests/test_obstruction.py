@@ -603,9 +603,8 @@ def dense_top_solve(L):
     cells, lower = space.cells_of_degree(2 * L.dim), space.cells_of_degree(2 * L.dim - 1)
     eqs = [(sum(1 << i for i, coeff in row if coeff % 2), v)
            for row, v in zip(integer_recheck.boundary_rows(space, 2 * L.dim), phi, strict=True)]
-    x, _ = gf2_dense.solve(eqs, len(lower))
+    x, witness = gf2_dense.solve(eqs, len(lower))
     if x is None:
-        _, witness = gf2_dense.solve(eqs, len(lower), want_witness=True)
         return None, tuple(cells[i] for i in witness)
     return {lower[i]: 1 for i in gf2_dense.indices_from_mask(x)}, None
 

@@ -11,6 +11,7 @@ import pytest
 from raagdim import io_json
 from raagdim.bounds import analyze, vkdim_lower
 from raagdim.complexes import link
+from raagdim.obstruction import certify_vanishing
 from raagdim.zoo import cycle
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -40,13 +41,15 @@ def test_script_runs(args, expected, tmp_path):
         assert all(complexes == 50 and failures == 0 for complexes, _checks, failures in suites.values())
         # Every case has its three report digests, its link digest and the
         # digests of its default and integral top solves; a case with a
-        # certificate also has that of the certificate file and its verdicts.  With max_cells=0 a case without a top certificate refuses at the size
+        # certificate also has that of the certificate file, its verdicts
+        # and the top solve that its reports skip.  With max_cells=0 a case without a top certificate refuses at the size
         # guard, so its report differs from the default; a case with one
         # never reaches the guard.
         digests = {name: v for name, v in json.loads(run.stdout).items() if name not in suites}
         keys = ["default", "integral", "links", "refuse", "vanishing", "vanishing-integral"]
         verdicts = ["verify", "verify-drop-first", "verify-flip-sign", "verify-repeat-first"]
-        assert all(sorted(v) in (keys, ["certificate-file"] + keys + verdicts) for v in digests.values())
+        assert all(sorted(v) in (keys, sorted(["certificate-file", "top-solve"] + keys + verdicts))
+                   for v in digests.values())
         # The link digest covers [v, d, bound] for every vertex and d <= 2.
         c4 = cycle(4)
         bounds = [[v, d, list(vkdim_lower(link(c4, (v,)), d))] for v in c4.vertices for d in range(3)]
@@ -56,6 +59,12 @@ def test_script_runs(args, expected, tmp_path):
         # A case with a certificate runs no top solve; the hollow triangle's
         # integral solve adds an integer primitive to its record.
         assert digests["zoo:cycle4"]["vanishing"] == hashlib.sha256(io_json.dumps(None).encode()).hexdigest()
+        # Run on its own, that solve is obstructed, and its record holds the
+        # witness.
+        top = certify_vanishing(c4)
+        assert top.status == "obstructed"
+        assert digests["zoo:cycle4"]["top-solve"] == hashlib.sha256(
+            io_json.dumps([top.status, None, top.witness_cycle, None]).encode()).hexdigest()
         assert digests["zoo:cycle3"]["vanishing"] != digests["zoo:cycle3"]["vanishing-integral"]
         # A certificate verifies after its JSON round trip, and not without
         # its first cell, with that cell's first sign flipped or with that

@@ -91,8 +91,8 @@ def test_route_primitive_digest(expr):
 @pytest.mark.parametrize("expr, solvable", [("cone(cycle(5))", True), ("octahedron_boundary(3)", False)])
 def test_top_solve_leaves_the_cached_facet_rows_as_built(expr, solvable):
     # The solve holds fresh rows as its pivots without a copy, and those
-    # are the space's cached facet_keys rows; the witness pass reads them
-    # again.  Neither pass may change them.
+    # are the space's cached facet_keys rows; the obstructed solve names
+    # its witness from the same pass.  It may not change them.
     L = build_named(expr)
     octa = octahedralize(L)
     space = ConfigurationSpace(octa.complex)
