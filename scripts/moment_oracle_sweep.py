@@ -13,7 +13,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from raagdim.config_space import ConfigurationSpace  # noqa: E402
-from raagdim.obstruction import _raw_moment_pairing, mesh_number, moment_intersection  # noqa: E402
+from raagdim.obstruction import _raw_moment_pairing, mesh_values, moment_intersection  # noqa: E402
 from raagdim.octa import octahedralize  # noqa: E402
 from raagdim.zoo import random_flag  # noqa: E402
 
@@ -40,9 +40,10 @@ def main() -> int:
             K = octahedralize(K).complex
         space = ConfigurationSpace(K)
         k = K.dim
-        for a, b in space.cells_of_degree(2 * k):
+        # Both in cell order; a stored cell meshes 0 or 1, never (-1)^k.
+        meshed = mesh_values(*space.indexed_cells(2 * k))
+        for (a, b), comb in zip(space.cells_of_degree(2 * k), meshed, strict=True):
             geo = moment_intersection(a, b, K.rank)
-            comb = mesh_number(a, b, K.rank)
             total += 1
             nonzero += bool(comb)
             mismatches += geo != comb

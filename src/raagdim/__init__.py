@@ -23,7 +23,6 @@ from .obstruction import (
     certify_vanishing,
     check_star_condition,
     covering_pair_chain,
-    mesh_number,
 )
 from .octa import double_over, octahedralize
 
@@ -45,7 +44,6 @@ __all__ = [
     "l2_dimension",
     "link",
     "make_complex",
-    "mesh_number",
     "mod2_betti",
     "octahedralize",
     "rational_betti",

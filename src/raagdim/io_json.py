@@ -83,9 +83,17 @@ def _refuse_repeated(labels: list, location: str) -> None:
         raise MalformedInput(f"repeated vertex {_encode_label(repeated)!r}", location)
 
 
+def _refuse_unknown(data: dict, known: tuple, location: str = "$") -> None:
+    """Refuse a key outside `known`: a misspelt key must not be dropped unread."""
+    for key in data:
+        if key not in known:
+            raise MalformedInput(f"unknown key {key!r}", f"{location}.{key}")
+
+
 def complex_from_json(data) -> SimplicialComplex:
     if not isinstance(data, dict):
         raise MalformedInput("top level must be an object")
+    _refuse_unknown(data, ("schema", "vertex_order", "graph", "flag", "maximal_simplices", "vertices"))
     first: list = []
 
     def label(x, location, index):
@@ -112,6 +120,7 @@ def complex_from_json(data) -> SimplicialComplex:
         g = data["graph"]
         if not isinstance(g, dict) or "vertices" not in g or "edges" not in g:
             raise MalformedInput("graph needs 'vertices' and 'edges'", "$.graph")
+        _refuse_unknown(g, ("vertices", "edges"), "$.graph")
         raw = _list(g["vertices"], "$.graph.vertices")
         verts = [label(v, "$.graph.vertices[{}]", i) for i, v in enumerate(raw)]
         _refuse_repeated(verts, "$.graph.vertices")
@@ -193,9 +202,11 @@ def certificate_to_json(cert: CycleCertificate) -> dict:
 def certificate_from_json(data) -> dict:
     if not isinstance(data, dict):
         raise MalformedInput("certificate must be an object")
-    for key in ("degree", "M", "Delta", "omega_support", "star_condition", "evaluation"):
+    keys = ("degree", "M", "Delta", "omega_support", "star_condition", "evaluation")
+    for key in keys:
         if key not in data:
             raise MalformedInput(f"missing key {key!r}", "$")
+    _refuse_unknown(data, ("schema", *keys))
     degree, evaluation, star = data["degree"], data["evaluation"], data["star_condition"]
     # type(...) is int also turns away bools.
     if type(degree) is not int or degree < 0:

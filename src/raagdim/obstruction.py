@@ -48,26 +48,14 @@ MAX_CELLS = 10**6
 
 
 def _interleaves(a, b) -> bool:
-    """a0 < b0 < a1 < b1 < ... < ak < bk, for rank tuples (or iterables of
-    ranks, read only up to the first break)."""
+    """a0 < b0 < a1 < b1 < ... < ak < bk, for rank tuples: the one copy of
+    the meshing rule."""
     prev = -1
     for x, y in zip(a, b):
         if not prev < x < y:
             return False
         prev = y
     return True
-
-
-def mesh_number(sigma: tuple, tau: tuple, rank: dict) -> int:
-    """Value of the top integral obstruction cocycle on an ordered pair:
-    `_interleaves` on the simplices mapped to ranks, led by the simplex
-    whose first vertex ranks lower (only that order can interleave)."""
-    if len(sigma) != len(tau):
-        raise ValueError("meshing is defined for equal-dimensional simplices")
-    r = rank.__getitem__
-    if r(sigma[0]) < r(tau[0]):
-        return int(_interleaves(map(r, sigma), map(r, tau)))
-    return (-1) ** (len(sigma) - 1) if _interleaves(map(r, tau), map(r, sigma)) else 0
 
 
 def nonstrict_rank_indicator(a: tuple, b: tuple, minus) -> int:
@@ -96,9 +84,16 @@ def mesh_values(ranks, pairs) -> list:
     meshes: `_interleaves` on the rank tuples of the space's index
     (`ConfigurationSpace.ranks`).  A stored cell puts the simplex with the
     lower-ranked first vertex first, so only its own order can interleave
-    and `mesh_number` is 0 or 1 there.  Meshing reads only the order of the
-    ranks, so a doubled complex's own ranks give OL's values."""
+    and the meshing cocycle is 0 or 1 there.  Meshing reads only the order
+    of the ranks, so a doubled complex's own ranks give OL's values."""
     return [_interleaves(ranks[a], ranks[b]) for a, b in pairs]
+
+
+def pairing(space: ConfigurationSpace, pairs) -> tuple:
+    """The one witness check, on a chain given by the face-id pairs of its
+    cells: its boundary keys and its meshing value, mod 2.  A witness of a
+    nonzero top class has no boundary and value 1."""
+    return space.boundary(pairs), sum(mesh_values(space.ranks, pairs)) % 2
 
 
 def push_terms(pairs, space: ConfigurationSpace):
@@ -234,12 +229,13 @@ def certify_nonvanishing(L: SimplicialComplex, degree: int):
                 continue
             doubled = double_over(octa, cycle, delta)
             space, pairs = covering_pair_chain(doubled)
-            if space.boundary(pairs):
+            boundary, value = pairing(space, pairs)
+            if boundary:
                 raise RuntimeError(
                     "covering chain failed to be a cycle under the pair-intersection "
                     f"condition (cycle {sorted(cycle)}, delta {delta})"
                 )
-            if sum(mesh_values(space.ranks, pairs)) % 2 != 1:
+            if value != 1:
                 raise RuntimeError(
                     f"covering chain evaluated to 0 (cycle {sorted(cycle)}, delta {delta})"
                 )
@@ -275,7 +271,7 @@ class VanishingResult(NamedTuple):
 def top_mesh_cocycle(space: ConfigurationSpace, degree: int) -> list:
     """The meshing cocycle on the top cells, as its 0/1 values in cell order.
 
-    `mesh_number` is 0 or 1 on a stored cell (`mesh_values`), so this is the
+    The cocycle is 0 or 1 on a stored cell (`mesh_values`), so this is the
     integer cocycle as well as its mod-2 reduction.  It reads the rank
     tuples of `space`'s index.
     """
@@ -383,9 +379,10 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
     if primitive is None:
         faces, pairs = space.faces, space.indexed_cells(2 * k)[1]
         chain = [pairs[i] for i in witness]
-        if space.boundary(chain):
+        boundary, value = pairing(space, chain)
+        if boundary:
             raise RuntimeError("inconsistency witness is not a cycle")
-        if sum([phi[i] for i in witness]) % 2 != 1:
+        if value != 1:
             raise RuntimeError("inconsistency witness does not pair to 1")
         return VanishingResult(status="obstructed", primitive=None,
                                witness_cycle=tuple([(faces[a], faces[b]) for a, b in chain]))

@@ -28,8 +28,8 @@ from .obstruction import (
     check_star_condition,
     covering_pair_chain,
     delta_product_chain,
-    mesh_values,
     nonstrict_rank_indicator,
+    pairing,
     push_to_product,
 )
 from .octa import double_over, octahedralize
@@ -113,12 +113,11 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
         keys.add(key)
     # In cell order, so `boundary` builds each first half's part once per run.
     stored = [divmod(key, F) for key in sorted(keys)]
-    boundary = space.boundary(stored)
+    boundary, evaluation = pairing(space, stored)
     if boundary:
         return fail(f"stored chain has boundary, e.g. at {space.key_cell(boundary[0])}")
 
     run.append("omega-evaluation")
-    evaluation = sum(mesh_values(ranks, stored)) % 2
     if evaluation != 1 or evaluation != cert["evaluation"]:
         return fail(f"stored chain evaluates to {evaluation}")
 

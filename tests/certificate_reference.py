@@ -18,10 +18,10 @@ from itertools import combinations_with_replacement
 
 import push_reference
 from index_reference import doubled_complex
-from push_reference import lifts, minus_lift
+from push_reference import lifts, mesh_number, minus_lift
 from raagdim.complexes import skeleton
 from raagdim.config_space import ConfigurationSpace, chain_boundary
-from raagdim.obstruction import StarConditionReport, mesh_number
+from raagdim.obstruction import StarConditionReport
 from raagdim.octa import double_over, octahedralize
 from raagdim.verify import VerificationOutcome
 from test_config_space import canonical, cell_key, signed_boundary, signed_chain_boundary

@@ -1,7 +1,8 @@
-"""Reference oracles: the push to the product and the nonstrict meshing
-indicator written straight from their definitions, on cells, deriving the
-minus copy of every half on each call (`minus_lift(project(face))`) and
-testing the signs of `b` before any vertex order.  `raagdim.obstruction`
+"""Reference oracles: the push to the product, the meshing cocycle and the
+nonstrict meshing indicator written straight from their definitions, on
+cells, deriving the minus copy of every half on each call
+(`minus_lift(project(face))`) and testing the signs of `b` before any
+vertex order.  `raagdim.obstruction`
 pushes face-id pairs, reads the minus copies from the per-space
 projection table `ConfigurationSpace.minus_ids` and evaluates the
 indicator on rank tuples (`nonstrict_rank_indicator`), checking the signs
@@ -30,6 +31,24 @@ def minus_lift(face: tuple) -> tuple:
 def lifts(face: tuple) -> tuple:
     """All signed lifts of a base simplex, in sign-pattern order."""
     return tuple(tuple(zip(face, signs)) for signs in product((MINUS, PLUS), repeat=len(face)))
+
+
+def mesh_number(sigma: tuple, tau: tuple, rank: dict) -> int:
+    """The top integral obstruction cocycle on an ordered pair of vertex
+    tuples: 1 when their ranks run s0 < t0 < s1 < t1 < ... < sk < tk, (-1)^k
+    when they run t0 < s0 < ... < tk < sk, else 0.  `raagdim.obstruction` reads
+    only stored cells, which lead with the lower first vertex, as 0 or 1
+    (`mesh_values`)."""
+    if len(sigma) != len(tau):
+        raise ValueError("meshing is defined for equal-dimensional simplices")
+
+    def meshes(a, b):
+        merged = [rank[v] for pair in zip(a, b) for v in pair]
+        return all(x < y for x, y in zip(merged, merged[1:]))
+
+    if meshes(sigma, tau):
+        return 1
+    return (-1) ** (len(sigma) - 1) if meshes(tau, sigma) else 0
 
 
 def nonstrict_mesh_indicator(sigma: tuple, b: tuple, rank: dict) -> int:

@@ -12,6 +12,7 @@ from functools import partial
 
 from index_reference import doubled_complex
 from planarity_reference import is_planar, one_skeleton
+from push_reference import mesh_number
 from raagdim.bounds import analyze
 from raagdim.complexes import join, relabeled, skeleton
 from raagdim.config_space import ConfigurationSpace
@@ -20,7 +21,6 @@ from raagdim.obstruction import (
     certify_nonvanishing,
     certify_vanishing,
     check_star_condition,
-    mesh_number,
     moment_intersection,
 )
 from raagdim.octa import octahedralize

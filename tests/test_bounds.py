@@ -192,6 +192,19 @@ def test_analyze_records_the_bound_that_vkdim_lower_returns(L):
     assert max(lows, default=-1) == vkdim_lower(L)[0]
 
 
+@pytest.mark.parametrize("expr", ["cycle(4)", "octahedron_boundary(2)", "suspension(cycle(5))"])
+def test_the_obstructed_solve_records_its_witness_when_the_search_finds_no_top_certificate(monkeypatch, expr):
+    L = build_named(expr)
+    found = analyze(L)
+    search = bounds.certify_nonvanishing
+    monkeypatch.setattr(bounds, "certify_nonvanishing", lambda K, degree: None if degree == L.dim else search(K, degree))
+    report = analyze(L)
+    assert report.certificate is None and report.vanishing.status == "obstructed"
+    assert ("vkdim", "lower", 2 * L.dim, "cocycle-pairing-witness") in [
+        (r.quantity, r.kind, r.value, r.rule) for r in report.records]
+    assert (report.vkdim, report.embdim, report.actdim) == (found.vkdim, found.embdim, found.actdim)
+
+
 @st.composite
 def flag_complex_and_vertex_order(draw):
     """A random flag complex's maximal faces and a vertex order for it."""

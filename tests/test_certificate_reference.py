@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 import certificate_reference
 import push_reference
 from raagdim import io_json
-from raagdim.complexes import skeleton
+from raagdim.complexes import make_complex, skeleton
 from raagdim.homology import cycle_space
 from raagdim.obstruction import certify_nonvanishing, covering_pair_chain, push_to_product
 from raagdim.octa import double_over, octahedralize
-from raagdim.verify import verify_certificate
-from raagdim.zoo import ZOO, build_named, random_flag
+from raagdim.verify import VerificationOutcome, verify_certificate
+from raagdim.zoo import ZOO, build_named, cycle, random_flag
 from test_config_space import cell_key
 from test_pins import load_workloads
 
@@ -122,3 +122,26 @@ def test_verify_names_fresh_equal_halves_and_a_repeated_unknown_half_as_the_refe
             out = verify_certificate(L, dict(data, omega_support=support))
             assert out == certificate_reference.verify_certificate(L, dict(data, omega_support=support)), expr
             assert out.failed_check == "omega-cycle" and "('zz', 1)" in out.detail, (expr, out)
+
+
+def test_verify_names_a_bad_M_and_a_star_violation_as_the_reference_does():
+    L = cycle(4)
+    data = io_json.certificate_from_json(io_json.certificate_to_json(certify_nonvanishing(L, 1)))
+    # The boundary of the 3-simplex is a 2-cycle; (0, 1, 3) and (0, 2, 3)
+    # cover Delta = (0, 1, 2) and meet at 3, outside it.
+    triangles = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    sphere = {"degree": 2, "M": triangles, "Delta": (0, 1, 2), "omega_support": [], "star_condition": True,
+              "evaluation": 1}
+    first = ("delta-membership",)
+    for K, cert, outcome in [
+        (L, dict(data, M=data["M"] + [("zz", "c0")]),
+         VerificationOutcome(False, "delta-membership", "unknown simplex: unknown vertex 'zz'", first)),
+        (L, dict(data, M=data["M"] + [("c0", "c2")]),
+         VerificationOutcome(False, "delta-membership", "M contains simplices outside the complex", first)),
+        (L, dict(data, M=data["M"] + [("c0",)]),
+         VerificationOutcome(False, "delta-membership", "M is not pure of the stated degree", first)),
+        (make_complex(triangles), sphere,
+         VerificationOutcome(False, "star-condition", "violating pair ((0, 1, 3), (0, 2, 3))",
+                             ("delta-membership", "cycle-condition", "star-condition"))),
+    ]:
+        assert verify_certificate(K, cert) == outcome == certificate_reference.verify_certificate(K, cert)

@@ -275,6 +275,15 @@ def test_cli_bad_input_exits_1_with_a_located_message(tmp_path):
         (["analyze", write_json(tmp_path, "graph-vertices.json",
                                 {"graph": {"vertices": [1, 2], "edges": [[1, 2]]}, "vertices": [3]})],
          "$.vertices: a graph lists its vertices in 'graph.vertices'"),
+        # A misspelt key is refused, not dropped: it would change the vertex order unseen.
+        (["analyze", write_json(tmp_path, "misspelt.json",
+                                {"maximal_simplices": [[1, 2], [2, 3]], "vertex_ordr": [3, 2, 1]})],
+         "$.vertex_ordr: unknown key 'vertex_ordr'"),
+        (["analyze", write_json(tmp_path, "graph-key.json",
+                                {"graph": {"vertices": [1, 2], "edges": [[1, 2]], "flag": True}})],
+         "$.graph.flag: unknown key 'flag'"),
+        (["verify", write_json(tmp_path, "cert-key.json", dict(cert, evalution=1)), c4],
+         "$.evalution: unknown key 'evalution'"),
     ]
     for args, where in cases:
         run = run_cli(args)

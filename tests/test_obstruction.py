@@ -11,7 +11,7 @@ import gf2_dense
 import integer_recheck
 import push_reference
 from index_reference import doubled_complex
-from push_reference import minus_lift, project
+from push_reference import mesh_number, minus_lift, project
 import raagdim
 from raagdim import io_json, obstruction
 from raagdim.complexes import skeleton
@@ -24,7 +24,6 @@ from raagdim.obstruction import (
     check_star_condition,
     covering_pair_chain,
     delta_product_chain,
-    mesh_number,
     mesh_values,
     moment_intersection,
     moment_values,
@@ -528,6 +527,32 @@ def test_certify_vanishing_c4_obstructed_with_witness():
     witness = frozenset(result.witness_cycle)
     assert not space.boundary(pairs_of(space, witness))
     assert sum(mesh_number(a, b, o.rank) for a, b in witness) % 2 == 1
+
+
+def has_boundary(self, pairs):
+    return (0,)
+
+
+def meshes_nowhere(ranks, pairs):
+    return [0] * len(pairs)
+
+
+@pytest.mark.parametrize("owner, name, fault, messages", [
+    (ConfigurationSpace, "boundary", has_boundary,
+     ("covering chain failed to be a cycle", "inconsistency witness is not a cycle")),
+    (obstruction, "mesh_values", meshes_nowhere,
+     ("covering chain evaluated to 0", "inconsistency witness does not pair to 1")),
+])
+def test_both_witness_self_checks_refuse_a_chain_that_is_no_witness(monkeypatch, owner, name, fault, messages):
+    L = cycle(5)
+    # The solve reads the true cocycle, so it is still obstructed; only the witness checks are faulted.
+    phi = top_mesh_cocycle(ConfigurationSpace(octahedralize(L)), L.dim)
+    monkeypatch.setattr(obstruction, "top_mesh_cocycle", lambda space, degree: phi)
+    monkeypatch.setattr(owner, name, fault)
+    with pytest.raises(RuntimeError, match=messages[0]):
+        certify_nonvanishing(cycle(4), 1)
+    with pytest.raises(RuntimeError, match=messages[1]):
+        certify_vanishing(L)
 
 
 def test_certify_vanishing_refuses_by_count_without_building_cells(monkeypatch):

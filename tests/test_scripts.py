@@ -24,6 +24,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     (["moment_oracle_sweep.py", "--samples", "2", "--doubled"], "mismatches: 0"),
     (["report_digests.py", "--count", "2"], '"random_flag(8,0.3,1)": {'),
     (["census.py", "--seed", "5", "--count", "4"], "census: seed 5, 4 complexes"),
+    (["moment_oracle_sweep.py", "--samples", "2"], "mismatches: 0"),
 ])
 def test_script_runs(args, expected, tmp_path):
     run = subprocess.run(
