@@ -23,6 +23,7 @@ from typing import NamedTuple
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from raagdim.complexes import SimplicialComplex, make_complex, skeleton  # noqa: E402
+from raagdim.config_space import ConfigurationSpace  # noqa: E402
 from raagdim.homology import cycle_space  # noqa: E402
 from raagdim.obstruction import check_star_condition, covering_pair_chain  # noqa: E402
 from raagdim.octa import double_over, octahedralize  # noqa: E402
@@ -73,7 +74,7 @@ def find_star_violation(seed: int = 0, budget: int = 40) -> ViolationExhibit | N
                 if report.holds:
                     continue
                 doubled = double_over(octa, cyc, delta)
-                space, pairs = covering_pair_chain(doubled)
+                space, pairs = covering_pair_chain(doubled, ConfigurationSpace(doubled))
                 boundary = space.boundary(pairs)
                 if boundary:
                     return ViolationExhibit(

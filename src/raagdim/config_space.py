@@ -30,7 +30,11 @@ doubled complex (`octa.lift_ranks`, the only lifting rule); sorting each
 dimension's lifts, int tuples with no key, gives the id order, as a
 doubled complex's own vertex order is a suborder of OL's.  So the index,
 and with it the cell order, the keys, every solve and every certificate,
-are those of the space on the face set.  OL's cells are counted on L
+are those of the space on the face set.  For the same reason a doubled
+complex's chain can be named in OL's space, which holds its faces in the
+same order: the certificate paths name it in the doubled complex's own
+space, the lemma suite in OL's, whose facet ids and minus copies it
+builds once per complex.  OL's cells are counted on L
 without building the index, by the identity
 
     n_d = 1/2 * sum 2^|s u t|   over ordered pairs (s, t) of faces of L

@@ -14,6 +14,7 @@ anywhere.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 
 
@@ -90,26 +91,39 @@ def solve(equations, ncols):
     Returns (x, None) on success, x the set of keys set to 1 with free
     variables 0, or (None, witness) at the first equation that reads 0 = 1:
     the ascending list of equation indices whose sum reads 0 = 1, that
-    equation's the largest.  Each pivot keeps its equation and the pivots
-    its row was reduced by, so the same pass reads the witness back.
+    equation's the largest.  A row kept as given leaves no record, as its
+    pivot is its equation alone: a reduced pivot keeps its equation and the
+    pivots its row was reduced by, and a row that makes no pivot (it
+    cancels, or is empty) its equation's index, in an int array.  So the
+    pivots kept as given, in creation order (the pivot dict's), are the
+    equations recorded neither way, in order, and the same pass reads the
+    witness back.
     """
     piv: dict = {}
-    made = []
+    reduced = []
+    cancelled = array("q")
     for i, (keys, rhs) in enumerate(equations):
         c, r, used = _reduce(piv, (*keys, -1) if rhs & 1 else keys)
         if c == -1:
-            # A pivot is its equation plus pivots made before it, so walking
-            # back in creation order settles each pivot's parity before it
-            # is visited.
+            # A reduced pivot is its equation plus pivots made before it, so
+            # walking back in creation order settles each one's parity before
+            # it is visited.
             odd, witness = set(used), [i]
-            for p, j, below in reversed(made):
+            for p, j, below in reversed(reduced):
                 if p in odd:
                     witness.append(j)
                     odd.symmetric_difference_update(below)
+            made = {p for p, _j, _below in reduced}
+            recorded = set(cancelled).union([j for _p, j, _below in reduced])
+            given = zip([p for p in piv if p not in made], [j for j in range(i) if j not in recorded])
+            witness += [j for p, j in given if p in odd]
             return None, sorted(witness)
-        if c is not None:
+        if c is None:
+            cancelled.append(i)
+        else:
             piv[c] = r
-            made.append((c, i, used))
+            if used:
+                reduced.append((c, i, used))
     # The key -1 in x is the rhs column, read as the constant 1.
     x = _back_substitute(piv, sorted(piv), {-1})
     x.discard(-1)

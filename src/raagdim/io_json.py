@@ -1,8 +1,9 @@
 """JSON schemas for complexes, certificates, and reports.
 
-All files carry a versioned "schema" field.  Certificates are proof
-objects meant to outlive the binary, so their encoding is fully explicit:
-signed vertices serialize as [label, "+"] or [label, "-"].
+All files carry a versioned "schema" field; a loader refuses any other
+than its own, though an input may leave the field out.  Certificates are
+proof objects meant to outlive the binary, so their encoding is fully
+explicit: signed vertices serialize as [label, "+"] or [label, "-"].
 
 `dumps` writes exactly `json.dumps(data, sort_keys=True, indent=2) + "\n"`,
 a list of memoized lists (a certificate cell) in place.  A certificate has
@@ -90,10 +91,17 @@ def _refuse_unknown(data: dict, known: tuple, location: str = "$") -> None:
             raise MalformedInput(f"unknown key {key!r}", f"{location}.{key}")
 
 
+def _refuse_schema(data: dict, schema: str) -> None:
+    """Refuse a stated schema other than `schema`; the key is optional."""
+    if "schema" in data and data["schema"] != schema:
+        raise MalformedInput(f"schema must be {schema!r}, got {data['schema']!r}", "$.schema")
+
+
 def complex_from_json(data) -> SimplicialComplex:
     if not isinstance(data, dict):
         raise MalformedInput("top level must be an object")
     _refuse_unknown(data, ("schema", "vertex_order", "graph", "flag", "maximal_simplices", "vertices"))
+    _refuse_schema(data, COMPLEX_SCHEMA)
     first: list = []
 
     def label(x, location, index):
@@ -207,6 +215,7 @@ def certificate_from_json(data) -> dict:
         if key not in data:
             raise MalformedInput(f"missing key {key!r}", "$")
     _refuse_unknown(data, ("schema", *keys))
+    _refuse_schema(data, CERTIFICATE_SCHEMA)
     degree, evaluation, star = data["degree"], data["evaluation"], data["star_condition"]
     # type(...) is int also turns away bools.
     if type(degree) is not int or degree < 0:

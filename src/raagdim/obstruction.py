@@ -15,9 +15,10 @@ The push to the product with the minus copy has one copy too,
 Nonvanishing is certified by a cycle of unordered disjoint pairs that
 jointly cover a chosen simplex, built from a GF(2) cycle of the base.  The
 covering chain, its boundary, its push to the product and its evaluation
-run on the face-id pairs of the doubled complex's configuration space,
-whose index is lifted from the cycle's support, so no face set is built;
-the certificate stores the pairs as cells once.
+run on face-id pairs in a space lifted on OL's ranks, so no face set is
+built: the certificate paths pass the doubled complex's own space, lifted
+from the cycle's support, and the lemma suite OL's, which it has built
+already; the certificate stores the pairs as cells once.
 Vanishing is certified by an explicit coboundary primitive on cell keys.
 A geometric cross-check computes exact signed intersection numbers of
 simplices mapped to the moment curve and must reproduce the combinatorial
@@ -29,6 +30,7 @@ tuples and the one orientation normalization.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
@@ -127,24 +129,37 @@ def push_to_product(chain, space: ConfigurationSpace) -> dict:
 # The covering chain and the pair-intersection (star) condition
 
 
-def covering_pair_chain(doubled: DoubledComplex):
+def covering_pair_chain(doubled: DoubledComplex, space: ConfigurationSpace):
     """The top GF(2) chain of the doubled complex's configuration space
     supported on disjoint pairs whose projections jointly cover the chosen
-    simplex.  Returns (space, pairs): the chain as the face-id pairs of its
-    cells, in cell order, in `ConfigurationSpace(doubled)`, whose index is
-    lifted from the cycle's support.  A face's cover of delta is read off
-    its rank tuple: (v, s) ranks 2 r(v) + [s = +]."""
-    space = ConfigurationSpace(doubled)
-    k = doubled.degree
+    simplex, named in `space`: a space lifted on OL's ranks that holds the
+    doubled k-faces (OL's or the doubled complex's), as for
+    `delta_product_chain`.  Returns (space, pairs), the space as given and
+    the chain as the face-id pairs of its cells, in cell order.
+
+    The doubled complex has dimension k, so its 2k-cells are exactly the
+    disjoint pairs of its k-faces: the cycle's simplices lifted by
+    `lift_ranks` with a plus copy over delta, sorted as ids are, and named
+    through `space.rank_ids`.  A partner b ranks its first vertex above a's
+    (found by bisection on the first ranks), as in a stored cell.  A face's
+    cover of delta is read off its rank tuple: (v, s) ranks 2 r(v) + [s = +]."""
     rk = doubled.octa.base.rank
-    bit = {2 * rk[v] + s: 1 << i for i, v in enumerate(doubled.delta) for s in (0, 1)}
-    ranks, pairs = space.indexed_cells(2 * k)
-    # Each face's base vertices in delta, as a bitmask over delta, by face id.
-    cover = [sum([bit.get(r, 0) for r in t]) for t in ranks]
-    full = (1 << (k + 1)) - 1
-    # The doubled complex has dimension k, so its 2k-cells are exactly the
-    # disjoint pairs of k-faces.
-    return space, tuple([(a, b) for a, b in pairs if cover[a] | cover[b] == full])
+    delta = tuple([rk[v] for v in doubled.delta])
+    tops = lift_ranks([[tuple([rk[v] for v in f]) for f in doubled.cycle]], delta)[0]
+    rid, masks = space.rank_ids, space.masks
+    ids = [rid[t] for t in tops]
+    top_masks = [masks[g] for g in ids]
+    first = [t[0] for t in tops]
+    bit = {2 * r + s: 1 << i for i, r in enumerate(delta) for s in (0, 1)}
+    # Each face's base vertices in delta, as a bitmask over delta.
+    cover = [sum([bit.get(r, 0) for r in t]) for t in tops]
+    full, n = (1 << len(delta)) - 1, len(ids)
+    pairs = []
+    for i, ga in enumerate(ids):
+        ma, need = top_masks[i], full & ~cover[i]
+        pairs += [(ga, ids[j]) for j in range(bisect_right(first, first[i]), n)
+                  if not ma & top_masks[j] and not need & ~cover[j]]
+    return space, tuple(pairs)
 
 
 class StarConditionReport(NamedTuple):
@@ -228,7 +243,7 @@ def certify_nonvanishing(L: SimplicialComplex, degree: int):
             if not report.holds:
                 continue
             doubled = double_over(octa, cycle, delta)
-            space, pairs = covering_pair_chain(doubled)
+            space, pairs = covering_pair_chain(doubled, ConfigurationSpace(doubled))
             boundary, value = pairing(space, pairs)
             if boundary:
                 raise RuntimeError(

@@ -20,7 +20,9 @@ out, by `scripts/moment_oracle_sweep.py` and by the tests' oracles.  A
 simplices, keeps only the cycle, the simplex and OL, and has no face set.
 `analyze`, `verify` and the lemma suite build neither: the configuration
 space of OL and of a doubled complex lifts its faces from the base
-(`ranked_faces`), and OL's counts its cells on the base.  Nor do these
+(`ranked_faces`), and OL's counts its cells on the base.  A doubled
+complex's faces are faces of OL, so the lemma suite names its chains in
+OL's space, built once per complex, and builds no doubled complex's space.  Nor do these
 paths name a face by its vertex tuple, but by its rank tuple or its id
 (`ConfigurationSpace.rank_ids`; `verify` maps a stored half's labels to
 ranks by `rank`): face tuples are built only for a certificate's stored
@@ -102,15 +104,12 @@ class DoubledComplex(NamedTuple):
     subcomplex of the octahedralized support on the minus copy of the cycle
     plus both lifts of the chosen simplex.  Kept as the cycle, the simplex
     and OL, with no face set: `ConfigurationSpace(doubled)` lifts its
-    index from the support (`ranked_faces`)."""
+    index from the support (`ranked_faces`), and OL's space holds its
+    faces too, with the same order."""
 
     cycle: frozenset
     delta: tuple
     octa: Octahedralization
-
-    @property
-    def degree(self) -> int:
-        return len(self.delta) - 1
 
     @property
     def vertices(self) -> tuple:

@@ -15,11 +15,15 @@ On seeded random flag complexes (small, with a top cycle) this checks:
 plus agreement of the moment-curve intersection oracle with the cocycle on
 (a sample of) top cells.  Failures are reported with a shrunk complex.
 
-Chains are face-id pairs.  The pullback check is one pass over the top
-cells of C(OL): phi is `top_mesh_cocycle`, the cocycle that `analyze`
-solves against, and each cell's two product terms and swap sign come from
-`push_terms`, the push rule that `push_to_product` sums, so the check is
-nu'(t1) + s * nu'(t2) = phi cell by cell, with no chain built per cell.
+Chains are face-id pairs, all in one space per complex, C(OL): every
+doubled complex's faces are faces of OL, so each covering chain, its push,
+its boundary and the product chain read OL's rank ids, facet ids and minus
+copies, built once per complex, and no doubled complex's space is built.
+The pullback check is one pass over the top cells of C(OL): phi is
+`top_mesh_cocycle`, the cocycle that `analyze` solves against, and each
+cell's two product terms and swap sign come from `push_terms`, the push
+rule that `push_to_product` sums, so the check is nu'(t1) + s * nu'(t2) =
+phi cell by cell, with no chain built per cell.
 One memo per complex holds nu' of each product cell read, evaluated once
 on rank tuples (`nonstrict_rank_indicator`), filled by the pullback check
 and read again by the evaluation check.  The moment oracle reads the
@@ -34,7 +38,8 @@ negated (moment-oracle), `obstruction.push_terms` with no swap term
 (pushforward; on a stored cell the swap term never meshes, so the pullback
 check cannot), a wrong `ConfigurationSpace.minus_ids` entry (pullback or
 pushforward), `check_star_condition` always holding (cycle, on the boundary
-of the 3-simplex) and an empty product chain on OL (evaluation).
+of the 3-simplex) and a product chain that is empty on its second read
+for a doubled complex, the evaluation check's (evaluation).
 """
 
 from __future__ import annotations
@@ -160,18 +165,18 @@ def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
     pairs = pairs[:PAIR_CAP]
     for cyc, delta in pairs:
         doubled = double_over(octa, cyc, delta)
-        dspace, omega = covering_pair_chain(doubled)
+        omega = covering_pair_chain(doubled, space)[1]
 
         result.checks += 1
-        pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(omega, 1), dspace).items() if v % 2}
-        if pushed != delta_product_chain(doubled, dspace):
+        pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(omega, 1), space).items() if v % 2}
+        if pushed != delta_product_chain(doubled, space):
             return fail("pushforward",
                         f"cycle {sorted(cyc)}, delta {delta}: push of covering chain differs from product chain")
 
         star = check_star_condition(cyc, delta)
         if star.holds:
             result.checks += 1
-            if dspace.boundary(omega):
+            if space.boundary(omega):
                 return fail("cycle", f"cycle {sorted(cyc)}, delta {delta}: covering chain has boundary")
 
         result.checks += 1

@@ -23,7 +23,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .complexes import SimplicialComplex, skeleton
-from .config_space import chain_boundary
+from .config_space import ConfigurationSpace, chain_boundary
 from .obstruction import (
     check_star_condition,
     covering_pair_chain,
@@ -94,7 +94,7 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
 
     octa = octahedralize(K)
     doubled = double_over(octa, m_faces, delta)
-    space, rebuilt = covering_pair_chain(doubled)
+    space, rebuilt = covering_pair_chain(doubled, ConfigurationSpace(doubled))
     ranks, masks, rid, rank = space.ranks, space.masks, space.rank_ids, octa.rank
     F = len(ranks)
 
@@ -118,8 +118,10 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
         return fail(f"stored chain has boundary, e.g. at {space.key_cell(boundary[0])}")
 
     run.append("omega-evaluation")
-    if evaluation != 1 or evaluation != cert["evaluation"]:
+    if evaluation != 1:
         return fail(f"stored chain evaluates to {evaluation}")
+    if evaluation != cert["evaluation"]:
+        return fail(f"stored chain evaluates to {evaluation}, the certificate states {cert['evaluation']}")
 
     run.append("pushforward-identity")
     pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(stored, 1), space).items() if v % 2}

@@ -31,7 +31,7 @@ def covering_pair_chain(doubled):
     """(space, chain): the disjoint pairs of k-faces whose base vertices
     jointly cover delta, as a frozenset of cells."""
     space = ConfigurationSpace(doubled_complex(doubled))
-    k = doubled.degree
+    k = len(doubled.delta) - 1
     bit = {v: 1 << i for i, v in enumerate(doubled.delta)}
     cover = {f: sum(bit.get(v, 0) for v, _s in f) for f in space.K.faces_of_dim(k)}
     full = (1 << (k + 1)) - 1
@@ -111,8 +111,11 @@ def verify_certificate(L, cert: dict) -> VerificationOutcome:
 
     run.append("omega-evaluation")
     evaluation = sum(mesh_number(a, b, octa.rank) for a, b in stored) % 2
-    if evaluation != 1 or evaluation != cert["evaluation"]:
+    if evaluation != 1:
         return VerificationOutcome(False, "omega-evaluation", f"stored chain evaluates to {evaluation}", tuple(run))
+    if evaluation != cert["evaluation"]:
+        return VerificationOutcome(False, "omega-evaluation", f"stored chain evaluates to {evaluation}, "
+                                   f"the certificate states {cert['evaluation']}", tuple(run))
 
     run.append("pushforward-identity")
     pushed = {c: v % 2 for c, v in push_reference.push_to_product(dict.fromkeys(stored, 1), octa).items() if v % 2}

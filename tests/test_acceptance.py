@@ -167,7 +167,7 @@ def test_criterion_7_star_condition_failure_exhibit():
 
     octa = octahedralize(exhibit.complex)
     doubled = double_over(octa, exhibit.cycle, exhibit.delta)
-    space, pairs = covering_pair_chain(doubled)
+    space, pairs = covering_pair_chain(doubled, ConfigurationSpace(doubled))
     F = len(space.faces)
     omega = [space.key_cell(a * F + b) for a, b in pairs]
     signed = signed_chain_boundary(omega, partial(signed_boundary, doubled_complex(doubled)))

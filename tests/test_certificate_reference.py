@@ -11,10 +11,11 @@ import certificate_reference
 import push_reference
 from raagdim import io_json
 from raagdim.complexes import make_complex, skeleton
+from raagdim.config_space import ConfigurationSpace
 from raagdim.homology import cycle_space
 from raagdim.obstruction import certify_nonvanishing, covering_pair_chain, push_to_product
 from raagdim.octa import double_over, octahedralize
-from raagdim.verify import VerificationOutcome, verify_certificate
+from raagdim.verify import CHECKS, VerificationOutcome, verify_certificate
 from raagdim.zoo import ZOO, build_named, cycle, random_flag
 from test_config_space import cell_key
 from test_pins import load_workloads
@@ -34,11 +35,16 @@ def test_pair_chain_and_id_push_match_the_cell_references(n, p, seed):
         for c in rng.sample(basis, rng.randint(1, len(basis))):
             cyc ^= c
         doubled = double_over(octahedralize(K), cyc, rng.choice(sorted(cyc)))
-        space, pairs = covering_pair_chain(doubled)
+        space, pairs = covering_pair_chain(doubled, ConfigurationSpace(doubled))
+        ol, ol_pairs = covering_pair_chain(doubled, ConfigurationSpace(doubled.octa))
         _space, reference = certificate_reference.covering_pair_chain(doubled)
-        # Cell for cell, in cell order.
+        # Cell for cell, in cell order, named in the doubled complex's space
+        # or in OL's; and the same boundary, cell for cell.
         F = len(space.faces)
-        assert [space.key_cell(a * F + b) for a, b in pairs] == sorted(reference, key=partial(cell_key, doubled))
+        cells = [space.key_cell(a * F + b) for a, b in pairs]
+        assert cells == [ol.key_cell(a * len(ol.faces) + b) for a, b in ol_pairs]
+        assert cells == sorted(reference, key=partial(cell_key, doubled))
+        assert list(map(space.key_cell, space.boundary(pairs))) == list(map(ol.key_cell, ol.boundary(ol_pairs)))
         # The push of the chain with random coefficients, term for term in
         # the reference's order, signs included; and of chains in every degree.
         chains = [dict(zip(pairs, rng.choices((-2, -1, 1, 2), k=len(pairs))))]
@@ -122,6 +128,16 @@ def test_verify_names_fresh_equal_halves_and_a_repeated_unknown_half_as_the_refe
             out = verify_certificate(L, dict(data, omega_support=support))
             assert out == certificate_reference.verify_certificate(L, dict(data, omega_support=support)), expr
             assert out.failed_check == "omega-cycle" and "('zz', 1)" in out.detail, (expr, out)
+
+
+def test_verify_names_both_values_of_a_misstated_evaluation_as_the_reference_does():
+    L = cycle(4)
+    data = io_json.certificate_from_json(io_json.certificate_to_json(certify_nonvanishing(L, 1)))
+    for stated in (0, 3):
+        cert = dict(data, evaluation=stated)
+        outcome = VerificationOutcome(False, "omega-evaluation",
+                                      f"stored chain evaluates to 1, the certificate states {stated}", CHECKS[:5])
+        assert verify_certificate(L, cert) == outcome == certificate_reference.verify_certificate(L, cert)
 
 
 def test_verify_names_a_bad_M_and_a_star_violation_as_the_reference_does():

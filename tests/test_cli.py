@@ -284,6 +284,17 @@ def test_cli_bad_input_exits_1_with_a_located_message(tmp_path):
          "$.graph.flag: unknown key 'flag'"),
         (["verify", write_json(tmp_path, "cert-key.json", dict(cert, evalution=1)), c4],
          "$.evalution: unknown key 'evalution'"),
+        # A file of another schema, or of none known, is refused; the key may be left out.
+        (["analyze", write_json(tmp_path, "schema-int.json", {"schema": 7, "maximal_simplices": [[1, 2]]})],
+         "$.schema: schema must be 'complex/1', got 7"),
+        (["analyze", write_json(tmp_path, "schema-report.json",
+                                {"schema": "report/1", "maximal_simplices": [[1, 2]]})],
+         "$.schema: schema must be 'complex/1', got 'report/1'"),
+        (["verify", write_json(tmp_path, "cert-schema.json", dict(cert, schema="complex/1")), c4],
+         "$.schema: schema must be 'certificate/1', got 'complex/1'"),
+        (["verify", write_json(tmp_path, "cert.json", cert),
+          write_json(tmp_path, "c4-schema.json", dict(c4_json(), schema="certificate/1"))],
+         "$.schema: schema must be 'complex/1', got 'certificate/1'"),
     ]
     for args, where in cases:
         run = run_cli(args)
@@ -544,8 +555,8 @@ def test_verify_certificate_push_and_support_match_failures(monkeypatch):
         del chain[next(iter(chain))]
         return chain
 
-    def rebuilt_without_first(doubled):
-        space, pairs = covering_pair_chain(doubled)
+    def rebuilt_without_first(doubled, space):
+        space, pairs = covering_pair_chain(doubled, space)
         return space, pairs[1:]
 
     push = VerificationOutcome(False, "pushforward-identity", "push of the stored chain is not the product chain",

@@ -545,7 +545,7 @@ def assert_lifted_doubled_index_matches_the_tuple_oracle(doubled):
     own = K.rank
     assert sorted(K.vertices, key=doubled.octa.rank.__getitem__) == list(K.vertices)
     assert built.ranks == [tuple(own[v] for v in f) for f in lifted.faces]
-    for d in range(-1, 2 * doubled.degree + 2):
+    for d in range(-1, 2 * len(doubled.delta)):
         assert lifted.count_cells(d) == built.count_cells(d), (doubled.cycle, doubled.delta, d)
         if index_reference.scan_cost(ref, d) > SCAN_CAP:
             continue

@@ -309,9 +309,11 @@ def test_pushforward_cycle_and_evaluation_identities(seed):
     if L.dim < 1 or L.dim > 2:
         return
     o = octahedralize(L)
+    # As in the lemma suite, every chain is named in OL's space.
+    space = ConfigurationSpace(o)
     for cyc, delta in lemma_pairs(L):
         doubled = double_over(o, cyc, delta)
-        space, omega = covering_pair_chain(doubled)
+        omega = covering_pair_chain(doubled, space)[1]
         product = delta_product_chain(doubled, space)
         pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(omega, 1), space).items() if v % 2}
         assert pushed == product  # holds with or without the star condition
@@ -326,7 +328,7 @@ def test_pushforward_cycle_and_evaluation_identities(seed):
 def covering_cells(doubled):
     """`covering_pair_chain` with its pairs read back as cells by `key_cell`;
     the pairs come in cell order, each once."""
-    space, pairs = covering_pair_chain(doubled)
+    space, pairs = covering_pair_chain(doubled, ConfigurationSpace(doubled))
     keys = [a * len(space.faces) + b for a, b in pairs]
     assert keys == sorted(set(keys))
     return space, pairs, [space.key_cell(key) for key in keys]
@@ -335,7 +337,7 @@ def covering_cells(doubled):
 def set_based_covering_chain(doubled, space):
     """Oracle: the covering filter on the base vertex sets of both halves."""
     delta = set(doubled.delta)
-    return frozenset((a, b) for a, b in space.cells_of_degree(2 * doubled.degree)
+    return frozenset((a, b) for a, b in space.cells_of_degree(2 * len(doubled.delta) - 2)
                      if delta <= {v for v, _ in a} | {v for v, _ in b})
 
 

@@ -1,6 +1,7 @@
 """The randomized identity driver itself."""
 
 import random
+from collections import Counter
 from functools import cached_property
 
 import pytest
@@ -48,10 +49,13 @@ def star_condition_always_holds(cycle, delta):
     return StarConditionReport(holds=True, violation=None)
 
 
-def empty_product_chain_on_ol(doubled, space):
-    """Fault: the product chain is empty on OL's space (the evaluation
-    check's), and right on the doubled complex's (the pushforward check's)."""
-    return {} if space.K is doubled.octa else delta_product_chain(doubled, space)
+def empty_product_chain_on_second_read(doubled, space):
+    """Fault: the product chain is empty on its second read for a doubled
+    complex, the evaluation check's, and right on the first, the
+    pushforward check's.  Both read it on OL's space, which counts them."""
+    reads = vars(space).setdefault("product_chain_reads", Counter())
+    reads[doubled.cycle, doubled.delta] += 1
+    return {} if reads[doubled.cycle, doubled.delta] == 2 else delta_product_chain(doubled, space)
 
 
 _build_minus_ids = ConfigurationSpace.minus_ids.func
@@ -76,7 +80,7 @@ FAULTS = {
     "moment_values": (suite, "moment_values", negated_moment_values),
     "minus_ids": (ConfigurationSpace, "minus_ids", corrupted_minus_ids),
     "check_star_condition": (suite, "check_star_condition", star_condition_always_holds),
-    "delta_product_chain": (suite, "delta_product_chain", empty_product_chain_on_ol),
+    "delta_product_chain": (suite, "delta_product_chain", empty_product_chain_on_second_read),
 }
 
 
@@ -224,6 +228,22 @@ def test_a_passing_check_builds_no_cell_tuple(monkeypatch):
         assert not res.failures and res.checks == checks
     res = run_suite(0, 5)
     assert (res.complexes, res.checks, res.failures) == (5, suite_checks, [])
+
+
+def test_check_complex_builds_no_space_but_ols(monkeypatch):
+    # Every doubled complex's chains are named in OL's space, built once.
+    built = []
+    init = ConfigurationSpace.__init__
+
+    def record(self, K):
+        built.append(K)
+        init(self, K)
+
+    monkeypatch.setattr(ConfigurationSpace, "__init__", record)
+    for K in (cycle(5), octahedron_boundary(2), suspension(cycle(4)), skeleton(simplex(3), 2)):
+        built.clear()
+        check_complex(K, SuiteResult())
+        assert built == [octahedralize(K)]
 
 
 def test_corrupted_minus_table_entry_is_caught(monkeypatch):

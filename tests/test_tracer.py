@@ -64,3 +64,16 @@ def test_tracer_counts_the_top_solve_as_cells():
     assert tracer.counts["gf2.solve.unknowns"] == len(space.cells_of_degree(3)) == 840
     assert tracer.counts["gf2.solve.equations"] == len(space.cells_of_degree(4))
     assert tracer.counts["homology.solve_coboundary.unknowns"] == tracer.counts["gf2.solve.unknowns"]
+
+
+def test_tracer_counts_the_cells_of_each_covering_chain():
+    # The hook reads the chain as the second item of what
+    # `covering_pair_chain` returns, after the space that names it.
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cert = obstruction.certify_nonvanishing(cycle(4), 1)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["obstruction.covering_pair_chain.cells"] == len(cert.omega) == 18
