@@ -7,9 +7,10 @@ dense highest-bit rule).  A row whose largest key is not yet a pivot
 becomes that pivot as given, with no copy; only a row that meets a pivot is
 copied into a set and reduced there, one symmetric difference per step.
 So no row, given or stored, is ever mutated, and elimination without fill
-costs what the rows hold, not their width; `solve` names the equations of
-an inconsistency from that one pass.  Exactness is the point: no floats
-anywhere.
+costs what the rows hold, not their width.  `solve` names the equations of
+an inconsistency from that one pass: it records each pivot's equation, in
+the order the pivots are made, and the pivots a reduced pivot's row was
+reduced by.  Exactness is the point: no floats anywhere.
 """
 
 from __future__ import annotations
@@ -91,39 +92,31 @@ def solve(equations, ncols):
     Returns (x, None) on success, x the set of keys set to 1 with free
     variables 0, or (None, witness) at the first equation that reads 0 = 1:
     the ascending list of equation indices whose sum reads 0 = 1, that
-    equation's the largest.  A row kept as given leaves no record, as its
-    pivot is its equation alone: a reduced pivot keeps its equation and the
-    pivots its row was reduced by, and a row that makes no pivot (it
-    cancels, or is empty) its equation's index, in an int array.  So the
-    pivots kept as given, in creation order (the pivot dict's), are the
-    equations recorded neither way, in order, and the same pass reads the
-    witness back.
+    equation's the largest.  Each pivot's equation index is appended to an
+    int array as the pivot is made, so the array runs parallel to the pivot
+    dict's creation order.  A reduced pivot's key also maps to the pivots its
+    row was reduced by, and the first 0 = 1 walks both back to its witness.
     """
     piv: dict = {}
-    reduced = []
-    cancelled = array("q")
+    origin = array("q")
+    below: dict = {}
     for i, (keys, rhs) in enumerate(equations):
         c, r, used = _reduce(piv, (*keys, -1) if rhs & 1 else keys)
         if c == -1:
             # A reduced pivot is its equation plus pivots made before it, so
             # walking back in creation order settles each one's parity before
-            # it is visited.
+            # it is visited; a pivot kept as given is its equation alone.
             odd, witness = set(used), [i]
-            for p, j, below in reversed(reduced):
+            for p, j in zip(reversed(piv), reversed(origin)):
                 if p in odd:
                     witness.append(j)
-                    odd.symmetric_difference_update(below)
-            made = {p for p, _j, _below in reduced}
-            recorded = set(cancelled).union([j for _p, j, _below in reduced])
-            given = zip([p for p in piv if p not in made], [j for j in range(i) if j not in recorded])
-            witness += [j for p, j in given if p in odd]
+                    odd.symmetric_difference_update(below.get(p, ()))
             return None, sorted(witness)
-        if c is None:
-            cancelled.append(i)
-        else:
+        if c is not None:
             piv[c] = r
+            origin.append(i)
             if used:
-                reduced.append((c, i, used))
+                below[c] = used
     # The key -1 in x is the rhs column, read as the constant 1.
     x = _back_substitute(piv, sorted(piv), {-1})
     x.discard(-1)

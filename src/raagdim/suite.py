@@ -38,8 +38,8 @@ negated (moment-oracle), `obstruction.push_terms` with no swap term
 (pushforward; on a stored cell the swap term never meshes, so the pullback
 check cannot), a wrong `ConfigurationSpace.minus_ids` entry (pullback or
 pushforward), `check_star_condition` always holding (cycle, on the boundary
-of the 3-simplex) and a product chain that is empty on its second read
-for a doubled complex, the evaluation check's (evaluation).
+of the 3-simplex), an empty product chain (pushforward) and an empty
+product chain with an empty push (evaluation).
 """
 
 from __future__ import annotations
@@ -169,7 +169,8 @@ def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
 
         result.checks += 1
         pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(omega, 1), space).items() if v % 2}
-        if pushed != delta_product_chain(doubled, space):
+        product = delta_product_chain(doubled, space)
+        if pushed != product:
             return fail("pushforward",
                         f"cycle {sorted(cyc)}, delta {delta}: push of covering chain differs from product chain")
 
@@ -180,7 +181,7 @@ def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
                 return fail("cycle", f"cycle {sorted(cyc)}, delta {delta}: covering chain has boundary")
 
         result.checks += 1
-        if sum([nonstrict[term] for term in delta_product_chain(doubled, space)]) % 2 != 1:
+        if sum([nonstrict[term] for term in product]) % 2 != 1:
             return fail("evaluation", f"cycle {sorted(cyc)}, delta {delta}: product chain evaluates to 0")
 
     oracle_pairs = top_pairs[:ORACLE_CELL_CAP]

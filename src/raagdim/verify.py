@@ -34,6 +34,7 @@ from .obstruction import (
 )
 from .octa import double_over, octahedralize
 
+# The stages `verify_certificate` runs, in order; a failure names its stage.
 CHECKS = (
     "delta-membership",
     "cycle-condition",
@@ -55,7 +56,7 @@ class VerificationOutcome(NamedTuple):
 def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
     """cert: decoded certificate dict (degree, M, Delta, omega_support,
     star_condition, evaluation)."""
-    run = []
+    run, stages = [], iter(CHECKS)
 
     def fail(detail: str) -> VerificationOutcome:
         return VerificationOutcome(False, run[-1], detail, tuple(run))
@@ -63,7 +64,7 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
     degree = cert["degree"]
     K = skeleton(L, degree)
 
-    run.append("delta-membership")
+    run.append(next(stages))
     try:
         m_faces = frozenset(K.sort_face(f) for f in cert["M"])
         delta = K.sort_face(cert["Delta"])
@@ -76,7 +77,7 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
     if any(len(f) != degree + 1 for f in m_faces):
         return fail("M is not pure of the stated degree")
 
-    run.append("cycle-condition")
+    run.append(next(stages))
     if len(m_faces) != len(cert["M"]):
         listed = [K.sort_face(f) for f in cert["M"]]
         twice = next(f for i, f in enumerate(listed) if f in listed[:i])
@@ -85,7 +86,7 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
     if chain_boundary(m_faces, lambda f: [f[:i] + f[i + 1 :] for i in range(len(f))]):
         return fail("M is not a GF(2) cycle")
 
-    run.append("star-condition")
+    run.append(next(stages))
     if cert["star_condition"] is not True:
         return fail("certificate does not state the star condition")
     star = check_star_condition(m_faces, delta)
@@ -98,7 +99,7 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
     ranks, masks, rid, rank = space.ranks, space.masks, space.rank_ids, octa.rank
     F = len(ranks)
 
-    run.append("omega-cycle")
+    run.append(next(stages))
     keys = set()
     # Each distinct half is named once; an unknown one is named None.
     support = cert["omega_support"]
@@ -117,13 +118,13 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
     if boundary:
         return fail(f"stored chain has boundary, e.g. at {space.key_cell(boundary[0])}")
 
-    run.append("omega-evaluation")
+    run.append(next(stages))
     if evaluation != 1:
         return fail(f"stored chain evaluates to {evaluation}")
     if evaluation != cert["evaluation"]:
         return fail(f"stored chain evaluates to {evaluation}, the certificate states {cert['evaluation']}")
 
-    run.append("pushforward-identity")
+    run.append(next(stages))
     pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(stored, 1), space).items() if v % 2}
     if pushed != delta_product_chain(doubled, space):
         return fail("push of the stored chain is not the product chain")
@@ -131,7 +132,7 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
     if sum([nonstrict_rank_indicator(ranks[a], ranks[b], minus) for a, b in pushed]) % 2 != 1:
         return fail("product evaluation is not 1")
 
-    run.append("omega-support-match")
+    run.append(next(stages))
     rebuilt_keys = {a * F + b for a, b in rebuilt}
     if keys != rebuilt_keys:
         extra = sorted(map(space.key_cell, keys - rebuilt_keys))[:3]

@@ -1,7 +1,8 @@
-"""The package holds the engine only: every public module-level function or
-class, and every public method, of `src/raagdim` and `scripts/` is read
-somewhere in `src/` or `scripts/`, as a name, an attribute or an import.
-API that only the tests read belongs in the tests' oracles.  Methods are
+"""The package holds the engine only: every public module-level function,
+class or UPPER_CASE constant, and every public method, of `src/raagdim` and
+`scripts/` is read somewhere in `src/` or `scripts/`, as a name, an
+attribute or an import (a constant read in its own module counts).  API
+that only the tests read belongs in the tests' oracles.  Methods are
 matched by their bare attribute name."""
 
 import ast
@@ -26,9 +27,21 @@ def sources():
                     yield os.path.relpath(path, ROOT), ast.parse(handle.read(), path)
 
 
+def constants(tree):
+    """The module-level UPPER_CASE names the module assigns."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", None) or [node.target]:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    yield target.id
+
+
 def public_definitions(tree):
-    """The public module-level functions and classes, and the public
-    methods of the module-level classes, as qualified names."""
+    """The public module-level functions, classes and constants, and the
+    public methods of the module-level classes, as qualified names."""
+    for name in constants(tree):
+        if not name.startswith("_"):
+            yield name, name
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node.name
@@ -45,6 +58,7 @@ def read_names(path, tree):
     a public name elsewhere is not a read of it)."""
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     own = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    own.update(constants(tree))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in imported | own:
             yield node.id

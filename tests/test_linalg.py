@@ -368,6 +368,13 @@ ROW_KINDS = (tuple, list, set, frozenset)
 # x0; x1 + x0 = 0 is reduced by both to 0 = 1.  The pivot on x1 is reached
 # directly and through the pivot on x0, so it cancels: the witness is [1, 2].
 @example(([3, 7], [(0b10, 0, list, Random(0)), (0b11, 1, tuple, Random(1)), (0b11, 0, set, Random(2))]))
+# x0 = 0 is the pivot on x0; x0 = 0 again cancels; x2 = 1 is the pivot on
+# x2, kept as given after that row; x2 + x1 = 0 is reduced by it to the
+# pivot on x1; x1 + x0 = 0 is reduced by both to 0 = 1.  The pivots are made
+# from equations 0, 2 and 3, so the cancelled equation 1 must not shift x2
+# off its own: the witness is [0, 2, 3, 4].
+@example(([2, 5, 9], [(0b001, 0, tuple, Random(0)), (0b001, 0, list, Random(1)), (0b100, 1, tuple, Random(2)),
+                      (0b110, 0, set, Random(3)), (0b011, 0, list, Random(4))]))
 def test_gf2_solve_on_increasing_keys_matches_the_dense_oracle(system):
     # Column j carries the j-th smallest key: any strictly increasing
     # labels give the dense solve's x and witness.  The rows list their

@@ -1,14 +1,13 @@
 """The randomized identity driver itself."""
 
 import random
-from collections import Counter
 from functools import cached_property
 
 import pytest
 from raagdim import obstruction, suite
 from raagdim.complexes import make_complex, skeleton
-from raagdim.obstruction import (StarConditionReport, delta_product_chain, moment_values, nonstrict_rank_indicator,
-                                 push_terms, top_mesh_cocycle)
+from raagdim.obstruction import (StarConditionReport, moment_values, nonstrict_rank_indicator, push_terms,
+                                 top_mesh_cocycle)
 from raagdim.octa import octahedralize
 from raagdim.config_space import ConfigurationSpace
 from raagdim.suite import SuiteResult, check_complex, run_suite
@@ -49,13 +48,9 @@ def star_condition_always_holds(cycle, delta):
     return StarConditionReport(holds=True, violation=None)
 
 
-def empty_product_chain_on_second_read(doubled, space):
-    """Fault: the product chain is empty on its second read for a doubled
-    complex, the evaluation check's, and right on the first, the
-    pushforward check's.  Both read it on OL's space, which counts them."""
-    reads = vars(space).setdefault("product_chain_reads", Counter())
-    reads[doubled.cycle, doubled.delta] += 1
-    return {} if reads[doubled.cycle, doubled.delta] == 2 else delta_product_chain(doubled, space)
+def empty_chain(*_args):
+    """Fault: a product chain, or a push, that is always empty."""
+    return {}
 
 
 _build_minus_ids = ConfigurationSpace.minus_ids.func
@@ -72,16 +67,24 @@ def _corrupted_minus_ids(space):
 corrupted_minus_ids = cached_property(_corrupted_minus_ids)
 corrupted_minus_ids.__set_name__(ConfigurationSpace, "minus_ids")
 
-# Each fault: (owner, name, replacement), swapped in by name.
+# Each fault: its (owner, name, replacement) patches, swapped in by name.
 FAULTS = {
-    "top_mesh_cocycle": (suite, "top_mesh_cocycle", flipped_top_mesh_cocycle),
-    "push_terms": (obstruction, "push_terms", dropped_swap_push_terms),
-    "push_to_product": (suite, "push_to_product", dropped_push_to_product),
-    "moment_values": (suite, "moment_values", negated_moment_values),
-    "minus_ids": (ConfigurationSpace, "minus_ids", corrupted_minus_ids),
-    "check_star_condition": (suite, "check_star_condition", star_condition_always_holds),
-    "delta_product_chain": (suite, "delta_product_chain", empty_product_chain_on_second_read),
+    "top_mesh_cocycle": [(suite, "top_mesh_cocycle", flipped_top_mesh_cocycle)],
+    "push_terms": [(obstruction, "push_terms", dropped_swap_push_terms)],
+    "push_to_product": [(suite, "push_to_product", dropped_push_to_product)],
+    "moment_values": [(suite, "moment_values", negated_moment_values)],
+    "minus_ids": [(ConfigurationSpace, "minus_ids", corrupted_minus_ids)],
+    "check_star_condition": [(suite, "check_star_condition", star_condition_always_holds)],
+    "empty_product_chain": [(suite, "delta_product_chain", empty_chain)],
+    # The push emptied too, so the pushforward check agrees and the
+    # evaluation check is reached.
+    "delta_product_chain": [(suite, "push_to_product", empty_chain), (suite, "delta_product_chain", empty_chain)],
 }
+
+
+def inject(monkeypatch, fault):
+    for patch in FAULTS[fault]:
+        monkeypatch.setattr(*patch)
 
 
 # Seed 3 samples the suspension of the 6-cycle first.
@@ -105,13 +108,15 @@ FAULT_PINS = {
     # No tried pair of seed 3's samples breaks the condition, so this reads
     # as the run without the fault; the boundary of the 3-simplex shows it.
     "check_star_condition": (5, 12746, []),
+    "empty_product_chain": (1, 2449, [("pushforward", SC6,
+                                       f"{PAIR}: push of covering chain differs from product chain")]),
     "delta_product_chain": (1, 2451, [("evaluation", SC6, f"{PAIR}: product chain evaluates to 0")]),
 }
 
 
 @pytest.mark.parametrize("fault", FAULTS)
 def test_each_injected_fault_pins_the_whole_suite_result(monkeypatch, fault):
-    monkeypatch.setattr(*FAULTS[fault])
+    inject(monkeypatch, fault)
     res = run_suite(seed=3, count=5)
     failures = [(f.check, f.complex_maximal, f.detail) for f in res.failures]
     assert (res.complexes, res.checks, failures) == FAULT_PINS[fault]
@@ -122,7 +127,7 @@ def test_cycle_and_evaluation_faults_are_caught_on_the_boundary_of_the_3_simplex
     # Over the first triangle, the pair v0v1v3, v0v2v3 breaks the condition,
     # and the covering chain has a boundary of 48 cells.
     K = skeleton(simplex(3), 2)
-    monkeypatch.setattr(*FAULTS[fault])
+    inject(monkeypatch, fault)
     monkeypatch.setattr(suite, "_sample_complex", lambda rng: K)
     res = run_suite(seed=0, count=1)
     triangles = (("v0", "v1", "v2"), ("v0", "v1", "v3"), ("v0", "v2", "v3"), ("v1", "v2", "v3"))
@@ -247,7 +252,7 @@ def test_check_complex_builds_no_space_but_ols(monkeypatch):
 
 
 def test_corrupted_minus_table_entry_is_caught(monkeypatch):
-    monkeypatch.setattr(*FAULTS["minus_ids"])
+    inject(monkeypatch, "minus_ids")
     res = run_suite(seed=3, count=5)
     assert res.failures
     assert res.failures[0].check in ("pullback", "pushforward")
