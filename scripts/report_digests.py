@@ -30,8 +30,12 @@ Such a case runs no top solve in its reports, so it also gets the digest
 of the record of `certify_vanishing(L)` run on its own ("top-solve"),
 which holds the witness of an obstructed solve.  Every case also gets one digest of
 [v, d, vkdim_lower(link(L, (v,)), d)] over its vertices v and the depths
-d <= 2 ("links"), which covers link bounds that no report records.  The
-output also holds, for seeds 0-4, the lemma
+d <= 2 ("links"), which covers link bounds that no report records, and
+one digest of L's homology ("homology"): its mod-2 and rational reduced
+Betti numbers and, in every degree d, [boundary_rows(L, d), cycle_space(L,
+d)], each cycle a sorted list of faces, so the diff covers the boundary
+rows and the cycle basis the certificate search tries.  The output also
+holds, for seeds 0-4, the lemma
 suite's [complexes, checks, failures] over the benchmark's suite count,
 under "lemma-suite(seed=S)".  A change that must keep the reports and the
 suite the same shows it by an empty diff of this output from two
@@ -52,6 +56,7 @@ from raagdim import io_json  # noqa: E402
 from raagdim.bounds import analyze, vkdim_lower  # noqa: E402
 from raagdim.complexes import link  # noqa: E402
 from raagdim.config_space import ConfigurationSpace  # noqa: E402
+from raagdim.homology import boundary_rows, cycle_space, mod2_betti, rational_betti  # noqa: E402
 from raagdim.obstruction import certify_vanishing  # noqa: E402
 from raagdim.octa import octahedralize  # noqa: E402
 from raagdim.suite import run_suite  # noqa: E402
@@ -111,6 +116,13 @@ def link_bounds(L) -> list:
     return [[v, d, vkdim_lower(link(L, (v,)), d, cache)] for v in L.vertices for d in range(3)]
 
 
+def homology_record(L) -> list:
+    """[mod2_betti, rational_betti, [[boundary_rows, cycle_space] in every
+    degree]] of L, each cycle a sorted list of faces."""
+    degrees = [[boundary_rows(L, d), [sorted(c) for c in cycle_space(L, d)]] for d in range(L.dim + 1)]
+    return [mod2_betti(L), rational_betti(L), degrees]
+
+
 def verdicts(L, certificate) -> dict:
     """[ok, failed_check, detail] of verifying the certificate read back
     from its JSON text, as is and with its first omega_support cell
@@ -136,7 +148,8 @@ def main() -> int:
         out[name] = {"default": digest(default), "integral": digest(integral),
                      "refuse": digest(report(L, {**options, "max_cells": 0})[0]), "links": digest(link_bounds(L)),
                      "vanishing": digest(solve_record(L, vanishing)),
-                     "vanishing-integral": digest(solve_record(L, integral_vanishing))}
+                     "vanishing-integral": digest(solve_record(L, integral_vanishing)),
+                     "homology": digest(homology_record(L))}
         if "certificate" in default:
             out[name]["certificate-file"] = digest(default["certificate"])
             out[name].update(verdicts(L, default["certificate"]))

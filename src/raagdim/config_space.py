@@ -73,11 +73,8 @@ cell of degree d or d - 1.
 
 For a complex on signed vertices, `minus_ids` is the projection table that
 the push to the product with the minus copy reads: each face's minus copy,
-by id, read vertex by vertex off the per-vertex table `minus_ranks` on
-`K.vertices`, which the nonstrict cocycle reads too, and through
-`rank_ids`.  The parity of a rank gives a vertex's sign only on a lifted
-index: a space built on a doubled complex's face set ranks a suborder of
-OL's vertices.
+by id, through `rank_ids`: as every such space is lifted on OL's ranks
+(above), each rank r of the face goes to r & -2, the low bit cleared.
 """
 
 from __future__ import annotations
@@ -86,7 +83,7 @@ from bisect import bisect_right
 from functools import cached_property
 
 from .complexes import SimplicialComplex
-from .octa import MINUS, DoubledComplex, Octahedralization
+from .octa import DoubledComplex, Octahedralization
 
 
 def chain_boundary(chain, facets) -> set:
@@ -170,21 +167,12 @@ class ConfigurationSpace:
         return [tuple([vertices[r] for r in t]) for t in self._index[0]]
 
     @cached_property
-    def minus_ranks(self) -> list:
-        """The per-vertex projection table of a complex on signed vertices
-        (label, sign) that holds each vertex's minus copy (OL and every
-        doubled complex do): by rank, the rank of that copy, its own rank
-        for a minus vertex (the module docstring has why not by parity)."""
-        rank = self.K.rank
-        return [rank[(v, MINUS)] for v, _s in self.K.vertices]
-
-    @cached_property
     def minus_ids(self) -> list:
         """The projection table on faces: by face id, the id of the face's
-        minus copy (each vertex (v, s) relabelled (v, MINUS)), its rank
-        tuple read through `minus_ranks` vertex by vertex."""
-        minus, rid = self.minus_ranks, self.rank_ids
-        return [rid[tuple([minus[r] for r in t])] for t in self._index[0]]
+        minus copy (each vertex (v, s) relabelled (v, MINUS)), each rank r
+        read as r & -2 (the module docstring has why)."""
+        rid = self.rank_ids
+        return [rid[tuple([r & -2 for r in t])] for t in self._index[0]]
 
     @cached_property
     def _facet_ids(self) -> list:

@@ -5,13 +5,15 @@ the Betti numbers of a point are all zero and b0 counts components minus
 one.  Rational ranks come from exact integer elimination: unit pivots on
 the sparse rows, then fraction-free elimination of the core they leave.
 
-Simplicial boundaries are read in one format, the `cells + signed boundary
-rows` interface: one row of sorted ``(lower cell id, coeff)`` pairs per
-d-cell, ids indexing the (d-1)-cells, from `boundary_rows(K, d)`.  Over
-GF(2) a row is the list of its ids with an odd coefficient (`_parity_rows`),
-eliminated sparsely by `gf2`; over Q, `intlinalg.sparse_rank` reads the
-signed rows themselves.  The configuration space plugs into the GF(2)
-`solve_coboundary` through its facet-key rows alone (``facet_keys(d)``).
+Simplicial boundaries are read off `K.ranked_faces()`, the face order
+`complexes` owns: a d-face's facet ids come from dropping its last vertex
+first, the order `ConfigurationSpace._facet_ids` uses, so each row's ids
+increase with no sort, and the j-th facet has sign (-1)^(d - j), the rule
+of `signed_facet_keys`.  Every coefficient is +-1, so the GF(2) rows are
+the id rows as they are, eliminated sparsely by `gf2`; over Q,
+`intlinalg.sparse_rank` reads the signed rows, `boundary_rows(K, d)`.
+The configuration space plugs into the GF(2) `solve_coboundary` through
+its facet-key rows alone (``facet_keys(d)``).
 The cochain phi is a sequence in the order of those rows, the cell order,
 and a primitive comes back on cell keys, so the solve builds no cell, of
 degree d or d-1.  Over Z, `obstruction.certify_vanishing` solves on L and
@@ -25,52 +27,44 @@ from . import gf2, intlinalg
 from .complexes import SimplicialComplex
 
 
-def simplex_boundary(face: tuple):
-    """Signed facets of an oriented simplex; vertices assumed rank-sorted."""
-    if len(face) == 1:
-        return []
-    return [(face[:i] + face[i + 1 :], (-1) ** i) for i in range(len(face))]
+def _facet_rows(K: SimplicialComplex, d: int) -> list:
+    """The facet ids of every d-face, one row per face of
+    K.faces_of_dim(d), ids indexing K.faces_of_dim(d - 1): read off
+    `K.ranked_faces()`, dropping the last vertex first, so each row's ids
+    increase.  In degree 0 every vertex's row is the single augmentation
+    cell (id 0), so homology read from these rows is reduced."""
+    ranked = K.ranked_faces()
+    if d == 0:
+        return [(0,)] * len(ranked[0])
+    ids = {t: i for i, t in enumerate(ranked[d - 1])}
+    return [tuple([ids[t[:i] + t[i + 1 :]] for i in range(d, -1, -1)]) for t in ranked[d]]
 
 
 def boundary_rows(K: SimplicialComplex, d: int) -> tuple:
-    """Signed boundary of every d-face as (facet id, sign) pairs sorted by id,
-    one row per face of K.faces_of_dim(d), ids indexing K.faces_of_dim(d - 1).
-
-    In degree 0 every vertex's row is the single augmentation cell (id 0),
-    so homology read from these rows is reduced.
-    """
-    faces = K.faces_of_dim(d)
-    if d == 0:
-        return tuple(((0, 1),) for _ in faces)
-    ids = {f: i for i, f in enumerate(K.faces_of_dim(d - 1))}
-    return tuple(tuple(sorted((ids[sub], sign) for sub, sign in simplex_boundary(f))) for f in faces)
-
-
-def _parity_rows(rows):
-    """Each row over GF(2): the lower cell ids with an odd coefficient.
-    Yields the rows one at a time, so no list is held."""
-    for row in rows:
-        yield [i for i, coeff in row if coeff % 2]
+    """Signed boundary of every d-face as (facet id, sign) pairs by
+    increasing id: `_facet_rows`, the j-th facet with sign (-1)^(d - j)."""
+    signs = [(-1) ** (d - j) for j in range(d + 1)]
+    return tuple(tuple(zip(row, signs)) for row in _facet_rows(K, d))
 
 
 def _betti(K: SimplicialComplex, rank) -> tuple:
-    """Reduced Betti numbers for k = 0..dim K, given rank(rows) of the
-    degree-d boundary rows."""
+    """Reduced Betti numbers for k = 0..dim K, given rank(d) of the
+    degree-d boundary."""
     if K.dim < 0:
         return ()
     # No face has degree dim + 1.
-    ranks = [rank(boundary_rows(K, d)) for d in range(K.dim + 1)] + [0]
+    ranks = [rank(d) for d in range(K.dim + 1)] + [0]
     return tuple(len(K.faces_of_dim(k)) - ranks[k] - ranks[k + 1] for k in range(K.dim + 1))
 
 
 def mod2_betti(K: SimplicialComplex) -> tuple:
     """dim H_k(K; Z/2) for k = 0..dim K."""
-    return _betti(K, lambda rows: gf2.rank(_parity_rows(rows)))
+    return _betti(K, lambda d: gf2.rank(_facet_rows(K, d)))
 
 
 def rational_betti(K: SimplicialComplex) -> tuple:
     """dim_Q H_k(K; Q) for k = 0..dim K, by exact integer elimination."""
-    return _betti(K, intlinalg.sparse_rank)
+    return _betti(K, lambda d: intlinalg.sparse_rank(boundary_rows(K, d)))
 
 
 def cycle_space(K: SimplicialComplex, k: int) -> tuple:
@@ -85,10 +79,10 @@ def cycle_space(K: SimplicialComplex, k: int) -> tuple:
     # The kernel wants the boundary matrix by lower cell: row i lists the
     # k-faces whose boundary meets cell i (row order does not change it).
     by_lower: dict = {}
-    for j, row in enumerate(boundary_rows(K, k)):
-        for i, coeff in row:
-            by_lower.setdefault(i, []).append((j, coeff))
-    basis = gf2.kernel_basis(_parity_rows(by_lower.values()), len(cols))
+    for j, row in enumerate(_facet_rows(K, k)):
+        for i in row:
+            by_lower.setdefault(i, []).append(j)
+    basis = gf2.kernel_basis(by_lower.values(), len(cols))
     cycles = [frozenset(cols[i] for i in x) for x in basis]
     return tuple(sorted(cycles, key=lambda c: (len(c), sorted(c))))
 

@@ -84,6 +84,19 @@ def _refuse_repeated(labels: list, location: str) -> None:
         raise MalformedInput(f"repeated vertex {_encode_label(repeated)!r}", location)
 
 
+def _refuse_other_vertices(order: list, vertices: dict) -> None:
+    """Refuse a vertex order that is not exactly the complex's vertices (in
+    first appearance): the bounds depend on the order, so it is analyzed as
+    the file states it or not at all."""
+    named = set(order)
+    missing = [_encode_label(v) for v in vertices if v not in named]
+    if missing:
+        raise MalformedInput(f"vertex_order is missing the vertices {missing}", "$.vertex_order")
+    unknown = [_encode_label(v) for v in order if v not in vertices]
+    if unknown:
+        raise MalformedInput(f"vertex_order names {unknown}, which are not vertices", "$.vertex_order")
+
+
 def _refuse_unknown(data: dict, known: tuple, location: str = "$") -> None:
     """Refuse a key outside `known`: a misspelt key must not be dropped unread."""
     for key in data:
@@ -138,8 +151,8 @@ def complex_from_json(data) -> SimplicialComplex:
                 raise MalformedInput("edge must be a pair", f"$.graph.edges[{i}]")
             edges.append(tuple(label(v, "$.graph.edges[{}]", i) for v in e))
         if order is not None:
-            perm = {v: i for i, v in enumerate(order)}
-            verts = sorted(verts, key=lambda v: perm.get(v, len(perm)))
+            _refuse_other_vertices(order, dict.fromkeys(verts))
+            verts = order
         flag = data.get("flag", False)
         if type(flag) is not bool:
             raise MalformedInput(f"must be a boolean, got {flag!r}", "$.flag")
@@ -162,6 +175,8 @@ def complex_from_json(data) -> SimplicialComplex:
             raw = _list(data["vertices"], "$.vertices")
             listed = {label(v, "$.vertices[{}]", i) for i, v in enumerate(raw)}
             simplices.extend((v,) for v in sorted(listed, key=repr))
+        if order is not None:
+            _refuse_other_vertices(order, dict.fromkeys(v for s in simplices for v in s))
         try:
             return make_complex(simplices, vertex_order=order)
         except ValueError as exc:

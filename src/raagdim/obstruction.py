@@ -6,8 +6,7 @@ meshed ordered pair led by the lower vertex, (-1)^k to the swapped pair,
 and 0 otherwise; its mod-2 reduction is the top obstruction cocycle on the
 configuration space.  A nonstrict variant pairs simplices of the doubled
 complex with simplices of the minus copy; its one copy,
-`nonstrict_rank_indicator`, reads rank tuples and a per-vertex table of
-minus copies.
+`nonstrict_rank_indicator`, reads rank tuples in OL's order.
 The push to the product with the minus copy has one copy too,
 `push_terms`: each cell's two product terms and the swap sign, which
 `push_to_product` sums and the lemma suite reads cell by cell.
@@ -60,21 +59,19 @@ def _interleaves(a, b) -> bool:
     return True
 
 
-def nonstrict_rank_indicator(a: tuple, b: tuple, minus) -> int:
+def nonstrict_rank_indicator(a: tuple, b: tuple) -> int:
     """Nonstrict meshing of a doubled simplex against a minus-copy simplex,
-    both as rank tuples: the one copy of the rule.
+    both as rank tuples in OL's order: the one copy of the rule.
 
-    The pattern is a0 <= b0 < a1 <= b1 < ... < ak <= bk.  `minus` is the
-    per-vertex projection table (`ConfigurationSpace.minus_ranks`): by rank,
-    the rank of that vertex's minus copy, so y is a minus vertex exactly when
-    minus[y] == y.  Every vertex of `b` is checked for its sign, also after
-    the pattern has broken.
+    The pattern is a0 <= b0 < a1 <= b1 < ... < ak <= bk.  A plus vertex
+    has an odd rank (`octa.lift_ranks`), so every vertex of `b` must be
+    even; each is checked, also after the pattern has broken.
     """
     if len(a) != len(b):
         raise ValueError("nonstrict meshing needs equal-dimensional simplices")
     meshed, prev = 1, -1
     for x, y in zip(a, b):
-        if minus[y] != y:
+        if y & 1:
             raise ValueError("second simplex must lie in the minus copy")
         if meshed:
             meshed, prev = prev < x <= y, y
@@ -330,11 +327,11 @@ def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: i
     stored order by first ranks.
     """
     L = octa.base
-    ranks, masks, rid, minus = space.ranks, space.masks, space.rank_ids, space.minus_ranks
+    ranks, masks, rid = space.ranks, space.masks, space.rank_ids
     ranked, sign, F = L.ranked_faces(), (-1) ** k, len(ranks)
     minus_top = lift_ranks([ranked[k]], ())[0]
     tops = space.ids_of_dim(k)
-    rhs = [tuple([sign * nonstrict_rank_indicator(ranks[a], b, minus) for b in minus_top]) for a in tops]
+    rhs = [tuple([sign * nonstrict_rank_indicator(ranks[a], b) for b in minus_top]) for a in tops]
     distinct = list(dict.fromkeys(rhs))
     psis = solve_integer(boundary_rows(L, k), distinct)
     if psis is None:

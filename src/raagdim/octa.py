@@ -28,8 +28,9 @@ paths name a face by its vertex tuple, but by its rank tuple or its id
 ranks by `rank`): face tuples are built only for a certificate's stored
 cells, an obstructed witness, the lemma suite's moment oracle and the
 wording of a failure.  A face's minus copy, the relabelling that the push
-to the product with the minus copy applies to every half, is read by face
-id from `ConfigurationSpace.minus_ids`.
+to the product with the minus copy applies to every half, is its rank
+tuple with each rank's low bit cleared, read by face id from
+`ConfigurationSpace.minus_ids`.
 """
 
 from __future__ import annotations
@@ -115,11 +116,6 @@ class DoubledComplex(NamedTuple):
     def vertices(self) -> tuple:
         """OL's vertex order, which `ranked_faces` ranks."""
         return self.octa.vertices
-
-    @property
-    def rank(self) -> dict:
-        """OL's vertex ranks, which `ranked_faces` uses."""
-        return self.octa.rank
 
     def ranked_faces(self) -> list:
         """The faces as rank tuples, one sorted list per dimension: the

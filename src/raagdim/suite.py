@@ -128,10 +128,10 @@ class _Nonstrict(dict):
 
     def __init__(self, space: ConfigurationSpace):
         super().__init__()
-        self.ranks, self.minus = space.ranks, space.minus_ranks
+        self.ranks = space.ranks
 
     def __missing__(self, term):
-        value = self[term] = nonstrict_rank_indicator(self.ranks[term[0]], self.ranks[term[1]], self.minus)
+        value = self[term] = nonstrict_rank_indicator(self.ranks[term[0]], self.ranks[term[1]])
         return value
 
 

@@ -128,8 +128,7 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
     pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(stored, 1), space).items() if v % 2}
     if pushed != delta_product_chain(doubled, space):
         return fail("push of the stored chain is not the product chain")
-    minus = space.minus_ranks
-    if sum([nonstrict_rank_indicator(ranks[a], ranks[b], minus) for a, b in pushed]) % 2 != 1:
+    if sum([nonstrict_rank_indicator(ranks[a], ranks[b]) for a, b in pushed]) % 2 != 1:
         return fail("product evaluation is not 1")
 
     run.append(next(stages))

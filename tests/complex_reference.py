@@ -1,9 +1,11 @@
 """Reference oracles, written straight from their definitions on face
 tuples: the closed star and the full subcomplex, which `raagdim` reads
 neither of (the star/link search recurses on `complexes.link`; the tests
-check `link`, `join` and the minus copy of OL against them), and the
-minimal missing clique and the maximal faces, which the tests check
-`is_flag` and `SimplicialComplex.maximal_faces` against.
+check `link`, `join` and the minus copy of OL against them), the minimal
+missing clique and the maximal faces, which the tests check `is_flag` and
+`SimplicialComplex.maximal_faces` against, and the signed facets of a
+simplex on its labels, which the tests check `homology.boundary_rows`
+and the configuration space's boundaries against.
 """
 
 from __future__ import annotations
@@ -11,6 +13,13 @@ from __future__ import annotations
 from itertools import combinations
 
 from raagdim.complexes import SimplicialComplex
+
+
+def simplex_boundary(face: tuple):
+    """Signed facets of an oriented simplex; vertices assumed rank-sorted."""
+    if len(face) == 1:
+        return []
+    return [(face[:i] + face[i + 1 :], (-1) ** i) for i in range(len(face))]
 
 
 def star(K: SimplicialComplex, sigma) -> SimplicialComplex:

@@ -10,7 +10,7 @@ re-check reads those rows; the tests compare the two.
 
 from __future__ import annotations
 
-from raagdim.homology import simplex_boundary
+from complex_reference import simplex_boundary
 
 
 def cell_ids(space, d: int) -> dict:

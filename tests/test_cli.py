@@ -91,6 +91,18 @@ def test_malformed_inputs_carry_locations():
     ({"maximal_simplices": [[1, 2], [2, 3], [1, 3]], "flag": True}, "$.flag", "only a 'graph'"),
     ({"graph": {"vertices": [1, 2], "edges": []}, "maximal_simplices": [[1, 2]]}, "$.maximal_simplices", "not both"),
     ({"graph": {"vertices": [1, 2], "edges": []}, "vertices": [1, 2]}, "$.vertices", "'graph.vertices'"),
+    # A vertex order names exactly the vertices, in both input forms: none
+    # is put last unstated, and no other name is dropped.
+    ({"graph": {"vertices": [1, 2, 3], "edges": [[1, 2]]}, "vertex_order": [3, 1]}, "$.vertex_order",
+     "vertex_order is missing the vertices [2]"),
+    ({"graph": {"vertices": [1, 2], "edges": [[1, 2]]}, "flag": True, "vertex_order": [2, 1, 9]}, "$.vertex_order",
+     "vertex_order names [9], which are not vertices"),
+    ({"maximal_simplices": [[1, 2], [3]], "vertex_order": [3, 1, 2, 9]}, "$.vertex_order",
+     "vertex_order names [9], which are not vertices"),
+    ({"maximal_simplices": [["a", "b"], ["b", "c"]], "vertex_order": ["c", "a"]}, "$.vertex_order",
+     "vertex_order is missing the vertices ['b']"),
+    ({"maximal_simplices": [["a"]], "vertices": ["b", "c"], "vertex_order": ["a", "c"]}, "$.vertex_order",
+     "vertex_order is missing the vertices ['b']"),
 ])
 def test_complex_json_rejects_bad_labels_and_containers(data, location, reason):
     with pytest.raises(io_json.MalformedInput) as err:
@@ -566,7 +578,7 @@ def test_verify_certificate_push_and_support_match_failures(monkeypatch):
     support = VerificationOutcome(False, "omega-support-match", f"stored support differs (extra [{first}], missing [])",
                                   CHECKS)
     for name, fault, outcome in [("delta_product_chain", product_minus_one_term, push),
-                                 ("nonstrict_rank_indicator", lambda a, b, minus: 0, evaluation),
+                                 ("nonstrict_rank_indicator", lambda a, b: 0, evaluation),
                                  ("covering_pair_chain", rebuilt_without_first, support)]:
         with monkeypatch.context() as patch:
             patch.setattr(verify, name, fault)

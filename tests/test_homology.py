@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from complex_reference import simplex_boundary
 from raagdim.config_space import ConfigurationSpace
 from raagdim import gf2, homology
 from raagdim.homology import (
@@ -12,7 +13,6 @@ from raagdim.homology import (
     cycle_space,
     mod2_betti,
     rational_betti,
-    simplex_boundary,
     solve_coboundary,
 )
 from raagdim import obstruction
@@ -118,12 +118,20 @@ def test_betti_numbers_satisfy_reduced_euler_poincare(seed):
 
 
 def test_boundary_rows_index_the_facets():
-    K = cycle(4)
-    assert boundary_rows(K, 0) == (((0, 1),),) * 4
-    edges, vertices = K.faces_of_dim(1), K.faces_of_dim(0)
-    for edge, row in zip(edges, boundary_rows(K, 1)):
-        assert [i for i, _ in row] == sorted(i for i, _ in row)
-        assert {(vertices[i], sign) for i, sign in row} == set(simplex_boundary(edge))
+    # Every degree against the rows built from the label-tuple oracle, each
+    # sorted by facet id; the GF(2) rows are their ids.
+    assert boundary_rows(cycle(4), 0) == (((0, 1),),) * 4
+    for K in [entry.complex() for entry in ZOO] + [random_flag(7, 0.5, seed) for seed in range(20)]:
+        for d in range(K.dim + 1):
+            if d == 0:
+                expect = (((0, 1),),) * len(K.faces_of_dim(0))
+            else:
+                ids = {f: i for i, f in enumerate(K.faces_of_dim(d - 1))}
+                expect = tuple(tuple(sorted((ids[sub], sign) for sub, sign in simplex_boundary(f)))
+                               for f in K.faces_of_dim(d))
+            rows = boundary_rows(K, d)
+            assert rows == expect, (K.maximal_faces(), d)
+            assert homology._facet_rows(K, d) == [tuple(i for i, _ in row) for row in rows]
 
 
 @given(st.integers(0, 10**6))
@@ -165,7 +173,7 @@ def dense_rational_betti(K):
             mat.append(dense)
         return integer_rank(mat)
 
-    return homology._betti(K, rank)
+    return homology._betti(K, lambda d: rank(boundary_rows(K, d)))
 
 
 def test_rational_betti_matches_the_dense_elimination():

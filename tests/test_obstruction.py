@@ -10,7 +10,6 @@ import certificate_reference
 import gf2_dense
 import integer_recheck
 import push_reference
-from index_reference import doubled_complex
 from push_reference import mesh_number, minus_lift, project
 import raagdim
 from raagdim import io_json, obstruction
@@ -36,7 +35,7 @@ from raagdim.octa import MINUS, PLUS, DoubledComplex, Octahedralization, double_
 from raagdim.suite import SuiteResult, check_complex, run_suite
 from raagdim.verify import verify_certificate
 from raagdim.zoo import ZOO, cone, cycle, octahedron_boundary, path, points, random_flag, simplex, suspension, tree
-from test_config_space import face_id, pair_cell_boundary, pairs_of, signed_boundary, signed_chain_boundary
+from test_config_space import doubled_over, face_id, pair_cell_boundary, pairs_of, signed_boundary, signed_chain_boundary
 from test_pins import load_workloads
 
 RANK4 = {"v0": 0, "v1": 1, "v2": 2, "v3": 3}
@@ -56,35 +55,48 @@ def test_mesh_degree_zero_all_pairs_mesh():
     assert mesh_number(("v1",), ("v0",), RANK4) == 1
 
 
-def rank_indicator(sigma: tuple, b: tuple, cs) -> int:
-    """`nonstrict_rank_indicator` on two faces of the space's complex given
-    as vertex tuples, with the space's table of minus copies."""
-    rank = cs.K.rank
-    return nonstrict_rank_indicator([rank[v] for v in sigma], [rank[w] for w in b], cs.minus_ranks)
+def rank_indicator(sigma: tuple, b: tuple, rank: dict) -> int:
+    """`nonstrict_rank_indicator` on two faces of OL given as vertex tuples,
+    ranked by `rank`."""
+    return nonstrict_rank_indicator([rank[v] for v in sigma], [rank[w] for w in b])
 
 
 def test_nonstrict_mesh_examples():
     o = octahedralize(simplex(1))
-    cs, rank = ConfigurationSpace(o), o.rank
+    rank = o.rank
     delta_minus = (("v0", MINUS), ("v1", MINUS))
-    for indicator, arg in ((rank_indicator, cs), (push_reference.nonstrict_mesh_indicator, rank)):
+    for indicator in (rank_indicator, push_reference.nonstrict_mesh_indicator):
         # The diagonal pair contributes.
-        assert indicator(delta_minus, delta_minus, arg) == 1
+        assert indicator(delta_minus, delta_minus, rank) == 1
         # v0+ <= v0- fails.
-        assert indicator((("v0", PLUS), ("v1", MINUS)), delta_minus, arg) == 0
+        assert indicator((("v0", PLUS), ("v1", MINUS)), delta_minus, rank) == 0
         # v1+ <= v1- fails.
-        assert indicator((("v0", MINUS), ("v1", PLUS)), delta_minus, arg) == 0
+        assert indicator((("v0", MINUS), ("v1", PLUS)), delta_minus, rank) == 0
         with pytest.raises(ValueError):
-            indicator(delta_minus, (("v0", MINUS), ("v1", PLUS)), arg)
+            indicator(delta_minus, (("v0", MINUS), ("v1", PLUS)), rank)
 
 
 def test_nonstrict_mesh_checks_every_sign_after_the_pattern_breaks():
     o = octahedralize(simplex(1))
     # v0+ <= v0- fails at the first position; b's plus vertex comes after it.
     with pytest.raises(ValueError):
-        rank_indicator((("v0", PLUS), ("v1", MINUS)), (("v0", MINUS), ("v1", PLUS)), ConfigurationSpace(o))
+        rank_indicator((("v0", PLUS), ("v1", MINUS)), (("v0", MINUS), ("v1", PLUS)), o.rank)
     with pytest.raises(ValueError):
         push_reference.nonstrict_mesh_indicator((("v0", PLUS), ("v1", MINUS)), (("v0", MINUS), ("v1", PLUS)), o.rank)
+    # The rule reads a sign off its rank's parity: on OL and on the doubled
+    # complexes, lifted on OL's ranks, a vertex is a plus vertex exactly
+    # when its rank is odd.  Each face, behind a pattern broken at once,
+    # raises exactly when it has a plus vertex.
+    for L in [entry.complex() for entry in ZOO] + [random_flag(7, 0.5, seed) for seed in range(10)]:
+        for K in [octahedralize(L), *doubled_over(L)]:
+            assert all((s == PLUS) == (r % 2 == 1) for r, (_v, s) in enumerate(K.vertices))
+            for t in (t for level in K.ranked_faces() for t in level):
+                shifted = [r + 1 for r in t]
+                if any(K.vertices[r][1] == PLUS for r in t):
+                    with pytest.raises(ValueError, match="minus copy"):
+                        nonstrict_rank_indicator(shifted, t)
+                else:
+                    assert nonstrict_rank_indicator(shifted, t) == 0
 
 
 def push_cells(chain, cs) -> dict:
@@ -97,8 +109,8 @@ def push_cells(chain, cs) -> dict:
 def evaluate_nonstrict_on_product(chain, cs) -> int:
     """Integer pairing of the nonstrict meshing cocycle with a product chain
     on the space's face-id pairs."""
-    ranks, minus = cs.ranks, cs.minus_ranks
-    return sum(coeff * nonstrict_rank_indicator(ranks[a], ranks[b], minus) for (a, b), coeff in chain.items())
+    ranks = cs.ranks
+    return sum(coeff * nonstrict_rank_indicator(ranks[a], ranks[b]) for (a, b), coeff in chain.items())
 
 
 def test_push_single_cell_formula():
@@ -135,50 +147,37 @@ def test_push_is_a_chain_map(seed):
         assert lhs == rhs
 
 
-def sample_spaces(L, rng):
-    """(octahedralization, configuration space) pairs: on OL and on one
-    complex doubled over a random cycle of L, each with the octahedralization
-    whose minus copies the reference push derives."""
-    o = octahedralize(L)
-    out = [(o, ConfigurationSpace(o.complex))]
-    cycles = [(k, c) for k in range(L.dim + 1) for c in cycle_space(skeleton(L, k), k)]
-    if cycles:
-        k, cyc = cycles[rng.randrange(len(cycles))]
-        ok = octahedralize(skeleton(L, k))
-        doubled = double_over(ok, cyc, sorted(cyc)[rng.randrange(len(cyc))])
-        out.append((ok, ConfigurationSpace(doubled_complex(doubled))))
-    return out
-
-
 @given(st.integers(0, 10**6))
 @settings(max_examples=20, deadline=None)
 def test_push_and_indicator_match_their_reference_oracles(seed):
+    # On the space of OL's face set, whose minus copies the reference push
+    # derives from the octahedralization.
     rng = random.Random(seed)
-    for o, cs in sample_spaces(random_flag(6, 0.5, seed), rng):
-        rank = o.rank
-        for d in range(2 * cs.K.dim + 1):
-            cells = cs.cells_of_degree(d)
-            if not cells:
-                continue
-            chain = {c: rng.choice((-2, -1, 1, 2)) for c in rng.sample(cells, min(6, len(cells)))}
-            # A zero coefficient pushes to nothing.
-            chain[cells[0]] = 0
-            pushed = push_reference.push_to_product(chain, o)
-            assert list(push_cells(chain, cs).items()) == list(pushed.items())
-            # The pushed cells, and the unpushed halves (which may carry plus
-            # vertices), against both indicators, errors included.
-            for sigma, b in list(pushed) + list(chain):
-                assert outcome(rank_indicator, sigma, b, cs) == outcome(
-                    push_reference.nonstrict_mesh_indicator, sigma, b, rank)
+    o = octahedralize(random_flag(6, 0.5, seed))
+    cs, rank = ConfigurationSpace(o.complex), o.rank
+    for d in range(2 * cs.K.dim + 1):
+        cells = cs.cells_of_degree(d)
+        if not cells:
+            continue
+        chain = {c: rng.choice((-2, -1, 1, 2)) for c in rng.sample(cells, min(6, len(cells)))}
+        # A zero coefficient pushes to nothing.
+        chain[cells[0]] = 0
+        pushed = push_reference.push_to_product(chain, o)
+        assert list(push_cells(chain, cs).items()) == list(pushed.items())
+        # The pushed cells, and the unpushed halves (which may carry plus
+        # vertices), against both indicators, errors included.
+        for sigma, b in list(pushed) + list(chain):
+            assert outcome(rank_indicator, sigma, b, rank) == outcome(
+                push_reference.nonstrict_mesh_indicator, sigma, b, rank)
 
 
 def lifted_and_built_spaces(L, rng):
     """(octahedralization, space, doubled complex or None) triples: OL's
-    space and one doubled complex's, each lifted from the base and built on
-    the face set, the doubled one over a random cycle of L with OL's space
-    of that cycle's skeleton.  The doubled complex rides along only with
-    the spaces lifted on its OL's ranks, the ones `delta_product_chain`
-    reads."""
+    space, lifted from the base and built on the face set, and over a
+    random cycle of L the doubled complex's space, lifted from the cycle's
+    support, with OL's space of that cycle's skeleton, the two spaces
+    `delta_product_chain` reads.  A space built on a doubled complex's own
+    face set ranks a suborder of OL's vertices, so it has no minus copies."""
     o = octahedralize(L)
     out = [(o, ConfigurationSpace(o), None), (o, ConfigurationSpace(o.complex), None)]
     cycles = [(k, c) for k in range(1, L.dim + 1) for c in cycle_space(skeleton(L, k), k)]
@@ -186,8 +185,7 @@ def lifted_and_built_spaces(L, rng):
         k, cyc = cycles[rng.randrange(len(cycles))]
         ok = octahedralize(skeleton(L, k))
         doubled = double_over(ok, cyc, sorted(cyc)[rng.randrange(len(cyc))])
-        out += [(ok, ConfigurationSpace(ok), doubled), (ok, ConfigurationSpace(doubled), doubled),
-                (ok, ConfigurationSpace(doubled_complex(doubled)), None)]
+        out += [(ok, ConfigurationSpace(ok), doubled), (ok, ConfigurationSpace(doubled), doubled)]
     return out
 
 
@@ -205,7 +203,7 @@ def test_rank_rules_match_their_tuple_oracles(n, p, seed):
     rng = random.Random(seed)
     L = random_flag(n, p, seed)
     for o, cs, doubled in lifted_and_built_spaces(L, rng):
-        ranks, faces, minus = cs.ranks, cs.faces, cs.minus_ranks
+        ranks, faces = cs.ranks, cs.faces
         # The projection table, face by face.
         assert cs.minus_ids == [face_id(cs, minus_lift(project(f))) for f in faces]
         # The nonstrict rule on random faces (a second half with a plus
@@ -214,7 +212,7 @@ def test_rank_rules_match_their_tuple_oracles(n, p, seed):
         draws = [(rng.choice(ids), rng.choice(ids)) for _ in range(60)]
         draws += [(a, cs.minus_ids[b]) for a, b in draws]
         for a, b in draws:
-            assert outcome(obstruction.nonstrict_rank_indicator, ranks[a], ranks[b], minus) == outcome(
+            assert outcome(obstruction.nonstrict_rank_indicator, ranks[a], ranks[b]) == outcome(
                 push_reference.nonstrict_mesh_indicator, faces[a], faces[b], o.rank)
         # push_terms and push_to_product against the reference push, in
         # three degrees.

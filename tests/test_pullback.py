@@ -147,9 +147,9 @@ def test_tripled_route_primitive_fails_verification(monkeypatch):
 def test_route_without_its_sign_fails_verification(monkeypatch):
     indicator = obstruction.nonstrict_rank_indicator
 
-    def unsigned(a, b, minus):
+    def unsigned(a, b):
         # Cancels the route's (-1)^k; in odd degree the primitive flips sign.
-        return (-1) ** (len(a) - 1) * indicator(a, b, minus)
+        return (-1) ** (len(a) - 1) * indicator(a, b)
 
     monkeypatch.setattr(obstruction, "nonstrict_rank_indicator", unsigned)
     with pytest.raises(RuntimeError, match="integer primitive fails verification"):

@@ -11,6 +11,7 @@ import pytest
 from raagdim import io_json
 from raagdim.bounds import analyze, vkdim_lower
 from raagdim.complexes import link
+from raagdim.homology import boundary_rows, cycle_space, mod2_betti, rational_betti
 from raagdim.obstruction import certify_vanishing
 from raagdim.zoo import cycle
 
@@ -40,14 +41,14 @@ def test_script_runs(args, expected, tmp_path):
         assert sorted(suites) == [f"lemma-suite(seed={seed})" for seed in range(5)]
         assert suites["lemma-suite(seed=0)"] == [50, 85897, 0]
         assert all(complexes == 50 and failures == 0 for complexes, _checks, failures in suites.values())
-        # Every case has its three report digests, its link digest and the
-        # digests of its default and integral top solves; a case with a
+        # Every case has its three report digests, its link and homology
+        # digests and the digests of its default and integral top solves; a case with a
         # certificate also has that of the certificate file, its verdicts
         # and the top solve that its reports skip.  With max_cells=0 a case without a top certificate refuses at the size
         # guard, so its report differs from the default; a case with one
         # never reaches the guard.
         digests = {name: v for name, v in json.loads(run.stdout).items() if name not in suites}
-        keys = ["default", "integral", "links", "refuse", "vanishing", "vanishing-integral"]
+        keys = ["default", "homology", "integral", "links", "refuse", "vanishing", "vanishing-integral"]
         verdicts = ["verify", "verify-drop-first", "verify-flip-sign", "verify-repeat-first"]
         assert all(sorted(v) in (keys, sorted(["certificate-file", "top-solve"] + keys + verdicts))
                    for v in digests.values())
@@ -55,6 +56,11 @@ def test_script_runs(args, expected, tmp_path):
         c4 = cycle(4)
         bounds = [[v, d, list(vkdim_lower(link(c4, (v,)), d))] for v in c4.vertices for d in range(3)]
         assert digests["zoo:cycle4"]["links"] == hashlib.sha256(io_json.dumps(bounds).encode()).hexdigest()
+        # The homology digest covers both Betti vectors and, in every degree,
+        # the boundary rows and the cycle basis, each cycle a sorted list.
+        assert mod2_betti(c4) == rational_betti(c4) == (0, 1)
+        homology = [[0, 1], [0, 1], [[boundary_rows(c4, d), [sorted(z) for z in cycle_space(c4, d)]] for d in range(2)]]
+        assert digests["zoo:cycle4"]["homology"] == hashlib.sha256(io_json.dumps(homology).encode()).hexdigest()
         assert digests["zoo:cycle3"]["refuse"] != digests["zoo:cycle3"]["default"]
         assert digests["zoo:cycle4"]["refuse"] == digests["zoo:cycle4"]["default"]
         # A case with a certificate runs no top solve; the hollow triangle's

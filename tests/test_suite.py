@@ -185,10 +185,10 @@ def test_the_swap_term_of_a_stored_top_cell_never_meshes():
     for K in (cycle(5), octahedron_boundary(2), suspension(cycle(4))):
         space = ConfigurationSpace(octahedralize(K))
         pairs = space.indexed_cells(2 * K.dim)[1]
-        ranks, minus = space.ranks, space.minus_ranks
+        ranks = space.ranks
         assert pairs
         for _first, (b, pa), _sign in push_terms(pairs, space):
-            assert nonstrict_rank_indicator(ranks[b], ranks[pa], minus) == 0
+            assert nonstrict_rank_indicator(ranks[b], ranks[pa]) == 0
         check_complex(K, res)
     assert not res.failures
 
