@@ -17,7 +17,11 @@ analyses gets one digest each ("vanishing", "vanishing-integral") of
 VanishingResult holds them, each cell written as a pair of faces in the
 order the result lists it (a cell key is read back by
 `ConfigurationSpace.key_cell`), so the diff covers the primitives and
-witnesses, not just the primitive's size.  When the default report
+witnesses, not just the primitive's size.  The GF(2) primitive is read
+as its keys and written with the value 1 on each, so a result that holds
+it as a {key: 1} dict and one that holds it as a tuple of keys give the
+same record bytes, and the "vanishing" digests of two such checkouts
+compare directly.  When the default report
 carries a certificate, the case also gets the digest of that certificate
 written on its own, the bytes `raagdim analyze --certificate` writes
 ("certificate-file"; in the report it sits at another indent), and the
@@ -91,7 +95,7 @@ def report(L, options) -> tuple:
 def solve_record(L, vanishing) -> list:
     """[status, GF(2) primitive, witness, integer primitive] of the top
     solve, a primitive as [cell, value] pairs, its cell keys read back by
-    `key_cell`; None without a solve."""
+    `key_cell` and the GF(2) one's values all 1; None without a solve."""
     if vanishing is None:
         return None
     space = ConfigurationSpace(octahedralize(L))
@@ -101,8 +105,9 @@ def solve_record(L, vanishing) -> list:
             return None
         return [[space.key_cell(key), v] for key, v in values.items()]
 
-    return [vanishing.status, cochain(vanishing.primitive), vanishing.witness_cycle,
-            cochain(vanishing.integral_primitive)]
+    primitive = vanishing.primitive
+    gf2_values = None if primitive is None else dict.fromkeys(primitive, 1)
+    return [vanishing.status, cochain(gf2_values), vanishing.witness_cycle, cochain(vanishing.integral_primitive)]
 
 
 def digest(data) -> str:

@@ -8,8 +8,10 @@ on; everything here runs at desk scale.
 This module owns the face order: by dimension, then rank tuple.
 `faces_of_dim(k)` lists the k-faces in it and `ranked_faces()` their rank
 tuples, built once, which every index reads or lifts (OL's and a doubled
-complex's).  `maximal_faces` and `is_flag` read their answers off that
-order, with no sort of their own.
+complex's), and `facet_rows(d)` the facet ids of the d-faces, built once
+per degree, which every simplicial boundary reads (`homology` and
+`verify`'s cycle check).  `maximal_faces` and `is_flag` read their answers
+off that order, with no sort of their own.
 
 The vertex order is part of the data, not a per-call argument.  The meshing
 cocycles read it, so two complexes with the same faces but different orders
@@ -71,6 +73,19 @@ class SimplicialComplex(_ComplexFields):
         """The rank tuples of `faces_of_dim(k)`, one tuple per dimension k."""
         return self._ranked
 
+    @cached_property
+    def _facet_table(self) -> dict:
+        return {}
+
+    def facet_rows(self, d: int) -> tuple:
+        """The facet ids of every d-face, one row per face of
+        `faces_of_dim(d)`, ids indexing `faces_of_dim(d - 1)`; built once per
+        degree (`_facet_rows`)."""
+        table = self._facet_table
+        if d not in table:
+            table[d] = _facet_rows(self._ranked, d)
+        return table[d]
+
     def sort_face(self, vertices) -> tuple:
         rk = self.rank
         vs = tuple(vertices)
@@ -88,6 +103,17 @@ class SimplicialComplex(_ComplexFields):
 
     def face_counts(self) -> tuple:
         return tuple(len(self.faces_of_dim(k)) for k in range(self.dim + 1))
+
+
+def _facet_rows(ranked: tuple, d: int) -> tuple:
+    """The facet ids of the d-faces, read off their rank tuples `ranked[d]`,
+    dropping the last vertex first, so each row's ids increase.  In degree 0
+    every vertex's row is the single augmentation cell (id 0), so homology
+    read from these rows is reduced."""
+    if d == 0:
+        return ((0,),) * len(ranked[0])
+    ids = {t: i for i, t in enumerate(ranked[d - 1])}
+    return tuple([tuple([ids[t[:i] + t[i + 1 :]] for i in range(d, -1, -1)]) for t in ranked[d]])
 
 
 def make_complex(faces, vertex_order=None) -> SimplicialComplex:

@@ -5,9 +5,9 @@ the Betti numbers of a point are all zero and b0 counts components minus
 one.  Rational ranks come from exact integer elimination: unit pivots on
 the sparse rows, then fraction-free elimination of the core they leave.
 
-Simplicial boundaries are read off `K.ranked_faces()`, the face order
-`complexes` owns: a d-face's facet ids come from dropping its last vertex
-first, the order `ConfigurationSpace._facet_ids` uses, so each row's ids
+Simplicial boundaries are read off `K.facet_rows(d)`, built once per
+degree in the face order `complexes` owns: a d-face's facet ids come from
+dropping its last vertex first, the order `ConfigurationSpace._facet_ids` uses, so each row's ids
 increase with no sort, and the j-th facet has sign (-1)^(d - j), the rule
 of `signed_facet_keys`.  Every coefficient is +-1, so the GF(2) rows are
 the id rows as they are, eliminated sparsely by `gf2`; over Q,
@@ -15,10 +15,10 @@ the id rows as they are, eliminated sparsely by `gf2`; over Q,
 The configuration space plugs into the GF(2) `solve_coboundary` through
 its facet-key rows alone (``facet_keys(d)``).
 The cochain phi is a sequence in the order of those rows, the cell order,
-and a primitive comes back on cell keys, so the solve builds no cell, of
-degree d or d-1.  Over Z, `obstruction.certify_vanishing` solves on L and
-pulls back, and falls back to its `_integer_solve` on the space's signed
-facet keys (``signed_facet_keys(d)``).
+and a primitive comes back as the keys of its support, so the solve builds
+no cell, of degree d or d-1.  Over Z, `obstruction.certify_vanishing`
+solves on L and pulls back, and falls back to its `_integer_solve` on the
+space's signed facet keys (``signed_facet_keys(d)``).
 """
 
 from __future__ import annotations
@@ -27,24 +27,11 @@ from . import gf2, intlinalg
 from .complexes import SimplicialComplex
 
 
-def _facet_rows(K: SimplicialComplex, d: int) -> list:
-    """The facet ids of every d-face, one row per face of
-    K.faces_of_dim(d), ids indexing K.faces_of_dim(d - 1): read off
-    `K.ranked_faces()`, dropping the last vertex first, so each row's ids
-    increase.  In degree 0 every vertex's row is the single augmentation
-    cell (id 0), so homology read from these rows is reduced."""
-    ranked = K.ranked_faces()
-    if d == 0:
-        return [(0,)] * len(ranked[0])
-    ids = {t: i for i, t in enumerate(ranked[d - 1])}
-    return [tuple([ids[t[:i] + t[i + 1 :]] for i in range(d, -1, -1)]) for t in ranked[d]]
-
-
 def boundary_rows(K: SimplicialComplex, d: int) -> tuple:
     """Signed boundary of every d-face as (facet id, sign) pairs by
-    increasing id: `_facet_rows`, the j-th facet with sign (-1)^(d - j)."""
+    increasing id: `K.facet_rows(d)`, the j-th facet with sign (-1)^(d - j)."""
     signs = [(-1) ** (d - j) for j in range(d + 1)]
-    return tuple(tuple(zip(row, signs)) for row in _facet_rows(K, d))
+    return tuple(tuple(zip(row, signs)) for row in K.facet_rows(d))
 
 
 def _betti(K: SimplicialComplex, rank) -> tuple:
@@ -59,7 +46,7 @@ def _betti(K: SimplicialComplex, rank) -> tuple:
 
 def mod2_betti(K: SimplicialComplex) -> tuple:
     """dim H_k(K; Z/2) for k = 0..dim K."""
-    return _betti(K, lambda d: gf2.rank(_facet_rows(K, d)))
+    return _betti(K, lambda d: gf2.rank(K.facet_rows(d)))
 
 
 def rational_betti(K: SimplicialComplex) -> tuple:
@@ -79,7 +66,7 @@ def cycle_space(K: SimplicialComplex, k: int) -> tuple:
     # The kernel wants the boundary matrix by lower cell: row i lists the
     # k-faces whose boundary meets cell i (row order does not change it).
     by_lower: dict = {}
-    for j, row in enumerate(_facet_rows(K, k)):
+    for j, row in enumerate(K.facet_rows(k)):
         for i in row:
             by_lower.setdefault(i, []).append(j)
     basis = gf2.kernel_basis(by_lower.values(), len(cols))
@@ -97,12 +84,12 @@ def solve_coboundary(phi, degree: int, space):
     cell order, the keys increasing strictly in the order of the
     (m-1)-cells.  Builds no cell.
 
-    Returns (primitive, witness) from one `gf2.solve`: `primitive` is a
-    {key: 1} dict on the keys of the (m-1)-cells in its support, in key
+    Returns (primitive, witness) from one `gf2.solve`: `primitive` is the
+    support of x, the keys of (m-1)-cells where it is 1, as a tuple in key
     order (cell order), when solvable, otherwise None.  The witness of an
     unsolvable system is the ascending list of the indices of m-cells
     forming a cycle on which phi evaluates to 1.
     """
     n_lower = space.count_cells(degree - 1) if degree > 0 else 0
     x, witness = gf2.solve(list(zip(space.facet_keys(degree), phi, strict=True)), n_lower)
-    return (None, witness) if x is None else (dict.fromkeys(sorted(x), 1), None)
+    return (None, witness) if x is None else (tuple(sorted(x)), None)

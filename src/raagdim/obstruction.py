@@ -8,8 +8,8 @@ configuration space.  A nonstrict variant pairs simplices of the doubled
 complex with simplices of the minus copy; its one copy,
 `nonstrict_rank_indicator`, reads rank tuples in OL's order.
 The push to the product with the minus copy has one copy too,
-`push_terms`: each cell's two product terms and the swap sign, which
-`push_to_product` sums and the lemma suite reads cell by cell.
+`push_terms`: each cell's two product terms (no sign: it has why), which
+`push_to_product` toggles into a set and the lemma suite reads cell by cell.
 
 Nonvanishing is certified by a cycle of unordered disjoint pairs that
 jointly cover a chosen simplex, built from a GF(2) cycle of the base.  The
@@ -98,28 +98,25 @@ def pairing(space: ConfigurationSpace, pairs) -> tuple:
 def push_terms(pairs, space: ConfigurationSpace):
     """The one copy of the push rule: for each cell of `pairs`, a face-id
     pair (sigma, tau) of `space`'s complex, its two product terms (sigma,
-    p tau) and (tau, p sigma) and the factor-switch sign (-1)^(dim sigma *
-    dim tau) of the second.  p relabels onto the minus copy, read from the
-    projection table `space.minus_ids`."""
-    minus, ranks = space.minus_ids, space.ranks
+    p tau) and (tau, p sigma).  p relabels onto the minus copy, read from
+    the projection table `space.minus_ids`.  The second term's factor-switch
+    sign is left out, as nothing can see it: it is 1 mod 2, and over Z the
+    nonstrict cocycle is 0 there, as tau0 > sigma0 >= sigma0 & -2 = (p
+    sigma)0 breaks its pattern's tau0 <= (p sigma)0."""
+    minus = space.minus_ids
     for sigma, tau in pairs:
-        yield (sigma, minus[tau]), (tau, minus[sigma]), -1 if (len(ranks[sigma]) - 1) * (len(ranks[tau]) - 1) % 2 else 1
+        yield (sigma, minus[tau]), (tau, minus[sigma])
 
 
-def push_to_product(chain, space: ConfigurationSpace) -> dict:
-    """Push a configuration-space chain to the product with the minus copy.
-
-    `chain` maps the face-id pairs (sigma, tau) of its cells to integer
-    coefficients; reduce mod 2 when needed.  An unordered pair [sigma, tau]
-    goes to its two `push_terms`, the second with the factor-switch sign;
-    the terms are face-id pairs of `space`'s complex, which holds every
-    minus copy.
-    """
-    out: dict = {}
-    for (first, second, sign), coeff in zip(push_terms(chain, space), chain.values()):
-        out[first] = out.get(first, 0) + coeff
-        out[second] = out.get(second, 0) + sign * coeff
-    return {c: v for c, v in out.items() if v}
+def push_to_product(pairs, space: ConfigurationSpace) -> set:
+    """Push a GF(2) configuration-space chain, given by the face-id pairs
+    of its cells, to the product with the minus copy: the set of terms that
+    an odd number of its cells push to (`push_terms`), face-id pairs of
+    `space`'s complex, which holds every minus copy."""
+    out: set = set()
+    for terms in push_terms(pairs, space):
+        out.symmetric_difference_update(terms)  # two distinct terms, as sigma != tau
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +180,17 @@ def check_star_condition(cycle, delta: tuple) -> StarConditionReport:
     return StarConditionReport(holds=True, violation=None)
 
 
-def delta_product_chain(doubled: DoubledComplex, space: ConfigurationSpace) -> dict:
-    """The product chain (all signed lifts of delta) x (minus copy of the
-    cycle), on the face-id pairs of `space`, a space lifted on OL's ranks
-    (OL's or the doubled complex's): both halves lifted by `lift_ranks` (a
-    minus copy is the lift with no plus rank), read through
+def delta_product_chain(doubled: DoubledComplex, space: ConfigurationSpace) -> set:
+    """The GF(2) product chain (all signed lifts of delta) x (minus copy of
+    the cycle), as the set of its face-id pairs in `space`, a space lifted
+    on OL's ranks (OL's or the doubled complex's): both halves lifted by
+    `lift_ranks` (a minus copy is the lift with no plus rank), read through
     `space.rank_ids`."""
     rk, rid = doubled.octa.base.rank, space.rank_ids
     delta = tuple([rk[v] for v in doubled.delta])
     halves = [lift_ranks([[delta]], delta)[0], lift_ranks([[tuple([rk[v] for v in b]) for b in doubled.cycle]], ())[0]]
     lifts, minus_cycle = [[rid[t] for t in half] for half in halves]
-    return {(a, b): 1 for a in lifts for b in minus_cycle}
+    return {(a, b) for a in lifts for b in minus_cycle}
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +264,14 @@ class VanishingResult(NamedTuple):
     status: 'primitive' (solved; the class vanishes mod 2), 'obstructed'
     (a witness cycle pairs nontrivially), or 'skipped' (size guard or a
     degenerate degree).  `reason` says why the solve, or with status
-    'primitive' the requested integer solve, was skipped.  `primitive` and
-    `integral_primitive` are {cell key: value} dicts on the (2k-1)-cells of
-    C(OL), in key order; `witness_cycle` is a tuple of 2k-cells.
+    'primitive' the requested integer solve, was skipped.  `primitive` is
+    the support, a sorted tuple of keys, and `integral_primitive` a {key:
+    value} dict in key order, on the (2k-1)-cells of C(OL);
+    `witness_cycle` is a tuple of 2k-cells.
     """
 
     status: str
-    primitive: dict | None
+    primitive: tuple | None
     witness_cycle: tuple | None
     reason: str = ""
     integral_primitive: dict | None = None
@@ -290,18 +288,18 @@ def top_mesh_cocycle(space: ConfigurationSpace, degree: int) -> list:
     return mesh_values(*space.indexed_cells(2 * degree))
 
 
-def _recheck(space: ConfigurationSpace, degree: int, phi: list, values: dict, modulus: int, what: str):
+def _recheck(space: ConfigurationSpace, degree: int, phi: list, x, modulus: int, what: str):
     """Check delta(x) = phi on every degree-cell, mod `modulus` (0 for
     exactly over Z), for phi given by position in cell order (a ValueError
-    when its length differs) and the cochain x by its values on cell keys
-    (a * F + b, as in `space.facet_keys`): from the facet keys mod 2, from
-    the signed facet keys over Z."""
+    when its length differs) and the cochain x on cell keys (a * F + b, as
+    in `space.facet_keys`): mod 2 its support against the facet keys, over
+    Z its values, a dict, against the signed facet keys."""
     if modulus == 2:
-        support = {key for key, v in values.items() if v % 2}
+        support = set(x)
         diffs = (0 if support.isdisjoint(keys) else len(support.intersection(keys))
                  for keys in space.facet_keys(degree))
     else:
-        get = values.get
+        get = x.get
         diffs = (sum([s * get(key, 0) for key, s in zip(keys, signs)]) for keys, signs in space.signed_facet_keys(degree))
     for diff, target in zip(diffs, phi, strict=True):
         diff -= target

@@ -21,9 +21,10 @@ its boundary and the product chain read OL's rank ids, facet ids and minus
 copies, built once per complex, and no doubled complex's space is built.
 The pullback check is one pass over the top cells of C(OL): phi is
 `top_mesh_cocycle`, the cocycle that `analyze` solves against, and each
-cell's two product terms and swap sign come from `push_terms`, the push
-rule that `push_to_product` sums, so the check is nu'(t1) + s * nu'(t2) =
-phi cell by cell, with no chain built per cell.
+cell's two product terms come from `push_terms`, the push rule that
+`push_to_product` toggles, so the check is nu'(t1) + nu'(t2) = phi cell by
+cell, in exact integers, with no chain built per cell and no sign: nu' is
+0 on t2 (`push_terms` has why).  The pushforward check compares two sets.
 One memo per complex holds nu' of each product cell read, evaluated once
 on rank tuples (`nonstrict_rank_indicator`), filled by the pullback check
 and read again by the evaluation check.  The moment oracle reads the
@@ -34,12 +35,12 @@ faces; only a failure's wording does.
 The driver's own faults live in tests/test_suite.py, each caught by the
 check named after it: `push_to_product` with no swap term (pushforward),
 `top_mesh_cocycle` inverted (pullback, on the first cell), `moment_values`
-negated (moment-oracle), `obstruction.push_terms` with no swap term
-(pushforward; on a stored cell the swap term never meshes, so the pullback
-check cannot), a wrong `ConfigurationSpace.minus_ids` entry (pullback or
-pushforward), `check_star_condition` always holding (cycle, on the boundary
-of the 3-simplex), an empty product chain (pushforward) and an empty
-product chain with an empty push (evaluation).
+negated (moment-oracle), `push_terms` with its swap term replaced by its
+first (pullback, where the first term meshes: nu' reads 2), a wrong
+`ConfigurationSpace.minus_ids` entry (pullback or pushforward),
+`check_star_condition` always holding (cycle, on the boundary of the
+3-simplex), an empty product chain (pushforward) and an empty product
+chain with an empty push (evaluation).
 """
 
 from __future__ import annotations
@@ -149,8 +150,8 @@ def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
     # Shared by the pullback and the evaluation check.
     nonstrict = _Nonstrict(space)
 
-    for i, (lhs, (first, second, sign)) in enumerate(zip(cocycle, push_terms(top_pairs, space))):
-        rhs = nonstrict[first] + sign * nonstrict[second]
+    for i, (lhs, (first, second)) in enumerate(zip(cocycle, push_terms(top_pairs, space))):
+        rhs = nonstrict[first] + nonstrict[second]
         if lhs != rhs:
             result.checks += i + 1
             faces, (a, b) = space.faces, top_pairs[i]
@@ -168,9 +169,8 @@ def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
         omega = covering_pair_chain(doubled, space)[1]
 
         result.checks += 1
-        pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(omega, 1), space).items() if v % 2}
         product = delta_product_chain(doubled, space)
-        if pushed != product:
+        if push_to_product(omega, space) != product:
             return fail("pushforward",
                         f"cycle {sorted(cyc)}, delta {delta}: push of covering chain differs from product chain")
 

@@ -2,19 +2,21 @@
 
 Rebuilds the doubled complex and the covering chain from the certificate's
 (M, Delta) against the provided complex and re-runs every identity, naming
-the first failing check.  M's cycle check counts the facets of its
-simplices mod 2 by `chain_boundary` (a vertex's facet is the empty face, so
-in degree 0 the rule is an even vertex count).  Each distinct half of the
-stored pairs is mapped to OL's ranks and named by id through `rank_ids` of
-the doubled complex's configuration space, lifted from M's support, once
-however many pairs list it; each pair must have the stated total size and
-disjoint halves (on masks), and is then named once by its cell key (either
-half first).  The stored chain's boundary, evaluation, push and support
-match run on keys, face-id pairs and rank tuples, never on a face set of
-OL or of the doubled complex, nor on face tuples: a key becomes a cell
-again only to word a failure.  The stored support must match the rebuilt
-chain exactly, and neither M nor the stored support may list an entry
-twice (it would cancel mod 2); a certificate is a proof object, not a hint.
+the first failing check.  M's cycle check names M's simplices by id in the
+face order and counts their facets mod 2 by `chain_boundary` on the
+complex's facet rows (`SimplicialComplex.facet_rows`, the one facet rule; a
+vertex's row is the augmentation cell, so in degree 0 the rule is an even
+vertex count).  Each distinct half of the stored pairs is mapped to OL's
+ranks and named by id through `rank_ids` of the doubled complex's
+configuration space, lifted from M's support, once however many pairs list
+it; each pair must have the stated total size and disjoint halves (on
+masks), and is then named once by its cell key (either half first).  The
+stored chain's boundary, evaluation, GF(2) push and support match run on
+keys, face-id pairs and rank tuples, never on a face set of OL or of the
+doubled complex, nor on face tuples: a key becomes a cell again only to
+word a failure.  The stored support must match the rebuilt chain exactly,
+and neither M nor the stored support may list an entry twice (it would
+cancel mod 2); a certificate is a proof object, not a hint.
 """
 
 from __future__ import annotations
@@ -82,8 +84,10 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
         listed = [K.sort_face(f) for f in cert["M"]]
         twice = next(f for i, f in enumerate(listed) if f in listed[:i])
         return fail(f"M lists {twice} twice")
-    # A vertex's facet is the empty face, so a 0-cycle has evenly many vertices.
-    if chain_boundary(m_faces, lambda f: [f[:i] + f[i + 1 :] for i in range(len(f))]):
+    # M's faces by id, toggled through K's facet rows; a vertex's row is the
+    # augmentation cell, so a 0-cycle has evenly many vertices.
+    m_ids = [i for i, f in enumerate(K.faces_of_dim(degree)) if f in m_faces]
+    if chain_boundary(m_ids, K.facet_rows(degree).__getitem__):
         return fail("M is not a GF(2) cycle")
 
     run.append(next(stages))
@@ -125,7 +129,7 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
         return fail(f"stored chain evaluates to {evaluation}, the certificate states {cert['evaluation']}")
 
     run.append(next(stages))
-    pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(stored, 1), space).items() if v % 2}
+    pushed = push_to_product(stored, space)
     if pushed != delta_product_chain(doubled, space):
         return fail("push of the stored chain is not the product chain")
     if sum([nonstrict_rank_indicator(ranks[a], ranks[b]) for a, b in pushed]) % 2 != 1:

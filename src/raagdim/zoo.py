@@ -175,13 +175,28 @@ GENERATORS = {
 }
 
 
+# The deepest nesting `build_named` parses, one recursion per level; far
+# below Python's recursion limit, and far above what can be built, as a
+# cone, suspension or join at depth d has at least 2^d faces.
+MAX_NESTING = 100
+
+
 def build_named(expr: str) -> SimplicialComplex:
     """Build a complex from an expression like 'cycle(4)' or
-    'join(points(2),points(2))'; joins relabel factors to stay disjoint."""
+    'join(points(2),points(2))'; joins relabel factors to stay disjoint.
+    The parentheses are checked in one running count over the expression,
+    before anything is built."""
     expr = expr.strip()
-    opened = [expr[: i + 1].count("(") - expr[: i + 1].count(")") for i in range(len(expr))]
-    if opened and (min(opened) < 0 or opened[-1]):
+    depth = deepest = 0
+    for ch in expr:
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            break
+        deepest = max(deepest, depth)
+    if depth:
         raise ValueError(f"unbalanced parentheses in {expr!r}")
+    if deepest > MAX_NESTING:
+        raise ValueError(f"{expr!r} nests {deepest} deep, more than {MAX_NESTING}")
     if "(" not in expr:
         entry = next((e for e in ZOO if e.name == expr), None)
         if entry is None:

@@ -2,12 +2,14 @@
 nonstrict meshing indicator written straight from their definitions, on
 cells, deriving the minus copy of every half on each call
 (`minus_lift(project(face))`) and testing the signs of `b` before any
-vertex order.  `raagdim.obstruction`
-pushes face-id pairs, reads the minus copies from the per-space
+vertex order.  `raagdim.obstruction` pushes GF(2) chains of face-id pairs,
+with no factor-switch sign, reads the minus copies from the per-space
 projection table `ConfigurationSpace.minus_ids` and evaluates the
 indicator on rank tuples (`nonstrict_rank_indicator`), checking the signs
-within its one loop; the tests compare the two.  `project`, `minus_lift`
-and `lifts` are the signed-vertex relabellings the other oracles share;
+within its one loop; the tests compare the two, the push mod 2.  The
+integer push here, sign included, is the one on which the tests check the
+chain-map and pullback identities over Z.  `project`, `minus_lift` and
+`lifts` are the signed-vertex relabellings the other oracles share;
 `raagdim` lifts rank tuples instead (`octa.lift_ranks`).
 """
 

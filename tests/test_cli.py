@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from raagdim.complexes import skeleton
 from raagdim.obstruction import certify_nonvanishing, covering_pair_chain, delta_product_chain
 from raagdim.octa import double_over, octahedralize
 from raagdim.verify import CHECKS, VerificationOutcome, verify_certificate
-from raagdim.zoo import ZOO, cycle, octahedron_boundary, random_flag, tree
+from raagdim.zoo import MAX_NESTING, ZOO, build_named, cycle, octahedron_boundary, random_flag, tree
 from test_suite import dropped_push_to_product, flipped_top_mesh_cocycle
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(raagdim.__file__)))
@@ -315,6 +316,20 @@ def test_cli_bad_input_exits_1_with_a_located_message(tmp_path):
         assert where in run.stderr, (args, run.stderr)
 
 
+def test_cli_generate_refuses_a_deep_nesting_fast_and_without_a_traceback():
+    # Around an unknown name, so nothing could be built at any depth: a
+    # valid deep nesting has at least 2^depth faces.
+    expr = "cone(" * 1000 + "nosuch" + ")" * 1000
+    start = time.perf_counter()
+    run = run_cli(["generate", expr])
+    assert time.perf_counter() - start < 5
+    assert run.returncode == 1 and "Traceback" not in run.stderr
+    assert run.stderr.startswith("error: ") and "nests 1000 deep, more than 100" in run.stderr
+    # At the deepest nesting parsed, the unknown name is named.
+    with pytest.raises(ValueError, match="unknown zoo entry 'nosuch'"):
+        build_named("cone(" * MAX_NESTING + "nosuch" + ")" * MAX_NESTING)
+
+
 def test_cli_generate_seeds_a_generator_given_by_name_with_0_by_default(tmp_path):
     for args, K in [(["tree", "6", "--seed", "3"], tree(6, 3)), (["tree", "6"], tree(6, 0)),
                     (["random_flag", "6", "0.5", "--seed", "2"], random_flag(6, 0.5, 2))]:
@@ -564,7 +579,7 @@ def test_verify_certificate_push_and_support_match_failures(monkeypatch):
 
     def product_minus_one_term(doubled, space):
         chain = delta_product_chain(doubled, space)
-        del chain[next(iter(chain))]
+        chain.pop()
         return chain
 
     def rebuilt_without_first(doubled, space):

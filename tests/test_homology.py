@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from complex_reference import simplex_boundary
 from raagdim.config_space import ConfigurationSpace
-from raagdim import gf2, homology
+from raagdim import complexes, gf2, homology
+from raagdim.bounds import analyze
 from raagdim.homology import (
     boundary_rows,
     cycle_space,
@@ -131,7 +132,25 @@ def test_boundary_rows_index_the_facets():
                                for f in K.faces_of_dim(d))
             rows = boundary_rows(K, d)
             assert rows == expect, (K.maximal_faces(), d)
-            assert homology._facet_rows(K, d) == [tuple(i for i, _ in row) for row in rows]
+            assert K.facet_rows(d) == tuple(tuple(i for i, _ in row) for row in rows)
+
+
+def test_analyze_builds_each_facet_table_of_l_once(monkeypatch):
+    # The Betti numbers over both rings, the cycle basis and the integer
+    # pullback all read L's one table per degree.
+    built = []
+    build = complexes._facet_rows
+
+    def record(ranked, d):
+        built.append((ranked, d))
+        return build(ranked, d)
+
+    monkeypatch.setattr(complexes, "_facet_rows", record)
+    for L in (octahedron_boundary(2), random_flag(9, 0.5, 3)):
+        built.clear()
+        analyze(L, integral=True)
+        ranked = L.ranked_faces()
+        assert [d for r, d in built if r is ranked] == list(range(L.dim + 1))
 
 
 @given(st.integers(0, 10**6))
@@ -192,7 +211,7 @@ def test_solve_coboundary_zero_is_zero():
     assert n > 0
     prim, witness = solve_coboundary([0] * n, 2, space)
     assert witness is None
-    assert prim == {}
+    assert prim == ()
 
 
 def test_a_phi_one_entry_short_is_refused_by_both_solves_and_the_recheck(monkeypatch):
@@ -211,7 +230,7 @@ def test_a_phi_one_entry_short_is_refused_by_both_solves_and_the_recheck(monkeyp
     # certify_vanishing's own fallback to the full integer solve, reached
     # with a short phi past the GF(2) solve and its re-check.
     monkeypatch.setattr(obstruction, "top_mesh_cocycle", lambda space, degree: top_mesh_cocycle(space, degree)[:-1])
-    monkeypatch.setattr(obstruction, "solve_coboundary", lambda phi, degree, space: ({}, None))
+    monkeypatch.setattr(obstruction, "solve_coboundary", lambda phi, degree, space: ((), None))
     monkeypatch.setattr(obstruction, "_recheck", lambda *args: None)
     monkeypatch.setattr(obstruction, "_pullback_primitive", lambda octa, space, k: None)
     with pytest.raises(ValueError, match="argument 2 is shorter"):
@@ -265,7 +284,7 @@ def test_solve_coboundary_recovers_constructed_coboundaries(seed):
             phi[cell] = 1
     prim, witness = solve_coboundary([phi.get(c, 0) for c in space.cells_of_degree(m)], m, space)
     assert witness is None
-    prim = {space.key_cell(key): v for key, v in prim.items()}
+    prim = set(map(space.key_cell, prim))
     for cell in space.cells_of_degree(m):
         v = sum(coeff for sub, coeff in signed_boundary(K, cell) if sub in prim) % 2
         assert v == phi.get(cell, 0)

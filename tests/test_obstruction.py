@@ -99,18 +99,22 @@ def test_nonstrict_mesh_checks_every_sign_after_the_pattern_breaks():
                     assert nonstrict_rank_indicator(shifted, t) == 0
 
 
-def push_cells(chain, cs) -> dict:
-    """`push_to_product` of a chain on cells, its terms read back as cells."""
+def push_cells(cells, cs) -> set:
+    """`push_to_product` of a GF(2) chain, given as cells, its terms read
+    back as cells."""
     faces = cs.faces
-    pushed = push_to_product(dict(zip(pairs_of(cs, chain), chain.values())), cs)
-    return {(faces[a], faces[b]): v for (a, b), v in pushed.items()}
+    return {(faces[a], faces[b]) for a, b in push_to_product(pairs_of(cs, cells), cs)}
 
 
-def evaluate_nonstrict_on_product(chain, cs) -> int:
+def mod2(chain: dict) -> set:
+    """The support of an integer chain's mod-2 reduction."""
+    return {c for c, v in chain.items() if v % 2}
+
+
+def evaluate_nonstrict_on_product(chain, rank) -> int:
     """Integer pairing of the nonstrict meshing cocycle with a product chain
-    on the space's face-id pairs."""
-    ranks = cs.ranks
-    return sum(coeff * nonstrict_rank_indicator(ranks[a], ranks[b]) for (a, b), coeff in chain.items())
+    {cell: coeff} on cells, its faces ranked by `rank`."""
+    return sum(coeff * rank_indicator(a, b, rank) for (a, b), coeff in chain.items())
 
 
 def test_push_single_cell_formula():
@@ -118,32 +122,35 @@ def test_push_single_cell_formula():
     cs = ConfigurationSpace(o.complex)
     cell = next(c for c in cs.cells_of_degree(2) if len(c[0]) == 2)
     a, b = cell
-    pushed = push_cells({cell: 1}, cs)
     sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
-    assert pushed == {
+    assert push_reference.push_to_product({cell: 1}, o) == {
         (a, minus_lift(project(b))): 1,
         (b, minus_lift(project(a))): sign,
     }
-    assert push_to_product({}, cs) == {}
+    assert push_cells([cell], cs) == {(a, minus_lift(project(b))), (b, minus_lift(project(a)))}
+    # A cell listed twice cancels.
+    assert push_cells([cell, cell], cs) == set() == push_to_product([], cs)
 
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=15, deadline=None)
 def test_push_is_a_chain_map(seed):
+    # Over Z, on the integer reference push.
     rng = random.Random(seed)
     L = random_flag(5, 0.5, seed)
     if L.dim < 1:
         return
     o = octahedralize(L)
     cs = ConfigurationSpace(o.complex)
+    push = partial(push_reference.push_to_product, octa=o)
     for d in range(1, 2 * L.dim + 1):
         cells = cs.cells_of_degree(d)
         if not cells:
             continue
         chain = {c: rng.randint(-2, 2) for c in rng.sample(list(cells), min(4, len(cells)))}
         chain = {c: v for c, v in chain.items() if v}
-        lhs = signed_chain_boundary(push_cells(chain, cs), pair_cell_boundary)
-        rhs = push_cells(signed_chain_boundary(chain, partial(signed_boundary, o.complex)), cs)
+        lhs = signed_chain_boundary(push(chain), pair_cell_boundary)
+        rhs = push(signed_chain_boundary(chain, partial(signed_boundary, o.complex)))
         assert lhs == rhs
 
 
@@ -159,16 +166,38 @@ def test_push_and_indicator_match_their_reference_oracles(seed):
         cells = cs.cells_of_degree(d)
         if not cells:
             continue
-        chain = {c: rng.choice((-2, -1, 1, 2)) for c in rng.sample(cells, min(6, len(cells)))}
-        # A zero coefficient pushes to nothing.
-        chain[cells[0]] = 0
-        pushed = push_reference.push_to_product(chain, o)
-        assert list(push_cells(chain, cs).items()) == list(pushed.items())
+        chain = rng.sample(cells, min(6, len(cells)))
+        pushed = push_reference.push_to_product(dict.fromkeys(chain, 1), o)
+        assert push_cells(chain, cs) == mod2(pushed)
         # The pushed cells, and the unpushed halves (which may carry plus
         # vertices), against both indicators, errors included.
-        for sigma, b in list(pushed) + list(chain):
+        for sigma, b in list(pushed) + chain:
             assert outcome(rank_indicator, sigma, b, rank) == outcome(
                 push_reference.nonstrict_mesh_indicator, sigma, b, rank)
+
+
+def test_push_is_the_reference_push_mod_2_in_every_degree():
+    # Random GF(2) chains of every degree, on the zoo and random flags; the
+    # reference push is the integer one, signs included, reduced mod 2.
+    rng = random.Random(0)
+    cancelled = 0
+    for L in [entry.complex() for entry in ZOO] + [random_flag(7, 0.5, seed) for seed in range(6)]:
+        o = octahedralize(L)
+        cs = ConfigurationSpace(o)
+        faces = cs.faces
+        for d in range(2 * L.dim + 1):
+            pairs = cs.indexed_cells(d)[1]
+            if not pairs:
+                continue
+            chain = rng.sample(pairs, min(12, len(pairs)))
+            cells = {(faces[a], faces[b]): 1 for a, b in chain}
+            pushed = push_to_product(chain, cs)
+            assert {(faces[a], faces[b]) for a, b in pushed} == mod2(push_reference.push_to_product(cells, o))
+            terms = [term for both in push_terms(chain, cs) for term in both]
+            cancelled += len(terms) != len(set(terms))
+    # Some sampled chain has two cells pushing to one product term, so the
+    # toggle really cancels.
+    assert cancelled
 
 
 def lifted_and_built_spaces(L, rng):
@@ -222,20 +251,18 @@ def test_rank_rules_match_their_tuple_oracles(n, p, seed):
             if not pairs:
                 continue
             pairs = rng.sample(pairs, min(8, len(pairs)))
-            chain = {pair: rng.choice((-2, -1, 1, 2)) for pair in pairs}
 
             def on_faces(terms):
-                return {(faces[a], faces[b]): v for (a, b), v in terms.items()}
+                return {(faces[a], faces[b]) for a, b in terms}
 
-            cells = {(faces[a], faces[b]): v for (a, b), v in chain.items()}
-            assert list(on_faces(push_to_product(chain, cs)).items()) == list(
-                push_reference.push_to_product(cells, o).items())
-            for (a, b), (first, second, sign) in zip(pairs, push_terms(pairs, cs)):
-                assert on_faces({first: 1, second: sign}) == push_reference.push_to_product(
-                    {(faces[a], faces[b]): 1}, o)
+            cells = dict.fromkeys([(faces[a], faces[b]) for a, b in pairs], 1)
+            assert on_faces(push_to_product(pairs, cs)) == mod2(push_reference.push_to_product(cells, o))
+            for (a, b), terms in zip(pairs, push_terms(pairs, cs)):
+                assert len(terms) == 2
+                assert on_faces(terms) == set(push_reference.push_to_product({(faces[a], faces[b]): 1}, o))
         if doubled is not None:
             expect = certificate_reference.delta_product_chain(doubled)
-            assert {(faces[a], faces[b]): v for (a, b), v in delta_product_chain(doubled, cs).items()} == expect
+            assert on_faces(delta_product_chain(doubled, cs)) == mod2(expect)
 
 
 # --- the four identities ----------------------------------------------------
@@ -253,11 +280,11 @@ def test_pullback_identity_every_cell(seed):
     L = random_flag(6, 0.5, seed)
     if L.dim < 1:
         return
+    # Over Z, on the integer reference push, signs included.
     o = octahedralize(L)
-    cs = ConfigurationSpace(o.complex)
     for a, b in all_top_cells(o):
-        pushed = push_to_product(dict.fromkeys(pairs_of(cs, [(a, b)]), 1), cs)
-        assert mesh_number(a, b, o.rank) == evaluate_nonstrict_on_product(pushed, cs)
+        pushed = push_reference.push_to_product({(a, b): 1}, o)
+        assert mesh_number(a, b, o.rank) == evaluate_nonstrict_on_product(pushed, o.rank)
 
 
 def interleaving_reference(sigma, tau, rank):
@@ -313,11 +340,11 @@ def test_pushforward_cycle_and_evaluation_identities(seed):
         doubled = double_over(o, cyc, delta)
         omega = covering_pair_chain(doubled, space)[1]
         product = delta_product_chain(doubled, space)
-        pushed = {c: v % 2 for c, v in push_to_product(dict.fromkeys(omega, 1), space).items() if v % 2}
-        assert pushed == product  # holds with or without the star condition
+        assert push_to_product(omega, space) == product  # holds with or without the star condition
         if check_star_condition(cyc, delta).holds:
             assert not space.boundary(omega)
-        assert evaluate_nonstrict_on_product(product, space) % 2 == 1
+        ranks = space.ranks
+        assert sum([nonstrict_rank_indicator(ranks[a], ranks[b]) for a, b in product]) % 2 == 1
 
 
 # --- covering chain examples -------------------------------------------------
@@ -660,8 +687,7 @@ def test_top_solve_matches_the_dense_signed_row_solve():
         primitive, witness = dense_top_solve(L)
         space = ConfigurationSpace(octahedralize(L).complex)
         assert result.witness_cycle == witness, name
-        assert [(space.key_cell(key), v) for key, v in (result.primitive or {}).items()] == list(
-            (primitive or {}).items()), name
+        assert [space.key_cell(key) for key in result.primitive or ()] == list(primitive or {}), name
         statuses.add(result.status)
     assert statuses == {"primitive", "obstructed"}
 

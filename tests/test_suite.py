@@ -11,7 +11,7 @@ from raagdim.obstruction import (StarConditionReport, moment_values, nonstrict_r
 from raagdim.octa import octahedralize
 from raagdim.config_space import ConfigurationSpace
 from raagdim.suite import SuiteResult, check_complex, run_suite
-from raagdim.zoo import cycle, octahedron_boundary, simplex, suspension
+from raagdim.zoo import ZOO, cycle, octahedron_boundary, random_flag, simplex, suspension
 
 
 def flipped_top_mesh_cocycle(space, degree):
@@ -19,19 +19,18 @@ def flipped_top_mesh_cocycle(space, degree):
     return [1 - v for v in top_mesh_cocycle(space, degree)]
 
 
-def dropped_swap_push_terms(pairs, space):
-    """Fault: the push terms keep only the first product term, not the swap."""
-    for first, second, _sign in push_terms(pairs, space):
-        yield first, second, 0
+def first_twice_push_terms(pairs, space):
+    """Fault: the swap term replaced by the first product term."""
+    for first, _second in push_terms(pairs, space):
+        yield first, first
 
 
-def dropped_push_to_product(chain, space):
+def dropped_push_to_product(pairs, space):
     """Fault: the push keeps only its first product term, not the swap."""
-    out: dict = {}
-    for (sigma, tau), coeff in chain.items():
-        cell = (sigma, space.minus_ids[tau])
-        out[cell] = out.get(cell, 0) + coeff
-    return {c: v for c, v in out.items() if v}
+    out: set = set()
+    for sigma, tau in pairs:
+        out.symmetric_difference_update([(sigma, space.minus_ids[tau])])
+    return out
 
 
 def negated_moment_values(ranks, pairs):
@@ -50,7 +49,7 @@ def star_condition_always_holds(cycle, delta):
 
 def empty_chain(*_args):
     """Fault: a product chain, or a push, that is always empty."""
-    return {}
+    return set()
 
 
 _build_minus_ids = ConfigurationSpace.minus_ids.func
@@ -70,7 +69,9 @@ corrupted_minus_ids.__set_name__(ConfigurationSpace, "minus_ids")
 # Each fault: its (owner, name, replacement) patches, swapped in by name.
 FAULTS = {
     "top_mesh_cocycle": [(suite, "top_mesh_cocycle", flipped_top_mesh_cocycle)],
-    "push_terms": [(obstruction, "push_terms", dropped_swap_push_terms)],
+    # Both bindings of the one push rule: the suite's pullback check and
+    # `push_to_product`.
+    "push_terms": [(obstruction, "push_terms", first_twice_push_terms), (suite, "push_terms", first_twice_push_terms)],
     "push_to_product": [(suite, "push_to_product", dropped_push_to_product)],
     "moment_values": [(suite, "moment_values", negated_moment_values)],
     "minus_ids": [(ConfigurationSpace, "minus_ids", corrupted_minus_ids)],
@@ -97,7 +98,8 @@ FIRST_CELL = "cell ((('north', -1), ('s.c0', -1), ('s.c1', -1)), (('north', 1), 
 FAULT_PINS = {
     "top_mesh_cocycle": (1, 1, [("pullback", (("south", "s.c4", "s.c5"),),
                                  f"{FIRST_CELL}: cocycle 0 != pushed evaluation 1")]),
-    "push_terms": (1, 2449, [("pushforward", SC6, f"{PAIR}: push of covering chain differs from product chain")]),
+    "push_terms": (1, 1, [("pullback", (("south", "s.c4", "s.c5"),),
+                           f"{FIRST_CELL}: cocycle True != pushed evaluation 2")]),
     "push_to_product": (1, 2449, [("pushforward", SC6,
                                    f"{PAIR}: push of covering chain differs from product chain")]),
     "moment_values": (1, 2467, [("moment-oracle", (("south", "s.c4", "s.c5"),),
@@ -166,10 +168,10 @@ def test_injected_faults_are_caught_and_shrunk(monkeypatch):
     assert res.failures[0].complex_maximal
 
     with monkeypatch.context() as m:
-        m.setattr(obstruction, "push_terms", dropped_swap_push_terms)
+        inject(m, "push_terms")
         res = run_suite(seed=3, count=5)
     assert res.failures
-    assert res.failures[0].check == "pushforward"
+    assert res.failures[0].check == "pullback"
 
     monkeypatch.setattr(suite, "push_to_product", dropped_push_to_product)
     res = run_suite(seed=3, count=5)
@@ -178,17 +180,21 @@ def test_injected_faults_are_caught_and_shrunk(monkeypatch):
 
 
 def test_the_swap_term_of_a_stored_top_cell_never_meshes():
-    # So the pullback check cannot see a dropped swap term: on a stored cell
-    # (a, b) the minus copy of a's first vertex ranks at or below a's first
-    # vertex, which ranks below b's.  The pushforward check catches it.
+    # So the push needs no factor-switch sign, and the pullback check reads
+    # nu' of the first term alone: on a stored cell (a, b) the minus copy of
+    # a's first vertex ranks at or below a's first vertex, which ranks below
+    # b's.  Checked on the top cells of every skeleton's space, the cells of
+    # two faces of one dimension, in every even degree.
+    for L in [entry.complex() for entry in ZOO] + [random_flag(8, 0.5, seed) for seed in range(20)]:
+        space = ConfigurationSpace(octahedralize(L))
+        ranks = space.ranks
+        for d in range(0, 2 * L.dim + 1, 2):
+            pairs = [(a, b) for a, b in space.indexed_cells(d)[1] if len(ranks[a]) == len(ranks[b])]
+            assert pairs
+            for _first, (b, pa) in push_terms(pairs, space):
+                assert nonstrict_rank_indicator(ranks[b], ranks[pa]) == 0
     res = SuiteResult()
     for K in (cycle(5), octahedron_boundary(2), suspension(cycle(4))):
-        space = ConfigurationSpace(octahedralize(K))
-        pairs = space.indexed_cells(2 * K.dim)[1]
-        ranks = space.ranks
-        assert pairs
-        for _first, (b, pa), _sign in push_terms(pairs, space):
-            assert nonstrict_rank_indicator(ranks[b], ranks[pa]) == 0
         check_complex(K, res)
     assert not res.failures
 
