@@ -4,8 +4,11 @@
 Usage: python scripts/report_digests.py [--count N]
 
 The corpus is the zoo, the analyze cases of the benchmark workloads
-(perfbench/workloads.py) and N seeded random_flag draws (default 30),
-with n in 7..12 and p in 0.3..0.8.  Each case is analyzed three times:
+(perfbench/workloads.py), the 6-vertex real projective plane RP2 (not
+flag, given inline as maximal simplices: its integer top solve leaves a
+core for the Smith normal form, which no benchmark case does) and N
+seeded random_flag draws (default 30), with n in 7..12 and p in 0.3..0.8.
+Each case is analyzed three times:
 with its own options ("default"), with integral=True added ("integral"),
 and with max_cells=0 ("refuse"), so that every case of dimension >= 1
 without a top certificate refuses the coboundary solve and its report
@@ -77,10 +80,15 @@ def bench_cases():
             yield f"bench:{workload.name}:{case.name}", L, case.options
 
 
+RP2 = {"maximal_simplices": [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 6, 2],
+                             [2, 3, 5], [3, 4, 6], [4, 5, 2], [5, 6, 3], [6, 2, 4]]}
+
+
 def cases(count: int):
     for entry in ZOO:
         yield f"zoo:{entry.name}", entry.complex(), {"allow_non_flag": not entry.flag}
     yield from bench_cases()
+    yield "inline:RP2", io_json.complex_from_json(RP2), {"allow_non_flag": True}
     for i in range(count):
         n, p = 7 + i % 6, (3 + i // 6 % 6) / 10
         yield f"random_flag({n},{p},{i})", random_flag(n, p, i), {}

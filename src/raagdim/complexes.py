@@ -10,8 +10,11 @@ This module owns the face order: by dimension, then rank tuple.
 tuples, built once, which every index reads or lifts (OL's and a doubled
 complex's), and `facet_rows(d)` the facet ids of the d-faces, built once
 per degree, which every simplicial boundary reads (`homology` and
-`verify`'s cycle check).  `maximal_faces` and `is_flag` read their answers
-off that order, with no sort of their own.
+`verify`'s cycle check), with the signs `facet_signs(d)` over Z.
+`maximal_faces` and `is_flag` read their answers off that order, with no
+sort of their own.  The constructors that can grow a complex past its
+input, `make_complex`, `flag_completion` and `join`, refuse to build more
+than `MAX_FACES` faces.
 
 The vertex order is part of the data, not a per-call argument.  The meshing
 cocycles read it, so two complexes with the same faces but different orders
@@ -25,6 +28,10 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import NamedTuple
 
+# The most faces `make_complex`, `flag_completion` and `join` build; past
+# it they raise a ValueError naming the count.  A simplex on n vertices has
+# 2^n - 1 faces, and a cone, suspension or join at depth d at least 2^d.
+MAX_FACES = 10**6
 
 # SimplicialComplex's fields; subclassing them gives it the `__dict__` that
 # its cached properties fill.
@@ -105,6 +112,13 @@ class SimplicialComplex(_ComplexFields):
         return tuple(len(self.faces_of_dim(k)) for k in range(self.dim + 1))
 
 
+def facet_signs(d: int) -> tuple:
+    """The sign (-1)^(d - j) of the j-th facet of a d-face, in the order of
+    `facet_rows` (the j-th drops vertex d - j): the one copy of the sign
+    rule."""
+    return tuple([(-1) ** (d - j) for j in range(d + 1)])
+
+
 def _facet_rows(ranked: tuple, d: int) -> tuple:
     """The facet ids of the d-faces, read off their rank tuples `ranked[d]`,
     dropping the last vertex first, so each row's ids increase.  In degree 0
@@ -141,10 +155,14 @@ def make_complex(faces, vertex_order=None) -> SimplicialComplex:
     rk = {v: i for i, v in enumerate(vertex_order)}
     closed: set = set()
     for f in faces:
+        if (1 << len(f)) - 1 > MAX_FACES:
+            raise ValueError(f"a simplex on {len(f)} vertices has 2^{len(f)} - 1 faces, more than {MAX_FACES}")
         # Combinations of a rank-sorted simplex come out rank-sorted.
         f = tuple(sorted(f, key=rk.__getitem__))
         for r in range(1, len(f) + 1):
             closed.update(combinations(f, r))
+        if len(closed) > MAX_FACES:
+            raise ValueError(f"the face closure has {len(closed)} faces so far, more than {MAX_FACES}")
     used = sorted({v for f in closed for v in f}, key=rk.__getitem__)
     return SimplicialComplex(vertices=tuple(used), faces=frozenset(closed))
 
@@ -163,13 +181,15 @@ def _all_cliques(vertex_order, adjacency):
     """
     rank = {v: i for i, v in enumerate(vertex_order)}
     level = [((v,), {u for u in adjacency[v] if rank[u] > rank[v]}) for v in vertex_order]
+    yield from (clique for clique, _ in level)
     while level:
-        for clique, _ in level:
-            yield clique
+        # Each clique is yielded as it is built, so a reader that stops
+        # early has built no more than it read.
         nxt = []
         for clique, cands in level:
             for u in sorted(cands, key=rank.__getitem__):
                 nxt.append((clique + (u,), {w for w in cands & adjacency[u] if rank[w] > rank[u]}))
+                yield nxt[-1][0]
         level = nxt
 
 
@@ -192,7 +212,11 @@ def flag_completion(vertices, edges) -> SimplicialComplex:
     if len(set(vertices)) != len(vertices):
         raise ValueError(f"repeated vertex in {vertices!r}")
     adj = _adjacency(vertices, edges)
-    faces = list(_all_cliques(vertices, adj))
+    faces = []
+    for clique in _all_cliques(vertices, adj):
+        faces.append(clique)
+        if len(faces) > MAX_FACES:
+            raise ValueError(f"the flag complex has {len(faces)} cliques so far, more than {MAX_FACES}")
     return SimplicialComplex(vertices=vertices, faces=frozenset(faces))
 
 
@@ -231,6 +255,9 @@ def join(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
     """Simplicial join; vertex order is A's order followed by B's."""
     if set(A.vertices) & set(B.vertices):
         raise ValueError("join factors must have disjoint vertex sets")
+    count = (len(A.faces) + 1) * (len(B.faces) + 1) - 1
+    if count > MAX_FACES:
+        raise ValueError(f"the join would have {count} faces, more than {MAX_FACES}")
     faces = set(A.faces) | set(B.faces)
     for fa, fb in product(A.faces, B.faces):
         faces.add(fa + fb)

@@ -65,11 +65,10 @@ their partners b to each such facet in one set operation, and only the
 facet that drops that vertex needs the swap rule, cell by cell; each b's
 facets then go to a's partners, one set operation per cell.
 `facet_keys(d)` lists the facet keys of every d-cell, the rows of the
-GF(2) coboundary solve and its re-check, which the solve holds as its
-pivot rows without a copy; `signed_facet_keys(d)` puts the signs, read off
-the dimensions, on those rows, the one copy of the sign rule, and serves
-the integer solve and re-check.  So no solve, over either ring, builds a
-cell of degree d or d - 1.
+coboundary solves and their re-checks: GF(2) reads them as they are, and
+the integer side, which solves only the top degree 2k, zips each with one
+sign vector (`obstruction._top_signs`), as there every swap sign is 1.
+So no solve, over either ring, builds a cell of degree d or d - 1.
 
 For a complex on signed vertices, `minus_ids` is the projection table that
 the push to the product with the minus copy reads: each face's minus copy,
@@ -122,7 +121,6 @@ class ConfigurationSpace:
         self._degrees: dict = {}
         self._counts: dict = {}
         self._keys: dict = {}
-        self._signed: dict = {}
 
     @cached_property
     def _index(self):
@@ -278,34 +276,6 @@ class ConfigurationSpace:
         if d not in self._keys:
             self._keys[d] = tuple(self._facet_rows(self._degree(d)))
         return self._keys[d]
-
-    def signed_facet_keys(self, d: int) -> tuple:
-        """Signed boundary of every d-cell: each row of `facet_keys(d)` with
-        the signs of its facets, as a (keys, signs) pair; computed once per
-        degree.
-
-        The j-th facet of an n-face (n > 0) drops vertex n - j, sign
-        (-1)^(n - j), so the signs depend on the dimension alone; a facet of
-        b carries (-1)^dim(a) on top, and a facet a' of a stored after b (its
-        key in b's block) the swap sign (-1)^(dim(a') * dim(b)).
-        """
-        if d not in self._signed:
-            dim = [len(t) - 1 for t in self._index[0]]
-            F = len(dim)
-            unswapped: dict = {}  # (dim a, dim b) -> signs of the facets of a, then of b
-            rows = []
-            for (ga, gb), keys in zip(self._degree(d), self.facet_keys(d)):
-                da, db = dim[ga], dim[gb]
-                signs = unswapped.get((da, db))
-                if signs is None:
-                    signs = unswapped[da, db] = tuple([(-1) ** (da - j) for j in range(da + 1) if da] +
-                                                      [(-1) ** (da + db - j) for j in range(db + 1) if db])
-                if (da - 1) * db % 2:
-                    signs = tuple([-s if j <= da and key // F == gb else s
-                                   for j, (key, s) in enumerate(zip(keys, signs))])
-                rows.append((keys, signs))
-            self._signed[d] = tuple(rows)
-        return self._signed[d]
 
     def boundary(self, pairs) -> tuple:
         """GF(2) boundary of a chain given by the face-id pairs (a, b) of its

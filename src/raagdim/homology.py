@@ -8,30 +8,31 @@ the sparse rows, then fraction-free elimination of the core they leave.
 Simplicial boundaries are read off `K.facet_rows(d)`, built once per
 degree in the face order `complexes` owns: a d-face's facet ids come from
 dropping its last vertex first, the order `ConfigurationSpace._facet_ids` uses, so each row's ids
-increase with no sort, and the j-th facet has sign (-1)^(d - j), the rule
-of `signed_facet_keys`.  Every coefficient is +-1, so the GF(2) rows are
-the id rows as they are, eliminated sparsely by `gf2`; over Q,
-`intlinalg.sparse_rank` reads the signed rows, `boundary_rows(K, d)`.
+increase with no sort, and the j-th facet has sign (-1)^(d - j),
+`complexes.facet_signs(d)`, the one copy of the sign rule.  Every
+coefficient is +-1, so the GF(2) rows are the id rows as they are,
+eliminated sparsely by `gf2`; over Q, `intlinalg.sparse_rank` reads the
+signed rows, `boundary_rows(K, d)`.
 The configuration space plugs into the GF(2) `solve_coboundary` through
 its facet-key rows alone (``facet_keys(d)``).
 The cochain phi is a sequence in the order of those rows, the cell order,
 and a primitive comes back as the keys of its support, so the solve builds
 no cell, of degree d or d-1.  Over Z, `obstruction.certify_vanishing`
 solves on L and pulls back, and falls back to its `_integer_solve` on the
-space's signed facet keys (``signed_facet_keys(d)``).
+space's top facet keys, each zipped with one sign vector.
 """
 
 from __future__ import annotations
 
 from . import gf2, intlinalg
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, facet_signs
 
 
 def boundary_rows(K: SimplicialComplex, d: int) -> tuple:
     """Signed boundary of every d-face as (facet id, sign) pairs by
-    increasing id: `K.facet_rows(d)`, the j-th facet with sign (-1)^(d - j)."""
-    signs = [(-1) ** (d - j) for j in range(d + 1)]
-    return tuple(tuple(zip(row, signs)) for row in K.facet_rows(d))
+    increasing id: `K.facet_rows(d)` with `facet_signs(d)`."""
+    signs = facet_signs(d)
+    return tuple(tuple(zip(row, signs, strict=True)) for row in K.facet_rows(d))
 
 
 def _betti(K: SimplicialComplex, rank) -> tuple:

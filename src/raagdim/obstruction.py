@@ -34,9 +34,9 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, facet_signs
 from .config_space import ConfigurationSpace
-from .homology import boundary_rows, cycle_space, solve_coboundary
+from .homology import cycle_space, solve_coboundary
 from .intlinalg import CoreTooLarge, integer_det, integer_rank, solve_integer
 from .octa import Octahedralization, DoubledComplex, double_over, lift_ranks, octahedralize
 
@@ -288,19 +288,30 @@ def top_mesh_cocycle(space: ConfigurationSpace, degree: int) -> list:
     return mesh_values(*space.indexed_cells(2 * degree))
 
 
+def _top_signs(degree: int) -> tuple:
+    """The signs of every row of `facet_keys(degree)`, degree 2k: a cell
+    pairs two k-faces a, b, its row lists a's facets, then b's, b's with
+    (-1)^k on top, and the swap sign (-1)^((k - 1) k) of a facet of a
+    stored after b is 1."""
+    signs = facet_signs(degree // 2)
+    return signs + tuple([(-1) ** (degree // 2) * s for s in signs])
+
+
 def _recheck(space: ConfigurationSpace, degree: int, phi: list, x, modulus: int, what: str):
     """Check delta(x) = phi on every degree-cell, mod `modulus` (0 for
     exactly over Z), for phi given by position in cell order (a ValueError
     when its length differs) and the cochain x on cell keys (a * F + b, as
     in `space.facet_keys`): mod 2 its support against the facet keys, over
-    Z its values, a dict, against the signed facet keys."""
+    Z its values, a dict, against the facet keys with `_top_signs` (a
+    ValueError for a row of another length)."""
     if modulus == 2:
         support = set(x)
         diffs = (0 if support.isdisjoint(keys) else len(support.intersection(keys))
                  for keys in space.facet_keys(degree))
     else:
-        get = x.get
-        diffs = (sum([s * get(key, 0) for key, s in zip(keys, signs)]) for keys, signs in space.signed_facet_keys(degree))
+        get, signs = x.get, _top_signs(degree)
+        diffs = (sum([s * get(key, 0) for key, s in zip(keys, signs, strict=True)])
+                 for keys in space.facet_keys(degree))
     for diff, target in zip(diffs, phi, strict=True):
         diff -= target
         if (diff % modulus if modulus else diff) != 0:
@@ -316,8 +327,9 @@ def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: i
     k-face a of OL, then x{a, tau} = psi_a(p tau) solves delta x = phi; the
     swap sign (-1)^(k(k-1)) is 1, so x does not depend on the stored order.
     The distinct right-hand sides share one `solve_integer` of L's top
-    boundary rows, the full solve's unit pivots and core Smith normal form
-    (so it raises CoreTooLarge past the same cap).  None when some psi_a
+    rows, `L.facet_rows(k)` zipped with `facet_signs(k)` (no second signed
+    copy), the full solve's unit pivots and core Smith normal form (so it
+    raises CoreTooLarge past the same cap).  None when some psi_a
     has no integer solution.  Builds no (2k-1)-cell, and works on the
     index: r_a on rank tuples, the minus copy of each k-face and the lifts
     of each (k-1)-face of L by `lift_ranks` on L's `ranked_faces`, the lifts
@@ -331,7 +343,8 @@ def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: i
     tops = space.ids_of_dim(k)
     rhs = [tuple([sign * nonstrict_rank_indicator(ranks[a], b) for b in minus_top]) for a in tops]
     distinct = list(dict.fromkeys(rhs))
-    psis = solve_integer(boundary_rows(L, k), distinct)
+    signs = facet_signs(k)
+    psis = solve_integer([zip(row, signs, strict=True) for row in L.facet_rows(k)], distinct)
     if psis is None:
         return None
     lower = [[rid[t] for t in lifts] for lifts in lift_ranks([[t] for t in ranked[k - 1]], range(len(L.vertices)))]
@@ -347,10 +360,13 @@ def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: i
 
 
 def _integer_solve(phi, degree: int, space: ConfigurationSpace):
-    """The full integer solve of delta(x) = phi on `space`'s signed facet
-    keys, the rows the Z re-check reads: a primitive on keys, in key order
-    with no zero value, or None.  Raises `CoreTooLarge` past the cap."""
-    sols = solve_integer([zip(*row) for row, _ in zip(space.signed_facet_keys(degree), phi, strict=True)], [phi])
+    """The full integer solve of delta(x) = phi on `space`'s top facet keys
+    with `_top_signs`, the rows the Z re-check reads: a primitive on keys,
+    in key order with no zero value, or None.  Raises `CoreTooLarge` past
+    the cap, and a ValueError for a row of another length."""
+    signs = _top_signs(degree)
+    sols = solve_integer([zip(keys, signs, strict=True) for keys, _ in zip(space.facet_keys(degree), phi, strict=True)],
+                         [phi])
     return None if sols is None else {key: v for key, v in sorted(sols[0].items()) if v}
 
 

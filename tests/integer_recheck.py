@@ -2,9 +2,10 @@
 boundary rows, both on cell ids.
 
 `raagdim.obstruction` re-checks an integer primitive on the configuration
-space's signed facet keys, the rows its integer solve eliminates too.  Here
-each cell is named by its position in `cells_of_degree`, the rows are
-rebuilt cell by cell from the simplex boundaries on those ids, and the
+space's top facet keys, each zipped with one sign vector, the rows its
+integer solve eliminates too.  Here each cell is named by its position in
+`cells_of_degree`, the rows are rebuilt cell by cell from the simplex
+boundaries on those ids, with the swap sign of every degree, and the
 re-check reads those rows; the tests compare the two.
 """
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import raagdim
 from index_reference import doubled_complex
-from raagdim import bounds, cli, io_json, suite, verify
+from raagdim import bounds, cli, complexes, io_json, suite, verify
 from raagdim.cli import build_parser, main
 from raagdim.complexes import skeleton
 from raagdim.obstruction import certify_nonvanishing, covering_pair_chain, delta_product_chain
@@ -328,6 +328,21 @@ def test_cli_generate_refuses_a_deep_nesting_fast_and_without_a_traceback():
     # At the deepest nesting parsed, the unknown name is named.
     with pytest.raises(ValueError, match="unknown zoo entry 'nosuch'"):
         build_named("cone(" * MAX_NESTING + "nosuch" + ")" * MAX_NESTING)
+
+
+def test_cli_refuses_a_complex_past_the_face_budget_with_exit_1(tmp_path, monkeypatch, capsys):
+    # A listed simplex is refused before its subsets are enumerated.
+    big = write_json(tmp_path, "big.json", {"maximal_simplices": [list(range(25))]})
+    for args, message in ((["generate", "simplex(24)"], "a simplex on 25 vertices has 2^25 - 1 faces"),
+                          (["analyze", big], "$.maximal_simplices: a simplex on 25 vertices has 2^25 - 1 faces")):
+        run = run_cli(args)
+        assert run.returncode == 1 and "Traceback" not in run.stderr, (args, run.stderr)
+        assert run.stderr.startswith("error: ") and message in run.stderr, (args, run.stderr)
+    # A nesting the parser accepts, at a cap small enough to reach at once.
+    monkeypatch.setattr(complexes, "MAX_FACES", 1000)
+    assert main(["generate", "cone(" * 30 + "point" + ")" * 30, "--out", str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr().err == "error: the join would have 1023 faces, more than 1000\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_cli_generate_seeds_a_generator_given_by_name_with_0_by_default(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from complex_reference import full_subcomplex, maximal_faces, minimal_missing_clique, star
+from raagdim import complexes
 from raagdim.complexes import (
     flag_completion,
     is_flag,
@@ -162,6 +163,58 @@ def test_join_vertex_order_and_disjointness():
     assert join(a, b).vertices == ("x", "y", "z")
     with pytest.raises(ValueError):
         join(a, make_complex([("x",)]))
+
+
+def test_the_face_budget_is_checked_before_the_faces_are_built(monkeypatch):
+    monkeypatch.setattr(complexes, "MAX_FACES", 20)
+    # Exactly at the cap builds: a path on 10 vertices and one more vertex.
+    assert len(make_complex([(i, i + 1) for i in range(9)] + [(10,)]).faces) == 20
+    assert len(join(make_complex([(0, 1)]), make_complex([(2,), (3,)])).faces) == 11
+
+    def unbuilt(*args):
+        raise AssertionError("a face was built past the cap")
+
+    with monkeypatch.context() as m:
+        m.setattr(complexes, "combinations", unbuilt)
+        with pytest.raises(ValueError, match=r"a simplex on 5 vertices has 2\^5 - 1 faces, more than 20"):
+            make_complex([tuple(range(5))])
+    with pytest.raises(ValueError, match="the face closure has 21 faces so far, more than 20"):
+        make_complex([(i, i + 1) for i in range(10)])
+    with monkeypatch.context() as m:
+        m.setattr(complexes, "product", unbuilt)
+        # 3 faces and 5: (3 + 1) * (5 + 1) - 1 = 23.
+        with pytest.raises(ValueError, match="the join would have 23 faces, more than 20"):
+            join(make_complex([(0, 1)]), make_complex([(2, 3), (4,), (5,)]))
+    # The clique count runs as the cliques come, so K_10's 1,023 are never
+    # all listed.
+    pulled = []
+    cliques = complexes._all_cliques
+
+    def counted(*args):
+        for clique in cliques(*args):
+            pulled.append(clique)
+            yield clique
+
+    monkeypatch.setattr(complexes, "_all_cliques", counted)
+    with pytest.raises(ValueError, match="the flag complex has 21 cliques so far, more than 20"):
+        flag_completion(range(10), list(combinations(range(10), 2)))
+    assert len(pulled) == 21
+
+
+def test_cliques_are_listed_as_they_are_built():
+    # Each clique reads the adjacency once, as it is built; a reader that
+    # stops early has built no more cliques than it read.
+    class Counted(dict):
+        reads = 0
+
+        def __getitem__(self, v):
+            Counted.reads += 1
+            return dict.__getitem__(self, v)
+
+    gen = complexes._all_cliques(tuple(range(10)), Counted({v: set(range(10)) - {v} for v in range(10)}))
+    assert [next(gen) for _ in range(12)] == [(v,) for v in range(10)] + [(0, 1), (0, 2)]
+    assert Counted.reads == 12
+    assert len(list(gen)) == 2**10 - 1 - 12
 
 
 def test_skeleton_and_full_subcomplex():

@@ -1,8 +1,8 @@
 """Deleted products, the unordered quotient, and the transfer map.
 
 The signed per-cell boundary of the quotient lives here as the oracle for
-the configuration space's GF(2) boundary and signed facet keys; other
-test modules import it from here.
+the configuration space's GF(2) boundary; other test modules import it
+from here.
 """
 
 import random
@@ -18,7 +18,7 @@ from complex_reference import simplex_boundary
 from raagdim.complexes import skeleton
 from raagdim.config_space import ConfigurationSpace, chain_boundary
 from raagdim.homology import boundary_rows, cycle_space
-from raagdim.obstruction import certify_vanishing
+from raagdim.obstruction import _top_signs, certify_vanishing
 from raagdim.octa import double_over, octahedralize
 from raagdim.zoo import ZOO, cycle, octahedron_boundary, points, random_flag
 from test_octa import eager_octahedralization
@@ -317,19 +317,6 @@ def test_indexed_enumeration_matches_rank_sorted_oracle(seed):
         assert [cs.key_cell(key) for key in keys] == list(cells)
 
 
-@given(st.integers(0, 10**6))
-@settings(max_examples=15, deadline=None)
-def test_boundary_rows_match_per_cell_boundary(seed):
-    K = octahedralize(random_flag(5, 0.5, seed)).complex
-    cs = ConfigurationSpace(K)
-    for d in range(2 * K.dim + 1):
-        rows = cs.signed_facet_keys(d)
-        assert len(rows) == len(cs.cells_of_degree(d))
-        for cell, (keys, signs) in zip(cs.cells_of_degree(d), rows):
-            assert len(set(keys)) == len(keys)
-            assert tuple((cs.key_cell(key), sign) for key, sign in sorted(zip(keys, signs))) == signed_boundary(K, cell)
-
-
 def octahedralized_and_doubled(L):
     """OL's face set, and the face sets of the complexes of `doubled_over`."""
     yield octahedralize(L).complex
@@ -346,22 +333,24 @@ def test_facet_table_matches_homology_boundary_rows():
             signed += [tuple((start + i, sign) for i, sign in row) for row in boundary_rows(K, k)]
             start += len(K.faces_of_dim(k - 1))
         assert cs._facet_ids == [tuple(i for i, _ in row) for row in signed]
-        # The signs that signed_facet_keys derives from the dimension: the
-        # j-th facet of an n-face, in id order, has sign (-1)^(n - j).
+        # The signs of facet_signs: the j-th facet of an n-face, in id
+        # order, has sign (-1)^(n - j).
         assert [tuple(sign for _, sign in row) for row in signed] == [
             tuple((-1) ** (len(row) - 1 - j) for j in range(len(row))) for row in signed]
 
 
-def test_signed_facet_keys_reproduce_the_cell_id_boundary_rows():
+def test_top_facet_keys_with_the_top_signs_reproduce_the_cell_id_boundary_rows():
+    # The integer solve and re-check read only the top degree 2k, each row
+    # of facet_keys(2k) zipped with one sign vector; the oracle keeps the
+    # swap sign of every degree, which is 1 there.  A space of dimension 0
+    # has no facets in its top degree, which the integer side never reads.
     complexes = [entry.complex() for entry in ZOO] + [random_flag(7, 0.5, seed) for seed in range(20)]
-    for K in (D for L in complexes for D in octahedralized_and_doubled(L)):
-        cs = ConfigurationSpace(K)
-        for d in range(2 * K.dim + 1):
-            rows, lower = integer_recheck.boundary_rows(cs, d), integer_recheck.cell_ids(cs, d - 1)
-            keyed = cs.signed_facet_keys(d)
-            assert [keys for keys, _signs in keyed] == list(cs.facet_keys(d))
-            assert [tuple(sorted(zip([lower[cs.key_cell(key)] for key in keys], signs)))
-                    for keys, signs in keyed] == list(rows)
+    for K in (D for L in complexes for D in octahedralized_and_doubled(L) if D.dim > 0):
+        cs, d = ConfigurationSpace(K), 2 * K.dim
+        rows, lower = integer_recheck.boundary_rows(cs, d), integer_recheck.cell_ids(cs, d - 1)
+        signs = _top_signs(d)
+        assert [tuple(sorted(zip([lower[cs.key_cell(key)] for key in keys], signs, strict=True)))
+                for keys in cs.facet_keys(d)] == list(rows)
 
 
 def facet_rule_spaces():

@@ -1,5 +1,6 @@
 """Exact homology, cycle spaces, and the coboundary solver."""
 
+import sys
 from itertools import combinations
 
 import pytest
@@ -135,6 +136,33 @@ def test_boundary_rows_index_the_facets():
             assert K.facet_rows(d) == tuple(tuple(i for i, _ in row) for row in rows)
 
 
+def test_facet_signs_are_the_signs_of_the_simplex_boundary():
+    # facet_rows drops the last vertex first; degree 0 is the augmentation.
+    assert complexes.facet_signs(0) == (1,)
+    for d in range(1, 9):
+        face = tuple(range(d + 1))
+        signs = dict(simplex_boundary(face))
+        assert complexes.facet_signs(d) == tuple(signs[face[:i] + face[i + 1 :]] for i in range(d, -1, -1))
+
+
+def test_analyze_builds_each_signed_boundary_table_of_l_once(monkeypatch):
+    # The rational Betti numbers read boundary_rows; the integer pullback
+    # zips L's facet rows with facet_signs itself.
+    built = []
+    build = homology.boundary_rows
+
+    def record(K, d):
+        built.append((K, d))
+        return build(K, d)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("raagdim")]:
+        if getattr(module, "boundary_rows", None) is build:
+            monkeypatch.setattr(module, "boundary_rows", record)
+    L = random_flag(9, 0.5, 3)
+    analyze(L, integral=True)
+    assert [d for K, d in built if K is L] == list(range(L.dim + 1))
+
+
 def test_analyze_builds_each_facet_table_of_l_once(monkeypatch):
     # The Betti numbers over both rings, the cycle basis and the integer
     # pullback all read L's one table per degree.
@@ -235,6 +263,21 @@ def test_a_phi_one_entry_short_is_refused_by_both_solves_and_the_recheck(monkeyp
     monkeypatch.setattr(obstruction, "_pullback_primitive", lambda octa, space, k: None)
     with pytest.raises(ValueError, match="argument 2 is shorter"):
         certify_vanishing(path(3), integral=True)
+
+
+def test_a_facet_key_row_one_key_short_is_refused_by_the_integer_solve_and_recheck(monkeypatch):
+    # The top signs are one vector zipped with every row: a row of another
+    # length must raise, not drop a facet.
+    space = ConfigurationSpace(octahedralize(path(3)))
+    phi = top_mesh_cocycle(space, 1)
+    prim = _integer_solve(phi, 2, space)
+    _recheck(space, 2, phi, prim, 0, "integer primitive")
+    rows = space.facet_keys(2)
+    monkeypatch.setattr(space, "facet_keys", lambda d: (rows[0][:-1], *rows[1:]))
+    with pytest.raises(ValueError, match="argument 2 is longer"):
+        _integer_solve(phi, 2, space)
+    with pytest.raises(ValueError, match="argument 2 is longer"):
+        _recheck(space, 2, phi, prim, 0, "integer primitive")
 
 
 def test_an_obstructed_solve_eliminates_once_and_stops_at_its_witness(monkeypatch):
