@@ -251,13 +251,19 @@ def link(K: SimplicialComplex, sigma) -> SimplicialComplex:
     return SimplicialComplex(vertices=verts, faces=frozenset(faces))
 
 
+def join_face_count(a: int, b: int) -> int:
+    """The faces of a join of complexes of a and b faces, refused past `MAX_FACES`."""
+    count = (a + 1) * (b + 1) - 1
+    if count > MAX_FACES:
+        raise ValueError(f"the join would have {count} faces, more than {MAX_FACES}")
+    return count
+
+
 def join(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
     """Simplicial join; vertex order is A's order followed by B's."""
     if set(A.vertices) & set(B.vertices):
         raise ValueError("join factors must have disjoint vertex sets")
-    count = (len(A.faces) + 1) * (len(B.faces) + 1) - 1
-    if count > MAX_FACES:
-        raise ValueError(f"the join would have {count} faces, more than {MAX_FACES}")
+    join_face_count(len(A.faces), len(B.faces))
     faces = set(A.faces) | set(B.faces)
     for fa, fb in product(A.faces, B.faces):
         faces.add(fa + fb)

@@ -9,17 +9,18 @@ which acts with the sign (-1)^(dim a * dim b).
 ConfigurationSpace works on an index of K, all in ints, read off
 `K.ranked_faces()` (every complex type answers it).  Every face gets an id
 (by dimension, then rank tuple: the face order `complexes` owns), its rank
-tuple, an int vertex bitmask, so disjointness is `mask_a & mask_b == 0`,
-and its facet ids, built once through `rank_ids`, the one dict that names
-a face by id, on its rank tuple (drop each vertex, in id order).  Each
-degree is enumerated once, as face-id pairs (a, b) already in cell order
-(by the id of a, then of b), with no sort; `indexed_cells(d)` hands them
-out with the rank tuples, which the meshing cocycle and the moment oracle
-read, and `cells_of_degree(d)`, uncached, turns them into pairs of faces
-for the scripts, the tests and the benchmark's tracer: nothing in the
-package reads it.  The faces as vertex tuples are built only on first read,
-from the rank tuples, by what hands out cells (`cells_of_degree`,
-`key_cell`) or words a failure.
+tuple, an int vertex bitmask, so disjointness is `mask_a & mask_b == 0`
+and meshing an alternation of bits (spaced out, bit 2r for rank r, in
+`spread` for the nonstrict rule), and its facet ids, built once through
+`rank_ids`, the one dict that names a face by id, on its rank tuple (drop
+each vertex, in id order).  Each degree is enumerated once, as face-id
+pairs (a, b) already in cell order (by the id of a, then of b), with no
+sort; `indexed_cells(d)` hands them out with the rank tuples, which the
+moment oracle reads, and `cells_of_degree(d)`, uncached, turns them into
+pairs of faces for the scripts, the tests and the benchmark's tracer:
+nothing in the package reads it.  The faces as vertex tuples are built
+only on first read, from the rank tuples, by what hands out cells
+(`cells_of_degree`, `key_cell`) or words a failure.
 
 The space of a complex on signed vertices, OL or a doubled complex, is
 built from its base, not from its face set, which it never builds.  A
@@ -147,6 +148,11 @@ class ConfigurationSpace:
     def masks(self) -> list:
         """The vertex bitmasks of the faces of K by id (bit r for rank r)."""
         return self._index[1]
+
+    @cached_property
+    def spread(self) -> list:
+        """The vertex bitmasks spaced out, bit 2r for rank r; built on first read."""
+        return [sum([1 << 2 * r for r in t]) for t in self._index[0]]
 
     def ids_of_dim(self, k: int) -> range:
         """The ids of the k-faces of K."""

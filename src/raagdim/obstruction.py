@@ -5,11 +5,11 @@ their vertices strictly interleave.  The meshing cocycle assigns +1 to a
 meshed ordered pair led by the lower vertex, (-1)^k to the swapped pair,
 and 0 otherwise; its mod-2 reduction is the top obstruction cocycle on the
 configuration space.  A nonstrict variant pairs simplices of the doubled
-complex with simplices of the minus copy; its one copy,
-`nonstrict_rank_indicator`, reads rank tuples in OL's order.
-The push to the product with the minus copy has one copy too,
-`push_terms`: each cell's two product terms (no sign: it has why), which
-`push_to_product` toggles into a set and the lemma suite reads cell by cell.
+complex with the minus copy.  Both are one test on int bitmasks run a list
+at a time, `mesh_values` (`nonstrict_values` on spread masks).  The push
+to the product with the minus copy has one copy too, `push_terms`: the
+cells' two product terms as lists of halves (no sign: it has why), which
+`push_to_product` reduces to a set and the lemma suite evaluates.
 
 Nonvanishing is certified by a cycle of unordered disjoint pairs that
 jointly cover a chosen simplex, built from a GF(2) cycle of the base.  The
@@ -21,17 +21,19 @@ already; the certificate stores the pairs as cells once.
 Vanishing is certified by an explicit coboundary primitive on cell keys.
 A geometric cross-check computes exact signed intersection numbers of
 simplices mapped to the moment curve and must reproduce the combinatorial
-cocycle.  Like `mesh_values`, it reads cells as face-id pairs on the rank
-tuples of the index (`moment_values`); `moment_intersection` is its entry
-point on vertex tuples, and both share the one memoized solve on rank
-tuples and the one orientation normalization.
+cocycle.  It reads cells as face-id pairs on the rank tuples of the index
+(`moment_values`); `moment_intersection` is its entry point on vertex
+tuples, and both share the one memoized solve on rank tuples and the one
+orientation normalization.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache
-from itertools import combinations
+from collections import Counter
+from functools import lru_cache, reduce
+from itertools import chain, combinations
+from operator import or_
 from typing import NamedTuple
 
 from .complexes import SimplicialComplex, facet_signs
@@ -48,64 +50,59 @@ MAX_CELLS = 10**6
 # Cocycles
 
 
-def _interleaves(a, b) -> bool:
-    """a0 < b0 < a1 < b1 < ... < ak < bk, for rank tuples: the one copy of
-    the meshing rule."""
-    prev = -1
-    for x, y in zip(a, b):
-        if not prev < x < y:
-            return False
-        prev = y
-    return True
+def mesh_values(lows, pairs, highs=None) -> list:
+    """Whether each cell, given by its face-id pair (a, b), meshes, a0 < b0
+    < a1 < .. < ak < bk, on the bitmasks l = lows[a] and h = highs[b] (the
+    index's `masks` for both when `highs` is None): the one copy of both
+    meshing rules, a list at a time.  A stored cell puts the face with the
+    lower first rank first, so its meshing cocycle is 0 or 1.
 
-
-def nonstrict_rank_indicator(a: tuple, b: tuple) -> int:
-    """Nonstrict meshing of a doubled simplex against a minus-copy simplex,
-    both as rank tuples in OL's order: the one copy of the rule.
-
-    The pattern is a0 <= b0 < a1 <= b1 < ... < ak <= bk.  A plus vertex
-    has an odd rank (`octa.lift_ranks`), so every vertex of `b` must be
-    even; each is checked, also after the pattern has broken.
+    The bits of l and h alternate, l's lowest first, exactly when d = h - l
+    > 0 and d's runs of ones start at l's bits, d & ~(d << 1) == l.  If a0
+    < b0 < .. < ak < bk, d = sum(2^bi - 2^ai) is k + 1 separated runs [ai,
+    bi - 1], which start at l's bits.  Conversely, adding to each run [s,
+    e] of d its start carries it to the one bit e + 1, a 0 of d below the
+    next run, so h = d + l has a bit e + 1 for each run: s < e + 1 < the
+    next s.  ROADMAP item 1's rule for |a| = |b| + 1, a leading, is this
+    test with a sentinel bit above every rank added to h.
     """
-    if len(a) != len(b):
-        raise ValueError("nonstrict meshing needs equal-dimensional simplices")
-    meshed, prev = 1, -1
-    for x, y in zip(a, b):
-        if y & 1:
-            raise ValueError("second simplex must lie in the minus copy")
-        if meshed:
-            meshed, prev = prev < x <= y, y
-    return int(meshed)
+    highs = lows if highs is None else highs
+    return [(d := highs[b] - (l := lows[a])) > 0 and d & ~(d << 1) == l for a, b in pairs]
 
 
-def mesh_values(ranks, pairs) -> list:
-    """Whether each cell, given by its face-id pair (a, b) in stored order,
-    meshes: `_interleaves` on the rank tuples of the space's index
-    (`ConfigurationSpace.ranks`).  A stored cell puts the simplex with the
-    lower-ranked first vertex first, so only its own order can interleave
-    and the meshing cocycle is 0 or 1 there.  Meshing reads only the order
-    of the ranks, so a doubled complex's own ranks give OL's values."""
-    return [_interleaves(ranks[a], ranks[b]) for a, b in pairs]
+def nonstrict_values(spread, firsts, seconds) -> list:
+    """The nonstrict cocycle on product cells, face-id pairs (a, b) of a
+    space lifted on OL's ranks, given as the parallel lists of their a's
+    and b's: whether a0 <= b0 < a1 <= .. < ak <= bk, 0 on halves of two
+    sizes.  On the index's `spread` masks (bit 2r for rank r) that is
+    meshing with b shifted up one: 2ai < 2bi + 1 < 2ai+1.  A plus vertex
+    has an odd rank (`octa.lift_ranks`), so a b with one, a shifted bit
+    4j + 3, is refused: b must lie in the minus copy."""
+    highs = {b: spread[b] << 1 for b in set(seconds)}
+    union = reduce(or_, highs.values(), 0)
+    if union & int("8" * (union.bit_length() // 4 + 1), 16):
+        raise ValueError("second simplex must lie in the minus copy")
+    return mesh_values(spread, zip(firsts, seconds), highs)
 
 
 def pairing(space: ConfigurationSpace, pairs) -> tuple:
     """The one witness check, on a chain given by the face-id pairs of its
     cells: its boundary keys and its meshing value, mod 2.  A witness of a
     nonzero top class has no boundary and value 1."""
-    return space.boundary(pairs), sum(mesh_values(space.ranks, pairs)) % 2
+    return space.boundary(pairs), sum(mesh_values(space.masks, pairs)) % 2
 
 
-def push_terms(pairs, space: ConfigurationSpace):
-    """The one copy of the push rule: for each cell of `pairs`, a face-id
-    pair (sigma, tau) of `space`'s complex, its two product terms (sigma,
-    p tau) and (tau, p sigma).  p relabels onto the minus copy, read from
-    the projection table `space.minus_ids`.  The second term's factor-switch
-    sign is left out, as nothing can see it: it is 1 mod 2, and over Z the
-    nonstrict cocycle is 0 there, as tau0 > sigma0 >= sigma0 & -2 = (p
-    sigma)0 breaks its pattern's tau0 <= (p sigma)0."""
-    minus = space.minus_ids
-    for sigma, tau in pairs:
-        yield (sigma, minus[tau]), (tau, minus[sigma])
+def push_terms(pairs, space: ConfigurationSpace) -> tuple:
+    """The one copy of the push rule: for the cells (sigma, tau) of `pairs`,
+    face-id pairs of `space`'s complex, the first product terms (sigma, p
+    tau) and the second, (tau, p sigma), each as the parallel lists of
+    their halves, in order; p is the projection table `space.minus_ids`,
+    onto the minus copy.  The second term's factor-switch sign is left
+    out, as nothing can see it: it is 1 mod 2, and over Z the nonstrict
+    cocycle is 0 there, as tau0 > sigma0 >= sigma0 & -2 = (p sigma)0
+    breaks its pattern's tau0 <= (p sigma)0."""
+    minus, sigmas, taus = space.minus_ids, [s for s, _ in pairs], [t for _, t in pairs]
+    return (sigmas, [minus[t] for t in taus]), (taus, [minus[s] for s in sigmas])
 
 
 def push_to_product(pairs, space: ConfigurationSpace) -> set:
@@ -113,10 +110,8 @@ def push_to_product(pairs, space: ConfigurationSpace) -> set:
     of its cells, to the product with the minus copy: the set of terms that
     an odd number of its cells push to (`push_terms`), face-id pairs of
     `space`'s complex, which holds every minus copy."""
-    out: set = set()
-    for terms in push_terms(pairs, space):
-        out.symmetric_difference_update(terms)  # two distinct terms, as sigma != tau
-    return out
+    (a1, b1), (a2, b2) = push_terms(pairs, space)
+    return {term for term, n in Counter(chain(zip(a1, b1), zip(a2, b2))).items() if n & 1}
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +277,10 @@ def top_mesh_cocycle(space: ConfigurationSpace, degree: int) -> list:
     """The meshing cocycle on the top cells, as its 0/1 values in cell order.
 
     The cocycle is 0 or 1 on a stored cell (`mesh_values`), so this is the
-    integer cocycle as well as its mod-2 reduction.  It reads the rank
-    tuples of `space`'s index.
+    integer cocycle as well as its mod-2 reduction.  It reads the vertex
+    bitmasks of `space`'s index.
     """
-    return mesh_values(*space.indexed_cells(2 * degree))
+    return mesh_values(space.masks, space.indexed_cells(2 * degree)[1])
 
 
 def _top_signs(degree: int) -> tuple:
@@ -331,17 +326,17 @@ def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: i
     copy), the full solve's unit pivots and core Smith normal form (so it
     raises CoreTooLarge past the same cap).  None when some psi_a
     has no integer solution.  Builds no (2k-1)-cell, and works on the
-    index: r_a on rank tuples, the minus copy of each k-face and the lifts
-    of each (k-1)-face of L by `lift_ranks` on L's `ranked_faces`, the lifts
-    as face ids through `space.rank_ids`, disjointness on masks and the
-    stored order by first ranks.
+    index: the minus copy of each k-face and the lifts of each (k-1)-face
+    of L by `lift_ranks` on L's `ranked_faces`, as face ids through
+    `space.rank_ids`, every r_a in one `nonstrict_values` list,
+    disjointness on masks and the stored order by first ranks.
     """
     L = octa.base
     ranks, masks, rid = space.ranks, space.masks, space.rank_ids
-    ranked, sign, F = L.ranked_faces(), (-1) ** k, len(ranks)
-    minus_top = lift_ranks([ranked[k]], ())[0]
-    tops = space.ids_of_dim(k)
-    rhs = [tuple([sign * nonstrict_rank_indicator(ranks[a], b) for b in minus_top]) for a in tops]
+    ranked, sign, F, tops = L.ranked_faces(), (-1) ** k, len(ranks), space.ids_of_dim(k)
+    minus_top = [rid[t] for t in lift_ranks([ranked[k]], ())[0]]
+    values = iter(nonstrict_values(space.spread, [a for a in tops for _ in minus_top], minus_top * len(tops)))
+    rhs = [tuple([sign * next(values) for _ in minus_top]) for _ in tops]
     distinct = list(dict.fromkeys(rhs))
     signs = facet_signs(k)
     psis = solve_integer([zip(row, signs, strict=True) for row in L.facet_rows(k)], distinct)

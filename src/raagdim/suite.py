@@ -19,18 +19,18 @@ Chains are face-id pairs, all in one space per complex, C(OL): every
 doubled complex's faces are faces of OL, so each covering chain, its push,
 its boundary and the product chain read OL's rank ids, facet ids and minus
 copies, built once per complex, and no doubled complex's space is built.
-The pullback check is one pass over the top cells of C(OL): phi is
-`top_mesh_cocycle`, the cocycle that `analyze` solves against, and each
-cell's two product terms come from `push_terms`, the push rule that
-`push_to_product` toggles, so the check is nu'(t1) + nu'(t2) = phi cell by
-cell, in exact integers, with no chain built per cell and no sign: nu' is
-0 on t2 (`push_terms` has why).  The pushforward check compares two sets.
-One memo per complex holds nu' of each product cell read, evaluated once
-on rank tuples (`nonstrict_rank_indicator`), filled by the pullback check
-and read again by the evaluation check.  The moment oracle reads the
-same face-id pairs, the first `ORACLE_CELL_CAP` top cells, on their rank
-tuples (`moment_values`), so a passing check builds no cell as a pair of
-faces; only a failure's wording does.
+The pullback check compares two lists over the top cells of C(OL): phi,
+`top_mesh_cocycle`, the cocycle that `analyze` solves against, and
+nu'(t1) + nu'(t2), in exact integers, the cells' two product terms from
+`push_terms`, the push rule that `push_to_product` reduces, each list of
+terms evaluated at once by `nonstrict_values`; no chain is built per
+cell, no rule is called per cell and there is no sign: nu' is 0 on t2
+(`push_terms` has why).  Only a failure looks for the first cell that
+differs.  The pushforward check compares two sets, and the evaluation
+check sums `nonstrict_values` over the product chain.  The moment oracle
+reads the same face-id pairs, the first `ORACLE_CELL_CAP` top cells, on
+their rank tuples (`moment_values`), so a passing check builds no cell as
+a pair of faces; only a failure's wording does.
 
 The driver's own faults live in tests/test_suite.py, each caught by the
 check named after it: `push_to_product` with no swap term (pushforward),
@@ -46,6 +46,7 @@ chain with an empty push (evaluation).
 from __future__ import annotations
 
 import random
+from operator import add
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -57,7 +58,7 @@ from .obstruction import (
     covering_pair_chain,
     delta_product_chain,
     moment_values,
-    nonstrict_rank_indicator,
+    nonstrict_values,
     push_terms,
     push_to_product,
     top_mesh_cocycle,
@@ -123,19 +124,6 @@ def _shrink(K: SimplicialComplex, still_fails) -> SimplicialComplex:
     return current
 
 
-class _Nonstrict(dict):
-    """The nonstrict cocycle on the product cells (face-id pairs of OL) that
-    are read, each evaluated once, on rank tuples."""
-
-    def __init__(self, space: ConfigurationSpace):
-        super().__init__()
-        self.ranks = space.ranks
-
-    def __missing__(self, term):
-        value = self[term] = nonstrict_rank_indicator(self.ranks[term[0]], self.ranks[term[1]])
-        return value
-
-
 def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
     """Run the four identities plus the oracle agreement on one complex; stop at the first failure."""
 
@@ -146,16 +134,14 @@ def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
     octa = octahedralize(K)
     space = ConfigurationSpace(octa)
     top_pairs = space.indexed_cells(2 * k)[1]
-    cocycle = top_mesh_cocycle(space, k)
-    # Shared by the pullback and the evaluation check.
-    nonstrict = _Nonstrict(space)
-
-    for i, (lhs, (first, second)) in enumerate(zip(cocycle, push_terms(top_pairs, space))):
-        rhs = nonstrict[first] + nonstrict[second]
-        if lhs != rhs:
-            result.checks += i + 1
-            faces, (a, b) = space.faces, top_pairs[i]
-            return fail("pullback", f"cell {(faces[a], faces[b])}: cocycle {lhs} != pushed evaluation {rhs}")
+    cocycle, spread = top_mesh_cocycle(space, k), space.spread
+    (a1, b1), (a2, b2) = push_terms(top_pairs, space)
+    pushed = list(map(add, nonstrict_values(spread, a1, b1), nonstrict_values(spread, a2, b2)))
+    if pushed != cocycle:
+        i = next(i for i, (lhs, rhs) in enumerate(zip(cocycle, pushed)) if lhs != rhs)
+        result.checks += i + 1
+        faces, (a, b) = space.faces, top_pairs[i]
+        return fail("pullback", f"cell {(faces[a], faces[b])}: cocycle {cocycle[i]} != pushed evaluation {pushed[i]}")
     result.checks += len(top_pairs)
 
     basis = cycle_space(K, k)
@@ -181,7 +167,7 @@ def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
                 return fail("cycle", f"cycle {sorted(cyc)}, delta {delta}: covering chain has boundary")
 
         result.checks += 1
-        if sum([nonstrict[term] for term in product]) % 2 != 1:
+        if sum(nonstrict_values(spread, [a for a, _ in product], [b for _, b in product])) % 2 != 1:
             return fail("evaluation", f"cycle {sorted(cyc)}, delta {delta}: product chain evaluates to 0")
 
     oracle_pairs = top_pairs[:ORACLE_CELL_CAP]

@@ -12,9 +12,9 @@ configuration space, lifted from M's support, once however many pairs list
 it; each pair must have the stated total size and disjoint halves (on
 masks), and is then named once by its cell key (either half first).  The
 stored chain's boundary, evaluation, GF(2) push and support match run on
-keys, face-id pairs and rank tuples, never on a face set of OL or of the
-doubled complex, nor on face tuples: a key becomes a cell again only to
-word a failure.  The stored support must match the rebuilt chain exactly,
+keys, face-id pairs, rank tuples and bitmasks, never on a face set of OL
+or the doubled complex, nor on face tuples: a key becomes a cell again
+only to word a failure.  The stored support must match the rebuilt chain exactly,
 and neither M nor the stored support may list an entry twice (it would
 cancel mod 2); a certificate is a proof object, not a hint.
 """
@@ -30,7 +30,7 @@ from .obstruction import (
     check_star_condition,
     covering_pair_chain,
     delta_product_chain,
-    nonstrict_rank_indicator,
+    nonstrict_values,
     pairing,
     push_to_product,
 )
@@ -132,7 +132,7 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
     pushed = push_to_product(stored, space)
     if pushed != delta_product_chain(doubled, space):
         return fail("push of the stored chain is not the product chain")
-    if sum([nonstrict_rank_indicator(ranks[a], ranks[b]) for a, b in pushed]) % 2 != 1:
+    if sum(nonstrict_values(space.spread, [a for a, _ in pushed], [b for _, b in pushed])) % 2 != 1:
         return fail("product evaluation is not 1")
 
     run.append(next(stages))

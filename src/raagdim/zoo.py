@@ -8,10 +8,11 @@ families are deterministic functions of their seed.
 from __future__ import annotations
 
 import random
+from functools import reduce
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, flag_completion, join, make_complex, relabeled
+from .complexes import SimplicialComplex, flag_completion, join, join_face_count, make_complex, relabeled
 
 
 def _size(name: str, param: str, value, least: int) -> None:
@@ -184,8 +185,15 @@ MAX_NESTING = 100
 def build_named(expr: str) -> SimplicialComplex:
     """Build a complex from an expression like 'cycle(4)' or
     'join(points(2),points(2))'; joins relabel factors to stay disjoint.
-    The parentheses are checked in one running count over the expression,
-    before anything is built."""
+    The parentheses are checked in one running count, and each cone,
+    suspension and join counted on the parse tree, before any is built."""
+    return _parse(expr)[1]()
+
+
+def _parse(expr: str) -> tuple:
+    """An expression's face count and builder: a leaf is built here, a cone,
+    suspension or join (a join with one apex, two poles or its other factors)
+    counted by `complexes.join_face_count` and built only by the builder."""
     expr = expr.strip()
     depth = deepest = 0
     for ch in expr:
@@ -201,7 +209,8 @@ def build_named(expr: str) -> SimplicialComplex:
         entry = next((e for e in ZOO if e.name == expr), None)
         if entry is None:
             raise ValueError(f"unknown zoo entry {expr!r}")
-        return entry.complex()
+        K = entry.complex()
+        return len(K.faces), lambda: K
     name, _, rest = expr.partition("(")
     if not rest.endswith(")"):
         raise ValueError(f"unbalanced parentheses in {expr!r}")
@@ -211,15 +220,12 @@ def build_named(expr: str) -> SimplicialComplex:
         parts = _split_args(body)
         if len(parts) < 2:
             raise ValueError("join needs at least two factors")
-        out = None
-        for i, part in enumerate(parts):
-            factor = _prefixed(build_named(part), f"j{i}.")
-            out = factor if out is None else join(out, factor)
-        return out
-    if name == "cone":
-        return cone(build_named(body))
-    if name == "suspension":
-        return suspension(build_named(body))
+        parsed = [_parse(part) for part in parts]
+        return reduce(join_face_count, [n for n, _ in parsed]), lambda: reduce(
+            join, [_prefixed(build(), f"j{i}.") for i, (_, build) in enumerate(parsed)])
+    if name in ("cone", "suspension"):
+        (n, build), make = _parse(body), cone if name == "cone" else suspension
+        return join_face_count(1 if name == "cone" else 2, n), lambda: make(build())
     if name not in GENERATORS:
         raise ValueError(f"unknown generator {name!r}")
     args = [a for a in _split_args(body) if a]
@@ -229,7 +235,8 @@ def build_named(expr: str) -> SimplicialComplex:
             values.append(int(a) if a.lstrip("+-").isdigit() else float(a))
         except ValueError:
             raise ValueError(f"{name} needs numeric arguments, got {a!r}") from None
-    return GENERATORS[name](*values)
+    K = GENERATORS[name](*values)
+    return len(K.faces), lambda: K
 
 
 def _split_args(body: str) -> list:

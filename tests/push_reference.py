@@ -2,11 +2,13 @@
 nonstrict meshing indicator written straight from their definitions, on
 cells, deriving the minus copy of every half on each call
 (`minus_lift(project(face))`) and testing the signs of `b` before any
-vertex order.  `raagdim.obstruction` pushes GF(2) chains of face-id pairs,
-with no factor-switch sign, reads the minus copies from the per-space
-projection table `ConfigurationSpace.minus_ids` and evaluates the
-indicator on rank tuples (`nonstrict_rank_indicator`), checking the signs
-within its one loop; the tests compare the two, the push mod 2.  The
+vertex order; and both meshing rules on rank tuples, read pair by pair
+(`interleaves`, `nonstrict_rank_indicator`).  `raagdim.obstruction`
+pushes GF(2) chains of face-id pairs, with no factor-switch sign, reads
+the minus copies from the per-space projection table
+`ConfigurationSpace.minus_ids` and evaluates both rules as one alternation
+test on int bitmasks, a whole list at a time (`mesh_values`,
+`nonstrict_values`); the tests compare the two, the push mod 2.  The
 integer push here, sign included, is the one on which the tests check the
 chain-map and pullback identities over Z.  `project`, `minus_lift` and
 `lifts` are the signed-vertex relabellings the other oracles share;
@@ -51,6 +53,33 @@ def mesh_number(sigma: tuple, tau: tuple, rank: dict) -> int:
     if meshes(sigma, tau):
         return 1
     return (-1) ** (len(sigma) - 1) if meshes(tau, sigma) else 0
+
+
+def interleaves(a: tuple, b: tuple) -> bool:
+    """a0 < b0 < a1 < b1 < ... < ak < bk, for rank tuples of one size."""
+    if len(a) != len(b):
+        raise ValueError("meshing is defined for equal-dimensional simplices")
+    prev = -1
+    for x, y in zip(a, b):
+        if not prev < x < y:
+            return False
+        prev = y
+    return True
+
+
+def nonstrict_rank_indicator(a: tuple, b: tuple) -> int:
+    """a0 <= b0 < a1 <= b1 < ... < ak <= bk, for rank tuples in OL's order;
+    a plus vertex has an odd rank, so every rank of `b` must be even, and
+    each is checked, also after the pattern has broken."""
+    if len(a) != len(b):
+        raise ValueError("nonstrict meshing needs equal-dimensional simplices")
+    meshed, prev = 1, -1
+    for x, y in zip(a, b):
+        if y & 1:
+            raise ValueError("second simplex must lie in the minus copy")
+        if meshed:
+            meshed, prev = prev < x <= y, y
+    return int(meshed)
 
 
 def nonstrict_mesh_indicator(sigma: tuple, b: tuple, rank: dict) -> int:

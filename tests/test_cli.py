@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import raagdim
 from index_reference import doubled_complex
-from raagdim import bounds, cli, complexes, io_json, suite, verify
+from raagdim import bounds, cli, complexes, io_json, suite, verify, zoo
 from raagdim.cli import build_parser, main
 from raagdim.complexes import skeleton
 from raagdim.obstruction import certify_nonvanishing, covering_pair_chain, delta_product_chain
@@ -345,6 +345,33 @@ def test_cli_refuses_a_complex_past_the_face_budget_with_exit_1(tmp_path, monkey
     assert not (tmp_path / "out.json").exists()
 
 
+def test_build_named_counts_a_nesting_on_its_parse_tree_before_building_a_level(monkeypatch):
+    # cone f -> 2f + 1, suspension f -> 3f + 2, join -> (|A| + 1)(|B| + 1) - 1;
+    # a leaf is built, and nothing above it.
+    def refuse(*args):
+        raise AssertionError("a level was built")
+
+    for name in ("cone", "suspension", "join", "relabeled"):
+        monkeypatch.setattr(zoo, name, refuse)
+    for expr, count in (("cone(" * 19 + "point" + ")" * 19, 2**20 - 1),
+                        ("cone(" * 100 + "point" + ")" * 100, 2**20 - 1),
+                        ("suspension(" * 12 + "point" + ")" * 12, 2 * 3**12 - 1),
+                        ("join(simplex(9),cone(simplex(8)))", 1024 * 1024 - 1),
+                        ("join(simplex(8),simplex(9),points(2))", 512 * 1024 * 3 - 1)):
+        with pytest.raises(ValueError, match=f"^the join would have {count} faces, more than 1000000$"):
+            build_named(expr)
+
+
+def test_cli_generate_refuses_a_deep_cone_past_the_face_budget_at_once(tmp_path, capsys):
+    # It used to build 524,287 faces over 19 levels, in seconds, first.
+    out = tmp_path / "out.json"
+    start = time.perf_counter()
+    assert main(["generate", "cone(" * 19 + "point" + ")" * 19, "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == "error: the join would have 1048575 faces, more than 1000000\n"
+    assert not out.exists()
+
+
 def test_cli_generate_seeds_a_generator_given_by_name_with_0_by_default(tmp_path):
     for args, K in [(["tree", "6", "--seed", "3"], tree(6, 3)), (["tree", "6"], tree(6, 0)),
                     (["random_flag", "6", "0.5", "--seed", "2"], random_flag(6, 0.5, 2))]:
@@ -608,7 +635,7 @@ def test_verify_certificate_push_and_support_match_failures(monkeypatch):
     support = VerificationOutcome(False, "omega-support-match", f"stored support differs (extra [{first}], missing [])",
                                   CHECKS)
     for name, fault, outcome in [("delta_product_chain", product_minus_one_term, push),
-                                 ("nonstrict_rank_indicator", lambda a, b: 0, evaluation),
+                                 ("nonstrict_values", lambda spread, firsts, seconds: [0] * len(firsts), evaluation),
                                  ("covering_pair_chain", rebuilt_without_first, support)]:
         with monkeypatch.context() as patch:
             patch.setattr(verify, name, fault)

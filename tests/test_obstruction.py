@@ -2,6 +2,7 @@
 
 import random
 from functools import partial
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,7 +27,7 @@ from raagdim.obstruction import (
     mesh_values,
     moment_intersection,
     moment_values,
-    nonstrict_rank_indicator,
+    nonstrict_values,
     push_terms,
     push_to_product,
     top_mesh_cocycle,
@@ -55,10 +56,31 @@ def test_mesh_degree_zero_all_pairs_mesh():
     assert mesh_number(("v1",), ("v0",), RANK4) == 1
 
 
+def spread_of(ranks) -> int:
+    """The spread bitmask of a rank tuple, bit 2r for rank r, as
+    `ConfigurationSpace.spread` holds it."""
+    return sum(1 << 2 * r for r in ranks)
+
+
+def ranks_indicator(a, b) -> int:
+    """`nonstrict_values` on one pair of rank tuples."""
+    return nonstrict_values([spread_of(a), spread_of(b)], [0], [1])[0]
+
+
 def rank_indicator(sigma: tuple, b: tuple, rank: dict) -> int:
-    """`nonstrict_rank_indicator` on two faces of OL given as vertex tuples,
-    ranked by `rank`."""
-    return nonstrict_rank_indicator([rank[v] for v in sigma], [rank[w] for w in b])
+    """`nonstrict_values` on two faces of OL given as vertex tuples, ranked
+    by `rank`."""
+    return ranks_indicator([rank[v] for v in sigma], [rank[w] for w in b])
+
+
+def reference_nonstrict(sigma: tuple, b: tuple, rank: dict):
+    """What `nonstrict_values` gives on two faces given as vertex tuples, by
+    the reference indicator (its outcome, a value or a ValueError's
+    message), which refuses halves of two sizes: the mask rule reads them
+    as 0, unless b has a plus vertex."""
+    if len(sigma) != len(b):
+        return 0 if all(s == MINUS for _v, s in b) else "second simplex must lie in the minus copy"
+    return outcome(push_reference.nonstrict_mesh_indicator, sigma, b, rank)
 
 
 def test_nonstrict_mesh_examples():
@@ -94,9 +116,61 @@ def test_nonstrict_mesh_checks_every_sign_after_the_pattern_breaks():
                 shifted = [r + 1 for r in t]
                 if any(K.vertices[r][1] == PLUS for r in t):
                     with pytest.raises(ValueError, match="minus copy"):
-                        nonstrict_rank_indicator(shifted, t)
+                        ranks_indicator(shifted, t)
                 else:
-                    assert nonstrict_rank_indicator(shifted, t) == 0
+                    assert ranks_indicator(shifted, t) == 0
+
+
+def rank_sets(ranks, sizes) -> list:
+    """Every set of the given sizes drawn from `ranks`, as sorted tuples."""
+    return [t for size in sizes for t in combinations(ranks, size)]
+
+
+def test_both_mask_rules_equal_the_tuple_oracles_on_every_pair_of_rank_sets():
+    # Meshing on every disjoint pair of rank sets below 12 of sizes 1-5 with
+    # b0 > a0, as a stored cell has: the oracle refuses two sizes, which the
+    # mask rule reads as False.
+    sets = rank_sets(range(12), range(1, 6))
+    masks = [sum(1 << r for r in t) for t in sets]
+    pairs = [(i, j) for i, a in enumerate(sets) for j, b in enumerate(sets)
+             if a[0] < b[0] and not masks[i] & masks[j]]
+    expect = [len(sets[i]) == len(sets[j]) and push_reference.interleaves(sets[i], sets[j]) for i, j in pairs]
+    assert mesh_values(masks, pairs) == expect
+    # Any 2s ranks split in exactly one way into an alternating a, b with a
+    # leading: C(12, 2s) meshing pairs of size s.
+    assert sum(expect) == sum(len(list(combinations(range(12), 2 * size))) for size in range(1, 6)) == 2046
+    # Nonstrict: every set of ranks below 12 against every set of its even
+    # ones, of sizes 1-5, as one list; two sizes read 0.
+    halves = sets + rank_sets(range(0, 12, 2), range(1, 6))
+    spread = [spread_of(t) for t in halves]
+    terms = [(i, j) for i in range(len(sets)) for j in range(len(sets), len(halves))]
+    assert nonstrict_values(spread, [i for i, _ in terms], [j for _, j in terms]) == [
+        len(halves[i]) == len(halves[j]) and push_reference.nonstrict_rank_indicator(halves[i], halves[j])
+        for i, j in terms]
+    # A second set with an odd rank is refused, alone or among minus copies.
+    odd = [t for t in rank_sets(range(12), range(1, 4)) if any(r & 1 for r in t)]
+    spread = [spread_of(t) for t in [(0,), *odd]]
+    for j, t in enumerate(odd, 1):
+        with pytest.raises(ValueError, match="second simplex must lie in the minus copy"):
+            push_reference.nonstrict_rank_indicator(t, t)
+        with pytest.raises(ValueError, match="second simplex must lie in the minus copy"):
+            nonstrict_values(spread, [0, 0, 0], [0, j, 0])
+
+
+@given(st.lists(st.integers(0, 200), min_size=1, max_size=8, unique=True),
+       st.lists(st.integers(0, 200), min_size=1, max_size=8, unique=True), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_both_mask_rules_equal_the_tuple_oracles_on_wide_ranks(xs, ys, even):
+    # Ranks up to 200, so the masks span several int digits; any two sets of
+    # one size, overlapping or not.
+    a, b = sorted(xs), sorted(ys)[: len(xs)]
+    a = a[: len(b)]
+    assert mesh_values([sum(1 << r for r in a), sum(1 << r for r in b)], [(0, 1)]) == [
+        push_reference.interleaves(a, b)]
+    if even:
+        b = sorted({r & -2 for r in b})
+        a = a[: len(b)]
+    assert outcome(ranks_indicator, a, b) == outcome(push_reference.nonstrict_rank_indicator, a, b)
 
 
 def push_cells(cells, cs) -> set:
@@ -172,8 +246,7 @@ def test_push_and_indicator_match_their_reference_oracles(seed):
         # The pushed cells, and the unpushed halves (which may carry plus
         # vertices), against both indicators, errors included.
         for sigma, b in list(pushed) + chain:
-            assert outcome(rank_indicator, sigma, b, rank) == outcome(
-                push_reference.nonstrict_mesh_indicator, sigma, b, rank)
+            assert outcome(rank_indicator, sigma, b, rank) == reference_nonstrict(sigma, b, rank)
 
 
 def test_push_is_the_reference_push_mod_2_in_every_degree():
@@ -193,7 +266,8 @@ def test_push_is_the_reference_push_mod_2_in_every_degree():
             cells = {(faces[a], faces[b]): 1 for a, b in chain}
             pushed = push_to_product(chain, cs)
             assert {(faces[a], faces[b]) for a, b in pushed} == mod2(push_reference.push_to_product(cells, o))
-            terms = [term for both in push_terms(chain, cs) for term in both]
+            terms = [term for halves in push_terms(chain, cs) for term in zip(*halves)]
+            assert len(terms) == 2 * len(chain)
             cancelled += len(terms) != len(set(terms))
     # Some sampled chain has two cells pushing to one product term, so the
     # toggle really cancels.
@@ -236,13 +310,18 @@ def test_rank_rules_match_their_tuple_oracles(n, p, seed):
         # The projection table, face by face.
         assert cs.minus_ids == [face_id(cs, minus_lift(project(f))) for f in faces]
         # The nonstrict rule on random faces (a second half with a plus
-        # vertex, or of another size, raises), on the minus copies too.
+        # vertex raises, one of another size reads 0), on the minus copies
+        # too.
         ids = list(range(len(faces)))
         draws = [(rng.choice(ids), rng.choice(ids)) for _ in range(60)]
         draws += [(a, cs.minus_ids[b]) for a, b in draws]
         for a, b in draws:
-            assert outcome(obstruction.nonstrict_rank_indicator, ranks[a], ranks[b]) == outcome(
-                push_reference.nonstrict_mesh_indicator, faces[a], faces[b], o.rank)
+            assert outcome(lambda: nonstrict_values(cs.spread, [a], [b])[0]) == reference_nonstrict(
+                faces[a], faces[b], o.rank)
+        # The same draws whose second half is a minus copy, as one list.
+        minus_draws = [(a, b) for a, b in draws if cs.minus_ids[b] == b]
+        assert nonstrict_values(cs.spread, [a for a, _ in minus_draws], [b for _, b in minus_draws]) == [
+            reference_nonstrict(faces[a], faces[b], o.rank) for a, b in minus_draws]
         # push_terms and push_to_product against the reference push, in
         # three degrees.
         degrees = range(2 * len(ranks[-1]) - 1)
@@ -257,7 +336,7 @@ def test_rank_rules_match_their_tuple_oracles(n, p, seed):
 
             cells = dict.fromkeys([(faces[a], faces[b]) for a, b in pairs], 1)
             assert on_faces(push_to_product(pairs, cs)) == mod2(push_reference.push_to_product(cells, o))
-            for (a, b), terms in zip(pairs, push_terms(pairs, cs)):
+            for (a, b), *terms in zip(pairs, *[zip(*halves) for halves in push_terms(pairs, cs)]):
                 assert len(terms) == 2
                 assert on_faces(terms) == set(push_reference.push_to_product({(faces[a], faces[b]): 1}, o))
         if doubled is not None:
@@ -343,8 +422,7 @@ def test_pushforward_cycle_and_evaluation_identities(seed):
         assert push_to_product(omega, space) == product  # holds with or without the star condition
         if check_star_condition(cyc, delta).holds:
             assert not space.boundary(omega)
-        ranks = space.ranks
-        assert sum([nonstrict_rank_indicator(ranks[a], ranks[b]) for a, b in product]) % 2 == 1
+        assert sum(nonstrict_values(space.spread, [a for a, _ in product], [b for _, b in product])) % 2 == 1
 
 
 # --- covering chain examples -------------------------------------------------
@@ -560,7 +638,7 @@ def has_boundary(self, pairs):
     return (0,)
 
 
-def meshes_nowhere(ranks, pairs):
+def meshes_nowhere(masks, pairs):
     return [0] * len(pairs)
 
 
@@ -771,7 +849,7 @@ def test_moment_oracle_entry_points_agree_on_every_top_cell():
         assert pairs
         values = moment_values(ranks, pairs)
         assert values == [moment_intersection(faces[a], faces[b], rank) for a, b in pairs]
-        assert values == mesh_values(ranks, pairs)
+        assert values == mesh_values(space.masks, pairs)
 
 
 def test_moment_oracle_memo_is_exact(monkeypatch):

@@ -145,12 +145,13 @@ def test_tripled_route_primitive_fails_verification(monkeypatch):
 
 
 def test_route_without_its_sign_fails_verification(monkeypatch):
-    indicator = obstruction.nonstrict_rank_indicator
+    values = obstruction.nonstrict_values
 
-    def unsigned(a, b):
-        # Cancels the route's (-1)^k; in odd degree the primitive flips sign.
-        return (-1) ** (len(a) - 1) * indicator(a, b)
+    def unsigned(spread, firsts, seconds):
+        # Cancels the route's (-1)^k, k + 1 the bits of a's spread mask; in
+        # odd degree the primitive flips sign.
+        return [(-1) ** (spread[a].bit_count() - 1) * v for a, v in zip(firsts, values(spread, firsts, seconds))]
 
-    monkeypatch.setattr(obstruction, "nonstrict_rank_indicator", unsigned)
+    monkeypatch.setattr(obstruction, "nonstrict_values", unsigned)
     with pytest.raises(RuntimeError, match="integer primitive fails verification"):
         certify_vanishing(tree(6), integral=True)

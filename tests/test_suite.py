@@ -6,7 +6,7 @@ from functools import cached_property
 import pytest
 from raagdim import obstruction, suite
 from raagdim.complexes import make_complex, skeleton
-from raagdim.obstruction import (StarConditionReport, moment_values, nonstrict_rank_indicator, push_terms,
+from raagdim.obstruction import (StarConditionReport, moment_values, nonstrict_values, push_terms,
                                  top_mesh_cocycle)
 from raagdim.octa import octahedralize
 from raagdim.config_space import ConfigurationSpace
@@ -21,8 +21,8 @@ def flipped_top_mesh_cocycle(space, degree):
 
 def first_twice_push_terms(pairs, space):
     """Fault: the swap term replaced by the first product term."""
-    for first, _second in push_terms(pairs, space):
-        yield first, first
+    firsts, _seconds = push_terms(pairs, space)
+    return firsts, firsts
 
 
 def dropped_push_to_product(pairs, space):
@@ -191,8 +191,8 @@ def test_the_swap_term_of_a_stored_top_cell_never_meshes():
         for d in range(0, 2 * L.dim + 1, 2):
             pairs = [(a, b) for a, b in space.indexed_cells(d)[1] if len(ranks[a]) == len(ranks[b])]
             assert pairs
-            for _first, (b, pa) in push_terms(pairs, space):
-                assert nonstrict_rank_indicator(ranks[b], ranks[pa]) == 0
+            _firsts, (bs, pas) = push_terms(pairs, space)
+            assert len(bs) == len(pas) == len(pairs) and not any(nonstrict_values(space.spread, bs, pas))
     res = SuiteResult()
     for K in (cycle(5), octahedron_boundary(2), suspension(cycle(4))):
         check_complex(K, res)
