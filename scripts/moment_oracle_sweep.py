@@ -41,7 +41,7 @@ def main() -> int:
         space = ConfigurationSpace(K)
         k = K.dim
         # Both in cell order; a stored cell meshes 0 or 1, never (-1)^k.
-        meshed = mesh_values(space.masks, space.indexed_cells(2 * k)[1])
+        meshed = mesh_values(space.masks, space.indexed_cells(2 * k))
         for (a, b), comb in zip(space.cells_of_degree(2 * k), meshed, strict=True):
             geo = moment_intersection(a, b, K.rank)
             total += 1

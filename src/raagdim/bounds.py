@@ -43,17 +43,6 @@ class BoundRecord(NamedTuple):
     caveats: tuple = ()
     in_interval: bool = True
 
-    def to_json(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "kind": self.kind,
-            "value": self.value,
-            "rule": self.rule,
-            "detail": self.detail,
-            "caveats": list(self.caveats),
-            "certified": self.in_interval,
-        }
-
 
 class DimensionReport(NamedTuple):
     vertices: int

@@ -8,9 +8,10 @@ on; everything here runs at desk scale.
 This module owns the face order: by dimension, then rank tuple.
 `faces_of_dim(k)` lists the k-faces in it and `ranked_faces()` their rank
 tuples, built once, which every index reads or lifts (OL's and a doubled
-complex's), and `facet_rows(d)` the facet ids of the d-faces, built once
-per degree, which every simplicial boundary reads (`homology` and
-`verify`'s cycle check), with the signs `facet_signs(d)` over Z.
+complex's), and the facet order, `facet_ids` (the last vertex dropped
+first), which `facet_rows(d)`, every simplicial boundary's rows, built once
+per degree, and a configuration space's facet table read; over Z the j-th
+facet has the sign `facet_signs(d)[j]`.
 `maximal_faces` and `is_flag` read their answers off that order, with no
 sort of their own.  The constructors that can grow a complex past its
 input, `make_complex`, `flag_completion` and `join`, refuse to build more
@@ -119,15 +120,20 @@ def facet_signs(d: int) -> tuple:
     return tuple([(-1) ** (d - j) for j in range(d + 1)])
 
 
+def facet_ids(faces, ids: dict) -> list:
+    """The facet ids of each face of `faces` (rank tuples, none a vertex)
+    through `ids` (rank tuple -> id, in the face order), the last vertex
+    dropped first, so each row's ids increase: the one facet order."""
+    return [tuple([ids[t[:i] + t[i + 1 :]] for i in range(len(t) - 1, -1, -1)]) for t in faces]
+
+
 def _facet_rows(ranked: tuple, d: int) -> tuple:
-    """The facet ids of the d-faces, read off their rank tuples `ranked[d]`,
-    dropping the last vertex first, so each row's ids increase.  In degree 0
-    every vertex's row is the single augmentation cell (id 0), so homology
-    read from these rows is reduced."""
+    """The facet ids of the d-faces, read off their rank tuples `ranked[d]`
+    by `facet_ids`.  In degree 0 every vertex's row is the single
+    augmentation cell (id 0), so homology read from these rows is reduced."""
     if d == 0:
         return ((0,),) * len(ranked[0])
-    ids = {t: i for i, t in enumerate(ranked[d - 1])}
-    return tuple([tuple([ids[t[:i] + t[i + 1 :]] for i in range(d, -1, -1)]) for t in ranked[d]])
+    return tuple(facet_ids(ranked[d], {t: i for i, t in enumerate(ranked[d - 1])}))
 
 
 def make_complex(faces, vertex_order=None) -> SimplicialComplex:

@@ -8,35 +8,27 @@ which acts with the sign (-1)^(dim a * dim b).
 
 ConfigurationSpace works on an index of K, all in ints, read off
 `K.ranked_faces()` (every complex type answers it).  Every face gets an id
-(by dimension, then rank tuple: the face order `complexes` owns), its rank
-tuple, an int vertex bitmask, so disjointness is `mask_a & mask_b == 0`
-and meshing an alternation of bits (spaced out, bit 2r for rank r, in
-`spread` for the nonstrict rule), and its facet ids, built once through
-`rank_ids`, the one dict that names a face by id, on its rank tuple (drop
-each vertex, in id order).  Each degree is enumerated once, as face-id
-pairs (a, b) already in cell order (by the id of a, then of b), with no
-sort; `indexed_cells(d)` hands them out with the rank tuples, which the
-moment oracle reads, and `cells_of_degree(d)`, uncached, turns them into
-pairs of faces for the scripts, the tests and the benchmark's tracer:
-nothing in the package reads it.  The faces as vertex tuples are built
-only on first read, from the rank tuples, by what hands out cells
-(`cells_of_degree`, `key_cell`) or words a failure.
+in the face order `complexes` owns, its rank tuple, an int vertex bitmask,
+so disjointness is `mask_a & mask_b == 0` and meshing an alternation of
+bits (spaced out, bit 2r for rank r, in `spread` for the nonstrict rule),
+and its facet ids in the facet order `complexes.facet_ids` owns, through
+`rank_ids`, the one dict that names a face by id, on its rank tuple.  Each
+degree is enumerated once, `indexed_cells(d)`, as face-id pairs (a, b)
+already in cell order (by the id of a, then of b), with no sort;
+`cells_of_degree(d)`, uncached, turns them into pairs of faces for the
+scripts, the tests and the benchmark's tracer: nothing in the package
+reads it.  The faces as vertex tuples are built only on first read, by
+what hands out cells (`cells_of_degree`, `key_cell`) or words a failure.
 
-The space of a complex on signed vertices, OL or a doubled complex, is
-built from its base, not from its face set, which it never builds.  A
-signed vertex (v, s) ranks 2 r(v) + [s = +], so a face of the base with
-ranks (r0, .., rk) lifts to the rank tuples (2 r0 + e0, .., 2 rk + ek),
-with a plus copy over every vertex for OL and over delta only for a
-doubled complex (`octa.lift_ranks`, the only lifting rule); sorting each
-dimension's lifts, int tuples with no key, gives the id order, as a
-doubled complex's own vertex order is a suborder of OL's.  So the index,
-and with it the cell order, the keys, every solve and every certificate,
-are those of the space on the face set.  For the same reason a doubled
-complex's chain can be named in OL's space, which holds its faces in the
-same order: the certificate paths name it in the doubled complex's own
-space, the lemma suite in OL's, whose facet ids and minus copies it
-builds once per complex.  OL's cells are counted on L
-without building the index, by the identity
+The space of OL or of a doubled complex is built from its base, not from
+its face set, which it never builds: `octa` owns the lift, and its
+`ranked_faces` are in the face set's id order.  So the index, and with it
+the cell order, the keys, every solve and every certificate, are those of
+the space on the face set, and a doubled complex's chain can be named in
+OL's space, which holds its faces in the same order: the certificate
+paths name it in the doubled complex's own space, the lemma suite in
+OL's, whose facet ids and minus copies it builds once per complex.  OL's
+cells are counted on L without building the index, by the identity
 
     n_d = 1/2 * sum 2^|s u t|   over ordered pairs (s, t) of faces of L
                                 with dim s + dim t = d.
@@ -53,7 +45,10 @@ this count, so a refusal builds nothing of OL.  On any other space
 
 A cell has one name: its key a * F + b (read back by `key_cell`), from the
 face ids (a, b) in stored order, F the number of faces.  The key increases
-strictly in cell order.  The facets {a', b} and {a, b'} of a cell are read
+strictly in cell order.  The enumeration yields stored pairs, and
+`stored_cells` names any other list of disjoint face-id pairs, listed
+either half first, the one copy of that rule that `verify` and the
+integer pullback read.  The facets {a', b} and {a, b'} of a cell are read
 off the facet table as keys, by one first-vertex argument (`_first_half`):
 a stored cell has a's first vertex below b's, so every facet of a that
 keeps that vertex stays first, with key a' * F + b, and only the one that
@@ -73,8 +68,8 @@ So no solve, over either ring, builds a cell of degree d or d - 1.
 
 For a complex on signed vertices, `minus_ids` is the projection table that
 the push to the product with the minus copy reads: each face's minus copy,
-by id, through `rank_ids`: as every such space is lifted on OL's ranks
-(above), each rank r of the face goes to r & -2, the low bit cleared.
+by id, through `rank_ids`: as every such space is lifted on OL's ranks,
+each rank r of the face goes to r & -2, the low bit cleared.
 """
 
 from __future__ import annotations
@@ -82,7 +77,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cached_property
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, facet_ids
 from .octa import DoubledComplex, Octahedralization
 
 
@@ -180,12 +175,12 @@ class ConfigurationSpace:
 
     @cached_property
     def _facet_ids(self) -> list:
-        """Each face's facet ids by face id, in id order: dropping the last
-        vertex first, as a lower rank tuple has a lower id.  Unaugmented: a
-        vertex has no facets."""
-        rid = self.rank_ids
-        return [tuple([rid[t[:i] + t[i + 1 :]] for i in range(len(t) - 1, -1, -1)]) if len(t) > 1 else ()
-                for t in self._index[0]]
+        """Each face's facet ids by face id, in the facet order of
+        `complexes.facet_ids`, through `rank_ids`.  Unaugmented: a vertex has
+        no facets."""
+        ranks, spans = self._index[0], self._index[3]
+        n = spans[0][1] if spans else 0
+        return [()] * n + facet_ids(ranks[n:], self.rank_ids)
 
     def _pairs(self, d: int):
         """Face-id pairs (a, b) of the d-cells, in cell order.
@@ -205,8 +200,9 @@ class ConfigurationSpace:
                     if not ma & masks[gb]:
                         yield ga, gb
 
-    def _degree(self, d: int) -> tuple:
-        """The face-id pairs of the d-cells in cell order, enumerated once."""
+    def indexed_cells(self, d: int) -> tuple:
+        """The face-id pairs (a, b) of the d-cells in cell order, enumerated
+        once."""
         if d not in self._degrees:
             self._degrees[d] = tuple(self._pairs(d))
         return self._degrees[d]
@@ -214,12 +210,7 @@ class ConfigurationSpace:
     def cells_of_degree(self, d: int) -> tuple:
         """The d-cells in cell order, as pairs of faces; built on every read."""
         faces = self.faces
-        return tuple([(faces[ga], faces[gb]) for ga, gb in self._degree(d)])
-
-    def indexed_cells(self, d: int) -> tuple:
-        """The rank tuples of the faces by id, and the face-id pairs (a, b) of
-        the d-cells in cell order."""
-        return self._index[0], self._degree(d)
+        return tuple([(faces[ga], faces[gb]) for ga, gb in self.indexed_cells(d)])
 
     def count_cells(self, d: int) -> int:
         """Exact number of d-cells, counted once.  On OL's space it is read
@@ -227,10 +218,19 @@ class ConfigurationSpace:
         building OL's faces or index; on any other space it is the length of
         the enumerated degree."""
         if not isinstance(self.K, Octahedralization):
-            return len(self._degree(d))
+            return len(self.indexed_cells(d))
         if d not in self._counts:
             self._counts[d] = _lifted_pair_count(self.K.base, d)
         return self._counts[d]
+
+    def stored_cells(self, pairs) -> tuple:
+        """The cells {a, b} of `pairs`, disjoint face-id pairs listed either
+        half first, as two lists in the order of `pairs`: their keys and
+        their stored pairs, a the half with the lower first rank."""
+        first = self._index[2]
+        F = len(first)
+        stored = [(a, b) if first[a] < first[b] else (b, a) for a, b in pairs]
+        return [a * F + b for a, b in stored], stored
 
     def key_cell(self, key: int) -> tuple:
         """The cell with the given key, as stored."""
@@ -280,7 +280,7 @@ class ConfigurationSpace:
         """Unsigned boundary of every d-cell as a list of facet keys, one list
         per cell in cell order; computed once per degree."""
         if d not in self._keys:
-            self._keys[d] = tuple(self._facet_rows(self._degree(d)))
+            self._keys[d] = tuple(self._facet_rows(self.indexed_cells(d)))
         return self._keys[d]
 
     def boundary(self, pairs) -> tuple:

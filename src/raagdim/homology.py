@@ -6,9 +6,9 @@ one.  Rational ranks come from exact integer elimination: unit pivots on
 the sparse rows, then fraction-free elimination of the core they leave.
 
 Simplicial boundaries are read off `K.facet_rows(d)`, built once per
-degree in the face order `complexes` owns: a d-face's facet ids come from
-dropping its last vertex first, the order `ConfigurationSpace._facet_ids` uses, so each row's ids
-increase with no sort, and the j-th facet has sign (-1)^(d - j),
+degree in the face order and the facet order `complexes` owns (the last
+vertex dropped first, `complexes.facet_ids`), so each row's ids increase
+with no sort, and the j-th facet has sign (-1)^(d - j),
 `complexes.facet_signs(d)`, the one copy of the sign rule.  Every
 coefficient is +-1, so the GF(2) rows are the id rows as they are,
 eliminated sparsely by `gf2`; over Q, `intlinalg.sparse_rank` reads the

@@ -7,9 +7,10 @@ explicit: signed vertices serialize as [label, "+"] or [label, "-"].
 
 `dumps` writes exactly `json.dumps(data, sort_keys=True, indent=2) + "\n"`,
 a list of memoized lists (a certificate cell) in place.  A certificate has
-many cells but few halves and labels: `certificate_to_json` ranks each half
-once and shares one list per label and half, and `certificate_from_json`
-decodes each signed label to one tuple.
+many cells but few halves and labels: `certificate_to_json` ranks the
+distinct halves by value and shares one list per label and half, which
+`dumps` writes once each, and `certificate_from_json` decodes each signed
+label to one tuple.
 """
 
 from __future__ import annotations
@@ -197,15 +198,12 @@ def certificate_to_json(cert: CycleCertificate) -> dict:
     """The certificate as a JSON dict whose label and half lists are shared
     between occurrences: do not mutate them in place (`copy.deepcopy` first)."""
     cycle = sorted(cert.cycle)
-    # The cells share their space's face tuples: rank each half object once,
-    # by value (equal halves held apart share a rank), then sort the cells
-    # as tuples of halves, on one int each.
+    # Rank the distinct halves by value, then sort the cells as tuples of
+    # halves, on one int each.
     halves = list(chain.from_iterable(cert.omega))
-    by_id = dict(zip(map(id, halves), halves))
-    ranked = sorted(set(by_id.values()))
+    ranked = sorted(set(halves))
     rank = {half: r for r, half in enumerate(ranked)}
-    rank_of_id = {i: rank[half] for i, half in by_id.items()}
-    ranks = [rank_of_id[id(half)] for half in halves]
+    ranks = [rank[half] for half in halves]
     n = len(ranked)
     keys = sorted(a * n + b for a, b in zip(ranks[::2], ranks[1::2]))
     labels = {v: _encode_label(v) for s in (*cycle, cert.delta, *ranked) for v in s}
@@ -281,7 +279,8 @@ def report_to_json(report: DimensionReport) -> dict:
         "embdim_OL": interval_json(report.embdim),
         "actdim_AL": interval_json(report.actdim),
         "conjecture": report.conjecture_status,
-        "bounds": [r.to_json() for r in report.records],
+        "bounds": [{"quantity": r.quantity, "kind": r.kind, "value": r.value, "rule": r.rule, "detail": r.detail,
+                    "caveats": list(r.caveats), "certified": r.in_interval} for r in report.records],
         "warnings": list(report.warnings),
         "determined": report.determined,
     }

@@ -132,9 +132,8 @@ def covering_pair_chain(doubled: DoubledComplex, space: ConfigurationSpace):
     through `space.rank_ids`.  A partner b ranks its first vertex above a's
     (found by bisection on the first ranks), as in a stored cell.  A face's
     cover of delta is read off its rank tuple: (v, s) ranks 2 r(v) + [s = +]."""
-    rk = doubled.octa.base.rank
-    delta = tuple([rk[v] for v in doubled.delta])
-    tops = lift_ranks([[tuple([rk[v] for v in f]) for f in doubled.cycle]], delta)[0]
+    delta = doubled.delta_ranks
+    tops = lift_ranks(doubled.cycle_ranks, delta)
     rid, masks = space.rank_ids, space.masks
     ids = [rid[t] for t in tops]
     top_masks = [masks[g] for g in ids]
@@ -181,10 +180,9 @@ def delta_product_chain(doubled: DoubledComplex, space: ConfigurationSpace) -> s
     on OL's ranks (OL's or the doubled complex's): both halves lifted by
     `lift_ranks` (a minus copy is the lift with no plus rank), read through
     `space.rank_ids`."""
-    rk, rid = doubled.octa.base.rank, space.rank_ids
-    delta = tuple([rk[v] for v in doubled.delta])
-    halves = [lift_ranks([[delta]], delta)[0], lift_ranks([[tuple([rk[v] for v in b]) for b in doubled.cycle]], ())[0]]
-    lifts, minus_cycle = [[rid[t] for t in half] for half in halves]
+    rid, delta = space.rank_ids, doubled.delta_ranks
+    lifts = [rid[t] for t in lift_ranks([delta], delta)]
+    minus_cycle = [rid[t] for t in lift_ranks(doubled.cycle_ranks, ())]
     return {(a, b) for a in lifts for b in minus_cycle}
 
 
@@ -280,7 +278,7 @@ def top_mesh_cocycle(space: ConfigurationSpace, degree: int) -> list:
     integer cocycle as well as its mod-2 reduction.  It reads the vertex
     bitmasks of `space`'s index.
     """
-    return mesh_values(space.masks, space.indexed_cells(2 * degree)[1])
+    return mesh_values(space.masks, space.indexed_cells(2 * degree))
 
 
 def _top_signs(degree: int) -> tuple:
@@ -295,8 +293,8 @@ def _top_signs(degree: int) -> tuple:
 def _recheck(space: ConfigurationSpace, degree: int, phi: list, x, modulus: int, what: str):
     """Check delta(x) = phi on every degree-cell, mod `modulus` (0 for
     exactly over Z), for phi given by position in cell order (a ValueError
-    when its length differs) and the cochain x on cell keys (a * F + b, as
-    in `space.facet_keys`): mod 2 its support against the facet keys, over
+    when its length differs) and the cochain x on cell keys (as in
+    `space.facet_keys`): mod 2 its support against the facet keys, over
     Z its values, a dict, against the facet keys with `_top_signs` (a
     ValueError for a row of another length)."""
     if modulus == 2:
@@ -329,12 +327,12 @@ def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: i
     index: the minus copy of each k-face and the lifts of each (k-1)-face
     of L by `lift_ranks` on L's `ranked_faces`, as face ids through
     `space.rank_ids`, every r_a in one `nonstrict_values` list,
-    disjointness on masks and the stored order by first ranks.
+    disjointness on masks, and the cells named by `space.stored_cells`.
     """
     L = octa.base
-    ranks, masks, rid = space.ranks, space.masks, space.rank_ids
-    ranked, sign, F, tops = L.ranked_faces(), (-1) ** k, len(ranks), space.ids_of_dim(k)
-    minus_top = [rid[t] for t in lift_ranks([ranked[k]], ())[0]]
+    masks, rid = space.masks, space.rank_ids
+    ranked, sign, tops = L.ranked_faces(), (-1) ** k, space.ids_of_dim(k)
+    minus_top = [rid[t] for t in lift_ranks(ranked[k], ())]
     values = iter(nonstrict_values(space.spread, [a for a in tops for _ in minus_top], minus_top * len(tops)))
     rhs = [tuple([sign * next(values) for _ in minus_top]) for _ in tops]
     distinct = list(dict.fromkeys(rhs))
@@ -342,16 +340,18 @@ def _pullback_primitive(octa: Octahedralization, space: ConfigurationSpace, k: i
     psis = solve_integer([zip(row, signs, strict=True) for row in L.facet_rows(k)], distinct)
     if psis is None:
         return None
-    lower = [[rid[t] for t in lifts] for lifts in lift_ranks([[t] for t in ranked[k - 1]], range(len(L.vertices)))]
+    lower = [[rid[t] for t in lift_ranks([f], range(len(L.vertices)))] for f in ranked[k - 1]]
     psi = {r: [(lower[i], v) for i, v in x.items() if v] for r, x in zip(distinct, psis)}
-    values: dict = {}
+    cells, values = [], []
     for a, r in zip(tops, rhs):
-        mask, first = masks[a], ranks[a][0]
+        mask = masks[a]
         for taus, v in psi[r]:
             for tau in taus:
                 if not mask & masks[tau]:
-                    values[a * F + tau if first < ranks[tau][0] else tau * F + a] = v
-    return dict(sorted(values.items()))
+                    cells.append((a, tau))
+                    values.append(v)
+    keys, _ = space.stored_cells(cells)
+    return dict(sorted(zip(keys, values)))
 
 
 def _integer_solve(phi, degree: int, space: ConfigurationSpace):
@@ -398,7 +398,7 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
     phi = top_mesh_cocycle(space, k)
     primitive, witness = solve_coboundary(phi, 2 * k, space)
     if primitive is None:
-        faces, pairs = space.faces, space.indexed_cells(2 * k)[1]
+        faces, pairs = space.faces, space.indexed_cells(2 * k)
         chain = [pairs[i] for i in witness]
         boundary, value = pairing(space, chain)
         if boundary:

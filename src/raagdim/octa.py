@@ -6,31 +6,22 @@ The vertex order on the doubled complex interleaves the base order:
     v0-, v0+, v1-, v1+, ..., vn-, vn+
 
 and nothing downstream is allowed to use any other order, because the
-meshing cocycles read it.  `lift_ranks` is the one lifting rule, on rank
-tuples in OL's order: OL's faces and a doubled complex's (`ranked_faces`),
-and the lifts of a base face and its minus copy (the lift with no plus
-rank), which `verify` and the integer route read, all come from it.  All
-three complex types answer `ranked_faces()`: a base its own face order,
-which `complexes` owns, and OL and a doubled complex its lifts.
+meshing cocycles read it.  This module owns the lift: `lift_ranks`, the one
+lifting rule, lifts one list of base rank tuples to OL's ranks.  OL's
+`ranked_faces` and a doubled complex's map it over their base levels, and
+the covering chain, the product chain and the integer route lift their
+faces with it, a minus copy being the lift with no plus rank.  A
+`DoubledComplex`, the support of a cycle doubled over one of its
+simplices, keeps only the cycle, the simplex and OL, and builds the base
+rank tuples of the cycle and of delta once (`cycle_ranks`,
+`delta_ranks`), which every lift of it reads; it has no face set.
 `Octahedralization` reads the order and its ranks off the base, and builds
 the doubled face set, its `ranked_faces` read through `vertices`, only
-when `complex` is first read: by `raagdim octahedralize`, which writes OL
-out, by `scripts/moment_oracle_sweep.py` and by the tests' oracles.  A
-`DoubledComplex`, the support of a cycle doubled over one of its
-simplices, keeps only the cycle, the simplex and OL, and has no face set.
-`analyze`, `verify` and the lemma suite build neither: the configuration
-space of OL and of a doubled complex lifts its faces from the base
-(`ranked_faces`), and OL's counts its cells on the base.  A doubled
-complex's faces are faces of OL, so the lemma suite names its chains in
-OL's space, built once per complex, and builds no doubled complex's space.  Nor do these
-paths name a face by its vertex tuple, but by its rank tuple or its id
-(`ConfigurationSpace.rank_ids`; `verify` maps a stored half's labels to
-ranks by `rank`): face tuples are built only for a certificate's stored
-cells, an obstructed witness, the lemma suite's moment oracle and the
-wording of a failure.  A face's minus copy, the relabelling that the push
-to the product with the minus copy applies to every half, is its rank
-tuple with each rank's low bit cleared, read by face id from
-`ConfigurationSpace.minus_ids`.
+when `complex` is first read: by `raagdim octahedralize`, by
+`scripts/moment_oracle_sweep.py` and by the tests' oracles.  The
+configuration space of OL and of a doubled complex reads the lifted
+`ranked_faces`, and names a face by its rank tuple or its id
+(`ConfigurationSpace.rank_ids`), not by its vertex tuple.
 """
 
 from __future__ import annotations
@@ -45,22 +36,19 @@ MINUS = -1
 PLUS = +1
 
 
-def lift_ranks(levels, plus) -> list:
-    """The faces of a complex on signed vertices as rank tuples in OL's
-    vertex order, one sorted list per dimension, from its base faces'
-    rank tuples (`levels`, one list per dimension).
+def lift_ranks(faces, plus) -> list:
+    """The lifts of base faces, given by their rank tuples, as rank tuples in
+    OL's vertex order, in one sorted list.
 
     (v, s) ranks 2 r(v) + 1 for s = PLUS and 2 r(v) for MINUS, so a base
     face with ranks (r0, .., rk) lifts to the tuples (2 r0 + e0, .., 2 rk +
     ek), with ei = 1 allowed only for ri in `plus`.  Sorted with no key,
-    each list is the rank-tuple order of the signed complex's own
-    `faces_of_dim`: its vertex order is a suborder of OL's."""
-    out = []
-    for level in levels:
-        lifted = [t for f in level for t in product(*[(2 * r, 2 * r + 1) if r in plus else (2 * r,) for r in f])]
-        lifted.sort()
-        out.append(lifted)
-    return out
+    the lifts of one dimension's faces are in the rank-tuple order of the
+    signed complex's own `faces_of_dim`: its vertex order is a suborder of
+    OL's."""
+    lifted = [t for f in faces for t in product(*[(2 * r, 2 * r + 1) if r in plus else (2 * r,) for r in f])]
+    lifted.sort()
+    return lifted
 
 
 # Octahedralization's field, subclassed as `_ComplexFields` is.
@@ -92,7 +80,7 @@ class Octahedralization(_OctaFields):
         """The faces as rank tuples, one sorted list per dimension, lifted
         from the base's (`ranked_faces`) by `lift_ranks` with a plus copy
         over every vertex, without building `complex`."""
-        return lift_ranks(self.base.ranked_faces(), range(len(self.base.vertices)))
+        return [lift_ranks(level, range(len(self.base.vertices))) for level in self.base.ranked_faces()]
 
 
 def octahedralize(L: SimplicialComplex) -> Octahedralization:
@@ -100,7 +88,14 @@ def octahedralize(L: SimplicialComplex) -> Octahedralization:
     return Octahedralization(base=L)
 
 
-class DoubledComplex(NamedTuple):
+# DoubledComplex's fields, subclassed as `_ComplexFields` is.
+class _DoubledFields(NamedTuple):
+    cycle: frozenset
+    delta: tuple
+    octa: Octahedralization
+
+
+class DoubledComplex(_DoubledFields):
     """A cycle support doubled over one of its simplices: the full
     subcomplex of the octahedralized support on the minus copy of the cycle
     plus both lifts of the chosen simplex.  Kept as the cycle, the simplex
@@ -108,9 +103,17 @@ class DoubledComplex(NamedTuple):
     index from the support (`ranked_faces`), and OL's space holds its
     faces too, with the same order."""
 
-    cycle: frozenset
-    delta: tuple
-    octa: Octahedralization
+    @cached_property
+    def cycle_ranks(self) -> list:
+        """The base rank tuples of the cycle's simplices, built once."""
+        rk = self.octa.base.rank
+        return [tuple([rk[v] for v in f]) for f in self.cycle]
+
+    @cached_property
+    def delta_ranks(self) -> tuple:
+        """The base rank tuple of delta, built once."""
+        rk = self.octa.base.rank
+        return tuple([rk[v] for v in self.delta])
 
     @property
     def vertices(self) -> tuple:
@@ -121,13 +124,11 @@ class DoubledComplex(NamedTuple):
         """The faces as rank tuples, one sorted list per dimension: the
         support's faces (subsets of the cycle's simplices) lifted by
         `lift_ranks` with a plus copy over delta only."""
-        rk = self.octa.base.rank
         support = [set() for _ in self.delta]
-        for f in self.cycle:
-            t = tuple([rk[v] for v in f])
+        for t in self.cycle_ranks:
             for r, level in enumerate(support, 1):
                 level.update(combinations(t, r))
-        return lift_ranks(support, {rk[v] for v in self.delta})
+        return [lift_ranks(level, self.delta_ranks) for level in support]
 
 
 def double_over(octa: Octahedralization, cycle, delta) -> DoubledComplex:

@@ -133,7 +133,7 @@ def check_complex(K: SimplicialComplex, result: SuiteResult) -> None:
     k = K.dim
     octa = octahedralize(K)
     space = ConfigurationSpace(octa)
-    top_pairs = space.indexed_cells(2 * k)[1]
+    top_pairs = space.indexed_cells(2 * k)
     cocycle, spread = top_mesh_cocycle(space, k), space.spread
     (a1, b1), (a2, b2) = push_terms(top_pairs, space)
     pushed = list(map(add, nonstrict_values(spread, a1, b1), nonstrict_values(spread, a2, b2)))

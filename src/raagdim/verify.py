@@ -2,21 +2,21 @@
 
 Rebuilds the doubled complex and the covering chain from the certificate's
 (M, Delta) against the provided complex and re-runs every identity, naming
-the first failing check.  M's cycle check names M's simplices by id in the
-face order and counts their facets mod 2 by `chain_boundary` on the
-complex's facet rows (`SimplicialComplex.facet_rows`, the one facet rule; a
-vertex's row is the augmentation cell, so in degree 0 the rule is an even
-vertex count).  Each distinct half of the stored pairs is mapped to OL's
-ranks and named by id through `rank_ids` of the doubled complex's
-configuration space, lifted from M's support, once however many pairs list
-it; each pair must have the stated total size and disjoint halves (on
-masks), and is then named once by its cell key (either half first).  The
-stored chain's boundary, evaluation, GF(2) push and support match run on
-keys, face-id pairs, rank tuples and bitmasks, never on a face set of OL
-or the doubled complex, nor on face tuples: a key becomes a cell again
-only to word a failure.  The stored support must match the rebuilt chain exactly,
-and neither M nor the stored support may list an entry twice (it would
-cancel mod 2); a certificate is a proof object, not a hint.
+the first failing check.  M must lie in L's degree-skeleton, which has
+L's vertex order, so M is checked and octahedralized on L itself.  M's
+cycle check counts the facets of M's simplices, by id, mod 2 on L's facet
+rows (`SimplicialComplex.facet_rows`; a vertex's row is the augmentation
+cell, so in degree 0 the rule is an even vertex count).  Each distinct
+half of the stored pairs is named by id once, through its OL ranks and
+`rank_ids` of the doubled complex's space, lifted from M's support; each
+pair must have the stated total size and disjoint halves (on masks), and
+the space names the pairs as stored cells (`stored_cells`).  The stored
+chain's checks run on keys, face-id pairs, rank tuples and bitmasks,
+never on a face set of OL or the doubled complex, nor on face tuples: a
+cell becomes faces again only to word a failure.  The stored support must
+match the rebuilt chain exactly, and neither M nor the stored support may
+list an entry twice (it would cancel mod 2); a certificate is a proof
+object, not a hint.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, skeleton
+from .complexes import SimplicialComplex
 from .config_space import ConfigurationSpace, chain_boundary
 from .obstruction import (
     check_star_condition,
@@ -64,30 +64,30 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
         return VerificationOutcome(False, run[-1], detail, tuple(run))
 
     degree = cert["degree"]
-    K = skeleton(L, degree)
 
     run.append(next(stages))
     try:
-        m_faces = frozenset(K.sort_face(f) for f in cert["M"])
-        delta = K.sort_face(cert["Delta"])
+        m_faces = frozenset(L.sort_face(f) for f in cert["M"])
+        delta = L.sort_face(cert["Delta"])
     except ValueError as exc:
         return fail(f"unknown simplex: {exc}")
     if delta not in m_faces:
         return fail("Delta is not a simplex of M")
-    if not m_faces <= K.faces:
+    # Inside means a face of L's degree-skeleton.
+    if not m_faces <= L.faces or any(len(f) > degree + 1 for f in m_faces):
         return fail("M contains simplices outside the complex")
     if any(len(f) != degree + 1 for f in m_faces):
         return fail("M is not pure of the stated degree")
 
     run.append(next(stages))
     if len(m_faces) != len(cert["M"]):
-        listed = [K.sort_face(f) for f in cert["M"]]
+        listed = [L.sort_face(f) for f in cert["M"]]
         twice = next(f for i, f in enumerate(listed) if f in listed[:i])
         return fail(f"M lists {twice} twice")
-    # M's faces by id, toggled through K's facet rows; a vertex's row is the
+    # M's faces by id, toggled through L's facet rows; a vertex's row is the
     # augmentation cell, so a 0-cycle has evenly many vertices.
-    m_ids = [i for i, f in enumerate(K.faces_of_dim(degree)) if f in m_faces]
-    if chain_boundary(m_ids, K.facet_rows(degree).__getitem__):
+    m_ids = [i for i, f in enumerate(L.faces_of_dim(degree)) if f in m_faces]
+    if chain_boundary(m_ids, L.facet_rows(degree).__getitem__):
         return fail("M is not a GF(2) cycle")
 
     run.append(next(stages))
@@ -97,27 +97,32 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
     if not star.holds:
         return fail(f"violating pair {star.violation}")
 
-    octa = octahedralize(K)
+    octa = octahedralize(L)
     doubled = double_over(octa, m_faces, delta)
     space, rebuilt = covering_pair_chain(doubled, ConfigurationSpace(doubled))
-    ranks, masks, rid, rank = space.ranks, space.masks, space.rank_ids, octa.rank
-    F = len(ranks)
+    masks, rid, rank = space.masks, space.rank_ids, octa.rank
 
     run.append(next(stages))
-    keys = set()
     # Each distinct half is named once; an unknown one is named None.
     support = cert["omega_support"]
     named = {half: rid.get(tuple(map(rank.get, half))) for half in dict.fromkeys(chain.from_iterable(support))}
+    listed = []
     for a, b in support:
         ga, gb = named[a], named[b]
         if ga is None or gb is None or len(a) + len(b) != 2 * degree + 2 or masks[ga] & masks[gb]:
-            return fail(f"stored pair {(a, b)} is not a disjoint pair of faces of degree {2 * degree}")
-        key = ga * F + gb if ranks[ga][0] < ranks[gb][0] else gb * F + ga
-        if key in keys:
+            break
+        listed.append((ga, gb))
+    keys, cells = space.stored_cells(listed)
+    seen = set()
+    for (a, b), key in zip(support, keys):
+        if key in seen:
             return fail(f"stored pair {(a, b)} lists the cell {space.key_cell(key)} twice")
-        keys.add(key)
+        seen.add(key)
+    if len(listed) < len(support):
+        a, b = support[len(listed)]
+        return fail(f"stored pair {(a, b)} is not a disjoint pair of faces of degree {2 * degree}")
     # In cell order, so `boundary` builds each first half's part once per run.
-    stored = [divmod(key, F) for key in sorted(keys)]
+    stored = sorted(cells)
     boundary, evaluation = pairing(space, stored)
     if boundary:
         return fail(f"stored chain has boundary, e.g. at {space.key_cell(boundary[0])}")
@@ -136,10 +141,10 @@ def verify_certificate(L: SimplicialComplex, cert: dict) -> VerificationOutcome:
         return fail("product evaluation is not 1")
 
     run.append(next(stages))
-    rebuilt_keys = {a * F + b for a, b in rebuilt}
-    if keys != rebuilt_keys:
-        extra = sorted(map(space.key_cell, keys - rebuilt_keys))[:3]
-        missing = sorted(map(space.key_cell, rebuilt_keys - keys))[:3]
+    extra, missing = set(cells) - set(rebuilt), set(rebuilt) - set(cells)
+    if extra or missing:
+        faces = space.faces
+        extra, missing = [sorted([(faces[a], faces[b]) for a, b in part])[:3] for part in (extra, missing)]
         return fail(f"stored support differs (extra {extra}, missing {missing})")
 
     return VerificationOutcome(True, None, "certificate verified", tuple(run))

@@ -16,7 +16,7 @@ from raagdim.homology import cycle_space
 from raagdim.obstruction import certify_nonvanishing, covering_pair_chain, push_to_product
 from raagdim.octa import double_over, octahedralize
 from raagdim.verify import CHECKS, VerificationOutcome, verify_certificate
-from raagdim.zoo import ZOO, build_named, cycle, random_flag
+from raagdim.zoo import ZOO, build_named, cycle, random_flag, suspension
 from test_config_space import cell_key
 from test_pins import load_workloads
 
@@ -49,7 +49,7 @@ def test_pair_chain_and_id_push_match_the_cell_references(n, p, seed):
         # integer reference push reduced mod 2.
         chains = [pairs]
         for d in range(2 * k):
-            lower = space.indexed_cells(d)[1]
+            lower = space.indexed_cells(d)
             chains.append(rng.sample(lower, min(8, len(lower))))
         faces = space.faces
         for chain in chains:
@@ -147,6 +147,8 @@ def test_verify_names_a_bad_M_and_a_star_violation_as_the_reference_does():
     triangles = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     sphere = {"degree": 2, "M": triangles, "Delta": (0, 1, 2), "omega_support": [], "star_condition": True,
               "evaluation": 1}
+    S = suspension(L)
+    on_s = io_json.certificate_from_json(io_json.certificate_to_json(certify_nonvanishing(S, 1)))
     first = ("delta-membership",)
     for K, cert, outcome in [
         (L, dict(data, M=data["M"] + [("zz", "c0")]),
@@ -158,5 +160,9 @@ def test_verify_names_a_bad_M_and_a_star_violation_as_the_reference_does():
         (make_complex(triangles), sphere,
          VerificationOutcome(False, "star-condition", "violating pair ((0, 1, 3), (0, 2, 3))",
                              ("delta-membership", "cycle-condition", "star-condition"))),
+        # A triangle of a 2-complex lies outside the 1-skeleton a degree-1
+        # certificate is checked on.
+        (S, dict(on_s, M=on_s["M"] + [S.faces_of_dim(2)[0]]),
+         VerificationOutcome(False, "delta-membership", "M contains simplices outside the complex", first)),
     ]:
         assert verify_certificate(K, cert) == outcome == certificate_reference.verify_certificate(K, cert)

@@ -372,7 +372,7 @@ def test_facet_keys_match_the_per_cell_rule_row_by_row():
     for K in facet_rule_spaces():
         cs = ConfigurationSpace(K)
         for d in range(2 * K.dim + 1):
-            _faces, pairs = cs.indexed_cells(d)
+            pairs = cs.indexed_cells(d)
             rows = cs.facet_keys(d)
             assert len(rows) == len(pairs)
             for pair, row in zip(pairs, rows):
@@ -441,7 +441,7 @@ def assert_lifted_index_matches_the_tuple_oracle(L):
         if index_reference.scan_cost(ref, d) > SCAN_CAP:
             continue
         pairs = index_reference.pairs(ref, d)
-        assert list(lifted.indexed_cells(d)[1]) == pairs, (L.maximal_faces(), d)
+        assert list(lifted.indexed_cells(d)) == pairs, (L.maximal_faces(), d)
         assert count == len(pairs)
         assert list(lifted.facet_keys(d)) == [facet_reference.cell_facet_keys(lifted, pair) for pair in pairs]
     for doubled in doubled_over(L):
@@ -489,7 +489,7 @@ def test_boundary_matches_the_per_cell_rule_in_any_chain_order():
     rng = random.Random(20)
     for cs in boundary_spaces():
         for d in range(2 * len(cs._index[3]) - 1):
-            pairs = cs.indexed_cells(d)[1]
+            pairs = cs.indexed_cells(d)
             chains = [list(pairs)]
             for _ in range(3):
                 chain = rng.choices(pairs, k=rng.randint(1, 40)) if pairs else []
@@ -513,6 +513,21 @@ def test_boundary_of_the_obstructed_witness_matches_the_per_cell_oracle():
     random.Random(3).shuffle(broken)
     assert cs.boundary(broken) == facet_reference.boundary(cs, broken) == facet_reference.boundary(cs, chain[:1])
     assert cs.boundary(broken)
+
+
+def test_stored_cells_names_every_cell_by_its_key_whichever_half_is_listed_first():
+    # Every degree of the zoo's OL spaces and doubled spaces: the
+    # enumeration yields stored pairs, whose keys a * F + b increase.
+    for L in [entry.complex() for entry in ZOO]:
+        for cs in [ConfigurationSpace(octahedralize(L))] + list(map(ConfigurationSpace, doubled_over(L))):
+            F = len(cs.ranks)
+            for d in range(2 * L.dim + 1):
+                pairs = list(cs.indexed_cells(d))
+                keys = [a * F + b for a, b in pairs]
+                assert all(x < y for x, y in zip(keys, keys[1:])), (L.maximal_faces(), d)
+                assert all(cs.ranks[a][0] < cs.ranks[b][0] for a, b in pairs)
+                assert cs.stored_cells(pairs) == (keys, pairs)
+                assert cs.stored_cells([(b, a) for a, b in pairs]) == (keys, pairs)
 
 
 def assert_lifted_doubled_index_matches_the_tuple_oracle(doubled):
@@ -542,5 +557,5 @@ def assert_lifted_doubled_index_matches_the_tuple_oracle(doubled):
         if index_reference.scan_cost(ref, d) > SCAN_CAP:
             continue
         pairs = index_reference.pairs(ref, d)
-        assert list(lifted.indexed_cells(d)[1]) == pairs == list(built.indexed_cells(d)[1])
+        assert list(lifted.indexed_cells(d)) == pairs == list(built.indexed_cells(d))
         assert lifted.facet_keys(d) == built.facet_keys(d)

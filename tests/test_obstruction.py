@@ -259,7 +259,7 @@ def test_push_is_the_reference_push_mod_2_in_every_degree():
         cs = ConfigurationSpace(o)
         faces = cs.faces
         for d in range(2 * L.dim + 1):
-            pairs = cs.indexed_cells(d)[1]
+            pairs = cs.indexed_cells(d)
             if not pairs:
                 continue
             chain = rng.sample(pairs, min(12, len(pairs)))
@@ -326,7 +326,7 @@ def test_rank_rules_match_their_tuple_oracles(n, p, seed):
         # three degrees.
         degrees = range(2 * len(ranks[-1]) - 1)
         for d in rng.sample(degrees, min(3, len(degrees))):
-            pairs = cs.indexed_cells(d)[1]
+            pairs = cs.indexed_cells(d)
             if not pairs:
                 continue
             pairs = rng.sample(pairs, min(8, len(pairs)))
@@ -844,7 +844,7 @@ def test_moment_oracle_entry_points_agree_on_every_top_cell():
         K = random_flag(7, 0.45, seed)
         cases += [(ConfigurationSpace(J), J.rank, J.dim) for J in (K, octahedralize(K).complex)]
     for space, rank, k in cases:
-        ranks, pairs = space.indexed_cells(2 * k)
+        ranks, pairs = space.ranks, space.indexed_cells(2 * k)
         faces = space.faces
         assert pairs
         values = moment_values(ranks, pairs)

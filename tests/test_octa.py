@@ -4,7 +4,7 @@ A doubled complex has no face set of its own; its face set by definition
 (`index_reference.doubled_complex`, the oracle its lifted index is checked
 against) is checked here."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +13,7 @@ from complex_reference import full_subcomplex
 from index_reference import doubled_complex
 from push_reference import project
 from raagdim.complexes import SimplicialComplex, is_flag, join, make_complex, relabeled
+from raagdim.homology import cycle_space
 from raagdim.octa import MINUS, PLUS, double_over, octahedralize
 from raagdim.zoo import ZOO, cycle, points, random_flag, simplex
 
@@ -191,3 +192,26 @@ def test_double_over_excludes_faces_outside_the_support():
     for f in d.faces_of_dim(1):
         assert set(project(f)) != {"a", "c"}
     assert d.face_counts() == (6, 9)
+
+
+def lift_levels(levels, plus) -> list:
+    """Oracle: every level lifted in one pass, each level's lifts sorted on
+    their own."""
+    return [sorted(t for f in level for t in product(*[(2 * r, 2 * r + 1) if r in plus else (2 * r,) for r in f]))
+            for level in levels]
+
+
+def test_one_level_lift_mapped_over_levels_matches_the_all_levels_lift():
+    for L in [entry.complex() for entry in ZOO]:
+        o = octahedralize(L)
+        assert o.ranked_faces() == lift_levels(L.ranked_faces(), range(len(L.vertices)))
+        for k in range(L.dim + 1):
+            for cyc in cycle_space(L, k)[:1]:
+                for delta in dict.fromkeys([min(cyc), max(cyc)]):
+                    doubled = double_over(o, cyc, delta)
+                    rk = L.rank
+                    support = [{tuple(rk[v] for v in f) for s in cyc for f in combinations(s, r)}
+                               for r in range(1, k + 2)]
+                    assert doubled.cycle_ranks == [tuple(rk[v] for v in f) for f in doubled.cycle]
+                    assert doubled.delta_ranks == tuple(rk[v] for v in delta)
+                    assert doubled.ranked_faces() == lift_levels(support, {rk[v] for v in delta})

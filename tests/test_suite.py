@@ -189,7 +189,7 @@ def test_the_swap_term_of_a_stored_top_cell_never_meshes():
         space = ConfigurationSpace(octahedralize(L))
         ranks = space.ranks
         for d in range(0, 2 * L.dim + 1, 2):
-            pairs = [(a, b) for a, b in space.indexed_cells(d)[1] if len(ranks[a]) == len(ranks[b])]
+            pairs = [(a, b) for a, b in space.indexed_cells(d) if len(ranks[a]) == len(ranks[b])]
             assert pairs
             _firsts, (bs, pas) = push_terms(pairs, space)
             assert len(bs) == len(pas) == len(pairs) and not any(nonstrict_values(space.spread, bs, pas))
