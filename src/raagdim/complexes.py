@@ -174,7 +174,9 @@ def make_complex(faces, vertex_order=None) -> SimplicialComplex:
 
 
 def from_graph(vertices, edges) -> SimplicialComplex:
-    """The graph itself as a 1-dimensional complex (no clique filling)."""
+    """The graph itself as a 1-dimensional complex (no clique filling); its
+    edges are checked by `_adjacency`, as `flag_completion` checks them."""
+    _adjacency(vertices, edges)
     faces = [(v,) for v in vertices] + [tuple(e) for e in edges]
     return make_complex(faces, vertex_order=tuple(vertices))
 

@@ -130,8 +130,13 @@ def covering_pair_chain(doubled: DoubledComplex, space: ConfigurationSpace):
     disjoint pairs of its k-faces: the cycle's simplices lifted by
     `lift_ranks` with a plus copy over delta, sorted as ids are, and named
     through `space.rank_ids`.  A partner b ranks its first vertex above a's
-    (found by bisection on the first ranks), as in a stored cell.  A face's
-    cover of delta is read off its rank tuple: (v, s) ranks 2 r(v) + [s = +]."""
+    (found by bisection on the first ranks), as in a stored cell.  That
+    restates the stored-cell order on purpose: asking `space` for the pairs,
+    the partner lists, the follower slices or the start positions took 3-20%
+    longer, and scanning every later id with no bisection 3-7% longer (over
+    the lemma suite's chains, Python 3.11.7 on a shared 2-core Xeon).
+    A face's cover of delta is read off its rank tuple: (v, s) ranks
+    2 r(v) + [s = +]."""
     delta = doubled.delta_ranks
     tops = lift_ranks(doubled.cycle_ranks, delta)
     rid, masks = space.rank_ids, space.masks

@@ -2,12 +2,15 @@
 
 Every expected value carries the name of the rule that predicts it, so the
 test suite can assert provenance alongside the number.  Randomized
-families are deterministic functions of their seed.
+families are deterministic functions of their seed, which must be an
+integer.  `build_named` reads an expression such as
+'cone(suspension(cycle(5)))' in one pass over its tokens.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from functools import reduce
 from types import MappingProxyType
 from typing import NamedTuple
@@ -15,11 +18,12 @@ from typing import NamedTuple
 from .complexes import SimplicialComplex, flag_completion, join, join_face_count, make_complex, relabeled
 
 
-def _size(name: str, param: str, value, least: int) -> None:
-    """Refuse a size a generator cannot build, naming the parameter."""
+def _size(name: str, param: str, value, least: int | None) -> None:
+    """Refuse a size a generator cannot build, or a seed that is not an
+    integer (any integer seeds, so it has no `least`), naming the parameter."""
     if type(value) is not int:
         raise ValueError(f"{name} needs an integer {param}, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"{name} needs {param} >= {least}, got {value}")
 
 
@@ -50,6 +54,7 @@ def path(n: int) -> SimplicialComplex:
 def tree(n: int, seed: int = 0) -> SimplicialComplex:
     """Random labelled tree from a seeded Pruefer sequence."""
     _size("tree", "n", n, 1)
+    _size("tree", "seed", seed, None)
     if n == 1:
         return points(1)
     if n == 2:
@@ -98,6 +103,7 @@ def random_flag(n: int, p: float, seed: int) -> SimplicialComplex:
     _size("random_flag", "n", n, 1)
     if type(p) not in (int, float) or not 0 <= p <= 1:
         raise ValueError(f"random_flag needs 0 <= p <= 1, got {p!r}")
+    _size("random_flag", "seed", seed, None)
     rng = random.Random(seed)
     vs = [f"r{i}" for i in range(n)]
     edges = [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
@@ -185,15 +191,10 @@ MAX_NESTING = 100
 def build_named(expr: str) -> SimplicialComplex:
     """Build a complex from an expression like 'cycle(4)' or
     'join(points(2),points(2))'; joins relabel factors to stay disjoint.
-    The parentheses are checked in one running count, and each cone,
-    suspension and join counted on the parse tree, before any is built."""
-    return _parse(expr)[1]()
-
-
-def _parse(expr: str) -> tuple:
-    """An expression's face count and builder: a leaf is built here, a cone,
-    suspension or join (a join with one apex, two poles or its other factors)
-    counted by `complexes.join_face_count` and built only by the builder."""
+    The parentheses are checked in one running count; the text is then split
+    once into names, numbers and the tokens '(', ',' and ')', which `_parse`
+    reads in one pass, counting each cone, suspension and join on the parse
+    tree before any is built."""
     expr = expr.strip()
     depth = deepest = 0
     for ch in expr:
@@ -205,54 +206,56 @@ def _parse(expr: str) -> tuple:
         raise ValueError(f"unbalanced parentheses in {expr!r}")
     if deepest > MAX_NESTING:
         raise ValueError(f"{expr!r} nests {deepest} deep, more than {MAX_NESTING}")
-    if "(" not in expr:
-        entry = next((e for e in ZOO if e.name == expr), None)
+    tokens = [t for t in (piece.strip() for piece in re.findall(r"[(),]|[^(),]+", expr)) if t]
+    (_, build), i = _parse(tokens, 0)
+    if i < len(tokens):
+        raise ValueError(f"{''.join(tokens[i:])!r} follows the complex {''.join(tokens[:i])!r}")
+    return build()
+
+
+def _parse(tokens: list, i: int) -> tuple:
+    """The face count and builder of the complex named at `tokens[i]`, and
+    the index of the token after it.  The name is checked first, then each
+    argument read once; none may be empty.  A leaf is built here, a cone,
+    suspension or join (a join with one apex, two poles or its other factors)
+    counted by `complexes.join_face_count` and built only by the builder."""
+    name = tokens[i] if i < len(tokens) and tokens[i] not in ("(", ")", ",") else ""
+    i += bool(name)
+    if i == len(tokens) or tokens[i] != "(":
+        entry = next((e for e in ZOO if e.name == name), None)
         if entry is None:
-            raise ValueError(f"unknown zoo entry {expr!r}")
+            raise ValueError(f"unknown zoo entry {name!r}")
         K = entry.complex()
-        return len(K.faces), lambda: K
-    name, _, rest = expr.partition("(")
-    if not rest.endswith(")"):
-        raise ValueError(f"unbalanced parentheses in {expr!r}")
-    body = rest[:-1]
-    name = name.strip()
-    if name == "join":
-        parts = _split_args(body)
-        if len(parts) < 2:
-            raise ValueError("join needs at least two factors")
-        parsed = [_parse(part) for part in parts]
-        return reduce(join_face_count, [n for n, _ in parsed]), lambda: reduce(
-            join, [_prefixed(build(), f"j{i}.") for i, (_, build) in enumerate(parsed)])
-    if name in ("cone", "suspension"):
-        (n, build), make = _parse(body), cone if name == "cone" else suspension
-        return join_face_count(1 if name == "cone" else 2, n), lambda: make(build())
-    if name not in GENERATORS:
+        return (len(K.faces), lambda: K), i
+    nests = name in ("join", "cone", "suspension")
+    if not nests and name not in GENERATORS:
         raise ValueError(f"unknown generator {name!r}")
-    args = [a for a in _split_args(body) if a]
-    values = []
-    for a in args:
-        try:
-            values.append(int(a) if a.lstrip("+-").isdigit() else float(a))
-        except ValueError:
-            raise ValueError(f"{name} needs numeric arguments, got {a!r}") from None
-    K = GENERATORS[name](*values)
-    return len(K.faces), lambda: K
+    args = []
+    while tokens[i] != ")":  # at the '(' or a ','
+        i += 1
+        if tokens[i] in (",", ")"):
+            raise ValueError(f"argument {len(args) + 1} of {name} is empty")
+        arg, i = _parse(tokens, i) if nests else (_number(name, tokens[i]), i + 1)
+        args.append(arg)
+        if tokens[i] not in (",", ")"):
+            raise ValueError(f"argument {len(args)} of {name} is followed by {tokens[i]!r}, not ',' or ')'")
+    i += 1
+    if name == "join":
+        if len(args) < 2:
+            raise ValueError("join needs at least two factors")
+        return (reduce(join_face_count, [n for n, _ in args]), lambda: reduce(
+            join, [_prefixed(build(), f"j{i}.") for i, (_, build) in enumerate(args)])), i
+    if nests:
+        if len(args) != 1:
+            raise ValueError(f"{name} needs exactly one complex, got {len(args)}")
+        [(n, build)], make = args, cone if name == "cone" else suspension
+        return (join_face_count(1 if name == "cone" else 2, n), lambda: make(build())), i
+    K = GENERATORS[name](*args)
+    return (len(K.faces), lambda: K), i
 
 
-def _split_args(body: str) -> list:
-    parts = []
-    depth = 0
-    cur = []
-    for ch in body:
-        if ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        cur.append(ch)
-    if cur or not parts:
-        parts.append("".join(cur).strip())
-    return parts
+def _number(name: str, a: str):
+    try:
+        return int(a) if a.lstrip("+-").isdigit() else float(a)
+    except ValueError:
+        raise ValueError(f"{name} needs numeric arguments, got {a!r}") from None

@@ -78,7 +78,7 @@ def test_malformed_inputs_carry_locations():
     ({"vertex_order": "ab", "maximal_simplices": [["a"]]}, "$.vertex_order", "must be a list"),
     ({"graph": {"vertices": 3, "edges": []}}, "$.graph.vertices", "must be a list"),
     ({"graph": {"vertices": [1], "edges": {}}}, "$.graph.edges", "must be a list"),
-    ({"graph": {"vertices": [1, 2], "edges": [[1, 1]]}}, "$.graph", "repeated vertex"),
+    ({"graph": {"vertices": [1, 2], "edges": [[1, 1]]}}, "$.graph", "loop edge"),
     # Repeated vertices, with or without the flag completion.
     ({"graph": {"vertices": [1, 1, 2], "edges": [[1, 2]]}, "flag": True}, "$.graph.vertices", "repeated vertex 1"),
     ({"graph": {"vertices": [1, 1, 2], "edges": [[1, 2]]}}, "$.graph.vertices", "repeated vertex 1"),
@@ -104,6 +104,10 @@ def test_malformed_inputs_carry_locations():
      "vertex_order is missing the vertices ['b']"),
     ({"maximal_simplices": [["a"]], "vertices": ["b", "c"], "vertex_order": ["a", "c"]}, "$.vertex_order",
      "vertex_order is missing the vertices ['b']"),
+    # One edge check with or without the flag completion (a loop edge above).
+    ({"graph": {"vertices": ["a"], "edges": [["a", "b"]]}}, "$.graph", "edge ('a', 'b') uses an unknown vertex"),
+    ({"graph": {"vertices": ["a"], "edges": [["a", "b"]]}, "flag": True}, "$.graph",
+     "edge ('a', 'b') uses an unknown vertex"),
 ])
 def test_complex_json_rejects_bad_labels_and_containers(data, location, reason):
     with pytest.raises(io_json.MalformedInput) as err:
@@ -267,6 +271,16 @@ def test_cli_bad_input_exits_1_with_a_located_message(tmp_path):
         (["generate", "cycle(4))"], "unbalanced parentheses in 'cycle(4))'"),
         (["generate", "cycle(x)"], "cycle needs numeric arguments, got 'x'"),
         (["generate", "join(cycle(4),path(y))"], "path needs numeric arguments, got 'y'"),
+        # The token parser refuses what the grammar does not allow, naming it.
+        (["generate", "cycle(4,)"], "argument 2 of cycle is empty"),
+        (["generate", "cycle(,4)"], "argument 1 of cycle is empty"),
+        (["generate", "cycle(4,,)"], "argument 2 of cycle is empty"),
+        (["generate", "join(,points(2))"], "argument 1 of join is empty"),
+        (["generate", "cone(cycle(4),point)"], "cone needs exactly one complex, got 2"),
+        (["generate", "suspension(point,point)"], "suspension needs exactly one complex, got 2"),
+        (["generate", "cycle(4)x"], "'x' follows the complex 'cycle(4)'"),
+        (["generate", "tree(4,2.5)"], "tree needs an integer seed, got 2.5"),
+        (["generate", "random_flag(4,0.5,1.5)"], "random_flag needs an integer seed, got 1.5"),
         (["generate", "random_flag(5,2.0,1)"], "random_flag needs 0 <= p <= 1, got 2.0"),
         (["generate", "random_flag(5,-0.5,1)"], "random_flag needs 0 <= p <= 1, got -0.5"),
         (["generate", "random_flag(5,nan,1)"], "random_flag needs 0 <= p <= 1, got nan"),
@@ -435,6 +449,11 @@ def test_cli_generate_join_and_expressions(tmp_path):
     assert K.face_counts() == (6, 12, 8)
     assert main(["generate", "simplex", "2", "--out", str(tmp_path / "s2.json")]) == 0
     assert main(["generate", "nonsense", "3"]) == 1
+    # Whitespace around a name, a number or a parenthesis is dropped.
+    spaced = str(tmp_path / "c4.json")
+    assert main(["generate", " cycle ( 4 ) ", "--out", spaced]) == 0
+    with open(spaced, encoding="utf-8") as fh:
+        assert json.load(fh) == io_json.complex_to_json(cycle(4))
 
 
 def test_cli_rejects_empty_and_non_flag(tmp_path, capsys):
