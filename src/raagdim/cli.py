@@ -123,7 +123,7 @@ def cmd_generate(args) -> int:
     expr = args.name if not params else f"{args.name}({','.join(params)})"
     try:
         K = build_named(expr)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write(args.out, io_json.complex_to_json(K))

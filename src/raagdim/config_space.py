@@ -47,9 +47,10 @@ A cell has one name: its key a * F + b (read back by `key_cell`), from the
 face ids (a, b) in stored order, F the number of faces.  The key increases
 strictly in cell order.  The enumeration yields stored pairs, and
 `stored_cells` names any other list of disjoint face-id pairs, listed
-either half first, the one copy of that rule that `verify` and the
-integer pullback read.  The facets {a', b} and {a, b'} of a cell are read
-off the facet table as keys, by one first-vertex argument (`_first_half`):
+either half first, the one copy of that rule (`_stored`) that `verify`,
+the integer pullback and `cofacets` read.  The facets {a', b} and
+{a, b'} of a cell are read off the facet table as keys, by one
+first-vertex argument (`_first_half`):
 a stored cell has a's first vertex below b's, so every facet of a that
 keeps that vertex stays first, with key a' * F + b, and only the one that
 drops it can swap; every facet of b starts at or after b's first vertex,
@@ -60,11 +61,17 @@ first vertex are first whatever b is, the cells that share a send all
 their partners b to each such facet in one set operation, and only the
 facet that drops that vertex needs the swap rule, cell by cell; each b's
 facets then go to a's partners, one set operation per cell.
-`facet_keys(d)` lists the facet keys of every d-cell, the rows of the
-coboundary solves and their re-checks: GF(2) reads them as they are, and
-the integer side, which solves only the top degree 2k, zips each with one
-sign vector (`obstruction._top_signs`), as there every swap sign is 1.
-So no solve, over either ring, builds a cell of degree d or d - 1.
+`facet_row(a, b)` lists the facet keys of one d-cell, built once per
+cell and kept, and `facet_keys(d)` those of every d-cell, the rows of the
+integer solve and its re-check, which solve only the top degree 2k and
+zip each row with one sign vector (`obstruction._top_signs`), as there
+every swap sign is 1.  The GF(2) solve reads each d-cell's largest facet
+key without its row (`largest_facet_keys`: the id order puts it at the
+swapped drop facet or at b's last facet), builds only the rows it meets,
+and finds the d-cells whose row holds a key through `cofacets`: those of
+{s, t} are the cells {c, t} and {s, c} for the cofaces c of one half
+disjoint from the other, read off the transpose of the facet table.  So
+no solve, over either ring, builds a cell of degree d or d - 1.
 
 For a complex on signed vertices, `minus_ids` is the projection table that
 the push to the product with the minus copy reads: each face's minus copy,
@@ -74,8 +81,9 @@ each rank r of the face goes to r & -2, the low bit cleared.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cached_property
+from itertools import starmap
 
 from .complexes import SimplicialComplex, facet_ids
 from .octa import DoubledComplex, Octahedralization
@@ -117,6 +125,9 @@ class ConfigurationSpace:
         self._degrees: dict = {}
         self._counts: dict = {}
         self._keys: dict = {}
+        self._halves: dict = {}
+        self._rows: dict = {}
+        self._cofacets: dict = {}
 
     @cached_property
     def _index(self):
@@ -223,13 +234,17 @@ class ConfigurationSpace:
             self._counts[d] = _lifted_pair_count(self.K.base, d)
         return self._counts[d]
 
+    def _stored(self, pairs) -> list:
+        """Disjoint face-id pairs listed either half first, each in stored
+        order, the half with the lower first rank first."""
+        first = self._index[2]
+        return [(a, b) if first[a] < first[b] else (b, a) for a, b in pairs]
+
     def stored_cells(self, pairs) -> tuple:
         """The cells {a, b} of `pairs`, disjoint face-id pairs listed either
         half first, as two lists in the order of `pairs`: their keys and
-        their stored pairs, a the half with the lower first rank."""
-        first = self._index[2]
-        F = len(first)
-        stored = [(a, b) if first[a] < first[b] else (b, a) for a, b in pairs]
+        their stored pairs (`_stored`)."""
+        stored, F = self._stored(pairs), len(self._index[2])
         return [a * F + b for a, b in stored], stored
 
     def key_cell(self, key: int) -> tuple:
@@ -247,41 +262,98 @@ class ConfigurationSpace:
 
         The one copy of the swap rule: of a's facets, in id order, only the
         last drops a's first vertex, so only it can put b first (the module
-        docstring has the argument)."""
-        ids = self._facet_ids[ga]
-        if not ids:
-            return (), None, None
-        return ids[:-1], ids[-1], self._index[2][ids[-1]]
+        docstring has the argument).  Built once per face."""
+        half = self._halves.get(ga)
+        if half is None:
+            ids = self._facet_ids[ga]
+            half = self._halves[ga] = (ids[:-1], ids[-1], self._index[2][ids[-1]]) if ids else ((), None, None)
+        return half
 
-    def _facet_rows(self, pairs):
-        """The keys of the facets {a', b}, then {a, b'}, of each cell (a, b)
-        of `pairs`, each facet in stored order; one list per cell.
-
-        The two kinds never coincide, as that would need a = b.  What a alone
-        fixes (`_first_half`) is built once per run of cells that share a,
-        as a degree's cells do in cell order."""
+    def facet_row(self, ga: int, gb: int) -> list:
+        """The keys of the facets {a', b}, then {a, b'}, of the stored cell
+        (ga, gb), each facet in stored order: its row in `facet_keys`, built
+        once per cell.  The two kinds never coincide, as that would need a =
+        b."""
         first = self._index[2]
-        facet_ids, F = self._facet_ids, len(first)
-        prev = None
-        for ga, gb in pairs:
-            if ga != prev:
-                prev, aF = ga, ga * F
-                keep, drop, drop_first = self._first_half(ga)
-                keep = [sa * F for sa in keep]
-                if drop is not None:
-                    dropF = drop * F
-            row = [k + gb for k in keep]
+        F = len(first)
+        aF = ga * F
+        row = self._rows.get(aF + gb)
+        if row is None:
+            keep, drop, drop_first = self._first_half(ga)
+            row = [sa * F + gb for sa in keep]
             if drop is not None:
-                row.append(dropF + gb if drop_first < first[gb] else gb * F + drop)
-            row += [aF + sb for sb in facet_ids[gb]]
-            yield row
+                row.append(drop * F + gb if drop_first < first[gb] else gb * F + drop)
+            row += [aF + sb for sb in self._facet_ids[gb]]
+            self._rows[aF + gb] = row
+        return row
 
     def facet_keys(self, d: int) -> tuple:
         """Unsigned boundary of every d-cell as a list of facet keys, one list
-        per cell in cell order; computed once per degree."""
+        per cell in cell order (`facet_row`); computed once per degree."""
         if d not in self._keys:
-            self._keys[d] = tuple(self._facet_rows(self.indexed_cells(d)))
+            self._keys[d] = tuple(starmap(self.facet_row, self.indexed_cells(d)))
         return self._keys[d]
+
+    def largest_facet_keys(self, d: int) -> list:
+        """The largest facet key of every d-cell, in cell order (None for a
+        cell with no facets), without building a row where both halves
+        have facets.
+
+        Then a row (`facet_row`) holds the keys {a', b} led by a facet of a
+        or by b, and the keys {a, b'} led by a, the largest with b's last
+        facet, as a row of facet ids increases.  Every facet of a has an id
+        below a's, a face of lower dimension.  So when the drop facet stays
+        first, a * F + last(b) is the largest key; when it swaps behind b,
+        b * F + drop is, if b's id is above a's, and a * F + last(b) is
+        otherwise.  On equal dimensions, as in the top degree 2k, b's id is
+        always above a's, which ranks lower first.  A cell with a vertex
+        half has its row read."""
+        first = self._index[2]
+        facet_ids, F = self._facet_ids, len(first)
+        tops, prev = [], None
+        for ga, gb in self.indexed_cells(d):
+            if ga != prev:
+                prev, aF = ga, ga * F
+                _, drop, drop_first = self._first_half(ga)
+            ids = facet_ids[gb]
+            if drop is None or not ids:
+                row = self.facet_row(ga, gb)
+                tops.append(max(row) if row else None)
+            else:
+                tops.append(gb * F + drop if drop_first > first[gb] and gb > ga else aF + ids[-1])
+        return tops
+
+    @cached_property
+    def _coface_ids(self) -> list:
+        """The transpose of the facet table: by face id, the ids of the faces
+        that have it as a facet, increasing."""
+        cofaces: list = [[] for _ in self._facet_ids]
+        for g, ids in enumerate(self._facet_ids):
+            for s in ids:
+                cofaces[s].append(g)
+        return cofaces
+
+    def cofacets(self, d: int, key: int) -> list:
+        """The positions, in the cell order of degree d, of the d-cells that
+        have the (d - 1)-cell `key` as a facet, each once.
+
+        A cofacet of the stored cell (s, t) adds one vertex to one half: it
+        is {c, t} for a coface c of s disjoint from t, or {s, c} for a
+        coface c of t disjoint from s, and every such pair is a d-cell.  The
+        two kinds never coincide, as that would need s = t, and the
+        transpose of the facet table lists each coface of a face once, so
+        the list is complete and has no repeats.  Each is put in stored
+        order by `_stored` and found in the enumerated degree by bisection,
+        cell order being the order of the stored pairs.  Computed once per
+        key, which names one cell and so one degree."""
+        found = self._cofacets.get(key)
+        if found is None:
+            masks, cofaces, cells = self._index[1], self._coface_ids, self.indexed_cells(d)
+            s, t = divmod(key, len(masks))
+            ms, mt = masks[s], masks[t]
+            pairs = [(c, t) for c in cofaces[s] if not masks[c] & mt] + [(s, c) for c in cofaces[t] if not masks[c] & ms]
+            found = self._cofacets[key] = [bisect_left(cells, pair) for pair in self._stored(pairs)]
+        return found
 
     def boundary(self, pairs) -> tuple:
         """GF(2) boundary of a chain given by the face-id pairs (a, b) of its

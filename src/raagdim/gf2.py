@@ -10,17 +10,35 @@ So no row, given or stored, is ever mutated, and elimination without fill
 costs what the rows hold, not their width.  `solve` names the equations of
 an inconsistency from that one pass: it records each pivot's equation, in
 the order the pivots are made, and the pivots a reduced pivot's row was
-reduced by.  Exactness is the point: no floats anywhere.
+reduced by.
+
+`solve` reads its equations through `Equations`, which may name each row's
+largest key before the row is built: a pivot kept as given is then held
+unbuilt, and a row is built only when it meets a pivot, when a row meeting
+it is reduced by it, or when back-substitution visits it.  Back-substitution
+visits, in ascending key order, only the reduced pivots, the pivots kept as
+given whose equation has rhs 1, and the pivots kept as given whose row
+holds a key that x has gained, found through `Equations.holders`.  These
+are all the pivots the full loop over every pivot can find odd: it visits
+the pivots in ascending order and sets c when c's row has odd parity on x,
+which then holds -1 (the rhs) and the pivots below c that were set.  A
+pivot row holds no key above its own, so a row kept as given with rhs 0
+and none of those keys has parity 0.  Each key is set before any pivot
+above it is visited, so the pivots its holders make are queued in time,
+and skipping the rest changes nothing.  Exactness is the point: no floats
+anywhere.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
+from heapq import heapify, heappop, heappush
 
 
-def _reduce(piv, row):
-    """Reduce the row by the pivot rows until its largest key is new.
+def _reduce(pivots, rows, row, c):
+    """Reduce the row, whose largest key is c, by the pivot rows until its
+    largest key is new: `pivots` holds the pivot keys, and `rows[key]` is
+    a pivot's row.
 
     Returns (that key, the reduced row, the pivot keys it was reduced by,
     in order), with None and an empty row once the row cancels.  A row
@@ -28,17 +46,16 @@ def _reduce(piv, row):
     nothing (``()``); any other is copied into a set before the first
     reduction step, so neither the row nor a pivot is mutated.  Each step
     lowers the largest key, so no pivot is listed twice."""
-    c = max(row) if row else None
-    if c not in piv:
+    if c not in pivots:
         return c, row, ()
     r, used = set(row), []
     while True:
         used.append(c)
-        r.symmetric_difference_update(piv[c])
+        r.symmetric_difference_update(rows[c])
         if not r:
             return None, r, used
         c = max(r)
-        if c not in piv:
+        if c not in pivots:
             return c, r, used
 
 
@@ -46,7 +63,7 @@ def _echelon(rows):
     """Pivot dict {largest key: row} from incremental elimination."""
     piv: dict = {}
     for row in rows:
-        c, r, _ = _reduce(piv, row)
+        c, r, _ = _reduce(piv, piv, row, max(row) if row else None)
         if c is not None:
             piv[c] = r
     return piv
@@ -79,45 +96,120 @@ def kernel_basis(rows, ncols) -> list:
     return [_back_substitute(piv, order[bisect_right(order, f):], {f}) for f in range(ncols) if f not in piv]
 
 
+class Equations:
+    """The equations of `solve`, as it reads them: `read()` yields each
+    equation's largest key (None for an empty row) and rhs, in order, and
+    once equation i has been read, `tops[i]` is its largest key, `row(i)`
+    its keys and `holders(key)` the equations read whose row holds key.
+
+    This form takes (keys, rhs) pairs from any iterable, read once, in
+    order, each row built; `holders` transposes the rows read on its first
+    call.  A system that can name a row's largest key without building the
+    row, and a key's holders without the rows, overrides them."""
+
+    def __init__(self, equations):
+        self._given, self._rows, self.tops, self._holders = equations, [], [], None
+
+    def read(self):
+        for keys, rhs in self._given:
+            top = max(keys) if keys else None
+            self._rows.append(keys)
+            self.tops.append(top)
+            yield top, rhs
+
+    def row(self, i: int):
+        return self._rows[i]
+
+    def holders(self, key: int):
+        if self._holders is None:
+            self._holders = {}
+            for i, keys in enumerate(self._rows):
+                for k in keys:
+                    self._holders.setdefault(k, []).append(i)
+        return self._holders.get(key, ())
+
+
+class _Built(dict):
+    """The pivot rows of one solve by pivot key: a pivot kept as given is
+    built from its equation on its first read (with the rhs key -1 when its
+    rhs is 1), and kept."""
+
+    def __init__(self, system, origin, odd):
+        super().__init__()
+        self.system, self.origin, self.odd = system, origin, odd
+
+    def __missing__(self, c):
+        row = self.system.row(self.origin[c])
+        row = self[c] = (*row, -1) if c in self.odd else row
+        return row
+
+
 def solve(equations, ncols):
     """Solve A x = b over GF(2) in one elimination.
 
-    equations: a list of (keys, rhs_bit) pairs, one per equation, its
-    variables given by a collection of nonnegative column keys, each at
-    most once.  Each is eliminated as it arrives, so only the pivot rows
-    are ever held, and a row is kept as given until it meets a pivot (a
-    copy when it needs the rhs key -1, below every variable); no row is
-    mutated.  ncols is the number of unknowns; elimination does not read
-    it, as the keys only order the unknowns and need not lie below it.
+    equations: (keys, rhs_bit) pairs, one per equation, its variables given
+    by a collection of nonnegative column keys, each at most once, read in
+    order from any iterable, or an `Equations` that reads them.  Each is
+    eliminated as it arrives, so only the pivot rows are ever held, and a
+    row is kept as given, unbuilt, until it meets a pivot or a row is
+    reduced by it (then with the rhs key -1, below every variable, when its
+    rhs is 1); no row is mutated.  ncols is the number of unknowns;
+    elimination does not read it, as the keys only order the unknowns and
+    need not lie below it.
     Returns (x, None) on success, x the set of keys set to 1 with free
     variables 0, or (None, witness) at the first equation that reads 0 = 1:
     the ascending list of equation indices whose sum reads 0 = 1, that
-    equation's the largest.  Each pivot's equation index is appended to an
-    int array as the pivot is made, so the array runs parallel to the pivot
-    dict's creation order.  A reduced pivot's key also maps to the pivots its
-    row was reduced by, and the first 0 = 1 walks both back to its witness.
+    equation's the largest.  Each pivot's equation index is recorded as the
+    pivot is made, so the record runs in the pivots' creation order.  A
+    reduced pivot's key also maps to the pivots its row was reduced by, and
+    the first 0 = 1 walks both back to its witness.  Back-substitution
+    visits only the pivots that can be odd (the module docstring has why).
     """
-    piv: dict = {}
-    origin = array("q")
-    below: dict = {}
-    for i, (keys, rhs) in enumerate(equations):
-        c, r, used = _reduce(piv, (*keys, -1) if rhs & 1 else keys)
+    system = equations if isinstance(equations, Equations) else Equations(equations)
+    origin: dict = {}  # pivot key -> its equation index, in creation order
+    below: dict = {}  # reduced pivot key -> the pivots its row was reduced by
+    odd: set = set()  # the pivots kept as given whose rhs is 1
+    rows = _Built(system, origin, odd)
+    for i, (c, rhs) in enumerate(system.read()):
+        if c not in origin and c is not None:
+            origin[c] = i
+            if rhs & 1:
+                odd.add(c)
+            continue
+        if c is None:
+            c, r, used = (-1 if rhs & 1 else None), None, ()
+        else:
+            row = system.row(i)
+            c, r, used = _reduce(origin, rows, (*row, -1) if rhs & 1 else row, c)
         if c == -1:
             # A reduced pivot is its equation plus pivots made before it, so
             # walking back in creation order settles each one's parity before
             # it is visited; a pivot kept as given is its equation alone.
-            odd, witness = set(used), [i]
-            for p, j in zip(reversed(piv), reversed(origin)):
-                if p in odd:
+            parity, witness = set(used), [i]
+            for p, j in reversed(origin.items()):
+                if p in parity:
                     witness.append(j)
-                    odd.symmetric_difference_update(below.get(p, ()))
+                    parity.symmetric_difference_update(below.get(p, ()))
             return None, sorted(witness)
         if c is not None:
-            piv[c] = r
-            origin.append(i)
-            if used:
-                below[c] = used
-    # The key -1 in x is the rhs column, read as the constant 1.
-    x = _back_substitute(piv, sorted(piv), {-1})
+            origin[c] = i
+            rows[c] = r
+            below[c] = used
+    # The key -1 in x is the rhs column, read as the constant 1.  A holder
+    # j of a set key makes a pivot kept as given exactly when j made the
+    # pivot on its own largest key; a reduced row's pivot is below that.
+    x, todo, last, tops = {-1}, [*below, *odd], None, system.tops
+    heapify(todo)
+    while todo:
+        c = heappop(todo)
+        if c == last:
+            continue
+        last, row = c, rows[c]
+        if not x.isdisjoint(row) and len(x.intersection(row)) & 1:
+            x.add(c)
+            for j in system.holders(c):
+                t = tops[j]
+                if t > c and origin.get(t) == j:
+                    heappush(todo, t)
     x.discard(-1)
     return x, None

@@ -18,7 +18,9 @@ run on face-id pairs in a space lifted on OL's ranks, so no face set is
 built: the certificate paths pass the doubled complex's own space, lifted
 from the cycle's support, and the lemma suite OL's, which it has built
 already; the certificate stores the pairs as cells once.
-Vanishing is certified by an explicit coboundary primitive on cell keys.
+Vanishing is certified by an explicit coboundary primitive on cell keys,
+found by a GF(2) solve that builds only the facet rows it meets and
+re-checked mod 2 through the coboundary of its keys.
 A geometric cross-check computes exact signed intersection numbers of
 simplices mapped to the moment curve and must reproduce the combinatorial
 cocycle.  It reads cells as face-id pairs on the rank tuples of the index
@@ -296,23 +298,32 @@ def _top_signs(degree: int) -> tuple:
 
 
 def _recheck(space: ConfigurationSpace, degree: int, phi: list, x, modulus: int, what: str):
-    """Check delta(x) = phi on every degree-cell, mod `modulus` (0 for
-    exactly over Z), for phi given by position in cell order (a ValueError
-    when its length differs) and the cochain x on cell keys (as in
-    `space.facet_keys`): mod 2 its support against the facet keys, over
-    Z its values, a dict, against the facet keys with `_top_signs` (a
-    ValueError for a row of another length)."""
+    """Check delta(x) = phi on every degree-cell, mod 2 (`modulus` 2) or
+    exactly over Z (0), for phi given by position in cell order (a
+    ValueError when its length differs) and the cochain x on cell keys.
+    Mod 2, x is its support, and delta(x) is taken through the coboundary:
+    the cofacets of x's keys (`space.cofacets`, complete and each once),
+    toggled, must be exactly the cells where phi is odd, which is delta(x)
+    = phi on every cell, as a cell's value of delta(x) is the parity of
+    its facets in x.  Over Z, x is its values, a dict, read against every
+    row of `space.facet_keys` with `_top_signs` (a ValueError for a row of
+    another length); a row that misses x's support has delta(x) = 0 there,
+    with no sum."""
     if modulus == 2:
-        support = set(x)
-        diffs = (0 if support.isdisjoint(keys) else len(support.intersection(keys))
-                 for keys in space.facet_keys(degree))
-    else:
-        get, signs = x.get, _top_signs(degree)
-        diffs = (sum([s * get(key, 0) for key, s in zip(keys, signs, strict=True)])
-                 for keys in space.facet_keys(degree))
-    for diff, target in zip(diffs, phi, strict=True):
-        diff -= target
-        if (diff % modulus if modulus else diff) != 0:
+        odd: set = set()
+        for key in x:
+            odd.symmetric_difference_update(space.cofacets(degree, key))
+        cells = space.indexed_cells(degree)
+        if odd != {i for i, (_, v) in enumerate(zip(cells, phi, strict=True)) if v & 1}:
+            raise RuntimeError(f"{what} fails verification")
+        return
+    get, signs, support = x.get, _top_signs(degree), x.keys()
+    for keys, target in zip(space.facet_keys(degree), phi, strict=True):
+        if len(keys) == len(signs) and support.isdisjoint(keys):
+            diff = 0
+        else:
+            diff = sum([s * get(key, 0) for key, s in zip(keys, signs, strict=True)])
+        if diff != target:
             raise RuntimeError(f"{what} fails verification")
 
 
@@ -385,8 +396,10 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
     configuration space (`_integer_solve`).  Neither builds a (2k-1)-cell.
     Both call `intlinalg.solve_integer`, refused (with a reason) when a
     dense core of more than `intlinalg.INTEGRAL_ENTRY_CAP` entries is left
-    after its unit pivots.  Each primitive found is re-checked exactly,
-    mod 2 resp. over Z, on every top cell.
+    after its unit pivots.  Each primitive found is re-checked exactly on
+    every top cell: mod 2 through the coboundary of its keys, which builds
+    no row, over Z against the rows of `space.facet_keys(2k)`, which the
+    GF(2) solve has built in part and does not read (`_recheck`).
     """
     k = L.dim
     if k < 0:

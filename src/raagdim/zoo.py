@@ -207,6 +207,8 @@ def build_named(expr: str) -> SimplicialComplex:
     if deepest > MAX_NESTING:
         raise ValueError(f"{expr!r} nests {deepest} deep, more than {MAX_NESTING}")
     tokens = [t for t in (piece.strip() for piece in re.findall(r"[(),]|[^(),]+", expr)) if t]
+    if not tokens:
+        raise ValueError("empty expression: name a complex, such as 'cycle(4)'")
     (_, build), i = _parse(tokens, 0)
     if i < len(tokens):
         raise ValueError(f"{''.join(tokens[i:])!r} follows the complex {''.join(tokens[:i])!r}")
@@ -216,11 +218,15 @@ def build_named(expr: str) -> SimplicialComplex:
 def _parse(tokens: list, i: int) -> tuple:
     """The face count and builder of the complex named at `tokens[i]`, and
     the index of the token after it.  The name is checked first, then each
-    argument read once; none may be empty.  A leaf is built here, a cone,
-    suspension or join (a join with one apex, two poles or its other factors)
-    counted by `complexes.join_face_count` and built only by the builder."""
-    name = tokens[i] if i < len(tokens) and tokens[i] not in ("(", ")", ",") else ""
-    i += bool(name)
+    argument read once; none may be empty, and a generator's arguments are
+    counted against its parameters before it is called.  A leaf is built
+    here, a cone, suspension or join (a join with one apex, two poles or its
+    other factors) counted by `complexes.join_face_count` and built only by
+    the builder."""
+    name = tokens[i]
+    if name in ("(", ")", ","):
+        raise ValueError(f"{name!r} stands where a complex should be named")
+    i += 1
     if i == len(tokens) or tokens[i] != "(":
         entry = next((e for e in ZOO if e.name == name), None)
         if entry is None:
@@ -250,7 +256,13 @@ def _parse(tokens: list, i: int) -> tuple:
             raise ValueError(f"{name} needs exactly one complex, got {len(args)}")
         [(n, build)], make = args, cone if name == "cone" else suspension
         return (join_face_count(1 if name == "cone" else 2, n), lambda: make(build())), i
-    K = GENERATORS[name](*args)
+    make = GENERATORS[name]
+    most = make.__code__.co_argcount
+    least = most - len(make.__defaults__ or ())
+    if not least <= len(args) <= most:
+        takes = f"{least} or {most} arguments" if least < most else f"{most} argument{'s' * (most > 1)}"
+        raise ValueError(f"{name} takes {takes}, got {len(args)}")
+    K = make(*args)
     return (len(K.faces), lambda: K), i
 
 

@@ -281,6 +281,12 @@ def test_cli_bad_input_exits_1_with_a_located_message(tmp_path):
         (["generate", "cycle(4)x"], "'x' follows the complex 'cycle(4)'"),
         (["generate", "tree(4,2.5)"], "tree needs an integer seed, got 2.5"),
         (["generate", "random_flag(4,0.5,1.5)"], "random_flag needs an integer seed, got 1.5"),
+        # A generator's arguments are counted before it is called.
+        (["generate", "cycle(4,5)"], "cycle takes 1 argument, got 2"),
+        (["generate", "random_flag(4,0.5)"], "random_flag takes 3 arguments, got 2"),
+        (["generate", "tree(4,1,2)"], "tree takes 1 or 2 arguments, got 3"),
+        (["generate", ""], "empty expression"),
+        (["generate", ","], "',' stands where a complex should be named"),
         (["generate", "random_flag(5,2.0,1)"], "random_flag needs 0 <= p <= 1, got 2.0"),
         (["generate", "random_flag(5,-0.5,1)"], "random_flag needs 0 <= p <= 1, got -0.5"),
         (["generate", "random_flag(5,nan,1)"], "random_flag needs 0 <= p <= 1, got nan"),

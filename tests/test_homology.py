@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gf2_eager
 from complex_reference import simplex_boundary
 from raagdim.config_space import ConfigurationSpace
 from raagdim import complexes, gf2, homology
@@ -20,7 +21,7 @@ from raagdim.homology import (
 from raagdim import obstruction
 from raagdim.obstruction import _integer_solve, _recheck, certify_vanishing, top_mesh_cocycle
 from raagdim.octa import octahedralize
-from raagdim.zoo import ZOO, cycle, octahedron_boundary, path, points, random_flag, simplex, tree
+from raagdim.zoo import ZOO, cone, cycle, octahedron_boundary, path, points, random_flag, simplex, tree
 from raagdim.intlinalg import integer_rank
 from test_bounds import RP2
 from test_config_space import pairs_of, signed_boundary
@@ -248,10 +249,11 @@ def test_a_phi_one_entry_short_is_refused_by_both_solves_and_the_recheck(monkeyp
     octa = octahedralize(path(3))
     space = ConfigurationSpace(octa.complex)
     phi = top_mesh_cocycle(space, 1)
-    for solve, modulus in ((lambda *args: solve_coboundary(*args)[0], 2), (_integer_solve, 0)):
+    for solve, modulus, message in ((lambda *args: solve_coboundary(*args)[0], 2, "phi has 11 values for 12 cells"),
+                                    (_integer_solve, 0, "argument 2 is shorter")):
         prim = solve(phi, 2, space)
         _recheck(space, 2, phi, prim, modulus, "primitive")
-        with pytest.raises(ValueError, match="argument 2 is shorter"):
+        with pytest.raises(ValueError, match=message):
             solve(phi[:-1], 2, space)
         with pytest.raises(ValueError, match="argument 2 is shorter"):
             _recheck(space, 2, phi[:-1], prim, modulus, "primitive")
@@ -263,6 +265,64 @@ def test_a_phi_one_entry_short_is_refused_by_both_solves_and_the_recheck(monkeyp
     monkeypatch.setattr(obstruction, "_pullback_primitive", lambda octa, space, k: None)
     with pytest.raises(ValueError, match="argument 2 is shorter"):
         certify_vanishing(path(3), integral=True)
+
+
+@given(st.integers(3, 7), st.sampled_from((0.3, 0.5, 0.7)), st.integers(0, 10**6), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_lazy_solve_matches_the_eager_elimination_on_explicit_rows(n, p, seed, lifted, data):
+    # The solve builds a row only where it meets one and back-substitutes
+    # over the pivots that can be odd; the eager reference reads every row
+    # as given.  Primitive and witness must agree, on OL's top degree and
+    # on every degree of L (where a cell may have a vertex half), for the
+    # meshing cocycle and for random right-hand sides, mostly obstructed.
+    import random
+
+    L = random_flag(n, p, seed)
+    k = L.dim
+    if k < 1:
+        return
+    K = octahedralize(L) if lifted and k <= 2 else L
+    degree = 2 * k if K is not L else data.draw(st.integers(1, 2 * k), label="degree")
+    space = ConfigurationSpace(K)
+    if not space.indexed_cells(degree) or len(space.indexed_cells(degree)) > 4000:
+        return
+    if data.draw(st.booleans(), label="mesh") and degree == 2 * k:
+        phi = top_mesh_cocycle(space, k)
+    else:
+        rng = random.Random(seed)
+        phi = [rng.randrange(2) for _ in space.indexed_cells(degree)]
+    x, witness = gf2_eager.solve(list(zip(ConfigurationSpace(K).facet_keys(degree), phi, strict=True)))
+    assert solve_coboundary(phi, degree, space) == (None if x is None else tuple(sorted(x)), witness)
+
+
+def test_a_dropped_cofacet_or_a_flipped_primitive_key_fails_the_mod2_recheck(monkeypatch):
+    # The re-check toggles the cofacets of the primitive's keys: a cofacet
+    # missing from the table, or a key added to or dropped from the
+    # primitive, leaves a top cell where delta(x) differs from phi.
+    L = cone(cycle(5))
+    primitive = certify_vanishing(L).primitive
+    space = ConfigurationSpace(octahedralize(L))
+    masks, table = space.masks, ConfigurationSpace._coface_ids
+    s, t = divmod(primitive[0], len(masks))
+    # A coface of one half, disjoint from the other: a cofacet of the key.
+    half, coface = next((h, c) for h, o in ((s, t), (t, s)) for c in space._coface_ids[h] if not masks[c] & masks[o])
+
+    def short_table(self):
+        cofaces = table.func(self)
+        cofaces[half] = [c for c in cofaces[half] if c != coface]
+        return cofaces
+
+    with monkeypatch.context() as m:
+        m.setattr(ConfigurationSpace, "_coface_ids", property(short_table))
+        with pytest.raises(RuntimeError, match="primitive fails verification"):
+            certify_vanishing(L)
+    lower = space.stored_cells(space.indexed_cells(2 * L.dim - 1))[0]
+    spare = next(key for key in lower if key not in primitive and space.cofacets(2 * L.dim, key))
+    for flipped in (primitive[1:], tuple(sorted((*primitive, spare)))):
+        with monkeypatch.context() as m:
+            m.setattr(obstruction, "solve_coboundary", lambda phi, degree, space, x=flipped: (x, None))
+            with pytest.raises(RuntimeError, match="primitive fails verification"):
+                certify_vanishing(L)
 
 
 def test_a_facet_key_row_one_key_short_is_refused_by_the_integer_solve_and_recheck(monkeypatch):

@@ -770,6 +770,53 @@ def test_top_solve_matches_the_dense_signed_row_solve():
     assert statuses == {"primitive", "obstructed"}
 
 
+def test_largest_keys_and_cofacets_read_off_the_facet_rows():
+    # Each cell's largest facet key, read without its row, is the largest
+    # key of its facet_keys row, and the cofacets of each (d - 1)-cell are
+    # the transpose of facet_keys(d): on OL's top degree for the zoo, the
+    # benchmark's vanishing and integral cases and random flag complexes of
+    # dimension at most 3, and on every degree of those complexes, where a
+    # cell may have a vertex half.
+    bases = [(entry.name, entry.complex()) for entry in ZOO] + list(bench_vanishing_complexes())
+    flags = [(f"random_flag(8,{p},{seed})", random_flag(8, p, seed)) for p in (0.4, 0.6, 0.8) for seed in range(4)]
+    bases += [(name, L) for name, L in flags if L.dim <= 3]
+    spaces = 0
+    for name, L in bases:
+        degrees = [(octahedralize(L), 2 * L.dim)] + [(L, d) for d in range(2 * L.dim + 1)]
+        for K, d in degrees:
+            space = ConfigurationSpace(K)
+            rows = ConfigurationSpace(K).facet_keys(d)
+            assert space.largest_facet_keys(d) == [max(row) if row else None for row in rows], (name, d)
+            transpose: dict = {}
+            for i, row in enumerate(rows):
+                for key in row:
+                    transpose.setdefault(key, []).append(i)
+            lower = space.stored_cells(space.indexed_cells(d - 1))[0] if d else []
+            assert {key: sorted(space.cofacets(d, key)) for key in lower if transpose.get(key)} == transpose, (name, d)
+            assert not any(space.cofacets(d, key) for key in lower if key not in transpose), (name, d)
+            spaces += 1
+    assert spaces > 100
+
+
+def test_the_top_solve_builds_only_the_rows_it_meets(monkeypatch):
+    # On cone(suspension(cycle(8))) no row meets a pivot: the solve builds
+    # the rows of the pivots whose right-hand side is 1 and of those found
+    # through the cofacets of x's keys, 240 of the 9,600 top cells, and the
+    # re-check goes through the same cofacets; neither reads facet_keys.
+    def refuse(self, d):
+        raise AssertionError(f"facet_keys({d}) was read")
+
+    built = []
+    facet_row = ConfigurationSpace.facet_row
+    monkeypatch.setattr(ConfigurationSpace, "facet_keys", refuse)
+    monkeypatch.setattr(ConfigurationSpace, "facet_row", lambda self, ga, gb: built.append((ga, gb)) or facet_row(self, ga, gb))
+    L = cone(suspension(cycle(8)))
+    result = certify_vanishing(L)
+    assert result.status == "primitive" and len(result.primitive) == 240
+    assert len(built) == len(set(built)) == 240
+    assert ConfigurationSpace(octahedralize(L)).count_cells(2 * L.dim) == 9600
+
+
 def test_mutual_exclusion_never_both():
     for L in (cycle(4), path(3), cycle(3), simplex(2), octahedron_boundary(2)):
         cert = certify_nonvanishing(L, L.dim)
