@@ -48,9 +48,9 @@ face ids (a, b) in stored order, F the number of faces.  The key increases
 strictly in cell order.  The enumeration yields stored pairs, and
 `stored_cells` names any other list of disjoint face-id pairs, listed
 either half first, the one copy of that rule (`_stored`) that `verify`,
-the integer pullback and `cofacets` read.  The facets {a', b} and
-{a, b'} of a cell are read off the facet table as keys, by one
-first-vertex argument (`_first_half`):
+the integer pullback, `cofacets` and `coboundary` read.  The facets
+{a', b} and {a, b'} of a cell are read off the facet table as keys, by
+one first-vertex argument (`_first_half`):
 a stored cell has a's first vertex below b's, so every facet of a that
 keeps that vertex stays first, with key a' * F + b, and only the one that
 drops it can swap; every facet of b starts at or after b's first vertex,
@@ -61,7 +61,7 @@ first vertex are first whatever b is, the cells that share a send all
 their partners b to each such facet in one set operation, and only the
 facet that drops that vertex needs the swap rule, cell by cell; each b's
 facets then go to a's partners, one set operation per cell.
-`facet_row(a, b)` lists the facet keys of one d-cell, built once per
+`facet_row(d, i)` lists the facet keys of the i-th d-cell, built once per
 cell and kept, and `facet_keys(d)` those of every d-cell, the rows of the
 integer solve and its re-check, which solve only the top degree 2k and
 zip each row with one sign vector (`obstruction._top_signs`), as there
@@ -70,8 +70,11 @@ key without its row (`largest_facet_keys`: the id order puts it at the
 swapped drop facet or at b's last facet), builds only the rows it meets,
 and finds the d-cells whose row holds a key through `cofacets`: those of
 {s, t} are the cells {c, t} and {s, c} for the cofaces c of one half
-disjoint from the other, read off the transpose of the facet table.  So
-no solve, over either ring, builds a cell of degree d or d - 1.
+disjoint from the other, read off the transpose of the facet table.  Its
+mod-2 re-check takes the coboundary of the primitive by the same rule,
+`coboundary(keys)`, but with the cofaces found by a scan of the facet
+table itself, so the two share no table.  So no solve, over either ring,
+builds a cell of degree d or d - 1.
 
 For a complex on signed vertices, `minus_ids` is the projection table that
 the push to the product with the minus copy reads: each face's minus copy,
@@ -82,8 +85,8 @@ each rank r of the face goes to r & -2, the low bit cleared.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from functools import cached_property
-from itertools import starmap
 
 from .complexes import SimplicialComplex, facet_ids
 from .octa import DoubledComplex, Octahedralization
@@ -125,9 +128,8 @@ class ConfigurationSpace:
         self._degrees: dict = {}
         self._counts: dict = {}
         self._keys: dict = {}
-        self._halves: dict = {}
         self._rows: dict = {}
-        self._cofacets: dict = {}
+        self._halves: dict = {}
 
     @cached_property
     def _index(self):
@@ -262,36 +264,69 @@ class ConfigurationSpace:
 
         The one copy of the swap rule: of a's facets, in id order, only the
         last drops a's first vertex, so only it can put b first (the module
-        docstring has the argument).  Built once per face."""
-        half = self._halves.get(ga)
-        if half is None:
-            ids = self._facet_ids[ga]
-            half = self._halves[ga] = (ids[:-1], ids[-1], self._index[2][ids[-1]]) if ids else ((), None, None)
-        return half
+        docstring has the argument)."""
+        ids = self._facet_ids[ga]
+        if not ids:
+            return (), None, None
+        return ids[:-1], ids[-1], self._index[2][ids[-1]]
 
-    def facet_row(self, ga: int, gb: int) -> list:
-        """The keys of the facets {a', b}, then {a, b'}, of the stored cell
-        (ga, gb), each facet in stored order: its row in `facet_keys`, built
-        once per cell.  The two kinds never coincide, as that would need a =
-        b."""
+    def _facet_rows(self, pairs):
+        """The keys of the facets {a', b}, then {a, b'}, of each cell (a, b)
+        of `pairs`, each facet in stored order; one list per cell.
+
+        The two kinds never coincide, as that would need a = b.  What a alone
+        fixes (`_first_half`) is built once per run of cells that share a,
+        as a degree's cells do in cell order."""
         first = self._index[2]
-        F = len(first)
-        aF = ga * F
-        row = self._rows.get(aF + gb)
+        facet_ids, F = self._facet_ids, len(first)
+        prev = None
+        for ga, gb in pairs:
+            if ga != prev:
+                prev, aF = ga, ga * F
+                keep, drop, drop_first = self._first_half(ga)
+                keep = [sa * F for sa in keep]
+                if drop is not None:
+                    dropF = drop * F
+            row = [k + gb for k in keep]
+            if drop is not None:
+                row.append(dropF + gb if drop_first < first[gb] else gb * F + drop)
+            row += [aF + sb for sb in facet_ids[gb]]
+            yield row
+
+    def facet_row(self, d: int, i: int) -> list:
+        """The facet keys of the i-th d-cell in cell order, its row in
+        `facet_keys(d)`, built on the first call and kept, unless
+        `facet_keys(d)` has built it: alone, as `_facet_rows` builds each
+        row, from what a fixes (`_first_half`, its keys times F), kept
+        per face as no run of cells that share a is at hand."""
+        rows = self._rows.get(d)
+        if rows is None:
+            rows = self._rows[d] = [None] * len(self.indexed_cells(d))
+        row = rows[i]
         if row is None:
-            keep, drop, drop_first = self._first_half(ga)
-            row = [sa * F + gb for sa in keep]
+            ga, gb = self.indexed_cells(d)[i]
+            first = self._index[2]
+            F = len(first)
+            half = self._halves.get(ga)
+            if half is None:
+                keep, drop, drop_first = self._first_half(ga)
+                half = self._halves[ga] = ([sa * F for sa in keep], drop, drop_first)
+            keep, drop, drop_first = half
+            row = [k + gb for k in keep]
             if drop is not None:
                 row.append(drop * F + gb if drop_first < first[gb] else gb * F + drop)
+            aF = ga * F
             row += [aF + sb for sb in self._facet_ids[gb]]
-            self._rows[aF + gb] = row
+            rows[i] = row
         return row
 
     def facet_keys(self, d: int) -> tuple:
         """Unsigned boundary of every d-cell as a list of facet keys, one list
-        per cell in cell order (`facet_row`); computed once per degree."""
+        per cell in cell order; computed once per degree, in one pass of
+        `_facet_rows`, and kept for `facet_row`."""
         if d not in self._keys:
-            self._keys[d] = tuple(starmap(self.facet_row, self.indexed_cells(d)))
+            rows = self._keys[d] = tuple(self._facet_rows(self.indexed_cells(d)))
+            self._rows[d] = list(rows)
         return self._keys[d]
 
     def largest_facet_keys(self, d: int) -> list:
@@ -311,13 +346,13 @@ class ConfigurationSpace:
         first = self._index[2]
         facet_ids, F = self._facet_ids, len(first)
         tops, prev = [], None
-        for ga, gb in self.indexed_cells(d):
+        for i, (ga, gb) in enumerate(self.indexed_cells(d)):
             if ga != prev:
                 prev, aF = ga, ga * F
                 _, drop, drop_first = self._first_half(ga)
             ids = facet_ids[gb]
             if drop is None or not ids:
-                row = self.facet_row(ga, gb)
+                row = self.facet_row(d, i)
                 tops.append(max(row) if row else None)
             else:
                 tops.append(gb * F + drop if drop_first > first[gb] and gb > ga else aF + ids[-1])
@@ -344,16 +379,37 @@ class ConfigurationSpace:
         transpose of the facet table lists each coface of a face once, so
         the list is complete and has no repeats.  Each is put in stored
         order by `_stored` and found in the enumerated degree by bisection,
-        cell order being the order of the stored pairs.  Computed once per
-        key, which names one cell and so one degree."""
-        found = self._cofacets.get(key)
-        if found is None:
-            masks, cofaces, cells = self._index[1], self._coface_ids, self.indexed_cells(d)
+        cell order being the order of the stored pairs."""
+        masks, cofaces, cells = self._index[1], self._coface_ids, self.indexed_cells(d)
+        s, t = divmod(key, len(masks))
+        ms, mt = masks[s], masks[t]
+        pairs = [(c, t) for c in cofaces[s] if not masks[c] & mt] + [(s, c) for c in cofaces[t] if not masks[c] & ms]
+        return [bisect_left(cells, pair) for pair in self._stored(pairs)]
+
+    def coboundary(self, keys) -> set:
+        """GF(2) coboundary of the cochain that is 1 on the cells `keys`, each
+        listed once: the stored cells, as face-id pairs, that have an odd
+        number of them as facets.
+
+        The cell {c, o} has the facet {h, o} exactly when h is a facet of c
+        and o misses c, so each key {s, t} is a facet of the cells {c, t}
+        and {s, c} of `cofacets`, each once, and toggling them over the keys
+        leaves the coboundary.  The faces c are found by one scan of the
+        facet table itself, not of its transpose, which the solve's
+        back-substitution reads through `cofacets`: a check that reads this
+        shares no table with it."""
+        masks = self._index[1]
+        partners: dict = {}  # a half of a key -> the other halves it pairs with
+        for key in keys:
             s, t = divmod(key, len(masks))
-            ms, mt = masks[s], masks[t]
-            pairs = [(c, t) for c in cofaces[s] if not masks[c] & mt] + [(s, c) for c in cofaces[t] if not masks[c] & ms]
-            found = self._cofacets[key] = [bisect_left(cells, pair) for pair in self._stored(pairs)]
-        return found
+            partners.setdefault(s, []).append(t)
+            partners.setdefault(t, []).append(s)
+        cells, halves = [], partners.keys()
+        for c, ids in enumerate(self._facet_ids):
+            if not halves.isdisjoint(ids):
+                mc = masks[c]
+                cells += [(c, o) for h in halves & ids for o in partners[h] if not mc & masks[o]]
+        return {cell for cell, n in Counter(self._stored(cells)).items() if n & 1}
 
     def boundary(self, pairs) -> tuple:
         """GF(2) boundary of a chain given by the face-id pairs (a, b) of its

@@ -12,21 +12,24 @@ an inconsistency from that one pass: it records each pivot's equation, in
 the order the pivots are made, and the pivots a reduced pivot's row was
 reduced by.
 
-`solve` reads its equations through `Equations`, which may name each row's
-largest key before the row is built: a pivot kept as given is then held
-unbuilt, and a row is built only when it meets a pivot, when a row meeting
-it is reduced by it, or when back-substitution visits it.  Back-substitution
-visits, in ascending key order, only the reduced pivots, the pivots kept as
-given whose equation has rhs 1, and the pivots kept as given whose row
-holds a key that x has gained, found through `Equations.holders`.  These
-are all the pivots the full loop over every pivot can find odd: it visits
-the pivots in ascending order and sets c when c's row has odd parity on x,
-which then holds -1 (the rhs) and the pivots below c that were set.  A
-pivot row holds no key above its own, so a row kept as given with rhs 0
-and none of those keys has parity 0.  Each key is set before any pivot
-above it is visited, so the pivots its holders make are queued in time,
-and skipping the rest changes nothing.  Exactness is the point: no floats
-anywhere.
+`solve` reads its equations as a `System`, which names each row's largest
+key before the row is built: a pivot kept as given is then held unbuilt,
+and a row is built only when it meets a pivot, when a row meeting it is
+reduced by it, or when back-substitution visits it.  Back-substitution
+visits, in ascending key order, the pivots whose row is built by then and
+the pivots kept as given whose equation has rhs 1.  Of the rest, pivots
+kept as given with rhs 0 and no row yet, it visits all when they are no
+more than those, as a row costs less to build than a key's holders to
+find, or when every row is at hand; otherwise only those whose row holds
+a key that x has gained below them, found through `System.holders` of
+that key.  These are all the pivots the full loop over every pivot can
+find odd: it visits the pivots in ascending order and sets c when c's row
+has odd parity on x, which then holds -1 (the rhs) and the pivots below c
+that were set.  A pivot row holds no key above its own, so a row kept as
+given with rhs 0 and none of those keys has parity 0.  Each key is set
+before any pivot above it is visited, so the pivots its holders make are
+queued in time, and skipping the rest changes nothing.  Exactness is the
+point: no floats anywhere.
 """
 
 from __future__ import annotations
@@ -96,51 +99,37 @@ def kernel_basis(rows, ncols) -> list:
     return [_back_substitute(piv, order[bisect_right(order, f):], {f}) for f in range(ncols) if f not in piv]
 
 
-class Equations:
-    """The equations of `solve`, as it reads them: `read()` yields each
-    equation's largest key (None for an empty row) and rhs, in order, and
-    once equation i has been read, `tops[i]` is its largest key, `row(i)`
-    its keys and `holders(key)` the equations read whose row holds key.
+class System:
+    """A system as `solve` reads it, one equation per index: `tops[i]` is
+    the largest key of equation i's row (None for an empty row), `rhs` its
+    rhs bits in order, read once, `row(i)` builds its keys, and
+    `holders(key)` lists the equations whose row holds key, or is None
+    when every row is at hand, so that back-substitution visits them all."""
 
-    This form takes (keys, rhs) pairs from any iterable, read once, in
-    order, each row built; `holders` transposes the rows read on its first
-    call.  A system that can name a row's largest key without building the
-    row, and a key's holders without the rows, overrides them."""
+    def __init__(self, tops, rhs, row, holders):
+        self.tops, self.rhs, self.row, self.holders = tops, rhs, row, holders
 
-    def __init__(self, equations):
-        self._given, self._rows, self.tops, self._holders = equations, [], [], None
-
-    def read(self):
-        for keys, rhs in self._given:
-            top = max(keys) if keys else None
-            self._rows.append(keys)
-            self.tops.append(top)
-            yield top, rhs
-
-    def row(self, i: int):
-        return self._rows[i]
-
-    def holders(self, key: int):
-        if self._holders is None:
-            self._holders = {}
-            for i, keys in enumerate(self._rows):
-                for k in keys:
-                    self._holders.setdefault(k, []).append(i)
-        return self._holders.get(key, ())
+    def __len__(self) -> int:
+        return len(self.tops)
 
 
-class _Built(dict):
-    """The pivot rows of one solve by pivot key: a pivot kept as given is
-    built from its equation on its first read (with the rhs key -1 when its
-    rhs is 1), and kept."""
+def _given(equations) -> System:
+    """The `System` of explicit (keys, rhs) pairs, every row at hand."""
+    pairs = list(equations)
+    rows = [keys for keys, _ in pairs]
+    return System([max(keys) if keys else None for keys in rows], [bit for _, bit in pairs], rows.__getitem__, None)
 
-    def __init__(self, system, origin, odd):
+
+class _Pivots(dict):
+    """Pivot rows by pivot key: a row not yet held is built by `build(key)`
+    on its first read, and kept."""
+
+    def __init__(self, build):
         super().__init__()
-        self.system, self.origin, self.odd = system, origin, odd
+        self.build = build
 
     def __missing__(self, c):
-        row = self.system.row(self.origin[c])
-        row = self[c] = (*row, -1) if c in self.odd else row
+        row = self[c] = self.build(c)
         return row
 
 
@@ -148,14 +137,14 @@ def solve(equations, ncols):
     """Solve A x = b over GF(2) in one elimination.
 
     equations: (keys, rhs_bit) pairs, one per equation, its variables given
-    by a collection of nonnegative column keys, each at most once, read in
-    order from any iterable, or an `Equations` that reads them.  Each is
-    eliminated as it arrives, so only the pivot rows are ever held, and a
-    row is kept as given, unbuilt, until it meets a pivot or a row is
-    reduced by it (then with the rhs key -1, below every variable, when its
-    rhs is 1); no row is mutated.  ncols is the number of unknowns;
-    elimination does not read it, as the keys only order the unknowns and
-    need not lie below it.
+    by a collection of nonnegative column keys, each at most once, or a
+    `System` that names each row's largest key and builds the row only
+    when asked.  Each is eliminated as it arrives, so only the pivot rows
+    are ever held, and a row is kept as given, unbuilt, until it meets a
+    pivot or a row is reduced by it (then with the rhs key -1, below every
+    variable, when its rhs is 1); no row is mutated.  ncols is the number
+    of unknowns; elimination does not read it, as the keys only order the
+    unknowns and need not lie below it.
     Returns (x, None) on success, x the set of keys set to 1 with free
     variables 0, or (None, witness) at the first equation that reads 0 = 1:
     the ascending list of equation indices whose sum reads 0 = 1, that
@@ -165,12 +154,17 @@ def solve(equations, ncols):
     the first 0 = 1 walks both back to its witness.  Back-substitution
     visits only the pivots that can be odd (the module docstring has why).
     """
-    system = equations if isinstance(equations, Equations) else Equations(equations)
+    system = equations if isinstance(equations, System) else _given(equations)
     origin: dict = {}  # pivot key -> its equation index, in creation order
     below: dict = {}  # reduced pivot key -> the pivots its row was reduced by
     odd: set = set()  # the pivots kept as given whose rhs is 1
-    rows = _Built(system, origin, odd)
-    for i, (c, rhs) in enumerate(system.read()):
+
+    def given(c):
+        row = system.row(origin[c])
+        return (*row, -1) if c in odd else row
+
+    rows = _Pivots(given)  # pivot key -> its row, once built (with -1 when odd)
+    for i, (c, rhs) in enumerate(zip(system.tops, system.rhs)):
         if c not in origin and c is not None:
             origin[c] = i
             if rhs & 1:
@@ -195,10 +189,17 @@ def solve(equations, ncols):
             origin[c] = i
             rows[c] = r
             below[c] = used
-    # The key -1 in x is the rhs column, read as the constant 1.  A holder
-    # j of a set key makes a pivot kept as given exactly when j made the
-    # pivot on its own largest key; a reduced row's pivot is below that.
-    x, todo, last, tops = {-1}, [*below, *odd], None, system.tops
+    # The key -1 in x is the rhs column, read as the constant 1.  Every
+    # pivot whose row is built or whose rhs is 1 is visited, and the unseen
+    # rest too when they are no more or every row is at hand; else each is
+    # found through the holders of a key x gains below it, read only while
+    # an unseen pivot lies above that key.  A holder j makes a pivot kept
+    # as given exactly when j made the pivot on its own largest key.
+    todo, unseen = [*rows.keys() | odd], origin.keys() - rows.keys() - odd
+    if len(unseen) <= len(todo) or system.holders is None:
+        todo += unseen
+        unseen = set()
+    reach, x, last, tops = max(unseen, default=-1), {-1}, None, system.tops
     heapify(todo)
     while todo:
         c = heappop(todo)
@@ -207,9 +208,10 @@ def solve(equations, ncols):
         last, row = c, rows[c]
         if not x.isdisjoint(row) and len(x.intersection(row)) & 1:
             x.add(c)
-            for j in system.holders(c):
-                t = tops[j]
-                if t > c and origin.get(t) == j:
-                    heappush(todo, t)
+            if c < reach:
+                for j in system.holders(c):
+                    t = tops[j]
+                    if t > c and t in unseen and origin[t] == j:
+                        heappush(todo, t)
     x.discard(-1)
     return x, None

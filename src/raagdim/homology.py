@@ -14,13 +14,12 @@ coefficient is +-1, so the GF(2) rows are the id rows as they are,
 eliminated sparsely by `gf2`; over Q, `intlinalg.sparse_rank` reads the
 signed rows, `boundary_rows(K, d)`.
 The configuration space plugs into the GF(2) `solve_coboundary` as a
-`gf2.Equations` (`_Coboundary`): each d-cell's largest facet key, read
-without its row (``largest_facet_keys(d)``), one cell's facet-key row
-built when the elimination or the back-substitution meets it
-(``facet_row``), and the d-cells whose row holds a key (``cofacets``).
-So the solve builds only the rows it meets (240 of 9,600 on
-cone(suspension(cycle(8)))), with the pivots, primitive and witness of
-the elimination that reads every row.
+`gf2.System`: each d-cell's largest facet key, read without its row
+(``largest_facet_keys(d)``), one cell's facet-key row built when the
+elimination or the back-substitution meets it (``facet_row(d, i)``), and
+the d-cells whose row holds a key (``cofacets``).  So the solve builds
+only the rows it meets (240 of 9,600 on cone(suspension(cycle(8)))), with
+the pivots, primitive and witness of the elimination that reads every row.
 The cochain phi is a sequence in the cell order, and a primitive comes
 back as the keys of its support, so the solve builds no cell, of degree
 d or d-1.  Over Z, `obstruction.certify_vanishing`
@@ -29,6 +28,8 @@ space's top facet keys, each zipped with one sign vector.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from . import gf2, intlinalg
 from .complexes import SimplicialComplex, facet_signs
@@ -81,46 +82,18 @@ def cycle_space(K: SimplicialComplex, k: int) -> tuple:
     return tuple(sorted(cycles, key=lambda c: (len(c), sorted(c))))
 
 
-class _Coboundary(gf2.Equations):
-    """The equations of delta x = phi on the m-cells of `space`, one per
-    m-cell in cell order, read as `gf2.solve` needs them: each row's
-    largest key from `space.largest_facet_keys(m)`, a row only when asked
-    (`space.facet_row`), and a key's holders from `space.cofacets`.  As a
-    sequence it is the (facet keys, phi value) pairs, each row built."""
-
-    def __init__(self, phi, degree: int, space):
-        cells = space.indexed_cells(degree)
-        if len(phi) != len(cells):
-            raise ValueError(f"phi has {len(phi)} values for {len(cells)} cells of degree {degree}")
-        self.phi, self.degree, self.space, self.cells = phi, degree, space, cells
-        self.tops = space.largest_facet_keys(degree)
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __iter__(self):
-        return zip(map(self.row, range(len(self.cells))), self.phi)
-
-    def read(self):
-        return zip(self.tops, self.phi)
-
-    def row(self, i: int) -> list:
-        return self.space.facet_row(*self.cells[i])
-
-    def holders(self, key: int) -> list:
-        return self.space.cofacets(self.degree, key)
-
-
 def solve_coboundary(phi, degree: int, space):
     """Find x with (delta x) = phi over GF(2) on the m-cells of a cell
     complex.
 
     phi: the values on the m-cells, a sequence in cell order, one per cell
     (a ValueError when its length differs).  space: cell complex exposing
-    count_cells(d), indexed_cells(d), largest_facet_keys(d), facet_row(a,
-    b) and cofacets(d, key), the keys of the (m-1)-cells increasing
+    count_cells(d), indexed_cells(d), largest_facet_keys(d), facet_row(d,
+    i) and cofacets(d, key), the keys of the (m-1)-cells increasing
     strictly in their cell order.  Builds no cell, and a row only where
-    the elimination or the back-substitution meets it (`_Coboundary`).
+    the elimination or the back-substitution meets it: the solve reads a
+    `gf2.System` of each row's largest key, one row built on request and
+    the holders of a key, its cofacets.
 
     Returns (primitive, witness) from one `gf2.solve`: `primitive` is the
     support of x, the keys of (m-1)-cells where it is 1, as a tuple in key
@@ -128,6 +101,11 @@ def solve_coboundary(phi, degree: int, space):
     unsolvable system is the ascending list of the indices of m-cells
     forming a cycle on which phi evaluates to 1.
     """
+    cells = space.indexed_cells(degree)
+    if len(phi) != len(cells):
+        raise ValueError(f"phi has {len(phi)} values for {len(cells)} cells of degree {degree}")
+    system = gf2.System(space.largest_facet_keys(degree), phi, partial(space.facet_row, degree),
+                        partial(space.cofacets, degree))
     n_lower = space.count_cells(degree - 1) if degree > 0 else 0
-    x, witness = gf2.solve(_Coboundary(phi, degree, space), n_lower)
+    x, witness = gf2.solve(system, n_lower)
     return (None, witness) if x is None else (tuple(sorted(x)), None)

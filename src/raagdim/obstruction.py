@@ -20,7 +20,8 @@ from the cycle's support, and the lemma suite OL's, which it has built
 already; the certificate stores the pairs as cells once.
 Vanishing is certified by an explicit coboundary primitive on cell keys,
 found by a GF(2) solve that builds only the facet rows it meets and
-re-checked mod 2 through the coboundary of its keys.
+re-checked mod 2 against its coboundary, taken by a scan of the facet
+table.
 A geometric cross-check computes exact signed intersection numbers of
 simplices mapped to the moment curve and must reproduce the combinatorial
 cocycle.  It reads cells as face-id pairs on the rank tuples of the index
@@ -301,20 +302,16 @@ def _recheck(space: ConfigurationSpace, degree: int, phi: list, x, modulus: int,
     """Check delta(x) = phi on every degree-cell, mod 2 (`modulus` 2) or
     exactly over Z (0), for phi given by position in cell order (a
     ValueError when its length differs) and the cochain x on cell keys.
-    Mod 2, x is its support, and delta(x) is taken through the coboundary:
-    the cofacets of x's keys (`space.cofacets`, complete and each once),
-    toggled, must be exactly the cells where phi is odd, which is delta(x)
-    = phi on every cell, as a cell's value of delta(x) is the parity of
-    its facets in x.  Over Z, x is its values, a dict, read against every
-    row of `space.facet_keys` with `_top_signs` (a ValueError for a row of
-    another length); a row that misses x's support has delta(x) = 0 there,
-    with no sum."""
+    Mod 2, x is its support, and its coboundary, taken by a scan of the
+    facet table (`space.coboundary`), must be exactly the cells where phi
+    is odd; as that scan does not read the cofacet table that the solve's
+    back-substitution reads, a fault in that table cannot both change the
+    primitive and pass it.  Over Z, x is its values, a dict, read against
+    every row of `space.facet_keys` with `_top_signs` (a ValueError for a
+    row of another length); a row that misses x's support has delta(x) = 0
+    there, with no sum."""
     if modulus == 2:
-        odd: set = set()
-        for key in x:
-            odd.symmetric_difference_update(space.cofacets(degree, key))
-        cells = space.indexed_cells(degree)
-        if odd != {i for i, (_, v) in enumerate(zip(cells, phi, strict=True)) if v & 1}:
+        if space.coboundary(x) != {cell for cell, v in zip(space.indexed_cells(degree), phi, strict=True) if v & 1}:
             raise RuntimeError(f"{what} fails verification")
         return
     get, signs, support = x.get, _top_signs(degree), x.keys()
@@ -397,9 +394,10 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
     Both call `intlinalg.solve_integer`, refused (with a reason) when a
     dense core of more than `intlinalg.INTEGRAL_ENTRY_CAP` entries is left
     after its unit pivots.  Each primitive found is re-checked exactly on
-    every top cell: mod 2 through the coboundary of its keys, which builds
-    no row, over Z against the rows of `space.facet_keys(2k)`, which the
-    GF(2) solve has built in part and does not read (`_recheck`).
+    every top cell (`_recheck`): mod 2 against its coboundary, taken by a
+    scan of the facet table, over Z against the rows of
+    `space.facet_keys(2k)`, built in one pass before the GF(2) solve,
+    which then reads them.
     """
     k = L.dim
     if k < 0:
@@ -414,6 +412,10 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
         return VanishingResult(status="skipped", primitive=None, witness_cycle=None,
                                reason=f"cell budget exceeded ({n_cells} > {max_cells})")
     phi = top_mesh_cocycle(space, k)
+    if integral:
+        # The Z re-check reads every top row: built here in one pass, the
+        # GF(2) solve reads them as `facet_row` keeps them.
+        space.facet_keys(2 * k)
     primitive, witness = solve_coboundary(phi, 2 * k, space)
     if primitive is None:
         faces, pairs = space.faces, space.indexed_cells(2 * k)

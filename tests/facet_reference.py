@@ -1,8 +1,8 @@
 """Reference oracle: the facet keys of one configuration-space cell, by
 the per-cell rule, testing every facet of the first half for a swap.
 `raagdim.config_space` builds what the first half alone fixes once per
-face, and tests only its last facet; the tests compare the two, row by
-row.
+run of cells that share it, and tests only its last facet; the tests
+compare the two, row by row.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from raagdim.homology import (
 from raagdim import obstruction
 from raagdim.obstruction import _integer_solve, _recheck, certify_vanishing, top_mesh_cocycle
 from raagdim.octa import octahedralize
-from raagdim.zoo import ZOO, cone, cycle, octahedron_boundary, path, points, random_flag, simplex, tree
+from raagdim.zoo import ZOO, build_named, cone, cycle, octahedron_boundary, path, points, random_flag, simplex, tree
 from raagdim.intlinalg import integer_rank
 from test_bounds import RP2
 from test_config_space import pairs_of, signed_boundary
@@ -295,27 +295,84 @@ def test_the_lazy_solve_matches_the_eager_elimination_on_explicit_rows(n, p, see
     assert solve_coboundary(phi, degree, space) == (None if x is None else tuple(sorted(x)), witness)
 
 
-def test_a_dropped_cofacet_or_a_flipped_primitive_key_fails_the_mod2_recheck(monkeypatch):
-    # The re-check toggles the cofacets of the primitive's keys: a cofacet
-    # missing from the table, or a key added to or dropped from the
-    # primitive, leaves a top cell where delta(x) differs from phi.
-    L = cone(cycle(5))
-    primitive = certify_vanishing(L).primitive
-    space = ConfigurationSpace(octahedralize(L))
-    masks, table = space.masks, ConfigurationSpace._coface_ids
-    s, t = divmod(primitive[0], len(masks))
-    # A coface of one half, disjoint from the other: a cofacet of the key.
-    half, coface = next((h, c) for h, o in ((s, t), (t, s)) for c in space._coface_ids[h] if not masks[c] & masks[o])
+def _cofacet_entries(space, keys):
+    """The entries (half, coface) of the cofacet table that the cofacets of
+    `keys` read: each coface of a half of a key that misses the other."""
+    masks, F = space.masks, len(space.masks)
+    return sorted({(h, c) for key in keys for h, o in (divmod(key, F), divmod(key, F)[::-1])
+                   for c in space._coface_ids[h] if not masks[c] & masks[o]})
 
-    def short_table(self):
+
+def _short_table(monkeypatch, half, coface):
+    """Drop one entry from the cofacet table of every space built in the
+    context."""
+    table = ConfigurationSpace._coface_ids
+
+    def short(self):
         cofaces = table.func(self)
         cofaces[half] = [c for c in cofaces[half] if c != coface]
         return cofaces
 
-    with monkeypatch.context() as m:
-        m.setattr(ConfigurationSpace, "_coface_ids", property(short_table))
-        with pytest.raises(RuntimeError, match="primitive fails verification"):
-            certify_vanishing(L)
+    monkeypatch.setattr(ConfigurationSpace, "_coface_ids", property(short))
+
+
+@pytest.mark.parametrize("name", ["cone(cycle(5))", "tree6", "path5"])
+def test_the_mod2_recheck_reads_no_cofacet_table(name, monkeypatch):
+    # The back-substitution finds pivots through the cofacet table; the
+    # re-check takes the coboundary by a scan of the facet table.  With any
+    # one entry dropped that a primitive key's cofacets read, the solve
+    # returns the primitive of the whole table (these systems find no pivot
+    # through it), and the re-check still passes it.
+    L = build_named(name)
+    primitive = certify_vanishing(L).primitive
+    space = ConfigurationSpace(octahedralize(L))
+    entries = _cofacet_entries(space, primitive)
+    assert entries
+    for half, coface in entries:
+        with monkeypatch.context() as m:
+            _short_table(m, half, coface)
+            assert certify_vanishing(L).primitive == primitive
+            short = ConfigurationSpace(octahedralize(L))
+            _recheck(short, 2 * L.dim, top_mesh_cocycle(short, L.dim), primitive, 2, "primitive")
+
+
+@pytest.mark.parametrize("name, on_L, degree, size, seed", [
+    ("path5", True, 2, 1, 0), ("random_flag(6,0.5,7)", False, 4, 3, 2), ("random_flag(6,0.5,18)", False, 4, 2, 1)])
+def test_a_dropped_cofacet_that_changes_the_primitive_fails_the_mod2_recheck(name, on_L, degree, size, seed,
+                                                                              monkeypatch):
+    # Systems whose back-substitution finds pivots through the cofacet
+    # table: delta of a few random keys.  Each entry of the table that the
+    # primitive's cofacets read is dropped in turn; the solve then returns
+    # the primitive of the whole table, or one that the re-check refuses.
+    import random
+
+    L = build_named(name)
+    K = L if on_L else octahedralize(L)
+    space = ConfigurationSpace(K)
+    lower = space.stored_cells(space.indexed_cells(degree - 1))[0]
+    y = set(random.Random(seed).sample(lower, size))
+    phi = [len(y.intersection(row)) & 1 for row in space.facet_keys(degree)]
+    primitive, _ = solve_coboundary(phi, degree, ConfigurationSpace(K))
+    _recheck(space, degree, phi, primitive, 2, "primitive")
+    refused = 0
+    for half, coface in _cofacet_entries(space, primitive):
+        with monkeypatch.context() as m:
+            _short_table(m, half, coface)
+            short = ConfigurationSpace(K)
+            changed, _ = solve_coboundary(phi, degree, short)
+            if changed != primitive:
+                with pytest.raises(RuntimeError, match="primitive fails verification"):
+                    _recheck(short, degree, phi, changed, 2, "primitive")
+                refused += 1
+    assert refused
+
+
+def test_a_flipped_primitive_key_fails_the_mod2_recheck(monkeypatch):
+    # A key added to or dropped from the primitive leaves a top cell where
+    # delta(x) differs from phi.
+    L = cone(cycle(5))
+    primitive = certify_vanishing(L).primitive
+    space = ConfigurationSpace(octahedralize(L))
     lower = space.stored_cells(space.indexed_cells(2 * L.dim - 1))[0]
     spare = next(key for key in lower if key not in primitive and space.cofacets(2 * L.dim, key))
     for flipped in (primitive[1:], tuple(sorted((*primitive, spare)))):
@@ -342,19 +399,22 @@ def test_a_facet_key_row_one_key_short_is_refused_by_the_integer_solve_and_reche
 
 def test_an_obstructed_solve_eliminates_once_and_stops_at_its_witness(monkeypatch):
     # One gf2.solve finds the inconsistency and names its witness: it reads
-    # the equations up to the first that reads 0 = 1, the witness's largest
-    # index, and no further.
-    reads = []
+    # the equations of the coboundary system up to the first that reads
+    # 0 = 1, the witness's largest index, and no further, and builds no row
+    # past it.
+    reads, built = [], []
     solve = gf2.solve
 
-    def spy(equations, ncols):
+    def spy(system, ncols):
         def counted():
-            for equation in equations:
+            for bit in system.rhs:
                 reads[-1] += 1
-                yield equation
+                yield bit
 
+        assert isinstance(system, gf2.System)
         reads.append(0)
-        return solve(counted(), ncols)
+        row = system.row
+        return solve(gf2.System(system.tops, counted(), lambda i: built.append(i) or row(i), system.holders), ncols)
 
     monkeypatch.setattr(gf2, "solve", spy)
     space = ConfigurationSpace(octahedralize(cycle(5)))
@@ -362,6 +422,7 @@ def test_an_obstructed_solve_eliminates_once_and_stops_at_its_witness(monkeypatc
     primitive, witness = solve_coboundary(phi, 2, space)
     assert primitive is None
     assert reads == [max(witness) + 1] and reads[0] < len(phi)
+    assert built and max(built) <= max(witness)
 
 
 @given(st.integers(0, 10**6))

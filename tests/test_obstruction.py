@@ -772,11 +772,11 @@ def test_top_solve_matches_the_dense_signed_row_solve():
 
 def test_largest_keys_and_cofacets_read_off_the_facet_rows():
     # Each cell's largest facet key, read without its row, is the largest
-    # key of its facet_keys row, and the cofacets of each (d - 1)-cell are
-    # the transpose of facet_keys(d): on OL's top degree for the zoo, the
-    # benchmark's vanishing and integral cases and random flag complexes of
-    # dimension at most 3, and on every degree of those complexes, where a
-    # cell may have a vertex half.
+    # key of its facet_keys row, the cofacets of each (d - 1)-cell are the
+    # transpose of facet_keys(d), and so is a cochain's coboundary: on OL's
+    # top degree for the zoo, the benchmark's vanishing and integral cases
+    # and random flag complexes of dimension at most 3, and on every degree
+    # of those complexes, where a cell may have a vertex half.
     bases = [(entry.name, entry.complex()) for entry in ZOO] + list(bench_vanishing_complexes())
     flags = [(f"random_flag(8,{p},{seed})", random_flag(8, p, seed)) for p in (0.4, 0.6, 0.8) for seed in range(4)]
     bases += [(name, L) for name, L in flags if L.dim <= 3]
@@ -794,22 +794,30 @@ def test_largest_keys_and_cofacets_read_off_the_facet_rows():
             lower = space.stored_cells(space.indexed_cells(d - 1))[0] if d else []
             assert {key: sorted(space.cofacets(d, key)) for key in lower if transpose.get(key)} == transpose, (name, d)
             assert not any(space.cofacets(d, key) for key in lower if key not in transpose), (name, d)
+            # The coboundary of a cochain, taken by the scan of the facet
+            # table, is the set of cells with an odd number of its keys.
+            cells = space.indexed_cells(d)
+            for keys in (set(lower[::3]), set(lower[1::2])):
+                odd = {cells[i] for i, row in enumerate(rows) if len(keys.intersection(row)) & 1}
+                assert space.coboundary(keys) == odd, (name, d)
             spaces += 1
     assert spaces > 100
 
 
 def test_the_top_solve_builds_only_the_rows_it_meets(monkeypatch):
     # On cone(suspension(cycle(8))) no row meets a pivot: the solve builds
-    # the rows of the pivots whose right-hand side is 1 and of those found
-    # through the cofacets of x's keys, 240 of the 9,600 top cells, and the
-    # re-check goes through the same cofacets; neither reads facet_keys.
+    # the rows of the pivots whose right-hand side is 1 and of those it
+    # looks for through the cofacets of x's keys, 240 of the 9,600 top
+    # cells, and the re-check takes the coboundary of x with no row;
+    # neither reads facet_keys.
     def refuse(self, d):
         raise AssertionError(f"facet_keys({d}) was read")
 
     built = []
     facet_row = ConfigurationSpace.facet_row
     monkeypatch.setattr(ConfigurationSpace, "facet_keys", refuse)
-    monkeypatch.setattr(ConfigurationSpace, "facet_row", lambda self, ga, gb: built.append((ga, gb)) or facet_row(self, ga, gb))
+    monkeypatch.setattr(ConfigurationSpace, "facet_row",
+                        lambda self, d, i: built.append((d, i)) or facet_row(self, d, i))
     L = cone(suspension(cycle(8)))
     result = certify_vanishing(L)
     assert result.status == "primitive" and len(result.primitive) == 240

@@ -90,14 +90,18 @@ def test_route_primitive_digest(expr):
 
 @pytest.mark.parametrize("expr, solvable", [("cone(cycle(5))", True), ("octahedron_boundary(3)", False)])
 def test_top_solve_leaves_the_cached_facet_rows_as_built(expr, solvable):
-    # The solve holds the rows it builds as its pivots without a copy, and
-    # those are the space's kept facet rows, which facet_keys reads back;
-    # the obstructed solve names its witness from the same pass.  It may
-    # not change them.
+    # The solve holds the rows it reads as its pivots without a copy, and
+    # those are the space's cached facet rows, which facet_keys hands out
+    # too; the obstructed solve names its witness from the same pass.  It
+    # may not change them.
     L = build_named(expr)
     octa = octahedralize(L)
     space = ConfigurationSpace(octa.complex)
     phi = top_mesh_cocycle(space, L.dim)
+    rows = space.facet_keys(2 * L.dim)
+    before = [list(row) for row in rows]
     primitive, witness = solve_coboundary(phi, 2 * L.dim, space)
     assert (primitive is not None, bool(witness)) == (solvable, not solvable)
-    assert space.facet_keys(2 * L.dim) == ConfigurationSpace(octa.complex).facet_keys(2 * L.dim)
+    assert space.facet_keys(2 * L.dim) is rows
+    assert [list(row) for row in rows] == before
+    assert all(space.facet_row(2 * L.dim, i) is row for i, row in enumerate(rows))
