@@ -32,6 +32,8 @@ def _load_json(path: str):
         raise io_json.MalformedInput(f"not UTF-8 text ({exc.reason})", path)
     except json.JSONDecodeError as exc:
         raise io_json.MalformedInput(f"invalid JSON at line {exc.lineno}, column {exc.colno}", path)
+    except RecursionError:
+        raise io_json.MalformedInput("JSON nested too deeply", path) from None
 
 
 def _write(path: str | None, payload: dict) -> None:

@@ -85,6 +85,12 @@ class SimplicialComplex(_ComplexFields):
     def _facet_table(self) -> dict:
         return {}
 
+    @cached_property
+    def _mod2_rank_table(self) -> list:
+        """The GF(2) rank of each degree's boundary, filled once by
+        `homology`, which eliminates the rows."""
+        return []
+
     def facet_rows(self, d: int) -> tuple:
         """The facet ids of every d-face, one row per face of
         `faces_of_dim(d)`, ids indexing `faces_of_dim(d - 1)`; built once per

@@ -2,8 +2,15 @@
 
 Homology is reduced throughout (the augmentation lives in degree -1), so
 the Betti numbers of a point are all zero and b0 counts components minus
-one.  Rational ranks come from exact integer elimination: unit pivots on
-the sparse rows, then fraction-free elimination of the core they leave.
+one.  Each degree's mod-2 rank r2(d) is eliminated once per complex and
+kept on it, so both Betti tuples read one `gf2.rank` per degree.  Rational
+ranks rQ(d) are read off those wherever they are pinned: rQ(d) = r2(d)
+whenever the mod-2 Betti number in degree d - 1 or d is 0 (in degree -1 it
+is, on a nonempty complex).  Proof: rQ >= r2, as a minor that is odd is a
+nonzero integer; and b^Q_k = f_k - rQ(k) - rQ(k + 1) >= 0, so b^2_k = 0
+forces rQ(k) = r2(k) and rQ(k + 1) = r2(k + 1).  Only a degree left
+unpinned is eliminated over Z: unit pivots on the sparse rows, then
+fraction-free elimination of the core they leave.
 
 Simplicial boundaries are read off `K.facet_rows(d)`, built once per
 degree in the face order and the facet order `complexes` owns (the last
@@ -42,24 +49,38 @@ def boundary_rows(K: SimplicialComplex, d: int) -> tuple:
     return tuple(tuple(zip(row, signs, strict=True)) for row in K.facet_rows(d))
 
 
-def _betti(K: SimplicialComplex, rank) -> tuple:
-    """Reduced Betti numbers for k = 0..dim K, given rank(d) of the
-    degree-d boundary."""
-    if K.dim < 0:
-        return ()
-    # No face has degree dim + 1.
-    ranks = [rank(d) for d in range(K.dim + 1)] + [0]
-    return tuple(len(K.faces_of_dim(k)) - ranks[k] - ranks[k + 1] for k in range(K.dim + 1))
+def _mod2_ranks(K: SimplicialComplex) -> tuple:
+    """r2(d), the GF(2) rank of the degree-d boundary, for d = 0..dim K,
+    then 0 (no face has degree dim + 1): one `gf2.rank` per degree, kept
+    on K."""
+    table = K._mod2_rank_table
+    if not table:
+        table += [gf2.rank(K.facet_rows(d)) for d in range(K.dim + 1)] + [0]
+    return tuple(table)
+
+
+def _betti(K: SimplicialComplex, ranks) -> tuple:
+    """Reduced Betti numbers for k = 0..dim K, given ranks[d] of the
+    degree-d boundary for d = 0..dim K + 1."""
+    return tuple([len(K.faces_of_dim(k)) - ranks[k] - ranks[k + 1] for k in range(K.dim + 1)])
 
 
 def mod2_betti(K: SimplicialComplex) -> tuple:
     """dim H_k(K; Z/2) for k = 0..dim K."""
-    return _betti(K, lambda d: gf2.rank(K.facet_rows(d)))
+    return _betti(K, _mod2_ranks(K))
 
 
 def rational_betti(K: SimplicialComplex) -> tuple:
-    """dim_Q H_k(K; Q) for k = 0..dim K, by exact integer elimination."""
-    return _betti(K, lambda d: intlinalg.sparse_rank(boundary_rows(K, d)))
+    """dim_Q H_k(K; Q) for k = 0..dim K: the mod-2 ranks where they pin the
+    rational ones (the module docstring has the rule), exact integer
+    elimination in each degree d they leave open, b^2_(d-1) and b^2_d both
+    nonzero (never d = 0, as b^2_(-1) = 0)."""
+    ranks = list(_mod2_ranks(K))
+    betti2 = _betti(K, ranks)
+    for d in range(1, K.dim + 1):
+        if betti2[d - 1] and betti2[d]:
+            ranks[d] = intlinalg.sparse_rank(boundary_rows(K, d))
+    return _betti(K, ranks)
 
 
 def cycle_space(K: SimplicialComplex, k: int) -> tuple:

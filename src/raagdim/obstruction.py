@@ -12,12 +12,15 @@ cells' two product terms as lists of halves (no sign: it has why), which
 `push_to_product` reduces to a set and the lemma suite evaluates.
 
 Nonvanishing is certified by a cycle of unordered disjoint pairs that
-jointly cover a chosen simplex, built from a GF(2) cycle of the base.  The
-covering chain, its boundary, its push to the product and its evaluation
-run on face-id pairs in a space lifted on OL's ranks, so no face set is
-built: the certificate paths pass the doubled complex's own space, lifted
-from the cycle's support, and the lemma suite OL's, which it has built
-already; the certificate stores the pairs as cells once.
+jointly cover a chosen simplex, built from a GF(2) cycle of the base, once
+the star condition holds there: the search builds one table per candidate
+cycle, its simplices' vertex bitmasks (`_star_table`), and reads it at
+each of its simplices.  The covering chain, its boundary, its push to the
+product and its evaluation run on face-id pairs in a space lifted on OL's
+ranks, so no face set is built: the certificate paths pass the doubled
+complex's own space, lifted from the cycle's support, and the lemma suite
+OL's, which it has built already; the certificate stores the pairs as
+cells once.
 Vanishing is certified by an explicit coboundary primitive on cell keys,
 found by a GF(2) solve that builds only the facet rows it meets and
 re-checked mod 2 against its coboundary, taken by a scan of the facet
@@ -166,20 +169,38 @@ class StarConditionReport(NamedTuple):
     violation: tuple | None
 
 
-def check_star_condition(cycle, delta: tuple) -> StarConditionReport:
-    """The first pair (a, b), a <= b in sorted order, of cycle simplices
-    that covers delta and meets outside it, on vertex bitmasks."""
+def _star_table(cycle) -> tuple:
+    """The star condition's table of a cycle, built once for every delta:
+    its simplices sorted, a bit per vertex, and each simplex's vertex
+    bitmask.  (Listing the pairs that meet as well, with their unions and
+    intersections, took about 30% longer over the lemma suite's calls,
+    which read each cycle at one delta, and was no faster in the search.)"""
     simplices = sorted(cycle)
-    bit = {v: 1 << i for i, v in enumerate(dict.fromkeys([v for s in (delta, *simplices) for v in s]))}
-    d = sum([bit[v] for v in delta])
-    masks = [sum([bit[v] for v in s]) for s in simplices]
+    bit = {v: 1 << i for i, v in enumerate(dict.fromkeys(chain.from_iterable(simplices)))}
+    return simplices, bit, [sum([bit[v] for v in s]) for s in simplices]
+
+
+def _star_report(table, delta: tuple) -> StarConditionReport:
+    """The first pair (a, b), a <= b in sorted order, of the simplices of
+    `table` (`_star_table`) that covers delta and meets outside it: the one
+    copy of the star condition's rule.  A vertex of delta in no simplex
+    gets a bit that no simplex has, so no pair covers delta."""
+    simplices, bit, masks = table
+    d = reduce(or_, [bit.get(v, 1 << len(bit)) for v in delta], 0)
     for i, ma in enumerate(masks):
-        need = d & ~ma
+        need, outside = d & ~ma, ma & ~d
         for j in range(i, len(masks)):
             mb = masks[j]
-            if not need & ~mb and ma & mb & ~d:
+            if not need & ~mb and outside & mb:
                 return StarConditionReport(holds=False, violation=(simplices[i], simplices[j]))
     return StarConditionReport(holds=True, violation=None)
+
+
+def check_star_condition(cycle, delta: tuple) -> StarConditionReport:
+    """The first pair (a, b), a <= b in sorted order, of cycle simplices
+    that covers delta and meets outside it, read off the cycle's
+    `_star_table`."""
+    return _star_report(_star_table(cycle), delta)
 
 
 def delta_product_chain(doubled: DoubledComplex, space: ConfigurationSpace) -> set:
@@ -233,9 +254,9 @@ def certify_nonvanishing(L: SimplicialComplex, degree: int):
         return None
     octa = octahedralize(L)
     for cycle in _cycle_candidates(basis):
-        for delta in sorted(cycle):
-            report = check_star_condition(cycle, delta)
-            if not report.holds:
+        table = _star_table(cycle)
+        for delta in table[0]:
+            if not _star_report(table, delta).holds:
                 continue
             doubled = double_over(octa, cycle, delta)
             space, pairs = covering_pair_chain(doubled, ConfigurationSpace(doubled))

@@ -15,6 +15,7 @@ from functools import reduce
 from types import MappingProxyType
 from typing import NamedTuple
 
+from . import complexes
 from .complexes import SimplicialComplex, flag_completion, join, join_face_count, make_complex, relabeled
 
 
@@ -27,24 +28,42 @@ def _size(name: str, param: str, value, least: int | None) -> None:
         raise ValueError(f"{name} needs {param} >= {least}, got {value}")
 
 
+def _budget(name: str, param: str, value: int, count: int, says: str) -> None:
+    """Refuse a generator whose arguments imply `count` faces, past
+    `complexes.MAX_FACES`, before it builds anything: the message names the
+    generator and the argument, and `says` how the count follows."""
+    if count > complexes.MAX_FACES:
+        raise ValueError(f"{name} with {param} = {value}: {says}, more than {complexes.MAX_FACES}")
+
+
+def _power(base: int, exponent: int) -> int:
+    """base^exponent for base >= 2, capped where it surely passes
+    `complexes.MAX_FACES`, so a huge exponent costs nothing."""
+    return base ** min(exponent, complexes.MAX_FACES.bit_length() + 1)
+
+
 def simplex(k: int) -> SimplicialComplex:
     _size("simplex", "k", k, 0)
+    _budget("simplex", "k", k, _power(2, k + 1) - 1, f"a simplex on {k + 1} vertices has 2^{k + 1} - 1 faces")
     return make_complex([tuple(f"v{i}" for i in range(k + 1))])
 
 
 def points(n: int) -> SimplicialComplex:
     _size("points", "n", n, 1)
+    _budget("points", "n", n, n, f"it has {n} faces")
     return make_complex([(f"p{i}",) for i in range(n)])
 
 
 def cycle(n: int) -> SimplicialComplex:
     _size("cycle", "n", n, 3)
+    _budget("cycle", "n", n, 2 * n, f"it has 2n = {2 * n} faces")
     vs = [f"c{i}" for i in range(n)]
     return make_complex([(vs[i], vs[(i + 1) % n]) for i in range(n)])
 
 
 def path(n: int) -> SimplicialComplex:
     _size("path", "n", n, 1)
+    _budget("path", "n", n, 2 * n - 1, f"it has 2n - 1 = {2 * n - 1} faces")
     vs = [f"p{i}" for i in range(n)]
     if n == 1:
         return make_complex([(vs[0],)])
@@ -55,6 +74,7 @@ def tree(n: int, seed: int = 0) -> SimplicialComplex:
     """Random labelled tree from a seeded Pruefer sequence."""
     _size("tree", "n", n, 1)
     _size("tree", "seed", seed, None)
+    _budget("tree", "n", n, 2 * n - 1, f"it has 2n - 1 = {2 * n - 1} faces")
     if n == 1:
         return points(1)
     if n == 2:
@@ -83,6 +103,7 @@ def tree(n: int, seed: int = 0) -> SimplicialComplex:
 def octahedron_boundary(k: int) -> SimplicialComplex:
     """Join of k+1 two-point sets: the k-dimensional cross-polytope boundary."""
     _size("octahedron_boundary", "k", k, 0)
+    _budget("octahedron_boundary", "k", k, _power(3, k + 1) - 1, f"it has 3^{k + 1} - 1 faces")
     out = None
     for i in range(k + 1):
         part = make_complex([(f"o{i}a",), (f"o{i}b",)])
@@ -104,6 +125,11 @@ def random_flag(n: int, p: float, seed: int) -> SimplicialComplex:
     if type(p) not in (int, float) or not 0 <= p <= 1:
         raise ValueError(f"random_flag needs 0 <= p <= 1, got {p!r}")
     _size("random_flag", "seed", seed, None)
+    # Each of the n(n - 1)/2 vertex pairs is drawn before any clique is
+    # listed, so the budget counts the vertices and every candidate edge.
+    pairs = n * (n - 1) // 2
+    _budget("random_flag", "n", n, n + pairs,
+            f"it draws n(n - 1)/2 = {pairs} candidate edges, {n + pairs} faces with its vertices")
     rng = random.Random(seed)
     vs = [f"r{i}" for i in range(n)]
     edges = [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]

@@ -3,9 +3,12 @@ tuples: the closed star and the full subcomplex, which `raagdim` reads
 neither of (the star/link search recurses on `complexes.link`; the tests
 check `link`, `join` and the minus copy of OL against them), the minimal
 missing clique and the maximal faces, which the tests check `is_flag` and
-`SimplicialComplex.maximal_faces` against, and the signed facets of a
+`SimplicialComplex.maximal_faces` against, the signed facets of a
 simplex on its labels, which the tests check `homology.boundary_rows`
-and the configuration space's boundaries against.
+and the configuration space's boundaries against, and the rational Betti
+numbers by exact integer elimination in every degree, which the tests
+check `homology.rational_betti` against, as it reads most ranks off the
+mod-2 ones.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from raagdim.complexes import SimplicialComplex
+from raagdim.homology import boundary_rows
+from raagdim.intlinalg import sparse_rank
 
 
 def simplex_boundary(face: tuple):
@@ -64,3 +69,10 @@ def maximal_faces(K: SimplicialComplex) -> tuple:
     rank tuple."""
     out = [f for f in K.faces if not any(set(f) < set(g) for g in K.faces)]
     return tuple(sorted(out, key=_size_then_ranks(K)))
+
+
+def eliminated_rational_betti(K: SimplicialComplex) -> tuple:
+    """dim_Q H_k(K; Q) for k = 0..dim K, reduced, from the integer rank of
+    every degree's signed boundary, none read off the mod-2 ranks."""
+    ranks = [sparse_rank(boundary_rows(K, d)) for d in range(K.dim + 1)] + [0]
+    return tuple(len(K.faces_of_dim(k)) - ranks[k] - ranks[k + 1] for k in range(K.dim + 1))

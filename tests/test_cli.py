@@ -761,6 +761,19 @@ def test_cli_file_errors_exit_1_and_name_the_path(tmp_path):
         assert f"error: {where}" in run.stderr or f"error: cannot write {where}" in run.stderr, (args, run.stderr)
 
 
+def test_cli_refuses_json_nested_too_deeply_with_exit_1(tmp_path):
+    # The decoder recurses once per bracket; past the recursion limit the
+    # file is refused as malformed input, named, with no traceback.
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"maximal_simplices": ' + "[" * 100_000, encoding="utf-8")
+    c4 = write_json(tmp_path, "c4.json", c4_json())
+    for args in (["analyze", str(deep)], ["homology", str(deep)], ["verify", str(deep), c4]):
+        run = run_cli(args)
+        assert run.returncode == 1, (args, run.stderr)
+        assert "Traceback" not in run.stderr, (args, run.stderr)
+        assert run.stderr == f"error: {deep}: JSON nested too deeply\n", (args, run.stderr)
+
+
 def test_cli_batch_goes_on_after_an_unreadable_input(tmp_path):
     c4 = write_json(tmp_path, "c4.json", c4_json())
     not_utf8 = tmp_path / "latin1.json"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from complex_reference import full_subcomplex, maximal_faces, minimal_missing_clique, star
-from raagdim import complexes
+from raagdim import complexes, zoo
 from raagdim.complexes import (
     flag_completion,
     is_flag,
@@ -199,6 +199,34 @@ def test_the_face_budget_is_checked_before_the_faces_are_built(monkeypatch):
     with pytest.raises(ValueError, match="the flag complex has 21 cliques so far, more than 20"):
         flag_completion(range(10), list(combinations(range(10), 2)))
     assert len(pulled) == 21
+
+
+def test_zoo_generators_refuse_past_the_face_budget_before_building(monkeypatch):
+    # The count each generator's arguments imply is checked before any list
+    # is built: at the cap the complex is built, one past it nothing is.
+    monkeypatch.setattr(complexes, "MAX_FACES", 20)
+    at_cap = {"simplex": (3, 15), "points": (20, 20), "cycle": (10, 20), "path": (10, 19), "tree": (10, 19),
+              "octahedron_boundary": (1, 8), "random_flag": (5, 5)}
+    for name, (value, faces) in at_cap.items():
+        # random_flag(5, 0.0, 0) draws all 10 candidate edges and keeps none.
+        args = (value, 0.0, 0) if name == "random_flag" else (value,)
+        assert len(zoo.GENERATORS[name](*args).faces) == faces, name
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a generator built past the face budget")
+
+    for target, attr in ((zoo, "make_complex"), (zoo, "flag_completion"), (zoo, "join"), (zoo.random, "Random")):
+        monkeypatch.setattr(target, attr, unbuilt)
+    past = [("simplex", "k", 4), ("points", "n", 21), ("cycle", "n", 11), ("path", "n", 11), ("tree", "n", 11),
+            ("octahedron_boundary", "k", 2), ("random_flag", "n", 6)]
+    huge = [("simplex", "k", 10**9), ("points", "n", 99999999999), ("cycle", "n", 10**9), ("path", "n", 10**9),
+            ("tree", "n", 10**9), ("octahedron_boundary", "k", 10**9), ("random_flag", "n", 10**6)]
+    for name, param, value in past + huge:
+        args = (value, 0.5, 0) if name == "random_flag" else (value,)
+        with pytest.raises(ValueError, match=rf"^{name} with {param} = {value}: .*, more than 20$"):
+            zoo.GENERATORS[name](*args)
+    with pytest.raises(ValueError, match=r"^cycle with n = 1000000000: it has 2n = 2000000000 faces, more than 20$"):
+        zoo.build_named("cone(cycle(1000000000))")
 
 
 def test_cliques_are_listed_as_they_are_built():

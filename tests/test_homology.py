@@ -1,5 +1,6 @@
 """Exact homology, cycle spaces, and the coboundary solver."""
 
+import random
 import sys
 from itertools import combinations
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gf2_eager
-from complex_reference import simplex_boundary
+from complex_reference import eliminated_rational_betti, simplex_boundary
 from raagdim.config_space import ConfigurationSpace
-from raagdim import complexes, gf2, homology
+from raagdim import complexes, gf2, homology, intlinalg
+from raagdim.complexes import SimplicialComplex, make_complex
 from raagdim.bounds import analyze
 from raagdim.homology import (
     boundary_rows,
@@ -147,8 +149,9 @@ def test_facet_signs_are_the_signs_of_the_simplex_boundary():
 
 
 def test_analyze_builds_each_signed_boundary_table_of_l_once(monkeypatch):
-    # The rational Betti numbers read boundary_rows; the integer pullback
-    # zips L's facet rows with facet_signs itself.
+    # The rational Betti numbers read boundary_rows only in the degrees the
+    # mod-2 numbers leave unpinned, each once; the integer pullback zips L's
+    # facet rows with facet_signs itself.
     built = []
     build = homology.boundary_rows
 
@@ -159,9 +162,14 @@ def test_analyze_builds_each_signed_boundary_table_of_l_once(monkeypatch):
     for module in [m for name, m in sys.modules.items() if name.startswith("raagdim")]:
         if getattr(module, "boundary_rows", None) is build:
             monkeypatch.setattr(module, "boundary_rows", record)
-    L = random_flag(9, 0.5, 3)
-    analyze(L, integral=True)
-    assert [d for K, d in built if K is L] == list(range(L.dim + 1))
+    # random_flag(9, 0.5, 3) has mod-2 Betti numbers (0, 3, 0, 0), so every
+    # degree is pinned; RP2's (0, 1, 1) leave degree 2 open.
+    for L, allow, unpinned in ((random_flag(9, 0.5, 3), False, []), (RP2, True, [2])):
+        built.clear()
+        analyze(L, allow_non_flag=allow, integral=True)
+        betti2 = mod2_betti(L)
+        assert [d for d in range(1, L.dim + 1) if betti2[d - 1] and betti2[d]] == unpinned
+        assert [d for K, d in built if K is L] == unpinned
 
 
 def test_analyze_builds_each_facet_table_of_l_once(monkeypatch):
@@ -221,7 +229,8 @@ def dense_rational_betti(K):
             mat.append(dense)
         return integer_rank(mat)
 
-    return homology._betti(K, lambda d: rank(boundary_rows(K, d)))
+    ranks = [rank(boundary_rows(K, d)) for d in range(K.dim + 1)] + [0]
+    return homology._betti(K, ranks)
 
 
 def test_rational_betti_matches_the_dense_elimination():
@@ -229,6 +238,55 @@ def test_rational_betti_matches_the_dense_elimination():
     assert mod2_betti(RP2) == (0, 1, 1)
     for K in [entry.complex() for entry in ZOO] + [octahedron_boundary(3), random_flag(9, 0.6, 2)]:
         assert rational_betti(K) == dense_rational_betti(K), K.vertices
+
+
+@given(st.integers(0, 10**6), st.integers(3, 9), st.floats(0.2, 0.9))
+@settings(max_examples=40, deadline=None)
+def test_rational_betti_pinned_by_the_mod2_ranks_matches_every_degree_eliminated(seed, n, p):
+    # A random flag complex, then a non-flag one: random simplices on n
+    # vertices (its 2-faces need not fill its triangles).
+    rng = random.Random(seed)
+    others = make_complex([rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(1, 8))])
+    for K in (random_flag(n, p, seed), others):
+        assert rational_betti(K) == eliminated_rational_betti(K), K.maximal_faces()
+
+
+def test_rational_betti_eliminates_only_the_unpinned_degrees(monkeypatch):
+    # The 6-vertex RP2: b^2 = (0, 1, 1), so only degree 2 is eliminated over
+    # Z, and it reads b^Q = (0, 0, 0).  A cone has every b^2 = 0, so every
+    # rank is read off the mod-2 ones; so has the octahedral 2-sphere, whose
+    # one nonzero b^2_2 has b^2_1 = 0 below it.  `seen` holds the length of
+    # each signed table eliminated over Z.
+    seen = []
+    rank = intlinalg.sparse_rank
+
+    def record(rows):
+        seen.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(intlinalg, "sparse_rank", record)
+    assert (mod2_betti(RP2), rational_betti(RP2)) == ((0, 1, 1), (0, 0, 0))
+    assert seen == [len(RP2.faces_of_dim(2))]
+    for K in (cone(cycle(5)), cone(RP2), cone(cone(octahedron_boundary(2))), octahedron_boundary(2)):
+        seen.clear()
+        assert rational_betti(K) == mod2_betti(K) == eliminated_rational_betti(K)
+        assert seen == []
+
+
+def test_both_betti_tuples_read_one_gf2_rank_per_degree(monkeypatch):
+    calls = []
+    rank = gf2.rank
+
+    def record(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(gf2, "rank", record)
+    # Fresh complexes, as the ranks are kept on the complex.
+    for K in (SimplicialComplex(*RP2), random_flag(9, 0.5, 3), cone(cycle(5))):
+        calls.clear()
+        mod2_betti(K), rational_betti(K), mod2_betti(K)
+        assert calls == [len(K.faces_of_dim(d)) for d in range(K.dim + 1)]
 
 
 # --- coboundary solving ----------------------------------------------------

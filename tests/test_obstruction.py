@@ -556,6 +556,25 @@ def test_star_condition_on_bitmasks_matches_the_set_scan(k, draws, pick):
     assert check_star_condition(cyc, delta) == certificate_reference.check_star_condition(cyc, delta)
 
 
+@given(st.integers(3, 9), st.floats(0.3, 0.9), st.integers(0, 10**6), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_one_star_table_per_cycle_matches_the_set_scan_at_every_simplex(n, p, seed, k):
+    # One table per candidate cycle, as the search builds it, read at every
+    # simplex of the cycle and at a facet of some, which a simplex paired
+    # with itself covers: the report, holds and violation, is the set
+    # scan's, and check_star_condition reads the same table.
+    L = random_flag(n, p, seed)
+    if k > L.dim:
+        return
+    basis = cycle_space(L, k)
+    for cyc in [*basis[:3], *[a ^ b for a, b in combinations(basis[:3], 2)]]:
+        table = obstruction._star_table(cyc)
+        assert table[0] == sorted(cyc)
+        for delta in sorted(cyc) + [s[1:] for s in sorted(cyc)[::5] if k]:
+            slow = certificate_reference.check_star_condition(cyc, delta)
+            assert obstruction._star_report(table, delta) == slow == check_star_condition(cyc, delta), (cyc, delta)
+
+
 def bench_star_inputs():
     """(cycle, delta) over the benchmark's analyze complexes: each basis
     cycle of each degree and each sum of two, at each of its simplices."""
