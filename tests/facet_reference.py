@@ -3,6 +3,10 @@ the per-cell rule, testing every facet of the first half for a swap.
 `raagdim.config_space` builds what the first half alone fixes once per
 run of cells that share it, and tests only its last facet; the tests
 compare the two, row by row.
+
+`boundary` is the oracle of `ConfigurationSpace.boundary`: it toggles
+each cell's facet keys into one set, cell by cell, where the space takes
+the boundary face by face on int bitmasks of the second halves.
 """
 
 from __future__ import annotations

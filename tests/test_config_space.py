@@ -6,7 +6,7 @@ from here.
 """
 
 import random
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
@@ -19,7 +19,8 @@ from raagdim.complexes import skeleton
 from raagdim.config_space import ConfigurationSpace, chain_boundary
 from raagdim.homology import boundary_rows, cycle_space
 from raagdim.obstruction import _top_signs, certify_vanishing
-from raagdim.octa import double_over, octahedralize
+from raagdim.octa import Octahedralization, double_over, octahedralize
+from raagdim.suite import run_suite
 from raagdim.zoo import ZOO, cycle, octahedron_boundary, points, random_flag
 from test_octa import eager_octahedralization
 
@@ -513,6 +514,87 @@ def test_boundary_of_the_obstructed_witness_matches_the_per_cell_oracle():
     random.Random(3).shuffle(broken)
     assert cs.boundary(broken) == facet_reference.boundary(cs, broken) == facet_reference.boundary(cs, chain[:1])
     assert cs.boundary(broken)
+
+
+def mixed_chain(cs, rng, degrees) -> list:
+    """Cells drawn from each of `degrees`, each listed 1 to 4 times, in
+    shuffled order: a cell listed an even number of times cancels."""
+    chain = []
+    for d in degrees:
+        pairs = cs.indexed_cells(d)
+        for pair in rng.sample(pairs, min(len(pairs), rng.randint(1, 30))):
+            chain += [pair] * rng.randint(1, 4)
+    rng.shuffle(chain)
+    return chain
+
+
+@given(st.integers(7, 9), st.floats(0.3, 0.8), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_boundary_matches_the_per_cell_rule_on_chains_that_mix_degrees(n, p, seed, doubled):
+    # One mask per first half holds second halves of every dimension once
+    # the chain mixes degrees; OL's faces number in the hundreds here, so a
+    # mask spans several machine words.
+    rng = random.Random(seed)
+    L = random_flag(n, p, seed)
+    cs = ConfigurationSpace(rng.choice(list(doubled_over(L))) if doubled else octahedralize(L))
+    F, top = len(cs.ranks), 2 * len(cs._index[3]) - 2
+    degrees = [d for d in range(top + 1) if cs.indexed_cells(d)]
+    for _ in range(3):
+        chain = mixed_chain(cs, rng, rng.sample(degrees, min(len(degrees), rng.randint(2, 4))))
+        assert cs.boundary(chain) == facet_reference.boundary(cs, chain), (L.maximal_faces(), doubled)
+    # A cycle (the boundary of random cells one degree up) has none; with
+    # one cell dropped (and the rest listed 1 or 3 times), that cell's,
+    # which a cell of degree >= 1 has.
+    for d in [d for d in degrees if d >= 2]:
+        cycle = [divmod(key, F) for key in facet_reference.boundary(cs, mixed_chain(cs, rng, [d]))]
+        assert cs.boundary(cycle) == ()
+        if cycle:
+            dropped = cycle.pop(rng.randrange(len(cycle)))
+            broken = [pair for pair in cycle for _ in range(rng.choice((1, 3)))]
+            rng.shuffle(broken)
+            assert cs.boundary(broken) == facet_reference.boundary(cs, [dropped]) != ()
+    # A single cell with a vertex half, first or second, of degree >= 1.
+    ranks = cs.ranks
+    for d in [d for d in degrees if d >= 1]:
+        for pair in cs.indexed_cells(d):
+            if len(ranks[pair[0]]) == 1 or len(ranks[pair[1]]) == 1:
+                assert cs.boundary([pair]) == facet_reference.boundary(cs, [pair]) != ()
+
+
+def count_bit_table_builds(monkeypatch) -> tuple:
+    """Spy on `boundary` and on the builder of its bit tables: the spaces
+    each was called on, one entry per call or build."""
+    calls, built = [], []
+    boundary, build = ConfigurationSpace.boundary, ConfigurationSpace._bit_tables.func
+
+    def counted_boundary(space, pairs):
+        calls.append(space)
+        return boundary(space, pairs)
+
+    def counted_build(space):
+        built.append(space)
+        return build(space)
+
+    tables = cached_property(counted_build)
+    tables.__set_name__(ConfigurationSpace, "_bit_tables")
+    monkeypatch.setattr(ConfigurationSpace, "boundary", counted_boundary)
+    monkeypatch.setattr(ConfigurationSpace, "_bit_tables", tables)
+    return calls, built
+
+
+def test_the_bit_tables_are_built_once_per_space_and_only_where_boundary_is_called(monkeypatch):
+    calls, built = count_bit_table_builds(monkeypatch)
+    # A solvable top class has no witness, so no chain's boundary is taken.
+    assert certify_vanishing(random_flag(12, 0.5, 1)).status == "primitive"
+    assert calls == built == []
+    # The lemma suite's `cycle` check takes many chains' boundaries in one
+    # OL space: each space where it ran builds its tables exactly once.
+    result = run_suite(0, 3)
+    assert result.complexes == 3 and not result.failures
+    spaces = {id(space): space for space in calls}
+    assert len(spaces) == 3 and len(calls) > len(spaces)
+    assert sorted(map(id, built)) == sorted(spaces)
+    assert all(isinstance(space.K, Octahedralization) for space in built)
 
 
 def test_stored_cells_names_every_cell_by_its_key_whichever_half_is_listed_first():
