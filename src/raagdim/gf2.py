@@ -14,22 +14,22 @@ reduced by.
 
 `solve` reads its equations as a `System`, which names each row's largest
 key before the row is built: a pivot kept as given is then held unbuilt,
-and a row is built only when it meets a pivot, when a row meeting it is
-reduced by it, or when back-substitution visits it.  Back-substitution
-visits, in ascending key order, the pivots whose row is built by then and
-the pivots kept as given whose equation has rhs 1.  Of the rest, pivots
-kept as given with rhs 0 and no row yet, it visits all when they are no
-more than those, as a row costs less to build than a key's holders to
-find, or when every row is at hand; otherwise only those whose row holds
-a key that x has gained below them, found through `System.holders` of
-that key.  These are all the pivots the full loop over every pivot can
-find odd: it visits the pivots in ascending order and sets c when c's row
-has odd parity on x, which then holds -1 (the rhs) and the pivots below c
-that were set.  A pivot row holds no key above its own, so a row kept as
-given with rhs 0 and none of those keys has parity 0.  Each key is set
-before any pivot above it is visited, so the pivots its holders make are
-queued in time, and skipping the rest changes nothing.  Exactness is the
-point: no floats anywhere.
+and a row is built only when it meets a pivot or a row meeting it is
+reduced by it.  Back-substitution is the full loop over the pivots in
+ascending key order, which sets c when c's row has odd parity on x, x
+then holding -1 (the rhs) and the pivots below c that were set.  It
+visits the pivots whose row is built and those kept as given with rhs 1.
+The rest, kept as given with rhs 0, it visits all, their rows built, when
+they are no more than those, as a row costs less to build than a key's
+holders to read, or when every row is at hand.  Otherwise it builds no
+row left unbuilt: such a row's parity on x is its rhs plus the number of
+x's keys it holds, counted mod 2 per equation by toggling each holder
+(`System.holders`) of a key as x gains it.  A pivot row holds no key
+above its own, and each key is set before any pivot above it is visited,
+so a count is complete when its pivot is visited, and a pivot never
+toggled, with rhs 0, has parity 0: only the toggled and the odd ones
+need a visit.  The pivots set are those of the full loop.  Exactness is
+the point: no floats anywhere.
 """
 
 from __future__ import annotations
@@ -152,7 +152,9 @@ def solve(equations, ncols):
     pivot is made, so the record runs in the pivots' creation order.  A
     reduced pivot's key also maps to the pivots its row was reduced by, and
     the first 0 = 1 walks both back to its witness.  Back-substitution
-    visits only the pivots that can be odd (the module docstring has why).
+    visits only the pivots that can be odd, and when the unbuilt ones are
+    the most it reads their parities off the holders of x's keys and
+    builds no row (the module docstring has why).
     """
     system = equations if isinstance(equations, System) else _given(equations)
     origin: dict = {}  # pivot key -> its equation index, in creation order
@@ -189,29 +191,36 @@ def solve(equations, ncols):
             origin[c] = i
             rows[c] = r
             below[c] = used
-    # The key -1 in x is the rhs column, read as the constant 1.  Every
-    # pivot whose row is built or whose rhs is 1 is visited, and the unseen
-    # rest too when they are no more or every row is at hand; else each is
-    # found through the holders of a key x gains below it, read only while
-    # an unseen pivot lies above that key.  A holder j makes a pivot kept
-    # as given exactly when j made the pivot on its own largest key.
-    todo, unseen = [*rows.keys() | odd], origin.keys() - rows.keys() - odd
-    if len(unseen) <= len(todo) or system.holders is None:
-        todo += unseen
-        unseen = set()
-    reach, x, last, tops = max(unseen, default=-1), {-1}, None, system.tops
+    # The key -1 in x is the rhs column, read as the constant 1.  The
+    # pivots whose row is built or whose rhs is 1 are visited; when the
+    # rest are no more (all lie in origin) or every row is at hand, every
+    # pivot is, its row built.  Else each holder j of a key x gains below
+    # the last unbuilt pivot toggles flips[j] and queues j's pivot, odd
+    # when its rhs and flips[j] differ.  A holder whose largest key is an
+    # unbuilt pivot made that pivot, as a row that meets a pivot builds it.
+    todo = [*rows.keys() | odd]
+    if len(origin) <= 2 * len(todo) or system.holders is None:
+        todo, unbuilt = [*origin], set()
+    else:
+        unbuilt = origin.keys() - rows.keys()
+    reach, x, last, tops, flips = max(unbuilt, default=-1), {-1}, None, system.tops, bytearray(len(system))
     heapify(todo)
     while todo:
         c = heappop(todo)
         if c == last:
             continue
-        last, row = c, rows[c]
-        if not x.isdisjoint(row) and len(x.intersection(row)) & 1:
-            x.add(c)
-            if c < reach:
-                for j in system.holders(c):
-                    t = tops[j]
-                    if t > c and t in unseen and origin[t] == j:
-                        heappush(todo, t)
+        last = c
+        if c in unbuilt:
+            if (c in odd) == flips[origin[c]]:
+                continue
+        elif x.isdisjoint(row := rows[c]) or not len(x.intersection(row)) & 1:
+            continue
+        x.add(c)
+        if c < reach:
+            for j in system.holders(c):
+                t = tops[j]
+                if t > c and t in unbuilt:
+                    flips[j] ^= 1
+                    heappush(todo, t)
     x.discard(-1)
     return x, None

@@ -24,9 +24,10 @@ The configuration space plugs into the GF(2) `solve_coboundary` as a
 `gf2.System`: each d-cell's largest facet key, read without its row
 (``largest_facet_keys(d)``), one cell's facet-key row built when the
 elimination or the back-substitution meets it (``facet_row(d, i)``), and
-the d-cells whose row holds a key (``cofacets``).  So the solve builds
-only the rows it meets (240 of 9,600 on cone(suspension(cycle(8)))), with
-the pivots, primitive and witness of the elimination that reads every row.
+the d-cells whose row holds a key (``cofacets``), which give the parities
+of the rows left unbuilt.  So the solve builds only the rows it meets
+(none of 9,600 on cone(suspension(cycle(8)))), with the pivots, primitive
+and witness of the elimination that reads every row.
 The cochain phi is a sequence in the cell order, and a primitive comes
 back as the keys of its support, so the solve builds no cell, of degree
 d or d-1.  Over Z, `obstruction.certify_vanishing`
@@ -114,7 +115,7 @@ def solve_coboundary(phi, degree: int, space):
     strictly in their cell order.  Builds no cell, and a row only where
     the elimination or the back-substitution meets it: the solve reads a
     `gf2.System` of each row's largest key, one row built on request and
-    the holders of a key, its cofacets.
+    the holders of a key, its cofacets, read for the parities of the rest.
 
     Returns (primitive, witness) from one `gf2.solve`: `primitive` is the
     support of x, the keys of (m-1)-cells where it is 1, as a tuple in key

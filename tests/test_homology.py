@@ -376,11 +376,13 @@ def _short_table(monkeypatch, half, coface):
 
 @pytest.mark.parametrize("name", ["cone(cycle(5))", "tree6", "path5"])
 def test_the_mod2_recheck_reads_no_cofacet_table(name, monkeypatch):
-    # The back-substitution finds pivots through the cofacet table; the
-    # re-check takes the coboundary by a scan of the facet table.  With any
-    # one entry dropped that a primitive key's cofacets read, the solve
-    # returns the primitive of the whole table (these systems find no pivot
-    # through it), and the re-check still passes it.
+    # The back-substitution reads the parities of the rows it leaves unbuilt
+    # through the cofacet table (on cone(cycle(5)); tree6 and path5 build
+    # every pivot's row and read no cofacets); the re-check takes the
+    # coboundary by a scan of the facet table.  With any one entry dropped
+    # that a primitive key's cofacets read, the solve still returns the
+    # primitive of the whole table (no dropped entry changes it on these
+    # systems), and the re-check still passes it.
     L = build_named(name)
     primitive = certify_vanishing(L).primitive
     space = ConfigurationSpace(octahedralize(L))

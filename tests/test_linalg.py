@@ -6,6 +6,7 @@ from random import Random
 from hypothesis import example, given, settings, strategies as st
 
 import gf2_dense
+import gf2_eager
 from raagdim import gf2, intlinalg
 from raagdim.intlinalg import integer_det, integer_rank, smith_normal_form, solve_integer, sparse_rank
 
@@ -422,6 +423,51 @@ def test_gf2_fresh_rows_become_pivots_as_given():
     # An empty row with an odd rhs reads 0 = 1 and is its own witness.
     assert gf2.solve(eqs + [([], 1)], 3) == (None, [4])
     assert eqs == [((2, 0), 1), ([1], 0), ((), 0), ({2, 1}, 1)]
+
+
+@st.composite
+def mostly_triangular_systems(draw):
+    """(rows, rhs, strict): rows with distinct largest keys, each with a few
+    lower keys, and about a quarter of the right-hand sides 1, with up to
+    three rows of any keys (none, or a top that is taken) at random places;
+    `strict` when there are none of those."""
+    n = draw(st.integers(8, 40))
+    tops = draw(st.permutations(range(n)))[:draw(st.integers(n // 2, n))]
+    rows = [{t, *draw(st.sets(st.integers(0, t - 1), max_size=3))} if t else {t} for t in tops]
+    extra = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=4), max_size=3))
+    for row in extra:
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    rhs = draw(st.lists(st.integers(0, 3).map(lambda v: int(v == 0)), min_size=len(rows), max_size=len(rows)))
+    return rows, rhs, not extra
+
+
+@given(mostly_triangular_systems())
+@settings(max_examples=300, deadline=None)
+# x0 = 1, x1 + x0 = 0, x2 + x1 = 0: the pivot on x0 is odd, and x0 then
+# x1, the key just below the last unbuilt pivot, toggle the next row's
+# parity through their holders: x is {0, 1, 2}.
+@example(([{0}, {1, 0}, {2, 1}], [1, 0, 0], True))
+def test_gf2_solve_by_holders_matches_the_eager_solve(system):
+    # Passed as a System with holders read off an index of the rows, the
+    # solve meets few pivots, so the pivots kept as given and unbuilt
+    # outnumber the rest and their parities are read through the holders
+    # of x's keys; with holders None every pivot's row is built and read.
+    # Both give the eager solve's x and witness.  A system whose tops are
+    # all distinct, with fewer than half of its rhs bits 1, builds no
+    # row with holders, and every row without.
+    rows, rhs, strict = system
+    index: dict = {}
+    for i, row in enumerate(rows):
+        for key in row:
+            index.setdefault(key, []).append(i)
+    tops = [max(row) if row else None for row in rows]
+    expect = gf2_eager.solve(list(zip(rows, rhs)))
+    for holders in (lambda key: index.get(key, ()), None):
+        built = []
+        x = gf2.solve(gf2.System(tops, rhs, lambda i: built.append(i) or rows[i], holders), 40)
+        assert x == expect
+        if strict and 2 * sum(rhs) < len(rows):
+            assert sorted(built) == ([] if holders else list(range(len(rows))))
 
 
 def mask_from_indices(indices) -> int:

@@ -13,7 +13,7 @@ import integer_recheck
 import push_reference
 from push_reference import mesh_number, minus_lift, project
 import raagdim
-from raagdim import io_json, obstruction
+from raagdim import gf2, io_json, obstruction
 from raagdim.complexes import skeleton
 from raagdim.config_space import ConfigurationSpace
 from raagdim.homology import cycle_space
@@ -35,7 +35,8 @@ from raagdim.obstruction import (
 from raagdim.octa import MINUS, PLUS, DoubledComplex, Octahedralization, double_over, octahedralize
 from raagdim.suite import SuiteResult, check_complex, run_suite
 from raagdim.verify import verify_certificate
-from raagdim.zoo import ZOO, cone, cycle, octahedron_boundary, path, points, random_flag, simplex, suspension, tree
+from raagdim.zoo import (ZOO, build_named, cone, cycle, octahedron_boundary, path, points, random_flag, simplex,
+                         suspension, tree)
 from test_config_space import doubled_over, face_id, pair_cell_boundary, pairs_of, signed_boundary, signed_chain_boundary
 from test_pins import load_workloads
 
@@ -823,25 +824,56 @@ def test_largest_keys_and_cofacets_read_off_the_facet_rows():
     assert spaces > 100
 
 
+def _spy_rows_and_holders(monkeypatch):
+    """Lists that record each top row the space builds, as (degree,
+    index), and each key whose cofacets it reads."""
+    built, read = [], []
+    facet_row, cofacets = ConfigurationSpace.facet_row, ConfigurationSpace.cofacets
+    monkeypatch.setattr(ConfigurationSpace, "facet_row",
+                        lambda self, d, i: built.append((d, i)) or facet_row(self, d, i))
+    monkeypatch.setattr(ConfigurationSpace, "cofacets",
+                        lambda self, d, key: read.append(key) or cofacets(self, d, key))
+    return built, read
+
+
 def test_the_top_solve_builds_only_the_rows_it_meets(monkeypatch):
-    # On cone(suspension(cycle(8))) no row meets a pivot: the solve builds
-    # the rows of the pivots whose right-hand side is 1 and of those it
-    # looks for through the cofacets of x's keys, 240 of the 9,600 top
-    # cells, and the re-check takes the coboundary of x with no row;
-    # neither reads facet_keys.
+    # On cone(suspension(cycle(8))) no row meets a pivot, and the pivots
+    # kept as given with rhs 0 outnumber the rest: the back-substitution
+    # reads the parity of every pivot off its rhs and the cofacets of x's
+    # keys, each key's once, so the solve builds none of the 9,600 top rows,
+    # and the re-check takes the coboundary of x with no row; neither reads
+    # facet_keys.
     def refuse(self, d):
         raise AssertionError(f"facet_keys({d}) was read")
 
-    built = []
-    facet_row = ConfigurationSpace.facet_row
     monkeypatch.setattr(ConfigurationSpace, "facet_keys", refuse)
-    monkeypatch.setattr(ConfigurationSpace, "facet_row",
-                        lambda self, d, i: built.append((d, i)) or facet_row(self, d, i))
+    built, read = _spy_rows_and_holders(monkeypatch)
     L = cone(suspension(cycle(8)))
     result = certify_vanishing(L)
     assert result.status == "primitive" and len(result.primitive) == 240
-    assert len(built) == len(set(built)) == 240
+    assert built == []
+    assert read and len(read) == len(set(read)) and set(read) <= set(result.primitive)
     assert ConfigurationSpace(octahedralize(L)).count_cells(2 * L.dim) == 9600
+
+
+@pytest.mark.parametrize("name, by_holders", [
+    ("cone(suspension(cycle(5)))", True), ("cone(cycle(8))", True), ("cone(cone(cycle(6)))", True),
+    ("tree6", False), ("random_flag(12,0.5,1)", False)])
+def test_the_top_solve_reads_holders_only_when_unbuilt_pivots_are_the_most(name, by_holders, monkeypatch):
+    # On the cones no row meets a pivot: the solve builds no row and reads
+    # the parities through the cofacets of x's keys.  On tree6 and
+    # random_flag(12,0.5,1) the unseen pivots are no more than the built
+    # and odd ones: the back-substitution builds the row of every pivot,
+    # as many as the rank, and reads no cofacets.
+    L = build_named(name)
+    rank = gf2.rank(ConfigurationSpace(octahedralize(L)).facet_keys(2 * L.dim))
+    built, read = _spy_rows_and_holders(monkeypatch)
+    result = certify_vanishing(L)
+    assert result.status == "primitive"
+    if by_holders:
+        assert built == [] and read and set(read) <= set(result.primitive)
+    else:
+        assert read == [] and len(set(built)) >= rank > 0
 
 
 def test_mutual_exclusion_never_both():
