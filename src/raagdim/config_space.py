@@ -65,20 +65,21 @@ swap rule, one bit per cell; each b's facets then go to a's mask in one
 XOR of b's facet mask.  The masks `1 << g` and each face's facet mask are
 built once per space, in full, on the first `boundary` call: about F^2/8
 bytes of bits, 4 KB at F = 184, 130 KB at F = 1,023, 2 MB at F = 4,095.
-`facet_row(d, i)` lists the facet keys of the i-th d-cell, built once per
-cell and kept, and `facet_keys(d)` those of every d-cell, the rows of the
-integer solve and its re-check, which solve only the top degree 2k and
-zip each row with one sign vector (`obstruction._top_signs`), as there
-every swap sign is 1.  The GF(2) solve reads each d-cell's largest facet
-key without its row (`largest_facet_keys`: the id order puts it at the
-swapped drop facet or at b's last facet), builds only the rows it meets,
-and finds the d-cells whose row holds a key through `cofacets`: those of
-{s, t} are the cells {c, t} and {s, c} for the cofaces c of one half
-disjoint from the other, read off the transpose of the facet table.  Its
-mod-2 re-check takes the coboundary of the primitive by the same rule,
-`coboundary(keys)`, but with the cofaces found by a scan of the facet
-table itself, so the two share no table.  So no solve, over either ring,
-builds a cell of degree d or d - 1.
+`facet_keys(d)` lists the facet keys of every d-cell, built in one pass
+of `_facet_rows` on the first read and kept: the one builder of a row.
+Its rows serve the integer solve and its re-check, which solve only the
+top degree 2k and zip each row with one sign vector
+(`obstruction._top_signs`), as there every swap sign is 1, and the GF(2)
+solve.  That solve reads each d-cell's largest facet key without its row
+(`largest_facet_keys`: the id order puts it at the swapped drop facet or
+at b's last facet), builds the degree's rows only when it first reads
+one, and finds the d-cells whose row holds a key through `cofacets`:
+those of {s, t} are the cells {c, t} and {s, c} for the cofaces c of one
+half disjoint from the other, read off the transpose of the facet table.
+Its mod-2 re-check takes the coboundary of the primitive by the same
+rule, `coboundary(keys)`, but with the cofaces found by a scan of the
+facet table itself, so the two share no table.  So no solve, over either
+ring, builds a cell of degree d or d - 1.
 
 For a complex on signed vertices, `minus_ids` is the projection table that
 the push to the product with the minus copy reads: each face's minus copy,
@@ -132,8 +133,6 @@ class ConfigurationSpace:
         self._degrees: dict = {}
         self._counts: dict = {}
         self._keys: dict = {}
-        self._rows: dict = {}
-        self._halves: dict = {}
 
     @cached_property
     def _index(self):
@@ -304,48 +303,20 @@ class ConfigurationSpace:
             row += [aF + sb for sb in facet_ids[gb]]
             yield row
 
-    def facet_row(self, d: int, i: int) -> list:
-        """The facet keys of the i-th d-cell in cell order, its row in
-        `facet_keys(d)`, built on the first call and kept, unless
-        `facet_keys(d)` has built it: alone, as `_facet_rows` builds each
-        row, from what a fixes (`_first_half`, its keys times F), kept
-        per face as no run of cells that share a is at hand."""
-        rows = self._rows.get(d)
-        if rows is None:
-            rows = self._rows[d] = [None] * len(self.indexed_cells(d))
-        row = rows[i]
-        if row is None:
-            ga, gb = self.indexed_cells(d)[i]
-            first = self._index[2]
-            F = len(first)
-            half = self._halves.get(ga)
-            if half is None:
-                keep, drop, drop_first = self._first_half(ga)
-                half = self._halves[ga] = ([sa * F for sa in keep], drop, drop_first)
-            keep, drop, drop_first = half
-            row = [k + gb for k in keep]
-            if drop is not None:
-                row.append(drop * F + gb if drop_first < first[gb] else gb * F + drop)
-            aF = ga * F
-            row += [aF + sb for sb in self._facet_ids[gb]]
-            rows[i] = row
-        return row
-
     def facet_keys(self, d: int) -> tuple:
         """Unsigned boundary of every d-cell as a list of facet keys, one list
         per cell in cell order; computed once per degree, in one pass of
-        `_facet_rows`, and kept for `facet_row`."""
+        `_facet_rows`, and kept: the only rows the package builds."""
         if d not in self._keys:
-            rows = self._keys[d] = tuple(self._facet_rows(self.indexed_cells(d)))
-            self._rows[d] = list(rows)
+            self._keys[d] = tuple(self._facet_rows(self.indexed_cells(d)))
         return self._keys[d]
 
     def largest_facet_keys(self, d: int) -> list:
         """The largest facet key of every d-cell, in cell order (None for a
-        cell with no facets), without building a row where both halves
-        have facets.
+        cell with no facets), building the degree's rows only when some
+        cell has a vertex half.
 
-        Then a row (`facet_row`) holds the keys {a', b} led by a facet of a
+        Where both halves have facets, a row (`facet_keys`) holds the keys {a', b} led by a facet of a
         or by b, and the keys {a, b'} led by a, the largest with b's last
         facet, as a row of facet ids increases.  Every facet of a has an id
         below a's, a face of lower dimension.  So when the drop facet stays
@@ -355,7 +326,7 @@ class ConfigurationSpace:
         always above a's, which ranks lower first.  As a's partners b all
         have one dimension, the keys are read a run of cells that share a
         at a time, and b's id lies above a's for every b of a run or none.
-        A run with a vertex half has its rows read."""
+        A run with a vertex half reads its rows off `facet_keys(d)`."""
         first = self._index[2]
         facet_ids, F = self._facet_ids, len(first)
         cells = self.indexed_cells(d)
@@ -365,7 +336,7 @@ class ConfigurationSpace:
             j = bisect_left(cells, (ga + 1,), i)
             _, drop, drop_first = self._first_half(ga)
             if drop is None or not facet_ids[gb]:
-                tops += [max(row) if (row := self.facet_row(d, p)) else None for p in range(i, j)]
+                tops += [max(row) if row else None for row in self.facet_keys(d)[i:j]]
             else:
                 above, aF = gb > ga, ga * F
                 tops += [gb * F + drop if above and drop_first > first[gb] else aF + facet_ids[gb][-1]

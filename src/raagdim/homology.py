@@ -22,12 +22,13 @@ eliminated sparsely by `gf2`; over Q, `intlinalg.sparse_rank` reads the
 signed rows, `boundary_rows(K, d)`.
 The configuration space plugs into the GF(2) `solve_coboundary` as a
 `gf2.System`: each d-cell's largest facet key, read without its row
-(``largest_facet_keys(d)``), one cell's facet-key row built when the
-elimination or the back-substitution meets it (``facet_row(d, i)``), and
-the d-cells whose row holds a key (``cofacets``), which give the parities
-of the rows left unbuilt.  So the solve builds only the rows it meets
-(none of 9,600 on cone(suspension(cycle(8)))), with the pivots, primitive
-and witness of the elimination that reads every row.
+(``largest_facet_keys(d)``), each cell's facet-key row read off
+``facet_keys(d)``, which builds the whole degree in one pass when the
+elimination or the back-substitution first reads a row, and the d-cells
+whose row holds a key (``cofacets``), which give the parities of the rows
+left unread.  So a solve that reads no row builds none (none of 9,600 on
+cone(suspension(cycle(8)))), with the pivots, primitive and witness of
+the elimination that reads every row.
 The cochain phi is a sequence in the cell order, and a primitive comes
 back as the keys of its support, so the solve builds no cell, of degree
 d or d-1.  Over Z, `obstruction.certify_vanishing`
@@ -110,12 +111,13 @@ def solve_coboundary(phi, degree: int, space):
 
     phi: the values on the m-cells, a sequence in cell order, one per cell
     (a ValueError when its length differs).  space: cell complex exposing
-    count_cells(d), indexed_cells(d), largest_facet_keys(d), facet_row(d,
-    i) and cofacets(d, key), the keys of the (m-1)-cells increasing
-    strictly in their cell order.  Builds no cell, and a row only where
-    the elimination or the back-substitution meets it: the solve reads a
-    `gf2.System` of each row's largest key, one row built on request and
-    the holders of a key, its cofacets, read for the parities of the rest.
+    count_cells(d), indexed_cells(d), largest_facet_keys(d), facet_keys(d)
+    and cofacets(d, key), the keys of the (m-1)-cells increasing strictly
+    in their cell order.  Builds no cell, and the rows only when the
+    elimination or the back-substitution first reads one: the solve reads
+    a `gf2.System` of each row's largest key, the i-th row as
+    `facet_keys(m)[i]` and the holders of a key, its cofacets, read for
+    the parities of the rows it has not read.
 
     Returns (primitive, witness) from one `gf2.solve`: `primitive` is the
     support of x, the keys of (m-1)-cells where it is 1, as a tuple in key
@@ -126,7 +128,7 @@ def solve_coboundary(phi, degree: int, space):
     cells = space.indexed_cells(degree)
     if len(phi) != len(cells):
         raise ValueError(f"phi has {len(phi)} values for {len(cells)} cells of degree {degree}")
-    system = gf2.System(space.largest_facet_keys(degree), phi, partial(space.facet_row, degree),
+    system = gf2.System(space.largest_facet_keys(degree), phi, lambda i: space.facet_keys(degree)[i],
                         partial(space.cofacets, degree))
     n_lower = space.count_cells(degree - 1) if degree > 0 else 0
     x, witness = gf2.solve(system, n_lower)

@@ -22,9 +22,9 @@ complex's own space, lifted from the cycle's support, and the lemma suite
 OL's, which it has built already; the certificate stores the pairs as
 cells once.
 Vanishing is certified by an explicit coboundary primitive on cell keys,
-found by a GF(2) solve that builds only the facet rows it meets and
-re-checked mod 2 against its coboundary, taken by a scan of the facet
-table.
+found by a GF(2) solve that builds the facet rows, in one pass, only
+when it reads one, and re-checked mod 2 against its coboundary, taken
+by a scan of the facet table.
 A geometric cross-check computes exact signed intersection numbers of
 simplices mapped to the moment curve and must reproduce the combinatorial
 cocycle.  It reads cells as face-id pairs on the rank tuples of the index
@@ -417,8 +417,8 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
     after its unit pivots.  Each primitive found is re-checked exactly on
     every top cell (`_recheck`): mod 2 against its coboundary, taken by a
     scan of the facet table, over Z against the rows of
-    `space.facet_keys(2k)`, built in one pass before the GF(2) solve,
-    which then reads them.
+    `space.facet_keys(2k)`, built in one pass by the first of the GF(2)
+    solve and the Z re-check to read a row.
     """
     k = L.dim
     if k < 0:
@@ -433,10 +433,6 @@ def certify_vanishing(L: SimplicialComplex, integral: bool = False, max_cells: i
         return VanishingResult(status="skipped", primitive=None, witness_cycle=None,
                                reason=f"cell budget exceeded ({n_cells} > {max_cells})")
     phi = top_mesh_cocycle(space, k)
-    if integral:
-        # The Z re-check reads every top row: built here in one pass, the
-        # GF(2) solve reads them as `facet_row` keeps them.
-        space.facet_keys(2 * k)
     primitive, witness = solve_coboundary(phi, 2 * k, space)
     if primitive is None:
         faces, pairs = space.faces, space.indexed_cells(2 * k)

@@ -328,7 +328,7 @@ def test_a_phi_one_entry_short_is_refused_by_both_solves_and_the_recheck(monkeyp
 @given(st.integers(3, 7), st.sampled_from((0.3, 0.5, 0.7)), st.integers(0, 10**6), st.booleans(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_the_lazy_solve_matches_the_eager_elimination_on_explicit_rows(n, p, seed, lifted, data):
-    # The solve builds a row only where it meets one and back-substitutes
+    # The solve reads a row only where it meets one and back-substitutes
     # over the pivots that can be odd; the eager reference reads every row
     # as given.  Primitive and witness must agree, on OL's top degree and
     # on every degree of L (where a cell may have a vertex half), for the
@@ -460,7 +460,7 @@ def test_a_facet_key_row_one_key_short_is_refused_by_the_integer_solve_and_reche
 def test_an_obstructed_solve_eliminates_once_and_stops_at_its_witness(monkeypatch):
     # One gf2.solve finds the inconsistency and names its witness: it reads
     # the equations of the coboundary system up to the first that reads
-    # 0 = 1, the witness's largest index, and no further, and builds no row
+    # 0 = 1, the witness's largest index, and no further, and reads no row
     # past it.
     reads, built = [], []
     solve = gf2.solve

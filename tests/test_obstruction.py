@@ -825,12 +825,17 @@ def test_largest_keys_and_cofacets_read_off_the_facet_rows():
 
 
 def _spy_rows_and_holders(monkeypatch):
-    """Lists that record each top row the space builds, as (degree,
-    index), and each key whose cofacets it reads."""
+    """Lists that record each degree whose rows the space builds, one entry
+    per `facet_keys` pass, and each key whose cofacets it reads."""
     built, read = [], []
-    facet_row, cofacets = ConfigurationSpace.facet_row, ConfigurationSpace.cofacets
-    monkeypatch.setattr(ConfigurationSpace, "facet_row",
-                        lambda self, d, i: built.append((d, i)) or facet_row(self, d, i))
+    facet_keys, cofacets = ConfigurationSpace.facet_keys, ConfigurationSpace.cofacets
+
+    def spy(self, d):
+        if d not in self._keys:
+            built.append(d)
+        return facet_keys(self, d)
+
+    monkeypatch.setattr(ConfigurationSpace, "facet_keys", spy)
     monkeypatch.setattr(ConfigurationSpace, "cofacets",
                         lambda self, d, key: read.append(key) or cofacets(self, d, key))
     return built, read
@@ -840,18 +845,17 @@ def test_the_top_solve_builds_only_the_rows_it_meets(monkeypatch):
     # On cone(suspension(cycle(8))) no row meets a pivot, and the pivots
     # kept as given with rhs 0 outnumber the rest: the back-substitution
     # reads the parity of every pivot off its rhs and the cofacets of x's
-    # keys, each key's once, so the solve builds none of the 9,600 top rows,
+    # keys, each key's once, so the solve reads none of the 9,600 top rows,
     # and the re-check takes the coboundary of x with no row; neither reads
-    # facet_keys.
+    # facet_keys, so no row is built.
     def refuse(self, d):
         raise AssertionError(f"facet_keys({d}) was read")
 
+    _, read = _spy_rows_and_holders(monkeypatch)
     monkeypatch.setattr(ConfigurationSpace, "facet_keys", refuse)
-    built, read = _spy_rows_and_holders(monkeypatch)
     L = cone(suspension(cycle(8)))
     result = certify_vanishing(L)
     assert result.status == "primitive" and len(result.primitive) == 240
-    assert built == []
     assert read and len(read) == len(set(read)) and set(read) <= set(result.primitive)
     assert ConfigurationSpace(octahedralize(L)).count_cells(2 * L.dim) == 9600
 
@@ -860,20 +864,62 @@ def test_the_top_solve_builds_only_the_rows_it_meets(monkeypatch):
     ("cone(suspension(cycle(5)))", True), ("cone(cycle(8))", True), ("cone(cone(cycle(6)))", True),
     ("tree6", False), ("random_flag(12,0.5,1)", False)])
 def test_the_top_solve_reads_holders_only_when_unbuilt_pivots_are_the_most(name, by_holders, monkeypatch):
-    # On the cones no row meets a pivot: the solve builds no row and reads
-    # the parities through the cofacets of x's keys.  On tree6 and
-    # random_flag(12,0.5,1) the unseen pivots are no more than the built
-    # and odd ones: the back-substitution builds the row of every pivot,
-    # as many as the rank, and reads no cofacets.
+    # On the cones no row meets a pivot: the solve reads no row, so the
+    # top degree is never built, and reads the parities through the
+    # cofacets of x's keys.  On tree6 and random_flag(12,0.5,1) the unseen
+    # pivots are no more than the built and odd ones: the back-substitution
+    # reads the row of every pivot, so the top degree is built in one pass,
+    # and reads no cofacets.
     L = build_named(name)
-    rank = gf2.rank(ConfigurationSpace(octahedralize(L)).facet_keys(2 * L.dim))
     built, read = _spy_rows_and_holders(monkeypatch)
     result = certify_vanishing(L)
     assert result.status == "primitive"
     if by_holders:
         assert built == [] and read and set(read) <= set(result.primitive)
     else:
-        assert read == [] and len(set(built)) >= rank > 0
+        assert read == [] and built == [2 * L.dim]
+
+
+@pytest.mark.parametrize("name, integral, reads_rows", [
+    ("random_flag(12,0.5,1)", False, True), ("tree6", False, True), ("tree6", True, True),
+    ("cone(suspension(cycle(5)))", False, False), ("cone(cycle(8))", False, False),
+    ("cone(cone(cycle(6)))", False, False), ("cone(suspension(cycle(5)))", True, False),
+    ("cone(cycle(8))", True, False), ("cone(cone(cycle(6)))", True, False)])
+def test_each_row_the_gf2_solve_reads_is_facet_keys_own_from_one_pass(name, integral, reads_rows, monkeypatch):
+    # The solve's rows have one builder: each row it reads through
+    # System.row is the very list that facet_keys(2k) holds, from the one
+    # _facet_rows pass of the top degree.  A solve that reads no row builds
+    # none: on the cones no pass runs, unless the Z re-check reads the top
+    # rows, in its one pass.
+    spaces, reads, passes = [], [], []
+    solve_coboundary, solve = obstruction.solve_coboundary, gf2.solve
+    facet_rows = ConfigurationSpace._facet_rows
+    monkeypatch.setattr(obstruction, "solve_coboundary",
+                        lambda phi, degree, space: spaces.append(space) or solve_coboundary(phi, degree, space))
+
+    def spy(system, ncols):
+        def row(i):
+            keys = system.row(i)
+            reads.append((i, keys))
+            return keys
+
+        return solve(gf2.System(system.tops, system.rhs, row, system.holders), ncols)
+
+    monkeypatch.setattr(gf2, "solve", spy)
+    monkeypatch.setattr(ConfigurationSpace, "_facet_rows",
+                        lambda self, pairs: passes.append((self, pairs)) or facet_rows(self, pairs))
+    L = build_named(name)
+    result = certify_vanishing(L, integral=integral)
+    assert result.status == "primitive" and result.integral_checked == integral
+    (space,) = spaces
+    top = space.indexed_cells(2 * L.dim)
+    assert all(s is space and pairs is top for s, pairs in passes)
+    if reads_rows:
+        assert len(passes) == 1
+        rows = space.facet_keys(2 * L.dim)
+        assert reads and all(row is rows[i] for i, row in reads)
+    else:
+        assert reads == [] and len(passes) == int(integral)
 
 
 def test_mutual_exclusion_never_both():

@@ -104,4 +104,3 @@ def test_top_solve_leaves_the_cached_facet_rows_as_built(expr, solvable):
     assert (primitive is not None, bool(witness)) == (solvable, not solvable)
     assert space.facet_keys(2 * L.dim) is rows
     assert [list(row) for row in rows] == before
-    assert all(space.facet_row(2 * L.dim, i) is row for i, row in enumerate(rows))
